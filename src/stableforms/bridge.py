@@ -14,6 +14,7 @@ the adapted orientation -e^{1..6} used by the canonical displays.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -21,10 +22,10 @@ from typing import Sequence
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, contract, hodge_star, wedge)
-from .linalg import inverse, mat_mul, mat_vec, nullspace
+from .linalg import inverse, mat_mul, mat_vec
 from .scalars import cbrt_fraction, sqrt_fraction
 from .stable6 import NotStableError, ScaledStructure
-from .vcp import CrossProduct
+from .vcp import CrossProduct, _complement, _vec
 
 
 @dataclass(frozen=True)
@@ -37,14 +38,7 @@ class AdaptedFrame:
     labels: tuple
 
 
-def _unit_and_complement(cp3: CrossProduct, a: Sequence, b: Sequence | None = None) -> AdaptedFrame:
-    a = tuple(Fraction(x) if isinstance(x, int) else x for x in a)
-    gram = [list(r) for r in cp3.ip.gram]
-    rows = [mat_vec(gram, list(a))]
-    if b is not None:
-        b = tuple(Fraction(x) if isinstance(x, int) else x for x in b)
-        rows.append(mat_vec(gram, list(b)))
-    comp = [tuple(v) for v in nullspace(rows, ncols=cp3.dim)]
+def _adapted_frame(a: tuple, b: tuple | None, comp: list) -> AdaptedFrame:
     labels = tuple(i + 1 for i, v in enumerate(zip(*comp)) if any(x != 0 for x in v))
     return AdaptedFrame(a, b, tuple(comp), labels)
 
@@ -60,22 +54,20 @@ def vcp_to_stable7(cp3: CrossProduct, a: Sequence) -> Stable7FromVCP:
     """phi(x,y,z) = -<X'(x,y,z), a> on the complement of a space-like unit a."""
     if cp3.fold != 3:
         raise ValueError("vcp_to_stable7 starts from a 3-fold product")
-    frame = _unit_and_complement(cp3, a)
-    na = cp3.ip.pair(frame.a, frame.a)
+    a = _vec(a)
+    na = cp3.ip.pair(a, a)
     if na == 0:
         raise ValueError("null vector rejected")
     if na != 1:
         raise ValueError("need a space-like unit vector, <a,a> = 1 exactly")
-    comp = frame.complement
-    import itertools
-
+    comp, sub_gram, _ = _complement(cp3.ip, [a])
     terms = {}
     for i, j, k in itertools.combinations(range(7), 3):
-        val = -cp3.ip.pair(cp3(comp[i], comp[j], comp[k]), frame.a)
+        val = -cp3.ip.pair(cp3(comp[i], comp[j], comp[k]), a)
         if val != 0:
             terms[(i + 1, j + 1, k + 1)] = val
-    sub = InnerProduct.from_rows([[cp3.ip.pair(u, v) for v in comp] for u in comp])
-    return Stable7FromVCP(alt_form(7, 3, terms), frame, sub)
+    return Stable7FromVCP(alt_form(7, 3, terms), _adapted_frame(a, None, comp),
+                          InnerProduct.from_rows(sub_gram))
 
 
 @dataclass(frozen=True)
@@ -99,24 +91,22 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     """
     if cp3.fold != 3:
         raise ValueError("vcp_to_stable6 starts from a 3-fold product")
-    frame = _unit_and_complement(cp3, a, b)
-    na = cp3.ip.pair(frame.a, frame.a)
-    nb = cp3.ip.pair(frame.b, frame.b)
-    nab = cp3.ip.pair(frame.a, frame.b)
+    a, b = _vec(a), _vec(b)
+    na = cp3.ip.pair(a, a)
+    nb = cp3.ip.pair(b, b)
+    nab = cp3.ip.pair(a, b)
     # orthonormal plane in the definite case, Lorentzian in the split case
     expected_nb = Fraction(1) if cp3.ip.signature()[1] == 0 else Fraction(-1)
     if nab != 0 or na != 1 or nb != expected_nb:
         kind = "orthonormal" if expected_nb == 1 else "Lorentzian"
         raise ValueError(f"plane must be {kind}: <a,a>=1, <b,b>={expected_nb}, <a,b>=0")
-    comp = frame.complement
-    import itertools
-
+    comp, gram, to_local = _complement(cp3.ip, [a, b])
     sign = Fraction(1) if cp3.variant.startswith("X1") else Fraction(-1)
     t_om, t_hat = {}, {}
     for i, j, k in itertools.combinations(range(6), 3):
         x = cp3(comp[i], comp[j], comp[k])
-        v = -cp3.ip.pair(x, frame.a)
-        h = sign * cp3.ip.pair(x, frame.b)
+        v = -cp3.ip.pair(x, a)
+        h = sign * cp3.ip.pair(x, b)
         if v != 0:
             t_om[(i + 1, j + 1, k + 1)] = v
         if h != 0:
@@ -124,30 +114,22 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     omega = alt_form(6, 3, t_om)
     omega_hat = alt_form(6, 3, t_hat)
     # J_P v = -X'(a, b, v) restricted to the complement, in complement coords
-    gram = [[cp3.ip.pair(u, v) for v in comp] for u in comp]
-    gram_inv = inverse(gram)
-    big_gram = [list(r) for r in cp3.ip.gram]
-    cols = []
-    for v in comp:
-        w = tuple(-c for c in cp3(frame.a, frame.b, v))
-        loc = mat_vec(gram_inv, [sum((u[i] * s for i, s in enumerate(mat_vec(big_gram, list(w)))), Fraction(0)) for u in comp])
-        cols.append(tuple(loc))
-    jp = LinearMap.from_columns(cols)
+    jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
     # orientation fixed by the hat: the normalized hat must equal the
     # branch-signed b-contraction (it does in exactly one orientation)
-    vol = stable6.sorted_vol(6)
-    if stable6.hat(omega, vol).form != omega_hat:
-        vol = VolumeForm.standard(6, Fraction(-1))
-        if stable6.hat(omega, vol).form != omega_hat:
-            raise ArithmeticError("b-contraction does not match the hat in either orientation")
-    ss = stable6.scaled_structure(omega, vol)
+    for vol in (stable6.sorted_vol(6), VolumeForm.standard(6, Fraction(-1))):
+        ss = stable6.scaled_structure(omega, vol)
+        if stable6._hat(omega, ss).form == omega_hat:
+            break
+    else:
+        raise ArithmeticError("b-contraction does not match the hat in either orientation")
     c = _scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
     if c is None or c * c != abs(ss.lam.value):
         raise ArithmeticError("K is not a multiple of the plane structure")
     # K o J_P = -s Id with K = s J_P in the complex case; K o L_P = +s Id in the para case
     s = -c if ss.lam.value < 0 else c
-    sub = InnerProduct.from_rows(gram)
-    return Stable6FromVCP(omega, omega_hat, ss, jp, s, vol, frame, sub)
+    return Stable6FromVCP(omega, omega_hat, ss, jp, s, vol, _adapted_frame(a, b, comp),
+                          InnerProduct.from_rows(gram))
 
 
 def _scalar_of(m) -> Fraction | None:
@@ -229,7 +211,7 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
                 raise ValueError("inner product is not compatible with the induced structure")
     w = mat_mul([list(r) for r in zip(*km)], g6)  # omega_s(x,y) = <Kx, y>
     omega_s = alt_form(6, 2, {(i + 1, j + 1): w[i][j] for i in range(6) for j in range(6) if i < j})
-    h = stable6.hat(omega, vol)
+    h = stable6._hat(omega, ss)
     pair = wedge(omega, h.numerator)  # = Omega ^ hat * sqrt(|lambda|)
     w3 = wedge(wedge(omega_s, omega_s), omega_s)
     num = Fraction(1, 4) * vol.ratio(pair) * lam_abs

@@ -18,7 +18,6 @@ from .compalg import AlgebraTag
 from .exteralg import AltForm, InnerProduct, VolumeForm, alt_form
 from .framecalc import PreconditionError
 from .scalars import QuadExt, rat, rat_str
-from .stable6 import NotStableError
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -159,7 +158,7 @@ def cmd_classify(args) -> int:
     stab = stable6.stabilizer_dim(form)
     if dim == 6:
         lam = stable6.lambda_coeff(form, vol).value
-        cls = stable6.classify6(form, vol)
+        cls = stable6._orbit6(lam)
         payload = {"class": cls.value, "lambda": rat_str(lam), "stab_dim": stab}
         text = f"{cls.value}, lambda={rat_str(lam)}, stab_dim={stab}"
         if args.canonicalize and cls != stable6.OrbitClass6.NOT_STABLE:
@@ -169,7 +168,7 @@ def cmd_classify(args) -> int:
     else:
         qf = stable7.q_form(form, vol)
         pos, neg, zero = qf.signature()
-        cls = stable7.classify7(form, vol)
+        cls = stable7._orbit7((pos, neg, zero))
         payload = {"class": cls.value, "q_signature": {"pos": pos, "neg": neg, "zero": zero},
                    "abs_signature": abs(pos - neg), "stab_dim": stab}
         text = f"{cls.value}, |sig|={abs(pos - neg)}, stab_dim={stab}"
@@ -238,7 +237,7 @@ def cmd_bridge(args) -> int:
         payload = {
             "Omega": form_to_document(res.omega),
             "Omega_hat": form_to_document(res.omega_hat),
-            "class": stable6.classify6(res.omega, res.vol).value,
+            "class": stable6._orbit6(res.structure.lam.value).value,
             "lambda": rat_str(res.structure.lam.value),
             "plane_scale": rat_str(res.plane_scale),
             "labels": list(res.frame.labels),
@@ -416,10 +415,7 @@ def main(argv=None) -> int:
     except PreconditionError as ex:
         print(f"precondition failed: {ex}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (NotStableError,) as ex:
-        print(f"error: {ex}", file=sys.stderr)
-        return EXIT_SHAPE
-    except ValueError as ex:
+    except ValueError as ex:  # shape errors and NotStableError
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_SHAPE
 

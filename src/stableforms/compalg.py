@@ -144,11 +144,13 @@ def norm(x: AlgElement) -> Fraction:
 
 
 def inner(x: AlgElement, y: AlgElement) -> Fraction:
-    """Polarization (x conj(y) + y conj(x)) / 2, read off the e_0 coordinate."""
+    """The diagonal norm form sum_i s_i x_i y_i, s = tag.signature.
+
+    Equal to the polarization (x conj(y) + y conj(x)) / 2 read off e_0;
+    verify_identities checks that equality against the product.
+    """
     _same_tag(x, y)
-    s = _add(_cd_mul(x.coords, _cd_conj(y.coords), x.tag.doubling_signs),
-             _cd_mul(y.coords, _cd_conj(x.coords), x.tag.doubling_signs))
-    return s[0] / 2
+    return sum((s * a * b for s, a, b in zip(x.tag.signature, x.coords, y.coords)), Fraction(0))
 
 
 def multiplication_table(tag: AlgebraTag) -> list[list[AlgElement]]:

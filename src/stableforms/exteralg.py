@@ -18,11 +18,12 @@ forms over a quadratic extension (QuadExt coefficients) work throughout.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import det as _det
+from .linalg import inertia, mat_mul, nullspace
 from .linalg import inverse as _inverse
 from .scalars import rat
 
@@ -44,14 +45,6 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int]:
                 lst[j - 1], lst[j] = lst[j], lst[j - 1]
                 sign = -sign
     return tuple(lst), sign
-
-
-def merge_sign(a: Index, b: Index) -> tuple[Index, int]:
-    """Concatenate two increasing multi-indices; 0 sign if they intersect."""
-    merged, sign = sort_index(a + b)
-    if sign == 0:
-        return merged, 0
-    return merged, sign
 
 
 @dataclass(frozen=True)
@@ -195,8 +188,6 @@ class LinearMap:
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
-        from .linalg import mat_mul
-
         return LinearMap.from_rows(mat_mul(self.matrix, other.matrix))
 
     def inverse(self) -> "LinearMap":
@@ -260,8 +251,6 @@ class InnerProduct:
         return _inverse([list(r) for r in self.gram])
 
     def signature(self) -> tuple[int, int]:
-        from .linalg import inertia
-
         pos, neg, zero = inertia([list(r) for r in self.gram])
         return pos, neg
 
@@ -312,7 +301,7 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     out: dict = {}
     for ia, ca in a.terms.items():
         for ib, cb in b.terms.items():
-            key, sign = merge_sign(ia, ib)
+            key, sign = sort_index(ia + ib)
             if sign == 0:
                 continue
             s = out.get(key, 0) + sign * ca * cb
@@ -321,13 +310,6 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
             else:
                 out[key] = s
     return AltForm(a.dim, deg, out)
-
-
-def wedge_all(*forms: AltForm) -> AltForm:
-    out = forms[0]
-    for f in forms[1:]:
-        out = wedge(out, f)
-    return out
 
 
 def contract(v, a: AltForm) -> AltForm:
@@ -415,7 +397,7 @@ def hodge_star(a: AltForm, ip: InnerProduct, vol: VolumeForm) -> AltForm:
         if coeff == 0:
             continue
         comp = tuple(i for i in range(1, n + 1) if i not in idx)
-        _, sign = merge_sign(idx, comp)
+        _, sign = sort_index(idx + comp)
         out_c = sign * v * coeff
         s = out.get(comp, 0) + out_c
         if s == 0:
@@ -434,8 +416,6 @@ def divisor_space(a: AltForm) -> list[AltForm]:
     if not rows_index:
         # wedging a top form with any covector is zero
         return [basis_form(n, i) for i in range(1, n + 1)]
-    from .linalg import nullspace
-
     system = []
     for key in rows_index:
         row = []

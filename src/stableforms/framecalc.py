@@ -15,14 +15,14 @@ comes out exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
-                       contract, form_inner, hodge_star, wedge)
-from .scalars import rat
+                       contract, form_inner, hodge_star, is_decomposable, wedge)
+from .linalg import inverse, mat_mul
 
 
 class PreconditionError(ValueError):
@@ -131,10 +131,6 @@ def iwasawa_model() -> FrameModel:
     })
 
 
-def product_t3_model() -> FrameModel:
-    return flat_torus(6)
-
-
 @dataclass(frozen=True)
 class CircleBundleModel:
     """Unit circle bundle over a 6-dim base: total coframe (e^1..e^6, rho=e^7)."""
@@ -186,8 +182,6 @@ class SU3Data:
 
     def complex_structure(self, metric: InnerProduct):
         """J = -G^{-1} W from omega(x,y) = <J x, y>; J^2 = -Id verified."""
-        from .linalg import inverse, mat_mul
-
         n = self.omega.dim
         w = [[self.omega.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
         ginv = inverse([list(r) for r in metric.gram])
@@ -234,19 +228,20 @@ def _check_special_balanced(cb: CircleBundleModel, su3: SU3Data):
     if not base.d(wedge(su3.omega, su3.omega)).is_zero:
         failing.append("d(omega^2) != 0")
     j = su3.complex_structure(base.ip())
-    n = 6
-    for i in range(1, n + 1):
-        for k in range(i + 1, n + 1):
-            ji = [j[r - 1][i - 1] for r in range(1, n + 1)]
-            jk = [j[r - 1][k - 1] for r in range(1, n + 1)]
-            if cb.F(ji, jk) != cb.F(_basis_vector(n, i), _basis_vector(n, k)):
-                failing.append("curvature is not of type (1,1)")
-                break
-        else:
-            continue
-        break
+    jcols = [[row[i] for row in j] for i in range(6)]  # J e_{i+1}
+    if any(cb.F(jcols[i], jcols[k]) != cb.F(_basis_vector(6, i + 1), _basis_vector(6, k + 1))
+           for i in range(6) for k in range(i + 1, 6)):
+        failing.append("curvature is not of type (1,1)")
     if failing:
         raise PreconditionError("; ".join(failing))
+
+
+def _g2_forms(su3: SU3Data) -> tuple[AltForm, AltForm]:
+    """phi = Omega1 - rho ^ omega and the displayed dual Omega2 ^ rho - omega^2/2."""
+    rho = basis_form(7, 7)
+    w7 = _embed(su3.omega, 7)
+    phi = _embed(su3.Omega1, 7) - wedge(rho, w7)
+    return phi, wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * wedge(w7, w7)
 
 
 def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
@@ -256,10 +251,7 @@ def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
     product metric and must agree exactly.
     """
     _check_special_balanced(cb, su3)
-    rho = basis_form(7, 7)
-    phi = _embed(su3.Omega1, 7) - wedge(rho, _embed(su3.omega, 7))
-    w7 = _embed(su3.omega, 7)
-    star_display = wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * wedge(w7, w7)
+    phi, star_display = _g2_forms(su3)
     star_computed = cb.total.hodge(phi, bundle_orientation(su3))
     if star_computed != star_display:
         raise PreconditionError("su3 data is not metric-adapted: *phi mismatch")
@@ -307,7 +299,7 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     w3_c = dphi_phi.is_zero
     if not (w3_a == w3_b == w3_c):
         raise ArithmeticError("the three primitivity tests disagree; internal error")
-    npr = nabla_phi(cb, su3)
+    npr = _nabla_phi(cb, su3, phi, star_phi, f_dot_omega)
     parallel = all(df.is_zero for df in npr.derivatives.values())
     w2 = dphi.is_zero
     if w2 != (cb.F.is_zero and cb.base.d(su3.omega).is_zero):
@@ -393,11 +385,15 @@ def nabla_phi(cb: CircleBundleModel, su3: SU3Data) -> NablaPhiReport:
     experimental.
     """
     _check_special_balanced(cb, su3)
+    phi, star_phi = _g2_forms(su3)
+    return _nabla_phi(cb, su3, phi, star_phi, form_inner(cb.F, su3.omega, cb.base.ip()))
+
+
+def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltForm,
+               f_dot_omega: Fraction) -> NablaPhiReport:
+    """nabla phi for phi, *phi from _g2_forms and f_dot_omega = <F, omega>."""
     table = covariant_table(cb)
     flat = all(x == 0 for m in table.base_gamma for r in m for x in r)
-    rho = basis_form(7, 7)
-    phi = _embed(su3.Omega1, 7) - wedge(rho, _embed(su3.omega, 7))
-    star_phi = wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * wedge(_embed(su3.omega, 7), _embed(su3.omega, 7))
     n = 6
     f = [[cb.F(_basis_vector(n, i), _basis_vector(n, j)) for j in range(1, n + 1)]
          for i in range(1, n + 1)]
@@ -445,7 +441,6 @@ def nabla_phi(cb: CircleBundleModel, su3: SU3Data) -> NablaPhiReport:
         return out
 
     derivatives = {u: derive(phi, u) for u in range(1, 8)}
-    f_dot_omega = form_inner(cb.F, su3.omega, cb.base.ip())
     theta_expected = (f_dot_omega / 2) * _embed(su3.Omega2, 7)
     theta_ok = derivatives[7] == theta_expected
     ip7 = cb.total.ip()
@@ -489,13 +484,11 @@ def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm,
     The difference quotient is evaluated on exact rationals before the only
     float conversion, so its error is purely the O(h^2) truncation term.
     """
-    lam0 = stable6.lambda_coeff(omega, vol).value
-    if lam0 == 0:
-        raise stable6.NotStableError("variation needs a stable base form")
+    ss = stable6.scaled_structure(omega, vol)  # NotStableError when lambda = 0
     lam_p = stable6.lambda_coeff(omega + h * omega_dot, vol).value
     lam_m = stable6.lambda_coeff(omega - h * omega_dot, vol).value
     fd = (math.sqrt(abs(float(lam_p))) - math.sqrt(abs(float(lam_m)))) / (2 * float(h))
-    hat = stable6.hat(omega, vol)
+    hat = stable6._hat(omega, ss)
     pairing_num = vol.ratio(wedge(hat.numerator, omega_dot))
     pairing = float(pairing_num) / math.sqrt(float(hat.lam_abs))
     return fd, pairing
@@ -520,13 +513,10 @@ def critical_point_check(model: FrameModel, omega: AltForm) -> CriticalReport:
     """
     if model.dim != 6:
         raise ValueError("critical points live on 6-dimensional models")
-    orbit = stable6.classify6(omega, model.vol())
-    if orbit == stable6.OrbitClass6.NOT_STABLE:
-        raise stable6.NotStableError("critical point check needs a stable form")
+    ss = stable6.scaled_structure(omega, model.vol())  # NotStableError when lambda = 0
     closed = model.d(omega).is_zero
-    hat = stable6.hat(omega, model.vol())
-    cocritical = model.d(hat.numerator).is_zero
-    return CriticalReport(closed, cocritical, closed and cocritical, orbit)
+    cocritical = model.d(stable6._hat(omega, ss).numerator).is_zero
+    return CriticalReport(closed, cocritical, closed and cocritical, stable6._orbit6(ss.lam.value))
 
 
 def para_cy_check(model: FrameModel, alpha: AltForm, beta: AltForm,
@@ -538,8 +528,6 @@ def para_cy_check(model: FrameModel, alpha: AltForm, beta: AltForm,
     half = n // 2
     if alpha.degree != half or beta.degree != half:
         raise ValueError(f"alpha and beta must have degree {half}")
-    from .exteralg import is_decomposable
-
     report = {
         "d_alpha_zero": model.d(alpha).is_zero,
         "d_beta_zero": model.d(beta).is_zero,

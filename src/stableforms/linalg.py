@@ -8,22 +8,15 @@ both exact and fast.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 Matrix = list
 
 
 def mat_copy(m) -> Matrix:
     return [list(row) for row in m]
-
-
-def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-def zeros(nrows: int, ncols: int) -> Matrix:
-    return [[Fraction(0)] * ncols for _ in range(nrows)]
 
 
 def transpose(m) -> Matrix:
@@ -37,14 +30,6 @@ def mat_mul(a, b) -> Matrix:
 
 def mat_vec(a, v) -> list:
     return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-
-
-def mat_add(a, b) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_scale(a, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
@@ -94,22 +79,6 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
     return basis
 
 
-def solve(a, b) -> list | None:
-    """One solution of a x = b, or None if inconsistent."""
-    nrows, ncols = len(a), len(a[0])
-    aug = [list(row) + [bv] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:ncols]) and row[ncols] != 0:
-            return None
-    x = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        if c == ncols:
-            return None
-        x[c] = red[r][ncols]
-    return x
-
-
 def inverse(a) -> Matrix:
     n = len(a)
     aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
@@ -121,7 +90,7 @@ def inverse(a) -> Matrix:
 
 
 def det(a):
-    """Determinant by fraction-free elimination with row pivoting."""
+    """Determinant by Gaussian elimination with row pivoting (exact field division)."""
     n = len(a)
     m = mat_copy(a)
     result = Fraction(1)
@@ -189,8 +158,6 @@ def gram_schmidt_floats(gram: Sequence[Sequence[float]]) -> list[list[float]]:
     Returns vectors (as lists) f_1..f_n with f_i^T G f_j = delta_ij, built
     from the standard basis in order.
     """
-    import math
-
     n = len(gram)
     frame: list[list[float]] = []
     for i in range(n):

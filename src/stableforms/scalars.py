@@ -55,15 +55,23 @@ def sqrt_fraction(x: Fraction) -> Fraction | None:
 
 
 def icbrt_exact(n: int) -> int | None:
-    """Integer cube root of n (any sign), or None if n is not a perfect cube."""
+    """Integer cube root of n (any sign), or None if n is not a perfect cube.
+
+    Integer Newton iteration from 2^ceil(bits/3) >= cbrt(n): the iterates
+    decrease strictly to floor(cbrt(n)), exactly at every size.
+    """
     if n < 0:
         r = icbrt_exact(-n)
         return None if r is None else -r
-    r = round(n ** (1.0 / 3.0)) if n else 0
-    for c in (r - 1, r, r + 1):
-        if c >= 0 and c * c * c == n:
-            return c
-    return None
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    return x if x * x * x == n else None
 
 
 def cbrt_fraction(x: Fraction) -> Fraction | None:
@@ -190,10 +198,3 @@ class QuadExt:
 
     def __repr__(self):
         return f"({rat_str(self.a)}+{rat_str(self.b)}*sqrt({rat_str(self.D)}))"
-
-
-Scalar = Union[Fraction, QuadExt]
-
-
-def scalar_is_zero(x) -> bool:
-    return x == 0

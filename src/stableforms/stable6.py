@@ -15,12 +15,20 @@ vol, which is the positivity condition on the decomposable complex form
 whose real part is Omega.  The classical 4-term displays of the canonical
 forms are adapted to the *complex* orientation of their frame, which is the
 negative of the lexicographic one; ``adapted_vol6()`` provides it.
+
+Every public function that needs K computes it exactly once, through ``k_endo``.
+``lambda_coeff`` and ``scaled_structure`` square that one K; ``hat`` and
+``canonicalize6`` build one ``ScaledStructure`` and pass it to the private
+``_hat`` (and to ``_canonicalize_para`` / ``_canonicalize_complex``), which
+never recompute it.  ``_orbit6`` is the one place that maps sign(lambda) to
+an orbit.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,17 +111,22 @@ def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
     return KEndo(LinearMap.from_columns(cols), vol)
 
 
+def _square(K: LinearMap) -> list:
+    m = [list(r) for r in K.matrix]
+    return mat_mul(m, m)
+
+
+def _lambda_of(k2: list, vol: VolumeForm) -> Lambda:
+    """lambda = tr(K^2)/6 from the square of K."""
+    return Lambda(sum((k2[i][i] for i in range(6)), Fraction(0)) / 6, vol)
+
+
 def lambda_coeff(omega: AltForm, vol: VolumeForm) -> Lambda:
     """lambda(Omega) = tr(K^2)/6, exact, as a coefficient of vol^2."""
-    K = k_endo(omega, vol).K
-    k2 = mat_mul([list(r) for r in K.matrix], [list(r) for r in K.matrix])
-    tr = sum((k2[i][i] for i in range(6)), Fraction(0))
-    return Lambda(tr / 6, vol)
+    return _lambda_of(_square(k_endo(omega, vol).K), vol)
 
 
-def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
-    _check_shape(omega, vol)
-    lam = lambda_coeff(omega, vol).value
+def _orbit6(lam: Fraction) -> OrbitClass6:
     if lam > 0:
         return OrbitClass6.O6_PLUS
     if lam < 0:
@@ -121,19 +134,23 @@ def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
     return OrbitClass6.NOT_STABLE
 
 
+def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
+    return _orbit6(lambda_coeff(omega, vol).value)
+
+
 def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
     """The exact pair (K, lambda) with K^2 = lambda Id verified."""
-    ke = k_endo(omega, vol)
-    lam = lambda_coeff(omega, vol)
+    K = k_endo(omega, vol).K
+    k2 = _square(K)
+    lam = _lambda_of(k2, vol)
     if lam.value == 0:
         raise NotStableError("form is not stable (lambda = 0)")
-    k2 = mat_mul([list(r) for r in ke.K.matrix], [list(r) for r in ke.K.matrix])
     for i in range(6):
         for j in range(6):
             expect = lam.value if i == j else Fraction(0)
             if k2[i][j] != expect:
                 raise ArithmeticError("K^2 != lambda Id; inconsistent input")
-    return ScaledStructure(ke.K, lam)
+    return ScaledStructure(K, lam)
 
 
 @dataclass(frozen=True)
@@ -149,8 +166,6 @@ class HatForm:
     form: AltForm | None
 
     def float_coeffs(self) -> dict:
-        import math
-
         s = math.sqrt(float(self.lam_abs))
         return {idx: float(c) / s for idx, c in self.numerator.terms.items()}
 
@@ -161,11 +176,15 @@ def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
     Computed as Omega(K., K., K.) / |lambda|^{3/2}; only the single factor
     1/sqrt(|lambda|) can be irrational and it is kept symbolic.
     """
-    ss = scaled_structure(omega, vol)
+    return _hat(omega, scaled_structure(omega, vol))
+
+
+def _hat(omega: AltForm, ss: ScaledStructure) -> HatForm:
+    """hat(Omega) from its structure, normalized against the volume form of ss."""
     lam_abs = abs(ss.lam.value)
     P = (Fraction(1) / lam_abs) * pullback(ss.K, omega)
     pairing = wedge(omega, P)
-    r = vol.ratio(pairing)
+    r = ss.lam.vol.ratio(pairing)
     if r == 0:
         raise ArithmeticError("Omega ^ hat vanished on a stable form")
     if r < 0:
@@ -222,21 +241,14 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
     is irrational the returned matrix has QuadExt entries.
     """
     ss = scaled_structure(omega, vol)
-    lam = ss.lam.value
-    if lam > 0:
+    if ss.is_para:
         return _canonicalize_para(omega, ss)
-    return _canonicalize_complex(omega, ss, vol)
+    return _canonicalize_complex(omega, ss)
 
 
 def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
-    lam = ss.lam.value
-    s = sqrt_fraction(lam)
-    if s is None:
-        s = QuadExt.root(lam)
-    n = 6
-    km = ss.K.matrix
-    minus = nullspace([[km[i][j] + (s if i == j else 0 * s) for j in range(n)] for i in range(n)], n)
-    plus = nullspace([[km[i][j] - (s if i == j else 0 * s) for j in range(n)] for i in range(n)], n)
+    minus = ss.eigenspace(-1)
+    plus = ss.eigenspace(+1)
     if len(minus) != 3 or len(plus) != 3:
         raise ArithmeticError("paracomplex eigenspaces are not 3-dimensional")
     c_minus = omega(*minus)
@@ -252,10 +264,10 @@ def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
     return Canon6(g, OrbitClass6.O6_PLUS, Fraction(1))
 
 
-def _canonicalize_complex(omega: AltForm, ss: ScaledStructure, vol: VolumeForm) -> Canon6:
+def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     lam = ss.lam.value  # negative
     lam_abs = -lam
-    h = hat(omega, vol)
+    h = _hat(omega, ss)
     w = QuadExt.root(lam)
     # alpha = Omega + i*hat = Omega + w/|lambda| * numerator over Q(sqrt(lambda))
     alpha_terms: dict = {}

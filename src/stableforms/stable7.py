@@ -5,18 +5,26 @@ an exact symmetric matrix B.  Nondegeneracy plus the absolute signature (7
 or 1, computed by exact rational inertia) decides the orbit.  Only the ninth
 root in the metric normalization is floating point; B itself, the orbit
 decision and the induced cross product stay exact whenever the scale is.
+
+Every public function that needs B computes it exactly once, through
+``q_form``, and its signature once, through ``QForm.signature``.  ``metric_from_phi`` and
+``canonicalize7`` hand both to the private ``_metric``; ``cross_from_phi``
+and ``bridge.lift_to_3fold`` go through ``metric_from_phi``.  ``_orbit7`` is
+the one place that maps a signature to an orbit.
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import AltForm, InnerProduct, LinearMap, VolumeForm, alt_form, contract, wedge
-from .linalg import gram_schmidt_floats, inertia, inverse, mat_vec
-from .stable6 import NotStableError, stabilizer_dim  # noqa: F401  (shared operation)
+from .exteralg import AltForm, InnerProduct, VolumeForm, alt_form, contract, wedge
+from .linalg import det, gram_schmidt_floats, inertia, inverse, mat_vec
+from .scalars import cbrt_fraction
+from .stable6 import NotStableError
 from .vcp import CrossProduct
 
 
@@ -66,8 +74,8 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     return QForm(b, vol)
 
 
-def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
-    pos, neg, zero = q_form(phi, vol).signature()
+def _orbit7(signature: tuple[int, int, int]) -> OrbitClass7:
+    pos, neg, zero = signature
     if zero:
         return OrbitClass7.NOT_STABLE
     a = abs(pos - neg)
@@ -76,6 +84,10 @@ def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
     if a == 1:
         return OrbitClass7.O7_PLUS
     return OrbitClass7.NOT_STABLE
+
+
+def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
+    return _orbit7(q_form(phi, vol).signature())
 
 
 @dataclass(frozen=True)
@@ -96,20 +108,23 @@ class G2Metric:
 
 def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
     qf = q_form(phi, vol)
-    orbit = classify7(phi, vol)
+    return _metric(qf, qf.signature())
+
+
+def _metric(qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
+    orbit = _orbit7(signature)
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
-    from .linalg import det as _det
-
     b = [list(r) for r in qf.B]
-    dB = _det(b)
+    dB = det(b)
     s9 = abs(dB) / Fraction(6) ** 7
     s = float(s9) ** (1.0 / 9.0)
     # exact when s9 is a perfect 9th power; try squares of cubes first
     s_exact = _ninth_root(s9)
     scale = s_exact if s_exact is not None else Fraction(s)
     g = [[x / (6 * scale) for x in row] for row in b]
-    pos, neg, _ = inertia(g)
+    # scale > 0, so g has the signature of B
+    pos, neg, _ = signature
     if orbit == OrbitClass7.O7_MINUS and neg == 7:
         g = [[-x for x in row] for row in g]
     elif orbit == OrbitClass7.O7_PLUS and pos == 4:
@@ -118,8 +133,6 @@ def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
 
 
 def _ninth_root(x: Fraction) -> Fraction | None:
-    from .scalars import cbrt_fraction
-
     c = cbrt_fraction(x)
     if c is None:
         return None
@@ -164,10 +177,11 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     the inverse frame matrix is the required basis.  Residual is the max
     absolute coefficient error of the round trip.
     """
-    orbit = classify7(phi, vol)
-    if orbit != OrbitClass7.O7_MINUS:
+    qf = q_form(phi, vol)
+    signature = qf.signature()
+    if _orbit7(signature) != OrbitClass7.O7_MINUS:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
-    gm = metric_from_phi(phi, vol)
+    gm = _metric(qf, signature)
     gram = [[float(x) for x in row] for row in gm.ip.gram]
     frame = gram_schmidt_floats(gram)
     phif = {idx: float(c) for idx, c in phi.terms.items()}
@@ -175,11 +189,7 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     def ev_form(vecs) -> float:
         total = 0.0
         for idx, c in phif.items():
-            m = [[vecs[col][row - 1] for col in range(3)] for row in idx]
-            d = (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-                 - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-                 + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-            total += c * d
+            total += c * _det3([[vecs[col][row - 1] for col in range(3)] for row in idx])
         return total
 
     ginv = [[float(x) for x in row] for row in inverse([list(r) for r in gm.ip.gram])]
@@ -220,19 +230,19 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     basis = _float_inverse(m)
     # residual: pullback(basis, phi_canonical) vs phi
     can = {idx: float(c) for idx, c in canonical_phi_minus().terms.items()}
-    import itertools as _it
-
     residual = 0.0
-    for jdx in _it.combinations(range(1, 8), 3):
+    for jdx in itertools.combinations(range(1, 8), 3):
         total = 0.0
         for idx, c in can.items():
-            minor = [[basis[i - 1][j - 1] for j in jdx] for i in idx]
-            d = (minor[0][0] * (minor[1][1] * minor[2][2] - minor[1][2] * minor[2][1])
-                 - minor[0][1] * (minor[1][0] * minor[2][2] - minor[1][2] * minor[2][0])
-                 + minor[0][2] * (minor[1][0] * minor[2][1] - minor[1][1] * minor[2][0]))
-            total += c * d
+            total += c * _det3([[basis[i - 1][j - 1] for j in jdx] for i in idx])
         residual = max(residual, abs(total - float(phi.coeff(jdx))))
     return Canon7(basis, residual)
+
+
+def _det3(m: list) -> float:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
 
 
 def _float_inverse(m: list) -> list:

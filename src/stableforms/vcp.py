@@ -16,10 +16,10 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import compalg
-from .compalg import AlgebraTag, AlgElement
+from .compalg import AlgebraTag, AlgElement, _add, _scale
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form
 from .linalg import det as _det
-from .linalg import mat_vec, nullspace, rank
+from .linalg import inverse, mat_vec, nullspace, rank
 from .scalars import rat
 
 Vector = tuple
@@ -176,24 +176,11 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
         raise ValueError("null vector cannot induce a reduction")
     if na != 1:
         raise ValueError("reduction vector must satisfy <a,a> = 1 exactly")
-    # complement basis: nullspace of the covector <a, .>
-    grow = [mat_vec([list(r) for r in cp3.ip.gram], list(a))]
-    comp = nullspace(grow, ncols=cp3.dim)
-    comp_t = [tuple(v) for v in comp]
-    emb = [list(col) for col in zip(*comp_t)]  # dim x 7, columns = basis
-    sub_gram = [[cp3.ip.pair(u, v) for v in comp_t] for u in comp_t]
-    from .linalg import inverse as _inv
-
-    sub_gram_inv = _inv(sub_gram)
-    big_gram = [list(r) for r in cp3.ip.gram]
+    comp_t, sub_gram, to_local = _complement(cp3.ip, [a])
 
     def to_ambient(x: Vector) -> Vector:
-        return tuple(sum((emb[i][k] * x[k] for k in range(len(comp_t))), Fraction(0))
+        return tuple(sum((u[i] * x[k] for k, u in enumerate(comp_t)), Fraction(0))
                      for i in range(cp3.dim))
-
-    def to_local(w: Sequence) -> Vector:
-        rhs = mat_vec(sub_gram_inv, [sum((u[i] * s for i, s in enumerate(mat_vec(big_gram, list(w)))), Fraction(0)) for u in comp_t])
-        return tuple(rhs)
 
     def ev(x: Vector, y: Vector) -> Vector:
         w = cp3(a, to_ambient(x), to_ambient(y))
@@ -201,6 +188,26 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
 
     return CrossProduct(7, 2, f"{cp3.variant}|{list(a)}", InnerProduct.from_rows(sub_gram), ev,
                         tag=cp3.tag, frame=comp_t)
+
+
+def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list, Callable]:
+    """The ip-orthogonal complement of span(vectors), exactly.
+
+    Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix,
+    and the map sending an ambient vector to the complement coordinates of
+    its orthogonal projection.  The complement must be nondegenerate.
+    """
+    gram = [list(r) for r in ip.gram]
+    comp = [tuple(v) for v in nullspace([mat_vec(gram, list(v)) for v in vectors], ncols=ip.dim)]
+    sub_gram = [[ip.pair(u, v) for v in comp] for u in comp]
+    sub_gram_inv = inverse(sub_gram)
+
+    def to_local(w: Sequence) -> Vector:
+        gw = mat_vec(gram, list(w))
+        return tuple(mat_vec(sub_gram_inv, [sum((u[i] * s for i, s in enumerate(gw)), Fraction(0))
+                                            for u in comp]))
+
+    return comp, sub_gram, to_local
 
 
 @dataclass(frozen=True)
@@ -287,16 +294,16 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
         pair_lxy = cp3.ip.pair(lx, y)
         pair_xy = cp3.ip.pair(x, y)
         lhs1 = _add(cp3(lx, y, nrm), lv(cp3(x, y, nrm)))
-        rhs1 = _add(_scale_vec(pair_lxy, nrm), _scale_vec(pair_xy, ln))
+        rhs1 = _add(_scale(pair_lxy, nrm), _scale(pair_xy, ln))
         if lhs1 != rhs1:
             id1 = False
         lhs2 = _sub(cp3(lx, ly, nrm), cp3(x, y, nrm))
-        if lhs2 != _scale_vec(-2 * pair_lxy, ln):
+        if lhs2 != _scale(-2 * pair_lxy, ln):
             id2 = False
         lxn = lv(cp3(nrm, x, y))
         if lxn != cp3(ln, x, y):
             commuting = False
-        alt = _add(_scale_vec(Fraction(-1), cp3(ln, x, y)), _scale_vec(2 * pair_lxy, nrm))
+        alt = _add(_scale(Fraction(-1), cp3(ln, x, y)), _scale(2 * pair_lxy, nrm))
         if lxn != alt:
             anticommuting = False
 
@@ -314,11 +321,3 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
 
 def _sub(x: Vector, y: Vector) -> Vector:
     return tuple(u - v for u, v in zip(x, y))
-
-
-def _add(x: Vector, y: Vector) -> Vector:
-    return tuple(u + v for u, v in zip(x, y))
-
-
-def _scale_vec(c, x: Vector) -> Vector:
-    return tuple(c * u for u in x)

@@ -7,6 +7,12 @@ import pytest
 from stableforms.exteralg import LinearMap, alt_form
 
 PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
+# fixed integer bases (det -2 and -6) for pulled-back canonical forms
+G6 = LinearMap.from_rows([[1, 2, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0], [1, 0, 1, 0, 0, 2],
+                          [0, 0, 1, 1, 0, 0], [2, 0, 0, 0, 1, 1], [0, 1, 0, 0, 0, 1]])
+G7 = LinearMap.from_rows([[1, 0, 2, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 1],
+                          [0, 2, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0, 1], [1, 0, 0, 0, 0, 1, 0],
+                          [0, 0, 1, 0, 0, 0, 1]])
 
 
 def random_invertible(rng: random.Random, n: int, span: int = 3) -> LinearMap:

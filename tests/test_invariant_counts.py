@@ -1,0 +1,73 @@
+"""Each public entry point computes its form's invariant exactly once.
+
+K (stable6.k_endo), B (stable7.q_form) and the signature of B
+(stable7.inertia) are the expensive invariants; framecalc's special-balanced
+check guards every G2 computation.  The counts below are the number of
+times one public call runs each of them.
+"""
+
+from collections import Counter
+
+import pytest
+
+from conftest import G6, G7
+from stableforms import bridge, framecalc, stable6, stable7, vcp
+from stableforms.compalg import AlgebraTag
+from stableforms.exteralg import VolumeForm, alt_form, pullback
+
+VOL6 = VolumeForm.standard(6)
+VOL7 = VolumeForm.standard(7)
+OMEGA_PLUS = pullback(G6, stable6.canonical_omega_plus())
+OMEGA_MINUS = pullback(G6, stable6.canonical_omega_minus())
+PHI_MINUS = pullback(G7, stable7.canonical_phi_minus())
+DIRECTION = alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 6): -2})
+F_PRIMITIVE = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
+IP_MINUS = bridge.synthesize_compatible_ip(stable6.scaled_structure(OMEGA_MINUS, VOL6))
+
+CASES = {
+    "scaled_structure": (lambda: stable6.scaled_structure(OMEGA_MINUS, VOL6), {"k_endo": 1}),
+    "hat": (lambda: stable6.hat(OMEGA_MINUS, VOL6), {"k_endo": 1}),
+    "canonicalize6_plus": (lambda: stable6.canonicalize6(OMEGA_PLUS, VOL6), {"k_endo": 1}),
+    "canonicalize6_minus": (lambda: stable6.canonicalize6(OMEGA_MINUS, VOL6), {"k_endo": 1}),
+    "metric_from_phi": (lambda: stable7.metric_from_phi(PHI_MINUS, VOL7),
+                        {"q_form": 1, "inertia": 1}),
+    "canonicalize7": (lambda: stable7.canonicalize7(PHI_MINUS, VOL7), {"q_form": 1, "inertia": 1}),
+    "cross_from_phi": (lambda: stable7.cross_from_phi(PHI_MINUS, VOL7), {"q_form": 1, "inertia": 1}),
+    "lift_to_3fold": (lambda: bridge.lift_to_3fold(PHI_MINUS), {"q_form": 1, "inertia": 1}),
+    # the lift is classified once: one q_form of the 7-form it builds
+    "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
+                     {"k_endo": 1, "q_form": 1, "inertia": 1}),
+    # e0,e4 in O: the hat matches in the second orientation tried
+    "vcp_to_stable6": (lambda: bridge.vcp_to_stable6(vcp.cross_3fold(AlgebraTag.O, "X1"),
+                                                     [1, 0, 0, 0, 0, 0, 0, 0],
+                                                     [0, 0, 0, 0, 1, 0, 0, 0]),
+                       {"k_endo": 2}),
+    # one structure plus lambda at Omega +- h * direction
+    "hitchin_variation": (lambda: framecalc.hitchin_variation(OMEGA_MINUS, DIRECTION, VOL6),
+                          {"k_endo": 3}),
+    "critical_point_check": (lambda: framecalc.critical_point_check(framecalc.iwasawa_model(),
+                                                                    OMEGA_MINUS),
+                             {"k_endo": 1}),
+    "classify_g2": (lambda: framecalc.classify_g2(
+        framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE),
+        framecalc.standard_su3()), {"_check_special_balanced": 1}),
+}
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    counts = Counter()
+    for module, name in ((stable6, "k_endo"), (stable7, "q_form"), (stable7, "inertia"),
+                         (framecalc, "_check_special_balanced")):
+        def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_each_invariant_computed_once(name, calls):
+    run, expected = CASES[name]
+    run()
+    assert dict(calls) == expected

@@ -8,8 +8,9 @@ from stableforms import vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, basis_form, pullback
 from stableforms.linalg import mat_mul
+from stableforms.scalars import icbrt_exact
 from stableforms.stable6 import NotStableError, stabilizer_dim
-from stableforms.stable7 import (OrbitClass7, canonical_phi_minus,
+from stableforms.stable7 import (OrbitClass7, _ninth_root, canonical_phi_minus,
                                  canonical_phi_plus, canonicalize7, classify7,
                                  cross_from_phi, metric_from_phi, q_form)
 
@@ -72,6 +73,24 @@ class TestClassify:
         assert stabilizer_dim(canonical_phi_minus()) == 14
         assert stabilizer_dim(canonical_phi_plus()) == 14
         assert 49 - 14 == 35  # orbit dimension = dim of the full 3-form space
+
+
+class TestExactRoots:
+    """Cube and ninth roots are exact at every size, with no float guess."""
+
+    def test_cube_beyond_float_precision(self):
+        assert icbrt_exact((10**15 + 7) ** 3) == 10**15 + 7
+
+    def test_cube_beyond_float_range(self):
+        assert icbrt_exact((10**110 + 1) ** 3) == 10**110 + 1
+        assert icbrt_exact(-(10**110 + 1) ** 3) == -(10**110 + 1)
+        assert icbrt_exact((10**110 + 1) ** 3 + 1) is None
+
+    def test_ninth_root_of_large_power(self):
+        assert _ninth_root(Fraction(7**9 * 10**90)) == 7 * 10**10
+
+    def test_small_values(self):
+        assert [icbrt_exact(n) for n in (0, 1, 8, 27, -64, 2, 9, 26)] == [0, 1, 2, 3, -4, None, None, None]
 
 
 class TestMetric:
