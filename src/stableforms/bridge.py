@@ -117,12 +117,16 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
     # orientation fixed by the hat: the normalized hat must equal the
     # branch-signed b-contraction (it does in exactly one orientation)
-    for vol in (stable6.sorted_vol(6), VolumeForm.standard(6, Fraction(-1))):
-        ss = stable6.scaled_structure(omega, vol)
-        if stable6._hat(omega, ss).form == omega_hat:
-            break
-    else:
+    vol = stable6.sorted_vol(6)
+    ss = stable6.scaled_structure(omega, vol)
+    h = stable6._hat(omega, ss).form
+    if h is None or omega_hat not in (h, -h):
         raise ArithmeticError("b-contraction does not match the hat in either orientation")
+    if h != omega_hat:
+        # flipping vol negates K and the hat and keeps lambda
+        vol = VolumeForm.standard(6, Fraction(-1))
+        ss = ScaledStructure(LinearMap.from_rows([[-x for x in r] for r in ss.K.matrix]),
+                             stable6.Lambda(ss.lam.value, vol))
     c = _scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
     if c is None or c * c != abs(ss.lam.value):
         raise ArithmeticError("K is not a multiple of the plane structure")

@@ -91,8 +91,11 @@ def parse_model_document(doc) -> tuple:
     if (not isinstance(metric, list) or len(metric) != dim
             or any(m not in (1, -1) for m in metric)):
         raise ParseError("model: metric must be a list of +-1 of length dim")
+    d = doc.get("d") or {}
+    if not isinstance(d, dict):
+        raise ParseError("model: d must be an object mapping coframe indices to 2-form terms")
     d1 = {}
-    for key, items in (doc.get("d") or {}).items():
+    for key, items in d.items():
         try:
             k = int(key)
         except ValueError as ex:
@@ -157,12 +160,13 @@ def cmd_classify(args) -> int:
     vol = VolumeForm.standard(dim, orientation)
     stab = stable6.stabilizer_dim(form)
     if dim == 6:
-        lam = stable6.lambda_coeff(form, vol).value
+        ss = stable6._structure(form, vol)
+        lam = ss.lam.value
         cls = stable6._orbit6(lam)
         payload = {"class": cls.value, "lambda": rat_str(lam), "stab_dim": stab}
         text = f"{cls.value}, lambda={rat_str(lam)}, stab_dim={stab}"
         if args.canonicalize and cls != stable6.OrbitClass6.NOT_STABLE:
-            canon = stable6.canonicalize6(form, vol)
+            canon = stable6._canonicalize6(form, ss)
             payload["basis"] = [[_scalar_str(x) for x in row] for row in canon.basis.matrix]
             payload["scale"] = rat_str(canon.scale)
     else:
@@ -173,7 +177,7 @@ def cmd_classify(args) -> int:
                    "abs_signature": abs(pos - neg), "stab_dim": stab}
         text = f"{cls.value}, |sig|={abs(pos - neg)}, stab_dim={stab}"
         if args.canonicalize and cls == stable7.OrbitClass7.O7_MINUS:
-            canon = stable7.canonicalize7(form, vol)
+            canon = stable7._canonicalize7(form, qf, (pos, neg, zero))
             payload["basis"] = [[repr(x) for x in row] for row in canon.basis]
             payload["residual"] = canon.residual
     _emit(payload, args.json, text)
@@ -212,7 +216,7 @@ def _parse_vector(spec: str, dim: int) -> list:
         raise ParseError(f"vector needs {dim} comma-separated entries or a basis name like e0")
     try:
         return [rat(p.strip()) for p in parts]
-    except ValueError as ex:
+    except (ValueError, ZeroDivisionError) as ex:
         raise ParseError(f"bad vector entry: {ex}") from ex
 
 
@@ -230,9 +234,10 @@ def cmd_bridge(args) -> int:
         cp3 = vcp.cross_3fold(AlgebraTag(args.algebra), args.variant)
         if not args.plane or "," not in args.plane:
             raise ParseError("--plane takes 'a;b'-style vectors separated by one ';' or two basis names 'e0,e4'")
-        pa, pb = args.plane.split(";") if ";" in args.plane else args.plane.split(",", 1)
-        a = _parse_vector(pa.strip(), 8)
-        b = _parse_vector(pb.strip(), 8)
+        plane = args.plane.split(";") if ";" in args.plane else args.plane.split(",", 1)
+        if len(plane) != 2:
+            raise ParseError(f"--plane takes exactly two vectors, got {len(plane)}")
+        a, b = (_parse_vector(v.strip(), 8) for v in plane)
         res = bridge.vcp_to_stable6(cp3, a, b)
         payload = {
             "Omega": form_to_document(res.omega),

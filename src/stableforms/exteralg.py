@@ -384,26 +384,13 @@ def hodge_star(a: AltForm, ip: InnerProduct, vol: VolumeForm) -> AltForm:
         raise ValueError("dimension mismatch in hodge_star")
     n, p = a.dim, a.degree
     v = vol.coefficient()
-    ginv = ip.inverse_gram()
+    # <e^I, a> = sum_J a_J det(G^{-1}[I, J]) is the pullback of a by the symmetric G^{-1}
+    raised = pullback(LinearMap.from_rows(ip.inverse_gram()), a)
     out: dict = {}
-    for idx in itertools.combinations(range(1, n + 1), p):
-        # <e^I, a>
-        coeff = Fraction(0)
-        for ja, ca in a.terms.items():
-            m = [[ginv[i - 1][j - 1] for j in ja] for i in idx]
-            d = _det(m) if p else Fraction(1)
-            if d != 0:
-                coeff = coeff + ca * d
-        if coeff == 0:
-            continue
+    for idx, coeff in raised.terms.items():
         comp = tuple(i for i in range(1, n + 1) if i not in idx)
         _, sign = sort_index(idx + comp)
-        out_c = sign * v * coeff
-        s = out.get(comp, 0) + out_c
-        if s == 0:
-            out.pop(comp, None)
-        else:
-            out[comp] = s
+        out[comp] = sign * v * coeff
     return AltForm(n, n - p, out)
 
 
@@ -416,13 +403,8 @@ def divisor_space(a: AltForm) -> list[AltForm]:
     if not rows_index:
         # wedging a top form with any covector is zero
         return [basis_form(n, i) for i in range(1, n + 1)]
-    system = []
-    for key in rows_index:
-        row = []
-        for j in range(1, n + 1):
-            w = wedge(basis_form(n, j), a)
-            row.append(w.terms.get(key, Fraction(0)))
-        system.append(row)
+    wedges = [wedge(basis_form(n, j), a) for j in range(1, n + 1)]
+    system = [[w.terms.get(key, Fraction(0)) for w in wedges] for key in rows_index]
     basis = nullspace(system, ncols=n)
     return [alt_form(n, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0}) for vec in basis]
 

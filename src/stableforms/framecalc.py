@@ -10,6 +10,11 @@ The circle-bundle coordinates put the fiber form rho last (index 7 over a
 6-dimensional base); with that ordering the compatible orientation is
 -e^{1..7}, under which the displayed Hodge dual Omega_2 ^ rho - omega^2/2
 comes out exactly.
+
+d and nabla_u share one Leibniz rule, ``_leibniz``, which extends their
+values on the coframe e^k to all forms (d has degree 1, nabla_u degree 0).
+nabla_u on the coframe is read from the Levi-Civita table of
+``covariant_table``: nabla_{f_u} e^j = -sum_k lifted[u][k][j] e^k.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from typing import Sequence
 
 from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
-                       contract, form_inner, hodge_star, is_decomposable, wedge)
+                       contract, form_inner, hodge_star, is_decomposable, sort_index, wedge)
 from .linalg import inverse, mat_mul
 
 
@@ -31,6 +36,22 @@ class PreconditionError(ValueError):
 
 def _basis_vector(n: int, k: int) -> list:
     return [Fraction(1 if i == k else 0) for i in range(1, n + 1)]
+
+
+def _leibniz(a: AltForm, image, degree: int) -> AltForm:
+    """Extend e^k -> image(k) (a term dict) to all forms as a derivation of this degree.
+
+    The image of e^k replaces it in its slot, signed (-1)^(degree * position):
+    d has degree 1, nabla_u has degree 0.
+    """
+    out: dict = {}
+    for idx, c in a.terms.items():
+        for pos, k in enumerate(idx):
+            for jdx, b in image(k).items():
+                key, sign = sort_index(idx[:pos] + jdx + idx[pos + 1:])
+                if sign:
+                    out[key] = out.get(key, 0) + (-1) ** (degree * pos) * sign * c * b
+    return AltForm(a.dim, a.degree + degree, {key: v for key, v in out.items() if v != 0})
 
 
 @dataclass(frozen=True)
@@ -62,18 +83,7 @@ class FrameModel:
         """Extend the declared coframe differentials by the Leibniz rule."""
         if a.dim != self.dim:
             raise ValueError("form does not live on this model")
-        out = AltForm.zero(self.dim, a.degree + 1)
-        for idx, c in a.terms.items():
-            for pos, k in enumerate(idx):
-                dk = self.d1.get(k)
-                if dk is None or dk.is_zero:
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                sign = Fraction((-1) ** pos) * c
-                head = alt_form(self.dim, len(rest), {rest: 1}) if rest else None
-                piece = sign * (wedge(dk, head) if head is not None else dk)
-                out = out + piece
-        return out
+        return _leibniz(a, lambda k: self.d1[k].terms if k in self.d1 else {}, 1)
 
     def codifferential(self, a: AltForm, orientation: Fraction = Fraction(1)) -> AltForm:
         """delta = +-*d* ; only kernel membership is exported by the reports.
@@ -394,53 +404,13 @@ def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltF
     """nabla phi for phi, *phi from _g2_forms and f_dot_omega = <F, omega>."""
     table = covariant_table(cb)
     flat = all(x == 0 for m in table.base_gamma for r in m for x in r)
-    n = 6
-    f = [[cb.F(_basis_vector(n, i), _basis_vector(n, j)) for j in range(1, n + 1)]
-         for i in range(1, n + 1)]
-    gamma = table.base_gamma
 
-    def coframe_derivative(u: int, j: int) -> AltForm:
-        # nabla_{f_u} e^j in the 7-dim coframe, u,j in 1..7 (7 = fiber)
-        out = {}
-        if u <= 6:
-            if j <= 6:
-                for k in range(1, 7):
-                    g = -gamma[u - 1][k - 1][j - 1]
-                    if g != 0:
-                        out[(k,)] = out.get((k,), Fraction(0)) + g
-                if f[u - 1][j - 1] != 0:
-                    out[(7,)] = -f[u - 1][j - 1] / 2
-            else:
-                for k in range(1, 7):
-                    if f[u - 1][k - 1] != 0:
-                        out[(k,)] = f[u - 1][k - 1] / 2
-        else:
-            if j <= 6:
-                for k in range(1, 7):
-                    if f[j - 1][k - 1] != 0:
-                        out[(k,)] = f[j - 1][k - 1] / 2
-        return alt_form(7, 1, out)
+    def coframe(u: int):
+        # nabla_{f_u} e^j = -sum_k lifted[u-1][k-1][j-1] e^k
+        rows = table.lifted[u - 1]
+        return lambda j: {(k + 1,): -r[j - 1] for k, r in enumerate(rows) if r[j - 1] != 0}
 
-    def derive(a: AltForm, u: int) -> AltForm:
-        out = AltForm.zero(7, a.degree)
-        for idx, c in a.terms.items():
-            for pos, k in enumerate(idx):
-                dk = coframe_derivative(u, k)
-                if dk.is_zero:
-                    continue
-                before = idx[:pos]
-                after = idx[pos + 1:]
-                piece = alt_form(7, len(before), {before: 1}) if before else None
-                tail = alt_form(7, len(after), {after: 1}) if after else None
-                term = dk
-                if piece is not None:
-                    term = wedge(piece, term)
-                if tail is not None:
-                    term = wedge(term, tail)
-                out = out + c * term
-        return out
-
-    derivatives = {u: derive(phi, u) for u in range(1, 8)}
+    derivatives = {u: _leibniz(phi, coframe(u), 0) for u in range(1, 8)}
     theta_expected = (f_dot_omega / 2) * _embed(su3.Omega2, 7)
     theta_ok = derivatives[7] == theta_expected
     ip7 = cb.total.ip()

@@ -3,14 +3,13 @@
 Matrices are lists of row lists.  Entries may be Fraction or QuadExt; all
 routines only use field operations, so they work uniformly over either.
 Dimensions here never exceed a few dozen, so plain Gaussian elimination is
-both exact and fast.
+both exact and fast.  This module is exact only: the float frame code of
+``stable7.canonicalize7`` lives next to its one caller.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Sequence
 
 Matrix = list
 
@@ -150,28 +149,3 @@ def inertia(sym) -> tuple[int, int, int]:
             a[i][k] = Fraction(0)
             a[k][i] = Fraction(0)
     return pos, neg, zero
-
-
-def gram_schmidt_floats(gram: Sequence[Sequence[float]]) -> list[list[float]]:
-    """Orthonormal frame columns for a positive definite float Gram matrix.
-
-    Returns vectors (as lists) f_1..f_n with f_i^T G f_j = delta_ij, built
-    from the standard basis in order.
-    """
-    n = len(gram)
-    frame: list[list[float]] = []
-    for i in range(n):
-        v = [1.0 if j == i else 0.0 for j in range(n)]
-        for f in frame:
-            c = _bilinear(gram, v, f)
-            v = [x - c * y for x, y in zip(v, f)]
-        nrm = _bilinear(gram, v, v)
-        if nrm <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        s = 1.0 / math.sqrt(nrm)
-        frame.append([x * s for x in v])
-    return frame
-
-
-def _bilinear(gram, u, v) -> float:
-    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))

@@ -19,9 +19,11 @@ negative of the lexicographic one; ``adapted_vol6()`` provides it.
 Every public function that needs K computes it exactly once, through ``k_endo``.
 ``lambda_coeff`` and ``scaled_structure`` square that one K; ``hat`` and
 ``canonicalize6`` build one ``ScaledStructure`` and pass it to the private
-``_hat`` (and to ``_canonicalize_para`` / ``_canonicalize_complex``), which
-never recompute it.  ``_orbit6`` is the one place that maps sign(lambda) to
-an orbit.
+``_hat`` (and to ``_canonicalize6``), which never recompute it; ``cli
+classify`` builds it with ``_structure``, which also accepts lambda = 0.
+``_orbit6`` is the one place that maps sign(lambda) to an orbit.  The
+complex canonical basis is the divisor space of Omega + i hat(Omega) over
+Q(sqrt(lambda)), computed by ``exteralg.divisor_space``.
 """
 
 from __future__ import annotations
@@ -32,8 +34,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, alt_form, basis_form,
-                       contract, pullback, wedge)
+from .exteralg import (AltForm, LinearMap, VolumeForm, alt_form, contract,
+                       divisor_space, pullback, wedge)
 from .linalg import mat_mul, nullspace, rank
 from .scalars import QuadExt, sqrt_fraction
 
@@ -140,11 +142,17 @@ def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
 
 def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
     """The exact pair (K, lambda) with K^2 = lambda Id verified."""
+    ss = _structure(omega, vol)
+    if ss.lam.value == 0:
+        raise NotStableError("form is not stable (lambda = 0)")
+    return ss
+
+
+def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
+    """(K, lambda) with K^2 = lambda Id verified; lambda may be 0."""
     K = k_endo(omega, vol).K
     k2 = _square(K)
     lam = _lambda_of(k2, vol)
-    if lam.value == 0:
-        raise NotStableError("form is not stable (lambda = 0)")
     for i in range(6):
         for j in range(6):
             expect = lam.value if i == j else Fraction(0)
@@ -240,7 +248,10 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
     real and imaginary parts.  No floating point is used; when sqrt(|lambda|)
     is irrational the returned matrix has QuadExt entries.
     """
-    ss = scaled_structure(omega, vol)
+    return _canonicalize6(omega, scaled_structure(omega, vol))
+
+
+def _canonicalize6(omega: AltForm, ss: ScaledStructure) -> Canon6:
     if ss.is_para:
         return _canonicalize_para(omega, ss)
     return _canonicalize_complex(omega, ss)
@@ -267,30 +278,12 @@ def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
 def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     lam = ss.lam.value  # negative
     lam_abs = -lam
-    h = _hat(omega, ss)
-    w = QuadExt.root(lam)
-    # alpha = Omega + i*hat = Omega + w/|lambda| * numerator over Q(sqrt(lambda))
-    alpha_terms: dict = {}
-    for idx in set(omega.terms) | set(h.numerator.terms):
-        c = (QuadExt.of(omega.terms.get(idx, Fraction(0)), lam)
-             + (w * (Fraction(1) / lam_abs)) * QuadExt.of(h.numerator.terms.get(idx, Fraction(0)), lam))
-        if c != 0:
-            alpha_terms[idx] = c
-    alpha = AltForm(6, 3, alpha_terms)
+    # alpha = Omega + i*hat = Omega + sqrt(lambda)/|lambda| * numerator over Q(sqrt(lambda))
+    alpha = omega + (QuadExt.root(lam) / lam_abs) * _hat(omega, ss).numerator
     # divisor covectors of the decomposable alpha
-    system = []
-    keys = list(itertools.combinations(range(1, 7), 4))
-    zero_f = QuadExt.of(0, lam)
-    for key in keys:
-        row = []
-        for j in range(1, 7):
-            wj = wedge(basis_form(6, j), alpha)
-            row.append(wj.terms.get(key, zero_f))
-        system.append(row)
-    basis = nullspace(system, ncols=6)
-    if len(basis) != 3:
+    thetas = divisor_space(alpha)
+    if len(thetas) != 3:
         raise ArithmeticError("divisor space of alpha is not 3-dimensional")
-    thetas = [alt_form(6, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0}) for vec in basis]
     prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
     key0 = next(iter(alpha.terms))
     ratio = alpha.terms[key0] / prod.terms[key0]
@@ -302,20 +295,10 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     s = sqrt_fraction(lam_abs)
     if s is None:
         s = QuadExt.root(lam_abs)
-    rows_re, rows_im = [], []
-    for th in thetas:
-        re_row, im_row = [], []
-        for j in range(1, 7):
-            c = th.terms.get((j,), zero_f)
-            if isinstance(c, QuadExt):
-                re_row.append(c.a)
-                im_row.append(s * c.b)
-            else:
-                re_row.append(Fraction(c))
-                im_row.append(s * Fraction(0))
-        rows_re.append(re_row)
-        rows_im.append(im_row)
-    g = LinearMap.from_rows(rows_re + rows_im)
+    zero = QuadExt.of(0, lam)
+    coords = [[zero + th.terms.get((j,), 0) for j in range(1, 7)] for th in thetas]
+    g = LinearMap.from_rows([[c.a for c in row] for row in coords]
+                            + [[s * c.b for c in row] for row in coords])
     if pullback(g, canonical_omega_minus()) != omega:
         raise ArithmeticError("complex canonicalization failed the round trip")
     return Canon6(g, OrbitClass6.O6_MINUS, Fraction(1))

@@ -9,8 +9,10 @@ decision and the induced cross product stay exact whenever the scale is.
 Every public function that needs B computes it exactly once, through
 ``q_form``, and its signature once, through ``QForm.signature``.  ``metric_from_phi`` and
 ``canonicalize7`` hand both to the private ``_metric``; ``cross_from_phi``
-and ``bridge.lift_to_3fold`` go through ``metric_from_phi``.  ``_orbit7`` is
-the one place that maps a signature to an orbit.
+and ``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
+passes the ones it printed to ``_canonicalize7``.  ``_orbit7`` is the one
+place that maps a signature to an orbit.  The float frame code of
+``canonicalize7`` lives here, next to its only caller.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exteralg import AltForm, InnerProduct, VolumeForm, alt_form, contract, wedge
-from .linalg import det, gram_schmidt_floats, inertia, inverse, mat_vec
+from .linalg import det, inertia, inverse, mat_vec
 from .scalars import cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct
@@ -59,14 +61,9 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     for i in range(1, 8):
         ei = [Fraction(1 if k == i else 0) for k in range(1, 8)]
         contractions.append(contract(ei, phi))
-    rows = []
-    for i in range(7):
-        row = []
-        for j in range(7):
-            top = wedge(wedge(contractions[i], contractions[j]), phi)
-            row.append(top.terms.get(full, Fraction(0)) / c)
-        rows.append(tuple(row))
-    b = tuple(rows)
+    fives = [wedge(cj, phi) for cj in contractions]  # i_{e_j} phi ^ phi
+    b = tuple(tuple(wedge(ci, fj).terms.get(full, Fraction(0)) / c for fj in fives)
+              for ci in contractions)
     for i in range(7):
         for j in range(i):
             if b[i][j] != b[j][i]:
@@ -178,12 +175,15 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     absolute coefficient error of the round trip.
     """
     qf = q_form(phi, vol)
-    signature = qf.signature()
+    return _canonicalize7(phi, qf, qf.signature())
+
+
+def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> Canon7:
     if _orbit7(signature) != OrbitClass7.O7_MINUS:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
     gm = _metric(qf, signature)
     gram = [[float(x) for x in row] for row in gm.ip.gram]
-    frame = gram_schmidt_floats(gram)
+    frame = _gram_schmidt_floats(gram)
     phif = {idx: float(c) for idx, c in phi.terms.items()}
 
     def ev_form(vecs) -> float:
@@ -202,7 +202,7 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
         return [sum(ginv[i][j] * cov[j] for j in range(7)) for i in range(7)]
 
     def dot(x, y):
-        return sum(x[i] * gram[i][j] * y[j] for i in range(7) for j in range(7))
+        return _bilinear(gram, x, y)
 
     def normalize(x):
         n = math.sqrt(dot(x, x))
@@ -237,6 +237,31 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
             total += c * _det3([[basis[i - 1][j - 1] for j in jdx] for i in idx])
         residual = max(residual, abs(total - float(phi.coeff(jdx))))
     return Canon7(basis, residual)
+
+
+def _gram_schmidt_floats(gram: list) -> list[list[float]]:
+    """Orthonormal frame columns for a positive definite float Gram matrix.
+
+    Returns vectors (as lists) f_1..f_n with f_i^T G f_j = delta_ij, built
+    from the standard basis in order.
+    """
+    n = len(gram)
+    frame: list[list[float]] = []
+    for i in range(n):
+        v = [1.0 if j == i else 0.0 for j in range(n)]
+        for f in frame:
+            c = _bilinear(gram, v, f)
+            v = [x - c * y for x, y in zip(v, f)]
+        nrm = _bilinear(gram, v, v)
+        if nrm <= 0:
+            raise ValueError("Gram matrix is not positive definite")
+        s = 1.0 / math.sqrt(nrm)
+        frame.append([x * s for x in v])
+    return frame
+
+
+def _bilinear(gram, u, v) -> float:
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
 
 
 def _det3(m: list) -> float:

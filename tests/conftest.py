@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from stableforms.exteralg import LinearMap, alt_form
+from stableforms.framecalc import SU3Data
 
 PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
 # fixed integer bases (det -2 and -6) for pulled-back canonical forms
@@ -13,6 +14,15 @@ G6 = LinearMap.from_rows([[1, 2, 0, 0, 1, 0], [0, 1, 0, 1, 0, 0], [1, 0, 1, 0, 0
 G7 = LinearMap.from_rows([[1, 0, 2, 0, 0, 1, 0], [0, 1, 0, 0, 1, 0, 0], [1, 0, 1, 0, 0, 0, 1],
                           [0, 2, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0, 1], [1, 0, 0, 0, 0, 1, 0],
                           [0, 0, 1, 0, 0, 0, 1]])
+
+
+def iwasawa_su3() -> SU3Data:
+    """Adapted triple on the Iwasawa frame: pairs (1,2), (3,4), (5,6)."""
+    return SU3Data(
+        omega=alt_form(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1}),
+        Omega1=alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 5): -1, (1, 4, 6): -1, (2, 3, 6): -1}),
+        Omega2=alt_form(6, 3, {(1, 3, 6): 1, (1, 4, 5): 1, (2, 3, 5): 1, (2, 4, 6): -1}),
+    )
 
 
 def random_invertible(rng: random.Random, n: int, span: int = 3) -> LinearMap:

@@ -234,3 +234,27 @@ class TestVcpCheck:
         rc = main(["vcp-check", "--what", "para-extension", "--algebra", "B",
                    "--variant", "X2", "--trials", "40"])
         assert json.loads(capsys.readouterr().out)["branch"] == "commuting"
+
+
+class TestMalformedInput:
+    """Malformed arguments and documents exit 2 with a message, never a traceback."""
+
+    def test_zero_denominator_vector(self, capsys):
+        rc = main(["bridge", "--from", "vcp7", "--a", "1/0,0,0,0,0,0,0,0"])
+        assert rc == EXIT_PARSE
+        assert "bad vector entry" in capsys.readouterr().err
+
+    def test_three_plane_vectors(self, capsys):
+        rc = main(["bridge", "--from", "vcp6", "--plane",
+                   "1,0,0,0,0,0,0,0;0,0,0,0,1,0,0,0;0,0,0,0,0,1,0,0"])
+        assert rc == EXIT_PARSE
+        assert "exactly two vectors" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hitchin", "g2class", "para-cy"])
+    def test_model_d_not_an_object(self, command, tmp_path, capsys):
+        model = write(tmp_path, "m.json", {"dim": 6, "metric": [1] * 6, "d": [1]})
+        form = write(tmp_path, "f.json", omega_plus_doc())
+        args = {"hitchin": [model, form], "g2class": [model], "para-cy": [model, form, form]}
+        rc = main([command, *args[command]])
+        assert rc == EXIT_PARSE
+        assert "model: d must be an object" in capsys.readouterr().err

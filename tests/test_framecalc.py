@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import iwasawa_su3
 from stableforms import framecalc as fc
 from stableforms import stable6, stable7
 from stableforms.exteralg import VolumeForm, alt_form, basis_form, form_inner, wedge
@@ -196,15 +197,6 @@ class TestClassifyG2:
         iw = iwasawa_model()
         with pytest.raises(PreconditionError):
             classify_g2(make_circle_bundle(iw, alt_form(6, 2, {})), SU3)
-
-
-def iwasawa_su3():
-    """Adapted triple on the Iwasawa frame: pairs (1,2), (3,4), (5,6)."""
-    return fc.SU3Data(
-        omega=alt_form(6, 2, {(1, 2): 1, (3, 4): 1, (5, 6): 1}),
-        Omega1=alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 5): -1, (1, 4, 6): -1, (2, 3, 6): -1}),
-        Omega2=alt_form(6, 3, {(1, 3, 6): 1, (1, 4, 5): 1, (2, 3, 5): 1, (2, 4, 6): -1}),
-    )
 
 
 class TestNonflatBase:

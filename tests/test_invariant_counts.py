@@ -6,12 +6,17 @@ check guards every G2 computation.  The counts below are the number of
 times one public call runs each of them.
 """
 
+import contextlib
+import io
+import json
+import os
+import tempfile
 from collections import Counter
 
 import pytest
 
 from conftest import G6, G7
-from stableforms import bridge, framecalc, stable6, stable7, vcp
+from stableforms import bridge, cli, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import VolumeForm, alt_form, pullback
 
@@ -23,6 +28,16 @@ PHI_MINUS = pullback(G7, stable7.canonical_phi_minus())
 DIRECTION = alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 6): -2})
 F_PRIMITIVE = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
 IP_MINUS = bridge.synthesize_compatible_ip(stable6.scaled_structure(OMEGA_MINUS, VOL6))
+
+
+def classify_canonicalize(form):
+    """`stableforms classify FORM --canonicalize --json`, in process."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "form.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(cli.form_to_document(form), fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["classify", path, "--canonicalize", "--json"]) == cli.EXIT_OK
 
 CASES = {
     "scaled_structure": (lambda: stable6.scaled_structure(OMEGA_MINUS, VOL6), {"k_endo": 1}),
@@ -37,11 +52,15 @@ CASES = {
     # the lift is classified once: one q_form of the 7-form it builds
     "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
                      {"k_endo": 1, "q_form": 1, "inertia": 1}),
-    # e0,e4 in O: the hat matches in the second orientation tried
+    # e0,e4 in O: the hat matches in the flipped orientation, derived from the first
     "vcp_to_stable6": (lambda: bridge.vcp_to_stable6(vcp.cross_3fold(AlgebraTag.O, "X1"),
                                                      [1, 0, 0, 0, 0, 0, 0, 0],
                                                      [0, 0, 0, 0, 1, 0, 0, 0]),
-                       {"k_endo": 2}),
+                       {"k_endo": 1}),
+    "cli_classify6_plus": (lambda: classify_canonicalize(OMEGA_PLUS), {"k_endo": 1}),
+    "cli_classify6_minus": (lambda: classify_canonicalize(OMEGA_MINUS), {"k_endo": 1}),
+    "cli_classify7_minus": (lambda: classify_canonicalize(PHI_MINUS),
+                            {"q_form": 1, "inertia": 1}),
     # one structure plus lambda at Omega +- h * direction
     "hitchin_variation": (lambda: framecalc.hitchin_variation(OMEGA_MINUS, DIRECTION, VOL6),
                           {"k_endo": 3}),
