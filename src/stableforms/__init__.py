@@ -5,7 +5,7 @@ All values are immutable after construction and every operation is a pure
 function, so the whole API is safe for concurrent use.
 """
 
-from . import bridge, cli, compalg, exteralg, framecalc, stable6, stable7, vcp
+from . import bridge, compalg, exteralg, framecalc, stable6, stable7, vcp
 from .compalg import AlgebraTag, AlgElement
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, contract, divisor_space, hodge_star,
@@ -22,3 +22,12 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # cli is loaded on first use: importing it here would make
+    # ``python -m stableforms.cli`` find it in sys.modules and run it twice
+    if name == "cli":
+        from importlib import import_module
+        return import_module(f"{__name__}.cli")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -232,11 +232,10 @@ def cmd_bridge(args) -> int:
         return EXIT_OK
     if src == "vcp6":
         cp3 = vcp.cross_3fold(AlgebraTag(args.algebra), args.variant)
-        if not args.plane or "," not in args.plane:
-            raise ParseError("--plane takes 'a;b'-style vectors separated by one ';' or two basis names 'e0,e4'")
         plane = args.plane.split(";") if ";" in args.plane else args.plane.split(",", 1)
         if len(plane) != 2:
-            raise ParseError(f"--plane takes exactly two vectors, got {len(plane)}")
+            raise ParseError("--plane takes exactly two vectors, separated by one ';' or as two "
+                             f"basis names 'e0,e4', got {len(plane)}")
         a, b = (_parse_vector(v.strip(), 8) for v in plane)
         res = bridge.vcp_to_stable6(cp3, a, b)
         payload = {
@@ -377,7 +376,8 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--algebra", default="O", choices=("O", "B"))
     c.add_argument("--variant", default="X1", choices=("X1", "X2"))
     c.add_argument("--a", default="e0", help="unit vector: e0..e7 or 8 comma-separated rationals")
-    c.add_argument("--plane", default="e0,e4", help="two vectors, e.g. 'e0,e4'")
+    c.add_argument("--plane", default="e0,e4",
+                   help="two vectors 'a;b' (e.g. 'e0;e4') or two basis names 'e0,e4'")
     c.add_argument("--form", help="form document for --from stable6")
     c.add_argument("--ip", default="synthesize", choices=("euclidean", "split", "synthesize"))
     c.add_argument("--vol", choices=("1", "-1"))

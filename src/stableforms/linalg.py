@@ -1,14 +1,17 @@
 """Exact dense linear algebra over the rationals (or a quadratic extension).
 
-Matrices are lists of row lists.  Entries may be Fraction or QuadExt; all
-routines only use field operations, so they work uniformly over either.
-Dimensions here never exceed a few dozen, so plain Gaussian elimination is
-both exact and fast.  This module is exact only: the float frame code of
-``stable7.canonicalize7`` lives next to its one caller.
+Matrices are lists of row lists.  ``rank`` takes rational entries only (int
+or Fraction) and is fraction-free: it clears each row to integers and runs
+Bareiss elimination over Python ints.  The other routines (``rref``,
+``nullspace``, ``inverse``, ``det``, ``inertia``) are Gaussian elimination
+with field operations, so their entries may be Fraction or QuadExt.  This
+module is exact only: the float frame code of ``stable7.canonicalize7``
+lives next to its one caller.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Matrix = list
@@ -57,8 +60,40 @@ def rref(m) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
+def _integer_row(row) -> list[int]:
+    """The row times the lcm of its denominators, divided by the gcd of the result."""
+    for x in row:
+        if not isinstance(x, (int, Fraction)):
+            raise TypeError(f"rank takes int or Fraction entries, got {type(x).__name__}")
+    scale = math.lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (scale // x.denominator) for x in row]
+    g = math.gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def rank(m) -> int:
-    return len(rref(m)[1])
+    """Rank of a matrix with int or Fraction entries.
+
+    Fraction-free (Bareiss 1968): each row is cleared to coprime integers;
+    after a pivot p in the leading column, every other row becomes
+    (p * row - row[0] * pivot_row) // previous pivot, which is exact because
+    its entries are then minors of the integer matrix (Sylvester's
+    identity).  Other entry types raise TypeError; ``rref`` takes them.
+    """
+    rows = [row for row in map(_integer_row, m) if any(row)]
+    r, prev = 0, 1
+    while rows:
+        i = next((i for i, row in enumerate(rows) if row[0]), None)
+        if i is None:  # no pivot in this column: every row is nonzero further right
+            rows = [row[1:] for row in rows]
+            continue
+        pivot = rows.pop(i)
+        p, tail = pivot[0], pivot[1:]
+        rows = [new for new in ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
+                                for row in rows) if any(new)]
+        prev = p
+        r += 1
+    return r
 
 
 def nullspace(m, ncols: int | None = None) -> list[list]:

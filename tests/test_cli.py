@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -127,6 +130,14 @@ class TestBridge:
         assert payload["class"] == "O6_MINUS"
         assert payload["lambda"] == "-4"
         assert len(payload["Omega_hat"]["terms"]) == 4
+
+    def test_vcp6_semicolon_plane(self, capsys):
+        outputs = []
+        for plane in ("e0,e4", "e0;e4"):
+            rc = main(["bridge", "--from", "vcp6", "--plane", plane])
+            assert rc == EXIT_OK
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     def test_stable6_lift(self, tmp_path, capsys):
         doc = {"dim": 6, "degree": 3, "terms": [
@@ -258,3 +269,15 @@ class TestMalformedInput:
         rc = main([command, *args[command]])
         assert rc == EXIT_PARSE
         assert "model: d must be an object" in capsys.readouterr().err
+
+
+def test_module_run_writes_no_warning():
+    """``python -m stableforms.cli`` imports the package first; cli must not be loaded twice."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "stableforms.cli", "cayley", "--algebra", "O"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_OK
+    assert "e1*e2" in proc.stdout
+    assert proc.stderr == ""
