@@ -3,6 +3,7 @@
 Documents are plain JSON, rationals are strings ("3/4" or "-2"), and all
 output is deterministic: sorted keys, normalized rationals.  Exit codes:
 0 ok, 2 parse error, 3 shape or stability error, 4 precondition failure.
+A reader that closes stdout early (``| head``) ends the run quietly with 0.
 """
 
 from __future__ import annotations
@@ -413,7 +414,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout on purpose (e.g. `| head`): stop quietly, and
+        # send the interpreter's final flush of the unwritten output to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except ParseError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_PARSE

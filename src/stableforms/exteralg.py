@@ -11,13 +11,24 @@ Conventions fixed here and inherited by every other module:
   (possibly indefinite) inner product on vectors.  The caller's volume form
   carries the orientation choice.
 
-Coefficients are Fractions; the operations only use field arithmetic, so
-forms over a quadratic extension (QuadExt coefficients) work throughout.
+Coefficients are Fractions (ints are accepted as input).  ``wedge``,
+``contract`` and ``pullback`` (hence ``hodge_star``) are integer-cleared on
+rational input: each operand is written as integer numerators over one
+common denominator (the lcm of its denominators), the loops multiply and add
+Python ints only, and each output term becomes one ``Fraction``.  The wedge
+merge sign comes from the bitmap representation of multi-indices (bit i-1
+for index i; Dorst, Fontijne and Mann, *Geometric Algebra for Computer
+Science*, ch. 19).  When any coefficient or matrix entry is not an int or a
+Fraction, the same loops run on the values themselves with field
+arithmetic, so forms over a quadratic extension (QuadExt coefficients) work
+throughout.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +41,11 @@ from .scalars import rat
 MAX_DIM = 8
 
 Index = tuple[int, ...]
+
+# every sorted multi-index on R^MAX_DIM and its bitmask
+_MASK = {idx: sum(1 << (i - 1) for i in idx)
+         for p in range(MAX_DIM + 1) for idx in itertools.combinations(range(1, MAX_DIM + 1), p)}
+_INDEX = {m: idx for idx, m in _MASK.items()}
 
 
 def sort_index(idx: Sequence[int]) -> tuple[Index, int]:
@@ -291,6 +307,41 @@ class VolumeForm:
         return top.terms.get(full, Fraction(0)) / self.coefficient()
 
 
+def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
+    """Each group of values as integer numerators over the lcm of its denominators.
+
+    Returns the numerator lists and those lcms.  Unless every value is an int
+    or a Fraction, the values come back unchanged with no denominators, and
+    the caller's loop runs on them with field arithmetic (QuadExt, float).
+    """
+    groups = [list(g) for g in groups]
+    if not all(isinstance(x, (int, Fraction)) for g in groups for x in g):
+        return groups, None
+    dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
+    return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
+
+
+def _over(den: int | None, nums: dict) -> dict:
+    """Accumulated numerators as Fractions over den; field values (den None) as they are."""
+    if den is None:
+        return nums
+    return {k: Fraction(s, den) for k, s in nums.items()}
+
+
+@functools.cache
+def _merge_signs(ma: int) -> tuple[int, ...]:
+    """Sign of e^A ^ e^B = sign * e^(A|B) for the multi-index with mask ma and every mask mb.
+
+    Entry mb is 0 when the two share an index.  Otherwise it is the parity of
+    the pairs (a in A, b in B) with a > b, the transpositions that sort A+B.
+    Bounded by construction: at most 2^MAX_DIM rows of 2^MAX_DIM entries.
+    """
+    # bit b of odd is set when an odd number of A's indices exceed b
+    odd = sum(1 << b for b in range(MAX_DIM) if (ma >> (b + 1)).bit_count() & 1)
+    return tuple(0 if ma & mb else (-1 if (mb & odd).bit_count() & 1 else 1)
+                 for mb in range(1 << MAX_DIM))
+
+
 def wedge(a: AltForm, b: AltForm) -> AltForm:
     """Exterior product; bilinear, sign by permutation parity."""
     if a.dim != b.dim:
@@ -298,18 +349,23 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
     deg = a.degree + b.degree
     if deg > a.dim:
         return AltForm.zero(a.dim, deg)
+    (xa, xb), dens = _clear(a.terms.values(), b.terms.values())
+    right = [(_MASK[ib], y) for ib, y in zip(b.terms, xb)]
     out: dict = {}
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            key, sign = sort_index(ia + ib)
-            if sign == 0:
-                continue
-            s = out.get(key, 0) + sign * ca * cb
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-    return AltForm(a.dim, deg, out)
+    for ia, x in zip(a.terms, xa):
+        ma = _MASK[ia]
+        signs = _merge_signs(ma)
+        for mb, y in right:
+            sign = signs[mb]
+            if sign:
+                m = ma | mb
+                s = out.get(m, 0) + sign * x * y
+                if s:
+                    out[m] = s
+                else:
+                    out.pop(m, None)
+    terms = {_INDEX[m]: s for m, s in out.items()}
+    return AltForm(a.dim, deg, _over(dens[0] * dens[1] if dens else None, terms))
 
 
 def contract(v, a: AltForm) -> AltForm:
@@ -325,20 +381,59 @@ def contract(v, a: AltForm) -> AltForm:
         raise ValueError("cannot contract a 0-form")
     if len(v) != a.dim:
         raise ValueError("vector length does not match form dimension")
+    (xv, xa), dens = _clear(v, a.terms.values())
     out: dict = {}
-    for idx, c in a.terms.items():
+    for idx, c in zip(a.terms, xa):
         for k, i in enumerate(idx):
-            vi = v[i - 1]
-            if vi == 0:
+            vi = xv[i - 1]
+            if not vi:
                 continue
             key = idx[:k] + idx[k + 1:]
-            contrib = ((-1) ** k) * vi * c
-            s = out.get(key, 0) + contrib
-            if s == 0:
-                out.pop(key, None)
-            else:
+            s = out.get(key, 0) + (-vi * c if k & 1 else vi * c)
+            if s:
                 out[key] = s
-    return AltForm(a.dim, a.degree - 1, out)
+            else:
+                out.pop(key, None)
+    return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
+
+
+def _minor(rows: list, cols: tuple, exact_int: bool):
+    """det of the submatrix (columns cols of rows): closed forms up to 3 x 3."""
+    p = len(rows)
+    if p == 1:
+        return rows[0][cols[0]]
+    if p == 2:
+        (r0, r1), (j0, j1) = rows, cols
+        return r0[j0] * r1[j1] - r0[j1] * r1[j0]
+    if p == 3:
+        (r0, r1, r2), (j0, j1, j2) = rows, cols
+        return (r0[j0] * (r1[j1] * r2[j2] - r1[j2] * r2[j1])
+                - r0[j1] * (r1[j0] * r2[j2] - r1[j2] * r2[j0])
+                + r0[j2] * (r1[j0] * r2[j1] - r1[j1] * r2[j0]))
+    m = [[r[j] for j in cols] for r in rows]
+    return _int_det(m) if exact_int else _det(m)
+
+
+def _int_det(m: list) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination (in place).
+
+    After pivot p every lower row becomes (p * row - row[c] * pivot_row) // prev,
+    exact by Sylvester's identity.
+    """
+    n, sign, prev = len(m), 1, 1
+    for c in range(n - 1):
+        i = next((i for i in range(c, n) if m[i][c]), None)
+        if i is None:
+            return 0
+        if i != c:
+            m[c], m[i] = m[i], m[c]
+            sign = -sign
+        p, pivot = m[c][c], m[c]
+        for r in range(c + 1, n):
+            row, f = m[r], m[r][c]
+            m[r] = [0] * (c + 1) + [(p * row[k] - f * pivot[k]) // prev for k in range(c + 1, n)]
+        prev = p
+    return sign * m[n - 1][n - 1]
 
 
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
@@ -350,17 +445,45 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
     n, p = a.dim, a.degree
     if p == 0:
         return a
+    (xa, xg), dens = _clear(a.terms.values(), (x for row in g.matrix for x in row))
+    rows = [xg[i * n:(i + 1) * n] for i in range(n)]
+    terms = [([rows[i - 1] for i in idx], c) for idx, c in zip(a.terms, xa)]
     out: dict = {}
-    for jdx in itertools.combinations(range(1, n + 1), p):
-        total = Fraction(0)
-        for idx, c in a.terms.items():
-            minor = [[g.matrix[i - 1][j - 1] for j in jdx] for i in idx]
-            d = _det(minor)
-            if d != 0:
+    for jdx in itertools.combinations(range(n), p):
+        total = 0
+        for minor_rows, c in terms:
+            d = _minor(minor_rows, jdx, dens is not None)
+            if d:
                 total = total + c * d
-        if total != 0:
-            out[jdx] = total
-    return AltForm(n, p, out)
+        if total:
+            out[tuple(j + 1 for j in jdx)] = total
+    return AltForm(n, p, _over(dens[0] * dens[1] ** p if dens else None, out))
+
+
+def _top_pairings(lefts: Sequence[AltForm], rights: Sequence[AltForm]) -> list[list]:
+    """M[i][j] = coefficient of e^{1..n} in lefts[i] ^ rights[j], degrees adding to n.
+
+    Each term of lefts[i] meets one term of rights[j], the complementary one,
+    so the sum takes one lookup per term instead of a full wedge.
+    """
+    full = (1 << lefts[0].dim) - 1
+    forms = [*lefts, *rights]
+    values, dens = _clear(*(f.terms.values() for f in forms))
+    keyed = [dict(zip((_MASK[idx] for idx in f.terms), xs)) for f, xs in zip(forms, values)]
+    left = [[(full ^ m, _merge_signs(m)[full ^ m] * x) for m, x in terms.items()]
+            for terms in keyed[:len(lefts)]]
+    out = []
+    for i, pairs in enumerate(left):
+        row = []
+        for j, terms in enumerate(keyed[len(lefts):], len(lefts)):
+            total = 0
+            for comp, x in pairs:
+                y = terms.get(comp)
+                if y is not None:
+                    total = total + x * y
+            row.append(Fraction(total, dens[i] * dens[j]) if dens else total)
+        out.append(row)
+    return out
 
 
 def form_inner(a: AltForm, b: AltForm, ip: InnerProduct):

@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, alt_form, contract,
+from .exteralg import (AltForm, LinearMap, VolumeForm, _clear, alt_form, contract,
                        divisor_space, pullback, wedge)
 from .linalg import mat_mul, nullspace, rank
 from .scalars import QuadExt, sqrt_fraction
@@ -304,6 +304,10 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     return Canon6(g, OrbitClass6.O6_MINUS, Fraction(1))
 
 
+# signs of itertools.permutations of a sorted triple, in the order it yields them
+_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
+
+
 def stabilizer_dim(form: AltForm) -> int:
     """dim { A in gl(V) : sum over slots of form(.., A v_k, ..) = 0 }.
 
@@ -313,13 +317,20 @@ def stabilizer_dim(form: AltForm) -> int:
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
     n = form.dim
+    # form(e_x, e_y, e_z) for every ordered triple, as integer numerators over one
+    # common denominator, which does not change the rank
+    (nums,), _ = _clear(form.terms.values())
+    coeff = {}
+    for idx, x in zip(form.terms, nums):
+        for perm, sign in zip(itertools.permutations(idx), _PERMUTATION_SIGNS):
+            coeff[perm] = sign * x
     rows = []
     for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-        row = [Fraction(0)] * (n * n)
+        row = [0] * (n * n)
         for p in range(1, n + 1):
             # A e_i contributes a_{p i} * form(e_p, e_j, e_k), etc.
-            row[(p - 1) * n + (i - 1)] += form.coeff((p, j, k))
-            row[(p - 1) * n + (j - 1)] += form.coeff((i, p, k))
-            row[(p - 1) * n + (k - 1)] += form.coeff((i, j, p))
+            row[(p - 1) * n + (i - 1)] += coeff.get((p, j, k), 0)
+            row[(p - 1) * n + (j - 1)] += coeff.get((i, p, k), 0)
+            row[(p - 1) * n + (k - 1)] += coeff.get((i, j, p), 0)
         rows.append(row)
     return n * n - rank(rows)

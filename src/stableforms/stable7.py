@@ -23,7 +23,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import AltForm, InnerProduct, VolumeForm, alt_form, contract, wedge
+from .exteralg import (AltForm, InnerProduct, VolumeForm, _top_pairings, alt_form, contract,
+                       wedge)
 from .linalg import det, inertia, inverse, mat_vec
 from .scalars import cbrt_fraction
 from .stable6 import NotStableError
@@ -56,14 +57,13 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
     c = vol.coefficient()
-    full = tuple(range(1, 8))
     contractions = []
     for i in range(1, 8):
         ei = [Fraction(1 if k == i else 0) for k in range(1, 8)]
         contractions.append(contract(ei, phi))
     fives = [wedge(cj, phi) for cj in contractions]  # i_{e_j} phi ^ phi
-    b = tuple(tuple(wedge(ci, fj).terms.get(full, Fraction(0)) / c for fj in fives)
-              for ci in contractions)
+    # B[i][j] vol = i_{e_i} phi ^ fives[j], read as a top-degree pairing
+    b = tuple(tuple(x / c for x in row) for row in _top_pairings(contractions, fives))
     for i in range(7):
         for j in range(i):
             if b[i][j] != b[j][i]:

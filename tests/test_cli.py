@@ -281,3 +281,19 @@ def test_module_run_writes_no_warning():
     assert proc.returncode == EXIT_OK
     assert "e1*e2" in proc.stdout
     assert proc.stderr == ""
+
+
+def test_closed_stdout_ends_quietly():
+    """A reader that closes the pipe early (``| head``) gets no traceback, only a documented code."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen([sys.executable, "-m", "stableforms.cli", "cayley", "--algebra", "O"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=env)
+    proc.stdout.close()  # before the child has imported the package, so every write fails
+    try:
+        stderr = proc.communicate(timeout=120)[1]
+    finally:
+        proc.kill()
+    assert "Traceback" not in stderr
+    assert proc.returncode in {EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_PRECONDITION}

@@ -11,6 +11,14 @@
   with ``src`` on the path.
 * hodge_star satisfies its defining property b ^ *a = <b, a> vol for every
   basis form b, on dense indefinite Gram matrices.
+* The integer-cleared ``wedge``, ``contract`` and ``pullback`` equal the
+  field-arithmetic loops they replaced (kept below as ``ref_*``) on seeded
+  random forms of every degree in dims 4, 6 and 7: coefficients scaled by
+  10^e with |e| <= 200, mixed denominators, int-typed coefficients, sums that
+  cancel, non-integer and singular matrices, and QuadExt coefficients (which
+  take the field loop).  ``q_form`` (a top-degree pairing) and
+  ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
+  versions.
 """
 
 import itertools
@@ -23,10 +31,16 @@ from pathlib import Path
 import pytest
 
 from conftest import iwasawa_su3
+from conftest import G6, G7
 from stableforms import framecalc as fc
 from stableforms.cli import form_to_document
-from stableforms.exteralg import (InnerProduct, VolumeForm, alt_form, basis_form, form_inner,
-                                  hodge_star, wedge)
+from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
+                                  basis_form, contract, form_inner, hodge_star, pullback,
+                                  sort_index, wedge)
+from stableforms.linalg import det, rank
+from stableforms.scalars import QuadExt
+from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus, stabilizer_dim
+from stableforms.stable7 import canonical_phi_minus, canonical_phi_plus, q_form
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
 
@@ -142,6 +156,232 @@ def test_hodge_star_defining_property(n, rng):
             for idx in itertools.combinations(range(1, n + 1), p):
                 b = basis_form(n, *idx)
                 assert vol.ratio(wedge(b, star)) == form_inner(b, a, ip)
+
+
+# -- the integer-cleared kernel against the field loops it replaced ----------
+
+def ref_wedge(a, b):
+    deg = a.degree + b.degree
+    if deg > a.dim:
+        return AltForm.zero(a.dim, deg)
+    out: dict = {}
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            key, sign = sort_index(ia + ib)
+            if sign == 0:
+                continue
+            s = out.get(key, 0) + sign * ca * cb
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return AltForm(a.dim, deg, out)
+
+
+def ref_contract(v, a):
+    out: dict = {}
+    for idx, c in a.terms.items():
+        for k, i in enumerate(idx):
+            vi = v[i - 1]
+            if vi == 0:
+                continue
+            key = idx[:k] + idx[k + 1:]
+            s = out.get(key, 0) + ((-1) ** k) * vi * c
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+    return AltForm(a.dim, a.degree - 1, out)
+
+
+def ref_pullback(g, a):
+    n, p = a.dim, a.degree
+    if p == 0:
+        return a
+    out: dict = {}
+    for jdx in itertools.combinations(range(1, n + 1), p):
+        total = Fraction(0)
+        for idx, c in a.terms.items():
+            d = det([[g.matrix[i - 1][j - 1] for j in jdx] for i in idx])
+            if d != 0:
+                total = total + c * d
+        if total != 0:
+            out[jdx] = total
+    return AltForm(n, p, out)
+
+
+KINDS = ["mixed", "scaled", "int"]
+
+
+def kernel_coefficient(rng: random.Random, kind: str):
+    """A nonzero coefficient: mixed denominators, times 10^e (|e| <= 200), or a plain int."""
+    num = rng.choice([-1, 1]) * rng.randint(1, 10 ** rng.randint(1, 6))
+    if kind == "int":
+        return num
+    c = Fraction(num, rng.choice([1, 2, 3, 4, 7, 12, 35, 9973]))
+    return c * Fraction(10) ** rng.randint(-200, 200) if kind == "scaled" else c
+
+
+def kernel_form(rng: random.Random, dim: int, degree: int, kind: str) -> AltForm:
+    """Random form with a random number of terms; "int" keeps int-typed coefficients."""
+    idxs = list(itertools.combinations(range(1, dim + 1), degree))
+    picked = rng.sample(idxs, rng.randint(0, len(idxs)))
+    return AltForm(dim, degree, {i: kernel_coefficient(rng, kind) for i in picked})
+
+
+def kernel_matrix(rng: random.Random, n: int, kind: str) -> LinearMap:
+    """Rational non-integer entries (some zero); "scaled" rows carry 10^e factors."""
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12)) for _ in range(n)] for _ in range(n)]
+    if kind == "scaled":
+        rows = [[x * Fraction(10) ** e for x in row] for row, e in
+                zip(rows, (rng.randint(-200, 200) for _ in range(n)))]
+    elif kind == "int":
+        rows = [[x.numerator for x in row] for row in rows]
+    return LinearMap(n, n, tuple(tuple(row) for row in rows))
+
+
+def assert_same(got: AltForm, expected: AltForm, *inputs):
+    assert (got.dim, got.degree) == (expected.dim, expected.degree)
+    assert got.terms == expected.terms
+    assert all(c != 0 for c in got.terms.values())
+    if all(type(x) is Fraction for f in inputs for x in f):
+        assert all(type(c) is Fraction for c in got.terms.values())
+
+
+def values(form: AltForm) -> list:
+    return list(form.terms.values())
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_wedge_matches_field_loop(dim, kind, rng):
+    for p in range(dim + 1):
+        for q in range(dim + 2 - p):
+            a, b = kernel_form(rng, dim, p, kind), kernel_form(rng, dim, q, kind)
+            assert_same(wedge(a, b), ref_wedge(a, b), values(a), values(b))
+        # a ^ a cancels term by term for odd p; a ^ (a + c) cancels in part
+        a = kernel_form(rng, dim, p, kind)
+        for b in (a, a + kernel_form(rng, dim, p, kind)):
+            assert_same(wedge(a, b), ref_wedge(a, b), values(a), values(b))
+        if p % 2:
+            assert wedge(a, a).is_zero
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_contract_matches_field_loop(dim, kind, rng):
+    for p in range(1, dim + 1):
+        for _ in range(3):
+            a = kernel_form(rng, dim, p, kind)
+            v = [rng.randint(0, 1) * kernel_coefficient(rng, kind) for _ in range(dim)]
+            once = contract(v, a)
+            assert_same(once, ref_contract(v, a), values(a), v)
+            if p > 1:  # i_v i_v a = 0: every sum cancels
+                assert_same(contract(v, once), ref_contract(v, once), values(once), v)
+                assert contract(v, once).is_zero
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_pullback_matches_field_loop(dim, kind, rng):
+    for p in range(dim + 1):
+        a = kernel_form(rng, dim, p, kind)
+        g = kernel_matrix(rng, dim, kind)
+        entries = [x for row in g.matrix for x in row]
+        # the field loop's det divides, so it needs Fraction entries for an exact reference
+        exact = LinearMap.from_rows([[Fraction(x) for x in row] for row in g.matrix])
+        assert_same(pullback(g, a), ref_pullback(exact, a), values(a), entries)
+        # rank 2: every minor of size >= 3 vanishes
+        low = LinearMap.from_rows([[row[0] * x + row[1] * y for x, y in zip(*exact.matrix[:2])]
+                                   for row in exact.matrix])
+        assert_same(pullback(low, a), ref_pullback(low, a), values(a), entries)
+
+
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_pullback_cancelling_minors(dim, rng):
+    """g* e^3 = g* e^1 and g* e^4 = g* e^2, so g*(e^12 - e^34) cancels in every term."""
+    rows = list(kernel_matrix(rng, dim, "mixed").matrix)
+    rows[2], rows[3] = rows[0], rows[1]
+    g = LinearMap(dim, dim, tuple(rows))
+    a = alt_form(dim, 2, {(1, 2): Fraction(5, 3), (3, 4): Fraction(-5, 3)})
+    assert ref_pullback(g, a).is_zero
+    assert_same(pullback(g, a), ref_pullback(g, a), values(a))
+
+
+def quadext_twin(form: AltForm, D: Fraction, irrational: AltForm | None = None) -> AltForm:
+    """form + sqrt(D) * irrational, with QuadExt coefficients on every term."""
+    extra = irrational.terms if irrational is not None else {}
+    keys = set(form.terms) | set(extra)
+    return AltForm(form.dim, form.degree, {
+        k: QuadExt(Fraction(form.terms.get(k, 0)), Fraction(extra.get(k, 0)), D) for k in keys})
+
+
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_quadext_takes_the_field_loop(dim, rng):
+    D = Fraction(-3, 5)
+    for p in range(dim + 1):
+        q = rng.randint(0, dim - p)
+        a, b = kernel_form(rng, dim, p, "scaled"), kernel_form(rng, dim, q, "mixed")
+        qa, qb = quadext_twin(a, D), quadext_twin(b, D)
+        rational = wedge(a, b)
+        assert wedge(qa, qb).terms == rational.terms == ref_wedge(qa, qb).terms
+        assert wedge(qa, b).terms == rational.terms
+        xa = quadext_twin(a, D, kernel_form(rng, dim, p, "mixed"))
+        xb = quadext_twin(b, D, kernel_form(rng, dim, q, "scaled"))
+        assert wedge(xa, xb) == ref_wedge(xa, xb)
+        g = kernel_matrix(rng, dim, "mixed")
+        assert pullback(g, xa) == ref_pullback(g, xa)
+        if p:
+            v = [QuadExt(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)), D)
+                 for _ in range(dim)]
+            assert contract(v, xa) == ref_contract(v, xa)
+            assert contract(v, a) == ref_contract(v, a)
+        # g + sqrt(D) Id
+        qg = LinearMap.from_rows([[QuadExt(x, Fraction(int(i == j)), D) for j, x in enumerate(row)]
+                                  for i, row in enumerate(g.matrix)])
+        assert pullback(qg, a) == ref_pullback(qg, a)
+
+
+def ref_q_form(phi: AltForm, vol: VolumeForm) -> tuple:
+    c = vol.coefficient()
+    full = tuple(range(1, 8))
+    units = [[Fraction(int(k == i)) for k in range(1, 8)] for i in range(1, 8)]
+    contractions = [ref_contract(e, phi) for e in units]
+    fives = [ref_wedge(cj, phi) for cj in contractions]
+    return tuple(tuple(ref_wedge(ci, fj).terms.get(full, Fraction(0)) / c for fj in fives)
+                 for ci in contractions)
+
+
+@pytest.mark.parametrize("kind", ["mixed", "scaled"])
+def test_q_form_matches_wedge_pairing(kind, rng):
+    vol = VolumeForm.standard(7, Fraction(-7, 3))
+    forms = [pullback(G7, canonical_phi_minus()), pullback(G7, canonical_phi_plus())]
+    forms += [kernel_form(rng, 7, 3, kind) for _ in range(4)]
+    for phi in forms:
+        scaled = Fraction(rng.randint(1, 10 ** 9), rng.randint(1, 10 ** 9)) * phi
+        assert q_form(scaled, vol).B == ref_q_form(scaled, vol)
+
+
+def ref_stabilizer_dim(form: AltForm) -> int:
+    n = form.dim
+    rows = []
+    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
+        row = [Fraction(0)] * (n * n)
+        for p in range(1, n + 1):
+            row[(p - 1) * n + (i - 1)] += form.coeff((p, j, k))
+            row[(p - 1) * n + (j - 1)] += form.coeff((i, p, k))
+            row[(p - 1) * n + (k - 1)] += form.coeff((i, j, p))
+        rows.append(row)
+    return n * n - rank(rows)
+
+
+def test_stabilizer_dim_matches_coeff_rows(rng):
+    forms = [pullback(G6, canonical_omega_plus()), pullback(G6, canonical_omega_minus()),
+             pullback(G7, canonical_phi_minus()), pullback(G7, canonical_phi_plus())]
+    forms += [kernel_form(rng, n, 3, kind) for n in (6, 7) for kind in ("mixed", "int")]
+    for form in forms:
+        scaled = Fraction(10) ** rng.randint(-200, 200) * form
+        assert stabilizer_dim(form) == stabilizer_dim(scaled) == ref_stabilizer_dim(scaled)
 
 
 if __name__ == "__main__":
