@@ -21,11 +21,11 @@ from typing import Sequence
 
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
-                       basis_form, contract, hodge_star, wedge)
-from .linalg import inverse, mat_mul, mat_vec
+                       basis_form, hodge_star, wedge)
+from .linalg import inverse, mat_mul
 from .scalars import cbrt_fraction, sqrt_fraction
 from .stable6 import NotStableError, ScaledStructure
-from .vcp import CrossProduct, _complement, _vec
+from .vcp import CrossProduct, _complement, _product_from_form, _vec
 
 
 @dataclass(frozen=True)
@@ -275,11 +275,4 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(star)
     g8 = [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in gm.ip.gram]
     ip8 = InnerProduct.from_rows(g8)
-    g8_inv = inverse([list(r) for r in ip8.gram])
-
-    def ev(x, y, z):
-        one = contract(list(z), contract(list(y), contract(list(x), mu3)))
-        cov = [one.terms.get((k,), Fraction(0)) for k in range(1, 9)]
-        return tuple(mat_vec(g8_inv, cov))
-
-    return CrossProduct(8, 3, f"LIFT-{variant}", ip8, ev)
+    return CrossProduct(8, 3, f"LIFT-{variant}", ip8, _product_from_form(mu3, ip8))

@@ -324,7 +324,11 @@ def cmd_para_cy(args) -> int:
 
 
 def cmd_vcp_check(args) -> int:
-    seed = int(os.environ.get("STABLEFORMS_SEED", "0"))
+    raw = os.environ.get("STABLEFORMS_SEED", "0")
+    try:
+        seed = int(raw)
+    except ValueError:
+        raise ParseError(f"STABLEFORMS_SEED must be an integer, got {raw!r}") from None
     tag = AlgebraTag(args.algebra)
     if args.what == "identities":
         rep = compalg.verify_identities(tag, args.trials, seed)

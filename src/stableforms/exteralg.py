@@ -33,8 +33,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from .linalg import _bareiss, inertia, mat_mul, nullspace
 from .linalg import det as _det
-from .linalg import inertia, mat_mul, nullspace
 from .linalg import inverse as _inverse
 from .scalars import rat
 
@@ -398,7 +398,7 @@ def contract(v, a: AltForm) -> AltForm:
 
 
 def _minor(rows: list, cols: tuple, exact_int: bool):
-    """det of the submatrix (columns cols of rows): closed forms up to 3 x 3."""
+    """det of the submatrix (columns cols of rows): closed forms up to 3 x 3, then Bareiss."""
     p = len(rows)
     if p == 1:
         return rows[0][cols[0]]
@@ -411,29 +411,7 @@ def _minor(rows: list, cols: tuple, exact_int: bool):
                 - r0[j1] * (r1[j0] * r2[j2] - r1[j2] * r2[j0])
                 + r0[j2] * (r1[j0] * r2[j1] - r1[j1] * r2[j0]))
     m = [[r[j] for j in cols] for r in rows]
-    return _int_det(m) if exact_int else _det(m)
-
-
-def _int_det(m: list) -> int:
-    """Determinant of a square integer matrix by Bareiss elimination (in place).
-
-    After pivot p every lower row becomes (p * row - row[c] * pivot_row) // prev,
-    exact by Sylvester's identity.
-    """
-    n, sign, prev = len(m), 1, 1
-    for c in range(n - 1):
-        i = next((i for i in range(c, n) if m[i][c]), None)
-        if i is None:
-            return 0
-        if i != c:
-            m[c], m[i] = m[i], m[c]
-            sign = -sign
-        p, pivot = m[c][c], m[c]
-        for r in range(c + 1, n):
-            row, f = m[r], m[r][c]
-            m[r] = [0] * (c + 1) + [(p * row[k] - f * pivot[k]) // prev for k in range(c + 1, n)]
-        prev = p
-    return sign * m[n - 1][n - 1]
+    return _bareiss(m, det=True) if exact_int else _det(m)
 
 
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
@@ -487,18 +465,11 @@ def _top_pairings(lefts: Sequence[AltForm], rights: Sequence[AltForm]) -> list[l
 
 
 def form_inner(a: AltForm, b: AltForm, ip: InnerProduct):
-    """Inner product induced on p-forms: <e^I, e^J> = det(G^{-1}[I, J])."""
+    """Induced inner product <e^I, e^J> = det(G^{-1}[I, J]): sum_I a_I (G^{-1}* b)_I."""
     if (a.dim, a.degree) != (b.dim, b.degree):
         raise ValueError("form shape mismatch")
-    ginv = ip.inverse_gram()
-    total = Fraction(0)
-    for ia, ca in a.terms.items():
-        for ib, cb in b.terms.items():
-            m = [[ginv[i - 1][j - 1] for j in ib] for i in ia]
-            d = _det(m) if a.degree else Fraction(1)
-            if d != 0:
-                total = total + ca * cb * d
-    return total
+    raised = pullback(LinearMap.from_rows(ip.inverse_gram()), b).terms
+    return sum((c * raised.get(idx, 0) for idx, c in a.terms.items()), Fraction(0))
 
 
 def hodge_star(a: AltForm, ip: InnerProduct, vol: VolumeForm) -> AltForm:

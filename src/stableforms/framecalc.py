@@ -27,7 +27,7 @@ from typing import Sequence
 from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
                        contract, form_inner, hodge_star, is_decomposable, sort_index, wedge)
-from .linalg import inverse, mat_mul
+from .linalg import mat_mul
 
 
 class PreconditionError(ValueError):
@@ -194,7 +194,7 @@ class SU3Data:
         """J = -G^{-1} W from omega(x,y) = <J x, y>; J^2 = -Id verified."""
         n = self.omega.dim
         w = [[self.omega.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
-        ginv = inverse([list(r) for r in metric.gram])
+        ginv = metric.inverse_gram()
         j = mat_mul(ginv, [[-x for x in row] for row in w])
         j2 = mat_mul(j, j)
         for i in range(n):
@@ -239,7 +239,7 @@ def _check_special_balanced(cb: CircleBundleModel, su3: SU3Data):
         failing.append("d(omega^2) != 0")
     j = su3.complex_structure(base.ip())
     jcols = [[row[i] for row in j] for i in range(6)]  # J e_{i+1}
-    if any(cb.F(jcols[i], jcols[k]) != cb.F(_basis_vector(6, i + 1), _basis_vector(6, k + 1))
+    if any(cb.F(jcols[i], jcols[k]) != cb.F.coeff((i + 1, k + 1))
            for i in range(6) for k in range(i + 1, 6)):
         failing.append("curvature is not of type (1,1)")
     if failing:
@@ -360,8 +360,7 @@ def covariant_table(cb: CircleBundleModel) -> ConnectionTable:
             for k in range(n):
                 val = (c[i][j][k] * eps[k] - c[j][k][i] * eps[i] + c[k][i][j] * eps[j]) / 2
                 gamma[i][j][k] = val / eps[k]
-    f = [[cb.F(_basis_vector(n, i), _basis_vector(n, j)) for j in range(1, n + 1)]
-         for i in range(1, n + 1)]
+    f = [[cb.F.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
     lifted = [[[Fraction(0)] * 7 for _ in range(7)] for _ in range(7)]
     for i in range(n):
         for j in range(n):

@@ -1,12 +1,13 @@
 """Exact dense linear algebra over the rationals (or a quadratic extension).
 
-Matrices are lists of row lists.  ``rank`` takes rational entries only (int
-or Fraction) and is fraction-free: it clears each row to integers and runs
-Bareiss elimination over Python ints.  The other routines (``rref``,
-``nullspace``, ``inverse``, ``det``, ``inertia``) are Gaussian elimination
-with field operations, so their entries may be Fraction or QuadExt.  This
-module is exact only: the float frame code of ``stable7.canonicalize7``
-lives next to its one caller.
+Matrices are lists of row lists.  On rational entries (int or Fraction),
+``rank``, ``det`` and the larger pullback minors of ``exteralg`` share one
+fraction-free elimination over Python ints, ``_bareiss``; ``det`` returns an
+int on int entries and a Fraction on other rational ones.  ``rref``,
+``nullspace``, ``inverse``, ``inertia`` and ``det`` on other entries
+(QuadExt) are Gaussian elimination with field operations.  This module is
+exact only: the float frame code of ``stable7.canonicalize7`` lives next to
+its one caller.
 """
 
 from __future__ import annotations
@@ -60,40 +61,50 @@ def rref(m) -> tuple[Matrix, list[int]]:
     return a, pivots
 
 
-def _integer_row(row) -> list[int]:
-    """The row times the lcm of its denominators, divided by the gcd of the result."""
+def _integer_row(row) -> tuple[list[int], int, int]:
+    """(ints, g, scale) with row = ints * g / scale, ints coprime; TypeError unless int/Fraction."""
     for x in row:
         if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"rank takes int or Fraction entries, got {type(x).__name__}")
+            raise TypeError(f"expected int or Fraction entries, got {type(x).__name__}")
     scale = math.lcm(*(x.denominator for x in row))
     ints = [x.numerator * (scale // x.denominator) for x in row]
     g = math.gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    return ([x // g for x in ints] if g > 1 else ints), g, scale
 
 
-def rank(m) -> int:
-    """Rank of a matrix with int or Fraction entries.
+def _bareiss(rows: list, det: bool = False) -> int:
+    """Rank of integer rows, or with det=True the determinant of the square matrix.
 
-    Fraction-free (Bareiss 1968): each row is cleared to coprime integers;
-    after a pivot p in the leading column, every other row becomes
-    (p * row - row[0] * pivot_row) // previous pivot, which is exact because
-    its entries are then minors of the integer matrix (Sylvester's
-    identity).  Other entry types raise TypeError; ``rref`` takes them.
+    Fraction-free elimination (Bareiss 1968): after a pivot p in the leading
+    column, every other row becomes (p * row - row[0] * pivot_row) // previous
+    pivot, exact because its entries are then minors (Sylvester's identity).
+    Vanishing rows are dropped and pivot-free columns skipped (with det=True
+    such a column ends it with 0); at full rank the last pivot, signed by the
+    row order, is the determinant.
     """
-    rows = [row for row in map(_integer_row, m) if any(row)]
-    r, prev = 0, 1
+    n, r, prev, sign = len(rows), 0, 1, 1
+    rows = [row for row in rows if any(row)]
     while rows:
-        i = next((i for i, row in enumerate(rows) if row[0]), None)
-        if i is None:  # no pivot in this column: every row is nonzero further right
+        for i, row in enumerate(rows):
+            if row[0]:
+                break
+        else:  # no pivot in this column: every row is nonzero further right
+            if det:
+                return 0
             rows = [row[1:] for row in rows]
             continue
         pivot = rows.pop(i)
+        sign = -sign if i & 1 else sign  # moving row i to the front takes i transpositions
         p, tail = pivot[0], pivot[1:]
         rows = [new for new in ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
                                 for row in rows) if any(new)]
-        prev = p
-        r += 1
-    return r
+        prev, r = p, r + 1
+    return (sign * prev if r == n else 0) if det else r
+
+
+def rank(m) -> int:
+    """Rank of a matrix with int or Fraction entries; others raise TypeError (see ``rref``)."""
+    return _bareiss([ints for ints, _, _ in map(_integer_row, m)])
 
 
 def nullspace(m, ncols: int | None = None) -> list[list]:
@@ -124,7 +135,22 @@ def inverse(a) -> Matrix:
 
 
 def det(a):
-    """Determinant by Gaussian elimination with row pivoting (exact field division)."""
+    """Exact determinant: an int on int entries, a Fraction on other rational ones.
+
+    Rational rows are cleared, row_i = ints_i * g_i / scale_i, for ``_bareiss``;
+    other entries (QuadExt) take Gaussian elimination with field division.
+    """
+    try:
+        cleared = [_integer_row(row) for row in a]
+    except TypeError:
+        return _field_det(a)
+    num = _bareiss([ints for ints, _, _ in cleared], det=True) * math.prod(g for _, g, _ in cleared)
+    den = math.prod(scale for _, _, scale in cleared)
+    ints = den == 1 and all(isinstance(x, int) for row in a for x in row)
+    return num if ints else Fraction(num, den)
+
+
+def _field_det(a):
     n = len(a)
     m = mat_copy(a)
     result = Fraction(1)

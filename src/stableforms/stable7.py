@@ -25,10 +25,10 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, VolumeForm, _top_pairings, alt_form, contract,
                        wedge)
-from .linalg import det, inertia, inverse, mat_vec
+from .linalg import det, inertia
 from .scalars import cbrt_fraction
 from .stable6 import NotStableError
-from .vcp import CrossProduct
+from .vcp import CrossProduct, _product_from_form
 
 
 class OrbitClass7(enum.Enum):
@@ -139,14 +139,7 @@ def _ninth_root(x: Fraction) -> Fraction | None:
 def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:
     """2-fold product with <X(x,y), z> = phi(x,y,z) for the induced metric."""
     gm = metric_from_phi(phi, vol)
-    ginv = inverse([list(r) for r in gm.ip.gram])
-
-    def ev(x, y):
-        one_form = contract(list(y), contract(list(x), phi))
-        cov = [one_form.terms.get((k,), Fraction(0)) for k in range(1, 8)]
-        return tuple(mat_vec(ginv, cov))
-
-    return CrossProduct(7, 2, "PHI", gm.ip, ev)
+    return CrossProduct(7, 2, "PHI", gm.ip, _product_from_form(phi, gm.ip))
 
 
 def canonical_phi_minus() -> AltForm:
@@ -192,7 +185,7 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
             total += c * _det3([[vecs[col][row - 1] for col in range(3)] for row in idx])
         return total
 
-    ginv = [[float(x) for x in row] for row in inverse([list(r) for r in gm.ip.gram])]
+    ginv = [[float(x) for x in row] for row in gm.ip.inverse_gram()]
 
     def cross(x, y):
         cov = []

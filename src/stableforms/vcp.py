@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from . import compalg
 from .compalg import AlgebraTag, AlgElement, _add, _scale
-from .exteralg import AltForm, InnerProduct, LinearMap, alt_form
+from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
 from .linalg import det as _det
 from .linalg import inverse, mat_vec, nullspace, rank
 from .scalars import rat
@@ -118,6 +118,20 @@ def fundamental_form(cp: CrossProduct) -> FundamentalForm:
     return FundamentalForm(alt_form(n, r + 1, terms))
 
 
+def _product_from_form(mu: AltForm, ip: InnerProduct) -> Callable:
+    """The r-fold product X with <X(v_1..v_r), w> = mu(v_1..v_r, w), inverting
+    ``fundamental_form``: X = G^{-1} (i_{v_r} .. i_{v_1} mu)."""
+    ginv = ip.inverse_gram()
+
+    def ev(*vectors: Vector) -> Vector:
+        one = mu
+        for v in vectors:
+            one = contract(list(v), one)
+        return tuple(mat_vec(ginv, [one.terms.get((k,), 0) for k in range(1, mu.dim + 1)]))
+
+    return ev
+
+
 @dataclass(frozen=True)
 class AxiomReport:
     variant: str
@@ -197,13 +211,12 @@ def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list
     and the map sending an ambient vector to the complement coordinates of
     its orthogonal projection.  The complement must be nondegenerate.
     """
-    gram = [list(r) for r in ip.gram]
-    comp = [tuple(v) for v in nullspace([mat_vec(gram, list(v)) for v in vectors], ncols=ip.dim)]
+    comp = [tuple(v) for v in nullspace([mat_vec(ip.gram, v) for v in vectors], ncols=ip.dim)]
     sub_gram = [[ip.pair(u, v) for v in comp] for u in comp]
     sub_gram_inv = inverse(sub_gram)
 
     def to_local(w: Sequence) -> Vector:
-        gw = mat_vec(gram, list(w))
+        gw = mat_vec(ip.gram, w)
         return tuple(mat_vec(sub_gram_inv, [sum((u[i] * s for i, s in enumerate(gw)), Fraction(0))
                                             for u in comp]))
 
@@ -227,18 +240,27 @@ def para_structure_from_plane(cp3: CrossProduct, a: Sequence, b: Sequence) -> Li
     a, b = _vec(a), _vec(b)
     _require_lorentzian(cp3, a, b)
     n = cp3.dim
+    split = _plane_split(cp3.ip, a, b)
     cols = []
-    basis = [tuple(Fraction(1 if i == k else 0) for i in range(n)) for k in range(n)]
-    ga = mat_vec([list(r) for r in cp3.ip.gram], list(a))
-    gb = mat_vec([list(r) for r in cp3.ip.gram], list(b))
-    for v in basis:
-        pa = sum((ga[i] * v[i] for i in range(n)), Fraction(0))       # <a, v>
-        pb = -sum((gb[i] * v[i] for i in range(n)), Fraction(0))      # <b,b> = -1
-        tangent = tuple(v[i] - pa * a[i] - pb * b[i] for i in range(n))
+    for k in range(n):
+        tangent, pa, pb = split(tuple(Fraction(1 if i == k else 0) for i in range(n)))
         lv = tuple(-c for c in cp3(a, b, tangent))
         plane_part = tuple(pa * b[i] + pb * a[i] for i in range(n))   # La=b, Lb=a
         cols.append(tuple(x + y for x, y in zip(lv, plane_part)))
     return LinearMap.from_columns(cols)
+
+
+def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> Callable:
+    """v -> (t, <a,v>, -<b,v>): v = t + <a,v> a - <b,v> b, t orthogonal to the Lorentzian plane."""
+    n = ip.dim
+    ga, gb = mat_vec(ip.gram, a), mat_vec(ip.gram, b)
+
+    def split(v: Vector) -> tuple[Vector, Fraction, Fraction]:
+        pa = sum((ga[i] * v[i] for i in range(n)), Fraction(0))
+        pb = -sum((gb[i] * v[i] for i in range(n)), Fraction(0))
+        return tuple(v[i] - pa * a[i] - pb * b[i] for i in range(n)), pa, pb
+
+    return split
 
 
 def _require_lorentzian(cp3: CrossProduct, a: Vector, b: Vector):
@@ -272,13 +294,7 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     L = para_structure_from_plane(cp3, a, b)
     n_dim = cp3.dim
     rng = random.Random(seed)
-    gram = [list(r) for r in cp3.ip.gram]
-    ga, gb = mat_vec(gram, list(a)), mat_vec(gram, list(b))
-
-    def project_tangent(v: Vector) -> Vector:
-        pa = sum((ga[i] * v[i] for i in range(n_dim)), Fraction(0))
-        pb = -sum((gb[i] * v[i] for i in range(n_dim)), Fraction(0))
-        return tuple(v[i] - pa * a[i] - pb * b[i] for i in range(n_dim))
+    split = _plane_split(cp3.ip, a, b)
 
     def lv(v: Vector) -> Vector:
         return tuple(L.apply(list(v)))
@@ -286,8 +302,8 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     id1 = id2 = True
     commuting = anticommuting = True
     for _ in range(trials):
-        x = project_tangent(_random_vector(rng, n_dim))
-        y = project_tangent(_random_vector(rng, n_dim))
+        x = split(_random_vector(rng, n_dim))[0]
+        y = split(_random_vector(rng, n_dim))[0]
         s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
         nrm = tuple(s * a[i] + t * b[i] for i in range(n_dim))
         lx, ly, ln = lv(x), lv(y), lv(nrm)
@@ -308,10 +324,8 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
             anticommuting = False
 
     # eigenspace dimensions of L restricted to the complement of the plane
-    lm = [list(r) for r in L.matrix]
-    idm = [[Fraction(1 if i == j else 0) for j in range(n_dim)] for i in range(n_dim)]
-    plus = n_dim - rank([[lm[i][j] - idm[i][j] for j in range(n_dim)] for i in range(n_dim)])
-    minus = n_dim - rank([[lm[i][j] + idm[i][j] for j in range(n_dim)] for i in range(n_dim)])
+    plus, minus = (n_dim - rank([[x - s * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(L.matrix)]) for s in (1, -1))
     # the plane itself carries one +1 and one -1 eigenvector (a+b, a-b)
     dims = (plus - 1, minus - 1)
     branch = "commuting" if commuting else ("anticommuting" if anticommuting else "none")

@@ -237,6 +237,13 @@ class TestVcpCheck:
         assert rc == EXIT_OK
         assert json.loads(capsys.readouterr().out)["passed"] is True
 
+    def test_non_integer_seed_is_a_parse_error(self, capsys, monkeypatch):
+        monkeypatch.setenv("STABLEFORMS_SEED", "abc")
+        rc = main(["vcp-check", "--what", "identities", "--algebra", "H"])
+        assert rc == EXIT_PARSE
+        err = capsys.readouterr().err
+        assert "STABLEFORMS_SEED" in err and "Traceback" not in err
+
     def test_para_extension_branches(self, capsys):
         rc = main(["vcp-check", "--what", "para-extension", "--algebra", "B",
                    "--variant", "X1", "--trials", "40"])

@@ -12,13 +12,17 @@
 * hodge_star satisfies its defining property b ^ *a = <b, a> vol for every
   basis form b, on dense indefinite Gram matrices.
 * The integer-cleared ``wedge``, ``contract`` and ``pullback`` equal the
-  field-arithmetic loops they replaced (kept below as ``ref_*``) on seeded
+  field-arithmetic loops they replaced (kept below as ``ref_*``, with their
+  own field determinant ``ref_det``) on seeded
   random forms of every degree in dims 4, 6 and 7: coefficients scaled by
   10^e with |e| <= 200, mixed denominators, int-typed coefficients, sums that
   cancel, non-integer and singular matrices, and QuadExt coefficients (which
   take the field loop).  ``q_form`` (a top-degree pairing) and
   ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
   versions.
+* ``form_inner``, a pairing with the pullback by G^{-1}, equals the sum of
+  one determinant per term pair it replaced (``ref_form_inner``) on dense
+  indefinite Gram matrices in dims 4, 6 and 7.
 """
 
 import itertools
@@ -37,7 +41,7 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                                   basis_form, contract, form_inner, hodge_star, pullback,
                                   sort_index, wedge)
-from stableforms.linalg import det, rank
+from stableforms.linalg import rank
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus, stabilizer_dim
 from stableforms.stable7 import canonical_phi_minus, canonical_phi_plus, q_form
@@ -194,6 +198,24 @@ def ref_contract(v, a):
     return AltForm(a.dim, a.degree - 1, out)
 
 
+def ref_det(m):
+    """Gaussian elimination with field division; int entries become Fractions first."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    n, d = len(m), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            d = -d
+        d = d * m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
 def ref_pullback(g, a):
     n, p = a.dim, a.degree
     if p == 0:
@@ -202,7 +224,7 @@ def ref_pullback(g, a):
     for jdx in itertools.combinations(range(1, n + 1), p):
         total = Fraction(0)
         for idx, c in a.terms.items():
-            d = det([[g.matrix[i - 1][j - 1] for j in jdx] for i in idx])
+            d = ref_det([[g.matrix[i - 1][j - 1] for j in jdx] for i in idx])
             if d != 0:
                 total = total + c * d
         if total != 0:
@@ -288,12 +310,10 @@ def test_pullback_matches_field_loop(dim, kind, rng):
         a = kernel_form(rng, dim, p, kind)
         g = kernel_matrix(rng, dim, kind)
         entries = [x for row in g.matrix for x in row]
-        # the field loop's det divides, so it needs Fraction entries for an exact reference
-        exact = LinearMap.from_rows([[Fraction(x) for x in row] for row in g.matrix])
-        assert_same(pullback(g, a), ref_pullback(exact, a), values(a), entries)
+        assert_same(pullback(g, a), ref_pullback(g, a), values(a), entries)
         # rank 2: every minor of size >= 3 vanishes
-        low = LinearMap.from_rows([[row[0] * x + row[1] * y for x, y in zip(*exact.matrix[:2])]
-                                   for row in exact.matrix])
+        low = LinearMap.from_rows([[row[0] * x + row[1] * y for x, y in zip(*g.matrix[:2])]
+                                   for row in g.matrix])
         assert_same(pullback(low, a), ref_pullback(low, a), values(a), entries)
 
 
@@ -306,6 +326,28 @@ def test_pullback_cancelling_minors(dim, rng):
     a = alt_form(dim, 2, {(1, 2): Fraction(5, 3), (3, 4): Fraction(-5, 3)})
     assert ref_pullback(g, a).is_zero
     assert_same(pullback(g, a), ref_pullback(g, a), values(a))
+
+
+def ref_form_inner(a, b, ip):
+    """sum over term pairs of a_I b_J det(G^{-1}[I, J])."""
+    ginv = ip.inverse_gram()
+    total = Fraction(0)
+    for ia, ca in a.terms.items():
+        for ib, cb in b.terms.items():
+            d = ref_det([[ginv[i - 1][j - 1] for j in ib] for i in ia]) if a.degree else 1
+            total = total + ca * cb * d
+    return total
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("dim", [4, 6, 7])
+def test_form_inner_matches_term_pairs(dim, kind, rng):
+    ip = dense_indefinite(rng, dim)
+    for p in range(dim + 1):
+        a, b = kernel_form(rng, dim, p, kind), kernel_form(rng, dim, p, kind)
+        got = form_inner(a, b, ip)
+        assert got == ref_form_inner(a, b, ip) == form_inner(b, a, ip)
+        assert type(got) is Fraction
 
 
 def quadext_twin(form: AltForm, D: Fraction, irrational: AltForm | None = None) -> AltForm:

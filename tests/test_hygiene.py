@@ -1,0 +1,71 @@
+"""Dead-code guard for ``src/stableforms``, by ``ast`` (no linter needed).
+
+* Every name a module imports is used in that module; the package
+  ``__init__`` is exempt, since its imports are the public re-exports.
+* Every module-level ``_private`` function is referenced somewhere in the
+  package outside its own definition.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "stableforms"
+MODULES = {path.name: ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))}
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
+
+
+def references(trees, skip: ast.stmt | None = None) -> set[str]:
+    """Names and attribute names used in the module bodies, leaving out one statement."""
+    out = set()
+    for tree in trees:
+        for stmt in tree.body:
+            if stmt is skip:
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    out.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    out.add(node.attr)
+    return out
+
+
+def unreferenced_private_functions(modules: dict) -> list[str]:
+    dead = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
+                    and not stmt.name.startswith("__")
+                    and stmt.name not in references(modules.values(), skip=stmt)):
+                dead.append(f"{name}: {stmt.name}")
+    return dead
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__.py"}))
+def test_no_unused_imports(name):
+    assert unused_imports(MODULES[name]) == []
+
+
+def test_no_unreferenced_private_functions():
+    assert unreferenced_private_functions(MODULES) == []
+
+
+def test_guard_flags_dead_code():
+    """The checks above are not vacuous: they catch a planted import and helper."""
+    tree = ast.parse("import math\nfrom .linalg import det as _det, rank\n\n"
+                     "def _helper(x):\n    return _helper(x - 1) + rank(x)\n\n"
+                     "def _used():\n    return 1\n\nVALUE = _used()\n")
+    assert unused_imports(tree) == ["math (line 1)", "_det (line 2)"]
+    assert unreferenced_private_functions({"m.py": tree}) == ["m.py: _helper"]

@@ -1,21 +1,29 @@
-"""Differential tests: the fraction-free ``rank`` against the rank of ``rref``.
+"""Differential tests of the one fraction-free elimination, ``linalg._bareiss``.
 
-``rref`` is the field Gauss-Jordan routine that ``rank`` used to call; the
-number of its pivot columns is the reference rank for every input below.
+* ``rank`` against the rank of ``rref``, the field Gauss-Jordan routine that
+  ``rank`` used to call (the number of its pivot columns).
+* ``det`` against a plain-``Fraction`` Gauss loop kept below and against
+  ``sympy.Matrix.det``, on seeded int and Fraction matrices with rows scaled
+  by 10^e (|e| <= 200), zero rows, pivot-free columns and singular
+  low-rank products; hypothesis checks det(AB) = det(A) det(B) and
+  det(cA) = c^n det(A); a QuadExt matrix with zero irrational parts (the
+  field loop) gives the determinant of its rational twin.
+* The exact ``det`` fixes: int entries give an int, never a float.
 """
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import G6
 from stableforms import stable6
 from stableforms.cli import parse_form_document
-from stableforms.exteralg import pullback
-from stableforms.linalg import mat_mul, rank, rref
+from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
+from stableforms.linalg import det, mat_mul, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from test_cli_golden import DOCS
@@ -105,3 +113,119 @@ BIG = 10 ** 200
        p=st.integers(-BIG, BIG).filter(bool), q=st.integers(1, BIG))
 def test_stabilizer_dim_scale_invariant(omega, p, q):
     assert stable6.stabilizer_dim(Fraction(p, q) * omega) == stable6.stabilizer_dim(omega) == 16
+
+
+# -- det ---------------------------------------------------------------------
+
+def reference_det(m) -> Fraction:
+    """Gaussian elimination with row pivoting over plain Fractions."""
+    a = [[Fraction(x) for x in row] for row in m]
+    n, d = len(a), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            d = -d
+        d *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return d
+
+
+def seeded_square_matrices():
+    """(kind, matrix): int or Fraction entries, rows times 10^e, degenerate shapes."""
+    rng = random.Random(1968)
+    cases = [("int", m) for m in ([], [[0]], [[-5]], [[0, 0], [0, 1]], [[1, 2], [2, 4]],
+                                  [[0, 1], [1, 0]], [[0, 1, 2], [0, 3, 4], [5, 6, 7]],
+                                  [[1, 2, 3], [2, 4, 7], [1, 1, 1]])]
+    for t in range(80):
+        n = rng.randint(1, 8)
+        kind = ("int", "fraction")[t % 2]
+        if t % 4 < 2:
+            m = random_matrix(rng, n, n)
+        else:  # singular low-rank product
+            inner = rng.randint(1, max(1, n - 1))
+            m = mat_mul(random_matrix(rng, n, inner), random_matrix(rng, inner, n))
+        if kind == "int":
+            m = [[x.numerator for x in row] for row in m]
+        if rng.random() < 0.2:
+            m[rng.randrange(n)] = [0 if kind == "int" else Fraction(0)] * n
+        if n > 1 and rng.random() < 0.3:  # a later column copies an earlier one: no pivot left
+            j, c = sorted(rng.sample(range(n), 2))
+            for row in m:
+                row[c] = row[j]
+        if rng.random() < 0.5:
+            exps = [rng.randint(0, 200) for _ in range(n)]
+            if kind == "int":
+                m = [[x * 10 ** e for x in row] for row, e in zip(m, exps)]
+            else:
+                m = [[x * Fraction(10) ** (rng.choice((1, -1)) * e) for x in row]
+                     for row, e in zip(m, exps)]
+        cases.append((kind, m))
+    return cases
+
+
+SQUARE = seeded_square_matrices()
+
+
+@pytest.mark.parametrize("kind,m", SQUARE)
+def test_det_matches_fraction_gauss(kind, m):
+    d = det(m)
+    assert d == reference_det(m)
+    assert type(d) is (int if kind == "int" else Fraction)
+
+
+@pytest.mark.parametrize("kind,m", SQUARE[:40:3])
+def test_det_matches_sympy(kind, m):
+    expected = sympy.Matrix(len(m), len(m), [sympy.Rational(x.numerator, x.denominator)
+                                             for row in m for x in row]).det() if m else 1
+    assert det(m) == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
+
+
+def test_det_quadext_twin():
+    D = Fraction(-3, 5)
+    for _, m in SQUARE[8:40]:
+        q = det([[QuadExt.of(x, D) for x in row] for row in m])
+        assert isinstance(q, QuadExt)
+        assert q == det(m)
+
+
+entry = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))
+
+
+def square(n):
+    return st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6))
+def test_det_is_multiplicative(data, n):
+    a, b = data.draw(square(n)), data.draw(square(n))
+    assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), e=st.integers(-200, 200), c=entry.filter(bool))
+def test_det_is_homogeneous(data, n, e, c):
+    a = data.draw(square(n))
+    c = c * Fraction(10) ** e
+    assert det([[c * x for x in row] for row in a]) == c ** n * det(a)
+
+
+def test_alt_form_evaluates_exactly_on_int_vectors():
+    value = basis_form(3, 1, 2, 3)([3, 1, 0], [1, 2, 0], [0, 0, 7])
+    assert value == 35 and not isinstance(value, float)
+
+
+def test_linear_map_det_of_int_rows_is_int():
+    d = LinearMap(2, 2, ((2, 1), (1, 1))).det()
+    assert d == 1 and type(d) is int
+
+
+def test_degenerate_int_gram_rejected():
+    """The exact det is 0; the float elimination read 1.99e-12 and accepted it."""
+    with pytest.raises(ValueError, match="inner product is degenerate"):
+        InnerProduct(3, ((24, -65, -5), (-65, -11, -6), (-5, -6, -1)))
