@@ -5,18 +5,26 @@ Multiplication is generated recursively from R by the doubling rule
     (a + b l)(c + d l) = (a c + l^2 conj(d) b) + (d a + b conj(c)) l
 
 with the basis ordering e_0..e_3 = 1, i, j, k and e_{s+4} = e_s * l.  The
-8x8 tables are never hard coded; they fall out of the rule and are snapshot
-tested downstream.
+structure constants e_i e_j = s e_k are never hard coded: the first product
+in an algebra runs the rule once on every pair of int unit vectors and
+keeps the n x n table of (k, s) for its doubling signs (``_table``), and the
+tables are snapshot tested downstream.  ``multiply`` clears both operands
+to integer numerators over one denominator each and makes one pass over the
+table; coordinates that are not int or Fraction (QuadExt, float) take the
+same pass with field arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .linalg import _clear, _pair, _sparse
 from .scalars import rat
 
 
@@ -121,9 +129,51 @@ def _scale(s, x: tuple) -> tuple:
     return tuple(s * a for a in x)
 
 
+@functools.cache
+def _table(signs: tuple[int, ...]) -> tuple:
+    """Rows of (k, s) with e_i e_j = s e_k, from the doubling rule on int unit vectors."""
+    n = 2 ** len(signs)
+    units = [tuple(int(i == k) for i in range(n)) for k in range(n)]
+    rows = []
+    for x in units:
+        row = []
+        for y in units:
+            (k, s), = [(k, c) for k, c in enumerate(_cd_mul(x, y, signs)) if c]
+            row.append((k, s))
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _mul(table: tuple, x: Sequence, y: Sequence) -> list:
+    """Coordinates of x y by the structure constants, on ints or field values."""
+    out = [0] * len(x)
+    for xi, row in zip(x, table):
+        if xi:
+            nx = -xi
+            for (k, s), yj in zip(row, y):
+                out[k] += (xi if s > 0 else nx) * yj
+    return out
+
+
+def _over(dens: list[int] | None, nums: Sequence) -> tuple:
+    """Numerators over the product of the operands' denominators; field values (None) as they are."""
+    if dens is None:
+        return tuple(nums)
+    den = math.prod(dens)
+    return tuple(Fraction(x, den) for x in nums)
+
+
+@functools.cache
+def _norm_form(tag: AlgebraTag) -> tuple:
+    """The diagonal norm form of ``tag`` as ``linalg._sparse`` entries, over denominator 1."""
+    sig = tag.signature
+    return _sparse([[s if i == j else 0 for j in range(tag.dim)] for i, s in enumerate(sig)])
+
+
 def multiply(x: AlgElement, y: AlgElement) -> AlgElement:
     _same_tag(x, y)
-    return AlgElement(x.tag, _cd_mul(x.coords, y.coords, x.tag.doubling_signs))
+    (cx, cy), dens = _clear(x.coords, y.coords)
+    return AlgElement(x.tag, _over(dens, _mul(_table(x.tag.doubling_signs), cx, cy)))
 
 
 def conjugate(x: AlgElement) -> AlgElement:
@@ -150,12 +200,12 @@ def inner(x: AlgElement, y: AlgElement) -> Fraction:
     verify_identities checks that equality against the product.
     """
     _same_tag(x, y)
-    return sum((s * a * b for s, a, b in zip(x.tag.signature, x.coords, y.coords)), Fraction(0))
+    return _pair(_norm_form(x.tag), x.coords, y.coords)
 
 
 def multiplication_table(tag: AlgebraTag) -> list[list[AlgElement]]:
-    n = tag.dim
-    return [[multiply(basis_element(tag, i), basis_element(tag, j)) for j in range(n)] for i in range(n)]
+    """e_i e_j for every pair, read off the structure constants."""
+    return [[s * basis_element(tag, k) for k, s in row] for row in _table(tag.doubling_signs)]
 
 
 def random_element(tag: AlgebraTag, rng: random.Random, span: int = 9) -> AlgElement:

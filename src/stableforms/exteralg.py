@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import _bareiss, inertia, mat_mul, nullspace
+from .linalg import _bareiss, _clear, _pair, _sparse, inertia, mat_mul, nullspace
 from .linalg import det as _det
 from .linalg import inverse as _inverse
 from .scalars import rat
@@ -233,6 +232,7 @@ class InnerProduct:
 
     dim: int
     gram: tuple
+    _form: tuple = field(init=False, repr=False, compare=False)  # linalg._sparse(gram)
 
     def __post_init__(self):
         g = self.gram
@@ -244,6 +244,7 @@ class InnerProduct:
                     raise ValueError("Gram matrix is not symmetric")
         if _det([list(r) for r in g]) == 0:
             raise ValueError("inner product is degenerate")
+        object.__setattr__(self, "_form", _sparse(g))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "InnerProduct":
@@ -260,8 +261,8 @@ class InnerProduct:
         return InnerProduct.diagonal([1] * n)
 
     def pair(self, u: Sequence, v: Sequence):
-        return sum((u[i] * self.gram[i][j] * v[j] for i in range(self.dim) for j in range(self.dim)),
-                   Fraction(0))
+        """u^T G v, summed over the nonzero Gram entries only."""
+        return _pair(self._form, u, v)
 
     def inverse_gram(self) -> list:
         return _inverse([list(r) for r in self.gram])
@@ -305,20 +306,6 @@ class VolumeForm:
             raise ValueError("ratio needs a top-degree form")
         full = tuple(range(1, self.form.dim + 1))
         return top.terms.get(full, Fraction(0)) / self.coefficient()
-
-
-def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
-    """Each group of values as integer numerators over the lcm of its denominators.
-
-    Returns the numerator lists and those lcms.  Unless every value is an int
-    or a Fraction, the values come back unchanged with no denominators, and
-    the caller's loop runs on them with field arithmetic (QuadExt, float).
-    """
-    groups = [list(g) for g in groups]
-    if not all(isinstance(x, (int, Fraction)) for g in groups for x in g):
-        return groups, None
-    dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
-    return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
 
 
 def _over(den: int | None, nums: dict) -> dict:

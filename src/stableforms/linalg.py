@@ -5,21 +5,31 @@ Matrices are lists of row lists.  On rational entries (int or Fraction),
 fraction-free elimination over Python ints, ``_bareiss``; ``det`` returns an
 int on int entries and a Fraction on other rational ones.  ``rref``,
 ``nullspace``, ``inverse``, ``inertia`` and ``det`` on other entries
-(QuadExt) are Gaussian elimination with field operations.  This module is
-exact only: the float frame code of ``stable7.canonicalize7`` lives next to
-its one caller.
+(QuadExt) are Gaussian elimination with field operations; ``rref``,
+``inverse`` and ``inertia`` turn int entries into Fractions first, so they
+are exact on int entries too.  ``_clear`` (integer numerators over one
+common denominator) and ``_pair`` (a bilinear form summed over its nonzero
+coefficients only) are the integer kernel that ``exteralg`` and ``compalg``
+share.  This module is exact only: the float frame code of
+``stable7.canonicalize7`` lives next to its one caller.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Iterable, Sequence
 
 Matrix = list
 
 
 def mat_copy(m) -> Matrix:
     return [list(row) for row in m]
+
+
+def _exact_copy(m) -> Matrix:
+    """A copy with int entries as Fractions, so field division stays exact."""
+    return [[Fraction(x) if type(x) is int else x for x in row] for row in m]
 
 
 def transpose(m) -> Matrix:
@@ -37,7 +47,7 @@ def mat_vec(a, v) -> list:
 
 def rref(m) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns."""
-    a = mat_copy(m)
+    a = _exact_copy(m)
     if not a:
         return a, []
     nrows, ncols = len(a), len(a[0])
@@ -59,6 +69,53 @@ def rref(m) -> tuple[Matrix, list[int]]:
         if r == nrows:
             break
     return a, pivots
+
+
+def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
+    """Each group of values as integer numerators over the lcm of its denominators.
+
+    Returns the numerator lists and those lcms.  Unless every value is an int
+    or a Fraction, the values come back unchanged with no denominators, and
+    the caller's loop runs on them with field arithmetic (QuadExt, float).
+    """
+    groups = [list(g) for g in groups]
+    if not all(isinstance(x, (int, Fraction)) for g in groups for x in g):
+        return groups, None
+    dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
+    return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
+
+
+def _sparse(m) -> tuple[tuple, int | None]:
+    """The nonzero entries (i, j, c) of a square matrix and their common denominator.
+
+    As in ``_clear``: c is an integer numerator over the denominator, or, on
+    entries that are not all int or Fraction, the entry itself with None.
+    """
+    (nums,), dens = _clear(x for row in m for x in row)
+    n = len(m)
+    entries = tuple((k // n, k % n, c) for k, c in enumerate(nums) if c)
+    return entries, dens[0] if dens else None
+
+
+def _bilinear(entries: tuple, u: Sequence, v: Sequence):
+    """sum c u_i v_j over the entries (i, j, c), with no clearing or denominators."""
+    return sum(c * u[i] * v[j] for i, j, c in entries)
+
+
+def _pair(form: tuple, u: Sequence, v: Sequence):
+    """u^T M v for ``form = _sparse(M)``, summed over the nonzero entries of M only.
+
+    A Fraction on rational input, from one sum of integer products; any other
+    coordinate or coefficient (QuadExt, float) takes the same sum with field
+    arithmetic.
+    """
+    entries, den = form
+    if den is not None:
+        (cu, cv), dens = _clear(u, v)
+        if dens is not None:
+            return Fraction(_bilinear(entries, cu, cv), den * dens[0] * dens[1])
+        entries = [(i, j, Fraction(c, den)) for i, j, c in entries]
+    return _bilinear(entries, u, v)
 
 
 def _integer_row(row) -> tuple[list[int], int, int]:
@@ -178,7 +235,7 @@ def inertia(sym) -> tuple[int, int, int]:
     usable pivot (the standard hyperbolic-block trick).
     """
     n = len(sym)
-    a = mat_copy(sym)
+    a = _exact_copy(sym)
     alive = list(range(n))
     pos = neg = zero = 0
     while alive:

@@ -34,9 +34,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, _clear, alt_form, contract,
-                       divisor_space, pullback, wedge)
-from .linalg import mat_mul, nullspace, rank
+from .exteralg import (AltForm, LinearMap, VolumeForm, alt_form, contract, divisor_space,
+                       pullback, wedge)
+from .linalg import _clear, mat_mul, nullspace, rank
 from .scalars import QuadExt, sqrt_fraction
 
 

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from . import compalg
-from .compalg import AlgebraTag, AlgElement, _add, _scale
+from .compalg import AlgebraTag, _add, _cd_conj, _mul, _norm_form, _over, _scale, _table
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
+from .linalg import _bilinear, _clear
 from .linalg import det as _det
 from .linalg import inverse, mat_vec, nullspace, rank
 from .scalars import rat
@@ -55,10 +55,6 @@ def eval(cp: CrossProduct, *vectors: Sequence) -> Vector:  # noqa: A001 - spec n
     return cp(*vectors)
 
 
-def _imaginary(tag: AlgebraTag, v: Vector) -> AlgElement:
-    return AlgElement(tag, (Fraction(0),) + tuple(v))
-
-
 def cross_2fold(tag: AlgebraTag) -> CrossProduct:
     """X(a,b) = a.b + <a,b> e_0 on the imaginary 7-space of O or B."""
     if tag not in (AlgebraTag.O, AlgebraTag.B):
@@ -66,17 +62,14 @@ def cross_2fold(tag: AlgebraTag) -> CrossProduct:
     sig = tag.signature[1:]
 
     def ev(a: Vector, b: Vector) -> Vector:
-        xa, xb = _imaginary(tag, a), _imaginary(tag, b)
-        prod = compalg.multiply(xa, xb)
-        ip0 = compalg.inner(xa, xb)
+        (xa, xb), dens = _clear((0, *a), (0, *b))
+        prod = _mul(_table(tag.doubling_signs), xa, xb)
         # adding <a,b> e_0 kills the real part; the result is imaginary
-        return tuple(prod.coords[1:]) if prod.coords[0] + ip0 == 0 else _fail_real(prod, ip0)
+        if prod[0] + _bilinear(_norm_form(tag)[0], xa, xb) != 0:
+            raise ArithmeticError("2-fold product produced a real component; broken algebra data")
+        return _over(dens, prod[1:])
 
     return CrossProduct(7, 2, "X", InnerProduct.diagonal(sig), ev, tag=tag)
-
-
-def _fail_real(prod, ip0):
-    raise ArithmeticError("2-fold product produced a real component; broken algebra data")
 
 
 def cross_3fold(tag: AlgebraTag, variant: str) -> CrossProduct:
@@ -87,16 +80,15 @@ def cross_3fold(tag: AlgebraTag, variant: str) -> CrossProduct:
         raise ValueError("variant must be 'X1' or 'X2'")
 
     def ev(a: Vector, b: Vector, c: Vector) -> Vector:
-        xa, xb, xc = (AlgElement(tag, a), AlgElement(tag, b), AlgElement(tag, c))
+        table, metric = _table(tag.doubling_signs), _norm_form(tag)[0]
+        (xa, xb, xc), dens = _clear(a, b, c)
+        cb = _cd_conj(xb)
         if variant == "X1":
-            lead = -compalg.multiply(xa, compalg.multiply(compalg.conjugate(xb), xc))
+            lead = _mul(table, xa, _mul(table, cb, xc))
         else:
-            lead = -compalg.multiply(compalg.multiply(xa, compalg.conjugate(xb)), xc)
-        out = (lead
-               + compalg.inner(xa, xb) * xc
-               + compalg.inner(xb, xc) * xa
-               + (-compalg.inner(xc, xa)) * xb)
-        return out.coords
+            lead = _mul(table, _mul(table, xa, cb), xc)
+        ab, bc, ca = (_bilinear(metric, u, v) for u, v in ((xa, xb), (xb, xc), (xc, xa)))
+        return _over(dens, [ab * z + bc * x - ca * y - w for w, x, y, z in zip(lead, xa, xb, xc)])
 
     return CrossProduct(8, 3, variant, InnerProduct.diagonal(tag.signature), ev, tag=tag)
 

@@ -23,6 +23,15 @@
 * ``form_inner``, a pairing with the pullback by G^{-1}, equals the sum of
   one determinant per term pair it replaced (``ref_form_inner``) on dense
   indefinite Gram matrices in dims 4, 6 and 7.
+* The structure-constant kernel of ``compalg`` equals the doubling
+  recursion ``_cd_mul`` it is read from: ``multiply`` on H, U, O and B,
+  ``multiplication_table``, and the 2- and 3-fold cross products (against
+  ``ref_cross_2fold``/``ref_cross_3fold``, the formulas composed from
+  ``AlgElement`` operations), on coordinates times 10^e with |e| <= 200,
+  mixed denominators, int-typed and zero coordinates, and QuadExt and float
+  coordinates (which take the field loop).  The sparse ``InnerProduct.pair``
+  and ``compalg.inner`` equal the dense double sum ``ref_pair`` on
+  diagonal, dense indefinite and int-typed Gram matrices.
 """
 
 import itertools
@@ -37,6 +46,8 @@ import pytest
 from conftest import iwasawa_su3
 from conftest import G6, G7
 from stableforms import framecalc as fc
+from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
+                                 inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                                   basis_form, contract, form_inner, hodge_star, pullback,
@@ -45,6 +56,7 @@ from stableforms.linalg import rank
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus, stabilizer_dim
 from stableforms.stable7 import canonical_phi_minus, canonical_phi_plus, q_form
+from stableforms.vcp import cross_2fold, cross_3fold
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
 
@@ -424,6 +436,164 @@ def test_stabilizer_dim_matches_coeff_rows(rng):
     for form in forms:
         scaled = Fraction(10) ** rng.randint(-200, 200) * form
         assert stabilizer_dim(form) == stabilizer_dim(scaled) == ref_stabilizer_dim(scaled)
+
+
+# -- the structure-constant kernel against the doubling recursion ------------
+
+COORD_KINDS = KINDS + ["quadext", "float"]
+ROOT = Fraction(-3, 5)
+
+
+def coordinate(rng: random.Random, kind: str):
+    """One coordinate of the given kind, zero one time in four."""
+    if kind == "float":  # dyadic, so every sum and product below is exact in a double
+        return rng.randint(-64, 64) / 8
+    if rng.random() < 0.25:
+        return 0 if kind == "int" else Fraction(0)
+    if kind == "quadext":
+        return QuadExt(kernel_coefficient(rng, "mixed"), kernel_coefficient(rng, "scaled"), ROOT)
+    return kernel_coefficient(rng, kind)
+
+
+def coordinates(rng: random.Random, n: int, kind: str) -> tuple:
+    return tuple(coordinate(rng, kind) for _ in range(n))
+
+
+def ref_multiply(x: AlgElement, y: AlgElement) -> AlgElement:
+    return AlgElement(x.tag, _cd_mul(x.coords, y.coords, x.tag.doubling_signs))
+
+
+def ref_inner(x: AlgElement, y: AlgElement):
+    return sum((s * a * b for s, a, b in zip(x.tag.signature, x.coords, y.coords)), Fraction(0))
+
+
+def ref_pair(ip: InnerProduct, u, v):
+    """The dense double sum over every Gram entry."""
+    n = ip.dim
+    return sum((u[i] * ip.gram[i][j] * v[j] for i in range(n) for j in range(n)), Fraction(0))
+
+
+def ref_cross_2fold(tag: AlgebraTag, a, b) -> tuple:
+    """X(a, b) = a.b + <a, b> e_0, with a and b imaginary."""
+    xa, xb = (AlgElement(tag, (Fraction(0), *v)) for v in (a, b))
+    out = ref_multiply(xa, xb) + ref_inner(xa, xb) * basis_element(tag, 0)
+    assert out.coords[0] == 0
+    return out.coords[1:]
+
+
+def ref_cross_3fold(tag: AlgebraTag, variant: str, a, b, c) -> tuple:
+    """-a(conj(b)c) (X1) or -(a conj(b))c (X2), plus <a,b>c + <b,c>a - <c,a>b."""
+    xa, xb, xc = (AlgElement(tag, tuple(v)) for v in (a, b, c))
+    if variant == "X1":
+        lead = -ref_multiply(xa, ref_multiply(conjugate(xb), xc))
+    else:
+        lead = -ref_multiply(ref_multiply(xa, conjugate(xb)), xc)
+    return (lead + ref_inner(xa, xb) * xc + ref_inner(xb, xc) * xa
+            + (-ref_inner(xc, xa)) * xb).coords
+
+
+def rational(values) -> bool:
+    return all(isinstance(x, (int, Fraction)) for x in values)
+
+
+@pytest.mark.parametrize("kind", COORD_KINDS)
+@pytest.mark.parametrize("tag", list(AlgebraTag))
+def test_multiply_matches_the_doubling_recursion(tag, kind, rng):
+    for _ in range(40):
+        x, y = (AlgElement(tag, coordinates(rng, tag.dim, kind)) for _ in range(2))
+        got = multiply(x, y)
+        assert got == ref_multiply(x, y)
+        if rational(x.coords + y.coords):
+            assert all(type(c) is Fraction for c in got.coords)
+    # one rational and one field operand
+    x = AlgElement(tag, coordinates(rng, tag.dim, "scaled"))
+    y = AlgElement(tag, coordinates(rng, tag.dim, "quadext"))
+    assert multiply(x, y) == ref_multiply(x, y)
+    assert multiply(y, x) == ref_multiply(y, x)
+
+
+@pytest.mark.parametrize("tag", list(AlgebraTag))
+def test_multiplication_table_is_the_basis_products(tag):
+    table = multiplication_table(tag)
+    for i in range(tag.dim):
+        for j in range(tag.dim):
+            ei, ej = basis_element(tag, i), basis_element(tag, j)
+            assert table[i][j] == ref_multiply(ei, ej) == multiply(ei, ej)
+            assert all(type(c) is Fraction for c in table[i][j].coords)
+
+
+def gram_matrices(rng: random.Random) -> list:
+    """Diagonal (the algebra signatures and scaled ones), dense indefinite and int-typed."""
+    ips = [InnerProduct.diagonal(tag.signature) for tag in AlgebraTag]
+    ips += [InnerProduct.diagonal([kernel_coefficient(rng, "scaled") for _ in range(n)])
+            for n in (4, 7, 8)]
+    ips += [dense_indefinite(rng, n) for n in (4, 7, 8)]
+    ips += [InnerProduct(2, ((2, 1), (1, 1))), InnerProduct(3, ((0, 1, 0), (1, 0, 0), (0, 0, -3)))]
+    for n in (4, 8):
+        ip = dense_indefinite(rng, n)
+        ips.append(InnerProduct(n, tuple(tuple(2 * x.numerator for x in row) for row in ip.gram)))
+    return ips
+
+
+@pytest.mark.parametrize("kind", COORD_KINDS)
+def test_pair_matches_the_dense_sum(kind, rng):
+    for ip in gram_matrices(rng):
+        for _ in range(10):
+            u, v = coordinates(rng, ip.dim, kind), coordinates(rng, ip.dim, kind)
+            got = ip.pair(u, v)
+            if kind == "float":  # the two sums round in a different order
+                assert got == pytest.approx(float(ref_pair(ip, u, v)), rel=1e-12, abs=0)
+                continue
+            assert got == ref_pair(ip, u, v) == ip.pair(v, u)
+            if rational(u + v):
+                assert type(got) is Fraction
+        # one rational and one field vector
+        u, v = coordinates(rng, ip.dim, "scaled"), coordinates(rng, ip.dim, "quadext")
+        assert ip.pair(u, v) == ref_pair(ip, u, v) == ip.pair(v, u)
+
+
+def test_cached_entries_leave_eq_hash_and_repr_alone():
+    gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
+    ip = InnerProduct(2, gram)
+    assert ip == InnerProduct.from_rows([[2, 1], [1, 1]])
+    assert hash(ip) == hash((2, gram))
+    assert repr(ip) == f"InnerProduct(dim=2, gram={gram!r})"
+
+
+def test_pair_with_a_field_gram_matrix(rng):
+    ip = InnerProduct(2, ((QuadExt(Fraction(1), Fraction(1), ROOT), Fraction(1, 2)),
+                          (Fraction(1, 2), QuadExt(Fraction(-2), Fraction(0), ROOT))))
+    for kind in KINDS + ["quadext"]:  # QuadExt does not mix with float
+        u, v = coordinates(rng, 2, kind), coordinates(rng, 2, kind)
+        assert ip.pair(u, v) == ref_pair(ip, u, v)
+
+
+@pytest.mark.parametrize("kind", COORD_KINDS)
+@pytest.mark.parametrize("tag", list(AlgebraTag))
+def test_inner_matches_the_dense_sum(tag, kind, rng):
+    ip = InnerProduct.diagonal(tag.signature)
+    for _ in range(20):
+        x, y = (AlgElement(tag, coordinates(rng, tag.dim, kind)) for _ in range(2))
+        assert inner(x, y) == ref_inner(x, y) == ref_pair(ip, x.coords, y.coords)
+
+
+@pytest.mark.parametrize("kind", COORD_KINDS)
+@pytest.mark.parametrize("tag", [AlgebraTag.O, AlgebraTag.B])
+def test_cross_products_match_the_algebra_formulas(tag, kind, rng):
+    x2 = cross_2fold(tag)
+    x3 = {variant: cross_3fold(tag, variant) for variant in ("X1", "X2")}
+    for _ in range(15):
+        a, b = coordinates(rng, 7, kind), coordinates(rng, 7, kind)
+        got = x2(a, b)
+        assert got == ref_cross_2fold(tag, a, b)
+        if rational(a + b):
+            assert all(type(c) is Fraction for c in got)
+        a, b, c = (coordinates(rng, 8, kind) for _ in range(3))
+        for variant, cp in x3.items():
+            got = cp(a, b, c)
+            assert got == ref_cross_3fold(tag, variant, a, b, c)
+            if rational(a + b + c):
+                assert all(type(c) is Fraction for c in got)
 
 
 if __name__ == "__main__":

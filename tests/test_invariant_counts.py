@@ -4,19 +4,25 @@ K (stable6.k_endo), B (stable7.q_form) and the signature of B
 (stable7.inertia) are the expensive invariants; framecalc's special-balanced
 check guards every G2 computation.  The counts below are the number of
 times one public call runs each of them.
+
+The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
+structure constants is built, once per tag per process, and never at import.
 """
 
 import contextlib
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from conftest import G6, G7
-from stableforms import bridge, cli, framecalc, stable6, stable7, vcp
+from stableforms import bridge, cli, compalg, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import VolumeForm, alt_form, pullback
 
@@ -90,3 +96,55 @@ def test_each_invariant_computed_once(name, calls):
     run, expected = CASES[name]
     run()
     assert dict(calls) == expected
+
+
+def exercise_algebras():
+    """Every compalg and vcp route that multiplies, on every tag."""
+    for tag in AlgebraTag:
+        x, y = compalg.basis_element(tag, 1), compalg.basis_element(tag, tag.dim - 1)
+        compalg.multiply(x, y)
+        compalg.multiplication_table(tag)
+        compalg.verify_identities(tag, 2, seed=3)
+    for tag in (AlgebraTag.O, AlgebraTag.B):
+        vcp.verify_axioms(vcp.cross_2fold(tag), 2, seed=3)
+        for variant in ("X1", "X2"):
+            vcp.verify_axioms(vcp.cross_3fold(tag, variant), 2, seed=3)
+
+
+def test_doubling_recursion_runs_only_to_build_the_tables(monkeypatch):
+    build = compalg._table.__wrapped__.__code__
+    outside, from_build = [], Counter()
+
+    def counting(x, y, signs, _orig=compalg._cd_mul):
+        frame, callers = sys._getframe(1), []
+        while frame is not None:
+            callers.append(frame.f_code)
+            frame = frame.f_back
+        if build not in callers:
+            outside.append(signs)
+        elif callers[0] is build:
+            from_build[signs] += 1
+        return _orig(x, y, signs)
+
+    monkeypatch.setattr(compalg, "_cd_mul", counting)
+    compalg._table.cache_clear()
+    exercise_algebras()
+    # one build per tag: one product of unit vectors per table entry
+    assert from_build == {tag.doubling_signs: tag.dim ** 2 for tag in AlgebraTag}
+    assert compalg._table.cache_info().misses == len(AlgebraTag)
+    assert not outside
+    # afterwards the products, tables, verifiers and 3-fold evaluations never recurse
+    from_build.clear()
+    exercise_algebras()
+    assert not from_build and not outside
+
+
+def test_no_table_is_built_at_import():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import stableforms.cli, stableforms.compalg as c; print(c._table.cache_info().currsize)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"

@@ -9,6 +9,8 @@
   det(cA) = c^n det(A); a QuadExt matrix with zero irrational parts (the
   field loop) gives the determinant of its rational twin.
 * The exact ``det`` fixes: int entries give an int, never a float.
+* ``rref``, ``inverse`` and ``inertia`` on int entries are exact: Fractions,
+  never floats, and the exact signature where float elimination misread it.
 """
 
 import random
@@ -23,7 +25,7 @@ from conftest import G6
 from stableforms import stable6
 from stableforms.cli import parse_form_document
 from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
-from stableforms.linalg import det, mat_mul, rank, rref
+from stableforms.linalg import det, inertia, mat_mul, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from test_cli_golden import DOCS
@@ -229,3 +231,26 @@ def test_degenerate_int_gram_rejected():
     """The exact det is 0; the float elimination read 1.99e-12 and accepted it."""
     with pytest.raises(ValueError, match="inner product is degenerate"):
         InnerProduct(3, ((24, -65, -5), (-65, -11, -6), (-5, -6, -1)))
+
+
+def test_inverse_gram_of_int_rows_is_exact():
+    inv = InnerProduct(2, ((2, 1), (1, 1))).inverse_gram()
+    assert inv == [[1, -1], [-1, 2]]
+    assert all(type(x) is Fraction for row in inv for x in row)
+
+
+def test_rref_of_int_rows_is_exact():
+    red, pivots = rref([[3, 1], [1, 2]])
+    assert (red, pivots) == ([[1, 0], [0, 1]], [0, 1])
+    assert all(type(x) is Fraction for row in red for x in row)
+    red, _ = rref([[2, 4, 1], [1, 3, 5]])
+    assert red == [[1, 0, Fraction(-17, 2)], [0, 1, Fraction(9, 2)]]
+
+
+def test_inertia_of_int_rows_is_exact():
+    """Float elimination read (1, 2, 0); the matrix is singular of signature (1, 1)."""
+    sym = [[24, -65, -5], [-65, -11, -6], [-5, -6, -1]]
+    assert inertia(sym) == (1, 1, 1)
+    assert inertia([[Fraction(x) for x in row] for row in sym]) == (1, 1, 1)
+    # the hyperbolic pivot: every diagonal entry zero, an off-diagonal one not
+    assert inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
