@@ -2,16 +2,18 @@
 
 Matrices are lists of row lists.  On rational entries (int or Fraction),
 ``rank``, ``det`` and the larger pullback minors of ``exteralg`` share one
-fraction-free elimination over Python ints, ``_bareiss``; ``det`` returns an
-int on int entries and a Fraction on other rational ones.  ``rref``,
-``nullspace``, ``inverse``, ``inertia`` and ``det`` on other entries
-(QuadExt) are Gaussian elimination with field operations; ``rref``,
-``inverse`` and ``inertia`` turn int entries into Fractions first, so they
-are exact on int entries too.  ``_clear`` (integer numerators over one
-common denominator) and ``_pair`` (a bilinear form summed over its nonzero
-coefficients only) are the integer kernel that ``exteralg`` and ``compalg``
-share.  This module is exact only: the float frame code of
-``stable7.canonicalize7`` lives next to its one caller.
+fraction-free elimination over Python ints, ``_bareiss``, and ``inverse``
+runs its Gauss-Jordan form; ``det`` returns an int on int entries and a
+Fraction on other rational ones, ``inverse`` Fractions.  ``rref``,
+``nullspace``, ``inertia``, and ``inverse`` and ``det`` on other entries
+(QuadExt) are Gaussian elimination with field operations; ``rref`` and
+``inertia`` turn int entries into Fractions first, so they are exact on int
+entries too.  ``_clear`` (integer numerators over one common denominator)
+and ``_pair`` (a bilinear form summed over its nonzero coefficients only)
+are the integer kernel that ``exteralg`` and ``compalg`` share.  This module
+is exact only, with no float conversion or float function (a hygiene test
+checks it); the 7-dimensional metric and canonical frame take their float
+roots in ``stable7``.
 """
 
 from __future__ import annotations
@@ -182,13 +184,37 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
 
 
 def inverse(a) -> Matrix:
+    """Exact inverse in Fractions; ValueError on a singular matrix.
+
+    Rational rows are cleared, row_i = ints_i * g_i / scale_i, and [ints | I]
+    is reduced by fraction-free Gauss-Jordan elimination: at pivot p every
+    other row becomes (p * row - row[k] * pivot_row) // previous pivot, exact
+    as in ``_bareiss``, so [ints | I] ends as [d I | d ints^-1].  Other
+    entries (QuadExt) take Gauss-Jordan with field division (``rref``).
+    """
     n = len(a)
-    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
-           for i, row in enumerate(a)]
-    red, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    try:
+        cleared = [_integer_row(row) for row in a]
+    except TypeError:
+        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+        red, pivots = rref(aug)
+        if pivots[:n] != list(range(n)):
+            raise ValueError("matrix is singular") from None
+        return [row[n:] for row in red]
+    m = [ints + [int(i == j) for j in range(n)] for i, (ints, _, _) in enumerate(cleared)]
+    prev = 1
+    for k in range(n):
+        pivot = next((i for i in range(k, n) if m[i][k]), None)
+        if pivot is None:
+            raise ValueError("matrix is singular")
+        m[k], m[pivot] = m[pivot], m[k]
+        p, top = m[k][k], m[k]
+        m = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, top)]
+             for i, row in enumerate(m)]
+        prev = p
+    # a = diag(g / scale) ints, so a^-1 = ints^-1 diag(scale / g)
+    return [[Fraction(x * scale, prev * g) for x, (_, g, scale) in zip(row[n:], cleared)]
+            for row in m]
 
 
 def det(a):

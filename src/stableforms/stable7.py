@@ -2,29 +2,32 @@
 
 ``Q(v, w) = i_v phi ^ i_w phi ^ phi`` read against a declared volume form is
 an exact symmetric matrix B.  Nondegeneracy plus the absolute signature (7
-or 1, computed by exact rational inertia) decides the orbit.  Only the ninth
-root in the metric normalization is floating point; B itself, the orbit
-decision and the induced cross product stay exact whenever the scale is.
+or 1, computed by exact rational inertia) decides the orbit.  Floats enter
+in two places only, both through ``_float_root``: the ninth root of the
+metric scale in ``_metric`` when it is not rational, and the eighteenth
+roots that normalize the exact Cayley frame of ``canonicalize7``.  B, the
+orbit decision, that frame and its check, and the induced cross product
+stay exact whenever the scale is.
 
 Every public function that needs B computes it exactly once, through
-``q_form``, and its signature once, through ``QForm.signature``.  ``metric_from_phi`` and
-``canonicalize7`` hand both to the private ``_metric``; ``cross_from_phi``
-and ``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
+``q_form``, and its signature once, through ``QForm.signature``.
+``metric_from_phi`` hands both to the private ``_metric``, and
+``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
+``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
 passes the ones it printed to ``_canonicalize7``.  ``_orbit7`` is the one
-place that maps a signature to an orbit.  The float frame code of
-``canonicalize7`` lives here, next to its only caller.
+place that maps a signature to an orbit.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, InnerProduct, VolumeForm, _top_pairings, alt_form, contract,
-                       wedge)
+from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _top_pairings, alt_form,
+                       contract, pullback, wedge)
 from .linalg import det, inertia
 from .scalars import cbrt_fraction
 from .stable6 import NotStableError
@@ -115,10 +118,10 @@ def _metric(qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
     b = [list(r) for r in qf.B]
     dB = det(b)
     s9 = abs(dB) / Fraction(6) ** 7
-    s = float(s9) ** (1.0 / 9.0)
-    # exact when s9 is a perfect 9th power; try squares of cubes first
-    s_exact = _ninth_root(s9)
-    scale = s_exact if s_exact is not None else Fraction(s)
+    # exact when s9 is a perfect 9th power (a cube of a cube)
+    scale = _ninth_root(s9)
+    if scale is None:
+        scale = Fraction(_float_root(s9, 9))
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
@@ -134,6 +137,20 @@ def _ninth_root(x: Fraction) -> Fraction | None:
     if c is None:
         return None
     return cbrt_fraction(c)
+
+
+def _float_root(x: Fraction, k: int) -> float:
+    """x^(1/k) for a rational x > 0, as a normal float whatever the size of x.
+
+    The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
+    so neither float(y) nor its root leaves the float range; ldexp puts 2^e
+    back.  A root outside the normal float range raises OverflowError.
+    """
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
+    r = math.ldexp(float(x / Fraction(2) ** (k * e)) ** (1 / k), e)  # raises past the top
+    if r < sys.float_info.min:
+        raise OverflowError(f"root of order {k} below the normal float range")
+    return r
 
 
 def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:
@@ -154,18 +171,27 @@ def canonical_phi_plus() -> AltForm:
 
 @dataclass(frozen=True)
 class Canon7:
-    basis: list          # float 7x7 matrix, rows
+    basis: list          # float 7x7 matrix, rows: phi = basis^* canonical_phi_minus()
     residual: float
 
 
 def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
-    """Float-level canonical basis for the O7_MINUS orbit.
+    """Canonical basis for the O7_MINUS orbit: phi = basis^* canonical_phi_minus().
 
-    Orthonormalize for the induced metric, then build a Cayley frame from
-    the induced cross product: u3 = X(u1,u2), u5 = X(u1,u4), u6 = X(u2,u4),
-    u7 = X(u3,u4).  In such a frame phi takes the canonical coefficients, so
-    the inverse frame matrix is the required basis.  Residual is the max
-    absolute coefficient error of the round trip.
+    The Cayley frame (Bryant, *Some remarks on G2-structures*, 2005) is built
+    over Q from B and the product Y with B(Y(x, y), z) = phi(x, y, z), which
+    is the induced cross product up to the positive factor 6s sgn, where sgn
+    is the sign of the definite B.  Rational Gram-Schmidt for B on e_1..e_7
+    gives f_1..f_7; u1 = f1, u2 = f2, u3 = sgn Y(u1, u2); u4 is the
+    projection of f_3..f_7 off span(u1, u2, u3) that keeps the largest share
+    B(v, v)/B(f, f) (the first on a tie); u5, u6, u7 = sgn Y(u_i, u4) for
+    i = 1, 2, 3.  An exact check asserts that phi takes on this frame exactly
+    the seven canonical terms, each with the coefficient its B-norms demand,
+    and raises ArithmeticError otherwise.  Floats enter only in the
+    normalization: row a of the basis is n_a times row a of the inverse frame
+    matrix, where n_a, the metric length of u_a, has a rational 18th power.
+    ``residual`` reports the largest coefficient error of the float round
+    trip basis^* canonical_phi_minus() - phi; it checks nothing.
     """
     qf = q_form(phi, vol)
     return _canonicalize7(phi, qf, qf.signature())
@@ -174,105 +200,46 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
 def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> Canon7:
     if _orbit7(signature) != OrbitClass7.O7_MINUS:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
-    gm = _metric(qf, signature)
-    gram = [[float(x) for x in row] for row in gm.ip.gram]
-    frame = _gram_schmidt_floats(gram)
-    phif = {idx: float(c) for idx, c in phi.terms.items()}
+    sgn = 1 if signature[0] == 7 else -1
+    ip = InnerProduct.from_rows(qf.B)
+    product = _product_from_form(phi, ip)
 
-    def ev_form(vecs) -> float:
-        total = 0.0
-        for idx, c in phif.items():
-            total += c * _det3([[vecs[col][row - 1] for col in range(3)] for row in idx])
-        return total
+    def cross(a, b) -> list:
+        """sgn Y(a, b), a positive multiple of the induced cross product."""
+        return [sgn * x for x in product(a, b)]
 
-    ginv = [[float(x) for x in row] for row in gm.ip.inverse_gram()]
-
-    def cross(x, y):
-        cov = []
-        for k in range(1, 8):
-            ek = [1.0 if i == k else 0.0 for i in range(1, 8)]
-            cov.append(ev_form([x, y, ek]))
-        return [sum(ginv[i][j] * cov[j] for j in range(7)) for i in range(7)]
-
-    def dot(x, y):
-        return _bilinear(gram, x, y)
-
-    def normalize(x):
-        n = math.sqrt(dot(x, x))
-        return [c / n for c in x]
-
-    u1, u2 = frame[0], frame[1]
-    u3 = normalize(cross(u1, u2))
-    span = [u1, u2, u3]
-    # best remaining frame vector orthogonal to span(u1,u2,u3)
-    best, best_res = None, -1.0
-    for cand in frame[2:]:
-        v = list(cand)
-        for u in span:
-            c = dot(v, u)
-            v = [a - c * b for a, b in zip(v, u)]
-        r = dot(v, v)
-        if r > best_res:
-            best, best_res = v, r
-    u4 = normalize(best)
-    u5 = normalize(cross(u1, u4))
-    u6 = normalize(cross(u2, u4))
-    u7 = normalize(cross(u3, u4))
-    cols = [u1, u2, u3, u4, u5, u6, u7]
-    m = [[cols[j][i] for j in range(7)] for i in range(7)]  # columns are the frame
-    basis = _float_inverse(m)
-    # residual: pullback(basis, phi_canonical) vs phi
-    can = {idx: float(c) for idx, c in canonical_phi_minus().terms.items()}
-    residual = 0.0
-    for jdx in itertools.combinations(range(1, 8), 3):
-        total = 0.0
-        for idx, c in can.items():
-            total += c * _det3([[basis[i - 1][j - 1] for j in jdx] for i in idx])
-        residual = max(residual, abs(total - float(phi.coeff(jdx))))
+    frame: list = []
+    for i in range(7):
+        frame.append(_project(ip, [Fraction(int(i == j)) for j in range(7)], frame))
+    u = [frame[0], frame[1], cross(frame[0], frame[1])]
+    rest = [(_project(ip, f, u[2:]), f) for f in frame[2:]]  # f3..f7 are orthogonal to u1, u2
+    u.append(max(rest, key=lambda vf: ip.pair(vf[0], vf[0]) / ip.pair(vf[1], vf[1]))[0])
+    u += [cross(u[i], u[3]) for i in range(3)]
+    # (sgn B(u_a, u_a))^9 / n_a^18 = 36 |det B| = (6 s)^9 with s the metric scale
+    norms = [sgn * ip.pair(v, v) for v in u]
+    d36 = 36 * abs(det([list(r) for r in qf.B]))
+    frame_map = LinearMap.from_columns(u)
+    terms = pullback(frame_map, phi).terms
+    canonical = canonical_phi_minus().terms
+    if terms.keys() != canonical.keys() or any(
+            (c > 0) != (canonical[idx] > 0)
+            or c ** 6 * d36 != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
+            for idx, c in terms.items()):
+        raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
+    basis = []
+    for row, nrm in zip(frame_map.inverse().matrix, norms):
+        t = max(abs(x) for x in row)  # n_a row = (n_a t)(row / t), both factors in float range
+        m = _float_root(nrm ** 9 * t ** 18 / d36, 18)
+        basis.append([float(x / t) * m for x in row])
+    back = pullback(LinearMap.from_rows(basis), canonical_phi_minus())
+    residual = max(abs(back.coeff(idx) - float(phi.coeff(idx)))
+                   for idx in back.terms.keys() | phi.terms.keys())
     return Canon7(basis, residual)
 
 
-def _gram_schmidt_floats(gram: list) -> list[list[float]]:
-    """Orthonormal frame columns for a positive definite float Gram matrix.
-
-    Returns vectors (as lists) f_1..f_n with f_i^T G f_j = delta_ij, built
-    from the standard basis in order.
-    """
-    n = len(gram)
-    frame: list[list[float]] = []
-    for i in range(n):
-        v = [1.0 if j == i else 0.0 for j in range(n)]
-        for f in frame:
-            c = _bilinear(gram, v, f)
-            v = [x - c * y for x, y in zip(v, f)]
-        nrm = _bilinear(gram, v, v)
-        if nrm <= 0:
-            raise ValueError("Gram matrix is not positive definite")
-        s = 1.0 / math.sqrt(nrm)
-        frame.append([x * s for x in v])
-    return frame
-
-
-def _bilinear(gram, u, v) -> float:
-    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
-
-
-def _det3(m: list) -> float:
-    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def _float_inverse(m: list) -> list:
-    n = len(m)
-    a = [row[:] + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
-    for c in range(n):
-        p = max(range(c, n), key=lambda r: abs(a[r][c]))
-        a[c], a[p] = a[p], a[c]
-        pv = a[c][c]
-        a[c] = [x / pv for x in a[c]]
-        for r in range(n):
-            if r != c and a[r][c]:
-                f = a[r][c]
-                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
-    return [row[n:] for row in a]
+def _project(ip: InnerProduct, v: list, onto: list) -> list:
+    """v minus its ip-projection onto the pairwise ip-orthogonal vectors onto."""
+    for u in onto:
+        c = ip.pair(v, u) / ip.pair(u, u)
+        v = [x - c * y for x, y in zip(v, u)]
+    return v

@@ -208,9 +208,7 @@ def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list
     sub_gram_inv = inverse(sub_gram)
 
     def to_local(w: Sequence) -> Vector:
-        gw = mat_vec(ip.gram, w)
-        return tuple(mat_vec(sub_gram_inv, [sum((u[i] * s for i, s in enumerate(gw)), Fraction(0))
-                                            for u in comp]))
+        return tuple(mat_vec(sub_gram_inv, [ip.pair(u, w) for u in comp]))
 
     return comp, sub_gram, to_local
 
@@ -245,11 +243,9 @@ def para_structure_from_plane(cp3: CrossProduct, a: Sequence, b: Sequence) -> Li
 def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> Callable:
     """v -> (t, <a,v>, -<b,v>): v = t + <a,v> a - <b,v> b, t orthogonal to the Lorentzian plane."""
     n = ip.dim
-    ga, gb = mat_vec(ip.gram, a), mat_vec(ip.gram, b)
 
     def split(v: Vector) -> tuple[Vector, Fraction, Fraction]:
-        pa = sum((ga[i] * v[i] for i in range(n)), Fraction(0))
-        pb = -sum((gb[i] * v[i] for i in range(n)), Fraction(0))
+        pa, pb = ip.pair(a, v), -ip.pair(b, v)
         return tuple(v[i] - pa * a[i] - pb * b[i] for i in range(n)), pa, pb
 
     return split

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from conftest import G7
 from stableforms.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SHAPE,
                              form_to_document, main, parse_form_document)
-from stableforms.exteralg import alt_form
+from stableforms.exteralg import alt_form, pullback
+from stableforms.stable7 import canonical_phi_minus
 
 
 def write(tmp_path, name, payload):
@@ -81,6 +84,17 @@ class TestClassify(object):
         payload = json.loads(capsys.readouterr().out)
         assert payload["class"] == "O7_MINUS"
         assert payload["residual"] <= 1e-9
+
+    def test_canonicalize_seven_tall(self, tmp_path, capsys):
+        # c ~ 1e40: s^9 = c^21 is far past the float range, the frame stays exact
+        phi = Fraction(10 ** 40 + 1, 3) * pullback(G7, canonical_phi_minus())
+        rc = main(["classify", write(tmp_path, "f.json", form_to_document(phi)),
+                   "--json", "--canonicalize"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == "O7_MINUS"
+        assert len(payload["basis"]) == 7 and all(len(row) == 7 for row in payload["basis"])
+        assert payload["residual"] <= 1e-9 * max(abs(float(c)) for c in phi.terms.values())
 
     def test_malformed_idx_exit_2(self, tmp_path, capsys):
         doc = {"dim": 6, "degree": 3, "terms": [{"idx": [2, 2, 3], "coef": "1"}]}

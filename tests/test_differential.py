@@ -36,6 +36,7 @@
 
 import itertools
 import json
+import math
 import random
 import sys
 from fractions import Fraction
@@ -44,7 +45,7 @@ from pathlib import Path
 import pytest
 
 from conftest import iwasawa_su3
-from conftest import G6, G7
+from conftest import G6, G7, random_invertible
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -52,10 +53,10 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                                   basis_form, contract, form_inner, hodge_star, pullback,
                                   sort_index, wedge)
-from stableforms.linalg import rank
+from stableforms.linalg import inverse, mat_mul, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus, stabilizer_dim
-from stableforms.stable7 import canonical_phi_minus, canonical_phi_plus, q_form
+from stableforms.stable7 import _metric, canonical_phi_minus, canonical_phi_plus, canonicalize7, q_form
 from stableforms.vcp import cross_2fold, cross_3fold
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
@@ -594,6 +595,184 @@ def test_cross_products_match_the_algebra_formulas(tag, kind, rng):
             assert got == ref_cross_3fold(tag, variant, a, b, c)
             if rational(a + b + c):
                 assert all(type(c) is Fraction for c in got)
+
+
+# -- the fraction-free inverse against Gauss-Jordan over Fractions -----------
+
+def ref_inverse(a):
+    """``linalg.inverse`` before the fraction-free path: rref of [a | I]."""
+    n = len(a)
+    aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
+           for i, row in enumerate(a)]
+    red, pivots = rref(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_inverse_matches_gauss_jordan(kind, rng):
+    singular = 0
+    for trial in range(120):
+        n = 1 + trial % 8
+        rows = [list(row) for row in kernel_matrix(rng, n, kind).matrix]
+        if trial % 5 == 0 and n > 1:  # a dependent row
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+        try:
+            expected = ref_inverse(rows)
+        except ValueError:
+            singular += 1
+            with pytest.raises(ValueError, match="singular"):
+                inverse(rows)
+            continue
+        got = inverse(rows)
+        assert got == expected
+        assert all(type(x) is Fraction for row in got for x in row)
+    assert singular >= 10
+
+
+def test_inverse_of_a_field_matrix(rng):
+    rows = [[QuadExt(kernel_coefficient(rng, "mixed"), kernel_coefficient(rng, "mixed"), ROOT)
+             for _ in range(4)] for _ in range(4)]
+    product = mat_mul(rows, inverse(rows))
+    assert all(product[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
+
+
+# -- canonicalize7: the exact Cayley frame against the float frame -----------
+
+def ref_canonicalize7(phi: AltForm, vol: VolumeForm) -> tuple[list, float]:
+    """``canonicalize7`` before the exact frame: floats from the metric on, with its own
+    Gram-Schmidt, cross product, inverse and residual (the helpers below)."""
+    qf = q_form(phi, vol)
+    signature = qf.signature()
+    gm = _metric(qf, signature)
+    gram = [[float(x) for x in row] for row in gm.ip.gram]
+    frame = ref_gram_schmidt_floats(gram)
+    phif = {idx: float(c) for idx, c in phi.terms.items()}
+
+    def ev_form(vecs) -> float:
+        total = 0.0
+        for idx, c in phif.items():
+            total += c * ref_det3([[vecs[col][row - 1] for col in range(3)] for row in idx])
+        return total
+
+    ginv = [[float(x) for x in row] for row in gm.ip.inverse_gram()]
+
+    def cross(x, y):
+        cov = []
+        for k in range(1, 8):
+            ek = [1.0 if i == k else 0.0 for i in range(1, 8)]
+            cov.append(ev_form([x, y, ek]))
+        return [sum(ginv[i][j] * cov[j] for j in range(7)) for i in range(7)]
+
+    def dot(x, y):
+        return ref_bilinear(gram, x, y)
+
+    def normalize(x):
+        n = math.sqrt(dot(x, x))
+        return [c / n for c in x]
+
+    u1, u2 = frame[0], frame[1]
+    u3 = normalize(cross(u1, u2))
+    span = [u1, u2, u3]
+    best, best_res = None, -1.0
+    for cand in frame[2:]:
+        v = list(cand)
+        for u in span:
+            c = dot(v, u)
+            v = [a - c * b for a, b in zip(v, u)]
+        r = dot(v, v)
+        if r > best_res:
+            best, best_res = v, r
+    u4 = normalize(best)
+    u5 = normalize(cross(u1, u4))
+    u6 = normalize(cross(u2, u4))
+    u7 = normalize(cross(u3, u4))
+    cols = [u1, u2, u3, u4, u5, u6, u7]
+    m = [[cols[j][i] for j in range(7)] for i in range(7)]
+    basis = ref_float_inverse(m)
+    return basis, float_round_trip_error(basis, phi)
+
+
+def ref_gram_schmidt_floats(gram: list) -> list:
+    n = len(gram)
+    frame = []
+    for i in range(n):
+        v = [1.0 if j == i else 0.0 for j in range(n)]
+        for f in frame:
+            c = ref_bilinear(gram, v, f)
+            v = [x - c * y for x, y in zip(v, f)]
+        s = 1.0 / math.sqrt(ref_bilinear(gram, v, v))
+        frame.append([x * s for x in v])
+    return frame
+
+
+def ref_bilinear(gram, u, v) -> float:
+    return sum(u[i] * gram[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+
+
+def ref_det3(m: list) -> float:
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def ref_float_inverse(m: list) -> list:
+    n = len(m)
+    a = [row[:] + [1.0 if i == j else 0.0 for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        p = max(range(c, n), key=lambda r: abs(a[r][c]))
+        a[c], a[p] = a[p], a[c]
+        pv = a[c][c]
+        a[c] = [x / pv for x in a[c]]
+        for r in range(n):
+            if r != c and a[r][c]:
+                f = a[r][c]
+                a[r] = [x - f * y for x, y in zip(a[r], a[c])]
+    return [row[n:] for row in a]
+
+
+def float_round_trip_error(basis: list, phi: AltForm) -> float:
+    """max |basis^* phi_minus - phi| over all coefficients, by float 3 x 3 minors."""
+    can = {idx: float(c) for idx, c in canonical_phi_minus().terms.items()}
+    worst = 0.0
+    for jdx in itertools.combinations(range(1, 8), 3):
+        total = sum(c * ref_det3([[basis[i - 1][j - 1] for j in jdx] for i in idx])
+                    for idx, c in can.items())
+        worst = max(worst, abs(total - float(phi.coeff(jdx))))
+    return worst
+
+
+def phi_minus_sample(rng: random.Random, c: Fraction) -> AltForm:
+    return c * pullback(random_invertible(rng, 7, 2), canonical_phi_minus())
+
+
+@pytest.mark.parametrize("vol", [1, -1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_canonicalize7_matches_the_float_frame(sign, vol, rng):
+    """Both frames span the same lines, so the bases agree up to rounding."""
+    volume = VolumeForm.standard(7, vol)
+    for _ in range(21):
+        c = sign * Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        phi = phi_minus_sample(rng, c)
+        got = canonicalize7(phi, volume)
+        expected, _ = ref_canonicalize7(phi, volume)
+        top = max(abs(x) for row in expected for x in row)
+        assert max(abs(x - y) for rg, re in zip(got.basis, expected) for x, y in zip(rg, re)) \
+            <= 1e-11 * top
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_canonicalize7_at_every_coefficient_size(sign, rng):
+    """c = (p/q) 10^e for |e| <= 200: the exact check passes (no ArithmeticError) and
+    the float basis pulls phi_minus back to phi to 1e-9 of its largest coefficient."""
+    for e in range(-200, 201, 12):
+        c = sign * Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) * Fraction(10) ** e
+        phi = phi_minus_sample(rng, c)
+        canon = canonicalize7(phi, VolumeForm.standard(7, rng.choice([1, -1])))
+        top = max(abs(float(x)) for x in phi.terms.values())
+        assert float_round_trip_error(canon.basis, phi) <= 1e-9 * top, e
+        assert canon.residual <= 1e-9 * top, e
 
 
 if __name__ == "__main__":

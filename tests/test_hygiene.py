@@ -4,6 +4,10 @@
   ``__init__`` is exempt, since its imports are the public re-exports.
 * Every module-level ``_private`` function is referenced somewhere in the
   package outside its own definition.
+* The exact-only modules (``linalg``, ``exteralg``, ``compalg``, ``vcp``)
+  contain no ``float(`` call, no float literal and no ``math.sqrt``,
+  ``math.exp`` or ``math.log``: floats enter the package elsewhere, in
+  named places.
 """
 
 import ast
@@ -51,6 +55,39 @@ def unreferenced_private_functions(modules: dict) -> list[str]:
                     and stmt.name not in references(modules.values(), skip=stmt)):
                 dead.append(f"{name}: {stmt.name}")
     return dead
+
+
+EXACT_ONLY = ("linalg.py", "exteralg.py", "compalg.py", "vcp.py")
+FLOAT_FUNCTIONS = {"sqrt", "exp", "log"}
+
+
+def float_uses(tree: ast.Module) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "float":
+            out.append(f"float( (line {node.lineno})")
+        elif isinstance(node, ast.Constant) and type(node.value) is float:
+            out.append(f"float literal {node.value!r} (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr in FLOAT_FUNCTIONS
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            out.append(f"math.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [f"math.{a.name} (line {node.lineno})" for a in node.names
+                    if a.name in FLOAT_FUNCTIONS]
+    return out
+
+
+@pytest.mark.parametrize("name", EXACT_ONLY)
+def test_exact_modules_use_no_floats(name):
+    assert float_uses(MODULES[name]) == []
+
+
+def test_guard_flags_floats():
+    """The float check is not vacuous: it catches each planted float use."""
+    tree = ast.parse("import math\nfrom math import log\n\n"
+                     "def f(x):\n    return float(x) + 0.5 * math.sqrt(x) + math.gcd(2, 4)\n")
+    assert float_uses(tree) == ["math.log (line 2)", "float( (line 5)", "float literal 0.5 (line 5)",
+                                "math.sqrt (line 5)"]
 
 
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__.py"}))

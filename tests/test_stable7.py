@@ -10,7 +10,7 @@ from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, 
 from stableforms.linalg import mat_mul
 from stableforms.scalars import icbrt_exact
 from stableforms.stable6 import NotStableError, stabilizer_dim
-from stableforms.stable7 import (OrbitClass7, _ninth_root, canonical_phi_minus,
+from stableforms.stable7 import (OrbitClass7, _float_root, _ninth_root, canonical_phi_minus,
                                  canonical_phi_plus, canonicalize7, classify7,
                                  cross_from_phi, metric_from_phi, q_form)
 
@@ -91,6 +91,30 @@ class TestExactRoots:
 
     def test_small_values(self):
         assert [icbrt_exact(n) for n in (0, 1, 8, 27, -64, 2, 9, 26)] == [0, 1, 2, 3, -4, None, None, None]
+
+    def test_float_root_beyond_float_range(self):
+        assert _float_root(Fraction(2) ** 900, 9) == 2.0 ** 100
+        assert _float_root(Fraction(1, 3 ** 1800), 18) == pytest.approx(3.0 ** -100, rel=1e-15)
+        x = Fraction(10 ** 600 + 1, 7)
+        assert Fraction(_float_root(x, 9)) ** 9 / x == pytest.approx(1, rel=1e-14)
+        with pytest.raises(OverflowError):
+            _float_root(Fraction(1, 10 ** 2800), 9)  # 1e-311 would be subnormal
+        with pytest.raises(OverflowError):
+            _float_root(Fraction(10 ** 2800), 9)
+
+    @pytest.mark.parametrize("e", [15, -16])
+    def test_metric_scale_with_s9_outside_the_float_range(self, e):
+        # s^9 = c^21 is 1e330 or 1e-336: float(s^9) overflows or is 0.0
+        c = Fraction(7, 3) * Fraction(10) ** e
+        gm = metric_from_phi(c * canonical_phi_minus(), VOL)
+        assert Fraction(gm.scale) ** 9 / c ** 21 == pytest.approx(1, rel=1e-13)
+        assert float(gm.ip.gram[0][0]) == pytest.approx(float(c ** 3 / Fraction(gm.scale)), rel=1e-15)
+
+    @pytest.mark.parametrize("e", [-135, 135])
+    def test_metric_scale_outside_the_float_range_raises(self, e):
+        # s = c^(7/3) is about 1e-315 or 1e315: no normal float holds it
+        with pytest.raises(OverflowError):
+            metric_from_phi(Fraction(7, 3) * Fraction(10) ** e * canonical_phi_minus(), VOL)
 
 
 class TestMetric:
