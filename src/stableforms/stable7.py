@@ -28,7 +28,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _top_pairings, alt_form,
                        contract, pullback, wedge)
-from .linalg import det, inertia
+from .linalg import _integer_row, det, inertia
 from .scalars import cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct, _product_from_form
@@ -183,9 +183,10 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     is the induced cross product up to the positive factor 6s sgn, where sgn
     is the sign of the definite B.  Rational Gram-Schmidt for B on e_1..e_7
     gives f_1..f_7; u1 = f1, u2 = f2, u3 = sgn Y(u1, u2); u4 is the
-    projection of f_3..f_7 off span(u1, u2, u3) that keeps the largest share
-    B(v, v)/B(f, f) (the first on a tie); u5, u6, u7 = sgn Y(u_i, u4) for
-    i = 1, 2, 3.  An exact check asserts that phi takes on this frame exactly
+    projection v off span(u1, u2, u3) of the f among f_3..f_7 that keeps
+    the largest share B(v, v)/B(f, f) (the first on a tie); u5, u6, u7 =
+    sgn Y(u_i, u4) for i = 1, 2, 3.  Each u_a is kept as a primitive integer
+    vector, a positive multiple of itself.  An exact check asserts that phi takes on this frame exactly
     the seven canonical terms, each with the coefficient its B-norms demand,
     and raises ArithmeticError otherwise.  Floats enter only in the
     normalization: row a of the basis is n_a times row a of the inverse frame
@@ -205,21 +206,23 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
     product = _product_from_form(phi, ip)
 
     def cross(a, b) -> list:
-        """sgn Y(a, b), a positive multiple of the induced cross product."""
-        return [sgn * x for x in product(a, b)]
+        """sgn Y(a, b) as a primitive integer vector: a positive multiple of the cross product."""
+        return [sgn * x for x in _integer_row(product(a, b))[0]]
 
-    frame: list = []
+    gs: list = []  # Gram-Schmidt f1..f7
     for i in range(7):
-        frame.append(_project(ip, [Fraction(int(i == j)) for j in range(7)], frame))
-    u = [frame[0], frame[1], cross(frame[0], frame[1])]
-    rest = [(_project(ip, f, u[2:]), f) for f in frame[2:]]  # f3..f7 are orthogonal to u1, u2
-    u.append(max(rest, key=lambda vf: ip.pair(vf[0], vf[0]) / ip.pair(vf[1], vf[1]))[0])
+        gs.append(_project(ip, [int(i == j) for j in range(7)], gs))
+    u = [gs[0], gs[1], cross(gs[0], gs[1])]
+    # f3..f7 are orthogonal to u1, u2: off u3, f keeps the share 1 - cos^2(f, u3) of B(f, f)
+    n3 = ip.pair(u[2], u[2])
+    f = min(gs[2:], key=lambda f: ip.pair(f, u[2]) ** 2 / (ip.pair(f, f) * n3))
+    u.append(_project(ip, f, u[2:]))
     u += [cross(u[i], u[3]) for i in range(3)]
     # (sgn B(u_a, u_a))^9 / n_a^18 = 36 |det B| = (6 s)^9 with s the metric scale
     norms = [sgn * ip.pair(v, v) for v in u]
     d36 = 36 * abs(det([list(r) for r in qf.B]))
-    frame_map = LinearMap.from_columns(u)
-    terms = pullback(frame_map, phi).terms
+    frame = LinearMap.from_columns(u)
+    terms = pullback(frame, phi).terms
     canonical = canonical_phi_minus().terms
     if terms.keys() != canonical.keys() or any(
             (c > 0) != (canonical[idx] > 0)
@@ -227,7 +230,7 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
             for idx, c in terms.items()):
         raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
     basis = []
-    for row, nrm in zip(frame_map.inverse().matrix, norms):
+    for row, nrm in zip(frame.inverse().matrix, norms):
         t = max(abs(x) for x in row)  # n_a row = (n_a t)(row / t), both factors in float range
         m = _float_root(nrm ** 9 * t ** 18 / d36, 18)
         basis.append([float(x / t) * m for x in row])
@@ -238,8 +241,10 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
 
 
 def _project(ip: InnerProduct, v: list, onto: list) -> list:
-    """v minus its ip-projection onto the pairwise ip-orthogonal vectors onto."""
+    """v minus its ip-projection onto the pairwise ip-orthogonal vectors onto, all
+    integer vectors, as a primitive integer vector (a positive multiple)."""
     for u in onto:
         c = ip.pair(v, u) / ip.pair(u, u)
-        v = [x - c * y for x, y in zip(v, u)]
-    return v
+        v = [c.denominator * x - c.numerator * y for x, y in zip(v, u)]
+    g = math.gcd(*v)
+    return [x // g for x in v]

@@ -32,6 +32,15 @@
   coordinates (which take the field loop).  The sparse ``InnerProduct.pair``
   and ``compalg.inner`` equal the dense double sum ``ref_pair`` on
   diagonal, dense indefinite and int-typed Gram matrices.
+* The fraction-free ``linalg.inverse`` equals Gauss-Jordan over Fractions
+  (``ref_inverse``) on rational, 10^e-scaled and int matrices of sizes 1..8,
+  singular ones included; a QuadExt matrix takes the field path.
+* The exact Cayley frame of ``canonicalize7`` gives the basis of the float
+  frame code it replaced (``ref_canonicalize7``, with its own Gram-Schmidt,
+  cross product and inverse) to 1e-11 relative on 84 seeded c g^* phi_minus,
+  both signs of c and both orientations, and on tied candidates for u4.  At
+  c = (p/q) 10^e with |e| <= 200 its exact check holds and the float basis
+  pulls phi_minus back to phi to 1e-9 of the largest coefficient.
 """
 
 import itertools
@@ -760,6 +769,17 @@ def test_canonicalize7_matches_the_float_frame(sign, vol, rng):
         top = max(abs(x) for row in expected for x in row)
         assert max(abs(x - y) for rg, re in zip(got.basis, expected) for x, y in zip(rg, re)) \
             <= 1e-11 * top
+
+
+def test_canonicalize7_takes_the_first_of_tied_candidates(rng):
+    """On a diagonal pullback of phi_minus, f4..f7 tie for u4 and both frames take f4."""
+    for _ in range(6):
+        g = LinearMap.diagonal([rng.choice([1, 2, 3, -1, -2]) for _ in range(7)])
+        phi = pullback(g, canonical_phi_minus())
+        got = canonicalize7(phi, VolumeForm.standard(7))
+        expected, _ = ref_canonicalize7(phi, VolumeForm.standard(7))
+        assert max(abs(x - y) for rg, re in zip(got.basis, expected) for x, y in zip(rg, re)) \
+            <= 1e-12
 
 
 @pytest.mark.parametrize("sign", [1, -1])
