@@ -186,13 +186,14 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     projection v off span(u1, u2, u3) of the f among f_3..f_7 that keeps
     the largest share B(v, v)/B(f, f) (the first on a tie); u5, u6, u7 =
     sgn Y(u_i, u4) for i = 1, 2, 3.  Each u_a is kept as a primitive integer
-    vector, a positive multiple of itself.  An exact check asserts that phi takes on this frame exactly
-    the seven canonical terms, each with the coefficient its B-norms demand,
-    and raises ArithmeticError otherwise.  Floats enter only in the
-    normalization: row a of the basis is n_a times row a of the inverse frame
-    matrix, where n_a, the metric length of u_a, has a rational 18th power.
-    ``residual`` reports the largest coefficient error of the float round
-    trip basis^* canonical_phi_minus() - phi; it checks nothing.
+    vector, a positive multiple of itself.  An exact check asserts that phi
+    takes on this frame exactly the seven canonical terms, each with the
+    coefficient its B-norms demand, and raises ArithmeticError otherwise.
+    Floats enter only in the normalization: row a of the basis is n_a times
+    row a of the inverse frame matrix, where n_a, the metric length of u_a,
+    has a rational 18th power.  ``residual`` reports the largest coefficient
+    error of the float round trip basis^* canonical_phi_minus() - phi; it
+    checks nothing.
     """
     qf = q_form(phi, vol)
     return _canonicalize7(phi, qf, qf.signature())
@@ -241,8 +242,8 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
 
 
 def _project(ip: InnerProduct, v: list, onto: list) -> list:
-    """v minus its ip-projection onto the pairwise ip-orthogonal vectors onto, all
-    integer vectors, as a primitive integer vector (a positive multiple)."""
+    """A primitive integer vector along v minus its ip-projection onto the
+    pairwise ip-orthogonal vectors onto; v and onto are integer vectors."""
     for u in onto:
         c = ip.pair(v, u) / ip.pair(u, u)
         v = [c.denominator * x - c.numerator * y for x, y in zip(v, u)]
