@@ -10,15 +10,18 @@ Fraction on other rational ones, ``inverse`` Fractions.  ``rref``,
 ``inertia`` turn int entries into Fractions first, so they are exact on int
 entries too.  ``_clear`` (integer numerators over one common denominator)
 and ``_pair`` (a bilinear form summed over its nonzero coefficients only)
-are the integer kernel that ``exteralg`` and ``compalg`` share.  This module
-is exact only, with no float conversion or float function (a hygiene test
-checks it); the 7-dimensional metric and canonical frame take their float
-roots in ``stable7``.
+are the integer kernel that ``exteralg`` and ``compalg`` share.  ``mat_mul``
+and ``mat_vec`` run on it too: they sum cleared integer rows and columns and
+build one Fraction per entry (other entries take the field loop).  This
+module is exact only, with no float conversion or float function (a hygiene
+test checks it); the 7-dimensional metric and canonical frame take their
+float roots in ``stable7``.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -39,12 +42,26 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
+    """a b; on rational entries each row of a and column of b is cleared, the
+    integer dot products summed, and each entry built as one Fraction."""
     bt = transpose(b)
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    cleared, dens = _clear(*a, *bt)
+    if dens is None:
+        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    n = len(a)
+    cols = list(zip(cleared[n:], dens[n:]))
+    return [[Fraction(sum(map(operator.mul, row, col)), dr * dc) for col, dc in cols]
+            for row, dr in zip(cleared[:n], dens[:n])]
 
 
 def mat_vec(a, v) -> list:
-    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    """a v, on the integer kernel of ``mat_mul`` when the entries are rational."""
+    cleared, dens = _clear(*a, v)
+    if dens is None:
+        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+    cv, dv = cleared[-1], dens[-1]
+    return [Fraction(sum(map(operator.mul, row, cv)), dr * dv)
+            for row, dr in zip(cleared[:-1], dens[:-1])]
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
