@@ -69,6 +69,9 @@ class AltForm:
     dim: int
     degree: int
     terms: dict
+    # invariants of this form keyed by what they depend on, filled by
+    # stable6.k_endo and stable7.q_form
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (0 <= self.dim <= MAX_DIM):

@@ -16,14 +16,21 @@ whose real part is Omega.  The classical 4-term displays of the canonical
 forms are adapted to the *complex* orientation of their frame, which is the
 negative of the lexicographic one; ``adapted_vol6()`` provides it.
 
-Every public function that needs K computes it exactly once, through ``k_endo``.
-``lambda_coeff`` and ``scaled_structure`` square that one K; ``hat`` and
+K is computed once per form, not once per public call: ``k_endo`` keeps it
+in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` (the
+only thing K takes from vol), so ``lambda_coeff``, ``classify6`` and
+``canonicalize6`` on one form object build K once between them.  The memo is
+safe under concurrent use: a form's terms never change, so two threads that
+miss together compute the same K and one of the equal values is kept.
+``lambda_coeff`` and ``scaled_structure`` square that K; ``hat`` and
 ``canonicalize6`` build one ``ScaledStructure`` and pass it to the private
-``_hat`` (and to ``_canonicalize6``), which never recompute it; ``cli
-classify`` builds it with ``_structure``, which also accepts lambda = 0.
-``_orbit6`` is the one place that maps sign(lambda) to an orbit.  The
-complex canonical basis is the divisor space of Omega + i hat(Omega) over
-Q(sqrt(lambda)), computed by ``exteralg.divisor_space``.
+``_hat`` (and to ``_canonicalize6``); ``cli classify`` builds it with
+``_structure``, which also accepts lambda = 0.  ``_orbit6`` is the one place
+that maps sign(lambda) to an orbit.  The complex canonical basis comes from
+the divisor covectors of Omega + i hat(Omega) over Q(sqrt(lambda)); they are
+the (1,0)-covectors of J = K/sqrt(-lambda), so ``_canonicalize_complex``
+reads them off ker(K^T - sqrt(lambda)), a 6 x 6 system (Hitchin, *The
+geometry of three-forms in six dimensions*, 2000).
 """
 
 from __future__ import annotations
@@ -34,9 +41,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, alt_form, contract, divisor_space,
-                       pullback, wedge)
-from .linalg import _clear, mat_mul, nullspace, rank
+from .exteralg import AltForm, LinearMap, VolumeForm, alt_form, contract, pullback, wedge
+from .linalg import _clear, mat_mul, nullspace, rank, transpose
 from .scalars import QuadExt, sqrt_fraction
 
 
@@ -84,10 +90,14 @@ class ScaledStructure:
         s = sqrt_fraction(self.lam.value)
         if s is None:
             s = QuadExt.root(self.lam.value)
-        n = self.K.dim_in
-        m = [[self.K.matrix[i][j] - (sign * s if i == j else 0 * s) for j in range(n)]
-             for i in range(n)]
-        return nullspace(m, ncols=n)
+        return _shifted_kernel(self.K.matrix, sign * s)
+
+
+def _shifted_kernel(m, mu) -> list[list]:
+    """Basis of ker(m - mu Id) for a square matrix m, computed over the field of mu."""
+    n = len(m)
+    return nullspace([[m[i][j] - (mu if i == j else 0 * mu) for j in range(n)] for i in range(n)],
+                     ncols=n)
 
 
 def _check_shape(omega: AltForm, vol: VolumeForm):
@@ -101,6 +111,14 @@ def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
     """K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol."""
     _check_shape(omega, vol)
     c = vol.coefficient()
+    K = omega._memo.get(("K", c))
+    if K is None:
+        K = omega._memo[("K", c)] = _k_matrix(omega, c)
+    return KEndo(K, vol)
+
+
+def _k_matrix(omega: AltForm, c) -> LinearMap:
+    """K of omega against the volume form c e^{1..6}."""
     cols = []
     for j in range(1, 7):
         ej = [Fraction(1 if i == j else 0) for i in range(1, 7)]
@@ -110,7 +128,7 @@ def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
             comp = tuple(k for k in range(1, 7) if k != i)
             col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)) / c)
         cols.append(col)
-    return KEndo(LinearMap.from_columns(cols), vol)
+    return LinearMap.from_columns(cols)
 
 
 def _square(K: LinearMap) -> list:
@@ -278,12 +296,16 @@ def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
 def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     lam = ss.lam.value  # negative
     lam_abs = -lam
+    mu = QuadExt.root(lam)
     # alpha = Omega + i*hat = Omega + sqrt(lambda)/|lambda| * numerator over Q(sqrt(lambda))
-    alpha = omega + (QuadExt.root(lam) / lam_abs) * _hat(omega, ss).numerator
-    # divisor covectors of the decomposable alpha
-    thetas = divisor_space(alpha)
+    alpha = omega + (mu / lam_abs) * _hat(omega, ss).numerator
+    # the divisor covectors of the decomposable alpha are the (1,0)-covectors of
+    # J = K/sqrt(-lambda), i.e. ker(K^T - sqrt(lambda)) (Hitchin 2000); nullspace's
+    # basis depends only on that subspace
+    thetas = [alt_form(6, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0})
+              for vec in _shifted_kernel(transpose(ss.K.matrix), mu)]
     if len(thetas) != 3:
-        raise ArithmeticError("divisor space of alpha is not 3-dimensional")
+        raise ArithmeticError("ker(K^T - sqrt(lambda)) is not 3-dimensional")
     prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
     key0 = next(iter(alpha.terms))
     ratio = alpha.terms[key0] / prod.terms[key0]

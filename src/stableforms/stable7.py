@@ -9,8 +9,13 @@ roots that normalize the exact Cayley frame of ``canonicalize7``.  B, the
 orbit decision, that frame and its check, and the induced cross product
 stay exact whenever the scale is.
 
-Every public function that needs B computes it exactly once, through
-``q_form``, and its signature once, through ``QForm.signature``.
+B is computed once per form, not once per public call: ``q_form`` keeps it
+in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` (the
+only thing B takes from vol), so ``q_form``, ``classify7`` and
+``canonicalize7`` on one form object build B once between them.  The memo is
+safe under concurrent use for the reason given in ``stable6``: forms never
+change, so a race only computes the same B twice.  Every public function
+computes the signature of B once, through ``QForm.signature``.
 ``metric_from_phi`` hands both to the private ``_metric``, and
 ``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
 ``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
@@ -60,6 +65,14 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
     c = vol.coefficient()
+    b = phi._memo.get(("B", c))
+    if b is None:
+        b = phi._memo[("B", c)] = _b_matrix(phi, c)
+    return QForm(b, vol)
+
+
+def _b_matrix(phi: AltForm, c) -> tuple:
+    """B of phi against the volume form c e^{1..7}."""
     contractions = []
     for i in range(1, 8):
         ei = [Fraction(1 if k == i else 0) for k in range(1, 8)]
@@ -71,7 +84,7 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise ArithmeticError("Q form came out asymmetric")
-    return QForm(b, vol)
+    return b
 
 
 def _orbit7(signature: tuple[int, int, int]) -> OrbitClass7:
@@ -95,7 +108,8 @@ class G2Metric:
     """Metric induced by a stable phi: g = B/(6s), s^9 = |det B| / 6^7.
 
     `ip` carries exact entries (the float scale is converted exactly), so
-    downstream exact operations can consume it; `scale` records s.  The
+    downstream exact operations can consume it; `scale` records s, and the
+    call raises OverflowError when s is not a normal float.  The
     overall sign is pinned by the known signatures: positive definite on
     O7_MINUS and three positive directions (3,4) on O7_PLUS.
     """
@@ -122,6 +136,9 @@ def _metric(qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
     scale = _ninth_root(s9)
     if scale is None:
         scale = Fraction(_float_root(s9, 9))
+    elif not sys.float_info.min <= scale <= sys.float_info.max:
+        e = scale.numerator.bit_length() - scale.denominator.bit_length()
+        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
@@ -144,10 +161,13 @@ def _float_root(x: Fraction, k: int) -> float:
 
     The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
     so neither float(y) nor its root leaves the float range; ldexp puts 2^e
-    back.  A root outside the normal float range raises OverflowError.
+    back.  A root outside the normal float range raises OverflowError.  For
+    k = 2 the root is math.sqrt, so wherever x and its root are normal floats
+    the result is math.sqrt(float(x)) bit for bit.
     """
     e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
-    r = math.ldexp(float(x / Fraction(2) ** (k * e)) ** (1 / k), e)  # raises past the top
+    y = float(x / Fraction(2) ** (k * e))
+    r = math.ldexp(math.sqrt(y) if k == 2 else y ** (1 / k), e)  # raises past the top
     if r < sys.float_info.min:
         raise OverflowError(f"root of order {k} below the normal float range")
     return r

@@ -41,6 +41,13 @@
   both signs of c and both orientations, and on tied candidates for u4.  At
   c = (p/q) 10^e with |e| <= 200 its exact check holds and the float basis
   pulls phi_minus back to phi to 1e-9 of the largest coefficient.
+* ``mat_mul`` and ``mat_vec`` on the integer kernel equal the Fraction loops
+  they replaced (``ref_mat_mul``, ``ref_mat_vec``) on int, mixed-denominator,
+  10^e-scaled (|e| <= 200), QuadExt and float entries and mixtures of them.
+* ``canonicalize6`` on O6_MINUS, whose covectors now come from
+  ker(K^T - sqrt(lambda)), returns the basis of the divisor-space code it
+  replaced (``ref_canonicalize_complex``) entry for entry, on 64 seeded
+  c g^* Omega_minus in both orientations and on dense forms with QuadExt bases.
 """
 
 import itertools
@@ -60,11 +67,12 @@ from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element,
                                  inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
-                                  basis_form, contract, form_inner, hodge_star, pullback,
-                                  sort_index, wedge)
-from stableforms.linalg import inverse, mat_mul, rank, rref
-from stableforms.scalars import QuadExt
-from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus, stabilizer_dim
+                                  basis_form, contract, divisor_space, form_inner, hodge_star,
+                                  pullback, sort_index, wedge)
+from stableforms.linalg import inverse, mat_mul, mat_vec, rank, rref
+from stableforms.scalars import QuadExt, sqrt_fraction
+from stableforms.stable6 import (OrbitClass6, _hat, canonical_omega_minus, canonical_omega_plus,
+                                 canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
 from stableforms.stable7 import _metric, canonical_phi_minus, canonical_phi_plus, canonicalize7, q_form
 from stableforms.vcp import cross_2fold, cross_3fold
 
@@ -793,6 +801,106 @@ def test_canonicalize7_at_every_coefficient_size(sign, rng):
         top = max(abs(float(x)) for x in phi.terms.values())
         assert float_round_trip_error(canon.basis, phi) <= 1e-9 * top, e
         assert canon.residual <= 1e-9 * top, e
+
+
+# -- mat_mul and mat_vec on the integer kernel against the Fraction loop ------
+
+def ref_mat_mul(a, b):
+    """``linalg.mat_mul`` before the integer kernel: one Fraction sum per entry."""
+    bt = [list(col) for col in zip(*b)]
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def ref_mat_vec(a, v):
+    return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
+
+
+def matrix_entry(rng: random.Random, kind: str):
+    """A coordinate of the kind, or for "a+b" of kind a or b at random."""
+    return coordinate(rng, rng.choice(kind.split("+")))
+
+
+@pytest.mark.parametrize("kind", COORD_KINDS + ["int+mixed", "int+scaled", "quadext+mixed",
+                                                "float+mixed"])
+def test_mat_mul_matches_the_fraction_loop(kind, rng):
+    for _ in range(60):
+        n, m, p = (rng.randint(1, 8) for _ in range(3))
+        a = [[matrix_entry(rng, kind) for _ in range(m)] for _ in range(n)]
+        b = [[matrix_entry(rng, kind) for _ in range(p)] for _ in range(m)]
+        v = [matrix_entry(rng, kind) for _ in range(m)]
+        got, got_v = mat_mul(a, b), mat_vec(a, v)
+        assert got == ref_mat_mul(a, b)
+        assert got_v == ref_mat_vec(a, v)
+        if rational([x for row in a + b for x in row] + v):
+            assert all(type(x) is Fraction for row in got + [got_v] for x in row)
+
+
+def test_mat_mul_of_a_cancelling_product():
+    tiny = Fraction(1, 10 ** 200)
+    a = [[Fraction(1, 3), Fraction(-2, 9)], [3, 1 / tiny]]
+    b = [[2, tiny], [3, Fraction(3, 2)]]
+    got = mat_mul(a, b)
+    assert got == ref_mat_mul(a, b)
+    assert got == [[0, tiny / 3 - Fraction(1, 3)], [6 + 3 / tiny, 3 * tiny + Fraction(3, 2) / tiny]]
+    assert type(got[0][0]) is Fraction
+
+
+# -- canonicalize6 on O6_MINUS: ker(K^T - sqrt(lambda)) against the divisor space
+
+def ref_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
+    """The O6_MINUS basis before ker(K^T - sqrt(lambda)): the covectors are the divisor
+    space of alpha = Omega + i hat(Omega), with the same normalization and real frame."""
+    ss = scaled_structure(omega, vol)
+    lam = ss.lam.value
+    alpha = omega + (QuadExt.root(lam) / -lam) * _hat(omega, ss).numerator
+    thetas = divisor_space(alpha)
+    assert len(thetas) == 3
+    prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
+    key0 = next(iter(alpha.terms))
+    thetas[0] = (alpha.terms[key0] / prod.terms[key0]) * thetas[0]
+    assert wedge(wedge(thetas[0], thetas[1]), thetas[2]) == alpha
+    s = sqrt_fraction(-lam)
+    if s is None:
+        s = QuadExt.root(-lam)
+    zero = QuadExt.of(0, lam)
+    coords = [[zero + th.terms.get((j,), 0) for j in range(1, 7)] for th in thetas]
+    return LinearMap.from_rows([[c.a for c in row] for row in coords]
+                               + [[s * c.b for c in row] for row in coords])
+
+
+def assert_same_basis(got: LinearMap, expected: LinearMap):
+    assert got == expected
+    assert [type(x) for row in got.matrix for x in row] == \
+        [type(x) for row in expected.matrix for x in row]
+
+
+@pytest.mark.parametrize("vol", [1, -1])
+def test_canonicalize6_minus_matches_the_divisor_space(vol, rng):
+    """32 seeded c g^* Omega_minus per orientation, c of both signs, some at 10^e."""
+    volume = VolumeForm.standard(6, vol)
+    for trial in range(32):
+        c = rng.choice([1, -1]) * Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        if trial % 4 == 0:
+            c *= Fraction(10) ** rng.randint(-60, 60)
+        omega = c * pullback(random_invertible(rng, 6, 2), canonical_omega_minus())
+        canon = canonicalize6(omega, volume)
+        assert canon.orbit == OrbitClass6.O6_MINUS
+        assert_same_basis(canon.basis, ref_canonicalize_complex(omega, volume))
+
+
+def test_canonicalize6_minus_with_quadext_bases(rng):
+    """Dense forms with lambda < 0 and |lambda| not a square give QuadExt bases."""
+    quadext = 0
+    for trial in range(24):
+        while True:
+            omega = random_form(rng, 6, 3, nterms=10)
+            if lambda_coeff(omega, VolumeForm.standard(6)).value < 0:
+                break
+        volume = VolumeForm.standard(6, (-1) ** trial)
+        canon = canonicalize6(omega, volume)
+        assert_same_basis(canon.basis, ref_canonicalize_complex(omega, volume))
+        quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
+    assert quadext >= 12
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ import pytest
 from conftest import G6, G7
 from stableforms import bridge, cli, compalg, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
-from stableforms.exteralg import VolumeForm, alt_form, pullback
+from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
 
 VOL6 = VolumeForm.standard(6)
 VOL7 = VolumeForm.standard(7)
@@ -96,6 +96,60 @@ def test_each_invariant_computed_once(name, calls):
     run, expected = CASES[name]
     run()
     assert dict(calls) == expected
+
+
+# K and B are also built once per form across public calls: the contractions
+# that build them run once for lambda_coeff, classify6 and canonicalize6 (q_form,
+# classify7 and canonicalize7) on one form, and the per-form memo gives what a
+# fresh copy of the form gives under every volume form.
+
+def fresh(form):
+    return AltForm(form.dim, form.degree, dict(form.terms))
+
+
+@pytest.fixture
+def contractions(monkeypatch):
+    """Contractions run by stable6 and stable7, whose only users are k_endo and q_form."""
+    counts = Counter()
+    for module in (stable6, stable7):
+        def counting(*args, _orig=module.contract, _name=module.__name__, **kwargs):
+            counts[_name.rsplit(".", 1)[1]] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, "contract", counting)
+    return counts
+
+
+def test_k_is_built_once_per_form(contractions):
+    omega = fresh(OMEGA_MINUS)
+    stable6.lambda_coeff(omega, VOL6)
+    stable6.classify6(omega, VOL6)
+    stable6.canonicalize6(omega, VOL6)
+    assert contractions == {"stable6": 6}  # one per column of one K
+
+
+def test_b_is_built_once_per_form(contractions):
+    phi = fresh(PHI_MINUS)
+    stable7.q_form(phi, VOL7)
+    stable7.classify7(phi, VOL7)
+    stable7.canonicalize7(phi, VOL7)
+    assert contractions == {"stable7": 7}  # one per basis vector for one B
+
+
+def test_memo_matches_a_fresh_form_under_every_volume():
+    vols6 = [VOL6, VolumeForm.standard(6, -1), VolumeForm.standard(6, 3)]
+    vols7 = [VOL7, VolumeForm.standard(7, -1), VolumeForm.standard(7, 3)]
+    omega, phi = fresh(OMEGA_MINUS), fresh(PHI_MINUS)
+    text = (repr(omega), repr(phi))
+    for _ in range(2):  # the second pass reads the memo
+        for vol in vols6:
+            assert stable6.k_endo(omega, vol) == stable6.k_endo(fresh(omega), vol)
+        for vol in vols7:
+            assert stable7.q_form(phi, vol) == stable7.q_form(fresh(phi), vol)
+    assert len(omega._memo) == len(phi._memo) == 3  # one entry per volume coefficient
+    assert stable6.k_endo(omega, vols6[1]).K != stable6.k_endo(omega, vols6[0]).K
+    assert (repr(omega), repr(phi)) == text
+    assert omega == fresh(omega) and phi == fresh(phi) and omega != phi
+    assert "_memo" not in repr(omega)
 
 
 def exercise_algebras():
