@@ -2,7 +2,8 @@
 
 Documents are plain JSON, rationals are strings ("3/4" or "-2"), and all
 output is deterministic: sorted keys, normalized rationals.  Exit codes:
-0 ok, 2 parse error, 3 shape or stability error, 4 precondition failure.
+0 ok, 2 parse error, 3 shape or stability error (or a value outside the
+float range), 4 precondition failure.
 A reader that closes stdout early (``| head``) ends the run quietly with 0.
 """
 
@@ -434,6 +435,9 @@ def main(argv=None) -> int:
         return EXIT_PRECONDITION
     except ValueError as ex:  # shape errors and NotStableError
         print(f"error: {ex}", file=sys.stderr)
+        return EXIT_SHAPE
+    except ArithmeticError as ex:  # a value outside the float range, a failed exact check
+        print(f"error: {type(ex).__name__}: {ex}", file=sys.stderr)
         return EXIT_SHAPE
 
 

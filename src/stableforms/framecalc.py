@@ -28,6 +28,7 @@ from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
                        contract, form_inner, hodge_star, is_decomposable, sort_index, wedge)
 from .linalg import mat_mul
+from .stable7 import _float_root
 
 
 class PreconditionError(ValueError):
@@ -439,11 +440,16 @@ class HitchinValue:
 
 
 def hitchin_eval(model: FrameModel, omega: AltForm) -> HitchinValue:
-    """sqrt(|lambda|) per unit frame volume, with the exact lambda alongside."""
+    """sqrt(|lambda|) per unit frame volume, with the exact lambda alongside.
+
+    The root is taken from the exact lambda (``stable7._float_root``), so the
+    density is right at every size of lambda whose root is a normal float and
+    raises OverflowError beyond that.
+    """
     if model.dim != 6:
         raise ValueError("the functional is defined on 6-dimensional models")
     lam = stable6.lambda_coeff(omega, model.vol()).value
-    return HitchinValue(lam, math.sqrt(abs(float(lam))))
+    return HitchinValue(lam, _float_root(abs(lam), 2) if lam else 0.0)
 
 
 def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm,

@@ -318,3 +318,21 @@ def test_closed_stdout_ends_quietly():
         proc.kill()
     assert "Traceback" not in stderr
     assert proc.returncode in {EXIT_OK, EXIT_PARSE, EXIT_SHAPE, EXIT_PRECONDITION}
+
+
+def test_arithmetic_error_exits_3_without_traceback(tmp_path):
+    """The stable6 bridge's float scale overflows on (10^60 + 1) Omega_minus: exit 3, one line."""
+    form = (10 ** 60 + 1) * alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -1, (2, 4, 6): 1,
+                                            (3, 4, 5): -1})
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "stableforms.cli", "bridge", "--from", "stable6",
+                           "--form", write(tmp_path, "f.json", form_to_document(form)),
+                           "--ip", "euclidean"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_SHAPE
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: OverflowError")
+    assert proc.stderr.count("\n") == 1
+    assert proc.stdout == ""

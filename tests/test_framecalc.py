@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -309,6 +310,24 @@ class TestHitchin:
         assert hitchin_eval(T6, stable6.canonical_omega_plus()).density == 1.0
         assert hitchin_eval(T6, 3 * stable6.canonical_omega_plus()).density == 9.0
         assert hitchin_eval(T6, basis_form(6, 1, 2, 3)).density == 0.0
+
+    @pytest.mark.parametrize("e", [80, -80, 90, -90, 150, -150])
+    def test_eval_at_every_size(self, e):
+        # lambda(c Omega_minus) = -4 c^4 on T^6, so the density is 2 c^2 exactly;
+        # float(lambda) overflows at 1e80 and loses digits or vanishes below 1e-80
+        c = Fraction(10) ** e
+        value = hitchin_eval(T6, c * stable6.canonical_omega_minus())
+        assert value.lam == -4 * c ** 4
+        assert abs(value.density - float(2 * c ** 2)) <= math.ulp(float(2 * c ** 2))
+
+    def test_eval_in_range_is_the_float_root(self):
+        rng = random.Random(11)
+        for _ in range(200):
+            c = Fraction(rng.randint(1, 10 ** 6), rng.randint(1, 10 ** 6)) \
+                * Fraction(10) ** rng.randint(-60, 60)
+            omega = c * stable6.canonical_omega_minus() + rng.randint(-3, 3) * basis_form(6, 1, 2, 4)
+            value = hitchin_eval(T6, omega)
+            assert value.density == math.sqrt(abs(float(value.lam)))
 
     def test_euler_homogeneity(self):
         omega = stable6.canonical_omega_plus()

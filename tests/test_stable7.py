@@ -110,6 +110,17 @@ class TestExactRoots:
         assert Fraction(gm.scale) ** 9 / c ** 21 == pytest.approx(1, rel=1e-13)
         assert float(gm.ip.gram[0][0]) == pytest.approx(float(c ** 3 / Fraction(gm.scale)), rel=1e-15)
 
+    @pytest.mark.parametrize("e", [-150, 150])
+    def test_exact_metric_scale_outside_the_float_range_raises(self, e):
+        # c is a cube, so s = c^(7/3) = 10^(7e/3) is exact, yet no normal float holds it
+        with pytest.raises(OverflowError, match="metric scale near 2\\^-?[0-9]+ is outside"):
+            metric_from_phi(Fraction(10) ** e * canonical_phi_minus(), VOL)
+
+    @pytest.mark.parametrize("e", [-129, 129])
+    def test_exact_metric_scale_inside_the_float_range(self, e):
+        gm = metric_from_phi(Fraction(10) ** e * canonical_phi_minus(), VOL)
+        assert gm.scale == float(Fraction(10) ** (7 * e // 3))
+
     @pytest.mark.parametrize("e", [-135, 135])
     def test_metric_scale_outside_the_float_range_raises(self, e):
         # s = c^(7/3) is about 1e-315 or 1e315: no normal float holds it
