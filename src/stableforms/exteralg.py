@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import _bareiss, _clear, _pair, _sparse, inertia, mat_mul, nullspace
+from .linalg import _bareiss, _clear, _pair, _sparse, inertia, mat_mul, mat_vec, nullspace
 from .linalg import det as _det
 from .linalg import inverse as _inverse
 from .scalars import rat
@@ -202,7 +202,9 @@ class LinearMap:
         return [self.matrix[i][j] for i in range(self.dim_out)]
 
     def apply(self, v: Sequence) -> list:
-        return [sum((row[j] * v[j] for j in range(self.dim_in)), Fraction(0)) for row in self.matrix]
+        if len(v) != self.dim_in:
+            raise ValueError("vector length does not match the map's input dimension")
+        return mat_vec(self.matrix, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -387,7 +389,7 @@ def contract(v, a: AltForm) -> AltForm:
     return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
 
 
-def _minor(rows: list, cols: tuple, exact_int: bool):
+def _minor(rows: list, cols: tuple):
     """det of the submatrix (columns cols of rows): closed forms up to 3 x 3, then Bareiss."""
     p = len(rows)
     if p == 1:
@@ -401,7 +403,7 @@ def _minor(rows: list, cols: tuple, exact_int: bool):
                 - r0[j1] * (r1[j0] * r2[j2] - r1[j2] * r2[j0])
                 + r0[j2] * (r1[j0] * r2[j1] - r1[j1] * r2[j0]))
     m = [[r[j] for j in cols] for r in rows]
-    return _bareiss(m, det=True) if exact_int else _det(m)
+    return _bareiss(m, det=True)
 
 
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
@@ -420,7 +422,7 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
     for jdx in itertools.combinations(range(n), p):
         total = 0
         for minor_rows, c in terms:
-            d = _minor(minor_rows, jdx, dens is not None)
+            d = _minor(minor_rows, jdx)
             if d:
                 total = total + c * d
         if total:

@@ -19,7 +19,6 @@ nabla_u on the coframe is read from the Levi-Civita table of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -449,24 +448,30 @@ def hitchin_eval(model: FrameModel, omega: AltForm) -> HitchinValue:
     if model.dim != 6:
         raise ValueError("the functional is defined on 6-dimensional models")
     lam = stable6.lambda_coeff(omega, model.vol()).value
-    return HitchinValue(lam, _float_root(abs(lam), 2) if lam else 0.0)
+    return HitchinValue(lam, _abs_root(lam))
+
+
+def _abs_root(x: Fraction) -> float:
+    """sqrt|x| for an exact rational x, through ``stable7._float_root``; 0.0 at x = 0."""
+    return _float_root(abs(x), 2) if x else 0.0
 
 
 def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm,
                       h: Fraction = Fraction(1, 100000)) -> tuple[float, float]:
     """(central finite difference of sqrt|lambda|, pairing hat ^ dOmega / vol).
 
-    The difference quotient is evaluated on exact rationals before the only
-    float conversion, so its error is purely the O(h^2) truncation term.
+    The two square roots are taken from the exact lambdas, and the pairing
+    r / sqrt|lambda| as the root of the exact r^2 / |lambda|, so both values
+    are right at every size whose result is a normal float.
     """
     ss = stable6.scaled_structure(omega, vol)  # NotStableError when lambda = 0
     lam_p = stable6.lambda_coeff(omega + h * omega_dot, vol).value
     lam_m = stable6.lambda_coeff(omega - h * omega_dot, vol).value
-    fd = (math.sqrt(abs(float(lam_p))) - math.sqrt(abs(float(lam_m)))) / (2 * float(h))
+    fd = (_abs_root(lam_p) - _abs_root(lam_m)) / (2 * float(h))
     hat = stable6._hat(omega, ss)
-    pairing_num = vol.ratio(wedge(hat.numerator, omega_dot))
-    pairing = float(pairing_num) / math.sqrt(float(hat.lam_abs))
-    return fd, pairing
+    r = vol.ratio(wedge(hat.numerator, omega_dot))
+    pairing = _abs_root(r * r / hat.lam_abs)
+    return fd, -pairing if r < 0 else pairing
 
 
 HITCHIN_VARIATION_CONSTANT = -1.0  # fd derivative = c * (hat ^ dOmega)/vol; oracle-determined

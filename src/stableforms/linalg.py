@@ -1,21 +1,25 @@
 """Exact dense linear algebra over the rationals (or a quadratic extension).
 
-Matrices are lists of row lists.  On rational entries (int or Fraction),
-``rank``, ``det`` and the larger pullback minors of ``exteralg`` share one
-fraction-free elimination over Python ints, ``_bareiss``, and ``inverse``
-runs its Gauss-Jordan form; ``det`` returns an int on int entries and a
-Fraction on other rational ones, ``inverse`` Fractions.  ``rref``,
-``nullspace``, ``inertia``, and ``inverse`` and ``det`` on other entries
-(QuadExt) are Gaussian elimination with field operations; ``rref`` and
-``inertia`` turn int entries into Fractions first, so they are exact on int
-entries too.  ``_clear`` (integer numerators over one common denominator)
-and ``_pair`` (a bilinear form summed over its nonzero coefficients only)
-are the integer kernel that ``exteralg`` and ``compalg`` share.  ``mat_mul``
-and ``mat_vec`` run on it too: they sum cleared integer rows and columns and
-build one Fraction per entry (other entries take the field loop).  This
-module is exact only, with no float conversion or float function (a hygiene
-test checks it); the 7-dimensional metric and canonical frame take their
-float roots in ``stable7``.
+Matrices are lists of row lists.  Three eliminations do all the work:
+
+* ``rref`` is the one Gauss-Jordan loop; ``nullspace`` and ``inverse`` (the
+  right half of the reduced [a | I]) read its output.  Rational rows are
+  cleared to integers and reduced fraction-free; other entries (QuadExt,
+  float) take field division.
+* ``_bareiss`` is the one fraction-free Gaussian elimination: ``rank``, every
+  ``det`` and the larger pullback minors of ``exteralg``.  It divides with
+  ``//`` on int entries and with ``/`` on any other.
+* ``inertia`` diagonalizes a symmetric matrix by congruence.
+
+Results are exact on int entries too: ``det`` returns an int there and a
+Fraction on other rational entries, ``rref``, ``nullspace`` and ``inverse``
+Fractions.  ``_clear`` (integer numerators over one common denominator) and
+``_pair`` (a bilinear form summed over its nonzero coefficients only) are
+the integer kernel that ``exteralg`` and ``compalg`` share.  ``mat_mul`` and
+``mat_vec`` run on it too: they sum cleared integer rows and columns and
+build one Fraction per entry.  This module is exact only, with no float
+conversion or float function (a hygiene test checks it); the 7-dimensional
+metric and canonical frame take their float roots in ``stable7``.
 """
 
 from __future__ import annotations
@@ -28,10 +32,6 @@ from typing import Iterable, Sequence
 Matrix = list
 
 
-def mat_copy(m) -> Matrix:
-    return [list(row) for row in m]
-
-
 def _exact_copy(m) -> Matrix:
     """A copy with int entries as Fractions, so field division stays exact."""
     return [[Fraction(x) if type(x) is int else x for x in row] for row in m]
@@ -42,51 +42,67 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    """a b; on rational entries each row of a and column of b is cleared, the
-    integer dot products summed, and each entry built as one Fraction."""
-    bt = transpose(b)
-    cleared, dens = _clear(*a, *bt)
-    if dens is None:
-        return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+    """a b, one sum of products per entry; on rational entries the rows of a and
+    columns of b are cleared first, so the sums run on ints, and each entry is
+    built as one Fraction."""
     n = len(a)
-    cols = list(zip(cleared[n:], dens[n:]))
-    return [[Fraction(sum(map(operator.mul, row, col)), dr * dc) for col, dc in cols]
-            for row, dr in zip(cleared[:n], dens[:n])]
+    cleared, dens = _clear(*a, *transpose(b))
+    prod = [[sum(map(operator.mul, row, col)) for col in cleared[n:]] for row in cleared[:n]]
+    if dens is None:
+        return prod
+    return [[Fraction(x, dr * dc) for x, dc in zip(row, dens[n:])] for row, dr in zip(prod, dens[:n])]
 
 
 def mat_vec(a, v) -> list:
     """a v, on the integer kernel of ``mat_mul`` when the entries are rational."""
     cleared, dens = _clear(*a, v)
+    prod = [sum(map(operator.mul, row, cleared[-1])) for row in cleared[:-1]]
     if dens is None:
-        return [sum((x * y for x, y in zip(row, v)), Fraction(0)) for row in a]
-    cv, dv = cleared[-1], dens[-1]
-    return [Fraction(sum(map(operator.mul, row, cv)), dr * dv)
-            for row, dr in zip(cleared[:-1], dens[:-1])]
+        return prod
+    return [Fraction(x, dr * dens[-1]) for x, dr in zip(prod, dens[:-1])]
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form and the list of pivot columns."""
-    a = _exact_copy(m)
-    if not a:
-        return a, []
-    nrows, ncols = len(a), len(a[0])
+    """Reduced row echelon form and the list of pivot columns.
+
+    Rational rows are cleared to coprime integers and reduced by
+    fraction-free Gauss-Jordan elimination (Bareiss 1968; Nakos, Turner and
+    Williams 1997): at pivot p every other row becomes
+    (p * row - row[c] * pivot_row) // previous pivot, exact because its
+    entries are then minors, so the rows end as d times the reduced form,
+    d the last pivot, and come back as Fractions.  Other entries (QuadExt,
+    float) take field division: the pivot row is divided by its pivot and
+    subtracted from the others; int entries among them become Fractions.
+    """
+    try:
+        a, exact = [ints for ints, _, _ in map(_integer_row, m)], True
+    except TypeError:
+        a, exact = _exact_copy(m), False
+    nrows, ncols = len(a), len(a[0]) if a else 0
     pivots: list[int] = []
-    r = 0
+    prev = 1
     for c in range(ncols):
+        r = len(pivots)
         pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        pv = a[r][c]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(nrows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        p = a[r][c]
+        if not exact:
+            a[r] = [x / p for x in a[r]]
+        top = a[r]
+        for i, row in enumerate(a):
+            f = row[c]
+            if i != r and exact:
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+            elif i != r and f != 0:
+                a[i] = [x - f * y for x, y in zip(row, top)]
+        prev = p
         pivots.append(c)
-        r += 1
-        if r == nrows:
+        if r + 1 == nrows:
             break
+    if exact:
+        a = [[Fraction(x, prev) for x in row] for row in a]
     return a, pivots
 
 
@@ -148,16 +164,21 @@ def _integer_row(row) -> tuple[list[int], int, int]:
     return ([x // g for x in ints] if g > 1 else ints), g, scale
 
 
-def _bareiss(rows: list, det: bool = False) -> int:
-    """Rank of integer rows, or with det=True the determinant of the square matrix.
+def _bareiss(rows: list, det: bool = False):
+    """Rank of a matrix, or with det=True the determinant of a square one.
 
     Fraction-free elimination (Bareiss 1968): after a pivot p in the leading
-    column, every other row becomes (p * row - row[0] * pivot_row) // previous
+    column, every other row becomes (p * row - row[0] * pivot_row) / previous
     pivot, exact because its entries are then minors (Sylvester's identity).
+    On int entries that is integer division (``//``); on any other (QuadExt,
+    float) it is field division, int entries becoming Fractions first.
     Vanishing rows are dropped and pivot-free columns skipped (with det=True
-    such a column ends it with 0); at full rank the last pivot, signed by the
-    row order, is the determinant.
+    such a column ends it with a zero); at full rank the last pivot, signed
+    by the row order, is the determinant.
     """
+    exact = {type(x) for row in rows for x in row} == {int}
+    if not exact:
+        rows = _exact_copy(rows)
     n, r, prev, sign = len(rows), 0, 1, 1
     rows = [row for row in rows if any(row)]
     while rows:
@@ -166,16 +187,17 @@ def _bareiss(rows: list, det: bool = False) -> int:
                 break
         else:  # no pivot in this column: every row is nonzero further right
             if det:
-                return 0
+                return 0 * prev
             rows = [row[1:] for row in rows]
             continue
         pivot = rows.pop(i)
         sign = -sign if i & 1 else sign  # moving row i to the front takes i transpositions
         p, tail = pivot[0], pivot[1:]
-        rows = [new for new in ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)]
-                                for row in rows) if any(new)]
+        updated = ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] if exact
+                   else [(p * x - row[0] * y) / prev for x, y in zip(row[1:], tail)] for row in rows)
+        rows = [new for new in updated if any(new)]
         prev, r = p, r + 1
-    return (sign * prev if r == n else 0) if det else r
+    return (sign * prev if r == n else 0 * prev) if det else r
 
 
 def rank(m) -> int:
@@ -201,73 +223,28 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
 
 
 def inverse(a) -> Matrix:
-    """Exact inverse in Fractions; ValueError on a singular matrix.
-
-    Rational rows are cleared, row_i = ints_i * g_i / scale_i, and [ints | I]
-    is reduced by fraction-free Gauss-Jordan elimination: at pivot p every
-    other row becomes (p * row - row[k] * pivot_row) // previous pivot, exact
-    as in ``_bareiss``, so [ints | I] ends as [d I | d ints^-1].  Other
-    entries (QuadExt) take Gauss-Jordan with field division (``rref``).
-    """
+    """Exact inverse, the right half of ``rref`` of [a | I]; ValueError on a singular matrix."""
     n = len(a)
-    try:
-        cleared = [_integer_row(row) for row in a]
-    except TypeError:
-        aug = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
-        red, pivots = rref(aug)
-        if pivots[:n] != list(range(n)):
-            raise ValueError("matrix is singular") from None
-        return [row[n:] for row in red]
-    m = [ints + [int(i == j) for j in range(n)] for i, (ints, _, _) in enumerate(cleared)]
-    prev = 1
-    for k in range(n):
-        pivot = next((i for i in range(k, n) if m[i][k]), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        m[k], m[pivot] = m[pivot], m[k]
-        p, top = m[k][k], m[k]
-        m = [row if i == k else [(p * x - row[k] * y) // prev for x, y in zip(row, top)]
-             for i, row in enumerate(m)]
-        prev = p
-    # a = diag(g / scale) ints, so a^-1 = ints^-1 diag(scale / g)
-    return [[Fraction(x * scale, prev * g) for x, (_, g, scale) in zip(row[n:], cleared)]
-            for row in m]
+    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in red]
 
 
 def det(a):
     """Exact determinant: an int on int entries, a Fraction on other rational ones.
 
     Rational rows are cleared, row_i = ints_i * g_i / scale_i, for ``_bareiss``;
-    other entries (QuadExt) take Gaussian elimination with field division.
+    other entries (QuadExt) go to it as they are, and it divides in their field.
     """
     try:
         cleared = [_integer_row(row) for row in a]
     except TypeError:
-        return _field_det(a)
+        return _bareiss(a, det=True)
     num = _bareiss([ints for ints, _, _ in cleared], det=True) * math.prod(g for _, g, _ in cleared)
     den = math.prod(scale for _, _, scale in cleared)
     ints = den == 1 and all(isinstance(x, int) for row in a for x in row)
     return num if ints else Fraction(num, den)
-
-
-def _field_det(a):
-    n = len(a)
-    m = mat_copy(a)
-    result = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0) * result
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            result = -result
-        pv = m[c][c]
-        result = result * pv
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / pv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return result
 
 
 def inertia(sym) -> tuple[int, int, int]:

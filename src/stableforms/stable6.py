@@ -16,13 +16,15 @@ whose real part is Omega.  The classical 4-term displays of the canonical
 forms are adapted to the *complex* orientation of their frame, which is the
 negative of the lexicographic one; ``adapted_vol6()`` provides it.
 
-K is computed once per form, not once per public call: ``k_endo`` keeps it
-in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` (the
-only thing K takes from vol), so ``lambda_coeff``, ``classify6`` and
-``canonicalize6`` on one form object build K once between them.  The memo is
-safe under concurrent use: a form's terms never change, so two threads that
-miss together compute the same K and one of the equal values is kept.
-``lambda_coeff`` and ``scaled_structure`` square that K; ``hat`` and
+K and lambda are computed once per form, not once per public call:
+``k_endo`` keeps them in the form's private ``AltForm._memo``, keyed by
+``vol.coefficient()`` (the only thing K takes from vol), with K squared and
+K^2 = lambda Id checked once, when the entry is made.  So ``lambda_coeff``,
+``classify6`` and ``canonicalize6`` on one form object build and square K
+once between them.  The memo is safe under concurrent use: a form's terms
+never change, so two threads that miss together compute the same entry and
+one of the equal values is kept.  ``_structure`` reads (K, lambda) from that
+entry for ``lambda_coeff`` and ``scaled_structure``; ``hat`` and
 ``canonicalize6`` build one ``ScaledStructure`` and pass it to the private
 ``_hat`` (and to ``_canonicalize6``); ``cli classify`` builds it with
 ``_structure``, which also accepts lambda = 0.  ``_orbit6`` is the one place
@@ -111,14 +113,17 @@ def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
     """K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol."""
     _check_shape(omega, vol)
     c = vol.coefficient()
-    K = omega._memo.get(("K", c))
-    if K is None:
-        K = omega._memo[("K", c)] = _k_matrix(omega, c)
-    return KEndo(K, vol)
+    entry = omega._memo.get(("K", c))
+    if entry is None:
+        entry = omega._memo[("K", c)] = _k_entry(omega, c)
+    return KEndo(entry[0], vol)
 
 
-def _k_matrix(omega: AltForm, c) -> LinearMap:
-    """K of omega against the volume form c e^{1..6}."""
+def _k_entry(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
+    """K of omega against the volume form c e^{1..6}, and lambda = tr(K^2)/6.
+
+    K is squared once, here, and K^2 = lambda Id checked exactly.
+    """
     cols = []
     for j in range(1, 7):
         ej = [Fraction(1 if i == j else 0) for i in range(1, 7)]
@@ -128,22 +133,17 @@ def _k_matrix(omega: AltForm, c) -> LinearMap:
             comp = tuple(k for k in range(1, 7) if k != i)
             col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)) / c)
         cols.append(col)
-    return LinearMap.from_columns(cols)
-
-
-def _square(K: LinearMap) -> list:
-    m = [list(r) for r in K.matrix]
-    return mat_mul(m, m)
-
-
-def _lambda_of(k2: list, vol: VolumeForm) -> Lambda:
-    """lambda = tr(K^2)/6 from the square of K."""
-    return Lambda(sum((k2[i][i] for i in range(6)), Fraction(0)) / 6, vol)
+    K = LinearMap.from_columns(cols)
+    k2 = mat_mul(K.matrix, K.matrix)
+    lam = sum(k2[i][i] for i in range(6)) / 6
+    if any(k2[i][j] != (lam if i == j else 0) for i in range(6) for j in range(6)):
+        raise ArithmeticError("K^2 != lambda Id; inconsistent input")
+    return K, lam
 
 
 def lambda_coeff(omega: AltForm, vol: VolumeForm) -> Lambda:
     """lambda(Omega) = tr(K^2)/6, exact, as a coefficient of vol^2."""
-    return _lambda_of(_square(k_endo(omega, vol).K), vol)
+    return _structure(omega, vol).lam
 
 
 def _orbit6(lam: Fraction) -> OrbitClass6:
@@ -167,16 +167,10 @@ def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
 
 
 def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
-    """(K, lambda) with K^2 = lambda Id verified; lambda may be 0."""
+    """(K, lambda) from the form's memo entry, which ``k_endo`` fills; lambda may be 0."""
     K = k_endo(omega, vol).K
-    k2 = _square(K)
-    lam = _lambda_of(k2, vol)
-    for i in range(6):
-        for j in range(6):
-            expect = lam.value if i == j else Fraction(0)
-            if k2[i][j] != expect:
-                raise ArithmeticError("K^2 != lambda Id; inconsistent input")
-    return ScaledStructure(K, lam)
+    _, lam = omega._memo[("K", vol.coefficient())]
+    return ScaledStructure(K, Lambda(lam, vol))
 
 
 @dataclass(frozen=True)

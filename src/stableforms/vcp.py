@@ -19,7 +19,7 @@ from .compalg import AlgebraTag, _add, _cd_conj, _mul, _norm_form, _over, _scale
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
 from .linalg import _bilinear, _clear
 from .linalg import det as _det
-from .linalg import inverse, mat_vec, nullspace, rank
+from .linalg import inverse, mat_vec, nullspace, rank, transpose
 from .scalars import rat
 
 Vector = tuple
@@ -183,10 +183,10 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
     if na != 1:
         raise ValueError("reduction vector must satisfy <a,a> = 1 exactly")
     comp_t, sub_gram, to_local = _complement(cp3.ip, [a])
+    basis_cols = transpose(comp_t)
 
     def to_ambient(x: Vector) -> Vector:
-        return tuple(sum((u[i] * x[k] for k, u in enumerate(comp_t)), Fraction(0))
-                     for i in range(cp3.dim))
+        return tuple(mat_vec(basis_cols, x))
 
     def ev(x: Vector, y: Vector) -> Vector:
         w = cp3(a, to_ambient(x), to_ambient(y))

@@ -32,9 +32,13 @@
   coordinates (which take the field loop).  The sparse ``InnerProduct.pair``
   and ``compalg.inner`` equal the dense double sum ``ref_pair`` on
   diagonal, dense indefinite and int-typed Gram matrices.
-* The fraction-free ``linalg.inverse`` equals Gauss-Jordan over Fractions
-  (``ref_inverse``) on rational, 10^e-scaled and int matrices of sizes 1..8,
-  singular ones included; a QuadExt matrix takes the field path.
+* ``linalg.inverse``, now the right half of the fraction-free ``rref`` of
+  [a | I], equals Gauss-Jordan over Fractions (``ref_inverse``, on
+  ``test_linalg.ref_rref``) on rational, 10^e-scaled and int matrices of
+  sizes 1..8, singular ones included; a QuadExt matrix takes the field path.
+* ``det`` on QuadExt entries, a Bareiss elimination with field division,
+  equals the Gaussian elimination ``ref_det`` on matrices of sizes 1..6 with
+  dependent rows, zero columns and int entries among the QuadExt ones.
 * The exact Cayley frame of ``canonicalize7`` gives the basis of the float
   frame code it replaced (``ref_canonicalize7``, with its own Gram-Schmidt,
   cross product and inverse) to 1e-11 relative on 84 seeded c g^* phi_minus,
@@ -62,6 +66,7 @@ import pytest
 
 from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible
+from test_linalg import ref_rref
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -69,7 +74,7 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                                   basis_form, contract, divisor_space, form_inner, hodge_star,
                                   pullback, sort_index, wedge)
-from stableforms.linalg import inverse, mat_mul, mat_vec, rank, rref
+from stableforms.linalg import det, inverse, mat_mul, mat_vec, rank
 from stableforms.scalars import QuadExt, sqrt_fraction
 from stableforms.stable6 import (OrbitClass6, _hat, canonical_omega_minus, canonical_omega_plus,
                                  canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
@@ -617,11 +622,11 @@ def test_cross_products_match_the_algebra_formulas(tag, kind, rng):
 # -- the fraction-free inverse against Gauss-Jordan over Fractions -----------
 
 def ref_inverse(a):
-    """``linalg.inverse`` before the fraction-free path: rref of [a | I]."""
+    """Gauss-Jordan over Fractions (``ref_rref``) of [a | I]."""
     n = len(a)
     aug = [list(row) + [Fraction(1) if i == j else Fraction(0) for j in range(n)]
            for i, row in enumerate(a)]
-    red, pivots = rref(aug)
+    red, pivots = ref_rref(aug)
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in red]
@@ -653,6 +658,26 @@ def test_inverse_of_a_field_matrix(rng):
              for _ in range(4)] for _ in range(4)]
     product = mat_mul(rows, inverse(rows))
     assert all(product[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
+
+
+def test_det_of_quadext_matrices_matches_gauss(rng):
+    singular = 0
+    for trial in range(90):
+        n = 1 + trial % 6
+        rows = [[QuadExt(kernel_coefficient(rng, "mixed"), kernel_coefficient(rng, "mixed"), ROOT)
+                 if rng.random() < 0.8 else kernel_coefficient(rng, "int") for _ in range(n)]
+                for _ in range(n)]
+        if trial % 3 == 0 and n > 1:  # a dependent row
+            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
+        elif trial % 3 == 1:  # a zero column
+            c = rng.randrange(n)
+            for row in rows:
+                row[c] = 0
+        got = det(rows)
+        assert got == ref_det(rows)
+        assert not isinstance(got, float)
+        singular += got == 0
+    assert singular >= 30
 
 
 # -- canonicalize7: the exact Cayley frame against the float frame -----------

@@ -329,6 +329,16 @@ class TestHitchin:
             value = hitchin_eval(T6, omega)
             assert value.density == math.sqrt(abs(float(value.lam)))
 
+    @pytest.mark.parametrize("e", [80, -80, 90, -90])
+    def test_variation_at_every_size(self, e):
+        # at c = 1, Omega_dot = Omega_minus gives (4.0, -4.0); both values scale by c^2
+        c = Fraction(10) ** e
+        omega = c * stable6.canonical_omega_minus()
+        fd, pairing = hitchin_variation(omega, omega, T6.vol())
+        scale = float(c ** 2)
+        assert fd == pytest.approx(4.0 * scale, rel=1e-9)
+        assert pairing == pytest.approx(-4.0 * scale, rel=1e-9)
+
     def test_euler_homogeneity(self):
         omega = stable6.canonical_omega_plus()
         fd, pairing = hitchin_variation(omega, omega, T6.vol())

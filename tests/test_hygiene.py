@@ -3,7 +3,8 @@
 * Every name a module imports is used in that module; the package
   ``__init__`` is exempt, since its imports are the public re-exports.
 * Every module-level ``_private`` function is referenced somewhere in the
-  package outside its own definition.
+  package outside its own definition, and so is every public function of
+  ``linalg``, the package's internal kernel.
 * The exact-only modules (``linalg``, ``exteralg``, ``compalg``, ``vcp``)
   contain no ``float(`` call, no float literal and no ``math.sqrt``,
   ``math.exp`` or ``math.log``: floats enter the package elsewhere, in
@@ -57,6 +58,13 @@ def unreferenced_private_functions(modules: dict) -> list[str]:
     return dead
 
 
+def unreferenced_public_functions(modules: dict, name: str) -> list[str]:
+    """The public module-level functions of one module that nothing else in the package references."""
+    return [f"{name}: {stmt.name}" for stmt in modules[name].body
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+            and stmt.name not in references(modules.values(), skip=stmt)]
+
+
 EXACT_ONLY = ("linalg.py", "exteralg.py", "compalg.py", "vcp.py")
 FLOAT_FUNCTIONS = {"sqrt", "exp", "log"}
 
@@ -106,3 +114,14 @@ def test_guard_flags_dead_code():
                      "def _used():\n    return 1\n\nVALUE = _used()\n")
     assert unused_imports(tree) == ["math (line 1)", "_det (line 2)"]
     assert unreferenced_private_functions({"m.py": tree}) == ["m.py: _helper"]
+
+
+def test_no_unreferenced_linalg_functions():
+    assert unreferenced_public_functions(MODULES, "linalg.py") == []
+
+
+def test_guard_flags_a_dead_public_function():
+    """The public check is not vacuous: it catches an uncalled copy helper."""
+    tree = ast.parse("def mat_copy(m):\n    return [list(r) for r in m]\n\n"
+                     "def rank(m):\n    return len(m)\n\nVALUE = rank([])\n")
+    assert unreferenced_public_functions({"linalg.py": tree}, "linalg.py") == ["linalg.py: mat_copy"]

@@ -127,6 +127,18 @@ def test_k_is_built_once_per_form(contractions):
     assert contractions == {"stable6": 6}  # one per column of one K
 
 
+def test_k_is_squared_once_per_form(monkeypatch):
+    """The memo entry holds lambda with K, checked once against K^2 = lambda Id."""
+    squares = []
+    monkeypatch.setattr(stable6, "mat_mul", lambda a, b, _orig=stable6.mat_mul:
+                        squares.append(a) or _orig(a, b))
+    omega = fresh(OMEGA_MINUS)
+    stable6.lambda_coeff(omega, VOL6)
+    stable6.classify6(omega, VOL6)
+    stable6.canonicalize6(omega, VOL6)
+    assert len(squares) == 1
+
+
 def test_b_is_built_once_per_form(contractions):
     phi = fresh(PHI_MINUS)
     stable7.q_form(phi, VOL7)

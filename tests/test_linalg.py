@@ -1,7 +1,11 @@
-"""Differential tests of the one fraction-free elimination, ``linalg._bareiss``.
+"""Differential tests of the fraction-free eliminations, ``linalg._bareiss`` and ``rref``.
 
-* ``rank`` against the rank of ``rref``, the field Gauss-Jordan routine that
-  ``rank`` used to call (the number of its pivot columns).
+* ``rank`` against the number of pivot columns of ``ref_rref``, the
+  Gauss-Jordan loop over Fractions that ``rref`` ran before it became
+  fraction-free (and that ``rank`` used to call).
+* ``rref`` and ``nullspace`` against ``ref_rref``, entry for entry and type
+  for type, on seeded matrices with zero rows and columns, dependent rows,
+  int entries and rows scaled by 10^e (|e| <= 200).
 * ``det`` against a plain-``Fraction`` Gauss loop kept below and against
   ``sympy.Matrix.det``, on seeded int and Fraction matrices with rows scaled
   by 10^e (|e| <= 200), zero rows, pivot-free columns and singular
@@ -25,14 +29,40 @@ from conftest import G6
 from stableforms import stable6
 from stableforms.cli import parse_form_document
 from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
-from stableforms.linalg import det, inertia, mat_mul, rank, rref
+from stableforms.linalg import det, inertia, mat_mul, nullspace, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from test_cli_golden import DOCS
 
 
+def ref_rref(m) -> tuple[list, list[int]]:
+    """``linalg.rref`` before the fraction-free path: Gauss-Jordan over Fractions."""
+    a = [[Fraction(x) if type(x) is int else x for x in row] for row in m]
+    if not a:
+        return a, []
+    nrows, ncols = len(a), len(a[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        pv = a[r][c]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(nrows):
+            if i != r and a[i][c] != 0:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return a, pivots
+
+
 def reference_rank(m) -> int:
-    return len(rref(m)[1])
+    return len(ref_rref(m)[1])
 
 
 def random_matrix(rng: random.Random, nrows: int, ncols: int, span: int = 4) -> list:
@@ -65,6 +95,38 @@ def seeded_matrices():
 @pytest.mark.parametrize("m", seeded_matrices())
 def test_rank_matches_rref(m):
     assert rank(m) == reference_rank(m)
+
+
+def rref_cases():
+    """``seeded_matrices``, then each again with int entries or with rows times 10^e, |e| <= 200."""
+    rng = random.Random(1997)
+    cases = seeded_matrices()
+    for k, m in enumerate(seeded_matrices()):
+        if k % 2:
+            cases.append([[x.numerator for x in row] for row in m])
+        else:
+            factors = [Fraction(10) ** (rng.choice((1, -1)) * rng.randint(0, 200)) for _ in m]
+            cases.append([[f * x for x in row] for f, row in zip(factors, m)])
+    return cases
+
+
+@pytest.mark.parametrize("m", rref_cases())
+def test_rref_and_nullspace_match_fraction_gauss_jordan(m):
+    red, pivots = rref(m)
+    expected, expected_pivots = ref_rref(m)
+    assert pivots == expected_pivots
+    assert red == expected
+    assert all(type(x) is Fraction for row in red for x in row)
+    ncols = len(m[0]) if m else 0
+    basis = []
+    for f in (c for c in range(ncols) if c not in expected_pivots):
+        v = [Fraction(int(c == f)) for c in range(ncols)]
+        for r, c in enumerate(expected_pivots):
+            v[c] = -expected[r][f]
+        basis.append(v)
+    got = nullspace(m, ncols)
+    assert got == basis
+    assert all(type(x) is Fraction for v in got for x in v)
 
 
 def test_int_entries():
