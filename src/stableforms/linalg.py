@@ -2,24 +2,22 @@
 
 Matrices are lists of row lists.  Three eliminations do all the work:
 
-* ``rref`` is the one Gauss-Jordan loop; ``nullspace`` and ``inverse`` (the
-  right half of the reduced [a | I]) read its output.  Rational rows are
-  cleared to integers and reduced fraction-free; other entries (QuadExt,
-  float) take field division.
-* ``_bareiss`` is the one fraction-free Gaussian elimination: ``rank``, every
-  ``det`` and the larger pullback minors of ``exteralg``.  It divides with
-  ``//`` on int entries and with ``/`` on any other.
-* ``inertia`` diagonalizes a symmetric matrix by congruence.
+* ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``:
+  rational rows are cleared to integers and reduced fraction-free, other
+  entries (QuadExt, float) with field division.
+* ``_bareiss``, the one fraction-free Gaussian elimination, under ``rank``,
+  every ``det`` and the larger pullback minors of ``exteralg``: ``//`` on
+  int entries, ``/`` on any other.
+* ``inertia``, a congruence diagonalization of a symmetric matrix.
 
-Results are exact on int entries too: ``det`` returns an int there and a
-Fraction on other rational entries, ``rref``, ``nullspace`` and ``inverse``
+All are exact on int entries: ``det`` returns an int there and a Fraction
+on other rational entries, ``rref``, ``nullspace`` and ``inverse`` return
 Fractions.  ``_clear`` (integer numerators over one common denominator) and
 ``_pair`` (a bilinear form summed over its nonzero coefficients only) are
-the integer kernel that ``exteralg`` and ``compalg`` share.  ``mat_mul`` and
-``mat_vec`` run on it too: they sum cleared integer rows and columns and
-build one Fraction per entry.  This module is exact only, with no float
-conversion or float function (a hygiene test checks it); the 7-dimensional
-metric and canonical frame take their float roots in ``stable7``.
+the integer kernel of ``exteralg``, ``compalg``, ``mat_mul`` and ``mat_vec``.
+This module is exact only, with no float conversion or float function (a
+hygiene test checks it); the 7-dimensional metric and canonical frame take
+their float roots in ``stable7``.
 """
 
 from __future__ import annotations
@@ -65,22 +63,19 @@ def mat_vec(a, v) -> list:
 def rref(m) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    Rational rows are cleared to coprime integers and reduced by
-    fraction-free Gauss-Jordan elimination (Bareiss 1968; Nakos, Turner and
-    Williams 1997): at pivot p every other row becomes
-    (p * row - row[c] * pivot_row) // previous pivot, exact because its
-    entries are then minors, so the rows end as d times the reduced form,
-    d the last pivot, and come back as Fractions.  Other entries (QuadExt,
-    float) take field division: the pivot row is divided by its pivot and
-    subtracted from the others; int entries among them become Fractions.
+    Rational rows are cleared to coprime integers for fraction-free
+    Gauss-Jordan elimination (Bareiss 1968; Nakos, Turner and Williams 1997):
+    at pivot p every other row becomes (p * row - row[c] * pivot_row) //
+    previous pivot, exact since its entries are then minors, so the rows end
+    as d times the reduced form, d the last pivot.  Other entries (QuadExt,
+    float; int entries among them become Fractions) take field division.
     """
     try:
         a, exact = [ints for ints, _, _ in map(_integer_row, m)], True
     except TypeError:
         a, exact = _exact_copy(m), False
     nrows, ncols = len(a), len(a[0]) if a else 0
-    pivots: list[int] = []
-    prev = 1
+    pivots, prev = [], 1
     for c in range(ncols):
         r = len(pivots)
         pivot = next((i for i in range(r, nrows) if a[i][c] != 0), None)
@@ -169,12 +164,11 @@ def _bareiss(rows: list, det: bool = False):
 
     Fraction-free elimination (Bareiss 1968): after a pivot p in the leading
     column, every other row becomes (p * row - row[0] * pivot_row) / previous
-    pivot, exact because its entries are then minors (Sylvester's identity).
-    On int entries that is integer division (``//``); on any other (QuadExt,
-    float) it is field division, int entries becoming Fractions first.
-    Vanishing rows are dropped and pivot-free columns skipped (with det=True
-    such a column ends it with a zero); at full rank the last pivot, signed
-    by the row order, is the determinant.
+    pivot, exact as its entries are then minors (Sylvester's identity); ``//``
+    on int entries, field division on others, int entries among them made
+    Fractions first.  Vanishing rows are dropped and pivot-free columns
+    skipped (with det=True such a column gives a zero); at full rank the
+    last pivot, signed by the row order, is the determinant.
     """
     exact = {type(x) for row in rows for x in row} == {int}
     if not exact:
@@ -223,12 +217,21 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
 
 
 def inverse(a) -> Matrix:
-    """Exact inverse, the right half of ``rref`` of [a | I]; ValueError on a singular matrix."""
+    """Exact inverse, from the right half of ``rref`` of [ints | I]; ValueError if singular.
+
+    Rational rows are cleared first, row_i = ints_i * g_i / scale_i, so that no
+    common factor of a row enters the elimination: a^-1 = ints^-1 diag(scale / g).
+    """
     n = len(a)
-    red, pivots = rref([list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)])
+    try:
+        rows = [_integer_row(row) for row in a]
+    except TypeError:  # other entries (QuadExt) are reduced as they are
+        rows = [(list(row), 1, 1) for row in a]
+    red, pivots = rref([ints + [int(i == j) for j in range(n)] for i, (ints, _, _) in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    factors = [Fraction(scale, g) for _, g, scale in rows]
+    return [[x * f for x, f in zip(row[n:], factors)] for row in red]
 
 
 def det(a):
