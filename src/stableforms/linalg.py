@@ -97,7 +97,7 @@ def rref(m) -> tuple[Matrix, list[int]]:
         if r + 1 == nrows:
             break
     if exact:
-        a = [[Fraction(x, prev) for x in row] for row in a]
+        a = [[Fraction(x, prev) if x else Fraction(0) for x in row] for row in a]
     return a, pivots
 
 
@@ -217,21 +217,20 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
 
 
 def inverse(a) -> Matrix:
-    """Exact inverse, from the right half of ``rref`` of [ints | I]; ValueError if singular.
-
-    Rational rows are cleared first, row_i = ints_i * g_i / scale_i, so that no
-    common factor of a row enters the elimination: a^-1 = ints^-1 diag(scale / g).
-    """
+    """Exact inverse, ValueError on a singular matrix: rational rows are cleared,
+    row_i = ints_i * g_i / scale_i, and ``rref`` takes [ints | diag(scale)] to
+    [I | ints^-1 diag(scale)], so that no common factor g_i of a row enters the
+    elimination; column j of the right half over g_j is column j of a^-1."""
     n = len(a)
     try:
         rows = [_integer_row(row) for row in a]
     except TypeError:  # other entries (QuadExt) are reduced as they are
         rows = [(list(row), 1, 1) for row in a]
-    red, pivots = rref([ints + [int(i == j) for j in range(n)] for i, (ints, _, _) in enumerate(rows)])
+    red, pivots = rref([ints + [scale * (i == j) for j in range(n)]
+                        for i, (ints, _, scale) in enumerate(rows)])
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
-    factors = [Fraction(scale, g) for _, g, scale in rows]
-    return [[x * f for x, f in zip(row[n:], factors)] for row in red]
+    return [[x / g if g != 1 else x for x, (_, g, _) in zip(row[n:], rows)] for row in red]
 
 
 def det(a):
