@@ -238,6 +238,7 @@ class InnerProduct:
     dim: int
     gram: tuple
     _form: tuple = field(init=False, repr=False, compare=False)  # linalg._sparse(gram)
+    _inv: tuple | None = field(default=None, init=False, repr=False, compare=False)  # G^-1
 
     def __post_init__(self):
         g = self.gram
@@ -270,7 +271,10 @@ class InnerProduct:
         return _pair(self._form, u, v)
 
     def inverse_gram(self) -> list:
-        return _inverse([list(r) for r in self.gram])
+        """G^-1 as a fresh list of rows; the inverse is computed once per instance."""
+        if self._inv is None:
+            object.__setattr__(self, "_inv", tuple(map(tuple, _inverse([list(r) for r in self.gram]))))
+        return [list(r) for r in self._inv]
 
     def signature(self) -> tuple[int, int]:
         pos, neg, zero = inertia([list(r) for r in self.gram])

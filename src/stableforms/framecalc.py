@@ -19,7 +19,7 @@ nabla_u on the coframe is read from the Levi-Civita table of
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -61,6 +61,7 @@ class FrameModel:
     dim: int
     metric: tuple
     d1: dict
+    _ip: InnerProduct | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.metric) != self.dim or any(m * m != 1 for m in self.metric):
@@ -74,7 +75,10 @@ class FrameModel:
                 raise PreconditionError(f"d^2 e^{k} != 0; structure constants violate Jacobi")
 
     def ip(self) -> InnerProduct:
-        return InnerProduct.diagonal(list(self.metric))
+        """The diagonal metric, one instance per model, so its inverse is computed once."""
+        if self._ip is None:
+            object.__setattr__(self, "_ip", InnerProduct.diagonal(list(self.metric)))
+        return self._ip
 
     def vol(self) -> VolumeForm:
         return VolumeForm.standard(self.dim)

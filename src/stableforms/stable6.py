@@ -33,6 +33,15 @@ the divisor covectors of Omega + i hat(Omega) over Q(sqrt(lambda)); they are
 the (1,0)-covectors of J = K/sqrt(-lambda), so ``_canonicalize_complex``
 reads them off ker(K^T - sqrt(lambda)), a 6 x 6 system (Hitchin, *The
 geometry of three-forms in six dimensions*, 2000).
+
+``stabilizer_dim`` (dim 6 and 7) uses the exact stability criteria: a 3-form
+is stable, with a stabilizer of dimension n^2 - C(n, 3), exactly when
+lambda != 0 in dim 6 (Hitchin 2000) and det B != 0 in dim 7 (Hitchin,
+*Stable forms and special metrics*, 2001).  It reads lambda from the memo
+entry that ``k_endo`` fills (det B from ``stable7._det_b``) under the
+standard volume form.  Run first, as in ``cli classify``, it makes the entry
+that ``lambda_coeff`` and ``canonicalize6`` read next; only unstable forms
+build the C(n,3) x n^2 integer system and rank it.
 """
 
 from __future__ import annotations
@@ -112,11 +121,15 @@ def _check_shape(omega: AltForm, vol: VolumeForm):
 def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
     """K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol."""
     _check_shape(omega, vol)
-    c = vol.coefficient()
+    return KEndo(_k_memo(omega, vol.coefficient())[0], vol)
+
+
+def _k_memo(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
+    """The memo entry ("K", c) of omega, (K, lambda), made on first use."""
     entry = omega._memo.get(("K", c))
     if entry is None:
         entry = omega._memo[("K", c)] = _k_entry(omega, c)
-    return KEndo(entry[0], vol)
+    return entry
 
 
 def _k_entry(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
@@ -169,7 +182,7 @@ def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
 def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
     """(K, lambda) from the form's memo entry, which ``k_endo`` fills; lambda may be 0."""
     K = k_endo(omega, vol).K
-    _, lam = omega._memo[("K", vol.coefficient())]
+    _, lam = _k_memo(omega, vol.coefficient())
     return ScaledStructure(K, Lambda(lam, vol))
 
 
@@ -327,11 +340,34 @@ _PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
 def stabilizer_dim(form: AltForm) -> int:
     """dim { A in gl(V) : sum over slots of form(.., A v_k, ..) = 0 }.
 
-    Shared by the 6- and 7-dimensional classifications; the system is an
-    exact nullspace of size C(n,3) x n^2.
+    Shared by the 6- and 7-dimensional classifications.  A 3-form is stable,
+    its GL orbit open and its stabilizer of dimension n^2 - C(n, 3) (16 in
+    dim 6, 14 in dim 7), exactly when lambda != 0 in dim 6 (Hitchin, *The
+    geometry of three-forms in six dimensions*, 2000) and det B != 0 in dim 7
+    (Hitchin, *Stable forms and special metrics*, 2001).  The invariant is
+    read from the form's memo under the standard volume form, through
+    ``_k_memo`` or ``stable7._det_b``; against c e^{1..n} lambda scales by
+    1/c^2 and det B by 1/c^7, so the test does not depend on c.  Called
+    first, as ``cli classify`` does, it fills the entry that
+    ``lambda_coeff`` or ``q_form`` then reads; under another volume
+    coefficient (``--vol -1``) they build K or B a second time.  Only an
+    unstable form builds the C(n,3) x n^2 system and takes its exact rank.
     """
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
+    n = form.dim
+    if n == 6:
+        stable = _k_memo(form, Fraction(1))[1] != 0
+    else:
+        from .stable7 import _det_b  # stable7 imports this module
+        stable = _det_b(form, Fraction(1)) != 0
+    if stable:
+        return n * n - math.comb(n, 3)
+    return n * n - rank(_stabilizer_rows(form))
+
+
+def _stabilizer_rows(form: AltForm) -> list[list[int]]:
+    """The C(n,3) x n^2 integer system whose nullspace is the stabilizer algebra."""
     n = form.dim
     # form(e_x, e_y, e_z) for every ordered triple, as integer numerators over one
     # common denominator, which does not change the rank
@@ -349,4 +385,4 @@ def stabilizer_dim(form: AltForm) -> int:
             row[(p - 1) * n + (j - 1)] += coeff.get((i, p, k), 0)
             row[(p - 1) * n + (k - 1)] += coeff.get((i, j, p), 0)
         rows.append(row)
-    return n * n - rank(rows)
+    return rows

@@ -21,6 +21,16 @@ computes the signature of B once, through ``QForm.signature``.
 ``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
 passes the ones it printed to ``_canonicalize7``.  ``_orbit7`` is the one
 place that maps a signature to an orbit.
+
+det B has its own memo entry next to B, ``("det B", c)``, made on first
+read by ``_det_b``: ``_metric`` and ``_canonicalize7`` read it, and so does
+``stable6.stabilizer_dim``, because phi is stable, with a 14-dimensional
+stabilizer, exactly when det B != 0 (Hitchin, *Stable forms and special
+metrics*, 2001).  Run first, as in ``cli classify``, ``stabilizer_dim``
+makes B and det B under the standard volume form, and ``q_form`` and
+``canonicalize7`` read them; a classify operation takes one 7 x 7
+determinant.  Callers that need only the signature (``classify7``) take
+none.
 """
 
 from __future__ import annotations
@@ -64,11 +74,27 @@ def _check_shape(phi: AltForm, vol: VolumeForm):
 def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
-    c = vol.coefficient()
+    return QForm(_b_memo(phi, vol.coefficient()), vol)
+
+
+def _b_memo(phi: AltForm, c) -> tuple:
+    """The memo entry ("B", c) of phi, made on first use."""
     b = phi._memo.get(("B", c))
     if b is None:
         b = phi._memo[("B", c)] = _b_matrix(phi, c)
-    return QForm(b, vol)
+    return b
+
+
+def _det_b(phi: AltForm, c):
+    """det B against c e^{1..7}: the memo entry ("det B", c), made on first use.
+
+    Kept apart from ("B", c) so that callers that need only the signature
+    of B (``classify7``) never take the determinant.
+    """
+    d = phi._memo.get(("det B", c))
+    if d is None:
+        d = phi._memo[("det B", c)] = det([list(r) for r in _b_memo(phi, c)])
+    return d
 
 
 def _b_matrix(phi: AltForm, c) -> tuple:
@@ -122,16 +148,16 @@ class G2Metric:
 
 def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
     qf = q_form(phi, vol)
-    return _metric(qf, qf.signature())
+    return _metric(phi, qf, qf.signature())
 
 
-def _metric(qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
+def _metric(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
+    """The metric of ``metric_from_phi`` from B = ``q_form(phi, vol)`` and its signature."""
     orbit = _orbit7(signature)
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
     b = [list(r) for r in qf.B]
-    dB = det(b)
-    s9 = abs(dB) / Fraction(6) ** 7
+    s9 = abs(_det_b(phi, qf.vol.coefficient())) / Fraction(6) ** 7
     # exact when s9 is a perfect 9th power (a cube of a cube)
     scale = _ninth_root(s9)
     if scale is None:
@@ -241,7 +267,7 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
     u += [cross(u[i], u[3]) for i in range(3)]
     # (sgn B(u_a, u_a))^9 / n_a^18 = 36 |det B| = (6 s)^9 with s the metric scale
     norms = [sgn * ip.pair(v, v) for v in u]
-    d36 = 36 * abs(det([list(r) for r in qf.B]))
+    d36 = 36 * abs(_det_b(phi, qf.vol.coefficient()))
     frame = LinearMap.from_columns(u)
     terms = pullback(frame, phi).terms
     canonical = canonical_phi_minus().terms

@@ -20,6 +20,11 @@
   take the field loop).  ``q_form`` (a top-degree pairing) and
   ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
   versions.
+* ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7) and ranks
+  its system only when that invariant is 0, equals the rank of the
+  ``coeff``-built system (``ref_stabilizer_dim``) on c g^* forms of every
+  classify kind (c = +-1, +-p/q and tall +-10^40/q; |lambda| a square and not)
+  and on a normal form of each unstable orbit and its c g^* copies.
 * ``form_inner``, a pairing with the pullback by G^{-1}, equals the sum of
   one determinant per term pair it replaced (``ref_form_inner``) on dense
   indefinite Gram matrices in dims 4, 6 and 7.
@@ -461,6 +466,80 @@ def test_stabilizer_dim_matches_coeff_rows(rng):
         assert stabilizer_dim(form) == stabilizer_dim(scaled) == ref_stabilizer_dim(scaled)
 
 
+# -- stabilizer_dim from lambda and det B against the rank of its system ------
+
+def omega_d(d: int) -> AltForm:
+    """Re((e1 + r e4)(e2 + r e5)(e3 + r e6)) with r^2 = d, so lambda = 4 d^3: |lambda| is a
+    square exactly when |d| is; d = 1 is the 4-term Omega_plus, d = -1 Omega_minus."""
+    return alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): d, (2, 4, 6): -d, (3, 4, 5): d})
+
+
+def on_r7(form: AltForm) -> AltForm:
+    """A 3-form on R^6 placed on the first six coordinates of R^7."""
+    return alt_form(7, 3, dict(form.terms))
+
+
+# the kinds of the classify benchmark, with |lambda| a square and not -> stabilizer dimension
+CLASSIFY_KINDS = {
+    "6+": (canonical_omega_plus(), 16), "6+ lambda=32": (omega_d(2), 16),
+    "6-": (canonical_omega_minus(), 16), "6- lambda=-32": (omega_d(-2), 16),
+    "6d": (basis_form(6, 1, 2, 3), 26),
+    "7+": (canonical_phi_plus(), 14), "7-": (canonical_phi_minus(), 14),
+    "7d": (basis_form(7, 1, 2, 3), 36),
+}
+# a normal form of unstable orbits (lambda = 0, det B = 0) -> stabilizer dimension
+UNSTABLE_FORMS = {
+    "zero6": (AltForm.zero(6, 3), 36),
+    "e123 in R6": (basis_form(6, 1, 2, 3), 26),
+    "e1^(e23+e45)": (alt_form(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1}), 21),
+    "e135+e146+e236": (alt_form(6, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1}), 17),
+    "zero7": (AltForm.zero(7, 3), 49),
+    "e123 in R7": (basis_form(7, 1, 2, 3), 36),
+    "e1^(e23+e45+e67)": (alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1}), 28),
+    "e123+e456": (alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}), 23),
+    "Omega+ in R7": (on_r7(omega_d(1)), 23),
+    "Omega- in R7": (on_r7(canonical_omega_minus()), 23),
+}
+
+
+def scales(rng: random.Random) -> list:
+    """c = +-1, +-p/q and a tall +-(10^40 + k)/q."""
+    small = Fraction(rng.randint(1, 99), rng.randint(1, 99))
+    tall = Fraction(10 ** 40 + rng.randrange(10 ** 39), rng.randint(1, 9))
+    return [sign * c for c in (Fraction(1), small, tall) for sign in (1, -1)]
+
+
+def stability_invariant(form: AltForm):
+    """lambda in dim 6, det B in dim 7, under the standard volume form."""
+    vol = VolumeForm.standard(form.dim)
+    if form.dim == 6:
+        return lambda_coeff(form, vol).value
+    return det([list(r) for r in q_form(form, vol).B])
+
+
+@pytest.mark.parametrize("kind", sorted(CLASSIFY_KINDS))
+def test_stabilizer_dim_of_classify_kinds_matches_rank(kind, rng):
+    base, expected = CLASSIFY_KINDS[kind]
+    for _ in range(2):
+        g = random_invertible(rng, base.dim)
+        for c in scales(rng):
+            form = c * pullback(g, base)
+            assert stabilizer_dim(form) == ref_stabilizer_dim(form) == expected
+            assert (stability_invariant(form) != 0) == (expected in (16, 14))
+            if kind.startswith("6") and expected == 16:
+                root = sqrt_fraction(abs(lambda_coeff(form, VolumeForm.standard(6)).value))
+                assert (root is None) == kind.endswith("32")
+
+
+@pytest.mark.parametrize("name", sorted(UNSTABLE_FORMS))
+def test_stabilizer_dim_of_unstable_orbits_matches_rank(name, rng):
+    base, expected = UNSTABLE_FORMS[name]
+    g = random_invertible(rng, base.dim)
+    for form in [base] + [c * pullback(g, base) for c in scales(rng)]:
+        assert stability_invariant(form) == 0
+        assert stabilizer_dim(form) == ref_stabilizer_dim(form) == expected
+
+
 # -- the structure-constant kernel against the doubling recursion ------------
 
 COORD_KINDS = KINDS + ["quadext", "float"]
@@ -578,6 +657,9 @@ def test_pair_matches_the_dense_sum(kind, rng):
 def test_cached_entries_leave_eq_hash_and_repr_alone():
     gram = ((Fraction(2), Fraction(1)), (Fraction(1), Fraction(1)))
     ip = InnerProduct(2, gram)
+    inv = ip.inverse_gram()  # fills the cached inverse
+    inv[0][0] = Fraction(7)  # a fresh copy: the cache is not changed through it
+    assert ip.inverse_gram() == [[1, -1], [-1, 2]] and ip.inverse_gram() is not ip.inverse_gram()
     assert ip == InnerProduct.from_rows([[2, 1], [1, 1]])
     assert hash(ip) == hash((2, gram))
     assert repr(ip) == f"InnerProduct(dim=2, gram={gram!r})"
@@ -687,7 +769,7 @@ def ref_canonicalize7(phi: AltForm, vol: VolumeForm) -> tuple[list, float]:
     Gram-Schmidt, cross product, inverse and residual (the helpers below)."""
     qf = q_form(phi, vol)
     signature = qf.signature()
-    gm = _metric(qf, signature)
+    gm = _metric(phi, qf, signature)
     gram = [[float(x) for x in row] for row in gm.ip.gram]
     frame = ref_gram_schmidt_floats(gram)
     phif = {idx: float(c) for idx, c in phi.terms.items()}

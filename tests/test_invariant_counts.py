@@ -3,7 +3,9 @@
 K (stable6.k_endo), B (stable7.q_form) and the signature of B
 (stable7.inertia) are the expensive invariants; framecalc's special-balanced
 check guards every G2 computation.  The counts below are the number of
-times one public call runs each of them.
+times one public call runs each of them.  ``stabilizer_dim`` reads lambda or
+det B from the same per-form memo and ranks its system only for unstable
+forms; a frame model inverts each Gram matrix once.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
@@ -11,18 +13,22 @@ structure constants is built, once per tag per process, and never at import.
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import os
+import random
 import subprocess
 import sys
 import tempfile
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from conftest import G6, G7
-from stableforms import bridge, cli, compalg, framecalc, stable6, stable7, vcp
+from stableforms import bridge, cli, compalg, exteralg, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
 
@@ -31,6 +37,7 @@ VOL7 = VolumeForm.standard(7)
 OMEGA_PLUS = pullback(G6, stable6.canonical_omega_plus())
 OMEGA_MINUS = pullback(G6, stable6.canonical_omega_minus())
 PHI_MINUS = pullback(G7, stable7.canonical_phi_minus())
+PHI_PLUS = pullback(G7, stable7.canonical_phi_plus())
 DIRECTION = alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 6): -2})
 F_PRIMITIVE = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
 IP_MINUS = bridge.synthesize_compatible_ip(stable6.scaled_structure(OMEGA_MINUS, VOL6))
@@ -162,6 +169,95 @@ def test_memo_matches_a_fresh_form_under_every_volume():
     assert (repr(omega), repr(phi)) == text
     assert omega == fresh(omega) and phi == fresh(phi) and omega != phi
     assert "_memo" not in repr(omega)
+
+
+# stabilizer_dim reads lambda (dim 6) or det B (dim 7) from the same memo: a
+# stable form builds no rank system, and in the order of a classify operation
+# (stabilizer_dim first) K or B is still built once and det B taken once.
+
+@pytest.fixture
+def ranks(monkeypatch):
+    systems = []
+    monkeypatch.setattr(stable6, "rank", lambda rows, _orig=stable6.rank:
+                        systems.append(rows) or _orig(rows))
+    return systems
+
+
+@pytest.fixture
+def dets(monkeypatch):
+    """Determinants taken by stable7, whose only one is det B."""
+    matrices = []
+    monkeypatch.setattr(stable7, "det", lambda m, _orig=stable7.det: matrices.append(m) or _orig(m))
+    return matrices
+
+
+def test_stable_forms_make_no_rank_call(ranks):
+    for form in (OMEGA_PLUS, OMEGA_MINUS, PHI_MINUS, PHI_PLUS):
+        assert stable6.stabilizer_dim(fresh(form)) == form.dim ** 2 - math.comb(form.dim, 3)
+    assert not ranks
+    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1})) == 36  # unstable: one system
+    assert len(ranks) == 1
+
+
+def spread_form(seed: int = 7) -> AltForm:
+    """A dense 3-form on R^7 whose coefficients (p/q) 10^e spread over |e| <= 200."""
+    rng = random.Random(seed)
+    return alt_form(7, 3, {idx: Fraction(rng.choice((-1, 1)) * rng.randint(1, 999),
+                                         rng.randint(1, 999)) * Fraction(10) ** rng.randint(-200, 200)
+                           for idx in itertools.combinations(range(1, 8), 3)})
+
+
+def test_spread_coefficients_take_no_rank(ranks, dets):
+    """The rank of this form's 35 x 49 system grows Bareiss entries to thousands of
+    digits and takes seconds; its det B != 0 settles the answer."""
+    assert stable6.stabilizer_dim(spread_form()) == 14
+    assert not ranks and len(dets) == 1
+
+
+def test_stabilizer_dim_shares_k_with_classify(contractions, ranks):
+    omega = fresh(OMEGA_MINUS)
+    stable6.stabilizer_dim(omega)
+    stable6.lambda_coeff(omega, VOL6)
+    stable6.canonicalize6(omega, VOL6)
+    assert contractions == {"stable6": 6}  # one K
+    assert not ranks
+
+
+def test_stabilizer_dim_shares_b_and_det_b_with_classify(contractions, ranks, dets):
+    phi = fresh(PHI_MINUS)
+    stable6.stabilizer_dim(phi)
+    stable7.q_form(phi, VOL7).signature()
+    stable7.classify7(phi, VOL7)
+    stable7.canonicalize7(phi, VOL7)
+    stable7.metric_from_phi(phi, VOL7)
+    assert contractions == {"stable7": 7}  # one B
+    assert len(dets) == 1 and not ranks
+
+
+def test_det_b_is_taken_only_when_read(dets):
+    phi = fresh(PHI_MINUS)
+    stable7.q_form(phi, VOL7)
+    stable7.classify7(phi, VOL7)
+    assert not dets
+    stable7.canonicalize7(phi, VOL7)
+    assert len(dets) == 1
+
+
+def test_one_inverse_per_gram_matrix(monkeypatch):
+    """make_circle_bundle + classify_g2 + nabla_phi, the construct frame.g2 operation,
+    inverts the Gram matrices of the base and of the total space once each."""
+    inverted = Counter()
+    for module, name in ((exteralg, "_inverse"), (bridge, "inverse"), (vcp, "inverse")):
+        def counting(m, _orig=getattr(module, name)):
+            inverted[tuple(map(tuple, m))] += 1
+            return _orig(m)
+        monkeypatch.setattr(module, name, counting)
+    cb = framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE)
+    su3 = framecalc.standard_su3()
+    framecalc.classify_g2(cb, su3)
+    framecalc.nabla_phi(cb, su3)
+    assert sorted(len(m) for m in inverted) == [6, 7]
+    assert set(inverted.values()) == {1}
 
 
 def exercise_algebras():

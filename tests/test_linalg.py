@@ -153,12 +153,14 @@ GOLDEN_FORMS = {name: parse_form_document(doc) for name, doc in DOCS.items()
 
 @pytest.mark.parametrize("scale", [Fraction(1), Fraction(10 ** 40 + 1, 3)], ids=["normal", "tall"])
 @pytest.mark.parametrize("name", sorted(GOLDEN_FORMS))
-def test_golden_stabilizer_systems(name, scale, monkeypatch):
-    """The rows that ``stabilizer_dim`` hands to ``rank``, at normal and tall scale."""
-    systems = []
-    monkeypatch.setattr(stable6, "rank", lambda rows: systems.append(rows) or rank(rows))
-    stable6.stabilizer_dim(scale * GOLDEN_FORMS[name])
-    assert rank(systems[0]) == reference_rank(systems[0])
+def test_golden_stabilizer_systems(name, scale):
+    """The stabilizer system of each golden form, at normal and tall scale: ``rank``
+    agrees with the reference, and ``stabilizer_dim`` (which builds the system only
+    for unstable forms) agrees with n^2 minus that rank."""
+    form = scale * GOLDEN_FORMS[name]
+    rows = stable6._stabilizer_rows(form)
+    assert rank(rows) == reference_rank(rows)
+    assert stable6.stabilizer_dim(form) == form.dim ** 2 - rank(rows)
 
 
 def test_non_rational_entries_rejected():
