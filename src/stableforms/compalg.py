@@ -10,8 +10,8 @@ in an algebra runs the rule once on every pair of int unit vectors and
 keeps the n x n table of (k, s) for its doubling signs (``_table``), and the
 tables are snapshot tested downstream.  ``multiply`` clears both operands
 to integer numerators over one denominator each and makes one pass over the
-table; coordinates that are not int or Fraction (QuadExt, float) take the
-same pass with field arithmetic.
+table; coordinates that are not int or Fraction (floats, quadratic
+irrationals) take the same pass as they are.
 """
 
 from __future__ import annotations

@@ -18,10 +18,10 @@ common denominator (the lcm of its denominators), the loops multiply and add
 Python ints only, and each output term becomes one ``Fraction``.  The wedge
 merge sign comes from the bitmap representation of multi-indices (bit i-1
 for index i; Dorst, Fontijne and Mann, *Geometric Algebra for Computer
-Science*, ch. 19).  When any coefficient or matrix entry is not an int or a
-Fraction, the same loops run on the values themselves with field
-arithmetic, so forms over a quadratic extension (QuadExt coefficients) work
-throughout.
+Science*, ch. 19).  On other values (the floats of ``stable7.canonicalize7``)
+``wedge``, ``contract`` and the minors of ``pullback`` up to 3 x 3 run as
+they are; larger minors, ``det``, ``inverse`` and ``divisor_space`` take
+rational entries only, in ``linalg``, and raise TypeError on others.
 """
 
 from __future__ import annotations

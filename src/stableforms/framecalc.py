@@ -27,7 +27,7 @@ from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
                        contract, form_inner, hodge_star, is_decomposable, sort_index, wedge)
 from .linalg import mat_mul
-from .stable7 import _float_root
+from .scalars import _float_root
 
 
 class PreconditionError(ValueError):
@@ -445,7 +445,7 @@ class HitchinValue:
 def hitchin_eval(model: FrameModel, omega: AltForm) -> HitchinValue:
     """sqrt(|lambda|) per unit frame volume, with the exact lambda alongside.
 
-    The root is taken from the exact lambda (``stable7._float_root``), so the
+    The root is taken from the exact lambda (``scalars._float_root``), so the
     density is right at every size of lambda whose root is a normal float and
     raises OverflowError beyond that.
     """
@@ -456,7 +456,7 @@ def hitchin_eval(model: FrameModel, omega: AltForm) -> HitchinValue:
 
 
 def _abs_root(x: Fraction) -> float:
-    """sqrt|x| for an exact rational x, through ``stable7._float_root``; 0.0 at x = 0."""
+    """sqrt|x| for an exact rational x, through ``scalars._float_root``; 0.0 at x = 0."""
     return _float_root(abs(x), 2) if x else 0.0
 
 

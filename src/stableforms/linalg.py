@@ -1,23 +1,24 @@
-"""Exact dense linear algebra over the rationals (or a quadratic extension).
+"""Exact dense linear algebra over the rationals, on one integer kernel.
 
-Matrices are lists of row lists.  Three eliminations do all the work:
+Matrices are lists of row lists with int or Fraction entries; the
+eliminations raise TypeError on any other entry (a float, a quadratic
+irrational), so none reaches an integer division.  Rows are cleared to
+integers, and two eliminations do all the work:
 
-* ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``:
-  rational rows are cleared to integers and reduced fraction-free, other
-  entries (QuadExt, float) with field division.
+* ``rref``, the one Gauss-Jordan loop, fraction-free, under ``nullspace``
+  and ``inverse``;
 * ``_bareiss``, the one fraction-free Gaussian elimination, under ``rank``,
-  every ``det`` and the larger pullback minors of ``exteralg``: ``//`` on
-  int entries, ``/`` on any other.
-* ``inertia``, a congruence diagonalization of a symmetric matrix.
+  every ``det`` and the larger pullback minors of ``exteralg``.
 
-All are exact on int entries: ``det`` returns an int there and a Fraction
-on other rational entries, ``rref``, ``nullspace`` and ``inverse`` return
-Fractions.  ``_clear`` (integer numerators over one common denominator) and
-``_pair`` (a bilinear form summed over its nonzero coefficients only) are
-the integer kernel of ``exteralg``, ``compalg``, ``mat_mul`` and ``mat_vec``.
-This module is exact only, with no float conversion or float function (a
-hygiene test checks it); the 7-dimensional metric and canonical frame take
-their float roots in ``stable7``.
+``inertia`` diagonalizes a symmetric matrix by congruence over Fractions.
+``det`` returns an int on int entries and a Fraction on other rational ones;
+``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
+numerators over one common denominator) and ``_pair`` (a bilinear form
+summed over its nonzero coefficients only) are the integer kernel of
+``exteralg``, ``compalg``, ``mat_mul`` and ``mat_vec``; ``_clear`` hands any
+other values back unchanged, for the one float caller, the residual pullback
+of ``stable7.canonicalize7``.  This module is exact only, with no float
+conversion or float function (a hygiene test checks it).
 """
 
 from __future__ import annotations
@@ -28,11 +29,6 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Matrix = list
-
-
-def _exact_copy(m) -> Matrix:
-    """A copy with int entries as Fractions, so field division stays exact."""
-    return [[Fraction(x) if type(x) is int else x for x in row] for row in m]
 
 
 def transpose(m) -> Matrix:
@@ -63,17 +59,13 @@ def mat_vec(a, v) -> list:
 def rref(m) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form and the list of pivot columns.
 
-    Rational rows are cleared to coprime integers for fraction-free
-    Gauss-Jordan elimination (Bareiss 1968; Nakos, Turner and Williams 1997):
-    at pivot p every other row becomes (p * row - row[c] * pivot_row) //
-    previous pivot, exact since its entries are then minors, so the rows end
-    as d times the reduced form, d the last pivot.  Other entries (QuadExt,
-    float; int entries among them become Fractions) take field division.
+    The rows are cleared to coprime integers for fraction-free Gauss-Jordan
+    elimination (Bareiss 1968; Nakos, Turner and Williams 1997): at pivot p
+    every other row becomes (p * row - row[c] * pivot_row) // previous pivot,
+    exact since its entries are then minors, so the rows end as d times the
+    reduced form, d the last pivot.
     """
-    try:
-        a, exact = [ints for ints, _, _ in map(_integer_row, m)], True
-    except TypeError:
-        a, exact = _exact_copy(m), False
+    a = [ints for ints, _, _ in map(_integer_row, m)]
     nrows, ncols = len(a), len(a[0]) if a else 0
     pivots, prev = [], 1
     for c in range(ncols):
@@ -82,23 +74,16 @@ def rref(m) -> tuple[Matrix, list[int]]:
         if pivot is None:
             continue
         a[r], a[pivot] = a[pivot], a[r]
-        p = a[r][c]
-        if not exact:
-            a[r] = [x / p for x in a[r]]
-        top = a[r]
+        p, top = a[r][c], a[r]
         for i, row in enumerate(a):
-            f = row[c]
-            if i != r and exact:
+            if i != r:
+                f = row[c]
                 a[i] = [(p * x - f * y) // prev for x, y in zip(row, top)]
-            elif i != r and f != 0:
-                a[i] = [x - f * y for x, y in zip(row, top)]
         prev = p
         pivots.append(c)
         if r + 1 == nrows:
             break
-    if exact:
-        a = [[Fraction(x, prev) if x else Fraction(0) for x in row] for row in a]
-    return a, pivots
+    return [[Fraction(x, prev) if x else Fraction(0) for x in row] for row in a], pivots
 
 
 def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
@@ -106,7 +91,8 @@ def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
 
     Returns the numerator lists and those lcms.  Unless every value is an int
     or a Fraction, the values come back unchanged with no denominators, and
-    the caller's loop runs on them with field arithmetic (QuadExt, float).
+    the caller's loop runs on them as they are (floats, in the residual
+    pullback of ``stable7.canonicalize7``).
     """
     groups = [list(g) for g in groups]
     if not all(isinstance(x, (int, Fraction)) for g in groups for x in g):
@@ -115,16 +101,12 @@ def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
     return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
 
 
-def _sparse(m) -> tuple[tuple, int | None]:
-    """The nonzero entries (i, j, c) of a square matrix and their common denominator.
-
-    As in ``_clear``: c is an integer numerator over the denominator, or, on
-    entries that are not all int or Fraction, the entry itself with None.
-    """
-    (nums,), dens = _clear(x for row in m for x in row)
+def _sparse(m) -> tuple[tuple, int]:
+    """The nonzero entries (i, j, c) of a square rational matrix, each c an
+    integer numerator over the common denominator returned with them."""
+    (nums,), (den,) = _clear(x for row in m for x in row)
     n = len(m)
-    entries = tuple((k // n, k % n, c) for k, c in enumerate(nums) if c)
-    return entries, dens[0] if dens else None
+    return tuple((k // n, k % n, c) for k, c in enumerate(nums) if c), den
 
 
 def _bilinear(entries: tuple, u: Sequence, v: Sequence):
@@ -135,17 +117,14 @@ def _bilinear(entries: tuple, u: Sequence, v: Sequence):
 def _pair(form: tuple, u: Sequence, v: Sequence):
     """u^T M v for ``form = _sparse(M)``, summed over the nonzero entries of M only.
 
-    A Fraction on rational input, from one sum of integer products; any other
-    coordinate or coefficient (QuadExt, float) takes the same sum with field
-    arithmetic.
+    A Fraction on rational u and v, from one sum of integer products; other
+    coordinates (floats) take the same sum as they are.
     """
     entries, den = form
-    if den is not None:
-        (cu, cv), dens = _clear(u, v)
-        if dens is not None:
-            return Fraction(_bilinear(entries, cu, cv), den * dens[0] * dens[1])
-        entries = [(i, j, Fraction(c, den)) for i, j, c in entries]
-    return _bilinear(entries, u, v)
+    (cu, cv), dens = _clear(u, v)
+    if dens is not None:
+        return Fraction(_bilinear(entries, cu, cv), den * dens[0] * dens[1])
+    return _bilinear([(i, j, Fraction(c, den)) for i, j, c in entries], u, v)
 
 
 def _integer_row(row) -> tuple[list[int], int, int]:
@@ -160,19 +139,17 @@ def _integer_row(row) -> tuple[list[int], int, int]:
 
 
 def _bareiss(rows: list, det: bool = False):
-    """Rank of a matrix, or with det=True the determinant of a square one.
+    """Rank of an int matrix, or with det=True the determinant of a square one.
 
     Fraction-free elimination (Bareiss 1968): after a pivot p in the leading
-    column, every other row becomes (p * row - row[0] * pivot_row) / previous
-    pivot, exact as its entries are then minors (Sylvester's identity); ``//``
-    on int entries, field division on others, int entries among them made
-    Fractions first.  Vanishing rows are dropped and pivot-free columns
-    skipped (with det=True such a column gives a zero); at full rank the
-    last pivot, signed by the row order, is the determinant.
+    column, every other row becomes (p * row - row[0] * pivot_row) // previous
+    pivot, exact as its entries are then minors (Sylvester's identity).  Any
+    entry that is not an int raises TypeError.  Vanishing rows are dropped
+    and pivot-free columns skipped (with det=True such a column gives 0); at
+    full rank the last pivot, signed by the row order, is the determinant.
     """
-    exact = {type(x) for row in rows for x in row} == {int}
-    if not exact:
-        rows = _exact_copy(rows)
+    if not all(type(x) is int for row in rows for x in row):
+        raise TypeError("the fraction-free elimination takes int entries only")
     n, r, prev, sign = len(rows), 0, 1, 1
     rows = [row for row in rows if any(row)]
     while rows:
@@ -181,21 +158,20 @@ def _bareiss(rows: list, det: bool = False):
                 break
         else:  # no pivot in this column: every row is nonzero further right
             if det:
-                return 0 * prev
+                return 0
             rows = [row[1:] for row in rows]
             continue
         pivot = rows.pop(i)
         sign = -sign if i & 1 else sign  # moving row i to the front takes i transpositions
         p, tail = pivot[0], pivot[1:]
-        updated = ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] if exact
-                   else [(p * x - row[0] * y) / prev for x, y in zip(row[1:], tail)] for row in rows)
+        updated = ([(p * x - row[0] * y) // prev for x, y in zip(row[1:], tail)] for row in rows)
         rows = [new for new in updated if any(new)]
         prev, r = p, r + 1
-    return (sign * prev if r == n else 0 * prev) if det else r
+    return (sign * prev if r == n else 0) if det else r
 
 
 def rank(m) -> int:
-    """Rank of a matrix with int or Fraction entries; others raise TypeError (see ``rref``)."""
+    """Rank of a matrix with int or Fraction entries."""
     return _bareiss([ints for ints, _, _ in map(_integer_row, m)])
 
 
@@ -217,15 +193,12 @@ def nullspace(m, ncols: int | None = None) -> list[list]:
 
 
 def inverse(a) -> Matrix:
-    """Exact inverse, ValueError on a singular matrix: rational rows are cleared,
+    """Exact inverse, ValueError on a singular matrix: the rows are cleared,
     row_i = ints_i * g_i / scale_i, and ``rref`` takes [ints | diag(scale)] to
     [I | ints^-1 diag(scale)], so that no common factor g_i of a row enters the
     elimination; column j of the right half over g_j is column j of a^-1."""
     n = len(a)
-    try:
-        rows = [_integer_row(row) for row in a]
-    except TypeError:  # other entries (QuadExt) are reduced as they are
-        rows = [(list(row), 1, 1) for row in a]
+    rows = [_integer_row(row) for row in a]
     red, pivots = rref([ints + [scale * (i == j) for j in range(n)]
                         for i, (ints, _, scale) in enumerate(rows)])
     if pivots[:n] != list(range(n)):
@@ -236,13 +209,9 @@ def inverse(a) -> Matrix:
 def det(a):
     """Exact determinant: an int on int entries, a Fraction on other rational ones.
 
-    Rational rows are cleared, row_i = ints_i * g_i / scale_i, for ``_bareiss``;
-    other entries (QuadExt) go to it as they are, and it divides in their field.
+    The rows are cleared, row_i = ints_i * g_i / scale_i, for ``_bareiss``.
     """
-    try:
-        cleared = [_integer_row(row) for row in a]
-    except TypeError:
-        return _bareiss(a, det=True)
+    cleared = [_integer_row(row) for row in a]
     num = _bareiss([ints for ints, _, _ in cleared], det=True) * math.prod(g for _, g, _ in cleared)
     den = math.prod(scale for _, _, scale in cleared)
     ints = den == 1 and all(isinstance(x, int) for row in a for x in row)
@@ -257,7 +226,7 @@ def inertia(sym) -> tuple[int, int, int]:
     usable pivot (the standard hyperbolic-block trick).
     """
     n = len(sym)
-    a = _exact_copy(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
     alive = list(range(n))
     pos = neg = zero = 0
     while alive:

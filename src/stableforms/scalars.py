@@ -2,13 +2,15 @@
 
 Every coefficient in this package is an exact rational number unless a module
 explicitly documents otherwise.  Where a square root of a rational D is
-unavoidable (canonical bases of stable forms, scaled hats) we compute in the
-quadratic extension Q(sqrt(D)) via :class:`QuadExt` instead of floating point.
+unavoidable, canonical bases of stable 6-forms have entries in the quadratic
+extension Q(sqrt(D)) (:class:`QuadExt`); ``_float_root`` takes float roots of
+exact rationals at every size.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -82,6 +84,23 @@ def cbrt_fraction(x: Fraction) -> Fraction | None:
     if pn is None or pd is None:
         return None
     return Fraction(pn, pd)
+
+
+def _float_root(x: Fraction, k: int) -> float:
+    """x^(1/k) for a rational x > 0, as a normal float whatever the size of x.
+
+    The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
+    so neither float(y) nor its root leaves the float range; ldexp puts 2^e
+    back.  A root outside the normal float range raises OverflowError.  For
+    k = 2 the root is math.sqrt, so wherever x and its root are normal floats
+    the result is math.sqrt(float(x)) bit for bit.
+    """
+    e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
+    y = float(x / Fraction(2) ** (k * e))
+    r = math.ldexp(math.sqrt(y) if k == 2 else y ** (1 / k), e)  # raises past the top
+    if r < sys.float_info.min:
+        raise OverflowError(f"root of order {k} below the normal float range")
+    return r
 
 
 @dataclass(frozen=True)
@@ -189,12 +208,6 @@ class QuadExt:
         if self.D < 0 and self.b != 0:
             raise ValueError("imaginary QuadExt has no float value")
         return float(self.a) + float(self.b) * math.sqrt(float(self.D))
-
-    def rational(self) -> Fraction:
-        """The value as a Fraction; raises if the irrational part is nonzero."""
-        if self.b != 0:
-            raise ValueError("not a rational element")
-        return self.a
 
     def __repr__(self):
         return f"({rat_str(self.a)}+{rat_str(self.b)}*sqrt({rat_str(self.D)}))"

@@ -16,32 +16,26 @@ whose real part is Omega.  The classical 4-term displays of the canonical
 forms are adapted to the *complex* orientation of their frame, which is the
 negative of the lexicographic one; ``adapted_vol6()`` provides it.
 
-K and lambda are computed once per form, not once per public call:
-``k_endo`` keeps them in the form's private ``AltForm._memo``, keyed by
-``vol.coefficient()`` (the only thing K takes from vol), with K squared and
-K^2 = lambda Id checked once, when the entry is made.  So ``lambda_coeff``,
-``classify6`` and ``canonicalize6`` on one form object build and square K
-once between them.  The memo is safe under concurrent use: a form's terms
-never change, so two threads that miss together compute the same entry and
-one of the equal values is kept.  ``_structure`` reads (K, lambda) from that
-entry for ``lambda_coeff`` and ``scaled_structure``; ``hat`` and
-``canonicalize6`` build one ``ScaledStructure`` and pass it to the private
-``_hat`` (and to ``_canonicalize6``); ``cli classify`` builds it with
-``_structure``, which also accepts lambda = 0.  ``_orbit6`` is the one place
-that maps sign(lambda) to an orbit.  The complex canonical basis comes from
-the divisor covectors of Omega + i hat(Omega) over Q(sqrt(lambda)); they are
-the (1,0)-covectors of J = K/sqrt(-lambda), so ``_canonicalize_complex``
-reads them off ker(K^T - sqrt(lambda)), a 6 x 6 system (Hitchin, *The
-geometry of three-forms in six dimensions*, 2000).
+K and lambda are computed once per form: ``k_endo`` keeps them in the
+form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c.  K is
+built and K^2 = lambda Id checked under c = 1 only; the entry for another c
+is K/c with lambda/c^2.  The memo is safe under concurrent use: a form's
+terms never change, so two threads that miss together compute equal entries.
+``_structure`` reads (K, lambda), lambda = 0 included, for ``lambda_coeff``,
+``scaled_structure`` and ``cli classify``; one ``ScaledStructure`` is passed
+on to ``_hat`` and ``_canonicalize6``.  ``_orbit6`` maps sign(lambda) to an orbit.
 
-``stabilizer_dim`` (dim 6 and 7) uses the exact stability criteria: a 3-form
-is stable, with a stabilizer of dimension n^2 - C(n, 3), exactly when
-lambda != 0 in dim 6 (Hitchin 2000) and det B != 0 in dim 7 (Hitchin,
-*Stable forms and special metrics*, 2001).  It reads lambda from the memo
-entry that ``k_endo`` fills (det B from ``stable7._det_b``) under the
-standard volume form.  Run first, as in ``cli classify``, it makes the entry
-that ``lambda_coeff`` and ``canonicalize6`` read next; only unstable forms
-build the C(n,3) x n^2 integer system and rank it.
+The canonical frames come from eigenspaces of K over Q(sqrt(lambda))
+(Hitchin, *The geometry of three-forms in six dimensions*, 2000): the
+(1,0)-covectors of J span ker(K^T - sqrt(lambda)), and L splits V into
+ker(K -+ sqrt(lambda)).  When sqrt(lambda) is irrational ``_root_kernel``
+returns them as rational pairs (a, b), meaning a + sqrt(lambda) b, so every
+elimination and check runs over Q; QuadExt is only the scalar type of a few
+normalizing factors and of the returned basis.
+
+``stabilizer_dim`` (dim 6 and 7) uses the exact stability criteria, lambda
+!= 0 in dim 6 (Hitchin 2000) and det B != 0 in dim 7 (Hitchin, *Stable
+forms and special metrics*, 2001); only unstable forms rank a system.
 """
 
 from __future__ import annotations
@@ -52,9 +46,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import AltForm, LinearMap, VolumeForm, alt_form, contract, pullback, wedge
+from .exteralg import AltForm, LinearMap, VolumeForm, _minor, alt_form, contract, pullback, wedge
 from .linalg import _clear, mat_mul, nullspace, rank, transpose
-from .scalars import QuadExt, sqrt_fraction
+from .scalars import QuadExt, _float_root, sqrt_fraction
 
 
 class NotStableError(ValueError):
@@ -95,20 +89,41 @@ class ScaledStructure:
         return self.lam.value > 0
 
     def eigenspace(self, sign: int) -> list[list]:
-        """Basis of ker(K - sign*sqrt(lambda)) in the paracomplex case."""
+        """Basis of ker(K - sign*sqrt(lambda)) in the paracomplex case (QuadExt or over Q)."""
         if not self.is_para:
             raise NotStableError("real eigenspaces exist only in the paracomplex case")
-        s = sqrt_fraction(self.lam.value)
+        lam, m = self.lam.value, self.K.matrix
+        s = sqrt_fraction(lam)
         if s is None:
-            s = QuadExt.root(self.lam.value)
-        return _shifted_kernel(self.K.matrix, sign * s)
+            return [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in _root_kernel(m, lam, sign)]
+        return nullspace([[x - sign * s * (i == j) for j, x in enumerate(row)]
+                          for i, row in enumerate(m)], ncols=len(m))
 
 
-def _shifted_kernel(m, mu) -> list[list]:
-    """Basis of ker(m - mu Id) for a square matrix m, computed over the field of mu."""
-    n = len(m)
-    return nullspace([[m[i][j] - (mu if i == j else 0 * mu) for j in range(n)] for i in range(n)],
-                     ncols=n)
+def _root_kernel(m, lam: Fraction, sigma: int) -> list[tuple[list, list]]:
+    """ker(m - sigma sqrt(lam)), lam not a square, as pairs (a, b) meaning a + sqrt(lam) b.
+
+    x + sqrt(lam) y is in it when m x - sigma lam y = 0 = m y - sigma x, a
+    system over Q in x_1, y_1, x_2, ... whose kernel is closed under
+    (x, y) -> (lam y, x): its pivots pair up, (x_p, y_p) at each pivot over
+    Q(sqrt(lam)), and its free x-columns give the ``nullspace`` basis there.
+    """
+    rows = []
+    for i, row in enumerate(m):
+        rows.append([z for j, x in enumerate(row) for z in (x, -sigma * lam * (i == j))])
+        rows.append([z for j, x in enumerate(row) for z in (-sigma * (i == j), x)])
+    return [(v[0::2], v[1::2]) for v in nullspace(rows, ncols=2 * len(m))[0::2]]
+
+
+def _times(q: QuadExt, a: list, b: list) -> tuple[list, list]:
+    """The pair of q (a + sqrt(D) b), for q = q.a + sqrt(D) q.b."""
+    return [q.a * x + q.D * q.b * y for x, y in zip(a, b)], [q.a * y + q.b * x for x, y in zip(a, b)]
+
+
+def _re_im(lam: Fraction) -> tuple[AltForm, AltForm]:
+    """Re and Im/sqrt(lam) of the wedge of e^k + sqrt(lam) e^(k+3) over k = 1, 2, 3."""
+    return (alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): lam, (2, 4, 6): -lam, (3, 4, 5): lam}),
+            alt_form(6, 3, {(1, 2, 6): 1, (1, 3, 5): -1, (2, 3, 4): 1, (4, 5, 6): lam}))
 
 
 def _check_shape(omega: AltForm, vol: VolumeForm):
@@ -125,15 +140,18 @@ def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
 
 
 def _k_memo(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
-    """The memo entry ("K", c) of omega, (K, lambda), made on first use."""
+    """The memo entry ("K", c) of omega, (K, lambda), made on first use; K/c and
+    lambda/c^2 from the entry at c = 1."""
     entry = omega._memo.get(("K", c))
     if entry is None:
-        entry = omega._memo[("K", c)] = _k_entry(omega, c)
+        K, lam = _k_entry(omega) if c == 1 else _k_memo(omega, 1)
+        K = K if c == 1 else LinearMap.from_rows([[x / c for x in row] for row in K.matrix])
+        entry = omega._memo[("K", c)] = (K, lam / c ** 2)
     return entry
 
 
-def _k_entry(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
-    """K of omega against the volume form c e^{1..6}, and lambda = tr(K^2)/6.
+def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
+    """K of omega against the standard volume form e^{1..6}, and lambda = tr(K^2)/6.
 
     K is squared once, here, and K^2 = lambda Id checked exactly.
     """
@@ -144,7 +162,7 @@ def _k_entry(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
         col = []
         for i in range(1, 7):
             comp = tuple(k for k in range(1, 7) if k != i)
-            col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)) / c)
+            col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)))
         cols.append(col)
     K = LinearMap.from_columns(cols)
     k2 = mat_mul(K.matrix, K.matrix)
@@ -199,8 +217,9 @@ class HatForm:
     form: AltForm | None
 
     def float_coeffs(self) -> dict:
-        s = math.sqrt(float(self.lam_abs))
-        return {idx: float(c) / s for idx, c in self.numerator.terms.items()}
+        """Each c / sqrt(lam_abs) as the signed float root of c^2 / lam_abs, right at every size."""
+        return {idx: (1 if c > 0 else -1) * _float_root(c * c / self.lam_abs, 2)
+                for idx, c in self.numerator.terms.items()}
 
 
 def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
@@ -267,11 +286,10 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
     """Recover a basis putting Omega into its canonical form, exactly.
 
     Paracomplex case: split into the eigenspaces of L and normalize the two
-    induced volume factors.  Complex case: compute the divisor covectors of
-    the decomposable form Omega + sqrt(lambda)/|lambda| * numerator(hat) over
-    the quadratic extension Q(sqrt(lambda)) and read the real frame off their
-    real and imaginary parts.  No floating point is used; when sqrt(|lambda|)
-    is irrational the returned matrix has QuadExt entries.
+    induced volume factors.  Complex case: scale the (1,0)-covectors of J so
+    that their wedge is Omega + i hat(Omega), and take their real and
+    imaginary parts.  Every elimination runs over Q; when sqrt(|lambda|) is
+    irrational the returned matrix has QuadExt entries.
     """
     return _canonicalize6(omega, scaled_structure(omega, vol))
 
@@ -283,54 +301,68 @@ def _canonicalize6(omega: AltForm, ss: ScaledStructure) -> Canon6:
 
 
 def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
-    minus = ss.eigenspace(-1)
-    plus = ss.eigenspace(+1)
-    if len(minus) != 3 or len(plus) != 3:
-        raise ArithmeticError("paracomplex eigenspaces are not 3-dimensional")
-    c_minus = omega(*minus)
-    c_plus = omega(*plus)
+    if sqrt_fraction(ss.lam.value) is None:
+        return _canonicalize_para_root(omega, ss)
+    minus, plus = ss.eigenspace(-1), ss.eigenspace(+1)
+    c_minus, c_plus = omega(*minus), omega(*plus)
     if c_minus == 0 or c_plus == 0:
         raise ArithmeticError("Omega does not restrict to volume forms on the eigenspaces")
     minus[0] = [x / c_minus for x in minus[0]]
     plus[0] = [x / c_plus for x in plus[0]]
-    h = LinearMap.from_columns([tuple(v) for v in (minus + plus)])
-    g = h.inverse()
+    g = LinearMap.from_columns(minus + plus).inverse()
     if pullback(g, canonical_omega_plus()) != omega:
         raise ArithmeticError("paracomplex canonicalization failed the round trip")
     return Canon6(g, OrbitClass6.O6_PLUS, Fraction(1))
 
 
+def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
+    """The paracomplex frame when sqrt(lambda) is irrational, from rational pairs.
+
+    minus_k = A_k + sqrt(lambda) B_k spans ker(K + sqrt(lambda)), and its
+    conjugate ker(K - sqrt(lambda)).  With [X; Y] = [A | B]^-1 over Q, the
+    frame is (1/2) [X + Y/sqrt(lambda); X - Y/sqrt(lambda)]; its pullback of
+    e^123 + e^456 is the pullback by [X; Y] of (1/4) Re at 1/lambda (``_re_im``).
+    """
+    lam = ss.lam.value
+    a, b = zip(*_root_kernel(ss.K.matrix, lam, -1))
+    # Omega(minus_1, minus_2, minus_3) from the values of Omega on the A and B parts
+    p = pullback(LinearMap.from_columns(a + b), omega).terms
+    c_minus = QuadExt(*(sum(c * p.get(k, 0) for k, c in f.terms.items()) for f in _re_im(lam)), lam)
+    if not c_minus:
+        raise ArithmeticError("Omega does not restrict to volume forms on the eigenspaces")
+    a0, b0 = _times(c_minus.inverse(), a[0], b[0])
+    xy = LinearMap.from_columns([a0, *a[1:], b0, *b[1:]]).inverse()
+    if pullback(xy, Fraction(1, 4) * _re_im(1 / lam)[0]) != omega:
+        raise ArithmeticError("paracomplex canonicalization failed the round trip")
+    g = [[QuadExt(p / 2, sign * q / (2 * lam), lam) for p, q in zip(x, y)]
+         for sign in (1, -1) for x, y in zip(xy.matrix[:3], xy.matrix[3:])]
+    return Canon6(LinearMap.from_rows(g), OrbitClass6.O6_PLUS, Fraction(1))
+
+
 def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
+    """The complex frame (a; sqrt|lambda| b) from the (1,0)-covectors a_k + sqrt(lambda) b_k.
+
+    Their wedge, scaled to Omega + i hat(Omega), is checked over Q: its real
+    part and its imaginary part over sqrt|lambda| are the pullbacks by (a; b)
+    of the two forms of ``_re_im``.
+    """
     lam = ss.lam.value  # negative
-    lam_abs = -lam
-    mu = QuadExt.root(lam)
-    # alpha = Omega + i*hat = Omega + sqrt(lambda)/|lambda| * numerator over Q(sqrt(lambda))
-    alpha = omega + (mu / lam_abs) * _hat(omega, ss).numerator
-    # the divisor covectors of the decomposable alpha are the (1,0)-covectors of
-    # J = K/sqrt(-lambda), i.e. ker(K^T - sqrt(lambda)) (Hitchin 2000); nullspace's
-    # basis depends only on that subspace
-    thetas = [alt_form(6, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0})
-              for vec in _shifted_kernel(transpose(ss.K.matrix), mu)]
-    if len(thetas) != 3:
-        raise ArithmeticError("ker(K^T - sqrt(lambda)) is not 3-dimensional")
-    prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
-    key0 = next(iter(alpha.terms))
-    ratio = alpha.terms[key0] / prod.terms[key0]
-    thetas[0] = ratio * thetas[0]
-    prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
-    if prod != alpha:
-        raise ArithmeticError("divisor normalization failed")
-    # real frame rows: Re(theta_k) and sqrt(|lambda|) * (w-part of theta_k)
-    s = sqrt_fraction(lam_abs)
-    if s is None:
-        s = QuadExt.root(lam_abs)
-    zero = QuadExt.of(0, lam)
-    coords = [[zero + th.terms.get((j,), 0) for j in range(1, 7)] for th in thetas]
-    g = LinearMap.from_rows([[c.a for c in row] for row in coords]
-                            + [[s * c.b for c in row] for row in coords])
-    if pullback(g, canonical_omega_minus()) != omega:
+    numerator = _hat(omega, ss).numerator
+    pairs = _root_kernel(transpose(ss.K.matrix), lam, 1)
+    # theta_1 times alpha / (theta_1 ^ theta_2 ^ theta_3) at key0, alpha = Omega + i hat(Omega)
+    key0 = next(iter(omega.terms))
+    alpha0 = QuadExt(omega.terms[key0], numerator.terms.get(key0, Fraction(0)) / -lam, lam)
+    thetas = [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in pairs]
+    pairs[0] = _times(alpha0 / _minor(thetas, tuple(j - 1 for j in key0)), *pairs[0])
+    a, b = [a for a, _ in pairs], [b for _, b in pairs]
+    re, im = (pullback(LinearMap.from_rows(a + b), f) for f in _re_im(lam))
+    if re != omega or im != (-1 / lam) * numerator:
         raise ArithmeticError("complex canonicalization failed the round trip")
-    return Canon6(g, OrbitClass6.O6_MINUS, Fraction(1))
+    s = sqrt_fraction(-lam)
+    if s is None:
+        s = QuadExt.root(-lam)
+    return Canon6(LinearMap.from_rows(a + [[s * y for y in row] for row in b]),
+                  OrbitClass6.O6_MINUS, Fraction(1))
 
 
 # signs of itertools.permutations of a sorted triple, in the order it yields them
@@ -347,10 +379,7 @@ def stabilizer_dim(form: AltForm) -> int:
     (Hitchin, *Stable forms and special metrics*, 2001).  The invariant is
     read from the form's memo under the standard volume form, through
     ``_k_memo`` or ``stable7._det_b``; against c e^{1..n} lambda scales by
-    1/c^2 and det B by 1/c^7, so the test does not depend on c.  Called
-    first, as ``cli classify`` does, it fills the entry that
-    ``lambda_coeff`` or ``q_form`` then reads; under another volume
-    coefficient (``--vol -1``) they build K or B a second time.  Only an
+    1/c^2 and det B by 1/c^7, so the test does not depend on c.  Only an
     unstable form builds the C(n,3) x n^2 system and takes its exact rank.
     """
     if form.degree != 3 or form.dim not in (6, 7):

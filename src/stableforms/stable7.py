@@ -10,11 +10,13 @@ orbit decision, that frame and its check, and the induced cross product
 stay exact whenever the scale is.
 
 B is computed once per form, not once per public call: ``q_form`` keeps it
-in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` (the
-only thing B takes from vol), so ``q_form``, ``classify7`` and
-``canonicalize7`` on one form object build B once between them.  The memo is
-safe under concurrent use for the reason given in ``stable6``: forms never
-change, so a race only computes the same B twice.  Every public function
+in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c
+(the only thing B takes from vol), so ``q_form``, ``classify7`` and
+``canonicalize7`` on one form object build B once between them, under any
+volume forms: B and det B are built under c = 1 only, and the entries for
+another c are B/c and det B/c^7.  The memo is safe under concurrent use for
+the reason given in ``stable6``: forms never change, so a race only
+computes the same B twice.  Every public function
 computes the signature of B once, through ``QForm.signature``.
 ``metric_from_phi`` hands both to the private ``_metric``, and
 ``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
@@ -44,7 +46,7 @@ from fractions import Fraction
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _top_pairings, alt_form,
                        contract, pullback, wedge)
 from .linalg import _integer_row, det, inertia
-from .scalars import cbrt_fraction
+from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct, _product_from_form
 
@@ -78,10 +80,11 @@ def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
 
 
 def _b_memo(phi: AltForm, c) -> tuple:
-    """The memo entry ("B", c) of phi, made on first use."""
+    """The memo entry ("B", c) of phi, made on first use; B/c from the entry at c = 1."""
     b = phi._memo.get(("B", c))
     if b is None:
-        b = phi._memo[("B", c)] = _b_matrix(phi, c)
+        b = _b_matrix(phi) if c == 1 else tuple(tuple(x / c for x in r) for r in _b_memo(phi, 1))
+        phi._memo[("B", c)] = b
     return b
 
 
@@ -89,23 +92,24 @@ def _det_b(phi: AltForm, c):
     """det B against c e^{1..7}: the memo entry ("det B", c), made on first use.
 
     Kept apart from ("B", c) so that callers that need only the signature
-    of B (``classify7``) never take the determinant.
+    of B (``classify7``) never take the determinant; det B/c^7 from c = 1.
     """
     d = phi._memo.get(("det B", c))
     if d is None:
-        d = phi._memo[("det B", c)] = det([list(r) for r in _b_memo(phi, c)])
+        d = det([list(r) for r in _b_memo(phi, 1)]) if c == 1 else _det_b(phi, 1) / c ** 7
+        phi._memo[("det B", c)] = d
     return d
 
 
-def _b_matrix(phi: AltForm, c) -> tuple:
-    """B of phi against the volume form c e^{1..7}."""
+def _b_matrix(phi: AltForm) -> tuple:
+    """B of phi against the standard volume form e^{1..7}."""
     contractions = []
     for i in range(1, 8):
         ei = [Fraction(1 if k == i else 0) for k in range(1, 8)]
         contractions.append(contract(ei, phi))
     fives = [wedge(cj, phi) for cj in contractions]  # i_{e_j} phi ^ phi
     # B[i][j] vol = i_{e_i} phi ^ fives[j], read as a top-degree pairing
-    b = tuple(tuple(x / c for x in row) for row in _top_pairings(contractions, fives))
+    b = tuple(map(tuple, _top_pairings(contractions, fives)))
     for i in range(7):
         for j in range(i):
             if b[i][j] != b[j][i]:
@@ -180,23 +184,6 @@ def _ninth_root(x: Fraction) -> Fraction | None:
     if c is None:
         return None
     return cbrt_fraction(c)
-
-
-def _float_root(x: Fraction, k: int) -> float:
-    """x^(1/k) for a rational x > 0, as a normal float whatever the size of x.
-
-    The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
-    so neither float(y) nor its root leaves the float range; ldexp puts 2^e
-    back.  A root outside the normal float range raises OverflowError.  For
-    k = 2 the root is math.sqrt, so wherever x and its root are normal floats
-    the result is math.sqrt(float(x)) bit for bit.
-    """
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
-    y = float(x / Fraction(2) ** (k * e))
-    r = math.ldexp(math.sqrt(y) if k == 2 else y ** (1 / k), e)  # raises past the top
-    if r < sys.float_info.min:
-        raise OverflowError(f"root of order {k} below the normal float range")
-    return r
 
 
 def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:

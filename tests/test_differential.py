@@ -17,7 +17,9 @@
   random forms of every degree in dims 4, 6 and 7: coefficients scaled by
   10^e with |e| <= 200, mixed denominators, int-typed coefficients, sums that
   cancel, non-integer and singular matrices, and QuadExt coefficients (which
-  take the field loop).  ``q_form`` (a top-degree pairing) and
+  run through wedge, contract and the pullback minors up to 3 x 3 as they
+  are; a larger minor goes to the integer kernel and raises TypeError).
+  ``q_form`` (a top-degree pairing) and
   ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
   versions.
 * ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7) and ranks
@@ -40,10 +42,7 @@
 * ``linalg.inverse``, now the right half of the fraction-free ``rref`` of
   [a | I], equals Gauss-Jordan over Fractions (``ref_inverse``, on
   ``test_linalg.ref_rref``) on rational, 10^e-scaled and int matrices of
-  sizes 1..8, singular ones included; a QuadExt matrix takes the field path.
-* ``det`` on QuadExt entries, a Bareiss elimination with field division,
-  equals the Gaussian elimination ``ref_det`` on matrices of sizes 1..6 with
-  dependent rows, zero columns and int entries among the QuadExt ones.
+  sizes 1..8, singular ones included.
 * The exact Cayley frame of ``canonicalize7`` gives the basis of the float
   frame code it replaced (``ref_canonicalize7``, with its own Gram-Schmidt,
   cross product and inverse) to 1e-11 relative on 84 seeded c g^* phi_minus,
@@ -53,10 +52,16 @@
 * ``mat_mul`` and ``mat_vec`` on the integer kernel equal the Fraction loops
   they replaced (``ref_mat_mul``, ``ref_mat_vec``) on int, mixed-denominator,
   10^e-scaled (|e| <= 200), QuadExt and float entries and mixtures of them.
-* ``canonicalize6`` on O6_MINUS, whose covectors now come from
-  ker(K^T - sqrt(lambda)), returns the basis of the divisor-space code it
-  replaced (``ref_canonicalize_complex``) entry for entry, on 64 seeded
-  c g^* Omega_minus in both orientations and on dense forms with QuadExt bases.
+* ``canonicalize6`` builds both frames from rational pairs (a, b), meaning
+  a + sqrt(lambda) b, with eliminations over Q only.  It returns the basis of
+  the Gauss-Jordan code over Q(sqrt(lambda)) that it replaced, entry for
+  entry and type for type: ``ref_canonicalize_complex`` (ker(K^T -
+  sqrt(lambda)), checked against the divisor space of Omega + i hat(Omega))
+  and ``ref_canonicalize_para`` (the eigenspaces of K and their inverse),
+  whose eliminations run on ``test_linalg.ref_rref``.  The forms are 64
+  seeded c g^* Omega_minus and 64 c g^* Omega_plus, both orientations, both
+  signs of c, tall ones at 10^+-40, |lambda| a square and not, and dense
+  forms of both orbits with QuadExt bases.
 """
 
 import itertools
@@ -77,7 +82,7 @@ from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element,
                                  inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
 from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
-                                  basis_form, contract, divisor_space, form_inner, hodge_star,
+                                  basis_form, contract, form_inner, hodge_star,
                                   pullback, sort_index, wedge)
 from stableforms.linalg import det, inverse, mat_mul, mat_vec, rank
 from stableforms.scalars import QuadExt, sqrt_fraction
@@ -400,6 +405,8 @@ def quadext_twin(form: AltForm, D: Fraction, irrational: AltForm | None = None) 
 
 @pytest.mark.parametrize("dim", [4, 6, 7])
 def test_quadext_takes_the_field_loop(dim, rng):
+    """QuadExt coefficients run through wedge, contract and the pullback minors up
+    to 3 x 3 as they are; a larger minor goes to the integer kernel and raises."""
     D = Fraction(-3, 5)
     for p in range(dim + 1):
         q = rng.randint(0, dim - p)
@@ -412,7 +419,6 @@ def test_quadext_takes_the_field_loop(dim, rng):
         xb = quadext_twin(b, D, kernel_form(rng, dim, q, "scaled"))
         assert wedge(xa, xb) == ref_wedge(xa, xb)
         g = kernel_matrix(rng, dim, "mixed")
-        assert pullback(g, xa) == ref_pullback(g, xa)
         if p:
             v = [QuadExt(Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3)), D)
                  for _ in range(dim)]
@@ -421,7 +427,12 @@ def test_quadext_takes_the_field_loop(dim, rng):
         # g + sqrt(D) Id
         qg = LinearMap.from_rows([[QuadExt(x, Fraction(int(i == j)), D) for j, x in enumerate(row)]
                                   for i, row in enumerate(g.matrix)])
-        assert pullback(qg, a) == ref_pullback(qg, a)
+        for m, form in ((g, xa), (qg, a)):
+            if p <= 3 or not form.terms:
+                assert pullback(m, form) == ref_pullback(m, form)
+            else:
+                with pytest.raises(TypeError):
+                    pullback(m, form)
 
 
 def ref_q_form(phi: AltForm, vol: VolumeForm) -> tuple:
@@ -665,14 +676,6 @@ def test_cached_entries_leave_eq_hash_and_repr_alone():
     assert repr(ip) == f"InnerProduct(dim=2, gram={gram!r})"
 
 
-def test_pair_with_a_field_gram_matrix(rng):
-    ip = InnerProduct(2, ((QuadExt(Fraction(1), Fraction(1), ROOT), Fraction(1, 2)),
-                          (Fraction(1, 2), QuadExt(Fraction(-2), Fraction(0), ROOT))))
-    for kind in KINDS + ["quadext"]:  # QuadExt does not mix with float
-        u, v = coordinates(rng, 2, kind), coordinates(rng, 2, kind)
-        assert ip.pair(u, v) == ref_pair(ip, u, v)
-
-
 @pytest.mark.parametrize("kind", COORD_KINDS)
 @pytest.mark.parametrize("tag", list(AlgebraTag))
 def test_inner_matches_the_dense_sum(tag, kind, rng):
@@ -733,33 +736,6 @@ def test_inverse_matches_gauss_jordan(kind, rng):
         assert got == expected
         assert all(type(x) is Fraction for row in got for x in row)
     assert singular >= 10
-
-
-def test_inverse_of_a_field_matrix(rng):
-    rows = [[QuadExt(kernel_coefficient(rng, "mixed"), kernel_coefficient(rng, "mixed"), ROOT)
-             for _ in range(4)] for _ in range(4)]
-    product = mat_mul(rows, inverse(rows))
-    assert all(product[i][j] == (1 if i == j else 0) for i in range(4) for j in range(4))
-
-
-def test_det_of_quadext_matrices_matches_gauss(rng):
-    singular = 0
-    for trial in range(90):
-        n = 1 + trial % 6
-        rows = [[QuadExt(kernel_coefficient(rng, "mixed"), kernel_coefficient(rng, "mixed"), ROOT)
-                 if rng.random() < 0.8 else kernel_coefficient(rng, "int") for _ in range(n)]
-                for _ in range(n)]
-        if trial % 3 == 0 and n > 1:  # a dependent row
-            rows[-1] = [x + 2 * y for x, y in zip(rows[0], rows[1 % (n - 1)])]
-        elif trial % 3 == 1:  # a zero column
-            c = rng.randrange(n)
-            for row in rows:
-                row[c] = 0
-        got = det(rows)
-        assert got == ref_det(rows)
-        assert not isinstance(got, float)
-        singular += got == 0
-    assert singular >= 30
 
 
 # -- canonicalize7: the exact Cayley frame against the float frame -----------
@@ -952,16 +928,59 @@ def test_mat_mul_of_a_cancelling_product():
     assert type(got[0][0]) is Fraction
 
 
-# -- canonicalize6 on O6_MINUS: ker(K^T - sqrt(lambda)) against the divisor space
+# -- canonicalize6: both frames from rational pairs against the QuadExt eliminations
+
+def ref_nullspace(m, ncols: int) -> list[list]:
+    """``linalg.nullspace`` on ``ref_rref``, which divides in the field of the entries."""
+    red, pivots = ref_rref(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -red[r][f]
+        basis.append(v)
+    return basis
+
+
+def ref_shifted_kernel(m, mu) -> list[list]:
+    """Basis of ker(m - mu Id), computed over the field of mu."""
+    n = len(m)
+    return ref_nullspace([[m[i][j] - (mu if i == j else 0 * mu) for j in range(n)]
+                          for i in range(n)], n)
+
+
+def ref_divisor_space(a: AltForm) -> list[AltForm]:
+    """``divisor_space`` on ``ref_nullspace``: { u : u ^ a = 0 }, here over Q(sqrt(D))."""
+    n = a.dim
+    wedges = [wedge(basis_form(n, j), a) for j in range(1, n + 1)]
+    system = [[w.terms.get(key, Fraction(0)) for w in wedges]
+              for key in itertools.combinations(range(1, n + 1), a.degree + 1)]
+    return [alt_form(n, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0})
+            for vec in ref_nullspace(system, n)]
+
+
+def ref_eval(form: AltForm, *vectors):
+    """``AltForm.__call__`` with the field determinant ``ref_det``."""
+    total = Fraction(0)
+    for idx, c in form.terms.items():
+        total = total + c * ref_det([[v[row - 1] for v in vectors] for row in idx])
+    return total
+
 
 def ref_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
-    """The O6_MINUS basis before ker(K^T - sqrt(lambda)): the covectors are the divisor
-    space of alpha = Omega + i hat(Omega), with the same normalization and real frame."""
+    """The O6_MINUS basis by Gauss-Jordan over Q(sqrt(lambda)): the covectors
+    theta_k span ker(K^T - sqrt(lambda)), which is also the divisor space of
+    alpha = Omega + i hat(Omega); theta_1 is scaled so that theta_1 ^ theta_2 ^
+    theta_3 = alpha, and the real frame is (Re theta; Im theta)."""
     ss = scaled_structure(omega, vol)
     lam = ss.lam.value
-    alpha = omega + (QuadExt.root(lam) / -lam) * _hat(omega, ss).numerator
-    thetas = divisor_space(alpha)
-    assert len(thetas) == 3
+    mu = QuadExt.root(lam)
+    alpha = omega + (mu / -lam) * _hat(omega, ss).numerator
+    kt = [list(col) for col in zip(*ss.K.matrix)]
+    thetas = [alt_form(6, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0})
+              for vec in ref_shifted_kernel(kt, mu)]
+    assert len(thetas) == 3 and ref_divisor_space(alpha) == thetas
     prod = wedge(wedge(thetas[0], thetas[1]), thetas[2])
     key0 = next(iter(alpha.terms))
     thetas[0] = (alpha.terms[key0] / prod.terms[key0]) * thetas[0]
@@ -971,8 +990,30 @@ def ref_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
         s = QuadExt.root(-lam)
     zero = QuadExt.of(0, lam)
     coords = [[zero + th.terms.get((j,), 0) for j in range(1, 7)] for th in thetas]
-    return LinearMap.from_rows([[c.a for c in row] for row in coords]
-                               + [[s * c.b for c in row] for row in coords])
+    g = LinearMap.from_rows([[c.a for c in row] for row in coords]
+                            + [[s * c.b for c in row] for row in coords])
+    assert pullback(g, canonical_omega_minus()) == omega
+    return g
+
+
+def ref_canonicalize_para(omega: AltForm, vol: VolumeForm) -> LinearMap:
+    """The O6_PLUS basis by Gauss-Jordan over Q(sqrt(lambda)): the eigenspaces of
+    K for -+sqrt(lambda), the first vector of each divided by the value of Omega
+    on that eigenspace, and the inverse of the matrix of those columns."""
+    ss = scaled_structure(omega, vol)
+    lam = ss.lam.value
+    s = sqrt_fraction(lam)
+    if s is None:
+        s = QuadExt.root(lam)
+    km = [list(r) for r in ss.K.matrix]
+    minus, plus = ref_shifted_kernel(km, -s), ref_shifted_kernel(km, s)
+    assert len(minus) == len(plus) == 3
+    c_minus, c_plus = ref_eval(omega, *minus), ref_eval(omega, *plus)
+    minus[0] = [x / c_minus for x in minus[0]]
+    plus[0] = [x / c_plus for x in plus[0]]
+    g = LinearMap.from_rows(ref_inverse([list(r) for r in zip(*(minus + plus))]))
+    assert pullback(g, canonical_omega_plus()) == omega
+    return g
 
 
 def assert_same_basis(got: LinearMap, expected: LinearMap):
@@ -981,18 +1022,50 @@ def assert_same_basis(got: LinearMap, expected: LinearMap):
         [type(x) for row in expected.matrix for x in row]
 
 
+# lambda = 4 d^3 on omega_d(d): |lambda| a square (d = +-1) and not (d = +-2)
+FRAME_BASES = {OrbitClass6.O6_MINUS: (canonical_omega_minus(), omega_d(-2)),
+               OrbitClass6.O6_PLUS: (canonical_omega_plus(), omega_d(2))}
+
+
+def frame_samples(rng: random.Random, orbit: OrbitClass6, count: int = 32) -> list:
+    """c g^* of a normal form of the orbit, |lambda| a square on even trials and not on
+    odd ones; c = +-p/q, and tall, +-(p/q) 10^+-40, on two trials in eight."""
+    forms = []
+    for trial in range(count):
+        c = rng.choice([1, -1]) * Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        if trial % 8 < 2:
+            c *= Fraction(10) ** rng.choice([-40, 40])
+        base = FRAME_BASES[orbit][trial % 2]
+        forms.append(c * pullback(random_invertible(rng, 6, 2), base))
+    return forms
+
+
 @pytest.mark.parametrize("vol", [1, -1])
 def test_canonicalize6_minus_matches_the_divisor_space(vol, rng):
-    """32 seeded c g^* Omega_minus per orientation, c of both signs, some at 10^e."""
+    """32 seeded c g^* Omega_minus per orientation, both signs of c, tall ones among
+    them, |lambda| a square and not: the QuadExt-free frame equals the reference."""
     volume = VolumeForm.standard(6, vol)
-    for trial in range(32):
-        c = rng.choice([1, -1]) * Fraction(rng.randint(1, 60), rng.randint(1, 60))
-        if trial % 4 == 0:
-            c *= Fraction(10) ** rng.randint(-60, 60)
-        omega = c * pullback(random_invertible(rng, 6, 2), canonical_omega_minus())
+    quadext = 0
+    for omega in frame_samples(rng, OrbitClass6.O6_MINUS):
         canon = canonicalize6(omega, volume)
         assert canon.orbit == OrbitClass6.O6_MINUS
         assert_same_basis(canon.basis, ref_canonicalize_complex(omega, volume))
+        quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
+    assert quadext == 16
+
+
+@pytest.mark.parametrize("vol", [1, -1])
+def test_canonicalize6_plus_matches_the_eigenspace_frame(vol, rng):
+    """The same for c g^* Omega_plus: rational bases when lambda is a square, and
+    QuadExt bases from the pairs (A, B) and [A | B]^-1 over Q when it is not."""
+    volume = VolumeForm.standard(6, vol)
+    quadext = 0
+    for omega in frame_samples(rng, OrbitClass6.O6_PLUS):
+        canon = canonicalize6(omega, volume)
+        assert canon.orbit == OrbitClass6.O6_PLUS
+        assert_same_basis(canon.basis, ref_canonicalize_para(omega, volume))
+        quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
+    assert quadext == 16
 
 
 def test_canonicalize6_minus_with_quadext_bases(rng):
@@ -1008,6 +1081,21 @@ def test_canonicalize6_minus_with_quadext_bases(rng):
         assert_same_basis(canon.basis, ref_canonicalize_complex(omega, volume))
         quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
     assert quadext >= 12
+
+
+def test_canonicalize6_plus_with_quadext_bases(rng):
+    """Dense forms with lambda > 0; a third of them have lambda not a square and QuadExt bases."""
+    quadext = 0
+    for trial in range(24):
+        while True:
+            omega = random_form(rng, 6, 3, nterms=10)
+            if lambda_coeff(omega, VolumeForm.standard(6)).value > 0:
+                break
+        volume = VolumeForm.standard(6, (-1) ** trial)
+        canon = canonicalize6(omega, volume)
+        assert_same_basis(canon.basis, ref_canonicalize_para(omega, volume))
+        quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
+    assert quadext >= 6
 
 
 if __name__ == "__main__":

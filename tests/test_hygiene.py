@@ -9,6 +9,9 @@
   contain no ``float(`` call, no float literal and no ``math.sqrt``,
   ``math.exp`` or ``math.log``: floats enter the package elsewhere, in
   named places.
+* ``QuadExt`` is named only in ``scalars`` (which defines it), ``stable6``
+  (whose canonical bases carry it when sqrt|lambda| is irrational) and
+  ``cli`` (which prints them): every other module computes over Q.
 """
 
 import ast
@@ -125,3 +128,23 @@ def test_guard_flags_a_dead_public_function():
     tree = ast.parse("def mat_copy(m):\n    return [list(r) for r in m]\n\n"
                      "def rank(m):\n    return len(m)\n\nVALUE = rank([])\n")
     assert unreferenced_public_functions({"linalg.py": tree}, "linalg.py") == ["linalg.py: mat_copy"]
+
+
+QUADEXT_MODULES = {"scalars.py", "stable6.py", "cli.py"}
+
+
+def quadext_mentions(sources: dict) -> list[str]:
+    """The modules outside ``QUADEXT_MODULES`` whose text names QuadExt."""
+    return sorted(name for name, text in sources.items()
+                  if name not in QUADEXT_MODULES and "QuadExt" in text)
+
+
+def test_quadext_stays_in_its_modules():
+    assert quadext_mentions({path.name: path.read_text() for path in SRC.glob("*.py")}) == []
+
+
+def test_guard_flags_a_quadext_mention():
+    """The QuadExt check is not vacuous: it catches a planted import and a docstring."""
+    sources = {"linalg.py": "from .scalars import QuadExt\n", "exteralg.py": '"""over QuadExt."""\n',
+               "stable6.py": "from .scalars import QuadExt\n", "vcp.py": "x = 1\n"}
+    assert quadext_mentions(sources) == ["exteralg.py", "linalg.py"]

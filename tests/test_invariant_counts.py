@@ -43,14 +43,14 @@ F_PRIMITIVE = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
 IP_MINUS = bridge.synthesize_compatible_ip(stable6.scaled_structure(OMEGA_MINUS, VOL6))
 
 
-def classify_canonicalize(form):
-    """`stableforms classify FORM --canonicalize --json`, in process."""
+def classify_canonicalize(form, *options: str):
+    """`stableforms classify FORM --canonicalize --json [options]`, in process."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "form.json")
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(cli.form_to_document(form), fh)
         with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(["classify", path, "--canonicalize", "--json"]) == cli.EXIT_OK
+            assert cli.main(["classify", path, "--canonicalize", "--json", *options]) == cli.EXIT_OK
 
 CASES = {
     "scaled_structure": (lambda: stable6.scaled_structure(OMEGA_MINUS, VOL6), {"k_endo": 1}),
@@ -152,6 +152,16 @@ def test_b_is_built_once_per_form(contractions):
     stable7.classify7(phi, VOL7)
     stable7.canonicalize7(phi, VOL7)
     assert contractions == {"stable7": 7}  # one per basis vector for one B
+
+
+@pytest.mark.parametrize("form,expected", [(OMEGA_MINUS, {"stable6": 6}), (PHI_MINUS, {"stable7": 7})],
+                         ids=["G6*Omega-", "G7*phi-"])
+def test_classify_under_another_volume_builds_k_or_b_once(form, expected, contractions, dets):
+    """--vol -1: stabilizer_dim builds K (B and det B) under the standard volume form,
+    and the classification reads K/c and lambda/c^2 (B/c, det B/c^7) derived from them."""
+    classify_canonicalize(fresh(form), "--vol", "-1")
+    assert contractions == expected  # one per column of K, one per basis vector for B
+    assert len(dets) == (form.dim == 7)
 
 
 def test_memo_matches_a_fresh_form_under_every_volume():

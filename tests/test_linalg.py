@@ -10,9 +10,11 @@
   ``sympy.Matrix.det``, on seeded int and Fraction matrices with rows scaled
   by 10^e (|e| <= 200), zero rows, pivot-free columns and singular
   low-rank products; hypothesis checks det(AB) = det(A) det(B) and
-  det(cA) = c^n det(A); a QuadExt matrix with zero irrational parts (the
-  field loop) gives the determinant of its rational twin.
+  det(cA) = c^n det(A).
 * The exact ``det`` fixes: int entries give an int, never a float.
+* The eliminations take int and Fraction entries only: ``rank``, ``det``,
+  ``inverse``, ``rref`` and ``nullspace`` raise TypeError on a QuadExt or a
+  float entry, so neither reaches an integer division.
 * ``rref``, ``inverse`` and ``inertia`` on int entries are exact: Fractions,
   never floats, and the exact signature where float elimination misread it.
 """
@@ -29,7 +31,7 @@ from conftest import G6
 from stableforms import stable6
 from stableforms.cli import parse_form_document
 from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
-from stableforms.linalg import det, inertia, mat_mul, nullspace, rank, rref
+from stableforms.linalg import det, inertia, inverse, mat_mul, nullspace, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from test_cli_golden import DOCS
@@ -251,12 +253,13 @@ def test_det_matches_sympy(kind, m):
     assert det(m) == Fraction(int(sympy.numer(expected)), int(sympy.denom(expected)))
 
 
-def test_det_quadext_twin():
-    D = Fraction(-3, 5)
-    for _, m in SQUARE[8:40]:
-        q = det([[QuadExt.of(x, D) for x in row] for row in m])
-        assert isinstance(q, QuadExt)
-        assert q == det(m)
+@pytest.mark.parametrize("bad", [QuadExt.of(1, 2), QuadExt.root(Fraction(-3)), 0.5, 2.0],
+                         ids=["quadext-rational", "quadext", "float", "integral-float"])
+@pytest.mark.parametrize("op", [rank, det, inverse, rref, nullspace])
+def test_eliminations_reject_non_rational_entries(op, bad):
+    m = [[Fraction(2), 1, Fraction(1, 3)], [0, 1, 5], [1, bad, Fraction(-7, 2)]]
+    with pytest.raises(TypeError):
+        op(m)
 
 
 entry = st.one_of(st.integers(-30, 30), st.fractions(-30, 30, max_denominator=12))

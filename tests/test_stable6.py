@@ -199,6 +199,26 @@ class TestHat:
         idx, num = next(iter(h.numerator.terms.items()))
         assert abs(floats[idx] - float(num) / math.sqrt(28.0)) < 1e-15
 
+    @pytest.mark.parametrize("e", [100, -100, 200, -200])
+    def test_float_coeffs_at_every_size(self, e):
+        """c Omega_minus at c = 10^e: |lambda| near 10^(4e) and numerator near 10^(3e) leave
+        the float range, the coefficients c of the hat do not."""
+        c = Fraction(10) ** e
+        h = hat(c * canonical_omega_minus(), adapted_vol6())
+        expected = c * canonical_omega_minus_hat()
+        assert h.form == expected
+        assert h.float_coeffs() == {idx: float(x) for idx, x in expected.terms.items()}
+        # |lambda| not a square: each float squared times |lambda| is numerator^2
+        omega = c * alt_form(6, 3, {(3, 4, 5): -2, (2, 3, 4): -2, (3, 4, 6): -2, (1, 3, 6): 2,
+                                    (2, 4, 6): -2, (1, 2, 5): -2, (1, 5, 6): -1})
+        h = hat(omega, VOL)
+        assert h.form is None
+        floats = h.float_coeffs()
+        assert floats.keys() == h.numerator.terms.keys()
+        for idx, num in h.numerator.terms.items():
+            assert (floats[idx] > 0) == (num > 0)
+            assert Fraction(floats[idx]) ** 2 * h.lam_abs / num ** 2 == pytest.approx(1, rel=1e-15)
+
     def test_pairing_equals_twice_sqrt_lambda(self):
         # Omega ^ hat = 2 sqrt|lambda| vol under the positivity normalization
         for omega, vol in ((canonical_omega_plus(), VOL),
