@@ -15,18 +15,23 @@ d and nabla_u share one Leibniz rule, ``_leibniz``, which extends their
 values on the coframe e^k to all forms (d has degree 1, nabla_u degree 0).
 nabla_u on the coframe is read from the Levi-Civita table of
 ``covariant_table``: nabla_{f_u} e^j = -sum_k lifted[u][k][j] e^k.
+
+Each (circle bundle, SU(3) data) pair is derived once: the special-balanced
+check, phi and *phi, <F, omega> and nabla phi are kept in the bundle's
+private memo for that SU3Data object, and ``classify_g2`` (``build_g2``) and
+``nabla_phi`` both read them from there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
 from . import stable6
 from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
-                       contract, form_inner, hodge_star, is_decomposable, sort_index, wedge)
-from .linalg import mat_mul
+                       form_inner, hodge_star, is_decomposable, sort_index, wedge)
+from .linalg import mat_mul, transpose
 from .scalars import _float_root
 
 
@@ -34,8 +39,10 @@ class PreconditionError(ValueError):
     """A model fails a structural precondition (reported, never ignored)."""
 
 
-def _basis_vector(n: int, k: int) -> list:
-    return [Fraction(1 if i == k else 0) for i in range(1, n + 1)]
+def _matrix(a: AltForm) -> list:
+    """The antisymmetric matrix a(e_i, e_j) of a 2-form."""
+    n = a.dim
+    return [[a.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
 def _leibniz(a: AltForm, image, degree: int) -> AltForm:
@@ -152,6 +159,9 @@ class CircleBundleModel:
     base: FrameModel
     F: AltForm
     total: FrameModel
+    # id(su3) -> (su3, _Derivation) for each SU3Data derived on this bundle;
+    # holding su3 keeps its id from being reused.  Filled by _derivation.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def make_circle_bundle(base: FrameModel, F: AltForm) -> CircleBundleModel:
@@ -197,9 +207,8 @@ class SU3Data:
     def complex_structure(self, metric: InnerProduct):
         """J = -G^{-1} W from omega(x,y) = <J x, y>; J^2 = -Id verified."""
         n = self.omega.dim
-        w = [[self.omega.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
         ginv = metric.inverse_gram()
-        j = mat_mul(ginv, [[-x for x in row] for row in w])
+        j = mat_mul(ginv, [[-x for x in row] for row in _matrix(self.omega)])
         j2 = mat_mul(j, j)
         for i in range(n):
             for k in range(n):
@@ -242,9 +251,8 @@ def _check_special_balanced(cb: CircleBundleModel, su3: SU3Data):
     if not base.d(wedge(su3.omega, su3.omega)).is_zero:
         failing.append("d(omega^2) != 0")
     j = su3.complex_structure(base.ip())
-    jcols = [[row[i] for row in j] for i in range(6)]  # J e_{i+1}
-    if any(cb.F(jcols[i], jcols[k]) != cb.F.coeff((i + 1, k + 1))
-           for i in range(6) for k in range(i + 1, 6)):
+    f = _matrix(cb.F)
+    if mat_mul(mat_mul(transpose(j), f), j) != f:  # F(J x, J y) = F(x, y)
         failing.append("curvature is not of type (1,1)")
     if failing:
         raise PreconditionError("; ".join(failing))
@@ -258,14 +266,41 @@ def _g2_forms(su3: SU3Data) -> tuple[AltForm, AltForm]:
     return phi, wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * wedge(w7, w7)
 
 
+@dataclass(frozen=True)
+class _Derivation:
+    """What one (bundle, SU(3)) pair gives once it passes the special-balanced check."""
+
+    phi: AltForm
+    star_phi: AltForm
+    f_dot_omega: Fraction
+    nabla: NablaPhiReport
+
+
+def _derivation(cb: CircleBundleModel, su3: SU3Data) -> _Derivation:
+    """The pair's entry in ``cb._memo``, derived on first use.
+
+    A pair that fails the special-balanced check raises on every call and
+    leaves nothing in the memo.
+    """
+    entry = cb._memo.get(id(su3))
+    if entry is not None:
+        return entry[1]
+    _check_special_balanced(cb, su3)
+    phi, star_phi = _g2_forms(su3)
+    f_dot_omega = form_inner(cb.F, su3.omega, cb.base.ip())
+    derived = _Derivation(phi, star_phi, f_dot_omega, _nabla_phi(cb, su3, phi, star_phi, f_dot_omega))
+    cb._memo[id(su3)] = (su3, derived)
+    return derived
+
+
 def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
     """phi = Omega1 - rho ^ omega and its Hodge dual Omega2 ^ rho - omega^2/2.
 
     The dual is also computed independently through hodge_star on the
     product metric and must agree exactly.
     """
-    _check_special_balanced(cb, su3)
-    phi, star_display = _g2_forms(su3)
+    derived = _derivation(cb, su3)
+    phi, star_display = derived.phi, derived.star_phi
     star_computed = cb.total.hodge(phi, bundle_orientation(su3))
     if star_computed != star_display:
         raise PreconditionError("su3 data is not metric-adapted: *phi mismatch")
@@ -298,13 +333,14 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     are evaluated independently and must agree; semi-parallelness
     (delta phi = 0) is re-proved on every instance.
     """
-    phi, star_phi = build_g2(cb, su3)
+    phi, _ = build_g2(cb, su3)
+    derived = _derivation(cb, su3)
     total = cb.total
     dphi = total.d(phi)
     orient = bundle_orientation(su3)
     delta_phi = total.codifferential(phi, orient)
     dphi_phi = wedge(dphi, phi)
-    f_dot_omega = form_inner(cb.F, su3.omega, cb.base.ip())
+    f_dot_omega = derived.f_dot_omega
     f_w2 = wedge(cb.F, wedge(su3.omega, su3.omega))
     if not delta_phi.is_zero:
         raise ArithmeticError("delta phi != 0 on a special balanced base; internal error")
@@ -313,7 +349,7 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     w3_c = dphi_phi.is_zero
     if not (w3_a == w3_b == w3_c):
         raise ArithmeticError("the three primitivity tests disagree; internal error")
-    npr = _nabla_phi(cb, su3, phi, star_phi, f_dot_omega)
+    npr = derived.nabla
     parallel = all(df.is_zero for df in npr.derivatives.values())
     w2 = dphi.is_zero
     if w2 != (cb.F.is_zero and cb.base.d(su3.omega).is_zero):
@@ -354,17 +390,23 @@ class ConnectionTable:
 
 
 def covariant_table(cb: CircleBundleModel) -> ConnectionTable:
+    """Koszul: Gamma_ijk = (c_ijk eps_k - c_jki eps_i + c_kij eps_j) / (2 eps_k).
+
+    Only the nonzero structure constants c_ijk = -d(e^k)(e_i, e_j) are
+    visited; each adds to Gamma_ijk, Gamma_kij and Gamma_jki.
+    """
     base = cb.base
     n = 6
     eps = base.metric
-    c = base.structure_constants()
     gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                val = (c[i][j][k] * eps[k] - c[j][k][i] * eps[i] + c[k][i][j] * eps[j]) / 2
-                gamma[i][j][k] = val / eps[k]
-    f = [[cb.F.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    for k, dk in base.d1.items():
+        k -= 1
+        for (a, b), v in dk.terms.items():
+            for i, j, half in ((a - 1, b - 1, Fraction(-v, 2)), (b - 1, a - 1, Fraction(v, 2))):
+                gamma[i][j][k] += half
+                gamma[k][i][j] -= half * eps[k] / eps[j]
+                gamma[j][k][i] += half * eps[k] / eps[i]
+    f = _matrix(cb.F)
     lifted = [[[Fraction(0)] * 7 for _ in range(7)] for _ in range(7)]
     for i in range(n):
         for j in range(n):
@@ -397,9 +439,8 @@ def nabla_phi(cb: CircleBundleModel, su3: SU3Data) -> NablaPhiReport:
     nonflat base is computed with its Koszul coefficients but flagged
     experimental.
     """
-    _check_special_balanced(cb, su3)
-    phi, star_phi = _g2_forms(su3)
-    return _nabla_phi(cb, su3, phi, star_phi, form_inner(cb.F, su3.omega, cb.base.ip()))
+    report = _derivation(cb, su3).nabla
+    return replace(report, derivatives=dict(report.derivatives))
 
 
 def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltForm,
@@ -417,23 +458,31 @@ def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltF
     theta_expected = (f_dot_omega / 2) * _embed(su3.Omega2, 7)
     theta_ok = derivatives[7] == theta_expected
     ip7 = cb.total.ip()
+    star_slots = {v: AltForm(7, 3, terms) for v, terms in _interior_terms(star_phi).items()}
     pairing = Fraction(0)
     for u in range(1, 8):
-        iu = contract(_basis_vector(7, u), star_phi)
-        pairing += form_inner(derivatives[u], iu, ip7)
-    itheta = contract(_basis_vector(7, 7), star_phi)
-    norm2 = form_inner(itheta, itheta, ip7)
+        pairing += form_inner(derivatives[u], star_slots[u], ip7)
+    norm2 = form_inner(star_slots[7], star_slots[7], ip7)
     identity_ok = pairing == (f_dot_omega / 2) * norm2
-    nearly = True
-    for u in range(1, 8):
-        for v in range(u, 8):
-            s = contract(_basis_vector(7, v), derivatives[u]) + contract(_basis_vector(7, u), derivatives[v])
-            if not s.is_zero:
-                nearly = False
-                break
-        if not nearly:
-            break
-    return NablaPhiReport(derivatives, theta_ok, pairing, identity_ok, nearly, not flat)
+    return NablaPhiReport(derivatives, theta_ok, pairing, identity_ok,
+                          _nearly_parallel(derivatives), not flat)
+
+
+def _nearly_parallel(derivatives: dict) -> bool:
+    """i_v nabla_u phi + i_u nabla_v phi = 0 for all u, v, read off the terms of
+    the nabla_u phi (``derivatives``, keyed by every frame direction u)."""
+    slots = {u: _interior_terms(df) for u, df in derivatives.items()}
+    return all(slots[v][u].get(rest, 0) == -c
+               for u in slots for v in slots[u] for rest, c in slots[u][v].items())
+
+
+def _interior_terms(a: AltForm) -> dict:
+    """The terms of i_{e_v} a for v = 1..dim, read off a: e_v in slot s gives (-1)^s."""
+    out = {v: {} for v in range(1, a.dim + 1)}
+    for idx, c in a.terms.items():
+        for s, v in enumerate(idx):
+            out[v][idx[:s] + idx[s + 1:]] = -c if s & 1 else c
+    return out
 
 
 @dataclass(frozen=True)

@@ -62,6 +62,18 @@
   seeded c g^* Omega_minus and 64 c g^* Omega_plus, both orientations, both
   signs of c, tall ones at 10^+-40, |lambda| a square and not, and dense
   forms of both orbits with QuadExt bases.
+* framecalc derives each (circle bundle, SU(3)) pair once, with three new
+  paths, each against a copy of the code it replaced: the (1,1) test
+  J^T F J = F against the 15 evaluations F(J e_i, J e_k)
+  (``ref_check_special_balanced``, same acceptance and message, on random
+  (1,1) and non-(1,1) curvature); the Levi-Civita table from the nonzero
+  structure constants against the dense Koszul loop
+  (``ref_covariant_table``, on flat T^6, the Iwasawa bundles of the golden
+  file and random 2-step nilpotent bases); and the nearly-parallel test and
+  the pairing <nabla phi, *phi> read off the terms of the derivatives against
+  the ``contract`` loops (``ref_nearly_parallel``, ``ref_pairing``), on
+  bundles and on derivative sets built to pass (i_u psi for a 4-form psi)
+  and to fail.
 """
 
 import itertools
@@ -76,6 +88,7 @@ import pytest
 
 from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible
+from test_framecalc import random_curvature
 from test_linalg import ref_rref
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
@@ -674,6 +687,21 @@ def test_cached_entries_leave_eq_hash_and_repr_alone():
     assert ip == InnerProduct.from_rows([[2, 1], [1, 1]])
     assert hash(ip) == hash((2, gram))
     assert repr(ip) == f"InnerProduct(dim=2, gram={gram!r})"
+    # the (bundle, SU(3)) pair memo of CircleBundleModel
+    F = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
+    cb = fc.make_circle_bundle(fc.flat_torus(6), F)
+    text = repr(cb)
+    with pytest.raises(TypeError) as unhashable:
+        hash(cb)
+    fc.classify_g2(cb, fc.standard_su3())
+    fc.nabla_phi(cb, fc.standard_su3())
+    assert len(cb._memo) == 2
+    assert repr(cb) == text and "_memo" not in text
+    assert cb == fc.make_circle_bundle(fc.flat_torus(6), F)
+    assert cb != fc.make_circle_bundle(fc.flat_torus(6), -1 * F)
+    with pytest.raises(TypeError) as again:
+        hash(cb)
+    assert str(again.value) == str(unhashable.value)
 
 
 @pytest.mark.parametrize("kind", COORD_KINDS)
@@ -1096,6 +1124,147 @@ def test_canonicalize6_plus_with_quadext_bases(rng):
         assert_same_basis(canon.basis, ref_canonicalize_para(omega, volume))
         quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
     assert quadext >= 6
+
+
+# -- one derivation per (bundle, SU(3)) pair: the paths it replaced ----------
+
+def ref_check_special_balanced(cb, su3):
+    """The special-balanced check with the (1,1) test as 15 evaluations F(J e_i, J e_k)."""
+    base = cb.base
+    failing = []
+    if not base.d(su3.Omega1).is_zero:
+        failing.append("d Omega1 != 0")
+    if not base.d(su3.Omega2).is_zero:
+        failing.append("d Omega2 != 0")
+    if not base.d(wedge(su3.omega, su3.omega)).is_zero:
+        failing.append("d(omega^2) != 0")
+    j = su3.complex_structure(base.ip())
+    jcols = [[row[i] for row in j] for i in range(6)]  # J e_{i+1}
+    if any(cb.F(jcols[i], jcols[k]) != cb.F.coeff((i + 1, k + 1))
+           for i in range(6) for k in range(i + 1, 6)):
+        failing.append("curvature is not of type (1,1)")
+    if failing:
+        raise fc.PreconditionError("; ".join(failing))
+
+
+def special_balanced_message(check, cb, su3):
+    """None when the pair passes the check, else the message it raises."""
+    try:
+        check(cb, su3)
+    except fc.PreconditionError as ex:
+        return str(ex)
+    return None
+
+
+def test_one_one_identity_matches_the_f_evaluations(rng):
+    su3 = fc.standard_su3()
+    t6 = fc.flat_torus(6)
+    pairs = [(fc.make_circle_bundle(t6, random_curvature(rng)), su3) for _ in range(20)]
+    pairs += [(fc.make_circle_bundle(t6, random_curvature(rng) + random_form(rng, 6, 2, nterms=2)), su3)
+              for _ in range(20)]
+    pairs += [(iwasawa_bundle(name), s) for name in sorted(IWASAWA_F) for s in (iwasawa_su3(), su3)]
+    messages = [special_balanced_message(ref_check_special_balanced, cb, s) for cb, s in pairs]
+    assert [special_balanced_message(fc._check_special_balanced, cb, s) for cb, s in pairs] == messages
+    assert messages[:20] == [None] * 20
+    assert messages.count("curvature is not of type (1,1)") >= 15
+    assert any(m and m.startswith("d Omega") and m.endswith("; curvature is not of type (1,1)")
+               for m in messages)
+
+
+def ref_covariant_table(cb) -> fc.ConnectionTable:
+    """The Koszul table from the dense structure constants, one Fraction per entry."""
+    base = cb.base
+    n = 6
+    eps = base.metric
+    c = base.structure_constants()
+    gamma = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                val = (c[i][j][k] * eps[k] - c[j][k][i] * eps[i] + c[k][i][j] * eps[j]) / 2
+                gamma[i][j][k] = val / eps[k]
+    f = [[cb.F.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
+    lifted = [[[Fraction(0)] * 7 for _ in range(7)] for _ in range(7)]
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                lifted[i][j][k] = gamma[i][j][k]
+            lifted[i][j][6] = -f[i][j] / 2
+        for j in range(n):
+            lifted[i][6][j] = f[i][j] / 2
+            lifted[6][i][j] = f[i][j] / 2
+    return fc.ConnectionTable(tuple(tuple(tuple(r) for r in m) for m in gamma),
+                              tuple(tuple(tuple(r) for r in m) for m in lifted))
+
+
+def nilpotent_bundle(rng: random.Random):
+    """d e^5, d e^6 and F random 2-forms in e^1..e^4, so d^2 = 0 and dF = 0."""
+    def low():
+        return alt_form(6, 2, {idx: Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+                               for idx in rng.sample(list(itertools.combinations(range(1, 5), 2)), 3)})
+    return fc.make_circle_bundle(fc.FrameModel(6, (1,) * 6, {5: low(), 6: low()}), low())
+
+
+def test_sparse_gamma_matches_the_dense_loop(rng):
+    t6 = fc.flat_torus(6)
+    bundles = [fc.make_circle_bundle(t6, random_form(rng, 6, 2, nterms=6)) for _ in range(10)]
+    bundles += [iwasawa_bundle(name) for name in sorted(IWASAWA_F)]
+    bundles += [nilpotent_bundle(rng) for _ in range(10)]
+    # int-typed structure constants and curvature
+    iwasawa_ints = fc.FrameModel(6, (1,) * 6, {5: AltForm(6, 2, {(1, 3): 1, (2, 4): -1}),
+                                               6: AltForm(6, 2, {(1, 4): 1, (2, 3): 1})})
+    bundles.append(fc.make_circle_bundle(iwasawa_ints, AltForm(6, 2, {(1, 2): 3})))
+    for cb in bundles:
+        got = fc.covariant_table(cb)
+        assert got == ref_covariant_table(cb)
+        assert all(type(x) is Fraction for m in got.base_gamma for r in m for x in r)
+    assert sum(any(x for m in fc.covariant_table(cb).base_gamma for r in m for x in r)
+               for cb in bundles) == 14
+
+
+def ref_nearly_parallel(derivatives: dict) -> bool:
+    """i_v nabla_u phi + i_u nabla_v phi = 0, one pair of contractions per u <= v."""
+    for u in range(1, 8):
+        for v in range(u, 8):
+            s = contract(basis_vector(v), derivatives[u]) + contract(basis_vector(u), derivatives[v])
+            if not s.is_zero:
+                return False
+    return True
+
+
+def ref_pairing(derivatives: dict, star_phi: AltForm) -> Fraction:
+    ip7 = InnerProduct.diagonal([1] * 7)
+    return sum((form_inner(derivatives[u], contract(basis_vector(u), star_phi), ip7)
+                for u in range(1, 8)), Fraction(0))
+
+
+def basis_vector(k: int) -> list:
+    return [Fraction(1 if i == k else 0) for i in range(1, 8)]
+
+
+def test_nearly_parallel_matches_the_contract_loop(rng):
+    t6 = fc.flat_torus(6)
+    su3 = fc.standard_su3()
+    pairs = [(fc.make_circle_bundle(t6, alt_form(6, 2, {})), su3)]
+    pairs += [(fc.make_circle_bundle(t6, random_curvature(rng, span=2)), su3) for _ in range(6)]
+    pairs += [(iwasawa_bundle(name), iwasawa_su3()) for name in sorted(IWASAWA_F)]
+    sets = []
+    for cb, s in pairs:
+        report = fc.nabla_phi(cb, s)
+        star_phi = fc.build_g2(cb, s)[1]
+        assert report.pairing == ref_pairing(report.derivatives, star_phi)
+        sets.append(report.derivatives)
+    for _ in range(10):
+        psi = random_form(rng, 7, 4, nterms=8)  # i_v i_u psi = -i_u i_v psi
+        sets.append({u: contract(basis_vector(u), psi) for u in range(1, 8)})
+        sets.append({u: random_form(rng, 7, 3, nterms=3) for u in range(1, 8)})
+        a = random_form(rng, 7, rng.randint(1, 4), nterms=6)
+        interior = fc._interior_terms(a)
+        assert all(interior[v] == contract(basis_vector(v), a).terms for v in range(1, 8))
+    expected = [ref_nearly_parallel(d) for d in sets]
+    assert [fc._nearly_parallel(d) for d in sets] == expected
+    assert expected[0] and not any(expected[1:len(pairs)])
+    assert expected[len(pairs)::2] == [True] * 10 and not any(expected[len(pairs) + 1::2])
 
 
 if __name__ == "__main__":

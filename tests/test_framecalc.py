@@ -339,6 +339,42 @@ class TestHitchin:
         assert fd == pytest.approx(4.0 * scale, rel=1e-9)
         assert pairing == pytest.approx(-4.0 * scale, rel=1e-9)
 
+    @pytest.mark.parametrize("e", [0, 40, -40, 80, -80])
+    def test_variation_matches_the_exact_derivative(self, e, rng):
+        """lambda is quartic in Omega, so lambda'(0) = (8 o(1) - o(2)) / 6 exactly, with
+        o(t) = (lambda(Omega + t dOmega) - lambda(Omega - t dOmega)) / 2.  Then
+        d sqrt|lambda| = sign(lambda) lambda'(0) / (2 sqrt|lambda|) is the constant times
+        the pairing r / sqrt|lambda|, r = (hat numerator ^ dOmega) / vol, with no rounding;
+        the returned pairing is the root of the exact square, to the last bits."""
+        from conftest import random_three_form
+
+        vol = T6.vol()
+        c = Fraction(10) ** e
+        const = Fraction(fc.HITCHIN_VARIATION_CONSTANT)
+        checked = 0
+        while checked < 8:
+            omega, direction = c * random_three_form(rng, 6), c * random_three_form(rng, 6)
+            lam = stable6.lambda_coeff(omega, vol).value
+            if lam == 0:
+                continue
+
+            def o(t):
+                return (stable6.lambda_coeff(omega + t * direction, vol).value
+                        - stable6.lambda_coeff(omega - t * direction, vol).value) / 2
+
+            dlam = (8 * o(1) - o(2)) / 6
+            sign = 1 if lam > 0 else -1
+            r = vol.ratio(wedge(stable6.hat(omega, vol).numerator, direction))
+            assert sign * dlam / 2 == const * r
+            _, pairing = hitchin_variation(omega, direction, vol)
+            if dlam == 0:
+                assert pairing == 0.0
+                continue
+            square = dlam ** 2 / (4 * abs(lam))  # (d sqrt|lambda|)^2
+            assert (pairing > 0) == (sign * dlam / const > 0)
+            assert abs(Fraction(pairing) ** 2 / square - 1) <= Fraction(1, 2 ** 50)
+            checked += 1
+
     def test_euler_homogeneity(self):
         omega = stable6.canonical_omega_plus()
         fd, pairing = hitchin_variation(omega, omega, T6.vol())

@@ -2,8 +2,10 @@
 
 K (stable6.k_endo), B (stable7.q_form) and the signature of B
 (stable7.inertia) are the expensive invariants; framecalc's special-balanced
-check guards every G2 computation.  The counts below are the number of
-times one public call runs each of them.  ``stabilizer_dim`` reads lambda or
+check guards every G2 computation, and nabla phi (with its connection table)
+is derived once per (circle bundle, SU(3) data) pair, for ``classify_g2`` and
+``nabla_phi`` alike.  The counts below are the number of times one public
+call runs each of them.  ``stabilizer_dim`` reads lambda or
 det B from the same per-form memo and ranks its system only for unstable
 forms; a frame model inverts each Gram matrix once.
 
@@ -27,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import G6, G7
+from conftest import G6, G7, iwasawa_su3
 from stableforms import bridge, cli, compalg, exteralg, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
@@ -41,6 +43,7 @@ PHI_PLUS = pullback(G7, stable7.canonical_phi_plus())
 DIRECTION = alt_form(6, 3, {(1, 3, 5): 1, (2, 4, 6): -2})
 F_PRIMITIVE = alt_form(6, 2, {(1, 4): 1, (2, 5): -1})
 IP_MINUS = bridge.synthesize_compatible_ip(stable6.scaled_structure(OMEGA_MINUS, VOL6))
+G2_DERIVATION = {"_check_special_balanced": 1, "_nabla_phi": 1, "covariant_table": 1}
 
 
 def classify_canonicalize(form, *options: str):
@@ -51,6 +54,29 @@ def classify_canonicalize(form, *options: str):
             json.dump(cli.form_to_document(form), fh)
         with contextlib.redirect_stdout(io.StringIO()):
             assert cli.main(["classify", path, "--canonicalize", "--json", *options]) == cli.EXIT_OK
+
+
+def frame_g2(F: AltForm):
+    """make_circle_bundle + classify_g2 + nabla_phi on flat T^6: the construct frame.g2 operation."""
+    cb = framecalc.make_circle_bundle(framecalc.flat_torus(6), F)
+    su3 = framecalc.standard_su3()
+    framecalc.classify_g2(cb, su3)
+    framecalc.nabla_phi(cb, su3)
+
+
+def g2class(F: AltForm):
+    """`stableforms g2class MODEL` on flat T^6 with the standard SU(3) triple, in process."""
+    su3 = framecalc.standard_su3()
+    terms = {name: cli.form_to_document(form)["terms"]
+             for name, form in (("F", F), ("omega", su3.omega), ("Omega1", su3.Omega1),
+                                ("Omega2", su3.Omega2))}
+    doc = {"dim": 6, "metric": [1] * 6, "d": {}, "bundle": {"F": terms.pop("F")}, "su3": terms}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["g2class", path]) == cli.EXIT_OK
 
 CASES = {
     "scaled_structure": (lambda: stable6.scaled_structure(OMEGA_MINUS, VOL6), {"k_endo": 1}),
@@ -82,7 +108,12 @@ CASES = {
                              {"k_endo": 1}),
     "classify_g2": (lambda: framecalc.classify_g2(
         framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE),
-        framecalc.standard_su3()), {"_check_special_balanced": 1}),
+        framecalc.standard_su3()), G2_DERIVATION),
+    "nabla_phi": (lambda: framecalc.nabla_phi(
+        framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE),
+        framecalc.standard_su3()), G2_DERIVATION),
+    "frame_g2": (lambda: frame_g2(F_PRIMITIVE), G2_DERIVATION),
+    "cli_g2class": (lambda: g2class(F_PRIMITIVE), G2_DERIVATION),
 }
 
 
@@ -90,7 +121,8 @@ CASES = {
 def calls(monkeypatch):
     counts = Counter()
     for module, name in ((stable6, "k_endo"), (stable7, "q_form"), (stable7, "inertia"),
-                         (framecalc, "_check_special_balanced")):
+                         (framecalc, "_check_special_balanced"), (framecalc, "_nabla_phi"),
+                         (framecalc, "covariant_table")):
         def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
             counts[_name] += 1
             return _orig(*args, **kwargs)
@@ -262,12 +294,60 @@ def test_one_inverse_per_gram_matrix(monkeypatch):
             inverted[tuple(map(tuple, m))] += 1
             return _orig(m)
         monkeypatch.setattr(module, name, counting)
-    cb = framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE)
-    su3 = framecalc.standard_su3()
-    framecalc.classify_g2(cb, su3)
-    framecalc.nabla_phi(cb, su3)
+    frame_g2(F_PRIMITIVE)
     assert sorted(len(m) for m in inverted) == [6, 7]
     assert set(inverted.values()) == {1}
+
+
+# The pair memo: each SU3Data object on a bundle is derived once, a pair that
+# fails the special-balanced check stores nothing, and what a call returns is
+# the caller's to change.
+
+def flat_bundle(F: AltForm = F_PRIMITIVE):
+    return framecalc.make_circle_bundle(framecalc.flat_torus(6), F)
+
+
+def g2_outcome(cb, su3) -> tuple:
+    rep = framecalc.classify_g2(cb, su3)
+    return rep.as_dict(), rep.witnesses, framecalc.build_g2(cb, su3), framecalc.nabla_phi(cb, su3)
+
+
+@pytest.mark.parametrize("base,F,message", [
+    (framecalc.iwasawa_model(), alt_form(6, 2, {}), "d Omega2 != 0"),
+    (framecalc.flat_torus(6), alt_form(6, 2, {(1, 2): 1}), r"curvature is not of type \(1,1\)"),
+], ids=["unbalanced", "not (1,1)"])
+def test_a_failing_pair_raises_every_time_and_stores_nothing(base, F, message, calls):
+    cb, su3 = framecalc.make_circle_bundle(base, F), framecalc.standard_su3()
+    for call in (framecalc.classify_g2, framecalc.nabla_phi, framecalc.build_g2, framecalc.classify_g2):
+        with pytest.raises(framecalc.PreconditionError, match=message):
+            call(cb, su3)
+        assert cb._memo == {}
+    assert calls == {"_check_special_balanced": 4}
+
+
+def test_each_su3_on_one_bundle_gets_its_own_derivation(calls):
+    cb = flat_bundle(alt_form(6, 2, {}))  # F = 0 is of type (1,1) for both complex structures
+    standard, twin, other = framecalc.standard_su3(), framecalc.standard_su3(), iwasawa_su3()
+    assert standard == twin and standard is not twin and other != standard
+    got = [g2_outcome(cb, su3) for su3 in (standard, twin, other, standard, other)]
+    assert calls == {name: 3 for name in G2_DERIVATION}  # one per SU3Data object
+    assert len(cb._memo) == 3
+    calls.clear()
+    expected = [g2_outcome(flat_bundle(alt_form(6, 2, {})), su3) for su3 in (standard, twin, other)]
+    assert got == expected + expected[0::2]
+    assert got[0] != got[2]
+
+
+def test_a_changed_report_leaves_the_next_call_alone():
+    cb, su3 = flat_bundle(), framecalc.standard_su3()
+    expected = g2_outcome(flat_bundle(), framecalc.standard_su3())
+    report = framecalc.nabla_phi(cb, su3)
+    report.derivatives[1] = AltForm.zero(7, 3)
+    del report.derivatives[7]
+    framecalc.classify_g2(cb, su3).witnesses.clear()
+    again = framecalc.nabla_phi(cb, su3)
+    assert again.derivatives is not report.derivatives
+    assert g2_outcome(cb, su3) == expected
 
 
 def exercise_algebras():
