@@ -22,12 +22,18 @@ Science*, ch. 19).  On other values (the floats of ``stable7.canonicalize7``)
 ``wedge``, ``contract`` and the minors of ``pullback`` up to 3 x 3 run as
 they are; larger minors, ``det``, ``inverse`` and ``divisor_space`` take
 rational entries only, in ``linalg``, and raise TypeError on others.
+``AltForm.__call__`` clears its vectors once and takes one integer minor
+per term.  ``_interior_wedges`` clears a form once and returns every
+i_{e_j} a and i_{e_j} a ^ a as integer dicts keyed by bitmask, the one
+kernel of K (``stable6``) and B (``stable7``); both take rational values
+only.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -70,7 +76,7 @@ class AltForm:
     degree: int
     terms: dict
     # invariants of this form keyed by what they depend on, filled by
-    # stable6.k_endo and stable7.q_form
+    # stable6.k_endo, stable7.q_form and QForm.signature
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -131,14 +137,22 @@ class AltForm:
         return (self.dim, self.degree) == (other.dim, other.degree) and self.terms == other.terms
 
     def __call__(self, *vectors: Sequence) -> Fraction:
-        """Evaluate on `degree` many vectors given in coordinates."""
+        """Evaluate on `degree` many vectors given in coordinates.
+
+        The vectors are cleared once to integer numerators over their
+        denominators, and each term takes one integer minor (``_minor``) of
+        the rows it indexes; TypeError unless every entry is int or Fraction.
+        """
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        total = Fraction(0)
-        for idx, c in self.terms.items():
-            m = [[vectors[col][row - 1] for col in range(self.degree)] for row in idx]
-            total = total + c * (_det(m) if self.degree else Fraction(1))
-        return total
+        cleared, dens = _clear(*vectors)
+        if dens is None:
+            raise TypeError("AltForm evaluation takes int or Fraction vector entries only")
+        rows = list(zip(*cleared))  # row i holds the i-th coordinates of the vectors
+        cols = tuple(range(self.degree))
+        total = sum((c * _minor([rows[i - 1] for i in idx], cols) for idx, c in self.terms.items()),
+                    Fraction(0))
+        return total / math.prod(dens)
 
     def __repr__(self):
         if not self.terms:
@@ -393,6 +407,35 @@ def contract(v, a: AltForm) -> AltForm:
     return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
 
 
+def _interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
+    """i_{e_j} a and i_{e_j} a ^ a for j = 1..n, as {mask: numerator} dicts.
+
+    a is cleared once to integer numerators over the lcm d of its
+    denominators; the contractions are numerators over d, the wedges over
+    d^2.  The one integer kernel of K (``stable6``) and B (``stable7``).
+    TypeError unless every coefficient is an int or a Fraction.
+    """
+    (nums,), dens = _clear(a.terms.values())
+    if dens is None:
+        raise TypeError("the interior-wedge kernel takes int or Fraction coefficients only")
+    terms = [(_MASK[idx], x) for idx, x in zip(a.terms, nums)]
+    contractions, wedges = [], []
+    for j in range(a.dim):
+        bit = 1 << j
+        # i_{e_j} e^I = (-1)^k e^(I - j), k the number of indices of I below j
+        left = {m ^ bit: -x if (m & (bit - 1)).bit_count() & 1 else x for m, x in terms if m & bit}
+        out: dict = {}
+        for ml, x in left.items():
+            signs = _merge_signs(ml)
+            for m, y in terms:
+                sign = signs[m]
+                if sign:
+                    out[ml | m] = out.get(ml | m, 0) + sign * x * y
+        contractions.append(left)
+        wedges.append(out)
+    return contractions, wedges, dens[0]
+
+
 def _minor(rows: list, cols: tuple):
     """det of the submatrix (columns cols of rows): closed forms up to 3 x 3, then Bareiss."""
     p = len(rows)
@@ -432,32 +475,6 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
         if total:
             out[tuple(j + 1 for j in jdx)] = total
     return AltForm(n, p, _over(dens[0] * dens[1] ** p if dens else None, out))
-
-
-def _top_pairings(lefts: Sequence[AltForm], rights: Sequence[AltForm]) -> list[list]:
-    """M[i][j] = coefficient of e^{1..n} in lefts[i] ^ rights[j], degrees adding to n.
-
-    Each term of lefts[i] meets one term of rights[j], the complementary one,
-    so the sum takes one lookup per term instead of a full wedge.
-    """
-    full = (1 << lefts[0].dim) - 1
-    forms = [*lefts, *rights]
-    values, dens = _clear(*(f.terms.values() for f in forms))
-    keyed = [dict(zip((_MASK[idx] for idx in f.terms), xs)) for f, xs in zip(forms, values)]
-    left = [[(full ^ m, _merge_signs(m)[full ^ m] * x) for m, x in terms.items()]
-            for terms in keyed[:len(lefts)]]
-    out = []
-    for i, pairs in enumerate(left):
-        row = []
-        for j, terms in enumerate(keyed[len(lefts):], len(lefts)):
-            total = 0
-            for comp, x in pairs:
-                y = terms.get(comp)
-                if y is not None:
-                    total = total + x * y
-            row.append(Fraction(total, dens[i] * dens[j]) if dens else total)
-        out.append(row)
-    return out
 
 
 def form_inner(a: AltForm, b: AltForm, ip: InnerProduct):

@@ -3,14 +3,14 @@
 Matrices are lists of row lists with int or Fraction entries; the
 eliminations raise TypeError on any other entry (a float, a quadratic
 irrational), so none reaches an integer division.  Rows are cleared to
-integers, and two eliminations do all the work:
+integers, and three fraction-free eliminations do all the work:
 
-* ``rref``, the one Gauss-Jordan loop, fraction-free, under ``nullspace``
-  and ``inverse``;
-* ``_bareiss``, the one fraction-free Gaussian elimination, under ``rank``,
-  every ``det`` and the larger pullback minors of ``exteralg``.
+* ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``;
+* ``_bareiss``, the one Gaussian elimination, under ``rank``, every ``det``
+  and the larger pullback minors of ``exteralg``;
+* ``inertia``, its symmetric variant with diagonal pivots, which reads the
+  signature of a symmetric matrix off the signs of its pivots.
 
-``inertia`` diagonalizes a symmetric matrix by congruence over Fractions.
 ``det`` returns an int on int entries and a Fraction on other rational ones;
 ``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
 numerators over one common denominator) and ``_pair`` (a bilinear form
@@ -221,40 +221,41 @@ def det(a):
 def inertia(sym) -> tuple[int, int, int]:
     """Signature (n_pos, n_neg, n_zero) of a rational symmetric matrix.
 
-    Exact congruence diagonalization; when every remaining diagonal entry is
-    zero but an off-diagonal one is not, a row+column addition creates a
-    usable pivot (the standard hyperbolic-block trick).
+    The entries are cleared to integers over one positive denominator, and
+    their content (gcd) divided out, for a symmetric fraction-free
+    elimination (Bareiss 1968) with diagonal pivots: after a pivot p every
+    other entry becomes (p a_ij - a_ik a_kj) // previous pivot, exact as the
+    entries are then principal-bordered minors.  The Gaussian pivot is p over
+    the previous one, so p counts as positive when its sign is the previous
+    pivot's (Jacobi).  When every remaining diagonal entry is zero but an
+    off-diagonal one is not, a row+column addition creates a usable pivot
+    (the standard hyperbolic-block trick); it is a congruence of the original
+    matrix, so the divisions stay exact.  TypeError unless int/Fraction.
     """
     n = len(sym)
-    a = [[Fraction(x) for x in row] for row in sym]
-    alive = list(range(n))
-    pos = neg = zero = 0
-    while alive:
-        k = next((i for i in alive if a[i][i] != 0), None)
+    ints, _, _ = _integer_row([x for row in sym for x in row])
+    a = [ints[i * n:(i + 1) * n] for i in range(n)]
+    pos = neg = 0
+    prev = 1
+    while a:
+        k = next((i for i, row in enumerate(a) if row[i]), None)
         if k is None:
-            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None)
+            pair = next(((i, j) for i, row in enumerate(a) for j in range(i + 1, len(row)) if row[j]),
+                        None)
             if pair is None:
-                zero += len(alive)
                 break
             i, j = pair
-            # congruence by (row_i += row_j, col_i += col_j): diagonal gains 2 a_ij
-            for c in range(n):
-                a[i][c] = a[i][c] + a[j][c]
-            for r in range(n):
-                a[r][i] = a[r][i] + a[r][j]
+            # congruence by (row_i += row_j, col_i += col_j): the diagonal gains 2 a_ij
+            a[i] = [x + y for x, y in zip(a[i], a[j])]
+            for row in a:
+                row[i] += row[j]
             continue
-        piv = a[k][k]
-        if piv > 0:
+        p, top = a[k][k], a.pop(k)
+        if (p > 0) == (prev > 0):
             pos += 1
         else:
             neg += 1
-        alive.remove(k)
-        for i in alive:
-            if a[i][k] != 0:
-                f = a[i][k] / piv
-                for j in alive:
-                    a[i][j] = a[i][j] - f * a[k][j]
-        for i in alive:
-            a[i][k] = Fraction(0)
-            a[k][i] = Fraction(0)
-    return pos, neg, zero
+        a = [[(p * x - row[k] * y) // prev for c, (x, y) in enumerate(zip(row, top)) if c != k]
+             for row in a]
+        prev = p
+    return pos, neg, n - pos - neg

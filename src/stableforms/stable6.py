@@ -16,6 +16,8 @@ whose real part is Omega.  The classical 4-term displays of the canonical
 forms are adapted to the *complex* orientation of their frame, which is the
 negative of the lexicographic one; ``adapted_vol6()`` provides it.
 
+K is read off the integer wedges i_{e_j} Omega ^ Omega of
+``exteralg._interior_wedges``, the kernel it shares with B in ``stable7``.
 K and lambda are computed once per form: ``k_endo`` keeps them in the
 form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c.  K is
 built and K^2 = lambda Id checked under c = 1 only; the entry for another c
@@ -46,7 +48,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import AltForm, LinearMap, VolumeForm, _minor, alt_form, contract, pullback, wedge
+from .exteralg import (AltForm, LinearMap, VolumeForm, _interior_wedges, _minor, alt_form, pullback,
+                       wedge)
 from .linalg import _clear, mat_mul, nullspace, rank, transpose
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
@@ -153,18 +156,14 @@ def _k_memo(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
 def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
     """K of omega against the standard volume form e^{1..6}, and lambda = tr(K^2)/6.
 
-    K is squared once, here, and K^2 = lambda Id checked exactly.
+    Column j is read off the integer wedge w = i_{e_j} Omega ^ Omega of
+    ``_interior_wedges``, one Fraction per entry.  K is squared once, here,
+    and K^2 = lambda Id checked exactly.
     """
-    cols = []
-    for j in range(1, 7):
-        ej = [Fraction(1 if i == j else 0) for i in range(1, 7)]
-        w = -1 * wedge(contract(ej, omega), omega)
-        col = []
-        for i in range(1, 7):
-            comp = tuple(k for k in range(1, 7) if k != i)
-            col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)))
-        cols.append(col)
-    K = LinearMap.from_columns(cols)
+    _, wedges, d = _interior_wedges(omega)
+    # K e_j = -sum_i (-1)^(i-1) w_(1..6 without i) e_i; i counts from 0 below, bit i for index i + 1
+    rows = [[(1 if i & 1 else -1) * w.get(0b111111 ^ 1 << i, 0) for w in wedges] for i in range(6)]
+    K = LinearMap(6, 6, tuple(tuple(Fraction(x, d * d) for x in row) for row in rows))
     k2 = mat_mul(K.matrix, K.matrix)
     lam = sum(k2[i][i] for i in range(6)) / 6
     if any(k2[i][j] != (lam if i == j else 0) for i in range(6) for j in range(6)):

@@ -1,13 +1,14 @@
 """Classification of 3-forms on a 7-space via the quadratic form Q.
 
 ``Q(v, w) = i_v phi ^ i_w phi ^ phi`` read against a declared volume form is
-an exact symmetric matrix B.  Nondegeneracy plus the absolute signature (7
-or 1, computed by exact rational inertia) decides the orbit.  Floats enter
-in two places only, both through ``_float_root``: the ninth root of the
-metric scale in ``_metric`` when it is not rational, and the eighteenth
-roots that normalize the exact Cayley frame of ``canonicalize7``.  B, the
-orbit decision, that frame and its check, and the induced cross product
-stay exact whenever the scale is.
+an exact symmetric matrix B, built from the integer contractions and wedges
+of ``exteralg._interior_wedges``.  Nondegeneracy plus the absolute
+signature (7 or 1, from the fraction-free ``linalg.inertia``) decides the
+orbit.  Floats enter in two places only, both through ``_float_root``: the
+ninth root of the metric scale in ``_metric`` when it is not rational, and
+the eighteenth roots that normalize the exact Cayley frame of
+``canonicalize7``.  B, the orbit decision, that frame and its check, and
+the induced cross product stay exact whenever the scale is.
 
 B is computed once per form, not once per public call: ``q_form`` keeps it
 in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c
@@ -16,13 +17,15 @@ in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c
 volume forms: B and det B are built under c = 1 only, and the entries for
 another c are B/c and det B/c^7.  The memo is safe under concurrent use for
 the reason given in ``stable6``: forms never change, so a race only
-computes the same B twice.  Every public function
-computes the signature of B once, through ``QForm.signature``.
-``metric_from_phi`` hands both to the private ``_metric``, and
-``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
-``bridge.lift_to_3fold`` go through ``metric_from_phi``; ``cli classify``
-passes the ones it printed to ``_canonicalize7``.  ``_orbit7`` is the one
-place that maps a signature to an orbit.
+computes the same B twice.  The signature of B is kept the same way, as
+``("signature", c)``, made on first read by ``QForm.signature`` (a QForm
+from ``q_form`` remembers its form): one inertia per form, under c = 1,
+with pos and neg swapped for c < 0.  ``classify7``, ``metric_from_phi``,
+``canonicalize7`` and ``cli classify`` all read it; ``metric_from_phi``
+hands it with B to the private ``_metric``, and ``canonicalize7`` to
+``_canonicalize7``; ``cross_from_phi`` and ``bridge.lift_to_3fold`` go
+through ``metric_from_phi``.  ``_orbit7`` is the one place that maps a
+signature to an orbit.
 
 det B has its own memo entry next to B, ``("det B", c)``, made on first
 read by ``_det_b``: ``_metric`` and ``_canonicalize7`` read it, and so does
@@ -40,11 +43,11 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _top_pairings, alt_form,
-                       contract, pullback, wedge)
+from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_wedges, _merge_signs,
+                       alt_form, pullback)
 from .linalg import _integer_row, det, inertia
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
@@ -61,9 +64,13 @@ class OrbitClass7(enum.Enum):
 class QForm:
     B: tuple
     vol: VolumeForm
+    # the form that ``q_form`` read B from, whose memo keeps the signature
+    _phi: AltForm | None = field(default=None, init=False, repr=False, compare=False)
 
     def signature(self) -> tuple[int, int, int]:
-        return inertia([list(r) for r in self.B])
+        if self._phi is None:
+            return inertia([list(r) for r in self.B])
+        return _signature(self._phi, self.vol.coefficient())
 
 
 def _check_shape(phi: AltForm, vol: VolumeForm):
@@ -76,7 +83,9 @@ def _check_shape(phi: AltForm, vol: VolumeForm):
 def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
-    return QForm(_b_memo(phi, vol.coefficient()), vol)
+    qf = QForm(_b_memo(phi, vol.coefficient()), vol)
+    object.__setattr__(qf, "_phi", phi)
+    return qf
 
 
 def _b_memo(phi: AltForm, c) -> tuple:
@@ -101,15 +110,32 @@ def _det_b(phi: AltForm, c):
     return d
 
 
+def _signature(phi: AltForm, c) -> tuple[int, int, int]:
+    """The signature of B against c e^{1..7}: the memo entry ("signature", c), made
+    on first use; B/c has the signature at c = 1, with pos and neg swapped if c < 0."""
+    sig = phi._memo.get(("signature", c))
+    if sig is None:
+        if c == 1:
+            sig = inertia([list(r) for r in _b_memo(phi, 1)])
+        else:
+            pos, neg, zero = _signature(phi, 1)
+            sig = (pos, neg, zero) if c > 0 else (neg, pos, zero)
+        phi._memo[("signature", c)] = sig
+    return sig
+
+
 def _b_matrix(phi: AltForm) -> tuple:
-    """B of phi against the standard volume form e^{1..7}."""
-    contractions = []
-    for i in range(1, 8):
-        ei = [Fraction(1 if k == i else 0) for k in range(1, 8)]
-        contractions.append(contract(ei, phi))
-    fives = [wedge(cj, phi) for cj in contractions]  # i_{e_j} phi ^ phi
-    # B[i][j] vol = i_{e_i} phi ^ fives[j], read as a top-degree pairing
-    b = tuple(map(tuple, _top_pairings(contractions, fives)))
+    """B of phi against the standard volume form e^{1..7}.
+
+    B[i][j] vol = i_{e_i} phi ^ (i_{e_j} phi ^ phi) is a top-degree pairing
+    of the integer dicts of ``_interior_wedges``: each term e^I of i_{e_i} phi
+    meets the complementary term of the 5-form, one Fraction per entry.
+    """
+    contractions, wedges, d = _interior_wedges(phi)
+    full = 0b1111111
+    left = [[(full ^ m, _merge_signs(m)[full ^ m] * x) for m, x in c.items()] for c in contractions]
+    b = tuple(tuple(Fraction(sum(x * w.get(comp, 0) for comp, x in pairs), d ** 3) for w in wedges)
+              for pairs in left)
     for i in range(7):
         for j in range(i):
             if b[i][j] != b[j][i]:

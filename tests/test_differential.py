@@ -74,6 +74,21 @@
   the ``contract`` loops (``ref_nearly_parallel``, ``ref_pairing``), on
   bundles and on derivative sets built to pass (i_u psi for a 4-form psi)
   and to fail.
+* K and B come from one integer kernel, ``exteralg._interior_wedges``
+  (i_{e_j} a and i_{e_j} a ^ a as integer dicts).  K, lambda and B equal the
+  ``contract``/``wedge`` loops they replaced (``ref_k_entry``,
+  ``ref_b_matrix``) entry for entry, every entry a Fraction, on c g^* forms of
+  every classify kind (c = +-1, +-p/q, tall +-10^40/q and +-10^+-200),
+  int-typed coefficients and sparse random forms; the kernel's dicts equal
+  ``contract`` and ``wedge`` term for term.
+* The fraction-free ``linalg.inertia`` equals the congruence loop over
+  Fractions it replaced (``ref_inertia``) on random symmetric matrices of
+  sizes 1..8: dense, low-rank, all-zero-diagonal (the hyperbolic step),
+  int-typed and D M D with D = diag(10^e), |e| <= 200; and on the B of the
+  dim-7 classify kinds, tall ones included.
+* ``AltForm.__call__``, one integer minor per term, equals the
+  determinant-per-term loop ``ref_eval`` on random forms of every degree in
+  dims 4, 6 and 7, and raises TypeError on float and QuadExt vectors.
 """
 
 import itertools
@@ -94,14 +109,15 @@ from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
-from stableforms.exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
-                                  basis_form, contract, form_inner, hodge_star,
-                                  pullback, sort_index, wedge)
-from stableforms.linalg import det, inverse, mat_mul, mat_vec, rank
+from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
+                                  _interior_wedges, alt_form, basis_form, contract, form_inner,
+                                  hodge_star, pullback, sort_index, wedge)
+from stableforms.linalg import det, inertia, inverse, mat_mul, mat_vec, rank
 from stableforms.scalars import QuadExt, sqrt_fraction
-from stableforms.stable6 import (OrbitClass6, _hat, canonical_omega_minus, canonical_omega_plus,
+from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, canonical_omega_minus, canonical_omega_plus,
                                  canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
-from stableforms.stable7 import _metric, canonical_phi_minus, canonical_phi_plus, canonicalize7, q_form
+from stableforms.stable7 import (_b_matrix, _metric, canonical_phi_minus, canonical_phi_plus,
+                                 canonicalize7, q_form)
 from stableforms.vcp import cross_2fold, cross_3fold
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
@@ -1266,6 +1282,188 @@ def test_nearly_parallel_matches_the_contract_loop(rng):
     assert expected[0] and not any(expected[1:len(pairs)])
     assert expected[len(pairs)::2] == [True] * 10 and not any(expected[len(pairs) + 1::2])
 
+
+
+# -- K, B and the signature of B on the integer kernel -----------------------
+
+def ref_k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
+    """K and lambda from one contract and one wedge per column, as built before
+    ``exteralg._interior_wedges``."""
+    cols = []
+    for j in range(1, 7):
+        ej = [Fraction(1 if i == j else 0) for i in range(1, 7)]
+        w = -1 * wedge(contract(ej, omega), omega)
+        col = []
+        for i in range(1, 7):
+            comp = tuple(k for k in range(1, 7) if k != i)
+            col.append(((-1) ** (i - 1)) * w.terms.get(comp, Fraction(0)))
+        cols.append(col)
+    K = LinearMap.from_columns(cols)
+    k2 = mat_mul(K.matrix, K.matrix)
+    lam = sum(k2[i][i] for i in range(6)) / 6
+    assert all(k2[i][j] == (lam if i == j else 0) for i in range(6) for j in range(6))
+    return K, lam
+
+
+def ref_b_matrix(phi: AltForm) -> tuple:
+    """B from seven contractions, seven wedges and one top-degree wedge per entry."""
+    full = tuple(range(1, 8))
+    contractions = [contract([Fraction(int(k == i)) for k in range(1, 8)], phi) for i in range(1, 8)]
+    fives = [wedge(cj, phi) for cj in contractions]
+    return tuple(tuple(wedge(ci, fj).terms.get(full, Fraction(0)) for fj in fives) for ci in contractions)
+
+
+def ref_inertia(sym) -> tuple[int, int, int]:
+    """Congruence diagonalization over Fractions, the loop ``linalg.inertia`` replaced."""
+    n = len(sym)
+    a = [[Fraction(x) for x in row] for row in sym]
+    alive = list(range(n))
+    pos = neg = zero = 0
+    while alive:
+        k = next((i for i in alive if a[i][i] != 0), None)
+        if k is None:
+            pair = next(((i, j) for i in alive for j in alive if i < j and a[i][j] != 0), None)
+            if pair is None:
+                zero += len(alive)
+                break
+            i, j = pair
+            for c in range(n):
+                a[i][c] = a[i][c] + a[j][c]
+            for r in range(n):
+                a[r][i] = a[r][i] + a[r][j]
+            continue
+        piv = a[k][k]
+        if piv > 0:
+            pos += 1
+        else:
+            neg += 1
+        alive.remove(k)
+        for i in alive:
+            if a[i][k] != 0:
+                f = a[i][k] / piv
+                for j in alive:
+                    a[i][j] = a[i][j] - f * a[k][j]
+        for i in alive:
+            a[i][k] = Fraction(0)
+            a[k][i] = Fraction(0)
+    return pos, neg, zero
+
+
+def kernel_samples(rng: random.Random, dim: int) -> list:
+    """c g^* of every classify kind in this dimension (c = +-1, +-p/q, tall +-10^40/q,
+    +-10^+-200), int-typed copies of the integer ones, and sparse random forms."""
+    forms = []
+    for base, _ in (v for v in CLASSIFY_KINDS.values() if v[0].dim == dim):
+        g = random_invertible(rng, dim)
+        forms += [c * pullback(g, base) for c in scales(rng)]
+        forms += [Fraction(sign, 7) * Fraction(10) ** e * pullback(g, base) for sign in (1, -1)
+                  for e in (-200, 200)]
+        forms.append(AltForm(dim, 3, {i: int(c) for i, c in pullback(g, base).terms.items()}))
+    for kind in KINDS:
+        forms += [kernel_form(rng, dim, 3, kind) for _ in range(4)]
+    forms += [basis_form(dim, 1, 2, 3), AltForm.zero(dim, 3)]
+    return forms
+
+
+def test_k_matches_the_contract_loop(rng):
+    forms = kernel_samples(rng, 6)
+    assert any(type(c) is int for f in forms for c in f.terms.values())
+    for omega in forms:
+        K, lam = _k_entry(omega)
+        ref_K, ref_lam = ref_k_entry(omega)
+        assert K.matrix == ref_K.matrix and lam == ref_lam
+        assert all(type(x) is Fraction for row in K.matrix for x in row) and type(lam) is Fraction
+
+
+def test_b_matches_the_contract_loop(rng):
+    forms = kernel_samples(rng, 7)
+    assert any(type(c) is int for f in forms for c in f.terms.values())
+    for phi in forms:
+        b = _b_matrix(phi)
+        assert b == ref_b_matrix(phi)
+        assert all(type(x) is Fraction for row in b for x in row)
+
+
+def test_interior_wedges_match_contract_and_wedge(rng):
+    """The integer dicts themselves: i_{e_j} a over d and i_{e_j} a ^ a over d^2."""
+    for dim in (4, 6, 7):
+        for kind in KINDS:
+            a = kernel_form(rng, dim, 3, kind)
+            contractions, wedges, d = _interior_wedges(a)
+            for j in range(1, dim + 1):
+                cj = contract([int(k == j) for k in range(1, dim + 1)], a)
+                got = {_INDEX[m]: Fraction(x, d) for m, x in contractions[j - 1].items()}
+                assert got == cj.terms
+                got = {_INDEX[m]: Fraction(x, d * d) for m, x in wedges[j - 1].items() if x}
+                assert got == wedge(cj, a).terms
+    with pytest.raises(TypeError):
+        _interior_wedges(alt_form(6, 3, {(1, 2, 3): QuadExt.of(1, 2)}))
+
+
+def random_symmetric(rng: random.Random, n: int, kind: str) -> list:
+    """A random symmetric n x n matrix of the given kind."""
+    if kind == "low rank":  # sum of r < n signed squares of rational vectors
+        vs = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+              for _ in range(rng.randint(0, n - 1))]
+        signs = [rng.choice((-1, 1)) for _ in vs]
+        return [[sum((s * v[i] * v[j] for s, v in zip(signs, vs)), Fraction(0)) for j in range(n)]
+                for i in range(n)]
+    m = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if kind == "zero diagonal" and i == j:
+                continue
+            x = Fraction(rng.randint(-6, 6), rng.randint(1, 5)) if rng.random() < 0.8 else Fraction(0)
+            m[i][j] = m[j][i] = x
+    if kind == "int":
+        return [[int(5 * x) for x in row] for row in m]
+    if kind == "scaled":  # D M D with D = diag(10^e_i), |e_i| <= 200
+        e = [Fraction(10) ** rng.randint(-200, 200) for _ in range(n)]
+        return [[e[i] * x * e[j] for j, x in enumerate(row)] for i, row in enumerate(m)]
+    return m
+
+
+@pytest.mark.parametrize("kind", ["dense", "low rank", "zero diagonal", "int", "scaled"])
+def test_inertia_matches_the_fraction_loop(kind, rng):
+    nullities = []
+    for _ in range(150):
+        m = random_symmetric(rng, rng.randint(1, 8), kind)
+        expected = ref_inertia(m)
+        assert inertia(m) == expected
+        nullities.append(expected[2])
+    assert all(nullities) if kind == "low rank" else not all(nullities)
+    hyperbolic = [[0, 1, 0], [1, 0, 0], [0, 0, 0]]
+    assert inertia(hyperbolic) == ref_inertia(hyperbolic) == (1, 1, 1)
+    assert inertia([]) == (0, 0, 0) and inertia([[0, 0], [0, 0]]) == (0, 0, 2)
+
+
+def test_inertia_of_b_for_every_classify_kind(rng):
+    """B of c g^* phi for the classify kinds, tall ones (c ~ 10^40) included."""
+    expected = {"7+": {(3, 4, 0), (4, 3, 0)}, "7-": {(7, 0, 0), (0, 7, 0)}}
+    for kind in ("7+", "7-", "7d"):
+        base, _ = CLASSIFY_KINDS[kind]
+        for _ in range(3):
+            g = random_invertible(rng, 7)
+            for c in scales(rng):
+                b = [list(r) for r in q_form(c * pullback(g, base), VolumeForm.standard(7)).B]
+                sig = inertia(b)
+                assert sig == ref_inertia(b)
+                assert sig in expected.get(kind, {sig}) and (sig[2] > 0) == (kind == "7d")
+
+
+def test_evaluation_matches_the_det_per_term_loop(rng):
+    """AltForm.__call__ takes one integer minor per term; ref_eval one determinant."""
+    for dim in (4, 6, 7):
+        for p in range(dim + 1):
+            for kind in KINDS:
+                form = kernel_form(rng, dim, p, kind)
+                vectors = [kernel_matrix(rng, dim, kind).column(0) for _ in range(p)]
+                value = form(*vectors)
+                assert value == ref_eval(form, *vectors) and type(value) is Fraction
+        form = kernel_form(rng, dim, 3, "mixed") + basis_form(dim, 1, 2, 3)
+        for bad in (0.5, QuadExt.of(1, 2)):
+            with pytest.raises(TypeError):
+                form([bad] + [0] * (dim - 1), *([[1] * dim] * 2))
 
 if __name__ == "__main__":
     json.dump({name: nabla_documents(name) for name in sorted(IWASAWA_F)}, sys.stdout,

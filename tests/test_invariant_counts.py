@@ -33,6 +33,7 @@ from conftest import G6, G7, iwasawa_su3
 from stableforms import bridge, cli, compalg, exteralg, framecalc, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
+from stableforms.linalg import inertia
 
 VOL6 = VolumeForm.standard(6)
 VOL7 = VolumeForm.standard(7)
@@ -83,10 +84,10 @@ CASES = {
     "hat": (lambda: stable6.hat(OMEGA_MINUS, VOL6), {"k_endo": 1}),
     "canonicalize6_plus": (lambda: stable6.canonicalize6(OMEGA_PLUS, VOL6), {"k_endo": 1}),
     "canonicalize6_minus": (lambda: stable6.canonicalize6(OMEGA_MINUS, VOL6), {"k_endo": 1}),
-    "metric_from_phi": (lambda: stable7.metric_from_phi(PHI_MINUS, VOL7),
+    "metric_from_phi": (lambda: stable7.metric_from_phi(fresh(PHI_MINUS), VOL7),
                         {"q_form": 1, "inertia": 1}),
-    "canonicalize7": (lambda: stable7.canonicalize7(PHI_MINUS, VOL7), {"q_form": 1, "inertia": 1}),
-    "cross_from_phi": (lambda: stable7.cross_from_phi(PHI_MINUS, VOL7), {"q_form": 1, "inertia": 1}),
+    "canonicalize7": (lambda: stable7.canonicalize7(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
+    "cross_from_phi": (lambda: stable7.cross_from_phi(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
     "lift_to_3fold": (lambda: bridge.lift_to_3fold(PHI_MINUS), {"q_form": 1, "inertia": 1}),
     # the lift is classified once: one q_form of the 7-form it builds
     "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
@@ -137,33 +138,34 @@ def test_each_invariant_computed_once(name, calls):
     assert dict(calls) == expected
 
 
-# K and B are also built once per form across public calls: the contractions
-# that build them run once for lambda_coeff, classify6 and canonicalize6 (q_form,
-# classify7 and canonicalize7) on one form, and the per-form memo gives what a
-# fresh copy of the form gives under every volume form.
+# K and B are also built once per form across public calls: the integer kernel
+# that builds them (exteralg._interior_wedges) runs once for lambda_coeff,
+# classify6 and canonicalize6 (q_form, classify7 and canonicalize7) on one form,
+# and the per-form memo gives what a fresh copy of the form gives under every
+# volume form.
 
 def fresh(form):
     return AltForm(form.dim, form.degree, dict(form.terms))
 
 
 @pytest.fixture
-def contractions(monkeypatch):
-    """Contractions run by stable6 and stable7, whose only users are k_endo and q_form."""
+def kernels(monkeypatch):
+    """Runs of the K and B kernel, one per form built, counted by the module that ran it."""
     counts = Counter()
     for module in (stable6, stable7):
-        def counting(*args, _orig=module.contract, _name=module.__name__, **kwargs):
+        def counting(*args, _orig=module._interior_wedges, _name=module.__name__, **kwargs):
             counts[_name.rsplit(".", 1)[1]] += 1
             return _orig(*args, **kwargs)
-        monkeypatch.setattr(module, "contract", counting)
+        monkeypatch.setattr(module, "_interior_wedges", counting)
     return counts
 
 
-def test_k_is_built_once_per_form(contractions):
+def test_k_is_built_once_per_form(kernels):
     omega = fresh(OMEGA_MINUS)
     stable6.lambda_coeff(omega, VOL6)
     stable6.classify6(omega, VOL6)
     stable6.canonicalize6(omega, VOL6)
-    assert contractions == {"stable6": 6}  # one per column of one K
+    assert kernels == {"stable6": 1}
 
 
 def test_k_is_squared_once_per_form(monkeypatch):
@@ -178,22 +180,24 @@ def test_k_is_squared_once_per_form(monkeypatch):
     assert len(squares) == 1
 
 
-def test_b_is_built_once_per_form(contractions):
+def test_b_is_built_once_per_form(kernels):
     phi = fresh(PHI_MINUS)
     stable7.q_form(phi, VOL7)
     stable7.classify7(phi, VOL7)
     stable7.canonicalize7(phi, VOL7)
-    assert contractions == {"stable7": 7}  # one per basis vector for one B
+    assert kernels == {"stable7": 1}
 
 
-@pytest.mark.parametrize("form,expected", [(OMEGA_MINUS, {"stable6": 6}), (PHI_MINUS, {"stable7": 7})],
+@pytest.mark.parametrize("form,expected", [(OMEGA_MINUS, {"stable6": 1}), (PHI_MINUS, {"stable7": 1})],
                          ids=["G6*Omega-", "G7*phi-"])
-def test_classify_under_another_volume_builds_k_or_b_once(form, expected, contractions, dets):
+def test_classify_under_another_volume_builds_k_or_b_once(form, expected, kernels, dets, calls):
     """--vol -1: stabilizer_dim builds K (B and det B) under the standard volume form,
-    and the classification reads K/c and lambda/c^2 (B/c, det B/c^7) derived from them."""
+    and the classification reads K/c and lambda/c^2 (B/c, det B/c^7, the signature
+    of B with pos and neg swapped) derived from them."""
     classify_canonicalize(fresh(form), "--vol", "-1")
-    assert contractions == expected  # one per column of K, one per basis vector for B
+    assert kernels == expected
     assert len(dets) == (form.dim == 7)
+    assert calls["inertia"] == (form.dim == 7)
 
 
 def test_memo_matches_a_fresh_form_under_every_volume():
@@ -256,23 +260,23 @@ def test_spread_coefficients_take_no_rank(ranks, dets):
     assert not ranks and len(dets) == 1
 
 
-def test_stabilizer_dim_shares_k_with_classify(contractions, ranks):
+def test_stabilizer_dim_shares_k_with_classify(kernels, ranks):
     omega = fresh(OMEGA_MINUS)
     stable6.stabilizer_dim(omega)
     stable6.lambda_coeff(omega, VOL6)
     stable6.canonicalize6(omega, VOL6)
-    assert contractions == {"stable6": 6}  # one K
+    assert kernels == {"stable6": 1}  # one K
     assert not ranks
 
 
-def test_stabilizer_dim_shares_b_and_det_b_with_classify(contractions, ranks, dets):
+def test_stabilizer_dim_shares_b_and_det_b_with_classify(kernels, ranks, dets):
     phi = fresh(PHI_MINUS)
     stable6.stabilizer_dim(phi)
     stable7.q_form(phi, VOL7).signature()
     stable7.classify7(phi, VOL7)
     stable7.canonicalize7(phi, VOL7)
     stable7.metric_from_phi(phi, VOL7)
-    assert contractions == {"stable7": 7}  # one B
+    assert kernels == {"stable7": 1}  # one B
     assert len(dets) == 1 and not ranks
 
 
@@ -283,6 +287,21 @@ def test_det_b_is_taken_only_when_read(dets):
     assert not dets
     stable7.canonicalize7(phi, VOL7)
     assert len(dets) == 1
+
+
+@pytest.mark.parametrize("c", [1, -1])
+def test_one_signature_per_form_in_the_classify_order(c, calls):
+    """The classify benchmark's order on one form: one inertia of B between them, under
+    the standard volume form and under c = -1, whose signature is derived by swapping."""
+    phi, vol = fresh(PHI_MINUS), VolumeForm.standard(7, c)
+    stable6.stabilizer_dim(phi)
+    signature = stable7.q_form(phi, vol).signature()
+    assert stable7.classify7(phi, vol) == stable7.OrbitClass7.O7_MINUS
+    stable7.canonicalize7(phi, vol)
+    stable7.metric_from_phi(phi, vol)
+    assert calls["inertia"] == 1
+    assert signature == ((7, 0, 0) if c == 1 else (0, 7, 0))
+    assert signature == inertia([list(r) for r in stable7.q_form(fresh(phi), vol).B])
 
 
 def test_one_inverse_per_gram_matrix(monkeypatch):
