@@ -1353,7 +1353,7 @@ def kernel_samples(rng: random.Random, dim: int) -> list:
     """c g^* of every classify kind in this dimension (c = +-1, +-p/q, tall +-10^40/q,
     +-10^+-200), int-typed copies of the integer ones, and sparse random forms."""
     forms = []
-    for base, _ in (v for v in CLASSIFY_KINDS.values() if v[0].dim == dim):
+    for base in (base for base, _ in CLASSIFY_KINDS.values() if base.dim == dim):
         g = random_invertible(rng, dim)
         forms += [c * pullback(g, base) for c in scales(rng)]
         forms += [Fraction(sign, 7) * Fraction(10) ** e * pullback(g, base) for sign in (1, -1)

@@ -7,7 +7,10 @@ is derived once per (circle bundle, SU(3) data) pair, for ``classify_g2`` and
 ``nabla_phi`` alike.  The counts below are the number of times one public
 call runs each of them.  ``stabilizer_dim`` reads lambda or
 det B from the same per-form memo and ranks its system only for unstable
-forms; a frame model inverts each Gram matrix once.
+forms; the signature of B is kept there too, so the classify order
+(stabilizer_dim, q_form().signature(), classify7, canonicalize7) takes one
+inertia per form under any volume coefficient; a frame model inverts each
+Gram matrix once.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
