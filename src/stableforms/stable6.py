@@ -18,10 +18,13 @@ negative of the lexicographic one; ``adapted_vol6()`` provides it.
 
 K is read off the integer wedges i_{e_j} Omega ^ Omega of
 ``exteralg._interior_wedges``, the kernel it shares with B in ``stable7``.
-K and lambda are computed once per form: ``k_endo`` keeps them in the
-form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c.  K is
-built and K^2 = lambda Id checked under c = 1 only; the entry for another c
-is K/c with lambda/c^2.  The memo is safe under concurrent use: a form's
+Omega must have int or Fraction coefficients: ``k_endo``, and with it
+``lambda_coeff``, ``classify6``, ``scaled_structure``, ``hat``,
+``canonicalize6`` and ``stabilizer_dim``, raises TypeError on any other (a
+float, a QuadExt).  K and lambda are computed once per form: ``k_endo``
+keeps them in the form's private ``AltForm._memo``, keyed by
+``vol.coefficient()`` c.  K is built and K^2 = lambda Id checked under c = 1
+only; the entry for another c is K/c with lambda/c^2.  The memo is safe under concurrent use: a form's
 terms never change, so two threads that miss together compute equal entries.
 ``_structure`` reads (K, lambda), lambda = 0 included, for ``lambda_coeff``,
 ``scaled_structure`` and ``cli classify``; one ``ScaledStructure`` is passed

@@ -19,13 +19,18 @@ another c are B/c and det B/c^7.  The memo is safe under concurrent use for
 the reason given in ``stable6``: forms never change, so a race only
 computes the same B twice.  The signature of B is kept the same way, as
 ``("signature", c)``, made on first read by ``QForm.signature`` (a QForm
-from ``q_form`` remembers its form): one inertia per form, under c = 1,
-with pos and neg swapped for c < 0.  ``classify7``, ``metric_from_phi``,
-``canonicalize7`` and ``cli classify`` all read it; ``metric_from_phi``
-hands it with B to the private ``_metric``, and ``canonicalize7`` to
-``_canonicalize7``; ``cross_from_phi`` and ``bridge.lift_to_3fold`` go
-through ``metric_from_phi``.  ``_orbit7`` is the one place that maps a
-signature to an orbit.
+from ``q_form`` remembers its form): one inertia per form and volume
+coefficient, that of the entry ("B", c).  ``classify7``,
+``metric_from_phi``, ``canonicalize7`` and ``cli classify`` all read it;
+``metric_from_phi`` hands it with B to the private ``_metric``, and
+``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
+``bridge.lift_to_3fold`` go through ``metric_from_phi``.  ``_orbit7`` is the
+one place that maps a signature to an orbit.
+
+phi must have int or Fraction coefficients: ``q_form``, and with it
+``classify7``, ``metric_from_phi``, ``canonicalize7``, ``cross_from_phi``
+and ``stable6.stabilizer_dim``, raises TypeError on any other (a float,
+say), because B is built on the integer kernel.
 
 det B has its own memo entry next to B, ``("det B", c)``, made on first
 read by ``_det_b``: ``_metric`` and ``_canonicalize7`` read it, and so does
@@ -111,16 +116,10 @@ def _det_b(phi: AltForm, c):
 
 
 def _signature(phi: AltForm, c) -> tuple[int, int, int]:
-    """The signature of B against c e^{1..7}: the memo entry ("signature", c), made
-    on first use; B/c has the signature at c = 1, with pos and neg swapped if c < 0."""
+    """The signature of B against c e^{1..7}: the memo entry ("signature", c), made on first use."""
     sig = phi._memo.get(("signature", c))
     if sig is None:
-        if c == 1:
-            sig = inertia([list(r) for r in _b_memo(phi, 1)])
-        else:
-            pos, neg, zero = _signature(phi, 1)
-            sig = (pos, neg, zero) if c > 0 else (neg, pos, zero)
-        phi._memo[("signature", c)] = sig
+        sig = phi._memo[("signature", c)] = inertia([list(r) for r in _b_memo(phi, c)])
     return sig
 
 

@@ -91,7 +91,7 @@ CASES = {
                         {"q_form": 1, "inertia": 1}),
     "canonicalize7": (lambda: stable7.canonicalize7(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
     "cross_from_phi": (lambda: stable7.cross_from_phi(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
-    "lift_to_3fold": (lambda: bridge.lift_to_3fold(PHI_MINUS), {"q_form": 1, "inertia": 1}),
+    "lift_to_3fold": (lambda: bridge.lift_to_3fold(fresh(PHI_MINUS)), {"q_form": 1, "inertia": 1}),
     # the lift is classified once: one q_form of the 7-form it builds
     "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
                      {"k_endo": 1, "q_form": 1, "inertia": 1}),
@@ -195,8 +195,8 @@ def test_b_is_built_once_per_form(kernels):
                          ids=["G6*Omega-", "G7*phi-"])
 def test_classify_under_another_volume_builds_k_or_b_once(form, expected, kernels, dets, calls):
     """--vol -1: stabilizer_dim builds K (B and det B) under the standard volume form,
-    and the classification reads K/c and lambda/c^2 (B/c, det B/c^7, the signature
-    of B with pos and neg swapped) derived from them."""
+    and the classification reads K/c and lambda/c^2 (B/c and det B/c^7) derived from
+    them; the signature is the one inertia of B/c."""
     classify_canonicalize(fresh(form), "--vol", "-1")
     assert kernels == expected
     assert len(dets) == (form.dim == 7)
@@ -295,7 +295,7 @@ def test_det_b_is_taken_only_when_read(dets):
 @pytest.mark.parametrize("c", [1, -1])
 def test_one_signature_per_form_in_the_classify_order(c, calls):
     """The classify benchmark's order on one form: one inertia of B between them, under
-    the standard volume form and under c = -1, whose signature is derived by swapping."""
+    the standard volume form and under c = -1, where it is the inertia of B/c."""
     phi, vol = fresh(PHI_MINUS), VolumeForm.standard(7, c)
     stable6.stabilizer_dim(phi)
     signature = stable7.q_form(phi, vol).signature()

@@ -89,6 +89,18 @@ class TestClassify:
         for t in (Fraction(2), Fraction(-1), Fraction(1, 7)):
             assert classify6(t * omega, VOL) == OrbitClass6.O6_MINUS
 
+    @pytest.mark.parametrize("coefficient", [0.5, QuadExt(Fraction(1), Fraction(1), Fraction(2))],
+                             ids=["float", "QuadExt"])
+    @pytest.mark.parametrize("call", [lambda omega: classify6(omega, VOL),
+                                      lambda omega: lambda_coeff(omega, VOL),
+                                      lambda omega: k_endo(omega, VOL), stabilizer_dim],
+                             ids=["classify6", "lambda_coeff", "k_endo", "stabilizer_dim"])
+    def test_non_rational_coefficients_raise_type_error(self, call, coefficient):
+        """K is built on the integer kernel: int and Fraction coefficients only."""
+        omega = alt_form(6, 3, {**canonical_omega_minus().terms, (1, 2, 3): coefficient})
+        with pytest.raises(TypeError):
+            call(omega)
+
 
 class TestScaledStructure:
     def test_k_squared_is_lambda(self, rng):

@@ -74,6 +74,15 @@ class TestClassify:
         assert stabilizer_dim(canonical_phi_plus()) == 14
         assert 49 - 14 == 35  # orbit dimension = dim of the full 3-form space
 
+    @pytest.mark.parametrize("call", [lambda phi: classify7(phi, VOL), lambda phi: q_form(phi, VOL),
+                                      lambda phi: metric_from_phi(phi, VOL), stabilizer_dim],
+                             ids=["classify7", "q_form", "metric_from_phi", "stabilizer_dim"])
+    def test_float_coefficients_raise_type_error(self, call):
+        """B is built on the integer kernel: int and Fraction coefficients only."""
+        phi = alt_form(7, 3, {**canonical_phi_minus().terms, (1, 2, 3): 0.5})
+        with pytest.raises(TypeError):
+            call(phi)
+
 
 class TestExactRoots:
     """Cube and ninth roots are exact at every size, with no float guess."""
