@@ -48,12 +48,13 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exteralg import (AltForm, LinearMap, VolumeForm, _interior_wedges, _minor, alt_form, pullback,
                        wedge)
-from .linalg import _clear, mat_mul, nullspace, rank, transpose
+from .linalg import _clear, nullspace, rank, transpose
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
 
@@ -161,17 +162,19 @@ def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
 
     Column j is read off the integer wedge w = i_{e_j} Omega ^ Omega of
     ``_interior_wedges``, one Fraction per entry.  K is squared once, here,
-    and K^2 = lambda Id checked exactly.
+    on its integer numerators R over d^2: K^2 = lambda Id is checked as
+    6 (R^2)_ij = tr(R^2) delta_ij, and lambda = tr(R^2) / (6 d^4).
     """
     _, wedges, d = _interior_wedges(omega)
     # K e_j = -sum_i (-1)^(i-1) w_(1..6 without i) e_i; i counts from 0 below, bit i for index i + 1
     rows = [[(1 if i & 1 else -1) * w.get(0b111111 ^ 1 << i, 0) for w in wedges] for i in range(6)]
-    K = LinearMap(6, 6, tuple(tuple(Fraction(x, d * d) for x in row) for row in rows))
-    k2 = mat_mul(K.matrix, K.matrix)
-    lam = sum(k2[i][i] for i in range(6)) / 6
-    if any(k2[i][j] != (lam if i == j else 0) for i in range(6) for j in range(6)):
+    cols = list(zip(*rows))
+    r2 = [[sum(map(operator.mul, row, col)) for col in cols] for row in rows]
+    tr = sum(r2[i][i] for i in range(6))
+    if any(6 * r2[i][j] != (tr if i == j else 0) for i in range(6) for j in range(6)):
         raise ArithmeticError("K^2 != lambda Id; inconsistent input")
-    return K, lam
+    K = LinearMap(6, 6, tuple(tuple(Fraction(x, d * d) for x in row) for row in rows))
+    return K, Fraction(tr, 6 * d ** 4)
 
 
 def lambda_coeff(omega: AltForm, vol: VolumeForm) -> Lambda:

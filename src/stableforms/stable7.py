@@ -10,6 +10,11 @@ the eighteenth roots that normalize the exact Cayley frame of
 ``canonicalize7``.  B, the orbit decision, that frame and its check, and
 the induced cross product stay exact whenever the scale is.
 
+``canonicalize7`` builds its Cayley frame on integers from B and phi: a
+fraction-free Gram-Schmidt basis gives B^-1, the frame's B-orthogonality
+gives the inverse frame, and phi is evaluated on the frame through the
+integer matrices of its contractions, with no elimination beyond det B.
+
 B is computed once per form, not once per public call: ``q_form`` keeps it
 in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c
 (the only thing B takes from vol), so ``q_form``, ``classify7`` and
@@ -46,14 +51,16 @@ none.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
+import operator
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_wedges, _merge_signs,
                        alt_form, pullback)
-from .linalg import _integer_row, det, inertia
+from .linalg import _clear, det, inertia
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct, _product_from_form
@@ -237,21 +244,35 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     """Canonical basis for the O7_MINUS orbit: phi = basis^* canonical_phi_minus().
 
     The Cayley frame (Bryant, *Some remarks on G2-structures*, 2005) is built
-    over Q from B and the product Y with B(Y(x, y), z) = phi(x, y, z), which
-    is the induced cross product up to the positive factor 6s sgn, where sgn
-    is the sign of the definite B.  Rational Gram-Schmidt for B on e_1..e_7
-    gives f_1..f_7; u1 = f1, u2 = f2, u3 = sgn Y(u1, u2); u4 is the
-    projection v off span(u1, u2, u3) of the f among f_3..f_7 that keeps
-    the largest share B(v, v)/B(f, f) (the first on a tie); u5, u6, u7 =
-    sgn Y(u_i, u4) for i = 1, 2, 3.  Each u_a is kept as a primitive integer
-    vector, a positive multiple of itself.  An exact check asserts that phi
-    takes on this frame exactly the seven canonical terms, each with the
-    coefficient its B-norms demand, and raises ArithmeticError otherwise.
+    from B and the product Y with B(Y(x, y), z) = phi(x, y, z), which is the
+    induced cross product up to the positive factor 6s sgn, where sgn is the
+    sign of the definite B.  It runs on integers and takes no elimination
+    beyond the memoized det B.  B is cleared once to the positive definite
+    integer matrix P = sgn den B.  Fraction-free Gram-Schmidt for P on
+    e_1..e_7 (v <- P(u, u) v - P(v, u) u) gives f_1..f_7 with F^T P F =
+    diag(N), so P^-1 w = sum_i (f_i . w / N_i) f_i needs no inverse.  u1 =
+    f1, u2 = f2, u3 = sgn Y(u1, u2); u4 is the projection v off span(u1, u2,
+    u3) of the f among f_3..f_7 that keeps the largest share B(v, v)/B(f, f)
+    (the first on a tie); u5, u6, u7 = sgn Y(u_i, u4) for i = 1, 2, 3.  Each
+    u_a is kept as a primitive integer vector, a positive multiple of
+    itself.  phi is evaluated on the frame in stages from its integer
+    numerators: i_{u_a} phi as an antisymmetric matrix, then i_{u_b}, which
+    is also the w = phi(u_a, u_b, .) of Y, then a dot product with u_c.  An
+    exact check asserts that phi takes on this frame exactly the seven
+    canonical terms, each with the coefficient its B-norms demand, and
+    raises ArithmeticError otherwise.
+
+    The check also gives the inverse frame matrix U^-1, with no elimination:
+    row a is (P u_a)^T / P(u_a, u_a), because U^T B U is diagonal.  B is
+    equivariant, B(U^* phi) = det U U^T B U, and a form with the seven terms
+    of phi_minus and their signs is D^* phi_minus for a positive diagonal
+    D, since the incidence matrix of the Fano plane is invertible (solve
+    for log D); B(D^* phi_minus) is diagonal.
+
     Floats enter only in the normalization: row a of the basis is n_a times
-    row a of the inverse frame matrix, where n_a, the metric length of u_a,
-    has a rational 18th power.  ``residual`` reports the largest coefficient
-    error of the float round trip basis^* canonical_phi_minus() - phi; it
-    checks nothing.
+    row a of U^-1, where n_a, the metric length of u_a, has a rational 18th
+    power.  ``residual`` reports the largest coefficient error of the float
+    round trip basis^* canonical_phi_minus() - phi; it checks nothing.
     """
     qf = q_form(phi, vol)
     return _canonicalize7(phi, qf, qf.signature())
@@ -261,49 +282,104 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
     if _orbit7(signature) != OrbitClass7.O7_MINUS:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
     sgn = 1 if signature[0] == 7 else -1
-    ip = InnerProduct.from_rows(qf.B)
-    product = _product_from_form(phi, ip)
+    # P = sgn den B, an integer positive definite matrix; P(u, v) = P u . v
+    (nums,), (den,) = _clear(x for row in qf.B for x in row)
+    p = [[sgn * x for x in nums[7 * i:7 * i + 7]] for i in range(7)]
+    (coeffs,), (d,) = _clear(phi.terms.values())  # phi = coeffs / d
+    terms = [(i - 1, j - 1, k - 1, x) for (i, j, k), x in zip(phi.terms, coeffs)]
 
-    def cross(a, b) -> list:
-        """sgn Y(a, b) as a primitive integer vector: a positive multiple of the cross product."""
-        return [sgn * x for x in _integer_row(product(a, b))[0]]
+    def times_p(v: list) -> list:
+        return [_dot(row, v) for row in p]
 
-    gs: list = []  # Gram-Schmidt f1..f7
+    gs, pgs, ns = [], [], []  # Gram-Schmidt f1..f7, P f_i and N_i = P(f_i, f_i) > 0
     for i in range(7):
-        gs.append(_project(ip, [int(i == j) for j in range(7)], gs))
-    u = [gs[0], gs[1], cross(gs[0], gs[1])]
-    # f3..f7 are orthogonal to u1, u2: off u3, f keeps the share 1 - cos^2(f, u3) of B(f, f)
-    n3 = ip.pair(u[2], u[2])
-    f = min(gs[2:], key=lambda f: ip.pair(f, u[2]) ** 2 / (ip.pair(f, f) * n3))
-    u.append(_project(ip, f, u[2:]))
-    u += [cross(u[i], u[3]) for i in range(3)]
+        v = [int(i == j) for j in range(7)]
+        for f, pf, n in zip(gs, pgs, ns):
+            v = _off(v, f, pf, n)
+        gs.append(_primitive(v))
+        pgs.append(times_p(gs[-1]))
+        ns.append(_dot(gs[-1], pgs[-1]))
+    # F^T P F = diag(N), so L P^-1 w = sum_i (f_i . w)(L / N_i) f_i with L = lcm(N_i)
+    lcm = math.lcm(*ns)
+
+    def cross(w: list) -> list:
+        """For w = phi(a, b, .) over d: a primitive positive multiple of sgn Y(a, b) = P^-1 w."""
+        scaled = [(_dot(f, w) * (lcm // n), f) for f, n in zip(gs, ns)]
+        return _primitive([sum(s * f[k] for s, f in scaled if s) for k in range(7)])
+
+    u = [gs[0], gs[1]]
+    m = [_interior_matrix(terms, u[0])]  # i_{u_a} phi
+    w = {(0, 1): _interior_vector(m[0], u[1])}  # i_{u_b} i_{u_a} phi = phi(u_a, u_b, .)
+    u.append(cross(w[0, 1]))
+    pu = [pgs[0], pgs[1], times_p(u[2])]
+    # f3..f7 are orthogonal to u1, u2: off u3, f keeps the share 1 - P(f, u3)^2 / (N_f P(u3, u3))
+    best = min(range(2, 7), key=lambda i: Fraction(_dot(gs[i], pu[2]) ** 2, ns[i]))
+    u.append(_primitive(_off(gs[best], u[2], pu[2], _dot(u[2], pu[2]))))
+    m += [_interior_matrix(terms, v) for v in u[1:4]]
+    for a in range(3):
+        w[a, 3] = _interior_vector(m[a], u[3])
+        u.append(cross(w[a, 3]))
+    m.append(_interior_matrix(terms, u[4]))
+    pu += [times_p(v) for v in u[3:]]
     # (sgn B(u_a, u_a))^9 / n_a^18 = 36 |det B| = (6 s)^9 with s the metric scale
-    norms = [sgn * ip.pair(v, v) for v in u]
+    pnorms = [_dot(v, pv) for v, pv in zip(u, pu)]  # P(u_a, u_a)
+    norms = [Fraction(n, den) for n in pnorms]
     d36 = 36 * abs(_det_b(phi, qf.vol.coefficient()))
-    frame = LinearMap.from_columns(u)
-    terms = pullback(frame, phi).terms
+    values = {}  # phi(u_a, u_b, u_c) d, a < b < c
+    for a, b in itertools.combinations(range(6), 2):
+        wab = w.get((a, b)) or _interior_vector(m[a], u[b])
+        for c in range(b + 1, 7):
+            values[a + 1, b + 1, c + 1] = _dot(wab, u[c])
     canonical = canonical_phi_minus().terms
-    if terms.keys() != canonical.keys() or any(
-            (c > 0) != (canonical[idx] > 0)
-            or c ** 6 * d36 != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
-            for idx, c in terms.items()):
+    if any(bool(x) != (idx in canonical) for idx, x in values.items()) or any(
+            (values[idx] > 0) != (c > 0)
+            or Fraction(values[idx], d) ** 6 * d36
+            != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
+            for idx, c in canonical.items()):
         raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
+    # the check makes U^T P U = diag(P(u_a, u_a)), so row a of U^-1 is (P u_a)^T / P(u_a, u_a)
     basis = []
-    for row, nrm in zip(frame.inverse().matrix, norms):
-        t = max(abs(x) for x in row)  # n_a row = (n_a t)(row / t), both factors in float range
-        m = _float_root(nrm ** 9 * t ** 18 / d36, 18)
-        basis.append([float(x / t) * m for x in row])
+    for pv, n, nrm in zip(pu, pnorms, norms):
+        t = max(abs(x) for x in pv)  # n_a (P u_a / n) = (n_a t / n)(P u_a / t), both factors in float range
+        r = _float_root(nrm ** 9 * Fraction(t, n) ** 18 / d36, 18)
+        basis.append([x / t * r for x in pv])
     back = pullback(LinearMap.from_rows(basis), canonical_phi_minus())
     residual = max(abs(back.coeff(idx) - float(phi.coeff(idx)))
                    for idx in back.terms.keys() | phi.terms.keys())
     return Canon7(basis, residual)
 
 
-def _project(ip: InnerProduct, v: list, onto: list) -> list:
-    """A primitive integer vector along v minus its ip-projection onto the
-    pairwise ip-orthogonal vectors onto; v and onto are integer vectors."""
-    for u in onto:
-        c = ip.pair(v, u) / ip.pair(u, u)
-        v = [c.denominator * x - c.numerator * y for x, y in zip(v, u)]
+def _dot(a: list, b: list) -> int:
+    return sum(map(operator.mul, a, b))
+
+
+def _primitive(v: list) -> list:
+    """v over the gcd of its entries: the primitive integer vector along v."""
     g = math.gcd(*v)
     return [x // g for x in v]
+
+
+def _off(v: list, u: list, pu: list, n: int) -> list:
+    """An integer positive multiple of v minus its P-projection onto u, given P u
+    and n = P(u, u) > 0: n v - P(v, u) u over the gcd of the two factors."""
+    c = _dot(v, pu)
+    g = math.gcd(n, c)
+    return [n // g * x - c // g * y for x, y in zip(v, u)]
+
+
+def _interior_matrix(terms: list, u: list) -> list:
+    """i_u phi as the antisymmetric integer matrix M with (i_u phi)(x, y) = x^T M y,
+    for phi = sum x e^{ijk} over the terms (i, j, k, x), indices from 0."""
+    m = [[0] * 7 for _ in range(7)]
+    for i, j, k, x in terms:
+        # i_u e^{ijk} = u_i e^{jk} - u_j e^{ik} + u_k e^{ij}
+        for r, s, y in ((j, k, x * u[i]), (i, k, -x * u[j]), (i, j, x * u[k])):
+            if y:
+                m[r][s] += y
+                m[s][r] -= y
+    return m
+
+
+def _interior_vector(m: list, v: list) -> list:
+    """i_v of the 2-form with matrix m: the covector (v^T m)_k = -(m v)_k."""
+    return [-_dot(row, v) for row in m]

@@ -48,7 +48,14 @@
   cross product and inverse) to 1e-11 relative on 84 seeded c g^* phi_minus,
   both signs of c and both orientations, and on tied candidates for u4.  At
   c = (p/q) 10^e with |e| <= 200 its exact check holds and the float basis
-  pulls phi_minus back to phi to 1e-9 of the largest coefficient.
+  pulls phi_minus back to phi to 1e-9 of the largest coefficient.  The
+  integer frame (fraction-free Gram-Schmidt, P^-1 from the Gram-Schmidt
+  basis, the inverse frame from B-orthogonality, phi evaluated in stages)
+  gives the basis and residual of the Fraction frame it replaced
+  (``ref_exact_canonicalize7``: ``InnerProduct``, ``_product_from_form``,
+  ``pullback``, ``LinearMap.inverse``) bit for bit, on c g^* phi_minus with
+  c = +-p/q and tall +-10^40/q under both orientations, and on tied
+  candidates.
 * ``mat_mul`` and ``mat_vec`` on the integer kernel equal the Fraction loops
   they replaced (``ref_mat_mul``, ``ref_mat_vec``) on int, mixed-denominator,
   10^e-scaled (|e| <= 200), QuadExt and float entries and mixtures of them.
@@ -112,13 +119,13 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
                                   _interior_wedges, alt_form, basis_form, contract, form_inner,
                                   hodge_star, pullback, sort_index, wedge)
-from stableforms.linalg import det, inertia, inverse, mat_mul, mat_vec, rank
-from stableforms.scalars import QuadExt, sqrt_fraction
+from stableforms.linalg import _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank
+from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
 from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, canonical_omega_minus, canonical_omega_plus,
                                  canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
-from stableforms.stable7 import (_b_matrix, _metric, canonical_phi_minus, canonical_phi_plus,
+from stableforms.stable7 import (Canon7, _b_matrix, _metric, canonical_phi_minus, canonical_phi_plus,
                                  canonicalize7, q_form)
-from stableforms.vcp import cross_2fold, cross_3fold
+from stableforms.vcp import _product_from_form, cross_2fold, cross_3fold
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
 
@@ -928,6 +935,79 @@ def test_canonicalize7_at_every_coefficient_size(sign, rng):
         top = max(abs(float(x)) for x in phi.terms.values())
         assert float_round_trip_error(canon.basis, phi) <= 1e-9 * top, e
         assert canon.residual <= 1e-9 * top, e
+
+
+def ref_exact_canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
+    """``canonicalize7`` before the integer frame: Gram-Schmidt and the product of
+    ``vcp._product_from_form`` on an ``InnerProduct`` of B, the check by ``pullback``
+    and the inverse frame by ``LinearMap.inverse``."""
+    qf = q_form(phi, vol)
+    sgn = 1 if qf.signature()[0] == 7 else -1
+    ip = InnerProduct.from_rows(qf.B)
+    product = _product_from_form(phi, ip)
+
+    def cross(a, b) -> list:
+        return [sgn * x for x in _integer_row(product(a, b))[0]]
+
+    gs: list = []
+    for i in range(7):
+        gs.append(ref_project(ip, [int(i == j) for j in range(7)], gs))
+    u = [gs[0], gs[1], cross(gs[0], gs[1])]
+    n3 = ip.pair(u[2], u[2])
+    f = min(gs[2:], key=lambda f: ip.pair(f, u[2]) ** 2 / (ip.pair(f, f) * n3))
+    u.append(ref_project(ip, f, u[2:]))
+    u += [cross(u[i], u[3]) for i in range(3)]
+    norms = [sgn * ip.pair(v, v) for v in u]
+    d36 = 36 * abs(det([list(r) for r in qf.B]))
+    frame = LinearMap.from_columns(u)
+    terms = pullback(frame, phi).terms
+    canonical = canonical_phi_minus().terms
+    if terms.keys() != canonical.keys() or any(
+            (c > 0) != (canonical[idx] > 0)
+            or c ** 6 * d36 != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
+            for idx, c in terms.items()):
+        raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
+    basis = []
+    for row, nrm in zip(frame.inverse().matrix, norms):
+        t = max(abs(x) for x in row)
+        m = _float_root(nrm ** 9 * t ** 18 / d36, 18)
+        basis.append([float(x / t) * m for x in row])
+    back = pullback(LinearMap.from_rows(basis), canonical_phi_minus())
+    residual = max(abs(back.coeff(idx) - float(phi.coeff(idx)))
+                   for idx in back.terms.keys() | phi.terms.keys())
+    return Canon7(basis, residual)
+
+
+def ref_project(ip: InnerProduct, v: list, onto: list) -> list:
+    for u in onto:
+        c = ip.pair(v, u) / ip.pair(u, u)
+        v = [c.denominator * x - c.numerator * y for x, y in zip(v, u)]
+    g = math.gcd(*v)
+    return [x // g for x in v]
+
+
+@pytest.mark.parametrize("vol", [1, -1])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_canonicalize7_matches_the_rational_frame(sign, vol, rng):
+    """The integer frame (Gram-Schmidt, P^-1 and U^-1 with no elimination) gives the
+    basis and residual of the Fraction frame bit for bit, under sgn B = +-1."""
+    volume = VolumeForm.standard(7, vol)
+    for k in range(16):
+        q = rng.randint(1, 60)
+        c = sign * (Fraction(10 ** 40, q) if k % 4 == 3 else Fraction(rng.randint(1, 60), q))
+        phi = phi_minus_sample(rng, c)
+        got, expected = canonicalize7(phi, volume), ref_exact_canonicalize7(phi, volume)
+        assert got.basis == expected.basis
+        assert got.residual == expected.residual
+
+
+def test_canonicalize7_matches_the_rational_frame_on_tied_candidates(rng):
+    for _ in range(6):
+        g = LinearMap.diagonal([rng.choice([1, 2, 3, -1, -2]) for _ in range(7)])
+        phi = pullback(g, canonical_phi_minus())
+        for vol in (VolumeForm.standard(7), VolumeForm.standard(7, -1)):
+            got, expected = canonicalize7(phi, vol), ref_exact_canonicalize7(phi, vol)
+            assert (got.basis, got.residual) == (expected.basis, expected.residual)
 
 
 # -- mat_mul and mat_vec on the integer kernel against the Fraction loop ------

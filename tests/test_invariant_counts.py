@@ -9,8 +9,10 @@ call runs each of them.  ``stabilizer_dim`` reads lambda or
 det B from the same per-form memo and ranks its system only for unstable
 forms; the signature of B is kept there too, so the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7) takes one
-inertia per form under any volume coefficient; a frame model inverts each
-Gram matrix once.
+inertia per form under any volume coefficient.  With that memo full,
+``canonicalize7`` inverts nothing, runs no rref or Bareiss elimination and
+takes one pullback (its float residual); a frame model inverts each Gram
+matrix once.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
@@ -33,7 +35,7 @@ from pathlib import Path
 import pytest
 
 from conftest import G6, G7, iwasawa_su3
-from stableforms import bridge, cli, compalg, exteralg, framecalc, stable6, stable7, vcp
+from stableforms import bridge, cli, compalg, exteralg, framecalc, linalg, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
 from stableforms.linalg import inertia
@@ -172,10 +174,11 @@ def test_k_is_built_once_per_form(kernels):
 
 
 def test_k_is_squared_once_per_form(monkeypatch):
-    """The memo entry holds lambda with K, checked once against K^2 = lambda Id."""
+    """The memo entry holds lambda with K, checked once against K^2 = lambda Id:
+    ``_k_entry``, which squares the integer numerators of K, runs once per form."""
     squares = []
-    monkeypatch.setattr(stable6, "mat_mul", lambda a, b, _orig=stable6.mat_mul:
-                        squares.append(a) or _orig(a, b))
+    monkeypatch.setattr(stable6, "_k_entry", lambda omega, _orig=stable6._k_entry:
+                        squares.append(omega) or _orig(omega))
     omega = fresh(OMEGA_MINUS)
     stable6.lambda_coeff(omega, VOL6)
     stable6.classify6(omega, VOL6)
@@ -305,6 +308,26 @@ def test_one_signature_per_form_in_the_classify_order(c, calls):
     assert calls["inertia"] == 1
     assert signature == ((7, 0, 0) if c == 1 else (0, 7, 0))
     assert signature == inertia([list(r) for r in stable7.q_form(fresh(phi), vol).B])
+
+
+def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, calls):
+    """With B, det B and the signature of B in the memo, as in the classify order, the
+    Cayley frame inverts nothing, runs no rref or Bareiss elimination and takes one
+    pullback, the float residual; det B and the signature are still taken once."""
+    phi = fresh(PHI_MINUS)
+    stable6.stabilizer_dim(phi)
+    stable7.q_form(phi, VOL7).signature()
+    counts = Counter()
+    for module in (linalg, exteralg, stable7, vcp):
+        for name in ("inverse", "_inverse", "rref", "_bareiss", "pullback"):
+            if hasattr(module, name):
+                def counting(*args, _orig=getattr(module, name), _name=name.lstrip("_"), **kwargs):
+                    counts[_name] += 1
+                    return _orig(*args, **kwargs)
+                monkeypatch.setattr(module, name, counting)
+    stable7.canonicalize7(phi, VOL7)
+    assert counts == {"pullback": 1}
+    assert len(dets) == 1 and calls["inertia"] == 1
 
 
 def test_one_inverse_per_gram_matrix(monkeypatch):

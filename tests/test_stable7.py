@@ -10,7 +10,7 @@ from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, 
 from stableforms.linalg import mat_mul
 from stableforms.scalars import icbrt_exact
 from stableforms.stable6 import NotStableError, stabilizer_dim
-from stableforms.stable7 import (OrbitClass7, _float_root, _ninth_root, canonical_phi_minus,
+from stableforms.stable7 import (OrbitClass7, _canonicalize7, _float_root, _ninth_root, canonical_phi_minus,
                                  canonical_phi_plus, canonicalize7, classify7,
                                  cross_from_phi, metric_from_phi, q_form)
 
@@ -227,3 +227,12 @@ class TestCanonicalize:
     def test_split_not_supported(self):
         with pytest.raises(NotStableError):
             canonicalize7(canonical_phi_plus(), VOL)
+
+    def test_frame_check_fails_closed(self, rng):
+        """A frame built on the B of another O7_MINUS form psi does not carry phi to
+        the canonical form, and the exact check raises instead of returning a basis."""
+        for _ in range(10):
+            phi, psi = (pullback(random_invertible(rng, 7, 2), canonical_phi_minus()) for _ in range(2))
+            qf = q_form(psi, VOL)
+            with pytest.raises(ArithmeticError, match="Cayley frame"):
+                _canonicalize7(phi, qf, qf.signature())
