@@ -179,7 +179,7 @@ def cmd_classify(args) -> int:
                    "abs_signature": abs(pos - neg), "stab_dim": stab}
         text = f"{cls.value}, |sig|={abs(pos - neg)}, stab_dim={stab}"
         if args.canonicalize and cls == stable7.OrbitClass7.O7_MINUS:
-            canon = stable7._canonicalize7(form, qf, (pos, neg, zero))
+            canon = stable7._canonicalize7(form)
             payload["basis"] = [[repr(x) for x in row] for row in canon.basis]
             payload["residual"] = canon.residual
     _emit(payload, args.json, text)

@@ -75,8 +75,8 @@ class AltForm:
     dim: int
     degree: int
     terms: dict
-    # invariants of this form keyed by what they depend on, filled by
-    # stable6.k_endo, stable7.q_form and QForm.signature
+    # the invariants of this form at e^{1..n}, one entry made on first read:
+    # "K" -> (K, lambda) in stable6, "B" -> (B, signature, det B) in stable7
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):

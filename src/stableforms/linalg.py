@@ -8,8 +8,9 @@ integers, and three fraction-free eliminations do all the work:
 * ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``;
 * ``_bareiss``, the one Gaussian elimination, under ``rank``, every ``det``
   and the larger pullback minors of ``exteralg``;
-* ``inertia``, its symmetric variant with diagonal pivots, which reads the
-  signature of a symmetric matrix off the signs of its pivots.
+* ``_inertia_det``, its symmetric variant with diagonal pivots, which reads
+  the signature of a symmetric matrix off the signs of its pivots and its
+  determinant off the last one (``inertia`` returns the signature).
 
 ``det`` returns an int on int entries and a Fraction on other rational ones;
 ``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
@@ -219,7 +220,13 @@ def det(a):
 
 
 def inertia(sym) -> tuple[int, int, int]:
-    """Signature (n_pos, n_neg, n_zero) of a rational symmetric matrix.
+    """Signature (n_pos, n_neg, n_zero) of a rational symmetric matrix (``_inertia_det``)."""
+    return _inertia_det(sym)[0]
+
+
+def _inertia_det(sym) -> tuple[tuple[int, int, int], Fraction]:
+    """The signature (n_pos, n_neg, n_zero) and the determinant of a rational
+    symmetric matrix, from one elimination.
 
     The entries are cleared to integers over one positive denominator, and
     their content (gcd) divided out, for a symmetric fraction-free
@@ -230,10 +237,14 @@ def inertia(sym) -> tuple[int, int, int]:
     pivot's (Jacobi).  When every remaining diagonal entry is zero but an
     off-diagonal one is not, a row+column addition creates a usable pivot
     (the standard hyperbolic-block trick); it is a congruence of the original
-    matrix, so the divisions stay exact.  TypeError unless int/Fraction.
+    matrix by a unimodular one, so the divisions stay exact and the
+    determinant is kept.  At full rank the last pivot is therefore the
+    determinant of the cleared matrix, and times (content / denominator)^n
+    that of sym; with a null direction it is 0.  TypeError unless
+    int/Fraction.
     """
     n = len(sym)
-    ints, _, _ = _integer_row([x for row in sym for x in row])
+    ints, content, scale = _integer_row([x for row in sym for x in row])
     a = [ints[i * n:(i + 1) * n] for i in range(n)]
     pos = neg = 0
     prev = 1
@@ -258,4 +269,5 @@ def inertia(sym) -> tuple[int, int, int]:
         a = [[(p * x - row[k] * y) // prev for c, (x, y) in enumerate(zip(row, top)) if c != k]
              for row in a]
         prev = p
-    return pos, neg, n - pos - neg
+    zero = n - pos - neg
+    return (pos, neg, zero), Fraction(0) if zero else Fraction(prev * content ** n, scale ** n)

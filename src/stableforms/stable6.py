@@ -21,14 +21,13 @@ K is read off the integer wedges i_{e_j} Omega ^ Omega of
 Omega must have int or Fraction coefficients: ``k_endo``, and with it
 ``lambda_coeff``, ``classify6``, ``scaled_structure``, ``hat``,
 ``canonicalize6`` and ``stabilizer_dim``, raises TypeError on any other (a
-float, a QuadExt).  K and lambda are computed once per form: ``k_endo``
-keeps them in the form's private ``AltForm._memo``, keyed by
-``vol.coefficient()`` c.  K is built and K^2 = lambda Id checked under c = 1
-only; the entry for another c is K/c with lambda/c^2.  The memo is safe under concurrent use: a form's
-terms never change, so two threads that miss together compute equal entries.
-``_structure`` reads (K, lambda), lambda = 0 included, for ``lambda_coeff``,
-``scaled_structure`` and ``cli classify``; one ``ScaledStructure`` is passed
-on to ``_hat`` and ``_canonicalize6``.  ``_orbit6`` maps sign(lambda) to an orbit.
+float, a QuadExt).  The invariants are taken at e^{1..6} and scaled on
+read: the form's private ``AltForm._memo`` holds one entry, (K, lambda),
+and against c e^{1..6} ``k_endo`` and ``_structure`` return K/c and
+lambda/c^2 (lambda = 0 included, for ``lambda_coeff``, ``scaled_structure``
+and ``cli classify``).  Forms never change, so a race on the memo only
+computes the same entry twice.  One ``ScaledStructure`` is passed on to
+``_hat`` and ``_canonicalize6``; ``_orbit6`` maps sign(lambda) to an orbit.
 
 The canonical frames come from eigenspaces of K over Q(sqrt(lambda))
 (Hitchin, *The geometry of three-forms in six dimensions*, 2000): the
@@ -143,17 +142,15 @@ def _check_shape(omega: AltForm, vol: VolumeForm):
 def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
     """K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol."""
     _check_shape(omega, vol)
-    return KEndo(_k_memo(omega, vol.coefficient())[0], vol)
+    K, c = _k_memo(omega)[0], vol.coefficient()
+    return KEndo(K if c == 1 else LinearMap.from_rows([[x / c for x in row] for row in K.matrix]), vol)
 
 
-def _k_memo(omega: AltForm, c) -> tuple[LinearMap, Fraction]:
-    """The memo entry ("K", c) of omega, (K, lambda), made on first use; K/c and
-    lambda/c^2 from the entry at c = 1."""
-    entry = omega._memo.get(("K", c))
+def _k_memo(omega: AltForm) -> tuple[LinearMap, Fraction]:
+    """The memo entry "K" of omega, (K, lambda) against e^{1..6}, made on first use."""
+    entry = omega._memo.get("K")
     if entry is None:
-        K, lam = _k_entry(omega) if c == 1 else _k_memo(omega, 1)
-        K = K if c == 1 else LinearMap.from_rows([[x / c for x in row] for row in K.matrix])
-        entry = omega._memo[("K", c)] = (K, lam / c ** 2)
+        entry = omega._memo["K"] = _k_entry(omega)
     return entry
 
 
@@ -203,10 +200,9 @@ def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
 
 
 def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
-    """(K, lambda) from the form's memo entry, which ``k_endo`` fills; lambda may be 0."""
+    """(K/c, lambda/c^2) against vol = c e^{1..6}, from the form's memo entry; lambda may be 0."""
     K = k_endo(omega, vol).K
-    _, lam = _k_memo(omega, vol.coefficient())
-    return ScaledStructure(K, Lambda(lam, vol))
+    return ScaledStructure(K, Lambda(_k_memo(omega)[1] / vol.coefficient() ** 2, vol))
 
 
 @dataclass(frozen=True)
@@ -382,19 +378,18 @@ def stabilizer_dim(form: AltForm) -> int:
     dim 6, 14 in dim 7), exactly when lambda != 0 in dim 6 (Hitchin, *The
     geometry of three-forms in six dimensions*, 2000) and det B != 0 in dim 7
     (Hitchin, *Stable forms and special metrics*, 2001).  The invariant is
-    read from the form's memo under the standard volume form, through
-    ``_k_memo`` or ``stable7._det_b``; against c e^{1..n} lambda scales by
-    1/c^2 and det B by 1/c^7, so the test does not depend on c.  Only an
+    the one at e^{1..n} in the form's memo entry (``_k_memo``,
+    ``stable7._invariants``), which the classification reads too.  Only an
     unstable form builds the C(n,3) x n^2 system and takes its exact rank.
     """
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
     n = form.dim
     if n == 6:
-        stable = _k_memo(form, Fraction(1))[1] != 0
+        stable = _k_memo(form)[1] != 0
     else:
-        from .stable7 import _det_b  # stable7 imports this module
-        stable = _det_b(form, Fraction(1)) != 0
+        from .stable7 import _invariants  # stable7 imports this module
+        stable = _invariants(form)[2] != 0
     if stable:
         return n * n - math.comb(n, 3)
     return n * n - rank(_stabilizer_rows(form))

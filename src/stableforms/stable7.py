@@ -2,12 +2,13 @@
 
 ``Q(v, w) = i_v phi ^ i_w phi ^ phi`` read against a declared volume form is
 an exact symmetric matrix B, built from the integer contractions and wedges
-of ``exteralg._interior_wedges``.  Nondegeneracy plus the absolute
-signature (7 or 1, from the fraction-free ``linalg.inertia``) decides the
-orbit.  Floats enter in two places only, both through ``_float_root``: the
-ninth root of the metric scale in ``_metric`` when it is not rational, and
-the eighteenth roots that normalize the exact Cayley frame of
-``canonicalize7``.  B, the orbit decision, that frame and its check, and
+of ``exteralg._interior_wedges``.  phi is stable exactly when det B != 0,
+and the absolute signature of B (7 or 1) decides the orbit (Hitchin,
+*Stable forms and special metrics*, 2001); ``_orbit7`` maps a signature to
+an orbit.  Floats enter in two places only, both through ``_float_root``:
+the ninth root of the metric scale in ``metric_from_phi`` when it is not
+rational, and the eighteenth roots that normalize the exact Cayley frame
+of ``canonicalize7``.  B, the orbit decision, that frame and its check, and
 the induced cross product stay exact whenever the scale is.
 
 ``canonicalize7`` builds its Cayley frame on integers from B and phi: a
@@ -15,37 +16,15 @@ fraction-free Gram-Schmidt basis gives B^-1, the frame's B-orthogonality
 gives the inverse frame, and phi is evaluated on the frame through the
 integer matrices of its contractions, with no elimination beyond det B.
 
-B is computed once per form, not once per public call: ``q_form`` keeps it
-in the form's private ``AltForm._memo``, keyed by ``vol.coefficient()`` c
-(the only thing B takes from vol), so ``q_form``, ``classify7`` and
-``canonicalize7`` on one form object build B once between them, under any
-volume forms: B and det B are built under c = 1 only, and the entries for
-another c are B/c and det B/c^7.  The memo is safe under concurrent use for
-the reason given in ``stable6``: forms never change, so a race only
-computes the same B twice.  The signature of B is kept the same way, as
-``("signature", c)``, made on first read by ``QForm.signature`` (a QForm
-from ``q_form`` remembers its form): one inertia per form and volume
-coefficient, that of the entry ("B", c).  ``classify7``,
-``metric_from_phi``, ``canonicalize7`` and ``cli classify`` all read it;
-``metric_from_phi`` hands it with B to the private ``_metric``, and
-``canonicalize7`` to ``_canonicalize7``; ``cross_from_phi`` and
-``bridge.lift_to_3fold`` go through ``metric_from_phi``.  ``_orbit7`` is the
-one place that maps a signature to an orbit.
-
-phi must have int or Fraction coefficients: ``q_form``, and with it
-``classify7``, ``metric_from_phi``, ``canonicalize7``, ``cross_from_phi``
-and ``stable6.stabilizer_dim``, raises TypeError on any other (a float,
-say), because B is built on the integer kernel.
-
-det B has its own memo entry next to B, ``("det B", c)``, made on first
-read by ``_det_b``: ``_metric`` and ``_canonicalize7`` read it, and so does
-``stable6.stabilizer_dim``, because phi is stable, with a 14-dimensional
-stabilizer, exactly when det B != 0 (Hitchin, *Stable forms and special
-metrics*, 2001).  Run first, as in ``cli classify``, ``stabilizer_dim``
-makes B and det B under the standard volume form, and ``q_form`` and
-``canonicalize7`` read them; a classify operation takes one 7 x 7
-determinant.  Callers that need only the signature (``classify7``) take
-none.
+The invariants are taken at e^{1..7} and scaled on read.  The form's
+private ``AltForm._memo`` holds one entry, (B, the signature of B, det B),
+made on first use by one kernel pass and one symmetric elimination
+(``linalg._inertia_det``).  Against c e^{1..7}, ``q_form`` returns B/c and
+its ``signature`` swaps pos and neg when c < 0.  The metric, the Cayley
+frame and ``stable6.stabilizer_dim`` depend on phi alone and read the
+entry as it is.  Forms never change, so a race on the memo only computes
+the same entry twice.  phi must have int or Fraction coefficients: every
+public call here raises TypeError on any other (a float, say).
 """
 
 from __future__ import annotations
@@ -60,7 +39,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_wedges, _merge_signs,
                        alt_form, pullback)
-from .linalg import _clear, det, inertia
+from .linalg import _clear, _inertia_det, inertia
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct, _product_from_form
@@ -81,8 +60,9 @@ class QForm:
 
     def signature(self) -> tuple[int, int, int]:
         if self._phi is None:
-            return inertia([list(r) for r in self.B])
-        return _signature(self._phi, self.vol.coefficient())
+            return inertia(self.B)
+        pos, neg, zero = _invariants(self._phi)[1]
+        return (pos, neg, zero) if self.vol.coefficient() > 0 else (neg, pos, zero)
 
 
 def _check_shape(phi: AltForm, vol: VolumeForm):
@@ -95,39 +75,19 @@ def _check_shape(phi: AltForm, vol: VolumeForm):
 def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
-    qf = QForm(_b_memo(phi, vol.coefficient()), vol)
+    b, c = _invariants(phi)[0], vol.coefficient()
+    qf = QForm(b if c == 1 else tuple(tuple(x / c for x in r) for r in b), vol)
     object.__setattr__(qf, "_phi", phi)
     return qf
 
 
-def _b_memo(phi: AltForm, c) -> tuple:
-    """The memo entry ("B", c) of phi, made on first use; B/c from the entry at c = 1."""
-    b = phi._memo.get(("B", c))
-    if b is None:
-        b = _b_matrix(phi) if c == 1 else tuple(tuple(x / c for x in r) for r in _b_memo(phi, 1))
-        phi._memo[("B", c)] = b
-    return b
-
-
-def _det_b(phi: AltForm, c):
-    """det B against c e^{1..7}: the memo entry ("det B", c), made on first use.
-
-    Kept apart from ("B", c) so that callers that need only the signature
-    of B (``classify7``) never take the determinant; det B/c^7 from c = 1.
-    """
-    d = phi._memo.get(("det B", c))
-    if d is None:
-        d = det([list(r) for r in _b_memo(phi, 1)]) if c == 1 else _det_b(phi, 1) / c ** 7
-        phi._memo[("det B", c)] = d
-    return d
-
-
-def _signature(phi: AltForm, c) -> tuple[int, int, int]:
-    """The signature of B against c e^{1..7}: the memo entry ("signature", c), made on first use."""
-    sig = phi._memo.get(("signature", c))
-    if sig is None:
-        sig = phi._memo[("signature", c)] = inertia([list(r) for r in _b_memo(phi, c)])
-    return sig
+def _invariants(phi: AltForm) -> tuple[tuple, tuple[int, int, int], Fraction]:
+    """The memo entry "B" of phi, (B, its signature, det B) against e^{1..7}, made on first use."""
+    entry = phi._memo.get("B")
+    if entry is None:
+        b = _b_matrix(phi)
+        entry = phi._memo["B"] = (b, *_inertia_det(b))
+    return entry
 
 
 def _b_matrix(phi: AltForm) -> tuple:
@@ -162,12 +122,14 @@ def _orbit7(signature: tuple[int, int, int]) -> OrbitClass7:
 
 
 def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
-    return _orbit7(q_form(phi, vol).signature())
+    _check_shape(phi, vol)
+    return _orbit7(_invariants(phi)[1])
 
 
 @dataclass(frozen=True)
 class G2Metric:
-    """Metric induced by a stable phi: g = B/(6s), s^9 = |det B| / 6^7.
+    """Metric induced by a stable phi: g = B/(6s), s^9 = |det B| / 6^7, with B at
+    e^{1..7}; only `exact_B`, the ``q_form`` of the call, is read against its vol.
 
     `ip` carries exact entries (the float scale is converted exactly), so
     downstream exact operations can consume it; `scale` records s, and the
@@ -183,17 +145,13 @@ class G2Metric:
 
 
 def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
+    """The metric of phi, read from B and det B at e^{1..7}: the same under every vol."""
     qf = q_form(phi, vol)
-    return _metric(phi, qf, qf.signature())
-
-
-def _metric(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> G2Metric:
-    """The metric of ``metric_from_phi`` from B = ``q_form(phi, vol)`` and its signature."""
+    b, signature, det_b = _invariants(phi)
     orbit = _orbit7(signature)
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
-    b = [list(r) for r in qf.B]
-    s9 = abs(_det_b(phi, qf.vol.coefficient())) / Fraction(6) ** 7
+    s9 = abs(det_b) / Fraction(6) ** 7
     # exact when s9 is a perfect 9th power (a cube of a cube)
     scale = _ninth_root(s9)
     if scale is None:
@@ -204,9 +162,7 @@ def _metric(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> G2Metri
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
-    if orbit == OrbitClass7.O7_MINUS and neg == 7:
-        g = [[-x for x in row] for row in g]
-    elif orbit == OrbitClass7.O7_PLUS and pos == 4:
+    if (orbit == OrbitClass7.O7_MINUS and neg == 7) or (orbit == OrbitClass7.O7_PLUS and pos == 4):
         g = [[-x for x in row] for row in g]
     return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit)
 
@@ -274,16 +230,17 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     power.  ``residual`` reports the largest coefficient error of the float
     round trip basis^* canonical_phi_minus() - phi; it checks nothing.
     """
-    qf = q_form(phi, vol)
-    return _canonicalize7(phi, qf, qf.signature())
+    _check_shape(phi, vol)
+    return _canonicalize7(phi)
 
 
-def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> Canon7:
+def _canonicalize7(phi: AltForm) -> Canon7:
+    b_matrix, signature, det_b = _invariants(phi)
     if _orbit7(signature) != OrbitClass7.O7_MINUS:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
     sgn = 1 if signature[0] == 7 else -1
     # P = sgn den B, an integer positive definite matrix; P(u, v) = P u . v
-    (nums,), (den,) = _clear(x for row in qf.B for x in row)
+    (nums,), (den,) = _clear(x for row in b_matrix for x in row)
     p = [[sgn * x for x in nums[7 * i:7 * i + 7]] for i in range(7)]
     (coeffs,), (d,) = _clear(phi.terms.values())  # phi = coeffs / d
     terms = [(i - 1, j - 1, k - 1, x) for (i, j, k), x in zip(phi.terms, coeffs)]
@@ -324,7 +281,7 @@ def _canonicalize7(phi: AltForm, qf: QForm, signature: tuple[int, int, int]) -> 
     # (sgn B(u_a, u_a))^9 / n_a^18 = 36 |det B| = (6 s)^9 with s the metric scale
     pnorms = [_dot(v, pv) for v, pv in zip(u, pu)]  # P(u_a, u_a)
     norms = [Fraction(n, den) for n in pnorms]
-    d36 = 36 * abs(_det_b(phi, qf.vol.coefficient()))
+    d36 = 36 * abs(det_b)
     values = {}  # phi(u_a, u_b, u_c) d, a < b < c
     for a, b in itertools.combinations(range(6), 2):
         wab = w.get((a, b)) or _interior_vector(m[a], u[b])

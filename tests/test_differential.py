@@ -92,7 +92,10 @@
   Fractions it replaced (``ref_inertia``) on random symmetric matrices of
   sizes 1..8: dense, low-rank, all-zero-diagonal (the hyperbolic step),
   int-typed and D M D with D = diag(10^e), |e| <= 200; and on the B of the
-  dim-7 classify kinds, tall ones included.
+  dim-7 classify kinds, tall ones included.  The determinant read off the
+  same elimination (``linalg._inertia_det``, which fills the memo entry of
+  B) equals the Bareiss ``det`` on those matrices, each also times
+  10^+-200, and ``det`` and ``ref_det`` on B.
 * ``AltForm.__call__``, one integer minor per term, equals the
   determinant-per-term loop ``ref_eval`` on random forms of every degree in
   dims 4, 6 and 7, and raises TypeError on float and QuadExt vectors.
@@ -119,12 +122,12 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
                                   _interior_wedges, alt_form, basis_form, contract, form_inner,
                                   hodge_star, pullback, sort_index, wedge)
-from stableforms.linalg import _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank
+from stableforms.linalg import _inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
 from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, canonical_omega_minus, canonical_omega_plus,
                                  canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
-from stableforms.stable7 import (Canon7, _b_matrix, _metric, canonical_phi_minus, canonical_phi_plus,
-                                 canonicalize7, q_form)
+from stableforms.stable7 import (Canon7, _b_matrix, canonical_phi_minus, canonical_phi_plus,
+                                 canonicalize7, metric_from_phi, q_form)
 from stableforms.vcp import _product_from_form, cross_2fold, cross_3fold
 
 GOLDEN = Path(__file__).parent / "data" / "nabla_phi_iwasawa.json"
@@ -794,9 +797,7 @@ def test_inverse_matches_gauss_jordan(kind, rng):
 def ref_canonicalize7(phi: AltForm, vol: VolumeForm) -> tuple[list, float]:
     """``canonicalize7`` before the exact frame: floats from the metric on, with its own
     Gram-Schmidt, cross product, inverse and residual (the helpers below)."""
-    qf = q_form(phi, vol)
-    signature = qf.signature()
-    gm = _metric(phi, qf, signature)
+    gm = metric_from_phi(phi, vol)
     gram = [[float(x) for x in row] for row in gm.ip.gram]
     frame = ref_gram_schmidt_floats(gram)
     phif = {idx: float(c) for idx, c in phi.terms.items()}
@@ -1529,6 +1530,35 @@ def test_inertia_of_b_for_every_classify_kind(rng):
                 sig = inertia(b)
                 assert sig == ref_inertia(b)
                 assert sig in expected.get(kind, {sig}) and (sig[2] > 0) == (kind == "7d")
+
+
+@pytest.mark.parametrize("kind", ["dense", "low rank", "zero diagonal", "int", "scaled"])
+def test_inertia_det_matches_det_and_the_fraction_loop(kind, rng):
+    """The one symmetric elimination behind the memo entry of B gives the signature of
+    the Fraction loop and the determinant of the Bareiss ``det``, on random symmetric
+    matrices of sizes 1..8, each also times 10^-200 and 10^200."""
+    for _ in range(100):
+        m = random_symmetric(rng, rng.randint(1, 8), kind)
+        for scale in (1, Fraction(1, 10 ** 200), 10 ** 200):
+            a = [[scale * x for x in row] for row in m]
+            signature, d = _inertia_det(a)
+            assert signature == ref_inertia(a) == inertia(a)
+            assert d == det(a) and type(d) is Fraction
+    assert _inertia_det([]) == ((0, 0, 0), 1)
+    assert _inertia_det([[0, 3], [3, 0]]) == ((1, 1, 0), -9)
+
+
+def test_inertia_det_of_b_for_every_classify_kind(rng):
+    """B of c g^* phi for the dim-7 classify kinds, tall ones (c ~ 10^40) included."""
+    for kind in ("7+", "7-", "7d"):
+        base, _ = CLASSIFY_KINDS[kind]
+        for _ in range(3):
+            g = random_invertible(rng, 7)
+            for c in scales(rng):
+                b = _b_matrix(c * pullback(g, base))
+                signature, d = _inertia_det(b)
+                assert signature == ref_inertia(b)
+                assert d == det(b) == ref_det(b) and (d == 0) == (kind == "7d")
 
 
 def test_evaluation_matches_the_det_per_term_loop(rng):

@@ -35,37 +35,38 @@ def unused_imports(tree: ast.Module) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-def references(trees, skip: ast.stmt | None = None) -> set[str]:
-    """Names and attribute names used in the module bodies, leaving out one statement."""
-    out = set()
+def statement_names(trees) -> list[tuple[ast.stmt, set[str]]]:
+    """Each top-level statement of the module bodies, with the names and attribute names it uses."""
+    out = []
     for tree in trees:
         for stmt in tree.body:
-            if stmt is skip:
-                continue
+            names = set()
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name):
-                    out.add(node.id)
+                    names.add(node.id)
                 elif isinstance(node, ast.Attribute):
-                    out.add(node.attr)
+                    names.add(node.attr)
+            out.append((stmt, names))
     return out
 
 
+def unreferenced_functions(modules: dict, names, private: bool) -> list[str]:
+    """The module-level functions of the named modules, private (``_name``) or public,
+    whose name no other top-level statement of the package uses."""
+    statements = statement_names(modules.values())
+    return [f"{name}: {stmt.name}" for name in names for stmt in modules[name].body
+            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__")
+            and stmt.name.startswith("_") == private
+            and not any(stmt.name in used for other, used in statements if other is not stmt)]
+
+
 def unreferenced_private_functions(modules: dict) -> list[str]:
-    dead = []
-    for name, tree in modules.items():
-        for stmt in tree.body:
-            if (isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_")
-                    and not stmt.name.startswith("__")
-                    and stmt.name not in references(modules.values(), skip=stmt)):
-                dead.append(f"{name}: {stmt.name}")
-    return dead
+    return unreferenced_functions(modules, modules, private=True)
 
 
 def unreferenced_public_functions(modules: dict, name: str) -> list[str]:
     """The public module-level functions of one module that nothing else in the package references."""
-    return [f"{name}: {stmt.name}" for stmt in modules[name].body
-            if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
-            and stmt.name not in references(modules.values(), skip=stmt)]
+    return unreferenced_functions(modules, [name], private=False)
 
 
 EXACT_ONLY = ("linalg.py", "exteralg.py", "compalg.py", "vcp.py")

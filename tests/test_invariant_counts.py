@@ -1,18 +1,19 @@
 """Each public entry point computes its form's invariant exactly once.
 
-K (stable6.k_endo), B (stable7.q_form) and the signature of B
-(stable7.inertia) are the expensive invariants; framecalc's special-balanced
-check guards every G2 computation, and nabla phi (with its connection table)
-is derived once per (circle bundle, SU(3) data) pair, for ``classify_g2`` and
-``nabla_phi`` alike.  The counts below are the number of times one public
-call runs each of them.  ``stabilizer_dim`` reads lambda or
-det B from the same per-form memo and ranks its system only for unstable
-forms; the signature of B is kept there too, so the classify order
-(stabilizer_dim, q_form().signature(), classify7, canonicalize7) takes one
-inertia per form under any volume coefficient.  With that memo full,
-``canonicalize7`` inverts nothing, runs no rref or Bareiss elimination and
-takes one pullback (its float residual); a frame model inverts each Gram
-matrix once.
+K (stable6.k_endo), B (stable7.q_form) and the signature and determinant of
+B (one symmetric elimination, stable7._inertia_det) are the expensive
+invariants; framecalc's special-balanced check guards every G2 computation,
+and nabla phi (with its connection table) is derived once per (circle
+bundle, SU(3) data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The
+counts below are the number of times one public call runs each of them.
+Each form's memo holds one invariant entry at e^{1..n}, whatever volume
+forms it is read under: ``stabilizer_dim`` reads lambda or det B from it
+and ranks its system only for unstable forms, and the classify order
+(stabilizer_dim, q_form().signature(), classify7, canonicalize7,
+metric_from_phi) builds B once and eliminates it once per form under c = 1
+and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
+rref or Bareiss elimination and takes one pullback (its float residual); a
+frame model inverts each Gram matrix once.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
@@ -90,13 +91,15 @@ CASES = {
     "canonicalize6_plus": (lambda: stable6.canonicalize6(OMEGA_PLUS, VOL6), {"k_endo": 1}),
     "canonicalize6_minus": (lambda: stable6.canonicalize6(OMEGA_MINUS, VOL6), {"k_endo": 1}),
     "metric_from_phi": (lambda: stable7.metric_from_phi(fresh(PHI_MINUS), VOL7),
-                        {"q_form": 1, "inertia": 1}),
-    "canonicalize7": (lambda: stable7.canonicalize7(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
-    "cross_from_phi": (lambda: stable7.cross_from_phi(fresh(PHI_MINUS), VOL7), {"q_form": 1, "inertia": 1}),
-    "lift_to_3fold": (lambda: bridge.lift_to_3fold(fresh(PHI_MINUS)), {"q_form": 1, "inertia": 1}),
-    # the lift is classified once: one q_form of the 7-form it builds
+                        {"q_form": 1, "_inertia_det": 1}),
+    # the frame reads B from the memo entry, not through q_form
+    "canonicalize7": (lambda: stable7.canonicalize7(fresh(PHI_MINUS), VOL7), {"_inertia_det": 1}),
+    "cross_from_phi": (lambda: stable7.cross_from_phi(fresh(PHI_MINUS), VOL7),
+                       {"q_form": 1, "_inertia_det": 1}),
+    "lift_to_3fold": (lambda: bridge.lift_to_3fold(fresh(PHI_MINUS)), {"q_form": 1, "_inertia_det": 1}),
+    # the lift is classified once: one elimination of the B of the 7-form it builds
     "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
-                     {"k_endo": 1, "q_form": 1, "inertia": 1}),
+                     {"k_endo": 1, "_inertia_det": 1}),
     # e0,e4 in O: the hat matches in the flipped orientation, derived from the first
     "vcp_to_stable6": (lambda: bridge.vcp_to_stable6(vcp.cross_3fold(AlgebraTag.O, "X1"),
                                                      [1, 0, 0, 0, 0, 0, 0, 0],
@@ -105,7 +108,7 @@ CASES = {
     "cli_classify6_plus": (lambda: classify_canonicalize(OMEGA_PLUS), {"k_endo": 1}),
     "cli_classify6_minus": (lambda: classify_canonicalize(OMEGA_MINUS), {"k_endo": 1}),
     "cli_classify7_minus": (lambda: classify_canonicalize(PHI_MINUS),
-                            {"q_form": 1, "inertia": 1}),
+                            {"q_form": 1, "_inertia_det": 1}),
     # one structure plus lambda at Omega +- h * direction
     "hitchin_variation": (lambda: framecalc.hitchin_variation(OMEGA_MINUS, DIRECTION, VOL6),
                           {"k_endo": 3}),
@@ -126,7 +129,7 @@ CASES = {
 @pytest.fixture
 def calls(monkeypatch):
     counts = Counter()
-    for module, name in ((stable6, "k_endo"), (stable7, "q_form"), (stable7, "inertia"),
+    for module, name in ((stable6, "k_endo"), (stable7, "q_form"), (stable7, "_inertia_det"),
                          (framecalc, "_check_special_balanced"), (framecalc, "_nabla_phi"),
                          (framecalc, "covariant_table")):
         def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
@@ -197,13 +200,12 @@ def test_b_is_built_once_per_form(kernels):
 @pytest.mark.parametrize("form,expected", [(OMEGA_MINUS, {"stable6": 1}), (PHI_MINUS, {"stable7": 1})],
                          ids=["G6*Omega-", "G7*phi-"])
 def test_classify_under_another_volume_builds_k_or_b_once(form, expected, kernels, dets, calls):
-    """--vol -1: stabilizer_dim builds K (B and det B) under the standard volume form,
-    and the classification reads K/c and lambda/c^2 (B/c and det B/c^7) derived from
-    them; the signature is the one inertia of B/c."""
+    """--vol -1: stabilizer_dim builds K (B, its signature and det B) at e^{1..n}, and
+    the classification reads K/c and lambda/c^2 (B/c and the swapped signature) off
+    that one entry; B is eliminated once."""
     classify_canonicalize(fresh(form), "--vol", "-1")
     assert kernels == expected
-    assert len(dets) == (form.dim == 7)
-    assert calls["inertia"] == (form.dim == 7)
+    assert len(dets) == calls["_inertia_det"] == (form.dim == 7)
 
 
 def test_memo_matches_a_fresh_form_under_every_volume():
@@ -214,10 +216,16 @@ def test_memo_matches_a_fresh_form_under_every_volume():
     for _ in range(2):  # the second pass reads the memo
         for vol in vols6:
             assert stable6.k_endo(omega, vol) == stable6.k_endo(fresh(omega), vol)
+            assert stable6.lambda_coeff(omega, vol) == stable6.lambda_coeff(fresh(omega), vol)
         for vol in vols7:
-            assert stable7.q_form(phi, vol) == stable7.q_form(fresh(phi), vol)
-    assert len(omega._memo) == len(phi._memo) == 3  # one entry per volume coefficient
+            qf, expected = stable7.q_form(phi, vol), stable7.q_form(fresh(phi), vol)
+            assert qf == expected
+            assert qf.signature() == expected.signature() == inertia(expected.B)
+            assert stable7.classify7(phi, vol) == stable7.classify7(fresh(phi), vol)
+    assert list(omega._memo) == ["K"] and list(phi._memo) == ["B"]  # one entry, no volume in the key
     assert stable6.k_endo(omega, vols6[1]).K != stable6.k_endo(omega, vols6[0]).K
+    pos, neg, zero = stable7.q_form(phi, VOL7).signature()
+    assert stable7.q_form(phi, vols7[1]).signature() == (neg, pos, zero) and pos != neg
     assert (repr(omega), repr(phi)) == text
     assert omega == fresh(omega) and phi == fresh(phi) and omega != phi
     assert "_memo" not in repr(omega)
@@ -237,9 +245,11 @@ def ranks(monkeypatch):
 
 @pytest.fixture
 def dets(monkeypatch):
-    """Determinants taken by stable7, whose only one is det B."""
+    """The matrices stable7 eliminates for a determinant: only B, in the one symmetric
+    elimination that also gives its signature."""
     matrices = []
-    monkeypatch.setattr(stable7, "det", lambda m, _orig=stable7.det: matrices.append(m) or _orig(m))
+    monkeypatch.setattr(stable7, "_inertia_det", lambda m, _orig=stable7._inertia_det:
+                        matrices.append(m) or _orig(m))
     return matrices
 
 
@@ -286,26 +296,41 @@ def test_stabilizer_dim_shares_b_and_det_b_with_classify(kernels, ranks, dets):
     assert len(dets) == 1 and not ranks
 
 
-def test_det_b_is_taken_only_when_read(dets):
-    phi = fresh(PHI_MINUS)
-    stable7.q_form(phi, VOL7)
-    stable7.classify7(phi, VOL7)
-    assert not dets
-    stable7.canonicalize7(phi, VOL7)
-    assert len(dets) == 1
+@pytest.mark.parametrize("c", [1, -1])
+def test_one_elimination_per_form_in_the_classify_order(c, monkeypatch, kernels):
+    """One kernel pass and one elimination of B per form, under c = 1 and c = -1: the
+    symmetric elimination that gives the signature gives det B too, so no Bareiss
+    determinant, rref or rank runs on B besides it."""
+    eliminations = Counter()
+    for module, name in ((linalg, "_bareiss"), (linalg, "rref"), (linalg, "_inertia_det"),
+                         (stable7, "_inertia_det")):
+        def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
+            eliminations[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    phi, vol = fresh(PHI_MINUS), VolumeForm.standard(7, c)
+    stable6.stabilizer_dim(phi)
+    stable7.q_form(phi, vol).signature()
+    stable7.classify7(phi, vol)
+    stable7.canonicalize7(phi, vol)
+    assert eliminations == {"_inertia_det": 1}
+    stable7.metric_from_phi(phi, vol)
+    # the one more is InnerProduct's nondegeneracy check, a Bareiss det of the metric g
+    assert eliminations == {"_inertia_det": 1, "_bareiss": 1}
+    assert kernels == {"stable7": 1}
 
 
 @pytest.mark.parametrize("c", [1, -1])
 def test_one_signature_per_form_in_the_classify_order(c, calls):
-    """The classify benchmark's order on one form: one inertia of B between them, under
-    the standard volume form and under c = -1, where it is the inertia of B/c."""
+    """The classify benchmark's order on one form: one elimination of B between them,
+    under the standard volume form and under c = -1, where the signature is that of B/c."""
     phi, vol = fresh(PHI_MINUS), VolumeForm.standard(7, c)
     stable6.stabilizer_dim(phi)
     signature = stable7.q_form(phi, vol).signature()
     assert stable7.classify7(phi, vol) == stable7.OrbitClass7.O7_MINUS
     stable7.canonicalize7(phi, vol)
     stable7.metric_from_phi(phi, vol)
-    assert calls["inertia"] == 1
+    assert calls["_inertia_det"] == 1
     assert signature == ((7, 0, 0) if c == 1 else (0, 7, 0))
     assert signature == inertia([list(r) for r in stable7.q_form(fresh(phi), vol).B])
 
@@ -313,7 +338,7 @@ def test_one_signature_per_form_in_the_classify_order(c, calls):
 def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, calls):
     """With B, det B and the signature of B in the memo, as in the classify order, the
     Cayley frame inverts nothing, runs no rref or Bareiss elimination and takes one
-    pullback, the float residual; det B and the signature are still taken once."""
+    pullback, the float residual; B is still eliminated once."""
     phi = fresh(PHI_MINUS)
     stable6.stabilizer_dim(phi)
     stable7.q_form(phi, VOL7).signature()
@@ -327,7 +352,7 @@ def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, ca
                 monkeypatch.setattr(module, name, counting)
     stable7.canonicalize7(phi, VOL7)
     assert counts == {"pullback": 1}
-    assert len(dets) == 1 and calls["inertia"] == 1
+    assert len(dets) == calls["_inertia_det"] == 1
 
 
 def test_one_inverse_per_gram_matrix(monkeypatch):

@@ -6,7 +6,7 @@ import pytest
 from conftest import random_invertible, random_three_form, rational_rotation
 from stableforms import vcp
 from stableforms.compalg import AlgebraTag
-from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, basis_form, pullback
+from stableforms.exteralg import AltForm, InnerProduct, LinearMap, VolumeForm, alt_form, basis_form, pullback
 from stableforms.linalg import mat_mul
 from stableforms.scalars import icbrt_exact
 from stableforms.stable6 import NotStableError, stabilizer_dim
@@ -230,9 +230,51 @@ class TestCanonicalize:
 
     def test_frame_check_fails_closed(self, rng):
         """A frame built on the B of another O7_MINUS form psi does not carry phi to
-        the canonical form, and the exact check raises instead of returning a basis."""
+        the canonical form, and the exact check raises instead of returning a basis:
+        psi's invariant entry (B, signature, det B) is planted in phi's memo."""
         for _ in range(10):
             phi, psi = (pullback(random_invertible(rng, 7, 2), canonical_phi_minus()) for _ in range(2))
-            qf = q_form(psi, VOL)
+            q_form(psi, VOL)
+            phi._memo.update(psi._memo)
             with pytest.raises(ArithmeticError, match="Cayley frame"):
-                _canonicalize7(phi, qf, qf.signature())
+                _canonicalize7(phi)
+
+
+def fresh(phi: AltForm) -> AltForm:
+    return AltForm(phi.dim, phi.degree, dict(phi.terms))
+
+
+def volume_samples(rng) -> list:
+    """phi_minus, phi_plus and three c g^* copies of each, with c > 0 and det g of either sign."""
+    forms = []
+    for base in (canonical_phi_minus(), canonical_phi_plus()):
+        forms.append(base)
+        for _ in range(3):
+            c = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            forms.append(c * pullback(random_invertible(rng, 7, 2), base))
+    return forms
+
+
+@pytest.mark.parametrize("c", [3, 512, Fraction(1, 7), -5], ids=str)
+class TestVolumeIndependence:
+    """The metric and the Cayley frame of phi depend on phi alone: under c e^{1..7} they
+    are exactly what they are under sgn(c) e^{1..7}; only the Q form is read against vol."""
+
+    def test_metric(self, c, rng):
+        sign = 1 if c > 0 else -1
+        for phi in volume_samples(rng):
+            got = metric_from_phi(fresh(phi), VolumeForm.standard(7, c))
+            expected = metric_from_phi(fresh(phi), VolumeForm.standard(7, sign))
+            assert got.ip.gram == expected.ip.gram
+            assert (got.scale, got.orbit) == (expected.scale, expected.orbit)
+            assert got.exact_B.B == tuple(tuple(x * sign / c for x in r) for r in expected.exact_B.B)
+
+    def test_cayley_frame(self, c, rng):
+        sign = 1 if c > 0 else -1
+        for phi in volume_samples(rng):
+            if classify7(phi, VOL) != OrbitClass7.O7_MINUS:
+                continue
+            got = canonicalize7(fresh(phi), VolumeForm.standard(7, c))
+            expected = canonicalize7(fresh(phi), VolumeForm.standard(7, sign))
+            assert got.basis == expected.basis
+            assert got.residual == expected.residual
