@@ -215,10 +215,8 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
                 raise ValueError("inner product is not compatible with the induced structure")
     w = mat_mul([list(r) for r in zip(*km)], g6)  # omega_s(x,y) = <Kx, y>
     omega_s = alt_form(6, 2, {(i + 1, j + 1): w[i][j] for i in range(6) for j in range(6) if i < j})
-    h = stable6._hat(omega, ss)
-    pair = wedge(omega, h.numerator)  # = Omega ^ hat * sqrt(|lambda|)
     w3 = wedge(wedge(omega_s, omega_s), omega_s)
-    num = Fraction(1, 4) * vol.ratio(pair) * lam_abs
+    num = lam * lam / 2  # (1/4) (Omega ^ hat / vol) |lambda|^{3/2}, by the identity of stable6._hat
     den = Fraction(1, 6) * vol.ratio(w3)
     if den == 0:
         raise ArithmeticError("omega is degenerate")
@@ -265,12 +263,14 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
     The fundamental 4-form is beta ^ phi + *phi for the X1-type lift and
     beta ^ phi - *phi for the X2-type one (beta dual to the new first
     coordinate); the product is read back through the direct-sum metric.
-    Accepted on verified axioms rather than by construction.
+    *phi is taken against the metric's volume form s e^{1..7} (s^2 = |det g|),
+    oriented like vol.  Accepted on verified axioms rather than by construction.
     """
     vol = vol or VolumeForm.standard(7)
     gm = stable7.metric_from_phi(phi, vol)
     eps = Fraction(1) if variant == "X1" else Fraction(-1)
-    star = hodge_star(phi, gm.ip, vol)
+    s = stable7._metric_scale(phi)
+    star = hodge_star(phi, gm.ip, VolumeForm.standard(7, s if vol.coefficient() > 0 else -s))
     shift = lambda f: alt_form(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(star)
     g8 = [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in gm.ip.gram]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from fractions import Fraction
 
@@ -29,6 +30,15 @@ EXIT_PRECONDITION = 4
 
 class ParseError(ValueError):
     pass
+
+
+def _rational(text: str) -> Fraction:
+    """rat(text), refusing with ValueError a decimal exponent beyond Python's own cap on the
+    digits of an integer string: Fraction("1e100000000") would build 10^(10^8) first."""
+    m = re.search(r"e([-+]?[0-9_]+)\s*\Z", text, re.IGNORECASE)
+    if m and abs(int(m.group(1))) > sys.int_info.default_max_str_digits:
+        raise ValueError(f"decimal exponent beyond +-{sys.int_info.default_max_str_digits}")
+    return rat(text)
 
 
 def parse_terms(items, dim: int, degree: int, where: str) -> AltForm:
@@ -52,7 +62,7 @@ def parse_terms(items, dim: int, degree: int, where: str) -> AltForm:
             raise ParseError(f"{label}: duplicate idx {idx}")
         seen.add(key)
         try:
-            coef = rat(str(term["coef"]))
+            coef = _rational(str(term["coef"]))
         except (ValueError, ZeroDivisionError) as ex:
             raise ParseError(f"{label}: bad coefficient ({ex})") from ex
         if coef != 0:
@@ -217,7 +227,7 @@ def _parse_vector(spec: str, dim: int) -> list:
     if len(parts) != dim:
         raise ParseError(f"vector needs {dim} comma-separated entries or a basis name like e0")
     try:
-        return [rat(p.strip()) for p in parts]
+        return [_rational(p.strip()) for p in parts]
     except (ValueError, ZeroDivisionError) as ex:
         raise ParseError(f"bad vector entry: {ex}") from ex
 

@@ -251,8 +251,6 @@ class InnerProduct:
 
     dim: int
     gram: tuple
-    _form: tuple = field(init=False, repr=False, compare=False)  # linalg._sparse(gram)
-    _inv: tuple | None = field(default=None, init=False, repr=False, compare=False)  # G^-1
 
     def __post_init__(self):
         g = self.gram
@@ -264,7 +262,14 @@ class InnerProduct:
                     raise ValueError("Gram matrix is not symmetric")
         if _det([list(r) for r in g]) == 0:
             raise ValueError("inner product is degenerate")
-        object.__setattr__(self, "_form", _sparse(g))
+
+    @functools.cached_property
+    def _form(self) -> tuple:
+        return _sparse(self.gram)
+
+    @functools.cached_property
+    def _inv(self) -> tuple:
+        return tuple(map(tuple, _inverse([list(r) for r in self.gram])))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "InnerProduct":
@@ -286,8 +291,6 @@ class InnerProduct:
 
     def inverse_gram(self) -> list:
         """G^-1 as a fresh list of rows; the inverse is computed once per instance."""
-        if self._inv is None:
-            object.__setattr__(self, "_inv", tuple(map(tuple, _inverse([list(r) for r in self.gram]))))
         return [list(r) for r in self._inv]
 
     def signature(self) -> tuple[int, int]:
@@ -297,10 +300,9 @@ class InnerProduct:
 
 @dataclass(frozen=True)
 class VolumeForm:
-    """Nonzero top form; the stored form (times the flag) fixes orientation."""
+    """Nonzero top form; the stored form fixes orientation."""
 
     form: AltForm
-    positive: bool = True
 
     def __post_init__(self):
         if self.form.degree != self.form.dim:
@@ -312,13 +314,10 @@ class VolumeForm:
     def standard(dim: int, coeff=Fraction(1)) -> "VolumeForm":
         return VolumeForm(alt_form(dim, dim, {tuple(range(1, dim + 1)): coeff}))
 
-    def oriented(self) -> AltForm:
-        return self.form if self.positive else -self.form
-
     def coefficient(self):
         """Coefficient against e^{1..n}; sign encodes the orientation."""
         full = tuple(range(1, self.form.dim + 1))
-        c = self.oriented().terms.get(full, Fraction(0))
+        c = self.form.terms.get(full, Fraction(0))
         if c == 0:
             raise ValueError("volume form does not hit the full multi-index")
         return c

@@ -24,6 +24,7 @@ private memo for that SU3Data object, and ``classify_g2`` (``build_g2``) and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
@@ -68,7 +69,6 @@ class FrameModel:
     dim: int
     metric: tuple
     d1: dict
-    _ip: InnerProduct | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.metric) != self.dim or any(m * m != 1 for m in self.metric):
@@ -83,9 +83,11 @@ class FrameModel:
 
     def ip(self) -> InnerProduct:
         """The diagonal metric, one instance per model, so its inverse is computed once."""
-        if self._ip is None:
-            object.__setattr__(self, "_ip", InnerProduct.diagonal(list(self.metric)))
         return self._ip
+
+    @functools.cached_property
+    def _ip(self) -> InnerProduct:
+        return InnerProduct.diagonal(list(self.metric))
 
     def vol(self) -> VolumeForm:
         return VolumeForm.standard(self.dim)

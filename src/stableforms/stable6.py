@@ -9,12 +9,13 @@ Everything is measured against a declared volume form ``vol``:
   and the paracomplex L = K/sqrt(lambda) are never materialized with
   irrational entries - all structure checks run on the exact pair (K, lambda).
 
-Orientation conventions.  Flipping vol flips K (and hence J).  The hat is
-normalized by requiring ``Omega ^ hat(Omega)`` to be a positive multiple of
-vol, which is the positivity condition on the decomposable complex form
-whose real part is Omega.  The classical 4-term displays of the canonical
-forms are adapted to the *complex* orientation of their frame, which is the
-negative of the lexicographic one; ``adapted_vol6()`` provides it.
+Orientation conventions.  Flipping vol flips K (and hence J), and with it
+the hat, K^* Omega / |lambda|^{3/2}: ``Omega ^ hat(Omega)`` is a positive
+multiple of vol under every vol (``_hat``), the positivity condition on the
+decomposable complex form whose real part is Omega.  The classical 4-term
+displays of the canonical forms are adapted to the *complex* orientation of
+their frame, which is the negative of the lexicographic one;
+``adapted_vol6()`` provides it.
 
 K is read off the integer wedges i_{e_j} Omega ^ Omega of
 ``exteralg._interior_wedges``, the kernel it shares with B in ``stable7``.
@@ -209,8 +210,7 @@ def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
 class HatForm:
     """hat(Omega) = numerator / sqrt(lam_abs); exact AltForm when the root is rational.
 
-    The sign of `numerator` is normalized so that Omega ^ hat(Omega) is a
-    positive multiple of the declared volume form.
+    Omega ^ hat(Omega) is a positive multiple of the declared volume form.
     """
 
     numerator: AltForm
@@ -233,18 +233,20 @@ def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
 
 
 def _hat(omega: AltForm, ss: ScaledStructure) -> HatForm:
-    """hat(Omega) from its structure, normalized against the volume form of ss."""
+    """hat(Omega) from its structure, against the volume form of ss.
+
+    Omega ^ K^* Omega = 2 lambda^2 vol holds for every 3-form Omega and every
+    volume form, K^* the pullback by the K of that volume form: Hitchin's
+    Omega ^ hat(Omega) = 2 sqrt|lambda| vol (*The geometry of three-forms in
+    six dimensions*, 2000).  So P = K^* Omega / |lambda| has Omega ^ P =
+    2 |lambda| vol > 0, and its sign is never searched; the wedge checks it.
+    """
     lam_abs = abs(ss.lam.value)
     P = (Fraction(1) / lam_abs) * pullback(ss.K, omega)
-    pairing = wedge(omega, P)
-    r = ss.lam.vol.ratio(pairing)
-    if r == 0:
-        raise ArithmeticError("Omega ^ hat vanished on a stable form")
-    if r < 0:
-        P = -P
+    if ss.lam.vol.ratio(wedge(omega, P)) != 2 * lam_abs:
+        raise ArithmeticError("Omega ^ K^*Omega != 2 lambda^2 vol; inconsistent input")
     s = sqrt_fraction(lam_abs)
-    exact = (Fraction(1) / s) * P if s is not None else None
-    return HatForm(P, lam_abs, exact)
+    return HatForm(P, lam_abs, None if s is None else (1 / s) * P)
 
 
 @dataclass(frozen=True)
@@ -343,25 +345,26 @@ def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
 def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     """The complex frame (a; sqrt|lambda| b) from the (1,0)-covectors a_k + sqrt(lambda) b_k.
 
-    Their wedge, scaled to Omega + i hat(Omega), is checked over Q: its real
-    part and its imaginary part over sqrt|lambda| are the pullbacks by (a; b)
-    of the two forms of ``_re_im``.
+    theta_1 is scaled so that theta = theta_1 ^ theta_2 ^ theta_3 has the
+    coefficient of alpha = Omega + i hat(Omega) at key0 = (i, j, k), whose
+    imaginary part is (K^* Omega)[key0] / lambda^2 = Omega(K e_i, K e_j,
+    K e_k) / lambda^2, one 3 x 3 minor of K per term of Omega.  The check is
+    Re theta = Omega over Q, the pullback by (a; b) of the first form of
+    ``_re_im``; it is the whole ``Canon6`` contract.  It also implies
+    Im theta = hat(Omega): a (3,0)-form is fixed by its real part, since
+    Re(z theta) = Omega pins the scalar z, and the sigma = +1 kernel of K^T
+    makes alpha, not its conjugate, a multiple of theta.
     """
     lam = ss.lam.value  # negative
-    numerator = _hat(omega, ss).numerator
     pairs = _root_kernel(transpose(ss.K.matrix), lam, 1)
-    # theta_1 times alpha / (theta_1 ^ theta_2 ^ theta_3) at key0, alpha = Omega + i hat(Omega)
     key0 = next(iter(omega.terms))
-    alpha0 = QuadExt(omega.terms[key0], numerator.terms.get(key0, Fraction(0)) / -lam, lam)
+    alpha0 = QuadExt(omega.terms[key0], omega(*(ss.K.column(j - 1) for j in key0)) / (lam * lam), lam)
     thetas = [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in pairs]
     pairs[0] = _times(alpha0 / _minor(thetas, tuple(j - 1 for j in key0)), *pairs[0])
     a, b = [a for a, _ in pairs], [b for _, b in pairs]
-    re, im = (pullback(LinearMap.from_rows(a + b), f) for f in _re_im(lam))
-    if re != omega or im != (-1 / lam) * numerator:
+    if pullback(LinearMap.from_rows(a + b), _re_im(lam)[0]) != omega:
         raise ArithmeticError("complex canonicalization failed the round trip")
-    s = sqrt_fraction(-lam)
-    if s is None:
-        s = QuadExt.root(-lam)
+    s = sqrt_fraction(-lam) or QuadExt.root(-lam)
     return Canon6(LinearMap.from_rows(a + [[s * y for y in row] for row in b]),
                   OrbitClass6.O6_MINUS, Fraction(1))
 

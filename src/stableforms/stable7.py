@@ -147,24 +147,31 @@ class G2Metric:
 def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
     """The metric of phi, read from B and det B at e^{1..7}: the same under every vol."""
     qf = q_form(phi, vol)
-    b, signature, det_b = _invariants(phi)
+    b, signature, _ = _invariants(phi)
     orbit = _orbit7(signature)
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
-    s9 = abs(det_b) / Fraction(6) ** 7
-    # exact when s9 is a perfect 9th power (a cube of a cube)
-    scale = _ninth_root(s9)
-    if scale is None:
-        scale = Fraction(_float_root(s9, 9))
-    elif not sys.float_info.min <= scale <= sys.float_info.max:
-        e = scale.numerator.bit_length() - scale.denominator.bit_length()
-        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
+    scale = _metric_scale(phi)
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
     if (orbit == OrbitClass7.O7_MINUS and neg == 7) or (orbit == OrbitClass7.O7_PLUS and pos == 4):
         g = [[-x for x in row] for row in g]
     return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit)
+
+
+def _metric_scale(phi: AltForm) -> Fraction:
+    """s with s^9 = |det B| / 6^7, so that s e^{1..7} is the volume form of phi's metric:
+    exact when s^9 is a cube of a cube, else the float ninth root; OverflowError outside
+    the float range."""
+    s9 = abs(_invariants(phi)[2]) / Fraction(6) ** 7
+    scale = _ninth_root(s9)
+    if scale is None:
+        return Fraction(_float_root(s9, 9))
+    if not sys.float_info.min <= scale <= sys.float_info.max:
+        e = scale.numerator.bit_length() - scale.denominator.bit_length()
+        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
+    return scale
 
 
 def _ninth_root(x: Fraction) -> Fraction | None:

@@ -5,7 +5,7 @@ import pytest
 from conftest import rational_rotation
 from stableforms import bridge, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
-from stableforms.exteralg import InnerProduct, VolumeForm, alt_form, pullback
+from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, pullback
 from stableforms.stable6 import (OrbitClass6, adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat, canonical_omega_plus_4term,
                                  classify6, hat, scaled_structure, sorted_vol)
@@ -257,3 +257,14 @@ class TestThreeFoldLift:
         assert lifted.ip.signature() == (4, 4)
         rep = vcp.verify_axioms(lifted, 80, seed=14)
         assert rep.passed, rep.failed_checks()
+
+    @pytest.mark.parametrize("variant", ("X1", "X2"))
+    @pytest.mark.parametrize("d", (2, -3, Fraction(1, 5)))
+    def test_lift_of_a_rescaled_phi_passes_the_axioms(self, d, variant):
+        """*phi is taken against the metric's volume form s e^{1..7}: on g^* phi_minus
+        with g = diag(d, 1, .., 1), s = |d|, the Gram-norm axiom holds as at d = 1."""
+        g = LinearMap.from_rows([[d if i == j == 0 else int(i == j) for j in range(7)] for i in range(7)])
+        phi = pullback(g, canonical_phi_minus())
+        for vol in (VolumeForm.standard(7), VolumeForm.standard(7, -1)):
+            rep = vcp.verify_axioms(bridge.lift_to_3fold(phi, vol, variant), 20, 1)
+            assert rep.passed, rep.failed_checks()

@@ -1,26 +1,33 @@
-"""Fuzzing ``stableforms classify``: every document ends in a documented exit code.
+"""Fuzzing ``stableforms classify`` and ``bridge --from stable6``: every document
+ends in a documented exit code.
 
 Hypothesis (derandomized, so every run sees the same examples) generates
-``classify`` documents: malformed JSON and JSON shapes, wrong dim or degree,
+form documents: malformed JSON and JSON shapes, wrong dim or degree,
 repeated, unsorted or out-of-range indices, non-string coefficients, zero
 forms, and coefficients from 1e-400 to 1e400, on sparse random forms and on
 the canonical forms with each coefficient rescaled.  Each document runs in
-process with and without ``--canonicalize`` and under ``--vol 1`` and
-``--vol -1``.  The exit code must be 0, 2, 3 or 4 (an argparse
-``SystemExit(2)`` counts as 2), and nothing may escape ``cli.main`` or leave
-a traceback on stderr.
+process, through ``classify`` with and without ``--canonicalize``, and
+through ``bridge --from stable6`` (dim-6 documents, dense c g^* Omega+-
+among them) with each ``--ip`` choice, each under ``--vol 1`` and ``--vol
+-1``.  The exit code must be 0, 2, 3 or 4 (an argparse ``SystemExit(2)``
+counts as 2), and nothing may escape ``cli.main`` or leave a traceback on
+stderr.  A decimal exponent beyond Python's cap on integer string digits
+is a parse error, found before any large integer is built.
 """
 
 import contextlib
 import io
 import json
 import os
+import sys
 import tempfile
+import time
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stableforms import cli
+from stableforms.exteralg import LinearMap, pullback
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from stableforms.stable7 import canonical_phi_minus, canonical_phi_plus
 
@@ -50,12 +57,12 @@ CANONICAL = [canonical_omega_plus(), canonical_omega_minus(), canonical_phi_minu
 
 
 @st.composite
-def rescaled_canonical(draw) -> dict:
-    """A canonical form times 10^e, |e| <= 400, each coefficient also times m 10^k with
+def rescaled_canonical(draw, forms: list = CANONICAL) -> dict:
+    """One of the forms times 10^e, |e| <= 400, each coefficient also times m 10^k with
     1 <= m <= 9 and |k| <= 3, possibly a term dropped (an unstable form).  Wider spreads
     within one form are left to the sparse random forms: on a dense unstable form they
     make the exact rank of the stabilizer system take up to a minute."""
-    form, e = draw(st.sampled_from(CANONICAL)), draw(st.integers(-400, 400))
+    form, e = draw(st.sampled_from(forms)), draw(st.integers(-400, 400))
     terms = [{"idx": list(idx), "coef": f"{c * draw(st.integers(1, 9))}e{e + draw(st.integers(-3, 3))}"}
              for idx, c in form.terms.items()]
     if draw(st.booleans()):
@@ -71,15 +78,20 @@ TEXTS = st.one_of(MALFORMED, RANDOM_DOCUMENTS.map(json.dumps), rescaled_canonica
 OPTIONS = [[*canonicalize, "--vol", vol] for canonicalize in ([], ["--canonicalize"]) for vol in ("1", "-1")]
 
 
-def run_classify(path: str, options: list) -> tuple[int, str]:
-    """``stableforms classify PATH --json OPTIONS`` in process: exit code and stderr."""
+def run_cli(argv: list) -> tuple[int, str]:
+    """``stableforms ARGV`` in process: exit code and stderr."""
     err = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(["classify", path, "--json", *options])
+            code = cli.main(argv)
         except SystemExit as ex:  # argparse
             code = ex.code
     return code, err.getvalue()
+
+
+def run_classify(path: str, options: list) -> tuple[int, str]:
+    """``stableforms classify PATH --json OPTIONS`` in process: exit code and stderr."""
+    return run_cli(["classify", path, "--json", *options])
 
 
 def scaled_document(form, exponent: int) -> str:
@@ -92,11 +104,62 @@ def scaled_document(form, exponent: int) -> str:
 @example(text=scaled_document(canonical_phi_minus(), 400))  # canonicalize: a float residual overflows
 @example(text=scaled_document(canonical_omega_minus(), -400))
 def test_classify_exits_with_a_documented_code(text):
+    assert_documented_exits(text, lambda path: [["classify", path, "--json", *options] for options in OPTIONS])
+
+
+def assert_documented_exits(text: str, commands):
+    """Write text to a file and run every argv of commands(path) on it."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "form.json")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        for options in OPTIONS:
-            code, err = run_classify(path, options)
+        for argv in commands(path):
+            code, err = run_cli(argv)
             assert code in (cli.EXIT_OK, cli.EXIT_PARSE, cli.EXIT_SHAPE, cli.EXIT_PRECONDITION), (code, err)
             assert "Traceback" not in err
+
+
+# c g^* Omega+- with g an integer matrix (possibly singular) and c = m 10^e, |e| <= 400,
+# mostly |e| <= 3, where the lift's float normalization stays in range
+DENSE6 = st.builds(
+    lambda base, entries, m, e: json.dumps({"dim": 6, "degree": 3, "terms": [
+        {"idx": list(idx), "coef": f"{m * x}e{e}"}
+        for idx, x in pullback(LinearMap.from_rows([entries[6 * i:6 * i + 6] for i in range(6)]),
+                               base).terms.items()]}),
+    st.sampled_from(CANONICAL[:2]), st.lists(st.integers(-2, 2), min_size=36, max_size=36),
+    st.integers(1, 9), st.one_of(st.integers(-3, 3), st.integers(-400, 400)))
+BRIDGE_TEXTS = st.one_of(MALFORMED, RANDOM_DOCUMENTS.map(json.dumps), DENSE6,
+                         rescaled_canonical(CANONICAL[:2]).map(json.dumps))
+BRIDGE_OPTIONS = [["--ip", ip, "--vol", vol] for ip in ("euclidean", "split", "synthesize") for vol in ("1", "-1")]
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(text=BRIDGE_TEXTS)
+@example(text=scaled_document(canonical_omega_minus(), 60))  # the float normalization overflows
+@example(text=scaled_document(canonical_omega_plus(), -400))
+def test_bridge_from_stable6_exits_with_a_documented_code(text):
+    assert_documented_exits(text, lambda path: [["bridge", "--from", "stable6", "--form", path, *options]
+                                                for options in BRIDGE_OPTIONS])
+
+
+def test_a_decimal_exponent_beyond_the_digit_cap_is_a_parse_error():
+    """"1e100000000" would build a 10^(10^8) integer; it is refused at once, naming the term,
+    in a form document and in a vector argument.  1e400 still parses."""
+    cap = sys.int_info.default_max_str_digits
+    for coef, parsed in (("1e100000000", False), ("-3E-100000000", False), (f"1e{cap + 1}", False),
+                         (f"1e{'9' * (cap + 10)}", False), ("1e400", True), (f"1e-{cap}", True)):
+        doc = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": coef}, {"idx": [4, 5, 6], "coef": "3"}]}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "form.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            start = time.perf_counter()
+            code, err = run_classify(path, [])
+            assert time.perf_counter() - start < 1
+        assert "Traceback" not in err
+        if parsed:
+            assert code in (cli.EXIT_OK, cli.EXIT_SHAPE), (coef, code, err)
+        else:
+            assert code == cli.EXIT_PARSE and "term #0" in err, (coef, code, err)
+    code, err = run_cli(["bridge", "--from", "vcp7", "--a", "1e100000000," + ",".join(["0"] * 7)])
+    assert code == cli.EXIT_PARSE and "decimal exponent" in err, (code, err)

@@ -69,6 +69,14 @@
   seeded c g^* Omega_minus and 64 c g^* Omega_plus, both orientations, both
   signs of c, tall ones at 10^+-40, |lambda| a square and not, and dense
   forms of both orbits with QuadExt bases.
+* ``canonicalize6`` on O6_MINUS reads the imaginary coefficient of Omega +
+  i hat(Omega) at one index as one sum of minors of K and checks only the
+  real part of the frame.  Its basis equals, entry for entry and type for
+  type, that of the frame it replaced (``ref_hat_canonicalize_complex``,
+  which builds all of hat(Omega) with the sign search ``ref_hat_numerator``
+  and checks both parts), on 208 forms: c g^* Omega_minus with tall c and
+  |lambda| a square and not, under both orientations, and dense random
+  forms.  Every frame carries Im of the canonical form to hat(Omega).
 * framecalc derives each (circle bundle, SU(3)) pair once, with three new
   paths, each against a copy of the code it replaced: the (1,1) test
   J^T F J = F against the 15 evaluations F(J e_i, J e_k)
@@ -120,12 +128,14 @@ from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element,
                                  inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
 from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
-                                  _interior_wedges, alt_form, basis_form, contract, form_inner,
+                                  _interior_wedges, _minor, alt_form, basis_form, contract, form_inner,
                                   hodge_star, pullback, sort_index, wedge)
-from stableforms.linalg import _inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank
+from stableforms.linalg import (_inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank,
+                                transpose)
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
-from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, canonical_omega_minus, canonical_omega_plus,
-                                 canonicalize6, lambda_coeff, scaled_structure, stabilizer_dim)
+from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, _re_im, _root_kernel, _times,
+                                 canonical_omega_minus, canonical_omega_minus_hat, canonical_omega_plus,
+                                 canonicalize6, hat, lambda_coeff, scaled_structure, stabilizer_dim)
 from stableforms.stable7 import (Canon7, _b_matrix, canonical_phi_minus, canonical_phi_plus,
                                  canonicalize7, metric_from_phi, q_form)
 from stableforms.vcp import _product_from_form, cross_2fold, cross_3fold
@@ -1221,6 +1231,59 @@ def test_canonicalize6_plus_with_quadext_bases(rng):
         assert_same_basis(canon.basis, ref_canonicalize_para(omega, volume))
         quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
     assert quadext >= 6
+
+
+# -- the O6_MINUS frame without the hat: the frame it replaced ---------------
+
+def ref_hat_numerator(omega: AltForm, ss) -> AltForm:
+    """K^* Omega / |lambda| with its sign chosen so that Omega ^ it is a positive multiple of vol."""
+    P = (Fraction(1) / abs(ss.lam.value)) * pullback(ss.K, omega)
+    r = ss.lam.vol.ratio(wedge(omega, P))
+    assert r != 0
+    return -P if r < 0 else P
+
+
+def ref_hat_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
+    """The O6_MINUS frame from rational pairs, theta_1 scaled through all of hat(Omega),
+    and checked on both its real part and its imaginary part."""
+    ss = scaled_structure(omega, vol)
+    lam = ss.lam.value
+    numerator = ref_hat_numerator(omega, ss)
+    pairs = _root_kernel(transpose(ss.K.matrix), lam, 1)
+    key0 = next(iter(omega.terms))
+    alpha0 = QuadExt(omega.terms[key0], numerator.terms.get(key0, Fraction(0)) / -lam, lam)
+    thetas = [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in pairs]
+    pairs[0] = _times(alpha0 / _minor(thetas, tuple(j - 1 for j in key0)), *pairs[0])
+    a, b = [a for a, _ in pairs], [b for _, b in pairs]
+    re, im = (pullback(LinearMap.from_rows(a + b), f) for f in _re_im(lam))
+    assert re == omega and im == (-1 / lam) * numerator
+    s = sqrt_fraction(-lam)
+    if s is None:
+        s = QuadExt.root(-lam)
+    return LinearMap.from_rows(a + [[s * y for y in row] for row in b])
+
+
+def test_canonicalize6_minus_matches_the_frame_through_the_hat(rng):
+    """208 forms: 80 seeded c g^* Omega_minus per orientation (tall ones, |lambda| a square
+    and not) and 48 dense random forms with lambda < 0.  The frame read off one sum of minors
+    of K equals the one scaled through all of hat(Omega), and it carries Im of the canonical
+    form to hat(Omega), the identity it no longer checks."""
+    forms = [(omega, VolumeForm.standard(6, vol)) for vol in (1, -1)
+             for omega in frame_samples(rng, OrbitClass6.O6_MINUS, count=80)]
+    while len(forms) < 208:
+        omega = random_form(rng, 6, 3, nterms=10)
+        if lambda_coeff(omega, VolumeForm.standard(6)).value < 0:
+            forms.append((omega, VolumeForm.standard(6, (-1) ** len(forms))))
+    quadext = 0
+    for omega, vol in forms:
+        canon = canonicalize6(omega, vol)
+        assert_same_basis(canon.basis, ref_hat_canonicalize_complex(omega, vol))
+        h = hat(omega, vol)
+        root = sqrt_fraction(h.lam_abs) or QuadExt.root(h.lam_abs)
+        im = pullback(canon.basis, canonical_omega_minus_hat())
+        assert {idx: root * x for idx, x in im.terms.items()} == h.numerator.terms
+        quadext += isinstance(root, QuadExt)
+    assert quadext >= 100
 
 
 # -- one derivation per (bundle, SU(3)) pair: the paths it replaced ----------

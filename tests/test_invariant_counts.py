@@ -13,7 +13,8 @@ and ranks its system only for unstable forms, and the classify order
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
 rref or Bareiss elimination and takes one pullback (its float residual); a
-frame model inverts each Gram matrix once.
+frame model inverts each Gram matrix once.  The O6_MINUS frame takes one
+pullback (its check) and no hat or wedge, and ``stable6_to_7`` takes no hat.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
@@ -353,6 +354,29 @@ def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, ca
     stable7.canonicalize7(phi, VOL7)
     assert counts == {"pullback": 1}
     assert len(dets) == calls["_inertia_det"] == 1
+
+
+# lambda = -32: sqrt|lambda| is irrational and the frame has QuadExt entries
+OMEGA_MINUS_ROOT = pullback(G6, alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -2, (2, 4, 6): 2, (3, 4, 5): -2}))
+
+
+@pytest.mark.parametrize("omega", [OMEGA_MINUS, OMEGA_MINUS_ROOT], ids=["square", "irrational"])
+def test_the_complex_frame_and_the_lift_take_no_hat(omega, monkeypatch):
+    """Omega ^ K^* Omega = 2 lambda^2 vol leaves nothing to search: the O6_MINUS frame
+    takes one pullback (its check) and no hat or wedge, and stable6_to_7 takes no hat."""
+    ss = stable6.scaled_structure(omega, VOL6)
+    assert ss.is_complex
+    counts = Counter()
+    for name in ("_hat", "pullback", "wedge"):
+        def counting(*args, _orig=getattr(stable6, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(stable6, name, counting)
+    stable6._canonicalize_complex(omega, ss)
+    assert counts == {"pullback": 1}
+    counts.clear()
+    bridge.stable6_to_7(omega, bridge.synthesize_compatible_ip(ss), VOL6)
+    assert counts["_hat"] == 0
 
 
 def test_one_inverse_per_gram_matrix(monkeypatch):

@@ -1,13 +1,16 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_invertible, random_three_form
 from stableforms.exteralg import LinearMap, VolumeForm, alt_form, basis_form, pullback, wedge
 from stableforms.linalg import mat_mul
 from stableforms.scalars import QuadExt, sqrt_fraction
-from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6,
+from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6, _hat,
                                  adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat,
                                  canonical_omega_plus,
@@ -16,6 +19,18 @@ from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6,
                                  scaled_structure, sorted_vol, stabilizer_dim)
 
 VOL = sorted_vol(6)
+
+# p/q 10^e with |e| <= 40: small, tall and tiny coefficients
+COEFFICIENTS = st.builds(lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
+                         st.integers(-99, 99).filter(bool), st.integers(1, 99), st.integers(-40, 40))
+SPARSE_FORMS = st.dictionaries(st.sampled_from(list(itertools.combinations(range(1, 7), 3))),
+                               COEFFICIENTS, min_size=1, max_size=20).map(lambda t: alt_form(6, 3, t))
+# c g^* of Omega_plus, Omega_minus or a form with |lambda| = 32, g integer and possibly singular
+ORBIT_FORMS = st.builds(
+    lambda base, entries, c: c * pullback(LinearMap.from_rows([entries[6 * i:6 * i + 6] for i in range(6)]), base),
+    st.sampled_from([canonical_omega_plus(), canonical_omega_minus(),
+                     alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -2, (2, 4, 6): 2, (3, 4, 5): -2})]),
+    st.lists(st.integers(-3, 3), min_size=36, max_size=36), COEFFICIENTS)
 
 
 class TestKEndo:
@@ -230,6 +245,22 @@ class TestHat:
         for idx, num in h.numerator.terms.items():
             assert (floats[idx] > 0) == (num > 0)
             assert Fraction(floats[idx]) ** 2 * h.lam_abs / num ** 2 == pytest.approx(1, rel=1e-15)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(omega=st.one_of(SPARSE_FORMS, ORBIT_FORMS))
+    def test_omega_wedge_k_pullback_is_twice_lambda_squared(self, omega):
+        """Omega ^ K^* Omega = 2 lambda^2 vol for every 3-form, unstable ones included,
+        and every volume form: the identity that fixes the sign of the hat."""
+        for c in (1, -1, 3, Fraction(-1, 7)):
+            vol = VolumeForm.standard(6, Fraction(c))
+            K, lam = k_endo(omega, vol).K, lambda_coeff(omega, vol).value
+            assert vol.ratio(wedge(omega, pullback(K, omega))) == 2 * lam * lam
+
+    def test_hat_check_fails_closed(self):
+        """A structure that is not Omega's breaks the identity, and _hat raises."""
+        ss = scaled_structure(canonical_omega_plus(), VOL)
+        with pytest.raises(ArithmeticError, match="2 lambda"):
+            _hat(canonical_omega_minus(), ss)
 
     def test_pairing_equals_twice_sqrt_lambda(self):
         # Omega ^ hat = 2 sqrt|lambda| vol under the positivity normalization
