@@ -130,7 +130,8 @@ DENSE6 = st.builds(
     st.integers(1, 9), st.one_of(st.integers(-3, 3), st.integers(-400, 400)))
 BRIDGE_TEXTS = st.one_of(MALFORMED, RANDOM_DOCUMENTS.map(json.dumps), DENSE6,
                          rescaled_canonical(CANONICAL[:2]).map(json.dumps))
-BRIDGE_OPTIONS = [["--ip", ip, "--vol", vol] for ip in ("euclidean", "split", "synthesize") for vol in ("1", "-1")]
+BRIDGE_OPTIONS = [["--ip", ip, "--vol", vol] for ip in ("euclidean", "split", "synthesize")
+                  for vol in ("1", "-1")]
 
 
 @settings(max_examples=80, derandomize=True, deadline=None)
@@ -148,7 +149,8 @@ def test_a_decimal_exponent_beyond_the_digit_cap_is_a_parse_error():
     cap = sys.int_info.default_max_str_digits
     for coef, parsed in (("1e100000000", False), ("-3E-100000000", False), (f"1e{cap + 1}", False),
                          (f"1e{'9' * (cap + 10)}", False), ("1e400", True), (f"1e-{cap}", True)):
-        doc = {"dim": 7, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": coef}, {"idx": [4, 5, 6], "coef": "3"}]}
+        doc = {"dim": 7, "degree": 3,
+               "terms": [{"idx": [1, 2, 3], "coef": coef}, {"idx": [4, 5, 6], "coef": "3"}]}
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "form.json")
             with open(path, "w", encoding="utf-8") as fh:

@@ -27,7 +27,8 @@ SPARSE_FORMS = st.dictionaries(st.sampled_from(list(itertools.combinations(range
                                COEFFICIENTS, min_size=1, max_size=20).map(lambda t: alt_form(6, 3, t))
 # c g^* of Omega_plus, Omega_minus or a form with |lambda| = 32, g integer and possibly singular
 ORBIT_FORMS = st.builds(
-    lambda base, entries, c: c * pullback(LinearMap.from_rows([entries[6 * i:6 * i + 6] for i in range(6)]), base),
+    lambda base, entries, c: c * pullback(LinearMap.from_rows([entries[6 * i:6 * i + 6] for i in range(6)]),
+                                          base),
     st.sampled_from([canonical_omega_plus(), canonical_omega_minus(),
                      alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -2, (2, 4, 6): 2, (3, 4, 5): -2})]),
     st.lists(st.integers(-3, 3), min_size=36, max_size=36), COEFFICIENTS)
