@@ -115,18 +115,12 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     omega_hat = alt_form(6, 3, t_hat)
     # J_P v = -X'(a, b, v) restricted to the complement, in complement coords
     jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
-    # orientation fixed by the hat: the normalized hat must equal the
-    # branch-signed b-contraction (it does in exactly one orientation)
-    vol = stable6.sorted_vol(6)
+    # Omega ^ hat(Omega) is a positive multiple of vol, so the orientation in which the
+    # b-contraction can be the hat is the sign of Omega ^ omega_hat
+    vol = VolumeForm.standard(6, Fraction(-1 if wedge(omega, omega_hat).coeff(range(1, 7)) < 0 else 1))
     ss = stable6.scaled_structure(omega, vol)
-    h = stable6._hat(omega, ss).form
-    if h is None or omega_hat not in (h, -h):
+    if stable6._hat(omega, ss).form != omega_hat:
         raise ArithmeticError("b-contraction does not match the hat in either orientation")
-    if h != omega_hat:
-        # flipping vol negates K and the hat and keeps lambda
-        vol = VolumeForm.standard(6, Fraction(-1))
-        ss = ScaledStructure(LinearMap.from_rows([[-x for x in r] for r in ss.K.matrix]),
-                             stable6.Lambda(ss.lam.value, vol))
     c = _scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
     if c is None or c * c != abs(ss.lam.value):
         raise ArithmeticError("K is not a multiple of the plane structure")
@@ -207,13 +201,10 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
     lam_abs = abs(lam)
     km = [list(r) for r in ss.K.matrix]
     g6 = [list(r) for r in ip.gram]
-    ktgk = mat_mul([list(r) for r in zip(*km)], mat_mul(g6, km))
-    target = lam_abs if lam < 0 else -lam_abs
-    for i in range(6):
-        for j in range(6):
-            if ktgk[i][j] != target * g6[i][j]:
-                raise ValueError("inner product is not compatible with the induced structure")
     w = mat_mul([list(r) for r in zip(*km)], g6)  # omega_s(x,y) = <Kx, y>
+    wk = mat_mul(w, km)  # K^T G K, which is -lambda G exactly when ip is compatible
+    if any(wk[i][j] != -lam * g6[i][j] for i in range(6) for j in range(6)):
+        raise ValueError("inner product is not compatible with the induced structure")
     omega_s = alt_form(6, 2, {(i + 1, j + 1): w[i][j] for i in range(6) for j in range(6) if i < j})
     w3 = wedge(wedge(omega_s, omega_s), omega_s)
     num = lam * lam / 2  # (1/4) (Omega ^ hat / vol) |lambda|^{3/2}, by the identity of stable6._hat
@@ -263,14 +254,13 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
     The fundamental 4-form is beta ^ phi + *phi for the X1-type lift and
     beta ^ phi - *phi for the X2-type one (beta dual to the new first
     coordinate); the product is read back through the direct-sum metric.
-    *phi is taken against the metric's volume form s e^{1..7} (s^2 = |det g|),
-    oriented like vol.  Accepted on verified axioms rather than by construction.
+    *phi is taken against the metric's volume form ``G2Metric.vol``, s e^{1..7}
+    (s^2 = |det g|) oriented like vol.  Accepted on verified axioms rather than by construction.
     """
     vol = vol or VolumeForm.standard(7)
     gm = stable7.metric_from_phi(phi, vol)
     eps = Fraction(1) if variant == "X1" else Fraction(-1)
-    s = stable7._metric_scale(phi)
-    star = hodge_star(phi, gm.ip, VolumeForm.standard(7, s if vol.coefficient() > 0 else -s))
+    star = hodge_star(phi, gm.ip, gm.vol)
     shift = lambda f: alt_form(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(star)
     g8 = [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in gm.ip.gram]

@@ -184,12 +184,12 @@ def cmd_classify(args) -> int:
     else:
         qf = stable7.q_form(form, vol)
         pos, neg, zero = qf.signature()
-        cls = stable7._orbit7((pos, neg, zero))
+        cls = stable7.classify7(form, vol)
         payload = {"class": cls.value, "q_signature": {"pos": pos, "neg": neg, "zero": zero},
                    "abs_signature": abs(pos - neg), "stab_dim": stab}
         text = f"{cls.value}, |sig|={abs(pos - neg)}, stab_dim={stab}"
         if args.canonicalize and cls == stable7.OrbitClass7.O7_MINUS:
-            canon = stable7._canonicalize7(form)
+            canon = stable7.canonicalize7(form, vol)
             payload["basis"] = [[repr(x) for x in row] for row in canon.basis]
             payload["residual"] = canon.residual
     _emit(payload, args.json, text)

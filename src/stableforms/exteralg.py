@@ -58,14 +58,8 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int]:
     idx = tuple(idx)
     if len(set(idx)) != len(idx):
         return idx, 0
-    sign = 1
-    lst = list(idx)
-    for i in range(len(lst)):
-        for j in range(len(lst) - 1, i, -1):
-            if lst[j - 1] > lst[j]:
-                lst[j - 1], lst[j] = lst[j], lst[j - 1]
-                sign = -sign
-    return tuple(lst), sign
+    inversions = sum([a > b for a, b in itertools.combinations(idx, 2)])
+    return tuple(sorted(idx)), -1 if inversions & 1 else 1
 
 
 @dataclass(frozen=True)
@@ -130,11 +124,6 @@ class AltForm:
         return AltForm(self.dim, self.degree, {i: c * x for i, x in self.terms.items()})
 
     __mul__ = __rmul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AltForm):
-            return NotImplemented
-        return (self.dim, self.degree) == (other.dim, other.degree) and self.terms == other.terms
 
     def __call__(self, *vectors: Sequence) -> Fraction:
         """Evaluate on `degree` many vectors given in coordinates.
@@ -236,13 +225,6 @@ class LinearMap:
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(list(zip(*self.matrix)))
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearMap):
-            return NotImplemented
-        return (self.dim_in, self.dim_out) == (other.dim_in, other.dim_out) and all(
-            a == b for ra, rb in zip(self.matrix, other.matrix) for a, b in zip(ra, rb)
-        )
 
 
 @dataclass(frozen=True)

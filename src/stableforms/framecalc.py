@@ -511,19 +511,20 @@ def _abs_root(x: Fraction) -> float:
     return _float_root(abs(x), 2) if x else 0.0
 
 
-def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm,
-                      h: Fraction = Fraction(1, 100000)) -> tuple[float, float]:
+_VARIATION_STEP = Fraction(1, 100000)  # h of the central difference
+
+
+def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm) -> tuple[float, float]:
     """(central finite difference of sqrt|lambda|, pairing hat ^ dOmega / vol).
 
     The two square roots are taken from the exact lambdas, and the pairing
     r / sqrt|lambda| as the root of the exact r^2 / |lambda|, so both values
     are right at every size whose result is a normal float.
     """
-    ss = stable6.scaled_structure(omega, vol)  # NotStableError when lambda = 0
-    lam_p = stable6.lambda_coeff(omega + h * omega_dot, vol).value
-    lam_m = stable6.lambda_coeff(omega - h * omega_dot, vol).value
-    fd = (_abs_root(lam_p) - _abs_root(lam_m)) / (2 * float(h))
-    hat = stable6._hat(omega, ss)
+    hat = stable6.hat(omega, vol)  # NotStableError when lambda = 0
+    lam_p = stable6.lambda_coeff(omega + _VARIATION_STEP * omega_dot, vol).value
+    lam_m = stable6.lambda_coeff(omega - _VARIATION_STEP * omega_dot, vol).value
+    fd = (_abs_root(lam_p) - _abs_root(lam_m)) / (2 * float(_VARIATION_STEP))
     r = vol.ratio(wedge(hat.numerator, omega_dot))
     pairing = _abs_root(r * r / hat.lam_abs)
     return fd, -pairing if r < 0 else pairing

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rat = Fraction
 RatLike = Union[int, Fraction, str]
 
 
@@ -31,9 +30,25 @@ def rat(x: RatLike) -> Fraction:
 
 
 def rat_str(x: Fraction) -> str:
-    """Normalized string form, integer-valued rationals printed without '/1'."""
+    """Normalized string form, integer-valued rationals printed without '/1'.
+
+    Integers of any size are printed, past Python's cap on the digits of one
+    int-to-str conversion: each conversion takes a block of at most 4000 digits.
+    """
     x = Fraction(x)
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+    n, d = _int_str(x.numerator), x.denominator
+    return n if d == 1 else f"{n}/{_int_str(d)}"
+
+
+_BLOCK = 10 ** 4000
+
+
+def _int_str(n: int) -> str:
+    blocks, m = [], abs(n)
+    while m >= _BLOCK:
+        m, r = divmod(m, _BLOCK)
+        blocks.append(str(r).zfill(4000))
+    return "-" * (n < 0) + str(m) + "".join(reversed(blocks))
 
 
 def isqrt_exact(n: int) -> int | None:
@@ -205,7 +220,9 @@ class QuadExt:
         return self.a != 0 or self.b != 0
 
     def __float__(self) -> float:
-        if self.D < 0 and self.b != 0:
+        if not self.b:
+            return float(self.a)
+        if self.D < 0:
             raise ValueError("imaginary QuadExt has no float value")
         return float(self.a) + float(self.b) * math.sqrt(float(self.D))
 

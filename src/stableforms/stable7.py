@@ -34,12 +34,12 @@ import itertools
 import math
 import operator
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_wedges, _merge_signs,
                        alt_form, pullback)
-from .linalg import _clear, _inertia_det, inertia
+from .linalg import _clear, _inertia_det
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
 from .vcp import CrossProduct, _product_from_form
@@ -53,16 +53,14 @@ class OrbitClass7(enum.Enum):
 
 @dataclass(frozen=True)
 class QForm:
+    """B against vol, with the signature of B that ``q_form`` read off the memo entry."""
+
     B: tuple
     vol: VolumeForm
-    # the form that ``q_form`` read B from, whose memo keeps the signature
-    _phi: AltForm | None = field(default=None, init=False, repr=False, compare=False)
+    _signature: tuple[int, int, int]
 
     def signature(self) -> tuple[int, int, int]:
-        if self._phi is None:
-            return inertia(self.B)
-        pos, neg, zero = _invariants(self._phi)[1]
-        return (pos, neg, zero) if self.vol.coefficient() > 0 else (neg, pos, zero)
+        return self._signature
 
 
 def _check_shape(phi: AltForm, vol: VolumeForm):
@@ -75,10 +73,9 @@ def _check_shape(phi: AltForm, vol: VolumeForm):
 def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
     _check_shape(phi, vol)
-    b, c = _invariants(phi)[0], vol.coefficient()
-    qf = QForm(b if c == 1 else tuple(tuple(x / c for x in r) for r in b), vol)
-    object.__setattr__(qf, "_phi", phi)
-    return qf
+    (b, (pos, neg, zero), _), c = _invariants(phi), vol.coefficient()
+    return QForm(b if c == 1 else tuple(tuple(x / c for x in r) for r in b), vol,
+                 (pos, neg, zero) if c > 0 else (neg, pos, zero))
 
 
 def _invariants(phi: AltForm) -> tuple[tuple, tuple[int, int, int], Fraction]:
@@ -132,46 +129,42 @@ class G2Metric:
     e^{1..7}; only `exact_B`, the ``q_form`` of the call, is read against its vol.
 
     `ip` carries exact entries (the float scale is converted exactly), so
-    downstream exact operations can consume it; `scale` records s, and the
-    call raises OverflowError when s is not a normal float.  The
-    overall sign is pinned by the known signatures: positive definite on
-    O7_MINUS and three positive directions (3,4) on O7_PLUS.
+    downstream exact operations can consume it; `scale` records s, exact when
+    s^9 is a cube of a cube and else the float ninth root, and the call raises
+    OverflowError when s is not a normal float.  `vol` is the metric's volume
+    form s e^{1..7}, oriented like the call's vol.  The overall sign is pinned
+    by the known signatures: positive definite on O7_MINUS and three positive
+    directions (3,4) on O7_PLUS.
     """
 
     ip: InnerProduct
     scale: float
     exact_B: QForm
     orbit: OrbitClass7
+    vol: VolumeForm
 
 
 def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
     """The metric of phi, read from B and det B at e^{1..7}: the same under every vol."""
     qf = q_form(phi, vol)
-    b, signature, _ = _invariants(phi)
+    b, signature, det_b = _invariants(phi)
     orbit = _orbit7(signature)
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
-    scale = _metric_scale(phi)
+    s9 = abs(det_b) / Fraction(6) ** 7
+    scale = _ninth_root(s9)
+    if scale is None:
+        scale = Fraction(_float_root(s9, 9))
+    elif not sys.float_info.min <= scale <= sys.float_info.max:
+        e = scale.numerator.bit_length() - scale.denominator.bit_length()
+        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
     if (orbit == OrbitClass7.O7_MINUS and neg == 7) or (orbit == OrbitClass7.O7_PLUS and pos == 4):
         g = [[-x for x in row] for row in g]
-    return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit)
-
-
-def _metric_scale(phi: AltForm) -> Fraction:
-    """s with s^9 = |det B| / 6^7, so that s e^{1..7} is the volume form of phi's metric:
-    exact when s^9 is a cube of a cube, else the float ninth root; OverflowError outside
-    the float range."""
-    s9 = abs(_invariants(phi)[2]) / Fraction(6) ** 7
-    scale = _ninth_root(s9)
-    if scale is None:
-        return Fraction(_float_root(s9, 9))
-    if not sys.float_info.min <= scale <= sys.float_info.max:
-        e = scale.numerator.bit_length() - scale.denominator.bit_length()
-        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
-    return scale
+    return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit,
+                    VolumeForm.standard(7, scale if vol.coefficient() > 0 else -scale))
 
 
 def _ninth_root(x: Fraction) -> Fraction | None:

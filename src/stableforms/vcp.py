@@ -301,7 +301,7 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
         rhs1 = _add(_scale(pair_lxy, nrm), _scale(pair_xy, ln))
         if lhs1 != rhs1:
             id1 = False
-        lhs2 = _sub(cp3(lx, ly, nrm), cp3(x, y, nrm))
+        lhs2 = _add(cp3(lx, ly, nrm), _scale(Fraction(-1), cp3(x, y, nrm)))
         if lhs2 != _scale(-2 * pair_lxy, ln):
             id2 = False
         lxn = lv(cp3(nrm, x, y))
@@ -319,7 +319,3 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     branch = "commuting" if commuting else ("anticommuting" if anticommuting else "none")
     passed = id1 and id2 and (commuting != anticommuting)
     return ParaExtensionReport(cp3.variant, trials, id1, id2, branch, dims, passed)
-
-
-def _sub(x: Vector, y: Vector) -> Vector:
-    return tuple(u - v for u, v in zip(x, y))

@@ -1,3 +1,6 @@
+import dataclasses
+import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -5,7 +8,8 @@ import pytest
 from conftest import rational_rotation
 from stableforms import bridge, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
-from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, pullback
+from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, pullback, wedge
+from stableforms.linalg import mat_mul
 from stableforms.stable6 import (OrbitClass6, adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat, canonical_omega_plus_4term,
                                  classify6, hat, scaled_structure, sorted_vol)
@@ -121,6 +125,114 @@ class TestVcpToStable6:
         rot = bridge.vcp_to_stable6(cp3, a2, b2)
         assert rot.omega == ch * base.omega + (-sh) * base.omega_hat
         assert rot.omega_hat == (-sh) * base.omega + ch * base.omega_hat
+
+
+def ref_vcp_to_stable6(cp3, a, b) -> bridge.Stable6FromVCP:
+    """A reference for ``vcp_to_stable6`` that tries the hat at e^{1..6} against both
+    signs of the b-contraction, and builds the structure of -e^{1..6} by hand: K
+    negated, lambda kept."""
+    a, b = vcp._vec(a), vcp._vec(b)
+    expected_nb = Fraction(1) if cp3.ip.signature()[1] == 0 else Fraction(-1)
+    if cp3.ip.pair(a, b) != 0 or cp3.ip.pair(a, a) != 1 or cp3.ip.pair(b, b) != expected_nb:
+        raise ValueError("plane")
+    comp, gram, to_local = vcp._complement(cp3.ip, [a, b])
+    sign = Fraction(1) if cp3.variant.startswith("X1") else Fraction(-1)
+    t_om, t_hat = {}, {}
+    for i, j, k in itertools.combinations(range(6), 3):
+        x = cp3(comp[i], comp[j], comp[k])
+        t_om[(i + 1, j + 1, k + 1)] = -cp3.ip.pair(x, a)
+        t_hat[(i + 1, j + 1, k + 1)] = sign * cp3.ip.pair(x, b)
+    omega, omega_hat = alt_form(6, 3, t_om), alt_form(6, 3, t_hat)
+    jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
+    vol = sorted_vol(6)
+    ss = scaled_structure(omega, vol)
+    h = stable6._hat(omega, ss).form
+    if h is None or omega_hat not in (h, -h):
+        raise ArithmeticError("b-contraction does not match the hat in either orientation")
+    if h != omega_hat:
+        vol = VolumeForm.standard(6, Fraction(-1))
+        ss = stable6.ScaledStructure(LinearMap.from_rows([[-x for x in r] for r in ss.K.matrix]),
+                                     stable6.Lambda(ss.lam.value, vol))
+    c = bridge._scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
+    if c is None or c * c != abs(ss.lam.value):
+        raise ArithmeticError("K is not a multiple of the plane structure")
+    s = -c if ss.lam.value < 0 else c
+    return bridge.Stable6FromVCP(omega, omega_hat, ss, jp, s, vol, bridge._adapted_frame(a, b, comp),
+                                 InnerProduct.from_rows(gram))
+
+
+def isometry(tag: AlgebraTag, rng: random.Random) -> LinearMap:
+    """A rational isometry of the algebra's inner product: a rotation for O; for B
+    (positive e0..e3, negative e4..e7) a rotation of each block and a boost (5/4, 3/4)."""
+    if tag == AlgebraTag.O:
+        return rational_rotation(rng, 8, steps=3)
+    blocks = [rational_rotation(rng, 4, steps=2).matrix for _ in range(2)]
+    rows = [list(r) + [0] * 4 for r in blocks[0]] + [[0] * 4 + list(r) for r in blocks[1]]
+    p, q = rng.randrange(4), rng.randrange(4, 8)
+    boost = [[Fraction(int(i == j)) for j in range(8)] for i in range(8)]
+    boost[p][p] = boost[q][q] = Fraction(5, 4)
+    boost[p][q] = boost[q][p] = Fraction(3, 4)
+    return LinearMap.from_rows(mat_mul(rows, boost))
+
+
+def planes(tag: AlgebraTag, rng: random.Random) -> list:
+    """Admissible planes (a, b): basis pairs, their flips (b, a) (definite case only) and
+    (a, -b), and images of basis pairs under rational isometries."""
+    if tag == AlgebraTag.O:
+        pairs = [(0, 4), (1, 2), (3, 7), (5, 6)]
+    else:
+        pairs = [(0, 4), (1, 5), (2, 7), (3, 6)]
+    out = []
+    for i, j in pairs:
+        a, b = E8[i], E8[j]
+        out += [(a, b), (a, tuple(-x for x in b))]
+        if tag == AlgebraTag.O:
+            out.append((b, a))
+    for i, j in pairs * 2:
+        g = isometry(tag, rng)
+        a, b = g.column(i), g.column(j)
+        out += [(a, b), (a, [-x for x in b])]
+    return out
+
+
+class TestVcpToStable6Orientation:
+    """The orientation is the sign of Omega ^ omega_hat, and the structure is the
+    stable6 structure there: every field equals the reference's, over O and B, X1 and
+    X2, on both orientations of each plane."""
+
+    @pytest.mark.parametrize("variant", ("X1", "X2"))
+    @pytest.mark.parametrize("tag", (AlgebraTag.O, AlgebraTag.B))
+    def test_matches_the_two_orientation_reference(self, tag, variant):
+        cp3 = vcp.cross_3fold(tag, variant)
+        rng = random.Random(f"{tag.value} {variant}")
+        orientations = set()
+        cases = planes(tag, rng)
+        assert len(cases) >= 20
+        for a, b in cases:
+            got, expected = bridge.vcp_to_stable6(cp3, a, b), ref_vcp_to_stable6(cp3, a, b)
+            for f in dataclasses.fields(got):
+                assert getattr(got, f.name) == getattr(expected, f.name), (f.name, a, b)
+            assert got.structure.lam.vol == got.vol
+            assert wedge(got.omega, got.omega_hat).coeff(range(1, 7)) * got.vol.coefficient() > 0
+            orientations.add(got.vol.coefficient())
+        assert orientations == {1, -1}
+
+    @pytest.mark.parametrize("t", (Fraction(1), Fraction(-3), Fraction(-1)))
+    def test_a_contraction_that_is_not_the_hat(self, t):
+        """X'' = X' + t <X', b> b stretches the b-contraction by 1 + t and keeps Omega: it is
+        the hat in neither orientation at t = 1 and -3, and at t = -1 it is zero, which
+        fixes no orientation; both raise ArithmeticError, as the reference does."""
+        cp3 = vcp.cross_3fold(AlgebraTag.O, "X1")
+        b = E8[4]
+
+        def stretched(*vectors):
+            x = cp3(*vectors)
+            return tuple(u + t * cp3.ip.pair(x, b) * v for u, v in zip(x, b))
+
+        bent = dataclasses.replace(cp3, evaluator=stretched)
+        for run in (bridge.vcp_to_stable6, ref_vcp_to_stable6):
+            with pytest.raises(ArithmeticError, match="either orientation"):
+                run(bent, E8[0], b)
 
 
 class TestCompatibleIp:

@@ -12,6 +12,10 @@
 * ``QuadExt`` is named only in ``scalars`` (which defines it), ``stable6``
   (whose canonical bases carry it when sqrt|lambda| is irrational) and
   ``cli`` (which prints them): every other module computes over Q.
+* No module but ``stable7`` names a private of ``stable7``, except the one
+  documented read in ``stable6.stabilizer_dim``: every other caller takes
+  the orbit, the frame, the signature and the metric's volume form from the
+  public calls.
 """
 
 import ast
@@ -149,3 +153,43 @@ def test_guard_flags_a_quadext_mention():
     sources = {"linalg.py": "from .scalars import QuadExt\n", "exteralg.py": '"""over QuadExt."""\n',
                "stable6.py": "from .scalars import QuadExt\n", "vcp.py": "x = 1\n"}
     assert quadext_mentions(sources) == ["exteralg.py", "linalg.py"]
+
+
+# the one read of a stable7 private outside stable7: stabilizer_dim takes det B from the memo entry
+STABLE7_PRIVATE_READS = ["stable6.py: stabilizer_dim: _invariants"]
+
+
+def stable7_private_uses(modules: dict) -> list[str]:
+    """Each import of a ``_private`` name from stable7, and each ``stable7._private``
+    attribute, outside stable7: module, enclosing top-level definition (None at module
+    level) and name."""
+    out = []
+    for name, tree in modules.items():
+        if name == "stable7.py":
+            continue
+        for stmt in tree.body:
+            where = getattr(stmt, "name", None)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "stable7":
+                    found = [alias.name for alias in node.names]
+                elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                      and node.value.id == "stable7"):
+                    found = [node.attr]
+                else:
+                    continue
+                out += [f"{name}: {where}: {n}" for n in found if n.startswith("_") and not n.startswith("__")]
+    return out
+
+
+def test_stable7_privates_stay_in_stable7():
+    assert stable7_private_uses(MODULES) == STABLE7_PRIVATE_READS
+
+
+def test_guard_flags_a_stable7_private():
+    """The stable7 check is not vacuous: it catches a planted import and attribute, and
+    passes public names, dunders and stable7's own uses."""
+    tree = ast.parse("from . import stable7\nfrom .stable7 import _invariants, q_form\n\n"
+                     "def f(phi):\n    return stable7._orbit7(phi), stable7.classify7(phi), stable7.__name__\n")
+    own = ast.parse("from .linalg import _clear\n\nX = _clear\n")
+    assert stable7_private_uses({"cli.py": tree, "stable7.py": own}) == ["cli.py: None: _invariants",
+                                                                         "cli.py: f: _orbit7"]

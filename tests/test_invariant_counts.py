@@ -356,6 +356,35 @@ def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, ca
     assert len(dets) == calls["_inertia_det"] == 1
 
 
+@pytest.mark.parametrize("c", [1, -1, 3, Fraction(-1, 7)])
+@pytest.mark.parametrize("form", [PHI_MINUS, PHI_PLUS], ids=["G7*phi-", "G7*phi+"])
+def test_q_form_carries_the_memo_signature(form, c, dets):
+    """q_form stores the signature of the memo entry, pos and neg swapped when c < 0:
+    the signature of B/c, with no elimination beyond the entry's one."""
+    phi, vol = fresh(form), VolumeForm.standard(7, c)
+    stable7.classify7(phi, VOL7)
+    pos, neg, zero = stable7._invariants(phi)[1]
+    qf = stable7.q_form(phi, vol)
+    assert qf.signature() == ((pos, neg, zero) if c > 0 else (neg, pos, zero))
+    assert len(dets) == 1
+    assert qf.signature() == inertia(qf.B)
+
+
+@pytest.mark.parametrize("form", [PHI_MINUS, 2 * PHI_MINUS, PHI_PLUS],
+                         ids=["G7*phi-", "2 G7*phi-", "G7*phi+"])
+def test_the_lift_takes_the_metric_scale_once(form, monkeypatch):
+    """lift_to_3fold takes *phi against ``G2Metric.vol``: it roots the metric scale only
+    inside metric_from_phi, as many cube roots as that call alone takes."""
+    roots = []
+    monkeypatch.setattr(stable7, "cbrt_fraction", lambda x, _orig=stable7.cbrt_fraction:
+                        roots.append(x) or _orig(x))
+    stable7.metric_from_phi(fresh(form), VOL7)
+    alone = len(roots)
+    roots.clear()
+    bridge.lift_to_3fold(fresh(form))
+    assert alone > 0 and len(roots) == alone
+
+
 # lambda = -32: sqrt|lambda| is irrational and the frame has QuadExt entries
 OMEGA_MINUS_ROOT = pullback(G6, alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -2, (2, 4, 6): 2, (3, 4, 5): -2}))
 

@@ -139,6 +139,25 @@ class TestScaledStructure:
         assert all(v[3:] == [0, 0, 0] for v in minus)
         assert all(v[:3] == [0, 0, 0] for v in plus)
 
+    @pytest.mark.parametrize("lam_root", [2, 3])
+    def test_para_eigenspaces_at_an_irrational_root(self, lam_root):
+        """lambda = 32 or 108: the eigenvectors have QuadExt entries over Q(sqrt(lambda)),
+        K v = sigma sqrt(lambda) v exactly, three of them for each sign."""
+        omega = pullback(random_invertible(random.Random(lam_root), 6, 2),
+                         alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): lam_root, (2, 4, 6): -lam_root,
+                                         (3, 4, 5): lam_root}))
+        ss = scaled_structure(omega, VOL)
+        lam = ss.lam.value
+        assert ss.is_para and sqrt_fraction(lam) is None
+        root = QuadExt.root(lam)
+        for sigma in (1, -1):
+            space = ss.eigenspace(sigma)
+            assert len(space) == 3
+            for v in space:
+                assert all(isinstance(x, QuadExt) for x in v) and any(x.b for x in v)
+                kv = [sum((k * x for k, x in zip(row, v)), QuadExt.of(0, lam)) for row in ss.K.matrix]
+                assert kv == [sigma * root * x for x in v]
+
     def test_complex_has_no_real_eigenvectors(self):
         ss = scaled_structure(canonical_omega_minus(), VOL)
         assert ss.is_complex

@@ -129,6 +129,7 @@ class TestExactRoots:
     def test_exact_metric_scale_inside_the_float_range(self, e):
         gm = metric_from_phi(Fraction(10) ** e * canonical_phi_minus(), VOL)
         assert gm.scale == float(Fraction(10) ** (7 * e // 3))
+        assert gm.vol == VolumeForm.standard(7, Fraction(10) ** (7 * e // 3))  # exact, oriented like VOL
 
     @pytest.mark.parametrize("e", [-135, 135])
     def test_metric_scale_outside_the_float_range_raises(self, e):
@@ -258,7 +259,8 @@ def volume_samples(rng) -> list:
 @pytest.mark.parametrize("c", [3, 512, Fraction(1, 7), -5], ids=str)
 class TestVolumeIndependence:
     """The metric and the Cayley frame of phi depend on phi alone: under c e^{1..7} they
-    are exactly what they are under sgn(c) e^{1..7}; only the Q form is read against vol."""
+    are exactly what they are under sgn(c) e^{1..7}; only the Q form is read against vol,
+    and the metric's volume form s e^{1..7} takes the orientation of vol."""
 
     def test_metric(self, c, rng):
         sign = 1 if c > 0 else -1
@@ -268,6 +270,8 @@ class TestVolumeIndependence:
             assert got.ip.gram == expected.ip.gram
             assert (got.scale, got.orbit) == (expected.scale, expected.orbit)
             assert got.exact_B.B == tuple(tuple(x * sign / c for x in r) for r in expected.exact_B.B)
+            assert got.vol == expected.vol
+            assert got.vol.coefficient() * sign > 0 and float(got.vol.coefficient() * sign) == got.scale
 
     def test_cayley_frame(self, c, rng):
         sign = 1 if c > 0 else -1
