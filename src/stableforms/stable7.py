@@ -20,11 +20,11 @@ The invariants are taken at e^{1..7} and scaled on read.  The form's
 private ``AltForm._memo`` holds one entry, (B, the signature of B, det B),
 made on first use by one kernel pass and one symmetric elimination
 (``linalg._inertia_det``).  Against c e^{1..7}, ``q_form`` returns B/c and
-its ``signature`` swaps pos and neg when c < 0.  The metric, the Cayley
-frame and ``stable6.stabilizer_dim`` depend on phi alone and read the
-entry as it is.  Forms never change, so a race on the memo only computes
-the same entry twice.  phi must have int or Fraction coefficients: every
-public call here raises TypeError on any other (a float, say).
+stores the entry's signature, pos and neg swapped when c < 0.  The metric,
+the Cayley frame and ``stable6.stabilizer_dim`` depend on phi alone and
+read the entry as it is.  Forms never change, so a race on the memo only
+computes the same entry twice.  phi must have int or Fraction coefficients:
+every public call here raises TypeError on any other (a float, say).
 """
 
 from __future__ import annotations
