@@ -119,7 +119,7 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     # b-contraction can be the hat is the sign of Omega ^ omega_hat
     vol = VolumeForm.standard(6, Fraction(-1 if wedge(omega, omega_hat).coeff(range(1, 7)) < 0 else 1))
     ss = stable6.scaled_structure(omega, vol)
-    if stable6._hat(omega, ss).form != omega_hat:
+    if stable6.hat(omega, vol).form != omega_hat:
         raise ArithmeticError("b-contraction does not match the hat in either orientation")
     c = _scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
     if c is None or c * c != abs(ss.lam.value):
@@ -207,7 +207,7 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
         raise ValueError("inner product is not compatible with the induced structure")
     omega_s = alt_form(6, 2, {(i + 1, j + 1): w[i][j] for i in range(6) for j in range(6) if i < j})
     w3 = wedge(wedge(omega_s, omega_s), omega_s)
-    num = lam * lam / 2  # (1/4) (Omega ^ hat / vol) |lambda|^{3/2}, by the identity of stable6._hat
+    num = lam * lam / 2  # (1/4) (Omega ^ hat / vol) |lambda|^{3/2}, by the identity of stable6.hat
     den = Fraction(1, 6) * vol.ratio(w3)
     if den == 0:
         raise ArithmeticError("omega is degenerate")

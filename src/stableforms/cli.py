@@ -172,13 +172,12 @@ def cmd_classify(args) -> int:
     vol = VolumeForm.standard(dim, orientation)
     stab = stable6.stabilizer_dim(form)
     if dim == 6:
-        ss = stable6._structure(form, vol)
-        lam = ss.lam.value
-        cls = stable6._orbit6(lam)
+        lam = stable6.lambda_coeff(form, vol).value
+        cls = stable6.classify6(form, vol)
         payload = {"class": cls.value, "lambda": rat_str(lam), "stab_dim": stab}
         text = f"{cls.value}, lambda={rat_str(lam)}, stab_dim={stab}"
         if args.canonicalize and cls != stable6.OrbitClass6.NOT_STABLE:
-            canon = stable6._canonicalize6(form, ss)
+            canon = stable6.canonicalize6(form, vol)
             payload["basis"] = [[_scalar_str(x) for x in row] for row in canon.basis.matrix]
             payload["scale"] = rat_str(canon.scale)
     else:
@@ -253,7 +252,7 @@ def cmd_bridge(args) -> int:
         payload = {
             "Omega": form_to_document(res.omega),
             "Omega_hat": form_to_document(res.omega_hat),
-            "class": stable6._orbit6(res.structure.lam.value).value,
+            "class": stable6.classify6(res.omega, res.vol).value,
             "lambda": rat_str(res.structure.lam.value),
             "plane_scale": rat_str(res.plane_scale),
             "labels": list(res.frame.labels),

@@ -81,11 +81,6 @@ class AlgElement:
         c = rat(c) if isinstance(c, (int, str)) else c
         return AlgElement(self.tag, tuple(c * a for a in self.coords))
 
-    def __eq__(self, other):
-        if not isinstance(other, AlgElement):
-            return NotImplemented
-        return self.tag == other.tag and self.coords == other.coords
-
     def __repr__(self):
         body = " + ".join(f"{c}*e{k}" for k, c in enumerate(self.coords) if c != 0) or "0"
         return f"{self.tag.value}({body})"

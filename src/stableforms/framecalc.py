@@ -549,10 +549,10 @@ def critical_point_check(model: FrameModel, omega: AltForm) -> CriticalReport:
     """
     if model.dim != 6:
         raise ValueError("critical points live on 6-dimensional models")
-    ss = stable6.scaled_structure(omega, model.vol())  # NotStableError when lambda = 0
+    vol = model.vol()
+    cocritical = model.d(stable6.hat(omega, vol).numerator).is_zero  # NotStableError when lambda = 0
     closed = model.d(omega).is_zero
-    cocritical = model.d(stable6._hat(omega, ss).numerator).is_zero
-    return CriticalReport(closed, cocritical, closed and cocritical, stable6._orbit6(ss.lam.value))
+    return CriticalReport(closed, cocritical, closed and cocritical, stable6.classify6(omega, vol))
 
 
 def para_cy_check(model: FrameModel, alpha: AltForm, beta: AltForm,

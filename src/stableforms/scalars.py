@@ -106,15 +106,18 @@ def _float_root(x: Fraction, k: int) -> float:
 
     The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
     so neither float(y) nor its root leaves the float range; ldexp puts 2^e
-    back.  A root outside the normal float range raises OverflowError.  For
-    k = 2 the root is math.sqrt, so wherever x and its root are normal floats
-    the result is math.sqrt(float(x)) bit for bit.
+    back.  A root outside the normal float range raises OverflowError, naming
+    its order k and 2^e.  For k = 2 the root is math.sqrt, so wherever x and
+    its root are normal floats the result is math.sqrt(float(x)) bit for bit.
     """
     e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
     y = float(x / Fraction(2) ** (k * e))
-    r = math.ldexp(math.sqrt(y) if k == 2 else y ** (1 / k), e)  # raises past the top
+    try:
+        r = math.ldexp(math.sqrt(y) if k == 2 else y ** (1 / k), e)
+    except OverflowError:
+        raise OverflowError(f"root of order {k} near 2^{e} is above the normal float range") from None
     if r < sys.float_info.min:
-        raise OverflowError(f"root of order {k} below the normal float range")
+        raise OverflowError(f"root of order {k} near 2^{e} is below the normal float range")
     return r
 
 

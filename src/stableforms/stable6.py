@@ -11,7 +11,7 @@ Everything is measured against a declared volume form ``vol``:
 
 Orientation conventions.  Flipping vol flips K (and hence J), and with it
 the hat, K^* Omega / |lambda|^{3/2}: ``Omega ^ hat(Omega)`` is a positive
-multiple of vol under every vol (``_hat``), the positivity condition on the
+multiple of vol under every vol (``hat``), the positivity condition on the
 decomposable complex form whose real part is Omega.  The classical 4-term
 displays of the canonical forms are adapted to the *complex* orientation of
 their frame, which is the negative of the lexicographic one;
@@ -19,16 +19,15 @@ their frame, which is the negative of the lexicographic one;
 
 K is read off the integer wedges i_{e_j} Omega ^ Omega of
 ``exteralg._interior_wedges``, the kernel it shares with B in ``stable7``.
-Omega must have int or Fraction coefficients: ``k_endo``, and with it
-``lambda_coeff``, ``classify6``, ``scaled_structure``, ``hat``,
-``canonicalize6`` and ``stabilizer_dim``, raises TypeError on any other (a
-float, a QuadExt).  The invariants are taken at e^{1..6} and scaled on
-read: the form's private ``AltForm._memo`` holds one entry, (K, lambda),
-and against c e^{1..6} ``k_endo`` and ``_structure`` return K/c and
-lambda/c^2 (lambda = 0 included, for ``lambda_coeff``, ``scaled_structure``
-and ``cli classify``).  Forms never change, so a race on the memo only
-computes the same entry twice.  One ``ScaledStructure`` is passed on to
-``_hat`` and ``_canonicalize6``; ``_orbit6`` maps sign(lambda) to an orbit.
+Omega must have int or Fraction coefficients: every public call here raises
+TypeError on any other (a float, a QuadExt).
+
+The invariants are taken at e^{1..6} and scaled on read.  The form's
+private ``AltForm._memo`` holds one entry, (K, lambda), made on first use
+by ``_k_entry``.  ``k_endo`` alone reads it: against c e^{1..6} it returns
+the ``ScaledStructure`` (K/c, lambda/c^2), lambda = 0 included, and every
+other call takes K and lambda from it.  Forms never change, so a race on
+the memo only computes the same entry twice.
 
 The canonical frames come from eigenspaces of K over Q(sqrt(lambda))
 (Hitchin, *The geometry of three-forms in six dimensions*, 2000): the
@@ -38,9 +37,9 @@ returns them as rational pairs (a, b), meaning a + sqrt(lambda) b, so every
 elimination and check runs over Q; QuadExt is only the scalar type of a few
 normalizing factors and of the returned basis.
 
-``stabilizer_dim`` (dim 6 and 7) uses the exact stability criteria, lambda
-!= 0 in dim 6 (Hitchin 2000) and det B != 0 in dim 7 (Hitchin, *Stable
-forms and special metrics*, 2001); only unstable forms rank a system.
+``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or
+``stable7.classify7`` whether a form is stable; only unstable forms rank a
+system.
 """
 
 from __future__ import annotations
@@ -69,12 +68,6 @@ class OrbitClass6(enum.Enum):
 
 
 @dataclass(frozen=True)
-class KEndo:
-    K: LinearMap
-    vol: VolumeForm
-
-
-@dataclass(frozen=True)
 class Lambda:
     value: Fraction
     vol: VolumeForm
@@ -82,7 +75,11 @@ class Lambda:
 
 @dataclass(frozen=True)
 class ScaledStructure:
-    """Exact carrier of J (lambda < 0) or L (lambda > 0): K^2 = lambda Id."""
+    """K and lambda against one volume form, K^2 = lambda Id (``k_endo``).
+
+    The exact carrier of J (lambda < 0) or L (lambda > 0); lambda = 0 when
+    the form is not stable.
+    """
 
     K: LinearMap
     lam: Lambda
@@ -140,19 +137,20 @@ def _check_shape(omega: AltForm, vol: VolumeForm):
         raise ValueError("volume form must live on the same 6-space")
 
 
-def k_endo(omega: AltForm, vol: VolumeForm) -> KEndo:
-    """K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol."""
+def k_endo(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
+    """(K, lambda) against vol: K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol.
+
+    The one reader of the memo entry "K": against c e^{1..6} it returns K/c
+    and lambda/c^2, lambda = 0 included.
+    """
     _check_shape(omega, vol)
-    K, c = _k_memo(omega)[0], vol.coefficient()
-    return KEndo(K if c == 1 else LinearMap.from_rows([[x / c for x in row] for row in K.matrix]), vol)
-
-
-def _k_memo(omega: AltForm) -> tuple[LinearMap, Fraction]:
-    """The memo entry "K" of omega, (K, lambda) against e^{1..6}, made on first use."""
     entry = omega._memo.get("K")
     if entry is None:
         entry = omega._memo["K"] = _k_entry(omega)
-    return entry
+    (K, lam), c = entry, vol.coefficient()
+    if c != 1:
+        K = LinearMap.from_rows([[x / c for x in row] for row in K.matrix])
+    return ScaledStructure(K, Lambda(lam / c ** 2, vol))
 
 
 def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
@@ -177,10 +175,11 @@ def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
 
 def lambda_coeff(omega: AltForm, vol: VolumeForm) -> Lambda:
     """lambda(Omega) = tr(K^2)/6, exact, as a coefficient of vol^2."""
-    return _structure(omega, vol).lam
+    return k_endo(omega, vol).lam
 
 
-def _orbit6(lam: Fraction) -> OrbitClass6:
+def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
+    lam = lambda_coeff(omega, vol).value
     if lam > 0:
         return OrbitClass6.O6_PLUS
     if lam < 0:
@@ -188,22 +187,12 @@ def _orbit6(lam: Fraction) -> OrbitClass6:
     return OrbitClass6.NOT_STABLE
 
 
-def classify6(omega: AltForm, vol: VolumeForm) -> OrbitClass6:
-    return _orbit6(lambda_coeff(omega, vol).value)
-
-
 def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
-    """The exact pair (K, lambda) with K^2 = lambda Id verified."""
-    ss = _structure(omega, vol)
+    """The exact pair (K, lambda) with K^2 = lambda Id verified; NotStableError at lambda = 0."""
+    ss = k_endo(omega, vol)
     if ss.lam.value == 0:
         raise NotStableError("form is not stable (lambda = 0)")
     return ss
-
-
-def _structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
-    """(K/c, lambda/c^2) against vol = c e^{1..6}, from the form's memo entry; lambda may be 0."""
-    K = k_endo(omega, vol).K
-    return ScaledStructure(K, Lambda(_k_memo(omega)[1] / vol.coefficient() ** 2, vol))
 
 
 @dataclass(frozen=True)
@@ -227,23 +216,17 @@ def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
     """The imaginary (resp. para-imaginary) partner of a stable Omega.
 
     Computed as Omega(K., K., K.) / |lambda|^{3/2}; only the single factor
-    1/sqrt(|lambda|) can be irrational and it is kept symbolic.
+    1/sqrt(|lambda|) can be irrational and it is kept symbolic.  Its sign is
+    never searched: Omega ^ K^* Omega = 2 lambda^2 vol holds for every
+    3-form Omega and every volume form, K^* the pullback by the K of that
+    volume form (Hitchin's Omega ^ hat(Omega) = 2 sqrt|lambda| vol, *The
+    geometry of three-forms in six dimensions*, 2000), so P = K^* Omega /
+    |lambda| has Omega ^ P = 2 |lambda| vol > 0; the wedge checks it.
     """
-    return _hat(omega, scaled_structure(omega, vol))
-
-
-def _hat(omega: AltForm, ss: ScaledStructure) -> HatForm:
-    """hat(Omega) from its structure, against the volume form of ss.
-
-    Omega ^ K^* Omega = 2 lambda^2 vol holds for every 3-form Omega and every
-    volume form, K^* the pullback by the K of that volume form: Hitchin's
-    Omega ^ hat(Omega) = 2 sqrt|lambda| vol (*The geometry of three-forms in
-    six dimensions*, 2000).  So P = K^* Omega / |lambda| has Omega ^ P =
-    2 |lambda| vol > 0, and its sign is never searched; the wedge checks it.
-    """
+    ss = scaled_structure(omega, vol)
     lam_abs = abs(ss.lam.value)
     P = (Fraction(1) / lam_abs) * pullback(ss.K, omega)
-    if ss.lam.vol.ratio(wedge(omega, P)) != 2 * lam_abs:
+    if vol.ratio(wedge(omega, P)) != 2 * lam_abs:
         raise ArithmeticError("Omega ^ K^*Omega != 2 lambda^2 vol; inconsistent input")
     s = sqrt_fraction(lam_abs)
     return HatForm(P, lam_abs, None if s is None else (1 / s) * P)
@@ -294,10 +277,7 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
     imaginary parts.  Every elimination runs over Q; when sqrt(|lambda|) is
     irrational the returned matrix has QuadExt entries.
     """
-    return _canonicalize6(omega, scaled_structure(omega, vol))
-
-
-def _canonicalize6(omega: AltForm, ss: ScaledStructure) -> Canon6:
+    ss = scaled_structure(omega, vol)
     if ss.is_para:
         return _canonicalize_para(omega, ss)
     return _canonicalize_complex(omega, ss)
@@ -371,6 +351,7 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
 
 # signs of itertools.permutations of a sorted triple, in the order it yields them
 _PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
+_STANDARD_VOL6, _STANDARD_VOL7 = VolumeForm.standard(6), VolumeForm.standard(7)
 
 
 def stabilizer_dim(form: AltForm) -> int:
@@ -380,19 +361,20 @@ def stabilizer_dim(form: AltForm) -> int:
     its GL orbit open and its stabilizer of dimension n^2 - C(n, 3) (16 in
     dim 6, 14 in dim 7), exactly when lambda != 0 in dim 6 (Hitchin, *The
     geometry of three-forms in six dimensions*, 2000) and det B != 0 in dim 7
-    (Hitchin, *Stable forms and special metrics*, 2001).  The invariant is
-    the one at e^{1..n} in the form's memo entry (``_k_memo``,
-    ``stable7._invariants``), which the classification reads too.  Only an
-    unstable form builds the C(n,3) x n^2 system and takes its exact rank.
+    (Hitchin, *Stable forms and special metrics*, 2001), where a
+    nondegenerate B has |signature| 7 or 1.  So a form is stable when
+    ``classify6`` or ``stable7.classify7`` gives it an orbit under e^{1..n},
+    from the memo entry the classification reads too.  Only an unstable form
+    builds the C(n,3) x n^2 system and takes its exact rank.
     """
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
     n = form.dim
     if n == 6:
-        stable = _k_memo(form)[1] != 0
+        stable = classify6(form, _STANDARD_VOL6) != OrbitClass6.NOT_STABLE
     else:
-        from .stable7 import _invariants  # stable7 imports this module
-        stable = _invariants(form)[2] != 0
+        from .stable7 import OrbitClass7, classify7  # stable7 imports this module
+        stable = classify7(form, _STANDARD_VOL7) != OrbitClass7.NOT_STABLE
     if stable:
         return n * n - math.comb(n, 3)
     return n * n - rank(_stabilizer_rows(form))

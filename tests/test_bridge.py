@@ -146,7 +146,7 @@ def ref_vcp_to_stable6(cp3, a, b) -> bridge.Stable6FromVCP:
     jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
     vol = sorted_vol(6)
     ss = scaled_structure(omega, vol)
-    h = stable6._hat(omega, ss).form
+    h = stable6.hat(omega, vol).form
     if h is None or omega_hat not in (h, -h):
         raise ArithmeticError("b-contraction does not match the hat in either orientation")
     if h != omega_hat:

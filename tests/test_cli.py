@@ -215,6 +215,19 @@ class TestHitchin:
         assert payload["phi_density"] == 1.0
         assert abs(payload["variation"]["derivative"] - 2.0) < 1e-8
 
+    def test_density_above_the_float_range_names_the_root(self, tmp_path, capsys):
+        """lambda = 10^1600 has a square root past the float range: exit 3 with the root's
+        order and binary exponent, not the bare "math range error" of math.ldexp."""
+        model = {"dim": 6, "metric": [1] * 6, "d": {}}
+        huge = {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1" + "0" * 400},
+                                                 {"idx": [4, 5, 6], "coef": "1" + "0" * 400}]}
+        rc = main(["hitchin", write(tmp_path, "m.json", model), write(tmp_path, "f.json", huge)])
+        assert rc == EXIT_SHAPE
+        err = capsys.readouterr().err
+        assert err == ("error: OverflowError: root of order 2 near 2^2657 is above the normal "
+                       "float range\n")
+        assert "math range error" not in err
+
     def test_variation_on_unstable_exit_3(self, tmp_path, capsys):
         model = {"dim": 6, "metric": [1] * 6, "d": {}}
         unstable = {"dim": 6, "degree": 3, "terms": [{"idx": [1, 2, 3], "coef": "1"}]}
@@ -290,6 +303,54 @@ class TestMalformedInput:
         rc = main([command, *args[command]])
         assert rc == EXIT_PARSE
         assert "model: d must be an object" in capsys.readouterr().err
+
+
+ERROR_DOCUMENTS = {
+    "omega": omega_plus_doc(),
+    "phi": phi_minus_doc(),
+    "two_form": {"dim": 6, "degree": 2, "terms": [{"idx": [1, 2], "coef": "1"}]},
+    "flat6": {"dim": 6, "metric": [1] * 6, "d": {}},
+    # d e^1 = e^24 and d e^4 = e^13: d^2 e^1 = -e^2 ^ e^13 != 0
+    "not_jacobi": {"dim": 4, "metric": [1] * 4, "d": {"1": [{"idx": [2, 4], "coef": "1"}],
+                                                       "4": [{"idx": [1, 3], "coef": "1"}]}},
+    "d9": {"dim": 6, "metric": [1] * 6, "d": {"9": [{"idx": [1, 2], "coef": "1"}]}},
+}
+
+ERROR_PATHS = {
+    "classify_dim_mismatch": (["classify", "{omega}", "--dim", "7"], EXIT_PARSE,
+                              "error: --dim 7 does not match document dim 6"),
+    "classify_2form": (["classify", "{two_form}"], EXIT_PARSE,
+                       "error: classification expects a 3-form in dimension 6 or 7"),
+    "vcp7_basis_out_of_range": (["bridge", "--from", "vcp7", "--a", "e9"], EXIT_PARSE,
+                                "error: basis vector e9 out of range for dim 8"),
+    "vcp7_short_vector": (["bridge", "--from", "vcp7", "--a", "1,0,0"], EXIT_PARSE,
+                          "error: vector needs 8 comma-separated entries or a basis name like e0"),
+    "stable6_dim7_form": (["bridge", "--from", "stable6", "--form", "{phi}"], EXIT_PARSE,
+                          "error: --from stable6 expects a 3-form document in dimension 6"),
+    "hitchin_dim_mismatch": (["hitchin", "{flat6}", "{phi}"], EXIT_PARSE,
+                             "error: form and model dimensions differ"),
+    "para_extension_on_O": (["vcp-check", "--what", "para-extension", "--algebra", "O"], EXIT_PARSE,
+                            "error: para-extension identities live on the split octonions (B)"),
+    "axioms_cross_2fold": (["vcp-check", "--what", "axioms", "--algebra", "O", "--fold", "2"], EXIT_OK,
+                           None),
+    "g2class_not_jacobi": (["g2class", "{not_jacobi}"], EXIT_PRECONDITION,
+                           "precondition failed: d^2 e^1 != 0; structure constants violate Jacobi"),
+    "g2class_d_out_of_range": (["g2class", "{d9}"], EXIT_PARSE,
+                               "error: model: d(e^9) must be a 2-form on the model space"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_PATHS))
+def test_error_paths_exit_with_one_line(name, tmp_path, capsys):
+    """Each documented exit code with its one stderr line, in process."""
+    argv, code, line = ERROR_PATHS[name]
+    paths = {key: write(tmp_path, f"{key}.json", doc) for key, doc in ERROR_DOCUMENTS.items()}
+    assert main([arg.format(**paths) for arg in argv]) == code
+    out, err = capsys.readouterr()
+    if line is None:
+        assert err == "" and json.loads(out)["passed"] is True
+    else:
+        assert err == line + "\n" and out == ""
 
 
 def test_module_run_writes_no_warning():

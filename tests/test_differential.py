@@ -133,7 +133,7 @@ from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, Volu
 from stableforms.linalg import (_inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank,
                                 transpose)
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
-from stableforms.stable6 import (OrbitClass6, _hat, _k_entry, _re_im, _root_kernel, _times,
+from stableforms.stable6 import (OrbitClass6, _k_entry, _re_im, _root_kernel, _times,
                                  canonical_omega_minus, canonical_omega_minus_hat, canonical_omega_plus,
                                  canonicalize6, hat, lambda_coeff, scaled_structure, stabilizer_dim)
 from stableforms.stable7 import (Canon7, _b_matrix, canonical_phi_minus, canonical_phi_plus,
@@ -1111,7 +1111,7 @@ def ref_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
     ss = scaled_structure(omega, vol)
     lam = ss.lam.value
     mu = QuadExt.root(lam)
-    alpha = omega + (mu / -lam) * _hat(omega, ss).numerator
+    alpha = omega + (mu / -lam) * hat(omega, vol).numerator
     kt = [list(col) for col in zip(*ss.K.matrix)]
     thetas = [alt_form(6, 1, {(j + 1,): c for j, c in enumerate(vec) if c != 0})
               for vec in ref_shifted_kernel(kt, mu)]

@@ -12,10 +12,10 @@
 * ``QuadExt`` is named only in ``scalars`` (which defines it), ``stable6``
   (whose canonical bases carry it when sqrt|lambda| is irrational) and
   ``cli`` (which prints them): every other module computes over Q.
-* No module but ``stable7`` names a private of ``stable7``, except the one
-  documented read in ``stable6.stabilizer_dim``: every other caller takes
-  the orbit, the frame, the signature and the metric's volume form from the
-  public calls.
+* No module but ``stable6`` names a private of ``stable6``, and none but
+  ``stable7`` one of ``stable7``: every other caller takes K and lambda,
+  the hat, the orbit, the frame, the signature and the metric's volume form
+  from the public calls.
 """
 
 import ast
@@ -155,25 +155,25 @@ def test_guard_flags_a_quadext_mention():
     assert quadext_mentions(sources) == ["exteralg.py", "linalg.py"]
 
 
-# the one read of a stable7 private outside stable7: stabilizer_dim takes det B from the memo entry
-STABLE7_PRIVATE_READS = ["stable6.py: stabilizer_dim: _invariants"]
+OWNERS = ("stable6.py", "stable7.py")
 
 
-def stable7_private_uses(modules: dict) -> list[str]:
-    """Each import of a ``_private`` name from stable7, and each ``stable7._private``
-    attribute, outside stable7: module, enclosing top-level definition (None at module
-    level) and name."""
+def private_uses(modules: dict, owner: str) -> list[str]:
+    """Each import of a ``_private`` name from the owner module, and each
+    ``owner._private`` attribute, outside the owner: module, enclosing top-level
+    definition (None at module level) and name."""
+    stem = owner.removesuffix(".py")
     out = []
     for name, tree in modules.items():
-        if name == "stable7.py":
+        if name == owner:
             continue
         for stmt in tree.body:
             where = getattr(stmt, "name", None)
             for node in ast.walk(stmt):
-                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "stable7":
+                if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == stem:
                     found = [alias.name for alias in node.names]
                 elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-                      and node.value.id == "stable7"):
+                      and node.value.id == stem):
                     found = [node.attr]
                 else:
                     continue
@@ -181,15 +181,31 @@ def stable7_private_uses(modules: dict) -> list[str]:
     return out
 
 
-def test_stable7_privates_stay_in_stable7():
-    assert stable7_private_uses(MODULES) == STABLE7_PRIVATE_READS
+@pytest.mark.parametrize("owner", OWNERS)
+def test_privates_stay_with_their_owner(owner):
+    assert private_uses(MODULES, owner) == []
 
 
 def test_guard_flags_a_stable7_private():
-    """The stable7 check is not vacuous: it catches a planted import and attribute, and
+    """The owner check is not vacuous: it catches a planted import and attribute, and
     passes public names, dunders and stable7's own uses."""
     tree = ast.parse("from . import stable7\nfrom .stable7 import _invariants, q_form\n\n"
                      "def f(phi):\n    return stable7._orbit7(phi), stable7.classify7(phi), stable7.__name__\n")
     own = ast.parse("from .linalg import _clear\n\nX = _clear\n")
-    assert stable7_private_uses({"cli.py": tree, "stable7.py": own}) == ["cli.py: None: _invariants",
-                                                                         "cli.py: f: _orbit7"]
+    assert private_uses({"cli.py": tree, "stable7.py": own}, "stable7.py") == [
+        "cli.py: None: _invariants", "cli.py: f: _orbit7"]
+
+
+def test_guard_flags_a_stable6_private():
+    """The same check catches the stable6 privates its callers once read, and leaves
+    stable6's own uses and the other owner's names alone."""
+    tree = ast.parse("from . import stable6\n\n"
+                     "def check(omega, ss):\n"
+                     "    return stable6._hat(omega, ss), stable6.hat(omega, ss.lam.vol)\n\n"
+                     "def size(form):\n"
+                     "    from .stable6 import _k_entry, k_endo\n    return _k_entry(form)\n")
+    own = ast.parse("def k_endo(omega):\n    return _k_entry(omega)\n")
+    modules = {"framecalc.py": tree, "stable6.py": own}
+    assert private_uses(modules, "stable6.py") == ["framecalc.py: check: _hat",
+                                                   "framecalc.py: size: _k_entry"]
+    assert private_uses(modules, "stable7.py") == []

@@ -1,14 +1,15 @@
 """Each public entry point computes its form's invariant exactly once.
 
-K (stable6.k_endo), B (stable7.q_form) and the signature and determinant of
-B (one symmetric elimination, stable7._inertia_det) are the expensive
-invariants; framecalc's special-balanced check guards every G2 computation,
-and nabla phi (with its connection table) is derived once per (circle
-bundle, SU(3) data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The
-counts below are the number of times one public call runs each of them.
-Each form's memo holds one invariant entry at e^{1..n}, whatever volume
-forms it is read under: ``stabilizer_dim`` reads lambda or det B from it
-and ranks its system only for unstable forms, and the classify order
+K (stable6._k_entry, which makes the memo entry that k_endo reads), B
+(stable7.q_form) and the signature and determinant of B (one symmetric
+elimination, stable7._inertia_det) are the expensive invariants;
+framecalc's special-balanced check guards every G2 computation, and nabla
+phi (with its connection table) is derived once per (circle bundle, SU(3)
+data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The counts below
+are the number of times one public call runs each of them.  Each form's
+memo holds one invariant entry at e^{1..n}, whatever volume forms it is
+read under: ``stabilizer_dim`` classifies the form from it and ranks its
+system only for unstable forms, and the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7,
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
@@ -87,10 +88,10 @@ def g2class(F: AltForm):
             assert cli.main(["g2class", path]) == cli.EXIT_OK
 
 CASES = {
-    "scaled_structure": (lambda: stable6.scaled_structure(OMEGA_MINUS, VOL6), {"k_endo": 1}),
-    "hat": (lambda: stable6.hat(OMEGA_MINUS, VOL6), {"k_endo": 1}),
-    "canonicalize6_plus": (lambda: stable6.canonicalize6(OMEGA_PLUS, VOL6), {"k_endo": 1}),
-    "canonicalize6_minus": (lambda: stable6.canonicalize6(OMEGA_MINUS, VOL6), {"k_endo": 1}),
+    "scaled_structure": (lambda: stable6.scaled_structure(fresh(OMEGA_MINUS), VOL6), {"_k_entry": 1}),
+    "hat": (lambda: stable6.hat(fresh(OMEGA_MINUS), VOL6), {"_k_entry": 1}),
+    "canonicalize6_plus": (lambda: stable6.canonicalize6(fresh(OMEGA_PLUS), VOL6), {"_k_entry": 1}),
+    "canonicalize6_minus": (lambda: stable6.canonicalize6(fresh(OMEGA_MINUS), VOL6), {"_k_entry": 1}),
     "metric_from_phi": (lambda: stable7.metric_from_phi(fresh(PHI_MINUS), VOL7),
                         {"q_form": 1, "_inertia_det": 1}),
     # the frame reads B from the memo entry, not through q_form
@@ -99,23 +100,23 @@ CASES = {
                        {"q_form": 1, "_inertia_det": 1}),
     "lift_to_3fold": (lambda: bridge.lift_to_3fold(fresh(PHI_MINUS)), {"q_form": 1, "_inertia_det": 1}),
     # the lift is classified once: one elimination of the B of the 7-form it builds
-    "stable6_to_7": (lambda: bridge.stable6_to_7(OMEGA_MINUS, IP_MINUS, VOL6),
-                     {"k_endo": 1, "_inertia_det": 1}),
+    "stable6_to_7": (lambda: bridge.stable6_to_7(fresh(OMEGA_MINUS), IP_MINUS, VOL6),
+                     {"_k_entry": 1, "_inertia_det": 1}),
     # e0,e4 in O: the hat matches in the flipped orientation, derived from the first
     "vcp_to_stable6": (lambda: bridge.vcp_to_stable6(vcp.cross_3fold(AlgebraTag.O, "X1"),
                                                      [1, 0, 0, 0, 0, 0, 0, 0],
                                                      [0, 0, 0, 0, 1, 0, 0, 0]),
-                       {"k_endo": 1}),
-    "cli_classify6_plus": (lambda: classify_canonicalize(OMEGA_PLUS), {"k_endo": 1}),
-    "cli_classify6_minus": (lambda: classify_canonicalize(OMEGA_MINUS), {"k_endo": 1}),
-    "cli_classify7_minus": (lambda: classify_canonicalize(PHI_MINUS),
+                       {"_k_entry": 1}),
+    "cli_classify6_plus": (lambda: classify_canonicalize(fresh(OMEGA_PLUS)), {"_k_entry": 1}),
+    "cli_classify6_minus": (lambda: classify_canonicalize(fresh(OMEGA_MINUS)), {"_k_entry": 1}),
+    "cli_classify7_minus": (lambda: classify_canonicalize(fresh(PHI_MINUS)),
                             {"q_form": 1, "_inertia_det": 1}),
     # one structure plus lambda at Omega +- h * direction
-    "hitchin_variation": (lambda: framecalc.hitchin_variation(OMEGA_MINUS, DIRECTION, VOL6),
-                          {"k_endo": 3}),
+    "hitchin_variation": (lambda: framecalc.hitchin_variation(fresh(OMEGA_MINUS), DIRECTION, VOL6),
+                          {"_k_entry": 3}),
     "critical_point_check": (lambda: framecalc.critical_point_check(framecalc.iwasawa_model(),
-                                                                    OMEGA_MINUS),
-                             {"k_endo": 1}),
+                                                                    fresh(OMEGA_MINUS)),
+                             {"_k_entry": 1}),
     "classify_g2": (lambda: framecalc.classify_g2(
         framecalc.make_circle_bundle(framecalc.flat_torus(6), F_PRIMITIVE),
         framecalc.standard_su3()), G2_DERIVATION),
@@ -130,7 +131,7 @@ CASES = {
 @pytest.fixture
 def calls(monkeypatch):
     counts = Counter()
-    for module, name in ((stable6, "k_endo"), (stable7, "q_form"), (stable7, "_inertia_det"),
+    for module, name in ((stable6, "_k_entry"), (stable7, "q_form"), (stable7, "_inertia_det"),
                          (framecalc, "_check_special_balanced"), (framecalc, "_nabla_phi"),
                          (framecalc, "covariant_table")):
         def counting(*args, _orig=getattr(module, name), _name=name, **kwargs):
@@ -396,7 +397,7 @@ def test_the_complex_frame_and_the_lift_take_no_hat(omega, monkeypatch):
     ss = stable6.scaled_structure(omega, VOL6)
     assert ss.is_complex
     counts = Counter()
-    for name in ("_hat", "pullback", "wedge"):
+    for name in ("hat", "pullback", "wedge"):
         def counting(*args, _orig=getattr(stable6, name), _name=name, **kwargs):
             counts[_name] += 1
             return _orig(*args, **kwargs)
@@ -405,7 +406,7 @@ def test_the_complex_frame_and_the_lift_take_no_hat(omega, monkeypatch):
     assert counts == {"pullback": 1}
     counts.clear()
     bridge.stable6_to_7(omega, bridge.synthesize_compatible_ip(ss), VOL6)
-    assert counts["_hat"] == 0
+    assert counts["hat"] == 0
 
 
 def test_one_inverse_per_gram_matrix(monkeypatch):

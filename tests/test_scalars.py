@@ -1,12 +1,14 @@
-"""Exact scalars: ``rat_str`` at every integer size, and the hash and float of ``QuadExt``."""
+"""Exact scalars: ``rat_str`` at every integer size, the hash and float of ``QuadExt``, and the
+errors of ``_float_root`` outside the float range."""
 
 import math
+import re
 import sys
 from fractions import Fraction
 
 import pytest
 
-from stableforms.scalars import QuadExt, rat_str
+from stableforms.scalars import QuadExt, _float_root, rat_str
 
 
 @pytest.mark.parametrize("digits", [5, 3999, 4000, 4001, 4300, 4301, 8000, 8001, 12345])
@@ -49,3 +51,14 @@ def test_quadext_float():
     for q in (QuadExt.root(Fraction(-1)), QuadExt(Fraction(2), Fraction(-1, 3), Fraction(-5))):
         with pytest.raises(ValueError, match="imaginary"):
             float(q)
+
+
+@pytest.mark.parametrize("x,k,message", [
+    (Fraction(10) ** 1600, 2, "root of order 2 near 2^2657 is above the normal float range"),
+    (Fraction(1, 10 ** 6000), 18, "root of order 18 near 2^-1108 is below the normal float range"),
+], ids=["above", "below"])
+def test_float_root_outside_the_range_names_its_order_and_exponent(x, k, message):
+    """Above the range math.ldexp's bare "math range error" is replaced, below it the
+    subnormal result is refused; both messages name k and the binary exponent e."""
+    with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+        _float_root(x, k)

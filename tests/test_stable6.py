@@ -10,7 +10,7 @@ from conftest import random_invertible, random_three_form
 from stableforms.exteralg import LinearMap, VolumeForm, alt_form, basis_form, pullback, wedge
 from stableforms.linalg import mat_mul
 from stableforms.scalars import QuadExt, sqrt_fraction
-from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6, _hat,
+from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6,
                                  adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat,
                                  canonical_omega_plus,
@@ -277,10 +277,13 @@ class TestHat:
             assert vol.ratio(wedge(omega, pullback(K, omega))) == 2 * lam * lam
 
     def test_hat_check_fails_closed(self):
-        """A structure that is not Omega's breaks the identity, and _hat raises."""
-        ss = scaled_structure(canonical_omega_plus(), VOL)
+        """A K that is not Omega's breaks the identity, and hat raises: the memo entry
+        of Omega+ planted in Omega-."""
+        plus, minus = canonical_omega_plus(), canonical_omega_minus()
+        lambda_coeff(plus, VOL)
+        minus._memo["K"] = plus._memo["K"]
         with pytest.raises(ArithmeticError, match="2 lambda"):
-            _hat(canonical_omega_minus(), ss)
+            hat(minus, VOL)
 
     def test_pairing_equals_twice_sqrt_lambda(self):
         # Omega ^ hat = 2 sqrt|lambda| vol under the positivity normalization
