@@ -25,8 +25,9 @@ rational entries only, in ``linalg``, and raise TypeError on others.
 ``AltForm.__call__`` clears its vectors once and takes one integer minor
 per term.  ``_interior_wedges`` clears a form once and returns every
 i_{e_j} a and i_{e_j} a ^ a as integer dicts keyed by bitmask, the one
-kernel of K (``stable6``) and B (``stable7``); both take rational values
-only.
+kernel of K (``stable6``) and B (``stable7``); its contractions alone
+(``_contractions``) give ``stable6.stabilizer_dim`` the support of a form.
+All three take rational values only.
 """
 
 from __future__ import annotations
@@ -388,23 +389,31 @@ def contract(v, a: AltForm) -> AltForm:
     return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
 
 
-def _interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
-    """i_{e_j} a and i_{e_j} a ^ a for j = 1..n, as {mask: numerator} dicts.
+def _contractions(a: AltForm) -> tuple[list[tuple[int, int]], list[dict], int]:
+    """a cleared once to integer terms (mask, numerator) over the lcm d of its
+    denominators, and i_{e_j} a for j = 1..n as {mask: numerator over d} dicts.
 
-    a is cleared once to integer numerators over the lcm d of its
-    denominators; the contractions are numerators over d, the wedges over
-    d^2.  The one integer kernel of K (``stable6``) and B (``stable7``).
     TypeError unless every coefficient is an int or a Fraction.
     """
     (nums,), dens = _clear(a.terms.values())
     if dens is None:
         raise TypeError("the interior-wedge kernel takes int or Fraction coefficients only")
     terms = [(_MASK[idx], x) for idx, x in zip(a.terms, nums)]
-    contractions, wedges = [], []
-    for j in range(a.dim):
-        bit = 1 << j
-        # i_{e_j} e^I = (-1)^k e^(I - j), k the number of indices of I below j
-        left = {m ^ bit: -x if (m & (bit - 1)).bit_count() & 1 else x for m, x in terms if m & bit}
+    # i_{e_j} e^I = (-1)^k e^(I - j), k the number of indices of I below j
+    return terms, [{m ^ bit: -x if (m & (bit - 1)).bit_count() & 1 else x for m, x in terms if m & bit}
+                   for bit in (1 << j for j in range(a.dim))], dens[0]
+
+
+def _interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
+    """i_{e_j} a and i_{e_j} a ^ a for j = 1..n, as {mask: numerator} dicts.
+
+    The contractions are ``_contractions``, numerators over d; the wedges
+    are numerators over d^2.  The one integer kernel of K (``stable6``) and
+    B (``stable7``).
+    """
+    terms, contractions, d = _contractions(a)
+    wedges = []
+    for left in contractions:
         out: dict = {}
         for ml, x in left.items():
             signs = _merge_signs(ml)
@@ -412,9 +421,8 @@ def _interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
                 sign = signs[m]
                 if sign:
                     out[ml | m] = out.get(ml | m, 0) + sign * x * y
-        contractions.append(left)
         wedges.append(out)
-    return contractions, wedges, dens[0]
+    return contractions, wedges, d
 
 
 def _minor(rows: list, cols: tuple):

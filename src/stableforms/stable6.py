@@ -38,7 +38,8 @@ elimination and check runs over Q; QuadExt is only the scalar type of a few
 normalizing factors and of the returned basis.
 
 ``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or
-``stable7.classify7`` whether a form is stable; only unstable forms rank a
+``stable7.classify7`` whether a form is stable, then reads an unstable
+form's support; only a form open neither on V nor on its support ranks a
 system.
 """
 
@@ -51,8 +52,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, _interior_wedges, _minor, alt_form, pullback,
-                       wedge)
+from .exteralg import (AltForm, LinearMap, VolumeForm, _contractions, _interior_wedges, _minor, alt_form,
+                       pullback, wedge)
 from .linalg import _clear, nullspace, rank, transpose
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
@@ -355,17 +356,19 @@ _STANDARD_VOL6, _STANDARD_VOL7 = VolumeForm.standard(6), VolumeForm.standard(7)
 
 
 def stabilizer_dim(form: AltForm) -> int:
-    """dim { A in gl(V) : sum over slots of form(.., A v_k, ..) = 0 }.
+    """dim { A in gl(V) : sum over slots of form(.., A v_k, ..) = 0 }, in dim 6 or 7.
 
-    Shared by the 6- and 7-dimensional classifications.  A 3-form is stable,
-    its GL orbit open and its stabilizer of dimension n^2 - C(n, 3) (16 in
-    dim 6, 14 in dim 7), exactly when lambda != 0 in dim 6 (Hitchin, *The
-    geometry of three-forms in six dimensions*, 2000) and det B != 0 in dim 7
-    (Hitchin, *Stable forms and special metrics*, 2001), where a
-    nondegenerate B has |signature| 7 or 1.  So a form is stable when
-    ``classify6`` or ``stable7.classify7`` gives it an orbit under e^{1..n},
-    from the memo entry the classification reads too.  Only an unstable form
-    builds the C(n,3) x n^2 system and takes its exact rank.
+    With U = {v : i_v form = 0}, W a complement and w = n - dim U, X -> X.form
+    has rank r_w on gl(W) (into Lambda^3 W^*), is injective on Hom(U, W) (into
+    U^* (x) Lambda^2 W^*, as i_x form != 0 for x != 0 in W) and kills Hom(W, U)
+    and gl(U): stab = n^2 - r_w - w(n - w).  r_w = C(w, 3) when the orbit in
+    Lambda^3 W^* is open: at w = 0, 3 and 5 (e^1 ^ omega, omega of rank 4, is
+    the one orbit of support 5), at w = 6 when lambda != 0 on W and at w = 7
+    when det B != 0 (Hitchin, *The geometry of three-forms in six dimensions*,
+    2000; *Stable forms and special metrics*, 2001).  ``classify6`` or
+    ``stable7.classify7`` finds w = n open from the memo entry, and
+    ``_support_if_open`` the rest.  Only full support with lambda = 0 or
+    det B = 0, and w = 6 with lambda = 0 on W, rank the C(n,3) x n^2 system.
     """
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
@@ -375,9 +378,33 @@ def stabilizer_dim(form: AltForm) -> int:
     else:
         from .stable7 import OrbitClass7, classify7  # stable7 imports this module
         stable = classify7(form, _STANDARD_VOL7) != OrbitClass7.NOT_STABLE
-    if stable:
-        return n * n - math.comb(n, 3)
-    return n * n - rank(_stabilizer_rows(form))
+    w = n if stable else _support_if_open(form)
+    if w is None:
+        return n * n - rank(_stabilizer_rows(form))
+    return n * n - math.comb(w, 3) - w * (n - w)
+
+
+def _support_if_open(form: AltForm) -> int | None:
+    """The support dimension w of an unstable form when its orbit in Lambda^3 W^* is open.
+
+    w is the rank of the n x C(n,2) matrix of the contractions i_{e_j} form.
+    At w = 6 < n, U is spanned by one rational u; the e_k with k != p, u_p != 0,
+    span a complement W, and the form on W drops every term at index p.
+    """
+    _, contractions, _ = _contractions(form)
+    keys = set().union(*contractions)
+    rows = [[c.get(k, 0) for k in keys] for c in contractions]
+    w = rank(rows)
+    if w in (0, 3, 5):
+        return w
+    if w == 6 < form.dim:
+        (u,) = nullspace(transpose(rows), ncols=form.dim)
+        p = next(k for k, x in enumerate(u, 1) if x)
+        on_w = AltForm(6, 3, {tuple(i - (i > p) for i in idx): x for idx, x in form.terms.items()
+                              if p not in idx})
+        if lambda_coeff(on_w, _STANDARD_VOL6).value:
+            return w
+    return None
 
 
 def _stabilizer_rows(form: AltForm) -> list[list[int]]:

@@ -22,11 +22,14 @@
   ``q_form`` (a top-degree pairing) and
   ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
   versions.
-* ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7) and ranks
-  its system only when that invariant is 0, equals the rank of the
-  ``coeff``-built system (``ref_stabilizer_dim``) on c g^* forms of every
-  classify kind (c = +-1, +-p/q and tall +-10^40/q; |lambda| a square and not)
-  and on a normal form of each unstable orbit and its c g^* copies.
+* ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7), then the
+  support of an unstable form, and ranks its system only for full support or
+  support 6 with lambda = 0 on it, equals the rank of the ``coeff``-built
+  system (``ref_stabilizer_dim``) on c g^* forms of every classify kind
+  (c = +-1, +-p/q and tall +-10^40/q; |lambda| a square and not), on a normal
+  form of each unstable orbit (every support size in dims 6 and 7) and its
+  c g^* copies, and (derandomized hypothesis) on g^* of each of those normal
+  forms, g with entries m 10^e, |m| <= 9 and |e| <= 8.
 * ``form_inner``, a pairing with the pullback by G^{-1}, equals the sum of
   one determinant per term pair it replaced (``ref_form_inner``) on dense
   indefinite Gram matrices in dims 4, 6 and 7.
@@ -118,6 +121,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible
@@ -559,6 +564,8 @@ UNSTABLE_FORMS = {
     "e123+e456": (alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}), 23),
     "Omega+ in R7": (on_r7(omega_d(1)), 23),
     "Omega- in R7": (on_r7(canonical_omega_minus()), 23),
+    "e1^(e23+e45) in R7": (alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1}), 29),
+    "e135+e146+e236 in R7": (alt_form(7, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1}), 24),
 }
 
 
@@ -598,6 +605,27 @@ def test_stabilizer_dim_of_unstable_orbits_matches_rank(name, rng):
     for form in [base] + [c * pullback(g, base) for c in scales(rng)]:
         assert stability_invariant(form) == 0
         assert stabilizer_dim(form) == ref_stabilizer_dim(form) == expected
+
+
+@st.composite
+def spread_invertible(draw, n: int) -> LinearMap:
+    """g with entries m 10^e, |m| <= 9 and |e| <= 8, det g != 0: at that spread
+    ``ref_stabilizer_dim`` of g^* (normal form) takes well under 2 s."""
+    entry = st.builds(lambda m, e: m * Fraction(10) ** e,
+                      st.sampled_from(range(-9, 10)), st.integers(-8, 8))
+    g = LinearMap.from_rows(draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)))
+    assume(g.det() != 0)
+    return g
+
+
+@pytest.mark.parametrize("name", sorted(UNSTABLE_FORMS))
+@settings(max_examples=3, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_stabilizer_dim_at_every_support_matches_rank(name, data):
+    """Every support size of R6 (0, 3, 5, 6) and R7 (0, 3, 5, 6, 7), at spread entries."""
+    base, _ = UNSTABLE_FORMS[name]
+    form = pullback(data.draw(spread_invertible(base.dim)), base)
+    assert stabilizer_dim(form) == ref_stabilizer_dim(form)
 
 
 # -- the structure-constant kernel against the doubling recursion ------------

@@ -8,8 +8,9 @@ phi (with its connection table) is derived once per (circle bundle, SU(3)
 data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The counts below
 are the number of times one public call runs each of them.  Each form's
 memo holds one invariant entry at e^{1..n}, whatever volume forms it is
-read under: ``stabilizer_dim`` classifies the form from it and ranks its
-system only for unstable forms, and the classify order
+read under: ``stabilizer_dim`` classifies the form from it, reads an
+unstable form's support off its contractions, and builds its rank system
+only for full support or support 6 with lambda = 0 on it; the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7,
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
@@ -40,7 +41,7 @@ import pytest
 from conftest import G6, G7, iwasawa_su3
 from stableforms import bridge, cli, compalg, exteralg, framecalc, linalg, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
-from stableforms.exteralg import AltForm, VolumeForm, alt_form, pullback
+from stableforms.exteralg import AltForm, LinearMap, VolumeForm, alt_form, pullback
 from stableforms.linalg import inertia
 
 VOL6 = VolumeForm.standard(6)
@@ -234,8 +235,10 @@ def test_memo_matches_a_fresh_form_under_every_volume():
 
 
 # stabilizer_dim reads lambda (dim 6) or det B (dim 7) from the same memo: a
-# stable form builds no rank system, and in the order of a classify operation
-# (stabilizer_dim first) K or B is still built once and det B taken once.
+# stable form takes no rank at all, and in the order of a classify operation
+# (stabilizer_dim first) K or B is still built once and det B taken once.  An
+# unstable form takes the rank of its contractions; only full support with
+# det B = 0 (or lambda = 0) and support 6 with lambda = 0 on it build a system.
 
 @pytest.fixture
 def ranks(monkeypatch):
@@ -255,12 +258,46 @@ def dets(monkeypatch):
     return matrices
 
 
-def test_stable_forms_make_no_rank_call(ranks):
+@pytest.fixture
+def systems(monkeypatch):
+    """The forms whose C(n,3) x n^2 stabilizer system stable6 builds."""
+    forms = []
+    monkeypatch.setattr(stable6, "_stabilizer_rows", lambda form, _orig=stable6._stabilizer_rows:
+                        forms.append(form) or _orig(form))
+    return forms
+
+
+def test_stable_forms_make_no_rank_call(ranks, systems):
     for form in (OMEGA_PLUS, OMEGA_MINUS, PHI_MINUS, PHI_PLUS):
         assert stable6.stabilizer_dim(fresh(form)) == form.dim ** 2 - math.comb(form.dim, 3)
     assert not ranks
-    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1})) == 36  # unstable: one system
-    assert len(ranks) == 1
+    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1})) == 36  # unstable: no system
+    assert not systems
+
+
+# a normal form of each support size that the support decides -> stabilizer dimension
+SUPPORT_DECIDES = {
+    "zero6": (AltForm.zero(6, 3), 36), "e123 in R6": (alt_form(6, 3, {(1, 2, 3): 1}), 26),
+    "e1^(e23+e45)": (alt_form(6, 3, {(1, 2, 3): 1, (1, 4, 5): 1}), 21),
+    "zero7": (AltForm.zero(7, 3), 49), "e123 in R7": (alt_form(7, 3, {(1, 2, 3): 1}), 36),
+    "e1^(e23+e45) in R7": (alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1}), 29),
+    "Omega+ in R7": (alt_form(7, 3, dict(stable6.canonical_omega_plus_4term().terms)), 23),
+    "Omega- in R7": (alt_form(7, 3, dict(stable6.canonical_omega_minus().terms)), 23),
+    "e123+e456": (alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}), 23),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUPPORT_DECIDES))
+def test_support_decides_with_no_system(name, systems):
+    """Support 0, 3 and 5, and support 6 in R7 with lambda != 0 on it, build no system."""
+    form, expected = SUPPORT_DECIDES[name]
+    assert stable6.stabilizer_dim(pullback(G7 if form.dim == 7 else G6, form)) == expected
+    assert not systems
+
+
+def test_full_support_with_det_b_zero_builds_one_system(systems):
+    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1})) == 28
+    assert len(systems) == 1
 
 
 def spread_form(seed: int = 7) -> AltForm:
@@ -276,6 +313,19 @@ def test_spread_coefficients_take_no_rank(ranks, dets):
     digits and takes seconds; its det B != 0 settles the answer."""
     assert stable6.stabilizer_dim(spread_form()) == 14
     assert not ranks and len(dets) == 1
+
+
+def test_spread_support_six_builds_no_system(systems):
+    """g^* (e123 + e456) on R7, g with entries (p/q) 10^e, |e| <= 200: its system's rank
+    took about a minute; the support (6) and lambda != 0 on it settle the answer."""
+    rng = random.Random(7)
+    while True:
+        g = LinearMap.from_rows([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999))
+                                  * Fraction(10) ** rng.randint(-200, 200) for _ in range(7)] for _ in range(7)])
+        if g.det():
+            break
+    assert stable6.stabilizer_dim(pullback(g, alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}))) == 23
+    assert not systems
 
 
 def test_stabilizer_dim_shares_k_with_classify(kernels, ranks):

@@ -158,7 +158,7 @@ GOLDEN_FORMS = {name: parse_form_document(doc) for name, doc in DOCS.items()
 def test_golden_stabilizer_systems(name, scale):
     """The stabilizer system of each golden form, at normal and tall scale: ``rank``
     agrees with the reference, and ``stabilizer_dim`` (which builds the system only
-    for unstable forms) agrees with n^2 minus that rank."""
+    where neither stability nor the support decides) agrees with n^2 minus that rank."""
     form = scale * GOLDEN_FORMS[name]
     rows = stable6._stabilizer_rows(form)
     assert rank(rows) == reference_rank(rows)
