@@ -385,11 +385,10 @@ def stabilizer_dim(form: AltForm) -> int:
 
 
 def _support_if_open(form: AltForm) -> int | None:
-    """The support dimension w of an unstable form when its orbit in Lambda^3 W^* is open.
+    """w, the support dimension of an unstable form, when it is open on its support W; else None.
 
-    w is the rank of the n x C(n,2) matrix of the contractions i_{e_j} form.
-    At w = 6 < n, U is spanned by one rational u; the e_k with k != p, u_p != 0,
-    span a complement W, and the form on W drops every term at index p.
+    w is the rank of the contractions i_{e_j} form.  At w = 6 < n the e_k, k != p, span a W
+    for a u spanning U with u_p != 0, and the form on W drops every term at index p.
     """
     _, contractions, _ = _contractions(form)
     keys = set().union(*contractions)

@@ -316,8 +316,8 @@ def test_spread_coefficients_take_no_rank(ranks, dets):
 
 
 def test_spread_support_six_builds_no_system(systems):
-    """g^* (e123 + e456) on R7, g with entries (p/q) 10^e, |e| <= 200: its system's rank
-    took about a minute; the support (6) and lambda != 0 on it settle the answer."""
+    """g^* (e123 + e456) on R7, g with entries (p/q) 10^e, |e| <= 200: the rank of its
+    system takes tens of seconds; the support (6) and lambda != 0 on it settle the answer."""
     rng = random.Random(7)
     while True:
         g = LinearMap.from_rows([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999))
