@@ -37,10 +37,9 @@ returns them as rational pairs (a, b), meaning a + sqrt(lambda) b, so every
 elimination and check runs over Q; QuadExt is only the scalar type of a few
 normalizing factors and of the returned basis.
 
-``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or
-``stable7.classify7`` whether a form is stable, then reads an unstable
-form's support; only a form open neither on V nor on its support ranks a
-system.
+``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or ``stable7.classify7``
+whether a form is stable, then reads an unstable form's support; only a form
+open neither on V nor on its support ranks a system.
 """
 
 from __future__ import annotations
