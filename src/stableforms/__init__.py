@@ -3,10 +3,26 @@ products, and invariant-frame G2 models.
 
 All values are immutable after construction and every operation is a pure
 function, so the whole API is safe for concurrent use.
+
+Importing the package runs ``scalars``, ``linalg``, ``exteralg``, ``stable6``
+and ``stable7``. ``bridge``, ``compalg``, ``framecalc`` and ``vcp`` are
+deferred: each is put in ``sys.modules`` and on the package at once, but its
+code runs on the first use of any of its attributes (``import
+stableforms.vcp`` is such a use), once, under a lock, so threads that race
+to it all see the whole module. So ``stableforms classify`` runs none of
+them. They are real ``sys.modules`` entries, not names served by the
+package's ``__getattr__``, because tools that look modules up there must
+find them (a tracer that patches every layer, say). ``cli`` alone is served
+by ``__getattr__``: were it in ``sys.modules`` before ``python -m
+stableforms.cli`` runs it, runpy would warn that it runs twice.
 """
 
-from . import bridge, compalg, exteralg, framecalc, stable6, stable7, vcp
-from .compalg import AlgebraTag, AlgElement
+import importlib.util
+import sys
+import threading
+import types
+
+from . import exteralg, stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, contract, divisor_space, hodge_star,
                        is_decomposable, pullback, wedge)
@@ -23,11 +39,37 @@ __all__ = [
 
 __version__ = "0.1.0"
 
+_load_lock = threading.RLock()  # reentrant: a module's own code touches it while it runs
+_pending = {}  # full name -> spec, for each deferred module whose code has not run
+
+
+class _Deferred(types.ModuleType):
+    """A registered submodule whose code runs on its first attribute use."""
+
+    def __getattribute__(self, attr):
+        with _load_lock:
+            spec = _pending.pop(types.ModuleType.__getattribute__(self, "__name__"), None)
+            if spec is not None:
+                spec.loader.exec_module(self)
+                self.__class__ = types.ModuleType  # later uses cost nothing
+        return types.ModuleType.__getattribute__(self, attr)
+
+
+def _defer(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _Deferred
+    _pending[spec.name] = spec
+    sys.modules[spec.name] = module
+    return module
+
+
+bridge, compalg, framecalc, vcp = map(_defer, ("bridge", "compalg", "framecalc", "vcp"))
+
 
 def __getattr__(name):
-    # cli is loaded on first use: importing it here would make
-    # ``python -m stableforms.cli`` find it in sys.modules and run it twice
     if name == "cli":
-        from importlib import import_module
-        return import_module(f"{__name__}.cli")
+        return importlib.import_module(f"{__name__}.cli")
+    if name in ("AlgebraTag", "AlgElement"):
+        return getattr(compalg, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,15 +17,16 @@ import sys
 from fractions import Fraction
 
 from . import bridge, compalg, framecalc, stable6, stable7, vcp
-from .compalg import AlgebraTag
-from .exteralg import AltForm, InnerProduct, VolumeForm, alt_form
-from .framecalc import PreconditionError
+from .exteralg import AltForm, InnerProduct, PreconditionError, VolumeForm, alt_form
 from .scalars import QuadExt, rat, rat_str
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_SHAPE = 3
 EXIT_PRECONDITION = 4
+
+# the values of compalg.AlgebraTag, spelled out so that parsing arguments loads no compalg
+ALGEBRAS = ("H", "U", "O", "B")
 
 
 class ParseError(ValueError):
@@ -196,7 +197,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_cayley(args) -> int:
-    tag = AlgebraTag(args.algebra)
+    tag = compalg.AlgebraTag(args.algebra)
     table = compalg.multiplication_table(tag)
     entries = []
     lines = []
@@ -234,7 +235,7 @@ def _parse_vector(spec: str, dim: int) -> list:
 def cmd_bridge(args) -> int:
     src = getattr(args, "from")
     if src == "vcp7":
-        cp3 = vcp.cross_3fold(AlgebraTag(args.algebra), args.variant)
+        cp3 = vcp.cross_3fold(compalg.AlgebraTag(args.algebra), args.variant)
         a = _parse_vector(args.a, 8)
         res = bridge.vcp_to_stable7(cp3, a)
         payload = {"phi": form_to_document(res.phi), "labels": list(res.frame.labels),
@@ -242,7 +243,7 @@ def cmd_bridge(args) -> int:
         _emit(payload, True)
         return EXIT_OK
     if src == "vcp6":
-        cp3 = vcp.cross_3fold(AlgebraTag(args.algebra), args.variant)
+        cp3 = vcp.cross_3fold(compalg.AlgebraTag(args.algebra), args.variant)
         plane = args.plane.split(";") if ";" in args.plane else args.plane.split(",", 1)
         if len(plane) != 2:
             raise ParseError("--plane takes exactly two vectors, separated by one ';' or as two "
@@ -339,7 +340,7 @@ def cmd_vcp_check(args) -> int:
         seed = int(raw)
     except ValueError:
         raise ParseError(f"STABLEFORMS_SEED must be an integer, got {raw!r}") from None
-    tag = AlgebraTag(args.algebra)
+    tag = compalg.AlgebraTag(args.algebra)
     if args.what == "identities":
         rep = compalg.verify_identities(tag, args.trials, seed)
         payload = {"what": "identities", "algebra": tag.value, "trials": rep.trials,
@@ -354,7 +355,7 @@ def cmd_vcp_check(args) -> int:
                    "variant": cp.variant, "trials": rep.trials, "passed": rep.passed,
                    "failed_checks": list(rep.failed_checks())}
     else:
-        if tag != AlgebraTag.B:
+        if tag != compalg.AlgebraTag.B:
             raise ParseError("para-extension identities live on the split octonions (B)")
         cp3 = vcp.cross_3fold(tag, args.variant)
         e0 = [Fraction(1 if i == 0 else 0) for i in range(8)]
@@ -382,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_classify)
 
     c = sub.add_parser("cayley", help="print a Cayley-Dickson multiplication table")
-    c.add_argument("--algebra", required=True, choices=[t.value for t in AlgebraTag])
+    c.add_argument("--algebra", required=True, choices=ALGEBRAS)
     c.add_argument("--json", action="store_true")
     c.set_defaults(func=cmd_cayley)
 
@@ -417,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     c = sub.add_parser("vcp-check", help="randomized exact verifiers (seeded by STABLEFORMS_SEED)")
     c.add_argument("--what", required=True, choices=("axioms", "identities", "para-extension"))
-    c.add_argument("--algebra", required=True, choices=[t.value for t in AlgebraTag])
+    c.add_argument("--algebra", required=True, choices=ALGEBRAS)
     c.add_argument("--fold", type=int, default=2, choices=(2, 3))
     c.add_argument("--variant", default="X1", choices=("X1", "X2"))
     c.add_argument("--trials", type=int, default=200)

@@ -48,6 +48,10 @@ MAX_DIM = 8
 
 Index = tuple[int, ...]
 
+
+class PreconditionError(ValueError):
+    """A model fails a structural precondition (reported, never ignored)."""
+
 # every sorted multi-index on R^MAX_DIM and its bitmask
 _MASK = {idx: sum(1 << (i - 1) for i in idx)
          for p in range(MAX_DIM + 1) for idx in itertools.combinations(range(1, MAX_DIM + 1), p)}

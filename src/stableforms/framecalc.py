@@ -30,14 +30,10 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import stable6
-from .exteralg import (AltForm, InnerProduct, VolumeForm, alt_form, basis_form,
-                       form_inner, hodge_star, is_decomposable, sort_index, wedge)
+from .exteralg import (AltForm, InnerProduct, PreconditionError, VolumeForm, alt_form,
+                       basis_form, form_inner, hodge_star, is_decomposable, sort_index, wedge)
 from .linalg import mat_mul, transpose
 from .scalars import _float_root
-
-
-class PreconditionError(ValueError):
-    """A model fails a structural precondition (reported, never ignored)."""
 
 
 def _matrix(a: AltForm) -> list:

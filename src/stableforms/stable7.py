@@ -42,7 +42,6 @@ from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_w
 from .linalg import _clear, _inertia_det
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
-from .vcp import CrossProduct, _product_from_form
 
 
 class OrbitClass7(enum.Enum):
@@ -176,6 +175,7 @@ def _ninth_root(x: Fraction) -> Fraction | None:
 
 def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:
     """2-fold product with <X(x,y), z> = phi(x,y,z) for the induced metric."""
+    from .vcp import CrossProduct, _product_from_form  # the one use; classify never loads vcp
     gm = metric_from_phi(phi, vol)
     return CrossProduct(7, 2, "PHI", gm.ip, _product_from_form(phi, gm.ip))
 

@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from conftest import G7
-from stableforms.cli import (EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SHAPE,
+from stableforms import compalg
+from stableforms.cli import (ALGEBRAS, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SHAPE,
                              form_to_document, main, parse_form_document)
 from stableforms.exteralg import alt_form, pullback
 from stableforms.stable7 import canonical_phi_minus
@@ -127,6 +128,10 @@ class TestCayley:
         rc = main(["cayley", "--algebra", "H"])
         assert rc == EXIT_OK
         assert "e1*e2 = e3" in capsys.readouterr().out
+
+    def test_algebra_choices_are_the_tags(self):
+        """--algebra lists the tags literally, so that parsing loads no compalg."""
+        assert list(ALGEBRAS) == [t.value for t in compalg.AlgebraTag]
 
 
 class TestBridge:
