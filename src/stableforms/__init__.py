@@ -6,15 +6,15 @@ function, so the whole API is safe for concurrent use.
 
 Importing the package runs ``scalars``, ``linalg``, ``exteralg``, ``stable6``
 and ``stable7``. ``bridge``, ``compalg``, ``framecalc`` and ``vcp`` are
-deferred: each is put in ``sys.modules`` and on the package at once, but its
-code runs on the first use of any of its attributes (``import
-stableforms.vcp`` is such a use), once, under a lock, so threads that race
-to it all see the whole module. So ``stableforms classify`` runs none of
-them. They are real ``sys.modules`` entries, not names served by the
-package's ``__getattr__``, because tools that look modules up there must
-find them (a tracer that patches every layer, say). ``cli`` alone is served
-by ``__getattr__``: were it in ``sys.modules`` before ``python -m
-stableforms.cli`` runs it, runpy would warn that it runs twice.
+deferred: each is in ``sys.modules`` and on the package from the start, but
+its code runs on the first use of any of its attributes (``import
+stableforms.vcp`` is one), once and under a lock, so threads racing to it
+all see the whole module; ``stableforms classify`` runs none of them. They
+are real ``sys.modules`` entries, not names served by ``__getattr__``, so
+that code looking layers up there finds them (perfbench's tracer
+patches every layer that way). ``cli`` alone is served by ``__getattr__``:
+were it in ``sys.modules`` before ``python -m stableforms.cli`` runs it,
+runpy would warn that it runs twice.
 """
 
 import importlib.util

@@ -50,7 +50,11 @@ Index = tuple[int, ...]
 
 
 class PreconditionError(ValueError):
-    """A model fails a structural precondition (reported, never ignored)."""
+    """A model fails a structural precondition (reported, never ignored).
+
+    framecalc raises it; it lives here so that the CLI catches it without
+    running framecalc."""
+
 
 # every sorted multi-index on R^MAX_DIM and its bitmask
 _MASK = {idx: sum(1 << (i - 1) for i in idx)
