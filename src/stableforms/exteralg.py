@@ -25,8 +25,8 @@ rational entries only, in ``linalg``, and raise TypeError on others.
 ``AltForm.__call__`` clears its vectors once and takes one integer minor
 per term.  ``_interior_wedges`` clears a form once and returns every
 i_{e_j} a and i_{e_j} a ^ a as integer dicts keyed by bitmask, the one
-kernel of K (``stable6``) and B (``stable7``); its contractions alone
-(``_contractions``) give ``stable6.stabilizer_dim`` the support of a form.
+kernel of K (``stable6``) and B (``stable7``); ``stable6.stabilizer_dim``
+reads the orbit off the ranks of both (the contractions: ``_contractions``).
 All three take rational values only.
 """
 

@@ -38,14 +38,13 @@ elimination and check runs over Q; QuadExt is only the scalar type of a few
 normalizing factors and of the returned basis.
 
 ``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or ``stable7.classify7``
-whether a form is stable, then reads an unstable form's support; only a form
-open neither on V nor on its support ranks a system.
+whether a form is stable, then reads an unstable form's complex orbit, and
+with it the answer, off two integer ranks.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -53,7 +52,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, LinearMap, VolumeForm, _contractions, _interior_wedges, _minor, alt_form,
                        pullback, wedge)
-from .linalg import _clear, nullspace, rank, transpose
+from .linalg import nullspace, rank, transpose
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
 
@@ -349,25 +348,22 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
                   OrbitClass6.O6_MINUS, Fraction(1))
 
 
-# signs of itertools.permutations of a sorted triple, in the order it yields them
-_PERMUTATION_SIGNS = (1, -1, -1, 1, 1, -1)
 _STANDARD_VOL6, _STANDARD_VOL7 = VolumeForm.standard(6), VolumeForm.standard(7)
+# (n, w, r) of each unstable complex orbit, 0 included -> its stabilizer dimension
+_UNSTABLE_STABILIZER = {(6, 0, 0): 36, (6, 3, 0): 26, (6, 5, 1): 21, (6, 6, 3): 17,
+                        (7, 0, 0): 49, (7, 3, 0): 36, (7, 5, 1): 29, (7, 6, 3): 24, (7, 6, 6): 23,
+                        (7, 7, 1): 28, (7, 7, 4): 21, (7, 7, 6): 18, (7, 7, 7): 15}
 
 
 def stabilizer_dim(form: AltForm) -> int:
     """dim { A in gl(V) : sum over slots of form(.., A v_k, ..) = 0 }, in dim 6 or 7.
 
-    With U = {v : i_v form = 0}, W a complement and w = n - dim U, X -> X.form
-    has rank r_w on gl(W) (into Lambda^3 W^*), is injective on Hom(U, W) (into
-    U^* (x) Lambda^2 W^*, as i_x form != 0 for x != 0 in W) and kills Hom(W, U)
-    and gl(U): stab = n^2 - r_w - w(n - w).  r_w = C(w, 3) when the orbit in
-    Lambda^3 W^* is open: at w = 0, 3 and 5 (e^1 ^ omega, omega of rank 4, is
-    the one orbit of support 5), at w = 6 when lambda != 0 on W and at w = 7
-    when det B != 0 (Hitchin, *The geometry of three-forms in six dimensions*,
-    2000; *Stable forms and special metrics*, 2001).  ``classify6`` or
-    ``stable7.classify7`` finds w = n open from the memo entry, and
-    ``_support_if_open`` the rest.  Only full support with lambda = 0 or
-    det B = 0, and w = 6 with lambda = 0 on W, rank the C(n,3) x n^2 system.
+    The kernel of a rational system: the same over Q, R and C, constant on a
+    complex orbit.  A stable form (``classify6``, ``stable7.classify7``) has an
+    open orbit, n^2 - C(n,3).  Lambda^3 C^6 has 5 orbits (Reichel 1907, Gurevich
+    1964), Lambda^3 C^7 has 10 (Schouten 1931); the unstable ones differ in the
+    ranks w of the i_{e_j} form and r of the i_{e_j} form ^ form (GL-equivariant
+    maps).  w = 0, 3 and 5 fix r; (7, 7, 7) is det B = 0.
     """
     if form.degree != 3 or form.dim not in (6, 7):
         raise ValueError("stabilizer dimension implemented for 3-forms in dim 6 or 7")
@@ -377,51 +373,14 @@ def stabilizer_dim(form: AltForm) -> int:
     else:
         from .stable7 import OrbitClass7, classify7  # stable7 imports this module
         stable = classify7(form, _STANDARD_VOL7) != OrbitClass7.NOT_STABLE
-    w = n if stable else _support_if_open(form)
-    if w is None:
-        return n * n - rank(_stabilizer_rows(form))
-    return n * n - math.comb(w, 3) - w * (n - w)
+    if stable:
+        return n * n - math.comb(n, 3)
+    w = _rank_of(_contractions(form)[1])
+    r = _rank_of(_interior_wedges(form)[1]) if w >= 6 else int(w == 5)
+    return _UNSTABLE_STABILIZER[n, w, r]
 
 
-def _support_if_open(form: AltForm) -> int | None:
-    """w, the support dimension of an unstable form, when it is open on its support W; else None.
-
-    w is the rank of the contractions i_{e_j} form.  At w = 6 < n the e_k, k != p, span a W
-    for a u spanning U with u_p != 0, and the form on W drops every term at index p.
-    """
-    _, contractions, _ = _contractions(form)
-    keys = set().union(*contractions)
-    rows = [[c.get(k, 0) for k in keys] for c in contractions]
-    w = rank(rows)
-    if w in (0, 3, 5):
-        return w
-    if w == 6 < form.dim:
-        (u,) = nullspace(transpose(rows), ncols=form.dim)
-        p = next(k for k, x in enumerate(u, 1) if x)
-        on_w = AltForm(6, 3, {tuple(i - (i > p) for i in idx): x for idx, x in form.terms.items()
-                              if p not in idx})
-        if lambda_coeff(on_w, _STANDARD_VOL6).value:
-            return w
-    return None
-
-
-def _stabilizer_rows(form: AltForm) -> list[list[int]]:
-    """The C(n,3) x n^2 integer system whose nullspace is the stabilizer algebra."""
-    n = form.dim
-    # form(e_x, e_y, e_z) for every ordered triple, as integer numerators over one
-    # common denominator, which does not change the rank
-    (nums,), _ = _clear(form.terms.values())
-    coeff = {}
-    for idx, x in zip(form.terms, nums):
-        for perm, sign in zip(itertools.permutations(idx), _PERMUTATION_SIGNS):
-            coeff[perm] = sign * x
-    rows = []
-    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-        row = [0] * (n * n)
-        for p in range(1, n + 1):
-            # A e_i contributes a_{p i} * form(e_p, e_j, e_k), etc.
-            row[(p - 1) * n + (i - 1)] += coeff.get((p, j, k), 0)
-            row[(p - 1) * n + (j - 1)] += coeff.get((i, p, k), 0)
-            row[(p - 1) * n + (k - 1)] += coeff.get((i, j, p), 0)
-        rows.append(row)
-    return rows
+def _rank_of(forms: list[dict]) -> int:
+    """The rank of forms given as {mask: numerator} dicts."""
+    keys = set().union(*forms)
+    return rank([[f.get(k, 0) for k in keys] for f in forms])

@@ -45,6 +45,31 @@ def rational_rotation(rng: random.Random, n: int, steps: int = 8) -> LinearMap:
     return g
 
 
+def tall_invertible(rng: random.Random, n: int) -> LinearMap:
+    """g with entries m 10^e, m in [-3, 3] and |e| <= 200, det g != 0."""
+    while True:
+        g = LinearMap.from_rows([[rng.randint(-3, 3) * Fraction(10) ** rng.randint(-200, 200)
+                                  for _ in range(n)] for _ in range(n)])
+        if g.det() != 0:
+            return g
+
+
+def stabilizer_rows(form) -> list[list[Fraction]]:
+    """The C(n,3) x n^2 system whose nullspace is the stabilizer algebra of a 3-form:
+    row (i, j, k) is sum over slots of form(.., A e_slot, ..) in the entries of A."""
+    n = form.dim
+    rows = []
+    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
+        row = [Fraction(0)] * (n * n)
+        for p in range(1, n + 1):
+            # A e_i contributes a_{p i} * form(e_p, e_j, e_k), etc.
+            row[(p - 1) * n + (i - 1)] += form.coeff((p, j, k))
+            row[(p - 1) * n + (j - 1)] += form.coeff((i, p, k))
+            row[(p - 1) * n + (k - 1)] += form.coeff((i, j, p))
+        rows.append(row)
+    return rows
+
+
 def random_three_form(rng: random.Random, dim: int, span: int = 3, nterms: int = 8):
     idxs = list(itertools.combinations(range(1, dim + 1), 3))
     picked = rng.sample(idxs, min(nterms, len(idxs)))

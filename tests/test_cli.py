@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import G7
+from conftest import G7, tall_invertible
 from stableforms import compalg
 from stableforms.cli import (ALGEBRAS, EXIT_OK, EXIT_PARSE, EXIT_PRECONDITION, EXIT_SHAPE,
                              form_to_document, main, parse_form_document)
@@ -96,6 +97,15 @@ class TestClassify(object):
         assert payload["class"] == "O7_MINUS"
         assert len(payload["basis"]) == 7 and all(len(row) == 7 for row in payload["basis"])
         assert payload["residual"] <= 1e-9 * max(abs(float(c)) for c in phi.terms.values())
+
+    def test_tall_unstable_full_support(self, tmp_path, capsys):
+        # g^* (e123 + e456 + e147), g with entries m 10^e, |e| <= 200: det B = 0, stab_dim 18
+        form = pullback(tall_invertible(random.Random(18), 7),
+                        alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1, (1, 4, 7): 1}))
+        rc = main(["classify", write(tmp_path, "f.json", form_to_document(form)), "--json"])
+        assert rc == EXIT_OK
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["class"] == "NOT_STABLE" and payload["stab_dim"] == 18
 
     def test_malformed_idx_exit_2(self, tmp_path, capsys):
         doc = {"dim": 6, "degree": 3, "terms": [{"idx": [2, 2, 3], "coef": "1"}]}

@@ -22,14 +22,17 @@
   ``q_form`` (a top-degree pairing) and
   ``stabilizer_dim`` (integer rows) equal their wedge- and ``coeff``-built
   versions.
-* ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7), then the
-  support of an unstable form, and ranks its system only for full support or
-  support 6 with lambda = 0 on it, equals the rank of the ``coeff``-built
-  system (``ref_stabilizer_dim``) on c g^* forms of every classify kind
-  (c = +-1, +-p/q and tall +-10^40/q; |lambda| a square and not), on a normal
-  form of each unstable orbit (every support size in dims 6 and 7) and its
-  c g^* copies, and (derandomized hypothesis) on g^* of each of those normal
-  forms, g with entries m 10^e, |m| <= 9 and |e| <= 8.
+* ``stabilizer_dim``, which reads lambda (dim 6) or det B (dim 7), then an
+  unstable form's complex orbit off the ranks (n, w, r) of its i_{e_j} a and
+  i_{e_j} a ^ a, equals n^2 minus the rank of the C(n,3) x n^2 system
+  (``ref_stabilizer_dim``, on ``conftest.stabilizer_rows``) on c g^* forms of
+  every classify kind (c = +-1, +-p/q and tall +-10^40/q; |lambda| a square
+  and not), on a normal form of every unstable complex orbit, whose (n, w, r)
+  are distinct and are the table's keys, and its c g^* copies, and
+  (derandomized hypothesis) on g^* of each normal form, g with entries
+  m 10^e, |m| <= 9 and |e| <= 8, and on sparse forms of 1 to 6 terms.  The
+  four orbits that once took the rank return the table's value at g with
+  entries m 10^e, |e| <= 200.
 * ``form_inner``, a pairing with the pullback by G^{-1}, equals the sum of
   one determinant per term pair it replaced (``ref_form_inner``) on dense
   indefinite Gram matrices in dims 4, 6 and 7.
@@ -125,7 +128,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import iwasawa_su3
-from conftest import G6, G7, random_invertible
+from conftest import G6, G7, random_invertible, stabilizer_rows, tall_invertible
 from test_framecalc import random_curvature
 from test_linalg import ref_rref
 from stableforms import framecalc as fc
@@ -138,7 +141,7 @@ from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, Volu
 from stableforms.linalg import (_inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank,
                                 transpose)
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
-from stableforms.stable6 import (OrbitClass6, _k_entry, _re_im, _root_kernel, _times,
+from stableforms.stable6 import (_UNSTABLE_STABILIZER, OrbitClass6, _k_entry, _re_im, _root_kernel, _times,
                                  canonical_omega_minus, canonical_omega_minus_hat, canonical_omega_plus,
                                  canonicalize6, hat, lambda_coeff, scaled_structure, stabilizer_dim)
 from stableforms.stable7 import (Canon7, _b_matrix, canonical_phi_minus, canonical_phi_plus,
@@ -510,16 +513,7 @@ def test_q_form_matches_wedge_pairing(kind, rng):
 
 
 def ref_stabilizer_dim(form: AltForm) -> int:
-    n = form.dim
-    rows = []
-    for (i, j, k) in itertools.combinations(range(1, n + 1), 3):
-        row = [Fraction(0)] * (n * n)
-        for p in range(1, n + 1):
-            row[(p - 1) * n + (i - 1)] += form.coeff((p, j, k))
-            row[(p - 1) * n + (j - 1)] += form.coeff((i, p, k))
-            row[(p - 1) * n + (k - 1)] += form.coeff((i, j, p))
-        rows.append(row)
-    return n * n - rank(rows)
+    return form.dim ** 2 - rank(stabilizer_rows(form))
 
 
 def test_stabilizer_dim_matches_coeff_rows(rng):
@@ -531,7 +525,7 @@ def test_stabilizer_dim_matches_coeff_rows(rng):
         assert stabilizer_dim(form) == stabilizer_dim(scaled) == ref_stabilizer_dim(scaled)
 
 
-# -- stabilizer_dim from lambda and det B against the rank of its system ------
+# -- stabilizer_dim from lambda, det B and the orbit table against the rank of its system --
 
 def omega_d(d: int) -> AltForm:
     """Re((e1 + r e4)(e2 + r e5)(e3 + r e6)) with r^2 = d, so lambda = 4 d^3: |lambda| is a
@@ -566,7 +560,12 @@ UNSTABLE_FORMS = {
     "Omega- in R7": (on_r7(canonical_omega_minus()), 23),
     "e1^(e23+e45) in R7": (alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1}), 29),
     "e135+e146+e236 in R7": (alt_form(7, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1}), 24),
+    "e123+e456+e147": (alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1, (1, 4, 7): 1}), 18),
+    "e125+e136+e147+e234": (alt_form(7, 3, {(1, 2, 5): 1, (1, 3, 6): 1, (1, 4, 7): 1, (2, 3, 4): 1}), 21),
+    "e124+e157+e236+e456": (alt_form(7, 3, {(1, 2, 4): 1, (1, 5, 7): 1, (2, 3, 6): 1, (4, 5, 6): 1}), 15),
 }
+# the R7 copies of Omega+- are real forms of the complex orbit of e123+e456
+COMPLEX_ORBITS = sorted(name for name in UNSTABLE_FORMS if not name.startswith("Omega"))
 
 
 def scales(rng: random.Random) -> list:
@@ -625,6 +624,48 @@ def test_stabilizer_dim_at_every_support_matches_rank(name, data):
     """Every support size of R6 (0, 3, 5, 6) and R7 (0, 3, 5, 6, 7), at spread entries."""
     base, _ = UNSTABLE_FORMS[name]
     form = pullback(data.draw(spread_invertible(base.dim)), base)
+    assert stabilizer_dim(form) == ref_stabilizer_dim(form)
+
+
+def orbit_ranks(form: AltForm) -> tuple:
+    """(n, w, r): the ranks of the i_{e_j} form and of the i_{e_j} form ^ form, from
+    ``contract`` and ``wedge``."""
+    contractions = [contract([int(k == j) for k in range(form.dim)], form) for j in range(form.dim)]
+
+    def span(forms: list) -> int:
+        keys = sorted(set().union(*(f.terms for f in forms)))
+        return rank([[f.coeff(k) for k in keys] for f in forms])
+    return form.dim, span(contractions), span([wedge(c, form) for c in contractions])
+
+
+def test_each_complex_orbit_has_its_own_table_key():
+    """One normal form per unstable complex orbit (zero included): their (n, w, r) are
+    pairwise distinct and are the table's keys, and each row is n^2 minus the rank
+    of the system at its normal form."""
+    keys = {name: orbit_ranks(UNSTABLE_FORMS[name][0]) for name in UNSTABLE_FORMS}
+    assert len({keys[name] for name in COMPLEX_ORBITS}) == len(COMPLEX_ORBITS) == 13
+    assert {keys[name] for name in COMPLEX_ORBITS} == set(_UNSTABLE_STABILIZER)
+    for name, (base, expected) in UNSTABLE_FORMS.items():
+        assert _UNSTABLE_STABILIZER[keys[name]] == expected == ref_stabilizer_dim(base)
+
+
+@pytest.mark.parametrize("name", ["e1^(e23+e45+e67)", "e123+e456+e147", "e135+e146+e236 in R7",
+                                  "e135+e146+e236"])
+def test_stabilizer_dim_of_tall_unstable_orbits(name):
+    """The orbits a C(n,3) x n^2 rank once decided, in seconds to minutes at this height:
+    g^* (normal form), g with entries m 10^e, |e| <= 200."""
+    base, expected = UNSTABLE_FORMS[name]
+    assert stabilizer_dim(pullback(tall_invertible(random.Random(name), base.dim), base)) == expected
+
+
+@pytest.mark.parametrize("n", [6, 7])
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_stabilizer_dim_of_sparse_forms_matches_rank(n, data):
+    """Forms of 1 to 6 terms with coefficients in {1, -1, 2}, stable or not."""
+    terms = data.draw(st.dictionaries(st.sampled_from(list(itertools.combinations(range(1, n + 1), 3))),
+                                      st.sampled_from((1, -1, 2)), min_size=1, max_size=6))
+    form = alt_form(n, 3, terms)
     assert stabilizer_dim(form) == ref_stabilizer_dim(form)
 
 

@@ -8,9 +8,9 @@ phi (with its connection table) is derived once per (circle bundle, SU(3)
 data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The counts below
 are the number of times one public call runs each of them.  Each form's
 memo holds one invariant entry at e^{1..n}, whatever volume forms it is
-read under: ``stabilizer_dim`` classifies the form from it, reads an
-unstable form's support off its contractions, and builds its rank system
-only for full support or support 6 with lambda = 0 on it; the classify order
+read under: ``stabilizer_dim`` classifies the form from it and reads an
+unstable form's orbit off two ranks, running the K/B kernel once more only
+at support 6 or 7, and builds no rank system; the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7,
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
@@ -43,6 +43,7 @@ from stableforms import bridge, cli, compalg, exteralg, framecalc, linalg, stabl
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, LinearMap, VolumeForm, alt_form, pullback
 from stableforms.linalg import inertia
+from test_differential import UNSTABLE_FORMS
 
 VOL6 = VolumeForm.standard(6)
 VOL7 = VolumeForm.standard(7)
@@ -237,15 +238,15 @@ def test_memo_matches_a_fresh_form_under_every_volume():
 # stabilizer_dim reads lambda (dim 6) or det B (dim 7) from the same memo: a
 # stable form takes no rank at all, and in the order of a classify operation
 # (stabilizer_dim first) K or B is still built once and det B taken once.  An
-# unstable form takes the rank of its contractions; only full support with
-# det B = 0 (or lambda = 0) and support 6 with lambda = 0 on it build a system.
+# unstable form takes the rank w of its contractions and, at w = 6 or 7 only,
+# runs the kernel once more for the rank r of its wedges; no form builds a system.
 
 @pytest.fixture
 def ranks(monkeypatch):
-    systems = []
+    ranked = []
     monkeypatch.setattr(stable6, "rank", lambda rows, _orig=stable6.rank:
-                        systems.append(rows) or _orig(rows))
-    return systems
+                        ranked.append(rows) or _orig(rows))
+    return ranked
 
 
 @pytest.fixture
@@ -258,21 +259,12 @@ def dets(monkeypatch):
     return matrices
 
 
-@pytest.fixture
-def systems(monkeypatch):
-    """The forms whose C(n,3) x n^2 stabilizer system stable6 builds."""
-    forms = []
-    monkeypatch.setattr(stable6, "_stabilizer_rows", lambda form, _orig=stable6._stabilizer_rows:
-                        forms.append(form) or _orig(form))
-    return forms
-
-
-def test_stable_forms_make_no_rank_call(ranks, systems):
+def test_stable_forms_make_no_rank_call(ranks, kernels):
     for form in (OMEGA_PLUS, OMEGA_MINUS, PHI_MINUS, PHI_PLUS):
         assert stable6.stabilizer_dim(fresh(form)) == form.dim ** 2 - math.comb(form.dim, 3)
-    assert not ranks
-    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1})) == 36  # unstable: no system
-    assert not systems
+    assert not ranks and kernels == {"stable6": 2, "stable7": 2}
+    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1})) == 36  # unstable: one rank, w
+    assert len(ranks) == 1 and kernels == {"stable6": 2, "stable7": 3}
 
 
 # a normal form of each support size that the support decides -> stabilizer dimension
@@ -288,16 +280,39 @@ SUPPORT_DECIDES = {
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORT_DECIDES))
-def test_support_decides_with_no_system(name, systems):
-    """Support 0, 3 and 5, and support 6 in R7 with lambda != 0 on it, build no system."""
+def test_support_decides_with_no_system(name, kernels, ranks):
+    """Support 0, 3 and 5 take the classify kernel and one rank; support 6 in R7 runs the
+    kernel once more, for a second rank."""
     form, expected = SUPPORT_DECIDES[name]
     assert stable6.stabilizer_dim(pullback(G7 if form.dim == 7 else G6, form)) == expected
-    assert not systems
+    wide = name.startswith("Omega") or name == "e123+e456"
+    assert kernels == ({"stable7": 1, "stable6": 1} if wide else {f"stable{form.dim}": 1})
+    assert len(ranks) == 1 + wide
 
 
-def test_full_support_with_det_b_zero_builds_one_system(systems):
-    assert stable6.stabilizer_dim(alt_form(7, 3, {(1, 2, 3): 1, (1, 4, 5): 1, (1, 6, 7): 1})) == 28
-    assert len(systems) == 1
+@pytest.mark.parametrize("name,r", [("e1^(e23+e45+e67)", 1), ("e125+e136+e147+e234", 4),
+                                    ("e123+e456+e147", 6), ("e124+e157+e236+e456", 7)])
+def test_full_support_with_det_b_zero_reads_the_table(name, r, kernels, ranks):
+    """The table row (7, 7, r), from one classify kernel, one more kernel run and two ranks."""
+    form, expected = UNSTABLE_FORMS[name]
+    assert stable6._UNSTABLE_STABILIZER[7, 7, r] == expected
+    assert stable6.stabilizer_dim(pullback(G7, form)) == expected
+    assert kernels == {"stable7": 1, "stable6": 1} and len(ranks) == 2
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_decomposable_in_the_classify_order_runs_the_kernel_once(n, kernels, ranks):
+    """g^* e123, as classify's 6d and 7d kinds: stabilizer_dim, then the invariants of
+    classify, run the K/B kernel once and take one rank, w."""
+    form = pullback(G6 if n == 6 else G7, alt_form(n, 3, {(1, 2, 3): 1}))
+    assert stable6.stabilizer_dim(form) == (26 if n == 6 else 36)
+    if n == 6:
+        stable6.lambda_coeff(form, VOL6)
+        assert stable6.classify6(form, VOL6) == stable6.OrbitClass6.NOT_STABLE
+    else:
+        stable7.q_form(form, VOL7).signature()
+        assert stable7.classify7(form, VOL7) == stable7.OrbitClass7.NOT_STABLE
+    assert kernels == {f"stable{n}": 1} and len(ranks) == 1
 
 
 def spread_form(seed: int = 7) -> AltForm:
@@ -315,9 +330,9 @@ def test_spread_coefficients_take_no_rank(ranks, dets):
     assert not ranks and len(dets) == 1
 
 
-def test_spread_support_six_builds_no_system(systems):
+def test_spread_support_six_builds_no_system(kernels):
     """g^* (e123 + e456) on R7, g with entries (p/q) 10^e, |e| <= 200: the rank of its
-    system takes tens of seconds; the support (6) and lambda != 0 on it settle the answer."""
+    system takes tens of seconds; the ranks (w, r) = (6, 6) settle the answer."""
     rng = random.Random(7)
     while True:
         g = LinearMap.from_rows([[Fraction(rng.choice((-1, 1)) * rng.randint(1, 999), rng.randint(1, 999))
@@ -325,7 +340,7 @@ def test_spread_support_six_builds_no_system(systems):
         if g.det():
             break
     assert stable6.stabilizer_dim(pullback(g, alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}))) == 23
-    assert not systems
+    assert kernels == {"stable7": 1, "stable6": 1}
 
 
 def test_stabilizer_dim_shares_k_with_classify(kernels, ranks):

@@ -27,7 +27,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import G6
+from conftest import G6, stabilizer_rows
 from stableforms import stable6
 from stableforms.cli import parse_form_document
 from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
@@ -157,10 +157,10 @@ GOLDEN_FORMS = {name: parse_form_document(doc) for name, doc in DOCS.items()
 @pytest.mark.parametrize("name", sorted(GOLDEN_FORMS))
 def test_golden_stabilizer_systems(name, scale):
     """The stabilizer system of each golden form, at normal and tall scale: ``rank``
-    agrees with the reference, and ``stabilizer_dim`` (which builds the system only
-    where neither stability nor the support decides) agrees with n^2 minus that rank."""
+    agrees with the reference, and ``stabilizer_dim`` (which builds no system) agrees
+    with n^2 minus that rank."""
     form = scale * GOLDEN_FORMS[name]
-    rows = stable6._stabilizer_rows(form)
+    rows = stabilizer_rows(form)
     assert rank(rows) == reference_rank(rows)
     assert stable6.stabilizer_dim(form) == form.dim ** 2 - rank(rows)
 
