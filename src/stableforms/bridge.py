@@ -261,7 +261,7 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
     gm = stable7.metric_from_phi(phi, vol)
     eps = Fraction(1) if variant == "X1" else Fraction(-1)
     star = hodge_star(phi, gm.ip, gm.vol)
-    shift = lambda f: alt_form(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
+    shift = lambda f: AltForm(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(star)
     g8 = [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in gm.ip.gram]
     ip8 = InnerProduct.from_rows(g8)

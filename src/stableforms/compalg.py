@@ -241,18 +241,18 @@ def verify_identities(tag: AlgebraTag, trials: int, seed: int = 0) -> IdentityRe
         x = random_element(tag, rng)
         y = random_element(tag, rng)
         z = random_element(tag, rng)
-        if norm(multiply(x, y)) != norm(x) * norm(y):
+        xy, xx, two_xy = multiply(x, y), multiply(x, x), 2 * inner(x, y)
+        xc, yc = conjugate(x), conjugate(y)
+        if norm(xy) != norm(x) * norm(y):
             record("composition", (x, y))
-        if multiply(x, multiply(x, y)) != multiply(multiply(x, x), y):
+        if multiply(x, xy) != multiply(xx, y):
             record("left_alternative", (x, y))
-        if multiply(multiply(y, x), x) != multiply(y, multiply(x, x)):
+        if multiply(multiply(y, x), x) != multiply(y, xx):
             record("right_alternative", (x, y))
-        if conjugate(multiply(x, y)) != multiply(conjugate(y), conjugate(x)):
+        if conjugate(xy) != multiply(yc, xc):
             record("conjugation_antihom", (x, y))
-        lhs = multiply(x, conjugate(y)) + multiply(y, conjugate(x))
-        if lhs != (2 * inner(x, y)) * one:
+        if multiply(x, yc) + multiply(y, xc) != two_xy * one:
             record("polarization", (x, y))
-        lhs2 = multiply(x, multiply(conjugate(y), z)) + multiply(y, multiply(conjugate(x), z))
-        if lhs2 != (2 * inner(x, y)) * z:
+        if multiply(x, multiply(yc, z)) + multiply(y, multiply(xc, z)) != two_xy * z:
             record("linearized_moufang", (x, y, z))
     return IdentityReport(tag, trials, not failures, tuple(failures))

@@ -321,6 +321,13 @@ class VolumeForm:
         return top.terms.get(full, Fraction(0)) / self.coefficient()
 
 
+def _check_shape(form: AltForm, vol: VolumeForm, n: int):
+    if form.dim != n or form.degree != 3:
+        raise ValueError(f"expected a 3-form on a {n}-dimensional space")
+    if vol.form.dim != n:
+        raise ValueError(f"volume form must live on the same {n}-space")
+
+
 def _over(den: int | None, nums: dict) -> dict:
     """Accumulated numerators as Fractions over den; field values (den None) as they are."""
     if den is None:

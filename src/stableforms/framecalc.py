@@ -17,9 +17,9 @@ nabla_u on the coframe is read from the Levi-Civita table of
 ``covariant_table``: nabla_{f_u} e^j = -sum_k lifted[u][k][j] e^k.
 
 Each (circle bundle, SU(3) data) pair is derived once: the special-balanced
-check, phi and *phi, <F, omega> and nabla phi are kept in the bundle's
-private memo for that SU3Data object, and ``classify_g2`` (``build_g2``) and
-``nabla_phi`` both read them from there.
+check, phi and *phi, the orientation, <F, omega> and nabla phi are kept in the
+bundle's private memo for that SU3Data object, and ``classify_g2``
+(``build_g2``) and ``nabla_phi`` both read them from there.
 """
 
 from __future__ import annotations
@@ -270,6 +270,7 @@ class _Derivation:
 
     phi: AltForm
     star_phi: AltForm
+    orientation: Fraction
     f_dot_omega: Fraction
     nabla: NablaPhiReport
 
@@ -286,7 +287,8 @@ def _derivation(cb: CircleBundleModel, su3: SU3Data) -> _Derivation:
     _check_special_balanced(cb, su3)
     phi, star_phi = _g2_forms(su3)
     f_dot_omega = form_inner(cb.F, su3.omega, cb.base.ip())
-    derived = _Derivation(phi, star_phi, f_dot_omega, _nabla_phi(cb, su3, phi, star_phi, f_dot_omega))
+    derived = _Derivation(phi, star_phi, bundle_orientation(su3), f_dot_omega,
+                          _nabla_phi(cb, su3, phi, star_phi, f_dot_omega))
     cb._memo[id(su3)] = (su3, derived)
     return derived
 
@@ -299,8 +301,7 @@ def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
     """
     derived = _derivation(cb, su3)
     phi, star_display = derived.phi, derived.star_phi
-    star_computed = cb.total.hodge(phi, bundle_orientation(su3))
-    if star_computed != star_display:
+    if cb.total.hodge(phi, derived.orientation) != star_display:
         raise PreconditionError("su3 data is not metric-adapted: *phi mismatch")
     return phi, star_display
 
@@ -328,20 +329,18 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     """Torsion-class predicates of the bundle structure, all verified exactly.
 
     The three W3 tests <F, omega> = 0, F ^ omega^2 = 0 and d phi ^ phi = 0
-    are evaluated independently and must agree; semi-parallelness
-    (delta phi = 0) is re-proved on every instance.
+    are evaluated independently and must agree; semi-parallelness is
+    re-proved on every instance: delta phi = +-*d*phi is 0 iff d *phi is.
     """
-    phi, _ = build_g2(cb, su3)
+    phi, star_phi = build_g2(cb, su3)
     derived = _derivation(cb, su3)
-    total = cb.total
+    total, orient = cb.total, derived.orientation
+    if not total.d(star_phi).is_zero:
+        raise ArithmeticError("delta phi != 0 on a special balanced base; internal error")
     dphi = total.d(phi)
-    orient = bundle_orientation(su3)
-    delta_phi = total.codifferential(phi, orient)
     dphi_phi = wedge(dphi, phi)
     f_dot_omega = derived.f_dot_omega
     f_w2 = wedge(cb.F, wedge(su3.omega, su3.omega))
-    if not delta_phi.is_zero:
-        raise ArithmeticError("delta phi != 0 on a special balanced base; internal error")
     w3_a = f_dot_omega == 0
     w3_b = f_w2.is_zero
     w3_c = dphi_phi.is_zero
@@ -358,11 +357,11 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
         parallel=parallel,
         W1_nearly=npr.nearly_parallel,
         W2_almost=w2,
-        W3=(delta_phi.is_zero and w3_c),
-        semi_parallel=delta_phi.is_zero,
+        W3=w3_c,
+        semi_parallel=True,
         witnesses={
             "dphi": dphi,
-            "delta_phi": delta_phi,
+            "delta_phi": AltForm.zero(7, 2),
             "dphi_wedge_phi": dphi_phi,
             "F_dot_omega": f_dot_omega,
             "torsion": torsion,

@@ -50,8 +50,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, _contractions, _interior_wedges, _minor, alt_form,
-                       pullback, wedge)
+from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _contractions, _interior_wedges, _minor,
+                       alt_form, pullback, wedge)
 from .linalg import nullspace, rank, transpose
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
@@ -129,20 +129,13 @@ def _re_im(lam: Fraction) -> tuple[AltForm, AltForm]:
             alt_form(6, 3, {(1, 2, 6): 1, (1, 3, 5): -1, (2, 3, 4): 1, (4, 5, 6): lam}))
 
 
-def _check_shape(omega: AltForm, vol: VolumeForm):
-    if omega.dim != 6 or omega.degree != 3:
-        raise ValueError("expected a 3-form on a 6-dimensional space")
-    if vol.form.dim != 6:
-        raise ValueError("volume form must live on the same 6-space")
-
-
 def k_endo(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
     """(K, lambda) against vol: K(v) = -i_v Omega ^ Omega via i_u vol <-> u tensor vol.
 
     The one reader of the memo entry "K": against c e^{1..6} it returns K/c
     and lambda/c^2, lambda = 0 included.
     """
-    _check_shape(omega, vol)
+    _check_shape(omega, vol, 6)
     entry = omega._memo.get("K")
     if entry is None:
         entry = omega._memo["K"] = _k_entry(omega)

@@ -37,8 +37,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _interior_wedges, _merge_signs,
-                       alt_form, pullback)
+from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _check_shape, _interior_wedges,
+                       _merge_signs, alt_form, pullback)
 from .linalg import _clear, _inertia_det
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
@@ -62,16 +62,9 @@ class QForm:
         return self._signature
 
 
-def _check_shape(phi: AltForm, vol: VolumeForm):
-    if phi.dim != 7 or phi.degree != 3:
-        raise ValueError("expected a 3-form on a 7-dimensional space")
-    if vol.form.dim != 7:
-        raise ValueError("volume form must live on the same 7-space")
-
-
 def q_form(phi: AltForm, vol: VolumeForm) -> QForm:
     """B[i][j] vol = i_{e_i} phi ^ i_{e_j} phi ^ phi, exact and symmetric."""
-    _check_shape(phi, vol)
+    _check_shape(phi, vol, 7)
     (b, (pos, neg, zero), _), c = _invariants(phi), vol.coefficient()
     return QForm(b if c == 1 else tuple(tuple(x / c for x in r) for r in b), vol,
                  (pos, neg, zero) if c > 0 else (neg, pos, zero))
@@ -118,7 +111,7 @@ def _orbit7(signature: tuple[int, int, int]) -> OrbitClass7:
 
 
 def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
-    _check_shape(phi, vol)
+    _check_shape(phi, vol, 7)
     return _orbit7(_invariants(phi)[1])
 
 
@@ -230,7 +223,7 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     power.  ``residual`` reports the largest coefficient error of the float
     round trip basis^* canonical_phi_minus() - phi; it checks nothing.
     """
-    _check_shape(phi, vol)
+    _check_shape(phi, vol, 7)
     return _canonicalize7(phi)
 
 

@@ -39,7 +39,6 @@ class CrossProduct:
     ip: InnerProduct
     evaluator: Callable
     tag: AlgebraTag | None = None
-    frame: tuple | None = None  # ambient coordinates of the basis, for reductions
 
     def __call__(self, *vectors: Sequence) -> Vector:
         if len(vectors) != self.fold:
@@ -192,8 +191,7 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
         w = cp3(a, to_ambient(x), to_ambient(y))
         return to_local(w)
 
-    return CrossProduct(7, 2, f"{cp3.variant}|{list(a)}", InnerProduct.from_rows(sub_gram), ev,
-                        tag=cp3.tag, frame=comp_t)
+    return CrossProduct(7, 2, f"{cp3.variant}|{list(a)}", InnerProduct.from_rows(sub_gram), ev, tag=cp3.tag)
 
 
 def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list, Callable]:
@@ -297,17 +295,18 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
         lx, ly, ln = lv(x), lv(y), lv(nrm)
         pair_lxy = cp3.ip.pair(lx, y)
         pair_xy = cp3.ip.pair(x, y)
-        lhs1 = _add(cp3(lx, y, nrm), lv(cp3(x, y, nrm)))
+        xyn, lnxy = cp3(x, y, nrm), cp3(ln, x, y)
+        lhs1 = _add(cp3(lx, y, nrm), lv(xyn))
         rhs1 = _add(_scale(pair_lxy, nrm), _scale(pair_xy, ln))
         if lhs1 != rhs1:
             id1 = False
-        lhs2 = _add(cp3(lx, ly, nrm), _scale(Fraction(-1), cp3(x, y, nrm)))
+        lhs2 = _add(cp3(lx, ly, nrm), _scale(Fraction(-1), xyn))
         if lhs2 != _scale(-2 * pair_lxy, ln):
             id2 = False
         lxn = lv(cp3(nrm, x, y))
-        if lxn != cp3(ln, x, y):
+        if lxn != lnxy:
             commuting = False
-        alt = _add(_scale(Fraction(-1), cp3(ln, x, y)), _scale(2 * pair_lxy, nrm))
+        alt = _add(_scale(Fraction(-1), lnxy), _scale(2 * pair_lxy, nrm))
         if lxn != alt:
             anticommuting = False
 

@@ -113,6 +113,16 @@
 * ``AltForm.__call__``, one integer minor per term, equals the
   determinant-per-term loop ``ref_eval`` on random forms of every degree in
   dims 4, 6 and 7, and raises TypeError on float and QuadExt vectors.
+* ``verify_identities`` and ``verify_para_extension_identities``, which
+  share each repeated product within a trial, give the reports of the loops
+  they replaced (``ref_verify_identities``, ``ref_verify_para``) field for
+  field on H, U, O and B, on X1 and X2 over four Lorentzian planes and
+  several seeds, and also on broken products (a sign flipped in the table,
+  x y + x, X(a, b, c) + c), where the reports fail.  ``classify_g2``, which
+  reads delta phi = 0 off d *phi = 0, gives the report of the
+  ``codifferential`` version (``ref_classify_g2``) on random (1,1)
+  curvatures over flat T^6 and on the Iwasawa bundles, on a memo hit too,
+  and raises the same error when d is broken on 4-forms.
 """
 
 import itertools
@@ -120,6 +130,7 @@ import json
 import math
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -131,6 +142,7 @@ from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible, stabilizer_rows, tall_invertible
 from test_framecalc import random_curvature
 from test_linalg import ref_rref
+from stableforms import compalg, vcp
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -1706,6 +1718,212 @@ def test_evaluation_matches_the_det_per_term_loop(rng):
         for bad in (0.5, QuadExt.of(1, 2)):
             with pytest.raises(TypeError):
                 form([bad] + [0] * (dim - 1), *([[1] * dim] * 2))
+
+
+# -- the construct side computes each product once ---------------------------
+
+def ref_verify_identities(tag: AlgebraTag, trials: int, seed: int = 0) -> compalg.IdentityReport:
+    """verify_identities as it was, each product, conjugate and inner taken where it is read."""
+    rng = random.Random(seed)
+    failures: list = []
+
+    def record(name, witness):
+        if len(failures) < 8:
+            failures.append((name, witness))
+
+    mul, conj, norm, inn = compalg.multiply, compalg.conjugate, compalg.norm, compalg.inner
+    one = compalg.basis_element(tag, 0)
+    for _ in range(trials):
+        x = compalg.random_element(tag, rng)
+        y = compalg.random_element(tag, rng)
+        z = compalg.random_element(tag, rng)
+        if norm(mul(x, y)) != norm(x) * norm(y):
+            record("composition", (x, y))
+        if mul(x, mul(x, y)) != mul(mul(x, x), y):
+            record("left_alternative", (x, y))
+        if mul(mul(y, x), x) != mul(y, mul(x, x)):
+            record("right_alternative", (x, y))
+        if conj(mul(x, y)) != mul(conj(y), conj(x)):
+            record("conjugation_antihom", (x, y))
+        lhs = mul(x, conj(y)) + mul(y, conj(x))
+        if lhs != (2 * inn(x, y)) * one:
+            record("polarization", (x, y))
+        lhs2 = mul(x, mul(conj(y), z)) + mul(y, mul(conj(x), z))
+        if lhs2 != (2 * inn(x, y)) * z:
+            record("linearized_moufang", (x, y, z))
+    return compalg.IdentityReport(tag, trials, not failures, tuple(failures))
+
+
+def ref_verify_para(cp3, a, b, trials: int, seed: int = 0) -> vcp.ParaExtensionReport:
+    """verify_para_extension_identities as it was, with 7 three-fold products per trial."""
+    a, b = vcp._vec(a), vcp._vec(b)
+    L = vcp.para_structure_from_plane(cp3, a, b)
+    n_dim = cp3.dim
+    rng = random.Random(seed)
+    split = vcp._plane_split(cp3.ip, a, b)
+    add, scale = vcp._add, vcp._scale
+
+    def lv(v):
+        return tuple(L.apply(list(v)))
+
+    id1 = id2 = True
+    commuting = anticommuting = True
+    for _ in range(trials):
+        x = split(vcp._random_vector(rng, n_dim))[0]
+        y = split(vcp._random_vector(rng, n_dim))[0]
+        s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
+        nrm = tuple(s * a[i] + t * b[i] for i in range(n_dim))
+        lx, ly, ln = lv(x), lv(y), lv(nrm)
+        pair_lxy = cp3.ip.pair(lx, y)
+        pair_xy = cp3.ip.pair(x, y)
+        lhs1 = add(cp3(lx, y, nrm), lv(cp3(x, y, nrm)))
+        rhs1 = add(scale(pair_lxy, nrm), scale(pair_xy, ln))
+        if lhs1 != rhs1:
+            id1 = False
+        lhs2 = add(cp3(lx, ly, nrm), scale(Fraction(-1), cp3(x, y, nrm)))
+        if lhs2 != scale(-2 * pair_lxy, ln):
+            id2 = False
+        lxn = lv(cp3(nrm, x, y))
+        if lxn != cp3(ln, x, y):
+            commuting = False
+        alt = add(scale(Fraction(-1), cp3(ln, x, y)), scale(2 * pair_lxy, nrm))
+        if lxn != alt:
+            anticommuting = False
+    plus, minus = (n_dim - rank([[x - s * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(L.matrix)]) for s in (1, -1))
+    dims = (plus - 1, minus - 1)
+    branch = "commuting" if commuting else ("anticommuting" if anticommuting else "none")
+    passed = id1 and id2 and (commuting != anticommuting)
+    return vcp.ParaExtensionReport(cp3.variant, trials, id1, id2, branch, dims, passed)
+
+
+def ref_classify_g2(cb, su3) -> fc.ClassReport:
+    """classify_g2 as it was: delta phi by ``FrameModel.codifferential`` and the
+    orientation by ``bundle_orientation``, both on every call."""
+    phi, _ = fc.build_g2(cb, su3)
+    derived = fc._derivation(cb, su3)
+    total = cb.total
+    dphi = total.d(phi)
+    orient = fc.bundle_orientation(su3)
+    delta_phi = total.codifferential(phi, orient)
+    dphi_phi = wedge(dphi, phi)
+    f_dot_omega = derived.f_dot_omega
+    f_w2 = wedge(cb.F, wedge(su3.omega, su3.omega))
+    if not delta_phi.is_zero:
+        raise ArithmeticError("delta phi != 0 on a special balanced base; internal error")
+    w3_a = f_dot_omega == 0
+    w3_b = f_w2.is_zero
+    w3_c = dphi_phi.is_zero
+    if not (w3_a == w3_b == w3_c):
+        raise ArithmeticError("the three primitivity tests disagree; internal error")
+    npr = derived.nabla
+    parallel = all(df.is_zero for df in npr.derivatives.values())
+    w2 = dphi.is_zero
+    if w2 != (cb.F.is_zero and cb.base.d(su3.omega).is_zero):
+        raise ArithmeticError("dphi = 0 is not equivalent to F = 0 and d omega = 0; internal error")
+    torsion = -1 * total.hodge(dphi, orient)
+    delta_t = total.codifferential(torsion, orient)
+    report = fc.ClassReport(
+        parallel=parallel, W1_nearly=npr.nearly_parallel, W2_almost=w2,
+        W3=(delta_phi.is_zero and w3_c), semi_parallel=delta_phi.is_zero,
+        witnesses={"dphi": dphi, "delta_phi": delta_phi, "dphi_wedge_phi": dphi_phi,
+                   "F_dot_omega": f_dot_omega, "torsion": torsion, "delta_torsion": delta_t},
+    )
+    if report.parallel and not (report.W1_nearly and report.W2_almost and report.W3
+                                and report.semi_parallel):
+        raise ArithmeticError("implication lattice violated; internal error")
+    return report
+
+
+def sign_flipped_table(monkeypatch, module):
+    """Patch ``module._table`` so that e_1 e_2 takes the wrong sign in every algebra."""
+    def broken(signs, _orig=compalg._table):
+        rows = [list(r) for r in _orig(signs)]
+        k, s = rows[1][2]
+        rows[1][2] = (k, -s)
+        return tuple(tuple(r) for r in rows)
+    monkeypatch.setattr(module, "_table", broken)
+
+
+def shifted_multiply(monkeypatch):
+    """Patch ``compalg.multiply`` to x y + x, which is neither alternative nor a composition."""
+    monkeypatch.setattr(compalg, "multiply", lambda x, y, _orig=compalg.multiply: _orig(x, y) + x)
+
+
+@pytest.mark.parametrize("broken", [None, "sign", "shift"])
+def test_verify_identities_matches_the_loop_it_replaced(broken, monkeypatch):
+    if broken == "sign":
+        sign_flipped_table(monkeypatch, compalg)
+    elif broken == "shift":
+        shifted_multiply(monkeypatch)
+    for tag in AlgebraTag:
+        for seed in range(4):
+            report = compalg.verify_identities(tag, 5, seed)
+            assert report == ref_verify_identities(tag, 5, seed)
+            assert report.passed == (broken is None)
+
+
+LORENTZIAN_PLANES = [(0, 4), (1, 5), (3, 7), (2, 4)]  # <e_i, e_i> = 1, <e_j, e_j> = -1 in B
+
+
+def non_alternating(cp3):
+    """cp3 plus its last argument: X(a, b, c) + c, so X(n, x, y) != X(x, y, n)."""
+    return replace(cp3, evaluator=lambda a, b, c, _ev=cp3.evaluator: tuple(
+        u + v for u, v in zip(_ev(a, b, c), c)))
+
+
+@pytest.mark.parametrize("broken", [None, "sign", "shift"])
+@pytest.mark.parametrize("variant", ["X1", "X2"])
+def test_verify_para_matches_the_loop_it_replaced(variant, broken, monkeypatch):
+    if broken == "sign":
+        sign_flipped_table(monkeypatch, vcp)
+    cp3 = cross_3fold(AlgebraTag.B, variant)
+    if broken == "shift":
+        cp3 = non_alternating(cp3)
+    e8 = [[int(i == k) for i in range(8)] for k in range(8)]
+    reports = []
+    for (i, j), seed in itertools.product(LORENTZIAN_PLANES, range(3)):
+        report = vcp.verify_para_extension_identities(cp3, e8[i], e8[j], 4, seed)
+        assert report == ref_verify_para(cp3, e8[i], e8[j], 4, seed)
+        reports.append(report)
+    assert all(r.passed for r in reports) == (broken is None)
+
+
+def g2_report(classify, cb, su3):
+    """classify(cb, su3), or the type and message of what it raised."""
+    try:
+        return classify(cb, su3)
+    except ArithmeticError as ex:
+        return type(ex), str(ex)
+
+
+def g2_pairs(rng):
+    t6, su3 = fc.flat_torus(6), fc.standard_su3()
+    curvatures = [alt_form(6, 2, {})] + [random_curvature(rng) for _ in range(8)]
+    pairs = [(lambda F=F: fc.make_circle_bundle(t6, F), su3) for F in curvatures]
+    return pairs + [(lambda name=name: iwasawa_bundle(name), iwasawa_su3()) for name in sorted(IWASAWA_F)]
+
+
+def test_classify_g2_matches_the_codifferential_loop(rng):
+    for bundle, su3 in g2_pairs(rng):
+        expected, got = ref_classify_g2(bundle(), su3), fc.classify_g2(bundle(), su3)
+        assert got == expected and got.witnesses["delta_phi"] == AltForm.zero(7, 2)
+        cb = bundle()
+        fc.classify_g2(cb, su3)
+        assert fc.classify_g2(cb, su3) == expected  # on a memo hit
+
+
+def test_classify_g2_raises_like_the_codifferential_loop(rng, monkeypatch):
+    """With d broken on the 4-forms of the total space, d *phi and delta phi are both
+    nonzero, and both versions raise the same error."""
+    def broken_d(self, a, _orig=fc.FrameModel.d):
+        out = _orig(self, a)
+        return out + basis_form(7, 1, 2, 3, 4, 5) if (a.dim, a.degree) == (7, 4) else out
+    monkeypatch.setattr(fc.FrameModel, "d", broken_d)
+    for bundle, su3 in g2_pairs(rng):
+        expected = g2_report(ref_classify_g2, bundle(), su3)
+        assert expected == (ArithmeticError, "delta phi != 0 on a special balanced base; internal error")
+        assert g2_report(fc.classify_g2, bundle(), su3) == expected
 
 if __name__ == "__main__":
     json.dump({name: nabla_documents(name) for name in sorted(IWASAWA_F)}, sys.stdout,

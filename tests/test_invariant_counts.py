@@ -20,6 +20,10 @@ pullback (its check) and no hat or wedge, and ``stable6_to_7`` takes no hat.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
+On the construct side a ``verify_identities`` trial takes 17 products, 6
+conjugates and one inner product, a para check 8 + 5 per trial three-fold
+products, and ``classify_g2`` on a memo hit 4 Hodge stars and at most 3
+wedges, with the orientation derived once per pair.
 """
 
 import contextlib
@@ -538,6 +542,52 @@ def test_a_changed_report_leaves_the_next_call_alone():
     assert again.derivatives is not report.derivatives
     assert g2_outcome(cb, su3) == expected
 
+
+# The construct side computes each value once per input: a verifier trial shares
+# its products, conjugates and inner product, and a classify_g2 on a memo hit
+# reads the orientation and *phi from the pair's derivation.
+
+def counting(monkeypatch, target, names) -> Counter:
+    counts = Counter()
+    for name in names:
+        def count(*args, _orig=getattr(target, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+        monkeypatch.setattr(target, name, count)
+    return counts
+
+
+@pytest.mark.parametrize("tag", list(AlgebraTag), ids=lambda tag: tag.value)
+def test_verify_identities_computes_each_product_once(tag, monkeypatch):
+    counts = counting(monkeypatch, compalg, ("multiply", "conjugate", "inner"))
+    compalg.verify_identities(tag, 3, seed=5)
+    assert counts == {"multiply": 17 * 3, "conjugate": 6 * 3, "inner": 3}
+
+
+def test_para_check_takes_five_products_per_trial(monkeypatch):
+    counts = counting(monkeypatch, vcp.CrossProduct, ("__call__",))
+    e8 = [[int(i == k) for i in range(8)] for k in range(8)]
+    for variant, trials in (("X1", 1), ("X2", 4)):
+        counts.clear()
+        vcp.verify_para_extension_identities(vcp.cross_3fold(AlgebraTag.B, variant), e8[0], e8[4], trials)
+        assert counts["__call__"] == 8 + 5 * trials  # 8 build L
+
+
+def test_classify_g2_on_a_memo_hit_takes_four_stars(monkeypatch):
+    cb, su3 = flat_bundle(), framecalc.standard_su3()
+    framecalc.classify_g2(cb, su3)
+    counts = counting(monkeypatch, framecalc, ("hodge_star", "wedge", "bundle_orientation"))
+    framecalc.classify_g2(cb, su3)
+    assert counts["hodge_star"] == 4 and counts["wedge"] <= 3 and not counts["bundle_orientation"]
+
+
+def test_bundle_orientation_runs_once_per_derivation(monkeypatch):
+    counts = counting(monkeypatch, framecalc, ("bundle_orientation",))
+    cb, su3 = flat_bundle(alt_form(6, 2, {})), framecalc.standard_su3()  # F = 0 suits both triples
+    for call in (framecalc.classify_g2, framecalc.build_g2, framecalc.nabla_phi, framecalc.classify_g2):
+        call(cb, su3)
+    framecalc.build_g2(cb, iwasawa_su3())
+    assert counts == {"bundle_orientation": 2}
 
 def exercise_algebras():
     """Every compalg and vcp route that multiplies, on every tag."""
