@@ -190,9 +190,11 @@ class SU3Data:
     omega: AltForm
     Omega1: AltForm
     Omega2: AltForm
+    _omega2: AltForm = field(init=False, repr=False, compare=False)  # omega ^ omega, wedged once
 
     def __post_init__(self):
-        w3 = wedge(wedge(self.omega, self.omega), self.omega)
+        object.__setattr__(self, "_omega2", wedge(self.omega, self.omega))
+        w3 = wedge(self._omega2, self.omega)
         if w3.is_zero:
             raise PreconditionError("omega is degenerate")
         if not wedge(self.omega, self.Omega1).is_zero or not wedge(self.omega, self.Omega2).is_zero:
@@ -232,7 +234,7 @@ def bundle_orientation(su3: SU3Data) -> Fraction:
     For the standard complex pairs (1,4),(2,5),(3,6) this is -1; pairings
     already in sorted order, like (1,2),(3,4),(5,6), give +1.
     """
-    w3 = wedge(wedge(su3.omega, su3.omega), su3.omega)
+    w3 = wedge(su3._omega2, su3.omega)
     c = w3.terms.get(tuple(range(1, 7)), Fraction(0))
     if c == 0:
         raise PreconditionError("omega is degenerate")
@@ -246,7 +248,7 @@ def _check_special_balanced(cb: CircleBundleModel, su3: SU3Data):
         failing.append("d Omega1 != 0")
     if not base.d(su3.Omega2).is_zero:
         failing.append("d Omega2 != 0")
-    if not base.d(wedge(su3.omega, su3.omega)).is_zero:
+    if not base.d(su3._omega2).is_zero:
         failing.append("d(omega^2) != 0")
     j = su3.complex_structure(base.ip())
     f = _matrix(cb.F)
@@ -261,7 +263,7 @@ def _g2_forms(su3: SU3Data) -> tuple[AltForm, AltForm]:
     rho = basis_form(7, 7)
     w7 = _embed(su3.omega, 7)
     phi = _embed(su3.Omega1, 7) - wedge(rho, w7)
-    return phi, wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * wedge(w7, w7)
+    return phi, wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * _embed(su3._omega2, 7)
 
 
 @dataclass(frozen=True)
@@ -340,7 +342,7 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     dphi = total.d(phi)
     dphi_phi = wedge(dphi, phi)
     f_dot_omega = derived.f_dot_omega
-    f_w2 = wedge(cb.F, wedge(su3.omega, su3.omega))
+    f_w2 = wedge(cb.F, su3._omega2)
     w3_a = f_dot_omega == 0
     w3_b = f_w2.is_zero
     w3_c = dphi_phi.is_zero

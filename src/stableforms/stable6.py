@@ -24,27 +24,29 @@ TypeError on any other (a float, a QuadExt).
 
 The invariants are taken at e^{1..6} and scaled on read.  The form's
 private ``AltForm._memo`` holds one entry, (K, lambda), made on first use
-by ``_k_entry``.  ``k_endo`` alone reads it: against c e^{1..6} it returns
-the ``ScaledStructure`` (K/c, lambda/c^2), lambda = 0 included, and every
+by ``_k_entry`` (at lambda = 0 also "wedges", its i_{e_j} Omega ^ Omega).
+``k_endo`` alone reads it: against c e^{1..6} it returns the
+``ScaledStructure`` (K/c, lambda/c^2), lambda = 0 included, and every
 other call takes K and lambda from it.  Forms never change, so a race on
 the memo only computes the same entry twice.
 
 The canonical frames come from eigenspaces of K over Q(sqrt(lambda))
 (Hitchin, *The geometry of three-forms in six dimensions*, 2000): the
 (1,0)-covectors of J span ker(K^T - sqrt(lambda)), and L splits V into
-ker(K -+ sqrt(lambda)).  When sqrt(lambda) is irrational ``_root_kernel``
-returns them as rational pairs (a, b), meaning a + sqrt(lambda) b, so every
-elimination and check runs over Q; QuadExt is only the scalar type of a few
-normalizing factors and of the returned basis.
+ker(K -+ sqrt(lambda)) = im(K +- sqrt(lambda)), as K^2 = lambda Id.  An
+irrational root gives rational pairs (a, b), meaning a + sqrt(lambda) b, from
+one integer adjugate and no elimination (``_root_kernel``); the projectors
+(sqrt(lambda) +- K) / (2 sqrt(lambda)) give the inverse frame, inverting nothing.
 
 ``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or ``stable7.classify7``
 whether a form is stable, then reads an unstable form's complex orbit, and
-with it the answer, off two integer ranks.
+with it the answer, off two integer ranks, the second of the kept "wedges".
 """
 
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -52,7 +54,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _contractions, _interior_wedges, _minor,
                        alt_form, pullback, wedge)
-from .linalg import nullspace, rank, transpose
+from .linalg import _clear, nullspace, rank
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
 
@@ -99,23 +101,48 @@ class ScaledStructure:
         s = sqrt_fraction(lam)
         if s is None:
             return [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in _root_kernel(m, lam, sign)]
-        return nullspace([[x - sign * s * (i == j) for j, x in enumerate(row)]
+        return nullspace([[x - sign * s if i == j else x for j, x in enumerate(row)]
                           for i, row in enumerate(m)], ncols=len(m))
 
 
 def _root_kernel(m, lam: Fraction, sigma: int) -> list[tuple[list, list]]:
-    """ker(m - sigma sqrt(lam)), lam not a square, as pairs (a, b) meaning a + sqrt(lam) b.
+    """ker(m - sigma r), r = sqrt(lam) irrational, m^2 = lam Id, as pairs (a, b) meaning a + r b.
 
-    x + sqrt(lam) y is in it when m x - sigma lam y = 0 = m y - sigma x, a
-    system over Q in x_1, y_1, x_2, ... whose kernel is closed under
-    (x, y) -> (lam y, x): its pivots pair up, (x_p, y_p) at each pivot over
-    Q(sqrt(lam)), and its free x-columns give the ``nullspace`` basis there.
+    As (m - sigma r)(m + sigma r) = 0, the kernel is im(m + sigma r), and its basis that is
+    the identity on the free columns F is (m + sigma r)[:, P] m[F, P]^-1, P the pivots, as
+    F and P are disjoint.  The rational m[F, P] is invertible iff span(e_P) meets the kernel
+    and its Galois conjugate in 0, i.e. iff the columns P of m - sigma r are independent:
+    P is the first such 3-subset.  With m = R/den and adj = delta R[F, P]^-1, a = R[:, P]
+    adj / delta, and b = sigma den adj / delta on the rows P and 0 on F.
     """
-    rows = []
-    for i, row in enumerate(m):
-        rows.append([z for j, x in enumerate(row) for z in (x, -sigma * lam * (i == j))])
-        rows.append([z for j, x in enumerate(row) for z in (-sigma * (i == j), x)])
-    return [(v[0::2], v[1::2]) for v in nullspace(rows, ncols=2 * len(m))[0::2]]
+    r, den = _numerators(m)
+    for p in itertools.combinations(range(6), 3):
+        f = [i for i in range(6) if i not in p]
+        if _minor([r[i] for i in f], p):
+            break
+    # column k of adj is the cross product of rows k + 1 and k + 2 of R[F, P]: 2 x 2 minors
+    adj = [[_minor([r[f[(k + 1) % 3]], r[f[(k + 2) % 3]]], (p[(j + 1) % 3], p[(j + 2) % 3])) for j in range(3)]
+           for k in range(3)]
+    delta = sum(r[f[0]][j] * x for j, x in zip(p, adj[0]))
+    return [([Fraction(sum(r[i][j] * x for j, x in zip(p, col)), delta) for i in range(6)],
+             [Fraction(sigma * den * col[p.index(i)], delta) if i in p else Fraction(0) for i in range(6)])
+            for col in adj]
+
+
+def _numerators(m) -> tuple[list[list[int]], int]:
+    """A 6 x 6 rational matrix as integer rows over one denominator."""
+    (nums,), (den,) = _clear(x for row in m for x in row)
+    return [nums[6 * i:6 * i + 6] for i in range(6)], den
+
+
+def _pair_minor(pairs: list, cols: list, lam: Fraction) -> QuadExt:
+    """The 3 x 3 minor at cols of the rows a + sqrt(lam) b: the integer minors of the rows
+    taken from a or b, times sqrt(lam)^(rows from b), over the cube of the denominator."""
+    (nums,), (d,) = _clear(part[c] for pair in pairs for part in pair for c in cols)
+    c = [0] * 4
+    for pick in itertools.product((0, 3), repeat=3):
+        c[sum(pick) // 3] += _minor([nums[6 * k + q:6 * k + q + 3] for k, q in enumerate(pick)], (0, 1, 2))
+    return QuadExt((c[0] + lam * c[2]) / d ** 3, (c[1] + lam * c[3]) / d ** 3, lam)
 
 
 def _times(q: QuadExt, a: list, b: list) -> tuple[list, list]:
@@ -161,6 +188,8 @@ def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
     tr = sum(r2[i][i] for i in range(6))
     if any(6 * r2[i][j] != (tr if i == j else 0) for i in range(6) for j in range(6)):
         raise ArithmeticError("K^2 != lambda Id; inconsistent input")
+    if not tr:  # only an unstable form's stabilizer_dim reads them
+        omega._memo["wedges"] = wedges
     K = LinearMap(6, 6, tuple(tuple(Fraction(x, d * d) for x in row) for row in rows))
     return K, Fraction(tr, 6 * d ** 4)
 
@@ -263,11 +292,13 @@ def adapted_vol6() -> VolumeForm:
 def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
     """Recover a basis putting Omega into its canonical form, exactly.
 
-    Paracomplex case: split into the eigenspaces of L and normalize the two
-    induced volume factors.  Complex case: scale the (1,0)-covectors of J so
-    that their wedge is Omega + i hat(Omega), and take their real and
-    imaginary parts.  Every elimination runs over Q; when sqrt(|lambda|) is
-    irrational the returned matrix has QuadExt entries.
+    Paracomplex case: v = v_- + v_+ with v_+- = (s +- K) v / (2s), s = sqrt(lambda), so the
+    coefficient of the k-th vector of an eigenbasis that is the identity on columns f_k
+    (``nullspace``'s free ones, ``_root_kernel``'s F) is (v_+-)_(f_k); the first vector is
+    divided by the value of Omega on its space and its coefficient multiplied by it.  Complex
+    case: scale the (1,0)-covectors of J so that their wedge is Omega + i hat(Omega), and take
+    their real and imaginary parts.  Nothing is inverted and every check runs over Q; when
+    sqrt(|lambda|) is irrational the returned matrix has QuadExt entries.
     """
     ss = scaled_structure(omega, vol)
     if ss.is_para:
@@ -276,26 +307,32 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
 
 
 def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
-    if sqrt_fraction(ss.lam.value) is None:
+    s = sqrt_fraction(ss.lam.value)
+    if s is None:
         return _canonicalize_para_root(omega, ss)
-    minus, plus = ss.eigenspace(-1), ss.eigenspace(+1)
-    c_minus, c_plus = omega(*minus), omega(*plus)
-    if c_minus == 0 or c_plus == 0:
-        raise ArithmeticError("Omega does not restrict to volume forms on the eigenspaces")
-    minus[0] = [x / c_minus for x in minus[0]]
-    plus[0] = [x / c_plus for x in plus[0]]
-    g = LinearMap.from_columns(minus + plus).inverse()
+    (r, den), rows = _numerators(ss.K.matrix), []
+    t = int(s * den)  # an integer: t^2 = (R^2)_11 for R = den K
+    for sign in (-1, 1):
+        basis = ss.eigenspace(sign)
+        c = omega(*basis)
+        if c == 0:
+            raise ArithmeticError("Omega does not restrict to volume forms on the eigenspaces")
+        for u, scale in zip(basis, (c, 1, 1)):
+            f = max(i for i, x in enumerate(u) if x)  # the free column, where u ends in 1
+            rows.append([Fraction(scale.numerator * (t * (i == f) + sign * x), scale.denominator * 2 * t)
+                         for i, x in enumerate(r[f])])
+    g = LinearMap.from_rows(rows)
     if pullback(g, canonical_omega_plus()) != omega:
         raise ArithmeticError("paracomplex canonicalization failed the round trip")
     return Canon6(g, OrbitClass6.O6_PLUS, Fraction(1))
 
 
 def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
-    """The paracomplex frame when sqrt(lambda) is irrational, from rational pairs.
+    """The paracomplex frame when sqrt(lambda) = r is irrational, from rational pairs.
 
-    minus_k = A_k + sqrt(lambda) B_k spans ker(K + sqrt(lambda)), and its
-    conjugate ker(K - sqrt(lambda)).  With [X; Y] = [A | B]^-1 over Q, the
-    frame is (1/2) [X + Y/sqrt(lambda); X - Y/sqrt(lambda)]; its pullback of
+    minus_k = A_k + r B_k spans ker(K + r); as K A = -lambda B and K B = -A, [A | B]^-1 is [X; Y],
+    X_k = e_(f_k)^T, Y_k = -(row f_k of K), and c (X_1 + Y_1/r) once minus_1 is divided by
+    c = c_minus = Omega(minus_1, minus_2, minus_3).  The frame is (1/2) [X + Y/r; X - Y/r]; its pullback of
     e^123 + e^456 is the pullback by [X; Y] of (1/4) Re at 1/lambda (``_re_im``).
     """
     lam = ss.lam.value
@@ -305,12 +342,13 @@ def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
     c_minus = QuadExt(*(sum(c * p.get(k, 0) for k, c in f.terms.items()) for f in _re_im(lam)), lam)
     if not c_minus:
         raise ArithmeticError("Omega does not restrict to volume forms on the eigenspaces")
-    a0, b0 = _times(c_minus.inverse(), a[0], b[0])
-    xy = LinearMap.from_columns([a0, *a[1:], b0, *b[1:]]).inverse()
-    if pullback(xy, Fraction(1, 4) * _re_im(1 / lam)[0]) != omega:
+    free = [i for i in range(6) if not any(v[i] for v in b)]
+    x, y = [[Fraction(i == f) for i in range(6)] for f in free], [[-v for v in ss.K.matrix[f]] for f in free]
+    y[0], x[0] = _times(c_minus, y[0], x[0])
+    if pullback(LinearMap.from_rows(x + y), Fraction(1, 4) * _re_im(1 / lam)[0]) != omega:
         raise ArithmeticError("paracomplex canonicalization failed the round trip")
-    g = [[QuadExt(p / 2, sign * q / (2 * lam), lam) for p, q in zip(x, y)]
-         for sign in (1, -1) for x, y in zip(xy.matrix[:3], xy.matrix[3:])]
+    g = [[QuadExt(p / 2, sign * q / (2 * lam), lam) for p, q in zip(xr, yr)]
+         for sign in (1, -1) for xr, yr in zip(x, y)]
     return Canon6(LinearMap.from_rows(g), OrbitClass6.O6_PLUS, Fraction(1))
 
 
@@ -328,11 +366,10 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     makes alpha, not its conjugate, a multiple of theta.
     """
     lam = ss.lam.value  # negative
-    pairs = _root_kernel(transpose(ss.K.matrix), lam, 1)
+    pairs = _root_kernel(list(zip(*ss.K.matrix)), lam, 1)
     key0 = next(iter(omega.terms))
     alpha0 = QuadExt(omega.terms[key0], omega(*(ss.K.column(j - 1) for j in key0)) / (lam * lam), lam)
-    thetas = [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in pairs]
-    pairs[0] = _times(alpha0 / _minor(thetas, tuple(j - 1 for j in key0)), *pairs[0])
+    pairs[0] = _times(alpha0 / _pair_minor(pairs, [j - 1 for j in key0], lam), *pairs[0])
     a, b = [a for a, _ in pairs], [b for _, b in pairs]
     if pullback(LinearMap.from_rows(a + b), _re_im(lam)[0]) != omega:
         raise ArithmeticError("complex canonicalization failed the round trip")
@@ -369,7 +406,7 @@ def stabilizer_dim(form: AltForm) -> int:
     if stable:
         return n * n - math.comb(n, 3)
     w = _rank_of(_contractions(form)[1])
-    r = _rank_of(_interior_wedges(form)[1]) if w >= 6 else int(w == 5)
+    r = _rank_of(form._memo["wedges"]) if w >= 6 else int(w == 5)
     return _UNSTABLE_STABILIZER[n, w, r]
 
 

@@ -19,7 +19,8 @@ integer matrices of its contractions, with no elimination beyond det B.
 The invariants are taken at e^{1..7} and scaled on read.  The form's
 private ``AltForm._memo`` holds one entry, (B, the signature of B, det B),
 made on first use by one kernel pass and one symmetric elimination
-(``linalg._inertia_det``).  Against c e^{1..7}, ``q_form`` returns B/c and
+(``linalg._inertia_det``), and at det B = 0 a second, "wedges", the pass's
+i_{e_j} phi ^ phi.  Against c e^{1..7}, ``q_form`` returns B/c and
 stores the entry's signature, pos and neg swapped when c < 0.  The metric,
 the Cayley frame and ``stable6.stabilizer_dim`` depend on phi alone and
 read the entry as it is.  Forms never change, so a race on the memo only
@@ -76,6 +77,8 @@ def _invariants(phi: AltForm) -> tuple[tuple, tuple[int, int, int], Fraction]:
     if entry is None:
         b = _b_matrix(phi)
         entry = phi._memo["B"] = (b, *_inertia_det(b))
+        if entry[2]:  # only an unstable form's stabilizer_dim reads them
+            phi._memo.pop("wedges", None)
     return entry
 
 
@@ -95,6 +98,7 @@ def _b_matrix(phi: AltForm) -> tuple:
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise ArithmeticError("Q form came out asymmetric")
+    phi._memo["wedges"] = wedges
     return b
 
 

@@ -66,8 +66,13 @@
   they replaced (``ref_mat_mul``, ``ref_mat_vec``) on int, mixed-denominator,
   10^e-scaled (|e| <= 200), QuadExt and float entries and mixtures of them.
 * ``canonicalize6`` builds both frames from rational pairs (a, b), meaning
-  a + sqrt(lambda) b, with eliminations over Q only.  It returns the basis of
-  the Gauss-Jordan code over Q(sqrt(lambda)) that it replaced, entry for
+  a + sqrt(lambda) b, read off the image of K +- sqrt(lambda) with one integer
+  adjugate, and inverts nothing: the inverse rows come from the projectors
+  (sqrt(lambda) +- K) / (2 sqrt(lambda)).  ``_root_kernel`` equals the
+  nullspace of the 12 x 12 realification it replaced (``ref_root_kernel``)
+  entry for entry on K and K^T, sigma = +-1, lambda not a square of both
+  signs, on sparse (scaled permutation) and dense g.  Each frame equals the basis
+  of the Gauss-Jordan code over Q(sqrt(lambda)) that it replaced, entry for
   entry and type for type: ``ref_canonicalize_complex`` (ker(K^T -
   sqrt(lambda)), checked against the divisor space of Omega + i hat(Omega))
   and ``ref_canonicalize_para`` (the eigenspaces of K and their inverse),
@@ -130,6 +135,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -1312,6 +1318,50 @@ def test_canonicalize6_plus_with_quadext_bases(rng):
         assert_same_basis(canon.basis, ref_canonicalize_para(omega, volume))
         quadext += any(isinstance(x, QuadExt) for row in canon.basis.matrix for x in row)
     assert quadext >= 6
+
+
+def ref_root_kernel(m, lam: Fraction, sigma: int) -> list[tuple[list, list]]:
+    """ker(m - sigma sqrt(lam)) as the nullspace over Q of its 12 x 12 realification:
+    x + sqrt(lam) y is in it when m x - sigma lam y = 0 = m y - sigma x, a system in x_1, y_1,
+    x_2, ... whose kernel is closed under (x, y) -> (lam y, x); its pivots pair up, and every
+    other free column gives the basis over Q(sqrt(lam))."""
+    rows = []
+    for i, row in enumerate(m):
+        rows.append([z for j, x in enumerate(row) for z in (x, -sigma * lam * (i == j))])
+        rows.append([z for j, x in enumerate(row) for z in (-sigma * (i == j), x)])
+    return [(v[0::2], v[1::2]) for v in ref_nullspace(rows, 2 * len(m))[0::2]]
+
+
+def sparse_invertible(rng: random.Random) -> LinearMap:
+    """A signed, scaled permutation of R^6, with one more entry on half of the draws."""
+    perm = rng.sample(range(6), 6)
+    rows = [[rng.choice([1, -1]) * rng.randint(1, 3) * (j == perm[i]) for j in range(6)] for i in range(6)]
+    if rng.random() < 0.5:
+        i = rng.randrange(6)
+        rows[i][rng.choice([j for j in range(6) if j != perm[i]])] = rng.randint(1, 3)
+    return LinearMap.from_rows(rows)
+
+
+def test_root_kernel_matches_the_realification(rng):
+    """The kernel read off the image of m + sigma sqrt(lam) equals the 12 x 12 nullspace, entry
+    for entry, on K and K^T for sigma = +-1: c g^* omega_d(d), lambda = 4 d^3 not a square and of
+    both signs, g sparse (a scaled permutation, so most 3 x 3 blocks of K vanish) on two trials in
+    three and dense on the third.  On a quarter of the calls or more the pivots P are not (0, 1, 2)."""
+    pivots = Counter()
+    for trial in range(72):
+        g = random_invertible(rng, 6, 2) if trial % 3 == 0 else sparse_invertible(rng)
+        c = Fraction(rng.choice([1, -1]) * rng.randint(1, 9), rng.randint(1, 9))
+        omega = c * pullback(g, omega_d(rng.choice([2, -2, 3, -3, 5, -5])))
+        ss = scaled_structure(omega, VolumeForm.standard(6))
+        lam = ss.lam.value
+        assert sqrt_fraction(lam) is None
+        for m in (ss.K.matrix, [list(col) for col in zip(*ss.K.matrix)]):
+            for sigma in (1, -1):
+                got = _root_kernel(m, lam, sigma)
+                assert got == ref_root_kernel(m, lam, sigma)
+                assert all(type(x) is Fraction for a, b in got for x in a + b)
+                pivots[tuple(i for i in range(6) if any(b[i] for _, b in got))] += 1
+    assert len(pivots) >= 4 and pivots[(0, 1, 2)] < 3 * sum(pivots.values()) // 4
 
 
 # -- the O6_MINUS frame without the hat: the frame it replaced ---------------

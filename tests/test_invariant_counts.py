@@ -9,21 +9,25 @@ data) pair, for ``classify_g2`` and ``nabla_phi`` alike.  The counts below
 are the number of times one public call runs each of them.  Each form's
 memo holds one invariant entry at e^{1..n}, whatever volume forms it is
 read under: ``stabilizer_dim`` classifies the form from it and reads an
-unstable form's orbit off two ranks, running the K/B kernel once more only
-at support 6 or 7, and builds no rank system; the classify order
+unstable form's orbit off two ranks, the second from the wedges that its
+classify kernel pass kept (the memo entry "wedges"), and builds no rank
+system; the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7,
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
 rref or Bareiss elimination and takes one pullback (its float residual); a
 frame model inverts each Gram matrix once.  The O6_MINUS frame takes one
 pullback (its check) and no hat or wedge, and ``stable6_to_7`` takes no hat.
+Neither 6-dimensional frame inverts a matrix; at an irrational sqrt(lambda)
+neither runs an rref, and at a rational one O6_PLUS runs one per eigenspace.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
 On the construct side a ``verify_identities`` trial takes 17 products, 6
 conjugates and one inner product, a para check 8 + 5 per trial three-fold
 products, and ``classify_g2`` on a memo hit 4 Hodge stars and at most 3
-wedges, with the orientation derived once per pair.
+wedges, with the orientation derived once per pair and omega ^ omega wedged
+once per SU3Data.
 """
 
 import contextlib
@@ -47,6 +51,7 @@ from stableforms import bridge, cli, compalg, exteralg, framecalc, linalg, stabl
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, LinearMap, VolumeForm, alt_form, pullback
 from stableforms.linalg import inertia
+from stableforms.scalars import sqrt_fraction
 from test_differential import UNSTABLE_FORMS
 
 VOL6 = VolumeForm.standard(6)
@@ -243,7 +248,7 @@ def test_memo_matches_a_fresh_form_under_every_volume():
 # stable form takes no rank at all, and in the order of a classify operation
 # (stabilizer_dim first) K or B is still built once and det B taken once.  An
 # unstable form takes the rank w of its contractions and, at w = 6 or 7 only,
-# runs the kernel once more for the rank r of its wedges; no form builds a system.
+# takes the rank r of the wedges its stable check made; no form builds a system.
 
 @pytest.fixture
 def ranks(monkeypatch):
@@ -280,28 +285,29 @@ SUPPORT_DECIDES = {
     "Omega+ in R7": (alt_form(7, 3, dict(stable6.canonical_omega_plus_4term().terms)), 23),
     "Omega- in R7": (alt_form(7, 3, dict(stable6.canonical_omega_minus().terms)), 23),
     "e123+e456": (alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}), 23),
+    "e135+e146+e236": (alt_form(6, 3, {(1, 3, 5): 1, (1, 4, 6): 1, (2, 3, 6): 1}), 17),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SUPPORT_DECIDES))
 def test_support_decides_with_no_system(name, kernels, ranks):
-    """Support 0, 3 and 5 take the classify kernel and one rank; support 6 in R7 runs the
-    kernel once more, for a second rank."""
+    """Support 0, 3 and 5 take the classify kernel and one rank; support 6 takes a second
+    rank, of the wedges that one kernel run kept."""
     form, expected = SUPPORT_DECIDES[name]
     assert stable6.stabilizer_dim(pullback(G7 if form.dim == 7 else G6, form)) == expected
-    wide = name.startswith("Omega") or name == "e123+e456"
-    assert kernels == ({"stable7": 1, "stable6": 1} if wide else {f"stable{form.dim}": 1})
+    wide = name.startswith("Omega") or name in ("e123+e456", "e135+e146+e236")
+    assert kernels == {f"stable{form.dim}": 1}
     assert len(ranks) == 1 + wide
 
 
 @pytest.mark.parametrize("name,r", [("e1^(e23+e45+e67)", 1), ("e125+e136+e147+e234", 4),
                                     ("e123+e456+e147", 6), ("e124+e157+e236+e456", 7)])
 def test_full_support_with_det_b_zero_reads_the_table(name, r, kernels, ranks):
-    """The table row (7, 7, r), from one classify kernel, one more kernel run and two ranks."""
+    """The table row (7, 7, r), from one classify kernel run and two ranks."""
     form, expected = UNSTABLE_FORMS[name]
     assert stable6._UNSTABLE_STABILIZER[7, 7, r] == expected
     assert stable6.stabilizer_dim(pullback(G7, form)) == expected
-    assert kernels == {"stable7": 1, "stable6": 1} and len(ranks) == 2
+    assert kernels == {"stable7": 1} and len(ranks) == 2
 
 
 @pytest.mark.parametrize("n", [6, 7])
@@ -344,7 +350,7 @@ def test_spread_support_six_builds_no_system(kernels):
         if g.det():
             break
     assert stable6.stabilizer_dim(pullback(g, alt_form(7, 3, {(1, 2, 3): 1, (4, 5, 6): 1}))) == 23
-    assert kernels == {"stable7": 1, "stable6": 1}
+    assert kernels == {"stable7": 1}
 
 
 def test_stabilizer_dim_shares_k_with_classify(kernels, ranks):
@@ -457,6 +463,31 @@ def test_the_lift_takes_the_metric_scale_once(form, monkeypatch):
 
 # lambda = -32: sqrt|lambda| is irrational and the frame has QuadExt entries
 OMEGA_MINUS_ROOT = pullback(G6, alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -2, (2, 4, 6): 2, (3, 4, 5): -2}))
+
+
+# lambda = 32: sqrt(lambda) is irrational and the paracomplex frame has QuadExt entries
+OMEGA_PLUS_ROOT = pullback(G6, alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): 2, (2, 4, 6): -2, (3, 4, 5): 2}))
+
+
+@pytest.mark.parametrize("omega,rational", [(OMEGA_MINUS, False), (OMEGA_MINUS_ROOT, False),
+                                            (OMEGA_PLUS_ROOT, False), (OMEGA_PLUS, True)],
+                         ids=["minus", "minus-irrational", "plus-irrational", "plus"])
+def test_the_six_dimensional_frames_invert_nothing(omega, rational, monkeypatch):
+    """Both frames read their inverse rows off the projectors (sqrt(lambda) +- K) / (2 sqrt(lambda)):
+    no inverse at all, and no elimination when sqrt(lambda) is irrational (the eigenbasis is the
+    image of K +- sqrt(lambda), from one integer adjugate); one 6-row rref per eigenspace when
+    sqrt(lambda) is rational."""
+    omega = fresh(omega)
+    lam = stable6.scaled_structure(omega, VOL6).lam.value
+    assert (sqrt_fraction(lam) is not None) == rational
+    counts = Counter()
+    for module, name in ((linalg, "rref"), (linalg, "inverse"), (exteralg, "_inverse")):
+        def counting(m, *args, _orig=getattr(module, name), _name=name, **kwargs):
+            counts[_name, len(m)] += 1
+            return _orig(m, *args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    stable6.canonicalize6(omega, VOL6)
+    assert counts == ({("rref", 6): 2} if rational else {})
 
 
 @pytest.mark.parametrize("omega", [OMEGA_MINUS, OMEGA_MINUS_ROOT], ids=["square", "irrational"])
@@ -588,6 +619,24 @@ def test_bundle_orientation_runs_once_per_derivation(monkeypatch):
         call(cb, su3)
     framecalc.build_g2(cb, iwasawa_su3())
     assert counts == {"bundle_orientation": 2}
+
+
+def test_omega_squared_is_wedged_once_per_su3(monkeypatch):
+    """omega ^ omega is wedged once per SU3Data: its omega^3 check, the special-balanced
+    check, the orientation and every classify_g2 read that one 4-form."""
+    squares = []
+
+    def counting(a, b, _orig=framecalc.wedge):
+        if a is b:
+            squares.append(a)
+        return _orig(a, b)
+
+    monkeypatch.setattr(framecalc, "wedge", counting)
+    cb, su3 = flat_bundle(), framecalc.standard_su3()
+    for call in (framecalc.classify_g2, framecalc.nabla_phi, framecalc.classify_g2):
+        call(cb, su3)
+    assert squares == [su3.omega]
+
 
 def exercise_algebras():
     """Every compalg and vcp route that multiplies, on every tag."""
