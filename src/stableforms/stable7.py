@@ -174,7 +174,7 @@ def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:
     """2-fold product with <X(x,y), z> = phi(x,y,z) for the induced metric."""
     from .vcp import CrossProduct, _product_from_form  # the one use; classify never loads vcp
     gm = metric_from_phi(phi, vol)
-    return CrossProduct(7, 2, "PHI", gm.ip, _product_from_form(phi, gm.ip))
+    return CrossProduct(7, 2, "PHI", gm.ip, _product_from_form(phi, gm.ip.inverse_gram()))
 
 
 def canonical_phi_minus() -> AltForm:
@@ -284,12 +284,12 @@ def _canonicalize7(phi: AltForm) -> Canon7:
         wab = w.get((a, b)) or _interior_vector(m[a], u[b])
         for c in range(b + 1, 7):
             values[a + 1, b + 1, c + 1] = _dot(wab, u[c])
-    canonical = canonical_phi_minus().terms
-    if any(bool(x) != (idx in canonical) for idx, x in values.items()) or any(
+    canonical = canonical_phi_minus()
+    if any(bool(x) != (idx in canonical.terms) for idx, x in values.items()) or any(
             (values[idx] > 0) != (c > 0)
             or Fraction(values[idx], d) ** 6 * d36
             != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
-            for idx, c in canonical.items()):
+            for idx, c in canonical.terms.items()):
         raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
     # the check makes U^T P U = diag(P(u_a, u_a)), so row a of U^-1 is (P u_a)^T / P(u_a, u_a)
     basis = []
@@ -297,9 +297,9 @@ def _canonicalize7(phi: AltForm) -> Canon7:
         t = max(abs(x) for x in pv)  # n_a (P u_a / n) = (n_a t / n)(P u_a / t), both factors in float range
         r = _float_root(nrm ** 9 * Fraction(t, n) ** 18 / d36, 18)
         basis.append([x / t * r for x in pv])
-    back = pullback(LinearMap.from_rows(basis), canonical_phi_minus())
-    residual = max(abs(back.coeff(idx) - float(phi.coeff(idx)))
-                   for idx in back.terms.keys() | phi.terms.keys())
+    back = pullback(LinearMap.from_rows(basis), canonical).terms
+    residual = max(abs(back.get(idx, 0) - float(phi.terms.get(idx, 0)))
+                   for idx in back.keys() | phi.terms.keys())
     return Canon7(basis, residual)
 
 

@@ -109,11 +109,9 @@ def fundamental_form(cp: CrossProduct) -> FundamentalForm:
     return FundamentalForm(alt_form(n, r + 1, terms))
 
 
-def _product_from_form(mu: AltForm, ip: InnerProduct) -> Callable:
+def _product_from_form(mu: AltForm, ginv: list) -> Callable:
     """The r-fold product X with <X(v_1..v_r), w> = mu(v_1..v_r, w), inverting
-    ``fundamental_form``: X = G^{-1} (i_{v_r} .. i_{v_1} mu)."""
-    ginv = ip.inverse_gram()
-
+    ``fundamental_form``: X = G^{-1} (i_{v_r} .. i_{v_1} mu), given the rows of G^{-1}."""
     def ev(*vectors: Vector) -> Vector:
         one = mu
         for v in vectors:
@@ -198,14 +196,16 @@ def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list
     """The ip-orthogonal complement of span(vectors), exactly.
 
     Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix,
-    and the map sending an ambient vector to the complement coordinates of
-    its orthogonal projection.  The complement must be nondegenerate.
+    and the map to the complement coordinates of the orthogonal projection,
+    which inverts the Gram matrix on its first call.  The complement must be nondegenerate.
     """
     comp = [tuple(v) for v in nullspace([mat_vec(ip.gram, v) for v in vectors], ncols=ip.dim)]
     sub_gram = [[ip.pair(u, v) for v in comp] for u in comp]
-    sub_gram_inv = inverse(sub_gram)
+    sub_gram_inv = []
 
     def to_local(w: Sequence) -> Vector:
+        if not sub_gram_inv:
+            sub_gram_inv[:] = inverse(sub_gram)
         return tuple(mat_vec(sub_gram_inv, [ip.pair(u, w) for u in comp]))
 
     return comp, sub_gram, to_local

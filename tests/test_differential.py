@@ -124,10 +124,19 @@
   field on H, U, O and B, on X1 and X2 over four Lorentzian planes and
   several seeds, and also on broken products (a sign flipped in the table,
   x y + x, X(a, b, c) + c), where the reports fail.  ``classify_g2``, which
-  reads delta phi = 0 off d *phi = 0, gives the report of the
-  ``codifferential`` version (``ref_classify_g2``) on random (1,1)
-  curvatures over flat T^6 and on the Iwasawa bundles, on a memo hit too,
-  and raises the same error when d is broken on 4-forms.
+  reads delta phi = 0 off d *phi = 0 and returns delta torsion = 0 by
+  d o d = 0, gives the report of the ``codifferential`` version
+  (``ref_classify_g2``) on random (1,1) curvatures over flat T^6 and on the
+  Iwasawa bundles, on a memo hit too, and raises the same error when d is
+  broken on 4-forms.
+* The paracomplex ``bridge.synthesize_compatible_ip`` reads the dual rows of
+  the eigenbases off the projectors (sqrt(lambda) -+ K) / (2 sqrt(lambda)).
+  Its Gram equals that of the eigenbasis inverse it replaced
+  (``ref_synthesize_para``), entry for entry and type for type, on 24
+  seeded c g^* omega_d with lambda a nonzero square, tall c included, under
+  both orientations.  ``lift_to_3fold`` reads its product through
+  1 + g^-1; it equals the product through ``linalg.inverse`` of 1 + g
+  (``ref_lift_product``) on random triples, phi of both orbits.
 """
 
 import itertools
@@ -148,7 +157,7 @@ from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible, stabilizer_rows, tall_invertible
 from test_framecalc import random_curvature
 from test_linalg import ref_rref
-from stableforms import compalg, vcp
+from stableforms import bridge, compalg, vcp
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -1042,7 +1051,7 @@ def ref_exact_canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     qf = q_form(phi, vol)
     sgn = 1 if qf.signature()[0] == 7 else -1
     ip = InnerProduct.from_rows(qf.B)
-    product = _product_from_form(phi, ip)
+    product = _product_from_form(phi, ip.inverse_gram())
 
     def cross(a, b) -> list:
         return [sgn * x for x in _integer_row(product(a, b))[0]]
@@ -1974,6 +1983,54 @@ def test_classify_g2_raises_like_the_codifferential_loop(rng, monkeypatch):
         expected = g2_report(ref_classify_g2, bundle(), su3)
         assert expected == (ArithmeticError, "delta phi != 0 on a special balanced base; internal error")
         assert g2_report(fc.classify_g2, bundle(), su3) == expected
+
+
+def ref_synthesize_para(ss) -> InnerProduct:
+    """The paracomplex ``bridge.synthesize_compatible_ip`` as it was: the eigenbases stacked
+    into H, G = H^-T [[0, I], [I, 0]] H^-1 with H inverted by ``linalg.inverse``."""
+    hinv = inverse([list(col) for col in zip(*(ss.eigenspace(-1) + ss.eigenspace(1)))])
+    pair = [[Fraction(int(abs(i - j) == 3)) for j in range(6)] for i in range(6)]
+    return InnerProduct.from_rows(mat_mul(transpose(hinv), mat_mul(pair, hinv)))
+
+
+def test_synthesize_compatible_ip_matches_the_eigenbasis_inverse(rng):
+    """c g^* omega_d with lambda = 4 d^3 a nonzero square, c = +-p/q and tall +-(p/q) 10^+-40."""
+    for trial in range(24):
+        c = rng.choice([1, -1]) * Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        if trial % 4 == 0:
+            c *= Fraction(10) ** rng.choice([-40, 40])
+        omega = c * pullback(random_invertible(rng, 6, 2), omega_d((1, 4, 9)[trial % 3]))
+        ss = scaled_structure(omega, VolumeForm.standard(6, rng.choice([1, -1])))
+        assert ss.is_para and sqrt_fraction(ss.lam.value) is not None
+        got, expected = bridge.synthesize_compatible_ip(ss), ref_synthesize_para(ss)
+        assert got == expected
+        assert [type(x) for row in got.gram for x in row] == [type(x) for row in expected.gram for x in row]
+
+
+def ref_lift_product(phi: AltForm, vol: VolumeForm, variant: str):
+    """The product of ``bridge.lift_to_3fold`` as it was: mu3 = beta ^ phi +- *phi read back
+    through ``linalg.inverse`` of the direct-sum Gram matrix 1 + g."""
+    gm = metric_from_phi(phi, vol)
+    shift = lambda f: AltForm(8, f.degree, {tuple(i + 1 for i in idx): c for idx, c in f.terms.items()})
+    eps = Fraction(1 if variant == "X1" else -1)
+    mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(hodge_star(phi, gm.ip, gm.vol))
+    g8 = [[Fraction(int(j == 0)) for j in range(8)]] + [[Fraction(0)] + list(r) for r in gm.ip.gram]
+    return _product_from_form(mu3, inverse(g8))
+
+
+def test_lift_to_3fold_matches_the_inverse_of_the_direct_sum(rng):
+    for trial in range(6):
+        c = rng.choice([1, -1]) * Fraction(rng.randint(1, 60), rng.randint(1, 60))
+        if trial % 3 == 0:
+            c *= Fraction(10) ** rng.choice([-40, 40])
+        base = (canonical_phi_minus(), canonical_phi_plus())[trial % 2]
+        phi = c * pullback(random_invertible(rng, 7, 2), base)
+        vol, variant = VolumeForm.standard(7, rng.choice([1, -1])), rng.choice(["X1", "X2"])
+        lift, expected = bridge.lift_to_3fold(phi, vol, variant), ref_lift_product(phi, vol, variant)
+        for _ in range(3):
+            vs = [[Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(8)] for _ in range(3)]
+            got, want = lift(*vs), expected(*vs)
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
 if __name__ == "__main__":
     json.dump({name: nabla_documents(name) for name in sorted(IWASAWA_F)}, sys.stdout,

@@ -25,7 +25,7 @@ The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
 On the construct side a ``verify_identities`` trial takes 17 products, 6
 conjugates and one inner product, a para check 8 + 5 per trial three-fold
-products, and ``classify_g2`` on a memo hit 4 Hodge stars and at most 3
+products, and ``classify_g2`` on a memo hit 2 Hodge stars and at most 3
 wedges, with the orientation derived once per pair and omega ^ omega wedged
 once per SU3Data.
 """
@@ -480,14 +480,62 @@ def test_the_six_dimensional_frames_invert_nothing(omega, rational, monkeypatch)
     omega = fresh(omega)
     lam = stable6.scaled_structure(omega, VOL6).lam.value
     assert (sqrt_fraction(lam) is not None) == rational
+    counts = sized_calls(monkeypatch, ((linalg, "rref"), *INVERSES))
+    stable6.canonicalize6(omega, VOL6)
+    assert counts == ({("rref", 6): 2} if rational else {})
+
+
+# every name under which the library reaches linalg.inverse
+INVERSES = ((linalg, "inverse"), (exteralg, "_inverse"), (vcp, "inverse"))
+
+
+def sized_calls(monkeypatch, targets) -> Counter:
+    """Calls of each (module, name) in targets, counted by name and the row count of the first argument."""
     counts = Counter()
-    for module, name in ((linalg, "rref"), (linalg, "inverse"), (exteralg, "_inverse")):
+    for module, name in targets:
         def counting(m, *args, _orig=getattr(module, name), _name=name, **kwargs):
             counts[_name, len(m)] += 1
             return _orig(m, *args, **kwargs)
         monkeypatch.setattr(module, name, counting)
-    stable6.canonicalize6(omega, VOL6)
-    assert counts == ({("rref", 6): 2} if rational else {})
+    return counts
+
+
+def test_the_paracomplex_gram_inverts_nothing(monkeypatch):
+    """synthesize_compatible_ip reads the dual rows of the two eigenbases off the projectors
+    (sqrt(lambda) -+ K) / (2 sqrt(lambda)): one 6-row rref per eigenspace and no inverse."""
+    ss = stable6.scaled_structure(fresh(OMEGA_PLUS), VOL6)
+    assert sqrt_fraction(ss.lam.value) is not None
+    counts = sized_calls(monkeypatch, ((linalg, "rref"), *INVERSES))
+    bridge.synthesize_compatible_ip(ss)
+    assert counts == {("rref", 6): 2}
+
+
+def test_lift_to_3fold_inverts_only_the_seven_dimensional_gram(monkeypatch):
+    """(1 + g)^-1 = 1 + g^-1, and the Hodge star has already inverted g."""
+    counts = sized_calls(monkeypatch, INVERSES)
+    lift = bridge.lift_to_3fold(fresh(PHI_MINUS), VOL7, "X2")
+    lift(*([Fraction(k + 1, 3) if k == i else 0 for k in range(8)] for i in range(3)))
+    assert counts == {("_inverse", 7): 1}
+
+
+@pytest.mark.parametrize("route,expected", [
+    ("vcp_to_stable7", {}), ("vcp_to_stable6", {("inverse", 6): 1}), ("reduce_by_unit_vector", {("inverse", 7): 1}),
+])
+def test_the_complement_gram_is_inverted_only_for_to_local(route, expected, monkeypatch):
+    """vcp_to_stable7 never maps a vector to complement coordinates, so it inverts nothing;
+    the other two routes invert the complement's Gram matrix once, however often they map."""
+    cp3 = vcp.cross_3fold(AlgebraTag.B, "X1")
+    e = [[int(i == k) for i in range(8)] for k in range(8)]
+    counts = sized_calls(monkeypatch, INVERSES)
+    if route == "vcp_to_stable7":
+        bridge.vcp_to_stable7(cp3, e[1])
+    elif route == "vcp_to_stable6":
+        bridge.vcp_to_stable6(cp3, e[1], e[5])
+    else:
+        product = vcp.reduce_by_unit_vector(cp3, e[1])
+        for x, y in ((e[1][1:], e[2][1:]), (e[3][1:], e[6][1:])):
+            product(x, y)
+    assert counts == expected
 
 
 @pytest.mark.parametrize("omega", [OMEGA_MINUS, OMEGA_MINUS_ROOT], ids=["square", "irrational"])
@@ -513,7 +561,7 @@ def test_one_inverse_per_gram_matrix(monkeypatch):
     """make_circle_bundle + classify_g2 + nabla_phi, the construct frame.g2 operation,
     inverts the Gram matrices of the base and of the total space once each."""
     inverted = Counter()
-    for module, name in ((exteralg, "_inverse"), (bridge, "inverse"), (vcp, "inverse")):
+    for module, name in ((exteralg, "_inverse"), (vcp, "inverse")):
         def counting(m, _orig=getattr(module, name)):
             inverted[tuple(map(tuple, m))] += 1
             return _orig(m)
@@ -604,12 +652,15 @@ def test_para_check_takes_five_products_per_trial(monkeypatch):
         assert counts["__call__"] == 8 + 5 * trials  # 8 build L
 
 
-def test_classify_g2_on_a_memo_hit_takes_four_stars(monkeypatch):
+def test_classify_g2_on_a_memo_hit_takes_two_stars(monkeypatch):
+    """The *phi check and the torsion; delta torsion is 0 by d o d = 0, not a codifferential."""
     cb, su3 = flat_bundle(), framecalc.standard_su3()
     framecalc.classify_g2(cb, su3)
     counts = counting(monkeypatch, framecalc, ("hodge_star", "wedge", "bundle_orientation"))
+    codifferentials = counting(monkeypatch, framecalc.FrameModel, ("codifferential",))
     framecalc.classify_g2(cb, su3)
-    assert counts["hodge_star"] == 4 and counts["wedge"] <= 3 and not counts["bundle_orientation"]
+    assert counts["hodge_star"] == 2 and counts["wedge"] <= 3 and not counts["bundle_orientation"]
+    assert not codifferentials
 
 
 def test_bundle_orientation_runs_once_per_derivation(monkeypatch):
