@@ -519,7 +519,9 @@ def test_lift_to_3fold_inverts_only_the_seven_dimensional_gram(monkeypatch):
 
 
 @pytest.mark.parametrize("route,expected", [
-    ("vcp_to_stable7", {}), ("vcp_to_stable6", {("inverse", 6): 1}), ("reduce_by_unit_vector", {("inverse", 7): 1}),
+    ("vcp_to_stable7", {}),
+    ("vcp_to_stable6", {("inverse", 6): 1}),
+    ("reduce_by_unit_vector", {("inverse", 7): 1}),
 ])
 def test_the_complement_gram_is_inverted_only_for_to_local(route, expected, monkeypatch):
     """vcp_to_stable7 never maps a vector to complement coordinates, so it inverts nothing;
