@@ -22,7 +22,7 @@ from typing import Sequence
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
-from .linalg import _clear, mat_mul
+from .linalg import _numerators, mat_mul
 from .scalars import cbrt_fraction, sqrt_fraction
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
@@ -160,9 +160,9 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
     s = sqrt_fraction(lam)
     if s is None:
         raise NotStableError("paracomplex synthesis needs sqrt(lambda) rational")
-    (r,), (den,) = _clear(v for row in km for v in row)
+    r, den = _numerators(km)
     t = int(s * den)  # an integer: R^2 = t^2 Id for R = den K, and (s -+ K)/(2s) = (t -+ R)/(2t)
-    x, y = ([[t * (i == f) + sign * c for i, c in enumerate(r[n * f:n * f + n])]
+    x, y = ([[t * (i == f) + sign * c for i, c in enumerate(r[f])]
              for f in (max(i for i, c in enumerate(v) if c) for v in ss.eigenspace(sign))]
             for sign in (-1, 1))
     g = [[Fraction(sum(a[i] * b[j] + b[i] * a[j] for a, b in zip(x, y)), 4 * t * t) for j in range(n)]

@@ -17,9 +17,9 @@ nabla_u on the coframe is read from the Levi-Civita table of
 ``covariant_table``: nabla_{f_u} e^j = -sum_k lifted[u][k][j] e^k.
 
 Each (circle bundle, SU(3) data) pair is derived once: the special-balanced
-check, phi and *phi, the orientation, <F, omega> and nabla phi are kept in the
-bundle's private memo for that SU3Data object, and ``classify_g2``
-(``build_g2``) and ``nabla_phi`` both read them from there.
+check, phi, *phi and its check by hodge_star, the orientation, <F, omega> and
+nabla phi are kept in the bundle's private memo for that SU3Data object, and
+``classify_g2``, ``build_g2`` and ``nabla_phi`` all read them from there.
 """
 
 from __future__ import annotations
@@ -280,16 +280,19 @@ class _Derivation:
 def _derivation(cb: CircleBundleModel, su3: SU3Data) -> _Derivation:
     """The pair's entry in ``cb._memo``, derived on first use.
 
-    A pair that fails the special-balanced check raises on every call and
-    leaves nothing in the memo.
+    A pair that fails the special-balanced check, or whose *phi is not the Hodge star of phi
+    on the product metric, raises PreconditionError on every call and leaves nothing in the memo.
     """
     entry = cb._memo.get(id(su3))
     if entry is not None:
         return entry[1]
     _check_special_balanced(cb, su3)
     phi, star_phi = _g2_forms(su3)
+    orientation = bundle_orientation(su3)
+    if cb.total.hodge(phi, orientation) != star_phi:
+        raise PreconditionError("su3 data is not metric-adapted: *phi mismatch")
     f_dot_omega = form_inner(cb.F, su3.omega, cb.base.ip())
-    derived = _Derivation(phi, star_phi, bundle_orientation(su3), f_dot_omega,
+    derived = _Derivation(phi, star_phi, orientation, f_dot_omega,
                           _nabla_phi(cb, su3, phi, star_phi, f_dot_omega))
     cb._memo[id(su3)] = (su3, derived)
     return derived
@@ -299,13 +302,10 @@ def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
     """phi = Omega1 - rho ^ omega and its Hodge dual Omega2 ^ rho - omega^2/2.
 
     The dual is also computed independently through hodge_star on the
-    product metric and must agree exactly.
+    product metric, once per derivation, and must agree exactly.
     """
     derived = _derivation(cb, su3)
-    phi, star_display = derived.phi, derived.star_phi
-    if cb.total.hodge(phi, derived.orientation) != star_display:
-        raise PreconditionError("su3 data is not metric-adapted: *phi mismatch")
-    return phi, star_display
+    return derived.phi, derived.star_phi
 
 
 @dataclass(frozen=True)
@@ -334,9 +334,8 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     and delta phi = +-*d*phi is 0 iff d *phi is, re-proved on every call.  The witness
     delta torsion = +-*d**d phi is 0: d o d is a derivation that ``FrameModel`` checks is 0 on e^k.
     """
-    phi, star_phi = build_g2(cb, su3)
     derived = _derivation(cb, su3)
-    total, orient = cb.total, derived.orientation
+    phi, star_phi, total, orient = derived.phi, derived.star_phi, cb.total, derived.orientation
     if not total.d(star_phi).is_zero:
         raise ArithmeticError("delta phi != 0 on a special balanced base; internal error")
     dphi = total.d(phi)

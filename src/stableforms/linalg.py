@@ -102,12 +102,18 @@ def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
     return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
 
 
+def _numerators(m) -> tuple[list[list[int]], int]:
+    """A square rational matrix as integer rows over one common denominator."""
+    (nums,), (den,) = _clear(x for row in m for x in row)
+    n = len(m)
+    return [nums[n * i:n * i + n] for i in range(n)], den
+
+
 def _sparse(m) -> tuple[tuple, int]:
     """The nonzero entries (i, j, c) of a square rational matrix, each c an
     integer numerator over the common denominator returned with them."""
-    (nums,), (den,) = _clear(x for row in m for x in row)
-    n = len(m)
-    return tuple((k // n, k % n, c) for k, c in enumerate(nums) if c), den
+    rows, den = _numerators(m)
+    return tuple((i, j, c) for i, row in enumerate(rows) for j, c in enumerate(row) if c), den
 
 
 def _bilinear(entries: tuple, u: Sequence, v: Sequence):

@@ -54,7 +54,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _contractions, _interior_wedges, _minor,
                        alt_form, pullback, wedge)
-from .linalg import _clear, nullspace, rank
+from .linalg import _clear, _numerators, nullspace, rank
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
 
@@ -127,12 +127,6 @@ def _root_kernel(m, lam: Fraction, sigma: int) -> list[tuple[list, list]]:
     return [([Fraction(sum(r[i][j] * x for j, x in zip(p, col)), delta) for i in range(6)],
              [Fraction(sigma * den * col[p.index(i)], delta) if i in p else Fraction(0) for i in range(6)])
             for col in adj]
-
-
-def _numerators(m) -> tuple[list[list[int]], int]:
-    """A 6 x 6 rational matrix as integer rows over one denominator."""
-    (nums,), (den,) = _clear(x for row in m for x in row)
-    return [nums[6 * i:6 * i + 6] for i in range(6)], den
 
 
 def _pair_minor(pairs: list, cols: list, lam: Fraction) -> QuadExt:

@@ -40,7 +40,7 @@ from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _check_shape, _interior_wedges,
                        _merge_signs, alt_form, pullback)
-from .linalg import _clear, _inertia_det
+from .linalg import _clear, _inertia_det, _numerators
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
 
@@ -237,8 +237,8 @@ def _canonicalize7(phi: AltForm) -> Canon7:
         raise NotStableError("canonicalize7 supports the O7_MINUS orbit only")
     sgn = 1 if signature[0] == 7 else -1
     # P = sgn den B, an integer positive definite matrix; P(u, v) = P u . v
-    (nums,), (den,) = _clear(x for row in b_matrix for x in row)
-    p = [[sgn * x for x in nums[7 * i:7 * i + 7]] for i in range(7)]
+    rows, den = _numerators(b_matrix)
+    p = [[sgn * x for x in row] for row in rows]
     (coeffs,), (d,) = _clear(phi.terms.values())  # phi = coeffs / d
     terms = [(i - 1, j - 1, k - 1, x) for (i, j, k), x in zip(phi.terms, coeffs)]
 

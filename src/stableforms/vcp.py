@@ -19,7 +19,7 @@ from .compalg import AlgebraTag, _add, _cd_conj, _mul, _norm_form, _over, _scale
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
 from .linalg import _bilinear, _clear
 from .linalg import det as _det
-from .linalg import inverse, mat_vec, nullspace, rank, transpose
+from .linalg import mat_vec, nullspace, rank, transpose
 from .scalars import rat
 
 Vector = tuple
@@ -193,20 +193,20 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
 
 
 def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list, Callable]:
-    """The ip-orthogonal complement of span(vectors), exactly.
+    """The ip-orthogonal complement of span(vectors), which must be mutually orthogonal and non-null.
 
-    Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix,
-    and the map to the complement coordinates of the orthogonal projection,
-    which inverts the Gram matrix on its first call.  The complement must be nondegenerate.
-    """
+    Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix, and the map from w to
+    the coordinates of its projection t = w - sum <v, w>/<v, v> v.  A basis vector is 1 on its own
+    free column and 0 on the other free columns, so those entries of t are its coordinates; that 1
+    is the vector's last nonzero entry, as an rref row is 0 left of its pivot."""
     comp = [tuple(v) for v in nullspace([mat_vec(ip.gram, v) for v in vectors], ncols=ip.dim)]
     sub_gram = [[ip.pair(u, v) for v in comp] for u in comp]
-    sub_gram_inv = []
+    free = [max(i for i, x in enumerate(u) if x) for u in comp]
+    norms = [ip.pair(v, v) for v in vectors]
 
     def to_local(w: Sequence) -> Vector:
-        if not sub_gram_inv:
-            sub_gram_inv[:] = inverse(sub_gram)
-        return tuple(mat_vec(sub_gram_inv, [ip.pair(u, w) for u in comp]))
+        coeffs = [ip.pair(v, w) / n for v, n in zip(vectors, norms)]
+        return tuple(w[f] - sum(c * v[f] for c, v in zip(coeffs, vectors)) for f in free)
 
     return comp, sub_gram, to_local
 

@@ -9,7 +9,7 @@ from conftest import rational_rotation
 from stableforms import bridge, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, pullback, wedge
-from stableforms.linalg import mat_mul
+from stableforms.linalg import inverse, mat_mul, mat_vec, nullspace
 from stableforms.stable6 import (OrbitClass6, adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat, canonical_omega_plus_4term,
                                  classify6, hat, scaled_structure, sorted_vol)
@@ -233,6 +233,77 @@ class TestVcpToStable6Orientation:
         for run in (bridge.vcp_to_stable6, ref_vcp_to_stable6):
             with pytest.raises(ArithmeticError, match="either orientation"):
                 run(bent, E8[0], b)
+
+
+def ref_basis(ip: InnerProduct, vectors: list) -> list:
+    """The nullspace basis of the covectors <v, .>, one vector per free column."""
+    return nullspace([mat_vec(ip.gram, v) for v in vectors], ncols=ip.dim)
+
+
+def ref_to_local(ip: InnerProduct, vectors: list, w) -> tuple:
+    """Complement coordinates through the inverse Gram matrix: G^-1 [<u_i, w>] on the basis
+    u_i of ``ref_basis``, with no use of ``vcp._complement``."""
+    comp = ref_basis(ip, vectors)
+    gram_inv = inverse([[ip.pair(u, v) for v in comp] for u in comp])
+    return tuple(mat_vec(gram_inv, [ip.pair(u, w) for u in comp]))
+
+
+def unit_vectors(tag: AlgebraTag) -> list:
+    """e_1..e_7 (<e, e> = +-1), and units off the basis: (3/5, 4/5) mixes of two basis vectors on O, and
+    x e_0 + y e_4 with x^2 - y^2 = 1 on B."""
+    units = E8[1:]
+    if tag == AlgebraTag.O:
+        co, si = Fraction(3, 5), Fraction(4, 5)
+        return units + [tuple(co if k == i else si if k == j else 0 for k in range(8))
+                        for i, j in ((0, 4), (1, 6), (2, 3), (5, 7))]
+    hyperbolic = [(Fraction(5, 4), Fraction(3, 4)), (Fraction(5, 3), Fraction(-4, 3)),
+                  (Fraction(13, 12), Fraction(5, 12)), (Fraction(-17, 8), Fraction(15, 8))]
+    return units + [tuple(x if k == 0 else y if k == 4 else 0 for k in range(8)) for x, y in hyperbolic]
+
+
+class TestComplementCoordinates:
+    """``vcp._complement``'s map reads the coordinates of the orthogonal projection off its
+    free-column entries; it must equal G^-1 [<u_i, w>] exactly, in Fractions, on unit vectors
+    and on planes, and so must the products built on it."""
+
+    @pytest.mark.parametrize("variant", ("X1", "X2"))
+    @pytest.mark.parametrize("tag", (AlgebraTag.O, AlgebraTag.B))
+    def test_to_local_matches_the_inverse_gram(self, tag, variant):
+        cp3 = vcp.cross_3fold(tag, variant)
+        rng = random.Random(f"to_local {tag.value} {variant}")
+        cases = [[a] for a in unit_vectors(tag)] + [list(plane) for plane in planes(tag, rng)]
+        for vectors in cases:
+            _, _, to_local = vcp._complement(cp3.ip, [vcp._vec(v) for v in vectors])
+            for _ in range(4):
+                w = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
+                got = to_local(w)
+                assert got == ref_to_local(cp3.ip, vectors, w), (vectors, w)
+                assert all(type(x) is Fraction for x in got)
+
+    @pytest.mark.parametrize("variant", ("X1", "X2"))
+    @pytest.mark.parametrize("tag", (AlgebraTag.O, AlgebraTag.B))
+    def test_plane_structure_matches_the_reference(self, tag, variant):
+        cp3 = vcp.cross_3fold(tag, variant)
+        for a, b in planes(tag, random.Random(f"J_P {tag.value} {variant}")):
+            a, b = vcp._vec(a), vcp._vec(b)
+            jp = LinearMap.from_columns([ref_to_local(cp3.ip, [a, b], [-c for c in cp3(a, b, v)])
+                                         for v in ref_basis(cp3.ip, [a, b])])
+            assert bridge.vcp_to_stable6(cp3, a, b).plane_structure == jp, (a, b)
+
+    @pytest.mark.parametrize("variant", ("X1", "X2"))
+    @pytest.mark.parametrize("tag", (AlgebraTag.O, AlgebraTag.B))
+    def test_reduced_product_matches_the_reference(self, tag, variant):
+        cp3 = vcp.cross_3fold(tag, variant)
+        rng = random.Random(f"reduce {tag.value} {variant}")
+        for a in (u for u in unit_vectors(tag) if cp3.ip.pair(u, u) == 1):
+            product = vcp.reduce_by_unit_vector(cp3, a)
+            columns = list(zip(*ref_basis(cp3.ip, [a])))
+            for _ in range(3):
+                x, y = ([Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)] for _ in range(2))
+                ambient = [tuple(mat_vec(columns, v)) for v in (x, y)]
+                got = product(x, y)
+                assert got == ref_to_local(cp3.ip, [a], cp3(a, *ambient)), (a, x, y)
+                assert all(type(c) is Fraction for c in got)
 
 
 class TestCompatibleIp:

@@ -16,6 +16,8 @@
   ``stable7`` one of ``stable7``: every other caller takes K and lambda,
   the hat, the orbit, the frame, the signature and the metric's volume form
   from the public calls.
+* No module but ``exteralg`` imports ``linalg.inverse``: every other caller
+  reads a Gram inverse from ``InnerProduct`` or needs none.
 """
 
 import ast
@@ -209,3 +211,36 @@ def test_guard_flags_a_stable6_private():
     assert private_uses(modules, "stable6.py") == ["framecalc.py: check: _hat",
                                                    "framecalc.py: size: _k_entry"]
     assert private_uses(modules, "stable7.py") == []
+
+
+INVERSE_OWNER = "exteralg.py"
+
+
+def inverse_uses(modules: dict) -> list[str]:
+    """Each import of ``inverse`` from ``linalg``, and each ``linalg.inverse`` attribute,
+    outside ``INVERSE_OWNER``: module and line."""
+    out = []
+    for name, tree in modules.items():
+        if name == INVERSE_OWNER:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "linalg":
+                out += [f"{name}: line {node.lineno}" for alias in node.names if alias.name == "inverse"]
+            elif (isinstance(node, ast.Attribute) and node.attr == "inverse"
+                  and isinstance(node.value, ast.Name) and node.value.id == "linalg"):
+                out.append(f"{name}: line {node.lineno}")
+    return out
+
+
+def test_only_exteralg_imports_the_inverse():
+    assert inverse_uses(MODULES) == []
+
+
+def test_guard_flags_an_inverse_import():
+    """The inverse check is not vacuous: it catches a planted import, renamed or not, and a
+    module attribute, and passes exteralg's own import and a method named inverse."""
+    vcp = ast.parse("from .linalg import mat_vec, inverse as _inv\n\nX = _inv\n")
+    bridge = ast.parse("from . import linalg\n\ndef f(m, k):\n    return linalg.inverse(m), k.inverse()\n")
+    own = ast.parse("from .linalg import inverse as _inverse\n")
+    assert inverse_uses({"vcp.py": vcp, "bridge.py": bridge, "exteralg.py": own}) == [
+        "vcp.py: line 1", "bridge.py: line 4"]

@@ -25,9 +25,9 @@ The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
 On the construct side a ``verify_identities`` trial takes 17 products, 6
 conjugates and one inner product, a para check 8 + 5 per trial three-fold
-products, and ``classify_g2`` on a memo hit 2 Hodge stars and at most 3
-wedges, with the orientation derived once per pair and omega ^ omega wedged
-once per SU3Data.
+products, and ``classify_g2`` on a memo hit 1 Hodge star and at most 3
+wedges, with *phi checked and the orientation derived once per pair and
+omega ^ omega wedged once per SU3Data.
 """
 
 import contextlib
@@ -486,7 +486,7 @@ def test_the_six_dimensional_frames_invert_nothing(omega, rational, monkeypatch)
 
 
 # every name under which the library reaches linalg.inverse
-INVERSES = ((linalg, "inverse"), (exteralg, "_inverse"), (vcp, "inverse"))
+INVERSES = ((linalg, "inverse"), (exteralg, "_inverse"))
 
 
 def sized_calls(monkeypatch, targets) -> Counter:
@@ -518,14 +518,10 @@ def test_lift_to_3fold_inverts_only_the_seven_dimensional_gram(monkeypatch):
     assert counts == {("_inverse", 7): 1}
 
 
-@pytest.mark.parametrize("route,expected", [
-    ("vcp_to_stable7", {}),
-    ("vcp_to_stable6", {("inverse", 6): 1}),
-    ("reduce_by_unit_vector", {("inverse", 7): 1}),
-])
-def test_the_complement_gram_is_inverted_only_for_to_local(route, expected, monkeypatch):
-    """vcp_to_stable7 never maps a vector to complement coordinates, so it inverts nothing;
-    the other two routes invert the complement's Gram matrix once, however often they map."""
+@pytest.mark.parametrize("route", ["vcp_to_stable7", "vcp_to_stable6", "reduce_by_unit_vector"])
+def test_the_complement_gram_is_never_inverted(route, monkeypatch):
+    """Complement coordinates are entries of the orthogonal projection, so no route inverts
+    the complement's Gram matrix, however often it maps."""
     cp3 = vcp.cross_3fold(AlgebraTag.B, "X1")
     e = [[int(i == k) for i in range(8)] for k in range(8)]
     counts = sized_calls(monkeypatch, INVERSES)
@@ -537,7 +533,7 @@ def test_the_complement_gram_is_inverted_only_for_to_local(route, expected, monk
         product = vcp.reduce_by_unit_vector(cp3, e[1])
         for x, y in ((e[1][1:], e[2][1:]), (e[3][1:], e[6][1:])):
             product(x, y)
-    assert counts == expected
+    assert counts == {}
 
 
 @pytest.mark.parametrize("omega", [OMEGA_MINUS, OMEGA_MINUS_ROOT], ids=["square", "irrational"])
@@ -563,11 +559,11 @@ def test_one_inverse_per_gram_matrix(monkeypatch):
     """make_circle_bundle + classify_g2 + nabla_phi, the construct frame.g2 operation,
     inverts the Gram matrices of the base and of the total space once each."""
     inverted = Counter()
-    for module, name in ((exteralg, "_inverse"), (vcp, "inverse")):
-        def counting(m, _orig=getattr(module, name)):
-            inverted[tuple(map(tuple, m))] += 1
-            return _orig(m)
-        monkeypatch.setattr(module, name, counting)
+
+    def counting(m, _orig=exteralg._inverse):
+        inverted[tuple(map(tuple, m))] += 1
+        return _orig(m)
+    monkeypatch.setattr(exteralg, "_inverse", counting)
     frame_g2(F_PRIMITIVE)
     assert sorted(len(m) for m in inverted) == [6, 7]
     assert set(inverted.values()) == {1}
@@ -586,12 +582,23 @@ def g2_outcome(cb, su3) -> tuple:
     return rep.as_dict(), rep.witnesses, framecalc.build_g2(cb, su3), framecalc.nabla_phi(cb, su3)
 
 
-@pytest.mark.parametrize("base,F,message", [
-    (framecalc.iwasawa_model(), alt_form(6, 2, {}), "d Omega2 != 0"),
-    (framecalc.flat_torus(6), alt_form(6, 2, {(1, 2): 1}), r"curvature is not of type \(1,1\)"),
-], ids=["unbalanced", "not (1,1)"])
-def test_a_failing_pair_raises_every_time_and_stores_nothing(base, F, message, calls):
-    cb, su3 = framecalc.make_circle_bundle(base, F), framecalc.standard_su3()
+def not_adapted_su3() -> framecalc.SU3Data:
+    """The standard triple with Omega2 + eta, where eta = Re((e1+ie4)^(e2+ie5)^(e3-ie6)) =
+    e123 + e156 - e246 - e345 is a primitive (2,1)-form: omega ^ eta = Omega1 ^ eta = 0, so the
+    SU3Data and special-balanced checks pass, but its *phi is not the Hodge star of its phi."""
+    su3 = framecalc.standard_su3()
+    eta = alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): 1, (2, 4, 6): -1, (3, 4, 5): -1})
+    return framecalc.SU3Data(su3.omega, su3.Omega1, su3.Omega2 + eta)
+
+
+@pytest.mark.parametrize("base,F,su3,message", [
+    (framecalc.iwasawa_model(), alt_form(6, 2, {}), framecalc.standard_su3, "d Omega2 != 0"),
+    (framecalc.flat_torus(6), alt_form(6, 2, {(1, 2): 1}), framecalc.standard_su3,
+     r"curvature is not of type \(1,1\)"),
+    (framecalc.flat_torus(6), alt_form(6, 2, {}), not_adapted_su3, "metric-adapted"),
+], ids=["unbalanced", "not (1,1)", "not adapted"])
+def test_a_failing_pair_raises_every_time_and_stores_nothing(base, F, su3, message, calls):
+    cb, su3 = framecalc.make_circle_bundle(base, F), su3()
     for call in (framecalc.classify_g2, framecalc.nabla_phi, framecalc.build_g2, framecalc.classify_g2):
         with pytest.raises(framecalc.PreconditionError, match=message):
             call(cb, su3)
@@ -654,14 +661,17 @@ def test_para_check_takes_five_products_per_trial(monkeypatch):
         assert counts["__call__"] == 8 + 5 * trials  # 8 build L
 
 
-def test_classify_g2_on_a_memo_hit_takes_two_stars(monkeypatch):
-    """The *phi check and the torsion; delta torsion is 0 by d o d = 0, not a codifferential."""
+def test_classify_g2_on_a_memo_hit_takes_one_star(monkeypatch):
+    """The torsion only: a fresh pair adds the *phi check of its derivation, and delta torsion
+    is 0 by d o d = 0, not a codifferential."""
     cb, su3 = flat_bundle(), framecalc.standard_su3()
-    framecalc.classify_g2(cb, su3)
     counts = counting(monkeypatch, framecalc, ("hodge_star", "wedge", "bundle_orientation"))
+    framecalc.classify_g2(cb, su3)
+    assert counts["hodge_star"] == 2
+    counts.clear()
     codifferentials = counting(monkeypatch, framecalc.FrameModel, ("codifferential",))
     framecalc.classify_g2(cb, su3)
-    assert counts["hodge_star"] == 2 and counts["wedge"] <= 3 and not counts["bundle_orientation"]
+    assert counts["hodge_star"] == 1 and counts["wedge"] <= 3 and not counts["bundle_orientation"]
     assert not codifferentials
 
 
