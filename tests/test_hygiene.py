@@ -237,7 +237,7 @@ def test_only_exteralg_imports_the_inverse():
 
 
 def test_guard_flags_an_inverse_import():
-    """The inverse check is not vacuous: it catches a planted import, renamed or not, and a
+    """The inverse check is not vacuous: it catches a planted renamed import and a
     module attribute, and passes exteralg's own import and a method named inverse."""
     vcp = ast.parse("from .linalg import mat_vec, inverse as _inv\n\nX = _inv\n")
     bridge = ast.parse("from . import linalg\n\ndef f(m, k):\n    return linalg.inverse(m), k.inverse()\n")
