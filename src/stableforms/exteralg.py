@@ -18,16 +18,20 @@ common denominator (the lcm of its denominators), the loops multiply and add
 Python ints only, and each output term becomes one ``Fraction``.  The wedge
 merge sign comes from the bitmap representation of multi-indices (bit i-1
 for index i; Dorst, Fontijne and Mann, *Geometric Algebra for Computer
-Science*, ch. 19).  On other values (the floats of ``stable7.canonicalize7``)
-``wedge``, ``contract`` and the minors of ``pullback`` up to 3 x 3 run as
-they are; larger minors, ``det``, ``inverse`` and ``divisor_space`` take
-rational entries only, in ``linalg``, and raise TypeError on others.
-``AltForm.__call__`` clears its vectors once and takes one integer minor
-per term.  ``_interior_wedges`` clears a form once and returns every
-i_{e_j} a and i_{e_j} a ^ a as integer dicts keyed by bitmask, the one
-kernel of K (``stable6``) and B (``stable7``); ``stable6.stabilizer_dim``
-reads the orbit off the ranks of both (the contractions: ``_contractions``).
-All three take rational values only.
+Science*, ch. 19).  A ``LinearMap`` clears its matrix once.  A rational
+pullback by a monomial map (one nonzero entry per row at most, as the G^-1
+that ``hodge_star`` and ``form_inner`` raise by, built once per
+``InnerProduct``) sends each term to one signed term, with no minor.  On
+other values (the floats of ``stable7.canonicalize7``) ``wedge``,
+``contract`` and the minors of ``pullback`` up to 3 x 3 run as they are;
+larger minors, ``det``, ``inverse`` and ``divisor_space`` take rational
+entries only, in ``linalg``, and raise TypeError on others.
+``AltForm.__call__`` clears its coefficients and vectors once.
+``_interior_wedges`` clears a form once and returns every i_{e_j} a and
+i_{e_j} a ^ a as integer dicts keyed by bitmask, the one kernel of K
+(``stable6``) and B (``stable7``); ``stable6.stabilizer_dim`` reads the
+orbit off the ranks of both (the contractions: ``_contractions``).  All
+three take rational values only.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import _bareiss, _clear, _pair, _sparse, inertia, mat_mul, mat_vec, nullspace
+from .linalg import _apply, _bareiss, _clear, _cleared, _pair, _sparse, inertia, mat_mul, nullspace
 from .linalg import det as _det
 from .linalg import inverse as _inverse
 from .scalars import rat
@@ -137,20 +141,19 @@ class AltForm:
     def __call__(self, *vectors: Sequence) -> Fraction:
         """Evaluate on `degree` many vectors given in coordinates.
 
-        The vectors are cleared once to integer numerators over their
-        denominators, and each term takes one integer minor (``_minor``) of
-        the rows it indexes; TypeError unless every entry is int or Fraction.
+        The coefficients and the vectors are cleared once to integer numerators, each
+        term adds its numerator times one integer minor (``_minor``) of the rows it
+        indexes, and the sum is divided once; TypeError unless all are int or Fraction.
         """
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
-        cleared, dens = _clear(*vectors)
+        (xs, *cleared), dens = _clear(self.terms.values(), *vectors)
         if dens is None:
-            raise TypeError("AltForm evaluation takes int or Fraction vector entries only")
+            raise TypeError("AltForm evaluation takes int or Fraction coefficients and vector entries only")
         rows = list(zip(*cleared))  # row i holds the i-th coordinates of the vectors
         cols = tuple(range(self.degree))
-        total = sum((c * _minor([rows[i - 1] for i in idx], cols) for idx, c in self.terms.items()),
-                    Fraction(0))
-        return total / math.prod(dens)
+        total = sum(c * _minor([rows[i - 1] for i in idx], cols) for idx, c in zip(self.terms, xs))
+        return Fraction(total, math.prod(dens))
 
     def __repr__(self):
         if not self.terms:
@@ -213,10 +216,14 @@ class LinearMap:
     def column(self, j: int) -> list:
         return [self.matrix[i][j] for i in range(self.dim_out)]
 
+    @functools.cached_property
+    def _rows(self) -> tuple:  # the matrix cleared once, for every apply and pullback
+        return _cleared(self.matrix)
+
     def apply(self, v: Sequence) -> list:
         if len(v) != self.dim_in:
             raise ValueError("vector length does not match the map's input dimension")
-        return mat_vec(self.matrix, v)
+        return _apply(self._rows, v)
 
     def compose(self, other: "LinearMap") -> "LinearMap":
         """self after other."""
@@ -259,8 +266,8 @@ class InnerProduct:
         return _sparse(self.gram)
 
     @functools.cached_property
-    def _inv(self) -> tuple:
-        return tuple(map(tuple, _inverse([list(r) for r in self.gram])))
+    def _raise(self) -> LinearMap:  # G^-1, the pullback of hodge_star and form_inner
+        return LinearMap.from_rows(_inverse([list(r) for r in self.gram]))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "InnerProduct":
@@ -282,7 +289,7 @@ class InnerProduct:
 
     def inverse_gram(self) -> list:
         """G^-1 as a fresh list of rows; the inverse is computed once per instance."""
-        return [list(r) for r in self._inv]
+        return [list(r) for r in self._raise.matrix]
 
     def signature(self) -> tuple[int, int]:
         pos, neg, zero = inertia([list(r) for r in self.gram])
@@ -457,8 +464,26 @@ def _minor(rows: list, cols: tuple):
     return _bareiss(m, det=True)
 
 
+def _monomial(rows: list, a: AltForm, nums: list) -> dict:
+    """g* a on integer rows with one nonzero entry each at most, a's numerators nums: e^I goes
+    to one signed term, 0 on a zero row or a repeated column; the keys come out sorted."""
+    image = [next(((1 << j, x) for j, x in enumerate(r) if x), (0, 0)) for r in rows]
+    out: dict = {}
+    for idx, c in zip(a.terms, nums):
+        m = 0
+        for bit, x in (image[i - 1] for i in idx):
+            c *= _merge_signs(m)[bit] * x
+            m |= bit
+        if c:
+            out[m] = out.get(m, 0) + c
+    return {_INDEX[m]: out[m] for m in sorted(out, key=_INDEX.__getitem__) if out[m]}
+
+
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
-    """(g* a)(v_1..v_p) = a(g v_1, .., g v_p); computed via p x p minors."""
+    """(g* a)(v_1..v_p) = a(g v_1, .., g v_p): e^I goes to sum_J det(g[I, J]) e^J, keys sorted.
+
+    Rational values take ``_monomial`` when no row of g has two nonzero entries (``LinearMap._rows``),
+    else the p x p minors (``_minor``) on integer numerators; other values take the minors as they are."""
     if g.dim_in != g.dim_out:
         raise ValueError("pullback needs a square map")
     if g.dim_in != a.dim:
@@ -466,8 +491,13 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
     n, p = a.dim, a.degree
     if p == 0:
         return a
-    (xa, xg), dens = _clear(a.terms.values(), (x for row in g.matrix for x in row))
-    rows = [xg[i * n:(i + 1) * n] for i in range(n)]
+    _, rows, den = g._rows
+    (xa,), dens = _clear(a.terms.values())
+    scale = None if den is None or dens is None else dens[0] * den ** p
+    if scale is None:
+        rows, xa = g.matrix, list(a.terms.values())
+    elif all(sum(map(bool, r)) < 2 for r in rows):
+        return AltForm(n, p, _over(scale, _monomial(rows, a, xa)))
     terms = [([rows[i - 1] for i in idx], c) for idx, c in zip(a.terms, xa)]
     out: dict = {}
     for jdx in itertools.combinations(range(n), p):
@@ -478,14 +508,14 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
                 total = total + c * d
         if total:
             out[tuple(j + 1 for j in jdx)] = total
-    return AltForm(n, p, _over(dens[0] * dens[1] ** p if dens else None, out))
+    return AltForm(n, p, _over(scale, out))
 
 
 def form_inner(a: AltForm, b: AltForm, ip: InnerProduct):
     """Induced inner product <e^I, e^J> = det(G^{-1}[I, J]): sum_I a_I (G^{-1}* b)_I."""
     if (a.dim, a.degree) != (b.dim, b.degree):
         raise ValueError("form shape mismatch")
-    raised = pullback(LinearMap.from_rows(ip.inverse_gram()), b).terms
+    raised = pullback(ip._raise, b).terms
     return sum((c * raised.get(idx, 0) for idx, c in a.terms.items()), Fraction(0))
 
 
@@ -496,12 +526,11 @@ def hodge_star(a: AltForm, ip: InnerProduct, vol: VolumeForm) -> AltForm:
     n, p = a.dim, a.degree
     v = vol.coefficient()
     # <e^I, a> = sum_J a_J det(G^{-1}[I, J]) is the pullback of a by the symmetric G^{-1}
-    raised = pullback(LinearMap.from_rows(ip.inverse_gram()), a)
+    raised = pullback(ip._raise, a)
     out: dict = {}
     for idx, coeff in raised.terms.items():
-        comp = tuple(i for i in range(1, n + 1) if i not in idx)
-        _, sign = sort_index(idx + comp)
-        out[comp] = sign * v * coeff
+        comp = _MASK[idx] ^ ((1 << n) - 1)
+        out[_INDEX[comp]] = _merge_signs(_MASK[idx])[comp] * v * coeff
     return AltForm(n, n - p, out)
 
 

@@ -11,8 +11,8 @@ The circle-bundle coordinates put the fiber form rho last (index 7 over a
 -e^{1..7}, under which the displayed Hodge dual Omega_2 ^ rho - omega^2/2
 comes out exactly.
 
-d and nabla_u share one Leibniz rule, ``_leibniz``, which extends their
-values on the coframe e^k to all forms (d has degree 1, nabla_u degree 0).
+d and nabla_u share one integer Leibniz rule, ``_leibniz``, which extends
+their values on the coframe e^k to all forms (d has degree 1, nabla_u 0).
 nabla_u on the coframe is read from the Levi-Civita table of
 ``covariant_table``: nabla_{f_u} e^j = -sum_k lifted[u][k][j] e^k.
 
@@ -30,9 +30,9 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import stable6
-from .exteralg import (AltForm, InnerProduct, PreconditionError, VolumeForm, alt_form,
-                       basis_form, form_inner, hodge_star, is_decomposable, sort_index, wedge)
-from .linalg import mat_mul, transpose
+from .exteralg import (_INDEX, _MASK, AltForm, InnerProduct, PreconditionError, VolumeForm, _merge_signs,
+                       alt_form, basis_form, form_inner, hodge_star, is_decomposable, wedge)
+from .linalg import _clear, mat_mul, transpose
 from .scalars import _float_root
 
 
@@ -42,20 +42,31 @@ def _matrix(a: AltForm) -> list:
     return [[a.coeff((i, j)) for j in range(1, n + 1)] for i in range(1, n + 1)]
 
 
-def _leibniz(a: AltForm, image, degree: int) -> AltForm:
-    """Extend e^k -> image(k) (a term dict) to all forms as a derivation of this degree.
+def _leibniz(a: AltForm, images: dict, degree: int) -> AltForm:
+    """Extend e^k -> images[k] (term dicts; 0 where k is missing) to all forms as a derivation.
 
-    The image of e^k replaces it in its slot, signed (-1)^(degree * position):
-    d has degree 1, nabla_u has degree 0.
+    The image e^J of e^k in slot pos of e^I is signed (-1)^(degree pos), and e^{I<} ^ e^J ^
+    e^{I>} = (-1)^(pos |J|) e^J ^ e^rest (rest = I - k), so with d of degree |J| - 1 = 1 and
+    nabla_u of degree 0 the sign is (-1)^pos _merge_signs(J)[rest].  Form and images are cleared
+    once and summed as ints on ``_MASK`` keys; TypeError unless all are int or Fraction.
     """
+    pairs = [(k, jdx) for k, im in images.items() for jdx in im]
+    (xa, xb), dens = _clear(a.terms.values(), (images[k][jdx] for k, jdx in pairs))
+    if dens is None:
+        raise TypeError("the Leibniz rule takes int or Fraction coefficients only")
+    table: dict = {}
+    for (k, jdx), x in zip(pairs, xb):
+        table.setdefault(1 << (k - 1), []).append((_merge_signs(_MASK[jdx]), _MASK[jdx], x))
     out: dict = {}
-    for idx, c in a.terms.items():
+    for idx, c in zip(a.terms, xa):
+        m = _MASK[idx]
         for pos, k in enumerate(idx):
-            for jdx, b in image(k).items():
-                key, sign = sort_index(idx[:pos] + jdx + idx[pos + 1:])
-                if sign:
-                    out[key] = out.get(key, 0) + (-1) ** (degree * pos) * sign * c * b
-    return AltForm(a.dim, a.degree + degree, {key: v for key, v in out.items() if v != 0})
+            rest = m ^ (1 << (k - 1))
+            for signs, mj, x in table.get(1 << (k - 1), ()):
+                if signs[rest]:
+                    out[rest | mj] = out.get(rest | mj, 0) + (-1) ** pos * signs[rest] * c * x
+    den = dens[0] * dens[1]
+    return AltForm(a.dim, a.degree + degree, {_INDEX[m]: Fraction(v, den) for m, v in out.items() if v})
 
 
 @dataclass(frozen=True)
@@ -92,7 +103,7 @@ class FrameModel:
         """Extend the declared coframe differentials by the Leibniz rule."""
         if a.dim != self.dim:
             raise ValueError("form does not live on this model")
-        return _leibniz(a, lambda k: self.d1[k].terms if k in self.d1 else {}, 1)
+        return _leibniz(a, {k: f.terms for k, f in self.d1.items()}, 1)
 
     def codifferential(self, a: AltForm, orientation: Fraction = Fraction(1)) -> AltForm:
         """delta = +-*d*, public API; no report calls it (delta torsion is 0 by d o d = 0).
@@ -446,10 +457,10 @@ def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltF
     table = covariant_table(cb)
     flat = all(x == 0 for m in table.base_gamma for r in m for x in r)
 
-    def coframe(u: int):
+    def coframe(u: int) -> dict:
         # nabla_{f_u} e^j = -sum_k lifted[u-1][k-1][j-1] e^k
         rows = table.lifted[u - 1]
-        return lambda j: {(k + 1,): -r[j - 1] for k, r in enumerate(rows) if r[j - 1] != 0}
+        return {j: {(k + 1,): -r[j - 1] for k, r in enumerate(rows) if r[j - 1] != 0} for j in range(1, 8)}
 
     derivatives = {u: _leibniz(phi, coframe(u), 0) for u in range(1, 8)}
     theta_expected = (f_dot_omega / 2) * _embed(su3.Omega2, 7)

@@ -16,10 +16,12 @@ integers, and three fraction-free eliminations do all the work:
 ``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
 numerators over one common denominator) and ``_pair`` (a bilinear form
 summed over its nonzero coefficients only) are the integer kernel of
-``exteralg``, ``compalg``, ``mat_mul`` and ``mat_vec``; ``_clear`` hands any
-other values back unchanged, for the one float caller, the residual pullback
-of ``stable7.canonicalize7``.  This module is exact only, with no float
-conversion or float function (a hygiene test checks it).
+``exteralg``, ``compalg`` and ``mat_mul``; ``_clear`` hands any other values
+back unchanged, for the one float caller, the residual pullback of
+``stable7.canonicalize7``.  A matrix applied many times is cleared once
+(``_cleared``) and each ``_apply`` clears only its vector, as ``mat_vec``
+does once.  This module is exact only, with no float conversion or float
+function (a hygiene test checks it).
 """
 
 from __future__ import annotations
@@ -48,13 +50,28 @@ def mat_mul(a, b) -> Matrix:
     return [[Fraction(x, dr * dc) for x, dc in zip(row, dens[n:])] for row, dr in zip(prod, dens[:n])]
 
 
+def _cleared(a) -> tuple:
+    """(a, its rows as integer numerators, their common denominator) for ``_apply``; the
+    denominator is None unless every entry is an int or a Fraction."""
+    (flat,), dens = _clear(x for row in a for x in row)
+    w = len(flat) // max(len(a), 1)
+    return a, [flat[i * w:(i + 1) * w] for i in range(len(a))], dens[0] if dens else None
+
+
+def _apply(m: tuple, v) -> list:
+    """a v for m = ``_cleared(a)``, clearing only v: on rational entries the sums run
+    on ints and each entry is one Fraction; other values take the same sums as they are."""
+    a, rows, den = m
+    if den is not None:
+        (cv,), dens = _clear(v)
+        if dens is not None:
+            return [Fraction(sum(map(operator.mul, row, cv)), den * dens[0]) for row in rows]
+    return [sum(map(operator.mul, row, v)) for row in a]
+
+
 def mat_vec(a, v) -> list:
-    """a v, on the integer kernel of ``mat_mul`` when the entries are rational."""
-    cleared, dens = _clear(*a, v)
-    prod = [sum(map(operator.mul, row, cleared[-1])) for row in cleared[:-1]]
-    if dens is None:
-        return prod
-    return [Fraction(x, dr * dens[-1]) for x, dr in zip(prod, dens[:-1])]
+    """a v, one ``_apply`` of a cleared for this product alone."""
+    return _apply(_cleared(a), v)
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
@@ -93,12 +110,13 @@ def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
     Returns the numerator lists and those lcms.  Unless every value is an int
     or a Fraction, the values come back unchanged with no denominators, and
     the caller's loop runs on them as they are (floats, in the residual
-    pullback of ``stable7.canonicalize7``).
+    pullback of ``stable7.canonicalize7``); ints and Fractions have a ``denominator``.
     """
     groups = [list(g) for g in groups]
-    if not all(isinstance(x, (int, Fraction)) for g in groups for x in g):
+    try:
+        dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
+    except AttributeError:
         return groups, None
-    dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
     return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
 
 

@@ -117,7 +117,23 @@
   10^+-200, and ``det`` and ``ref_det`` on B.
 * ``AltForm.__call__``, one integer minor per term, equals the
   determinant-per-term loop ``ref_eval`` on random forms of every degree in
-  dims 4, 6 and 7, and raises TypeError on float and QuadExt vectors.
+  dims 4, 6 and 7, and raises TypeError on float and QuadExt vectors and
+  float coefficients.  It clears the coefficients with the vectors and sums
+  ints, and equals the Fraction sum of integer minors it replaced
+  (``ref_fraction_sum_eval``) on forms with mixed denominators in dims 4 to 8.
+* ``pullback`` by a rational map with at most one nonzero entry per row
+  sends each term to one signed term, with no minor.  It equals the minors
+  of ``ref_pullback``, value for value, Fraction for Fraction and in sorted
+  key order, on permutation times diagonal maps with entries p/q of both
+  signs, on maps with a zero row and on maps with two rows on one column,
+  for every degree in dims 4, 6, 7 and 8.  Float maps keep the minors.
+* The integer Leibniz rule ``framecalc._leibniz`` (one ``_merge_signs`` read
+  per term) gives the dicts of the ``sort_index`` loop it replaced
+  (``ref_leibniz``), key order included: ``d`` on the Kodaira-Thurston and
+  Iwasawa models and a circle-bundle total space, and nabla_u from the
+  connection table of the Iwasawa bundles, on forms of every degree with
+  mixed, 10^e-scaled and int coefficients, and on nabla phi.  Float
+  coefficients raise TypeError.
 * ``verify_identities`` and ``verify_para_extension_identities``, which
   share each repeated product within a trial, give the reports of the loops
   they replaced (``ref_verify_identities``, ``ref_verify_para``) field for
@@ -157,7 +173,7 @@ from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible, stabilizer_rows, tall_invertible
 from test_framecalc import random_curvature
 from test_linalg import ref_rref
-from stableforms import bridge, compalg, vcp
+from stableforms import bridge, compalg, exteralg, vcp
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -165,8 +181,8 @@ from stableforms.cli import form_to_document
 from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
                                   _interior_wedges, _minor, alt_form, basis_form, contract, form_inner,
                                   hodge_star, pullback, sort_index, wedge)
-from stableforms.linalg import (_inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec, rank,
-                                transpose)
+from stableforms.linalg import (_clear, _inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec,
+                                rank, transpose)
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
 from stableforms.stable6 import (_UNSTABLE_STABILIZER, OrbitClass6, _k_entry, _re_im, _root_kernel, _times,
                                  canonical_omega_minus, canonical_omega_minus_hat, canonical_omega_plus,
@@ -1777,6 +1793,131 @@ def test_evaluation_matches_the_det_per_term_loop(rng):
         for bad in (0.5, QuadExt.of(1, 2)):
             with pytest.raises(TypeError):
                 form([bad] + [0] * (dim - 1), *([[1] * dim] * 2))
+        with pytest.raises(TypeError):
+            AltForm(dim, 1, {(1,): 0.5})([1] * dim)
+
+
+def ref_fraction_sum_eval(form: AltForm, *vectors):
+    """``AltForm.__call__`` before its coefficients were cleared: the integer minors of
+    the cleared vectors times the Fraction coefficients, summed in Fractions."""
+    cleared, dens = _clear(*vectors)
+    rows = list(zip(*cleared))
+    cols = tuple(range(form.degree))
+    total = sum((c * _minor([rows[i - 1] for i in idx], cols) for idx, c in form.terms.items()),
+                Fraction(0))
+    return total / math.prod(dens)
+
+
+def test_evaluation_matches_the_fraction_sum(rng):
+    for dim in (4, 6, 7, 8):
+        for p in range(dim + 1):
+            for kind in KINDS:
+                form = kernel_form(rng, dim, p, kind)
+                vectors = [kernel_matrix(rng, dim, kind).column(0) for _ in range(p)]
+                value = form(*vectors)
+                assert value == ref_fraction_sum_eval(form, *vectors) and type(value) is Fraction
+
+
+# -- the monomial pullback and the integer Leibniz rule ----------------------
+
+def monomial_map(rng: random.Random, n: int, kind: str) -> LinearMap:
+    """At most one nonzero entry p/q (either sign) per row: a permutation times a diagonal,
+    or with one zero row ("zero row"), or with two rows on one column ("collision")."""
+    cols = list(range(n))
+    rng.shuffle(cols)
+    entries = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 12)) for _ in range(n)]
+    if kind == "zero row":
+        entries[rng.randrange(n)] = Fraction(0)
+    elif kind == "collision":
+        i, j = rng.sample(range(n), 2)
+        cols[i] = cols[j]
+    return LinearMap.from_rows([[entries[i] if j == cols[i] else 0 for j in range(n)] for i in range(n)])
+
+
+@pytest.fixture
+def pullback_paths(monkeypatch) -> Counter:
+    """Calls of the two pullback kernels, ``_minor`` (per minor) and ``_monomial`` (per pullback)."""
+    counts = Counter()
+    for name in ("_minor", "_monomial"):
+        def counting(*args, _orig=getattr(exteralg, name), _name=name):
+            counts[_name] += 1
+            return _orig(*args)
+        monkeypatch.setattr(exteralg, name, counting)
+    return counts
+
+
+@pytest.mark.parametrize("kind", ["permutation", "zero row", "collision"])
+@pytest.mark.parametrize("n", [4, 6, 7, 8])
+def test_monomial_pullback_matches_the_minors(n, kind, rng, pullback_paths):
+    for p in range(n + 1):
+        for form_kind in (KINDS[p % 3], KINDS[(p + 1) % 3]):
+            a, g = kernel_form(rng, n, p, form_kind), monomial_map(rng, n, kind)
+            got, expected = pullback(g, a), ref_pullback(g, a)
+            assert got == expected
+            assert list(got.terms) == list(expected.terms) == sorted(got.terms)
+            assert p == 0 or all(type(c) is Fraction for c in got.terms.values())  # g^* a = a at p = 0
+    assert pullback_paths["_minor"] == 0 and pullback_paths["_monomial"] > 0
+
+
+def test_float_monomial_maps_take_the_minors(rng, pullback_paths):
+    """The degrees whose minors take floats (closed forms up to 3 x 3), as the residual of
+    ``canonicalize7`` does."""
+    g = LinearMap.from_rows([[float(x) for x in row] for row in monomial_map(rng, 7, "permutation").matrix])
+    for p in range(1, 4):
+        a = kernel_form(rng, 7, p, "mixed")
+        got, expected = pullback(g, a), ref_pullback(g, a)
+        assert list(got.terms) == list(expected.terms)
+        assert all(math.isclose(c, expected.terms[k], rel_tol=1e-12) for k, c in got.terms.items())
+    assert pullback_paths["_monomial"] == 0 and pullback_paths["_minor"] > 0
+
+
+def ref_leibniz(a: AltForm, image, degree: int) -> AltForm:
+    """``framecalc._leibniz`` before the integer rule: ``sort_index`` on every spliced index."""
+    out: dict = {}
+    for idx, c in a.terms.items():
+        for pos, k in enumerate(idx):
+            for jdx, b in image(k).items():
+                key, sign = sort_index(idx[:pos] + jdx + idx[pos + 1:])
+                if sign:
+                    out[key] = out.get(key, 0) + (-1) ** (degree * pos) * sign * c * b
+    return AltForm(a.dim, a.degree + degree, {key: v for key, v in out.items() if v != 0})
+
+
+def assert_same_order(got: AltForm, expected: AltForm):
+    assert (got.dim, got.degree) == (expected.dim, expected.degree)
+    assert list(got.terms.items()) == list(expected.terms.items())
+
+
+def nabla_images(name: str) -> dict:
+    """u -> {j: the terms of nabla_{f_u} e^j} on an Iwasawa bundle, from its connection table."""
+    lifted = fc.covariant_table(iwasawa_bundle(name)).lifted
+    return {u: {j: {(k + 1,): -r[j - 1] for k, r in enumerate(lifted[u - 1]) if r[j - 1]}
+                for j in range(1, 8)} for u in range(1, 8)}
+
+
+@pytest.mark.parametrize("name", ["iwasawa", "kodaira_thurston", "bundle"])
+def test_d_matches_the_sort_index_loop(name, rng):
+    model = models()[name]
+    image = lambda k: model.d1[k].terms if k in model.d1 else {}  # noqa: E731 - the replaced call
+    for p in range(model.dim + 1):
+        for kind in KINDS:
+            a = kernel_form(rng, model.dim, p, kind)
+            assert_same_order(model.d(a), ref_leibniz(a, image, 1))
+    with pytest.raises(TypeError, match="int or Fraction"):
+        model.d(AltForm(model.dim, 1, {(1,): 0.5}))
+
+
+@pytest.mark.parametrize("name", sorted(IWASAWA_F))
+def test_nabla_matches_the_sort_index_loop(name, rng):
+    images = nabla_images(name)
+    for u, coframe in images.items():
+        for p in range(8):
+            a = kernel_form(rng, 7, p, rng.choice(KINDS))
+            assert_same_order(fc._leibniz(a, coframe, 0), ref_leibniz(a, coframe.__getitem__, 0))
+    phi = fc.build_g2(iwasawa_bundle(name), iwasawa_su3())[0]
+    derivatives = fc.nabla_phi(iwasawa_bundle(name), iwasawa_su3()).derivatives
+    for u, coframe in images.items():
+        assert_same_order(derivatives[u], ref_leibniz(phi, coframe.__getitem__, 0))
 
 
 # -- the construct side computes each product once ---------------------------

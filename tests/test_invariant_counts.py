@@ -28,6 +28,12 @@ conjugates and one inner product, a para check 8 + 5 per trial three-fold
 products, and ``classify_g2`` on a memo hit 1 Hodge star and at most 3
 wedges, with *phi checked and the orientation derived once per pair and
 omega ^ omega wedged once per SU3Data.
+
+A matrix applied to many vectors is cleared once (``linalg._cleared``): a
+``LinearMap`` over all its ``apply`` and ``pullback`` calls (the L of a para
+check over its 30 applications), the G^-1 of a product read off a form over
+all its evaluations, and the raising map of an ``InnerProduct`` over all its
+Hodge stars and form inner products, which is built once.
 """
 
 import contextlib
@@ -751,3 +757,67 @@ def test_no_table_is_built_at_import():
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+# A matrix applied to many vectors is cleared once: a LinearMap keeps its cleared
+# rows for every apply and pullback, a product read off a form keeps its G^-1, and
+# an InnerProduct keeps the map that raises forms for its Hodge stars and inner
+# products of forms.
+
+@pytest.fixture
+def cleared(monkeypatch) -> Counter:
+    """Matrices cleared by ``linalg._cleared``, by row count, under every name that holds it."""
+    counts = Counter()
+
+    def counting(a, _orig=linalg._cleared):
+        counts[len(a)] += 1
+        return _orig(a)
+    for module in (linalg, exteralg, vcp):
+        monkeypatch.setattr(module, "_cleared", counting)
+    return counts
+
+
+def test_a_linear_map_clears_its_matrix_once(cleared):
+    rng = random.Random(3)
+    rows = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)] for _ in range(8)]
+    vectors = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(8)] for _ in range(5)]
+    expected = [linalg.mat_vec(rows, v) for v in vectors]
+    cleared.clear()
+    g = LinearMap.from_rows(rows)
+    assert [g.apply(v) for v in vectors] == expected
+    pullback(g, alt_form(8, 2, {(1, 2): 1, (3, 8): Fraction(-2, 3)}))
+    assert cleared == {8: 1}
+
+
+def test_a_para_check_clears_its_l_once(cleared):
+    """L is applied 30 times in 6 trials, and cleared once."""
+    e8 = [[int(i == k) for i in range(8)] for k in range(8)]
+    assert vcp.verify_para_extension_identities(vcp.cross_3fold(AlgebraTag.B, "X1"), e8[0], e8[4], 6).passed
+    assert cleared == {8: 1}
+
+
+@pytest.mark.parametrize("build,n", [
+    (lambda: stable7.cross_from_phi(fresh(PHI_MINUS), VOL7), 7),
+    (lambda: bridge.lift_to_3fold(fresh(PHI_MINUS), VOL7, "X2"), 8),
+], ids=["cross_from_phi", "lift_to_3fold"])
+def test_a_product_from_a_form_clears_its_inverse_gram_once(build, n, cleared):
+    product = build()
+    basis = [[Fraction(int(i == k), k + 1) for i in range(n)] for k in range(n)]
+    for k in range(4):
+        product(*(basis[(k + j) % n] for j in range(product.fold)))
+    assert cleared[n] == 1
+
+
+def test_an_inner_product_builds_its_raising_map_once(cleared, monkeypatch):
+    ip = exteralg.InnerProduct.diagonal([1, -1, 1, 1, -1, 1, 1])
+    counts = counting(monkeypatch, LinearMap, ("from_rows",))
+    for _ in range(3):
+        exteralg.hodge_star(PHI_MINUS, ip, VOL7)
+        exteralg.form_inner(PHI_MINUS, PHI_PLUS, ip)
+    assert counts == {"from_rows": 1} and cleared == {7: 1}
+
+
+def test_a_frame_model_clears_each_inverse_gram_once(cleared):
+    """The construct frame.g2 operation raises forms on the base and on the total space."""
+    frame_g2(F_PRIMITIVE)
+    assert cleared == {6: 1, 7: 1}

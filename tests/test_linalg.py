@@ -17,6 +17,9 @@
   QuadExt or a float entry, so neither reaches an integer division.
 * ``rref``, ``inverse`` and ``inertia`` on int entries are exact: Fractions,
   never floats, and the exact signature where float elimination misread it.
+* ``_clear``, which tells rational values by their ``denominator``, clears
+  int and Fraction groups and hands back a float group, a QuadExt group and
+  a rational group next to a float one as they are, with no denominators.
 """
 
 import random
@@ -31,7 +34,7 @@ from conftest import G6, stabilizer_rows
 from stableforms import stable6
 from stableforms.cli import parse_form_document
 from stableforms.exteralg import InnerProduct, LinearMap, basis_form, pullback
-from stableforms.linalg import det, inertia, inverse, mat_mul, nullspace, rank, rref
+from stableforms.linalg import _clear, det, inertia, inverse, mat_mul, nullspace, rank, rref
 from stableforms.scalars import QuadExt
 from stableforms.stable6 import canonical_omega_minus, canonical_omega_plus
 from test_cli_golden import DOCS
@@ -321,3 +324,20 @@ def test_inertia_of_int_rows_is_exact():
     assert inertia([[Fraction(x) for x in row] for row in sym]) == (1, 1, 1)
     # the hyperbolic pivot: every diagonal entry zero, an off-diagonal one not
     assert inertia([[0, 2, 0], [2, 0, 0], [0, 0, 0]]) == (1, 1, 1)
+
+
+def test_clear_reads_the_denominators():
+    assert _clear([Fraction(1, 2), 3], [Fraction(-2, 3), True]) == ([[1, 6], [-2, 3]], [2, 3])
+    assert _clear([], [7]) == ([[], [7]], [1, 1])
+
+
+@pytest.mark.parametrize("groups", [
+    ([0.5, 2.0],),
+    ([QuadExt.of(1, 2), QuadExt.root(Fraction(2))],),
+    ([Fraction(1, 3), 2], [Fraction(5, 7), 0.25]),
+], ids=["float", "quadext", "rational and float"])
+def test_clear_hands_other_values_back_unchanged(groups):
+    cleared, dens = _clear(*(iter(g) for g in groups))
+    assert dens is None
+    assert cleared == [list(g) for g in groups]
+    assert [[type(x) for x in g] for g in cleared] == [[type(x) for x in g] for g in groups]
