@@ -22,16 +22,18 @@ Science*, ch. 19).  A ``LinearMap`` clears its matrix once.  A rational
 pullback by a monomial map (one nonzero entry per row at most, as the G^-1
 that ``hodge_star`` and ``form_inner`` raise by, built once per
 ``InnerProduct``) sends each term to one signed term, with no minor.  On
-other values (the floats of ``stable7.canonicalize7``) ``wedge``,
+other values (floats, say; no library call passes one) ``wedge``,
 ``contract`` and the minors of ``pullback`` up to 3 x 3 run as they are;
 larger minors, ``det``, ``inverse`` and ``divisor_space`` take rational
 entries only, in ``linalg``, and raise TypeError on others.
 ``AltForm.__call__`` clears its coefficients and vectors once.
-``_interior_wedges`` clears a form once and returns every i_{e_j} a and
-i_{e_j} a ^ a as integer dicts keyed by bitmask, the one kernel of K
-(``stable6``) and B (``stable7``); ``stable6.stabilizer_dim`` reads the
-orbit off the ranks of both (the contractions: ``_contractions``).  All
-three take rational values only.
+``_interior_wedges`` clears a form once into a dense integer vector and
+reads every i_{e_j} a and i_{e_j} a ^ a, as integer dicts keyed by bitmask,
+off a signed index table of the nonzero term pairs, one per (n, p) and
+process (``_interior_table``): the one kernel of K (``stable6``) and B
+(``stable7``); ``stable6.stabilizer_dim`` reads the orbit off the ranks of
+both (the contractions: ``_contractions``).  All three take rational
+values only.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import _apply, _bareiss, _clear, _cleared, _pair, _sparse, inertia, mat_mul, nullspace
+from .linalg import (_apply, _bareiss, _clear, _cleared, _integer_row, _pair, _sparse, inertia, mat_mul,
+                     nullspace)
 from .linalg import det as _det
 from .linalg import inverse as _inverse
 from .scalars import rat
@@ -92,6 +95,9 @@ class AltForm:
         if self.degree < 0 or (self.degree > self.dim and self.terms):
             raise ValueError(f"degree {self.degree} invalid in dimension {self.dim}")
         for idx in self.terms:
+            # _MASK holds every sorted multi-index on R^MAX_DIM; the checks below run on a miss only
+            if len(idx) == self.degree and idx in _MASK and (not idx or idx[-1] <= self.dim):
+                continue
             if len(idx) != self.degree:
                 raise ValueError(f"index {idx} has wrong length for degree {self.degree}")
             if any(not (1 <= i <= self.dim) for i in idx):
@@ -258,7 +264,11 @@ class InnerProduct:
             for j in range(i):
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix is not symmetric")
-        if _det([list(r) for r in g]) == 0:
+        if any(g[i][j] for i in range(self.dim) for j in range(i)):
+            degenerate = _det([list(r) for r in g]) == 0
+        else:  # diagonal: degenerate when a row is zero (gcd 0); _integer_row rejects what det rejects
+            degenerate = not all(_integer_row(r)[1] for r in g)
+        if degenerate:
             raise ValueError("inner product is degenerate")
 
     @functools.cached_property
@@ -411,38 +421,59 @@ def contract(v, a: AltForm) -> AltForm:
     return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
 
 
-def _contractions(a: AltForm) -> tuple[list[tuple[int, int]], list[dict], int]:
-    """a cleared once to integer terms (mask, numerator) over the lcm d of its
-    denominators, and i_{e_j} a for j = 1..n as {mask: numerator over d} dicts.
+@functools.cache
+def _interior_table(n: int, p: int) -> tuple:
+    """For each j = 1..n, a row (I, s, A, right) for every p-index I containing j, as masks:
+    i_{e_j} e^I = s e^A with A = I - j, and right holds (C, t, A|C) for every p-index C
+    disjoint from A, with e^A ^ e^C = t e^(A|C).  At most 45 tables, since n <= MAX_DIM."""
+    masks = [_MASK[idx] for idx in itertools.combinations(range(1, n + 1), p)]
+    table = []
+    for bit in (1 << j for j in range(n)):
+        rows = []
+        for m in (m for m in masks if m & bit):
+            ma, signs = m ^ bit, _merge_signs(m ^ bit)  # s = (-1)^k, k the indices of I below j
+            rows.append((m, -1 if (m & (bit - 1)).bit_count() & 1 else 1, ma,
+                         tuple((mc, signs[mc], ma | mc) for mc in masks if not ma & mc)))
+        table.append(tuple(rows))
+    return tuple(table)
+
+
+def _contractions(a: AltForm) -> tuple[list[int], list[dict], int]:
+    """a cleared once to a dense vector of integer numerators over the lcm d of its
+    denominators, indexed by mask, and i_{e_j} a for j = 1..n as {mask: numerator
+    over d} dicts with no zero entry.
 
     TypeError unless every coefficient is an int or a Fraction.
     """
     (nums,), dens = _clear(a.terms.values())
     if dens is None:
         raise TypeError("the interior-wedge kernel takes int or Fraction coefficients only")
-    terms = [(_MASK[idx], x) for idx, x in zip(a.terms, nums)]
-    # i_{e_j} e^I = (-1)^k e^(I - j), k the number of indices of I below j
-    return terms, [{m ^ bit: -x if (m & (bit - 1)).bit_count() & 1 else x for m, x in terms if m & bit}
-                   for bit in (1 << j for j in range(a.dim))], dens[0]
+    x = [0] * (1 << a.dim)
+    for idx, c in zip(a.terms, nums):
+        x[_MASK[idx]] = c
+    return x, [{ma: s * x[m] for m, s, ma, _ in rows if x[m]}
+               for rows in _interior_table(a.dim, a.degree)], dens[0]
 
 
 def _interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
     """i_{e_j} a and i_{e_j} a ^ a for j = 1..n, as {mask: numerator} dicts.
 
     The contractions are ``_contractions``, numerators over d; the wedges
-    are numerators over d^2.  The one integer kernel of K (``stable6``) and
-    B (``stable7``).
+    are numerators over d^2, read off ``_interior_table``: no product for a
+    zero numerator, no ``_merge_signs`` read per term pair.  The one integer
+    kernel of K (``stable6``) and B (``stable7``).
     """
-    terms, contractions, d = _contractions(a)
+    x, contractions, d = _contractions(a)
     wedges = []
-    for left in contractions:
+    for rows, left in zip(_interior_table(a.dim, a.degree), contractions):
         out: dict = {}
-        for ml, x in left.items():
-            signs = _merge_signs(ml)
-            for m, y in terms:
-                sign = signs[m]
-                if sign:
-                    out[ml | m] = out.get(ml | m, 0) + sign * x * y
+        for _, _, ma, right in rows:
+            y = left.get(ma)
+            if y:
+                for mc, t, m in right:
+                    z = x[mc]
+                    if z:
+                        out[m] = out.get(m, 0) + t * y * z
         wedges.append(out)
     return contractions, wedges, d
 

@@ -17,10 +17,9 @@ integers, and three fraction-free eliminations do all the work:
 numerators over one common denominator) and ``_pair`` (a bilinear form
 summed over its nonzero coefficients only) are the integer kernel of
 ``exteralg``, ``compalg`` and ``mat_mul``; ``_clear`` hands any other values
-back unchanged, for the one float caller, the residual pullback of
-``stable7.canonicalize7``.  A matrix applied many times is cleared once
-(``_cleared``) and each ``_apply`` clears only its vector, as ``mat_vec``
-does once.  This module is exact only, with no float conversion or float
+back unchanged, though no library call passes one.  A matrix applied many
+times is cleared once (``_cleared``) and each ``_apply`` clears only its
+vector, as ``mat_vec`` does once.  This module is exact only, with no float conversion or float
 function (a hygiene test checks it).
 """
 
@@ -109,8 +108,8 @@ def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
 
     Returns the numerator lists and those lcms.  Unless every value is an int
     or a Fraction, the values come back unchanged with no denominators, and
-    the caller's loop runs on them as they are (floats, in the residual
-    pullback of ``stable7.canonicalize7``); ints and Fractions have a ``denominator``.
+    the caller's loop runs on them as they are (floats, say, which no library
+    call passes); ints and Fractions have a ``denominator``.
     """
     groups = [list(g) for g in groups]
     try:

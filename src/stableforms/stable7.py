@@ -5,11 +5,13 @@ an exact symmetric matrix B, built from the integer contractions and wedges
 of ``exteralg._interior_wedges``.  phi is stable exactly when det B != 0,
 and the absolute signature of B (7 or 1) decides the orbit (Hitchin,
 *Stable forms and special metrics*, 2001); ``_orbit7`` maps a signature to
-an orbit.  Floats enter in two places only, both through ``_float_root``:
+an orbit.  Floats enter in three places only: through ``_float_root``,
 the ninth root of the metric scale in ``metric_from_phi`` when it is not
-rational, and the eighteenth roots that normalize the exact Cayley frame
-of ``canonicalize7``.  B, the orbit decision, that frame and its check, and
-the induced cross product stay exact whenever the scale is.
+rational and the eighteenth roots that normalize the exact Cayley frame
+of ``canonicalize7``, and in that frame's residual, its own float loop
+(``_residual``); no float reaches an ``exteralg`` kernel.  B, the orbit
+decision, the frame and its check, and the induced cross product stay
+exact whenever the scale is.
 
 ``canonicalize7`` builds its Cayley frame on integers from B and phi: a
 fraction-free Gram-Schmidt basis gives B^-1, the frame's B-orthogonality
@@ -38,8 +40,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, _check_shape, _interior_wedges,
-                       _merge_signs, alt_form, pullback)
+from .exteralg import (AltForm, InnerProduct, VolumeForm, _check_shape, _interior_wedges, _merge_signs,
+                       _minor, alt_form)
 from .linalg import _clear, _inertia_det, _numerators
 from .scalars import _float_root, cbrt_fraction
 from .stable6 import NotStableError
@@ -182,6 +184,9 @@ def canonical_phi_minus() -> AltForm:
                            (1, 4, 5): 1, (2, 4, 6): 1, (3, 4, 7): 1})
 
 
+_PHI_MINUS = {idx: int(c) for idx, c in canonical_phi_minus().terms.items()}  # built once per process
+
+
 def canonical_phi_plus() -> AltForm:
     return alt_form(7, 3, {(1, 2, 3): 1, (1, 6, 7): 1, (2, 5, 7): -1, (3, 5, 6): 1,
                            (1, 4, 5): -1, (2, 4, 6): -1, (3, 4, 7): -1})
@@ -225,7 +230,10 @@ def canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     Floats enter only in the normalization: row a of the basis is n_a times
     row a of U^-1, where n_a, the metric length of u_a, has a rational 18th
     power.  ``residual`` reports the largest coefficient error of the float
-    round trip basis^* canonical_phi_minus() - phi; it checks nothing.
+    round trip basis^* canonical_phi_minus() - phi, summed from float 3 x 3
+    minors of the basis; it checks nothing.  When a coefficient of phi has
+    no float, it raises an OverflowError that names the residual and the
+    coefficient's power of 2.
     """
     _check_shape(phi, vol, 7)
     return _canonicalize7(phi)
@@ -284,12 +292,11 @@ def _canonicalize7(phi: AltForm) -> Canon7:
         wab = w.get((a, b)) or _interior_vector(m[a], u[b])
         for c in range(b + 1, 7):
             values[a + 1, b + 1, c + 1] = _dot(wab, u[c])
-    canonical = canonical_phi_minus()
-    if any(bool(x) != (idx in canonical.terms) for idx, x in values.items()) or any(
+    if any(bool(x) != (idx in _PHI_MINUS) for idx, x in values.items()) or any(
             (values[idx] > 0) != (c > 0)
             or Fraction(values[idx], d) ** 6 * d36
             != (norms[idx[0] - 1] * norms[idx[1] - 1] * norms[idx[2] - 1]) ** 3
-            for idx, c in canonical.terms.items()):
+            for idx, c in _PHI_MINUS.items()):
         raise ArithmeticError("the Cayley frame does not carry phi to the canonical form")
     # the check makes U^T P U = diag(P(u_a, u_a)), so row a of U^-1 is (P u_a)^T / P(u_a, u_a)
     basis = []
@@ -297,10 +304,29 @@ def _canonicalize7(phi: AltForm) -> Canon7:
         t = max(abs(x) for x in pv)  # n_a (P u_a / n) = (n_a t / n)(P u_a / t), both factors in float range
         r = _float_root(nrm ** 9 * Fraction(t, n) ** 18 / d36, 18)
         basis.append([x / t * r for x in pv])
-    back = pullback(LinearMap.from_rows(basis), canonical).terms
-    residual = max(abs(back.get(idx, 0) - float(phi.terms.get(idx, 0)))
+    return Canon7(basis, _residual(basis, phi))
+
+
+def _residual(basis: list, phi: AltForm) -> float:
+    """max |basis^* canonical_phi_minus() - phi| over the coefficients: float sums of
+    c * minor over the terms c e^I, in the order of the minor loop of ``exteralg.pullback``."""
+    terms = [([basis[i - 1] for i in idx], c) for idx, c in _PHI_MINUS.items()]
+    back = {}
+    for jdx in itertools.combinations(range(7), 3):
+        total = 0
+        for rows, c in terms:
+            d = _minor(rows, jdx)
+            if d:
+                total = total + c * d
+        if total:
+            back[tuple(j + 1 for j in jdx)] = total
+    try:
+        return max(abs(back.get(idx, 0) - float(phi.terms.get(idx, 0)))
                    for idx in back.keys() | phi.terms.keys())
-    return Canon7(basis, residual)
+    except OverflowError:
+        x = max(phi.terms.values(), key=abs)
+        e = x.numerator.bit_length() - x.denominator.bit_length()
+    raise OverflowError(f"canonicalize7 residual: coefficient near 2^{e} is outside the float range")
 
 
 def _dot(a: list, b: list) -> int:

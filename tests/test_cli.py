@@ -98,6 +98,16 @@ class TestClassify(object):
         assert len(payload["basis"]) == 7 and all(len(row) == 7 for row in payload["basis"])
         assert payload["residual"] <= 1e-9 * max(abs(float(c)) for c in phi.terms.values())
 
+    def test_canonicalize_seven_past_the_float_range_names_the_residual(self, tmp_path, capsys):
+        """10^400 phi_minus: exit 3 with the stage and the coefficient's power of 2 on stderr."""
+        phi = 10 ** 400 * canonical_phi_minus()
+        rc = main(["classify", write(tmp_path, "f.json", form_to_document(phi)), "--json", "--canonicalize"])
+        assert rc == EXIT_SHAPE
+        out, err = capsys.readouterr()
+        assert err == ("error: OverflowError: canonicalize7 residual: coefficient near 2^1328 is outside "
+                       "the float range\n")
+        assert out == ""
+
     def test_tall_unstable_full_support(self, tmp_path, capsys):
         # g^* (e123 + e456 + e147), g with entries m 10^e, |e| <= 200: det B = 0, stab_dim 18
         form = pullback(tall_invertible(random.Random(18), 7),

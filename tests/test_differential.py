@@ -61,7 +61,9 @@
   (``ref_exact_canonicalize7``: ``InnerProduct``, ``_product_from_form``,
   ``pullback``, ``LinearMap.inverse``) bit for bit, on c g^* phi_minus with
   c = +-p/q and tall +-10^40/q under both orientations, and on tied
-  candidates.
+  candidates.  The residual's own float loop gives the residual of the float
+  ``pullback`` it replaced (``ref_residual``) repr for repr, with the basis
+  repr for repr, at c = +-1, ~10^40 and ~10^100.
 * ``mat_mul`` and ``mat_vec`` on the integer kernel equal the Fraction loops
   they replaced (``ref_mat_mul``, ``ref_mat_vec``) on int, mixed-denominator,
   10^e-scaled (|e| <= 200), QuadExt and float entries and mixtures of them.
@@ -106,7 +108,13 @@
   ``ref_b_matrix``) entry for entry, every entry a Fraction, on c g^* forms of
   every classify kind (c = +-1, +-p/q, tall +-10^40/q and +-10^+-200),
   int-typed coefficients and sparse random forms; the kernel's dicts equal
-  ``contract`` and ``wedge`` term for term.
+  ``contract`` and ``wedge`` term for term.  The kernel reads an index table
+  per (n, p); it gives the d, the contractions and the nonzero wedge entries
+  of the loop with one ``_merge_signs`` read per term pair that it replaced
+  (``ref_interior_wedges``) for every 1 <= p <= n <= 8, on sparse, dense
+  mixed-denominator, int-typed and tall (~10^40) forms and on forms built
+  with an explicit zero coefficient, and raises TypeError on float and
+  QuadExt coefficients.
 * The fraction-free ``linalg.inertia`` equals the congruence loop over
   Fractions it replaced (``ref_inertia``) on random symmetric matrices of
   sizes 1..8: dense, low-rank, all-zero-diagonal (the hyperbolic step),
@@ -178,9 +186,9 @@ from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
 from stableforms.cli import form_to_document
-from stableforms.exteralg import (_INDEX, AltForm, InnerProduct, LinearMap, VolumeForm,
-                                  _interior_wedges, _minor, alt_form, basis_form, contract, form_inner,
-                                  hodge_star, pullback, sort_index, wedge)
+from stableforms.exteralg import (_INDEX, _MASK, AltForm, InnerProduct, LinearMap, VolumeForm,
+                                  _interior_wedges, _merge_signs, _minor, alt_form, basis_form, contract,
+                                  form_inner, hodge_star, pullback, sort_index, wedge)
 from stableforms.linalg import (_clear, _inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec,
                                 rank, transpose)
 from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
@@ -1101,6 +1109,27 @@ def ref_exact_canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     return Canon7(basis, residual)
 
 
+def ref_residual(basis: list, phi: AltForm) -> float:
+    """The residual of ``canonicalize7`` before its own loop: the float pullback of
+    phi_minus by the basis through ``exteralg.pullback``, and its largest error."""
+    back = pullback(LinearMap.from_rows(basis), canonical_phi_minus()).terms
+    return max(abs(back.get(idx, 0) - float(phi.terms.get(idx, 0)))
+               for idx in back.keys() | phi.terms.keys())
+
+
+@pytest.mark.parametrize("scale", [1, 10 ** 40, 10 ** 100], ids=["1", "1e40", "1e100"])
+def test_residual_matches_the_float_pullback_bit_for_bit(scale, rng):
+    """The residual loop of canonicalize7 gives the residual of the float pullback, and
+    the basis it reads is the Fraction frame's, repr for repr, under both orientations."""
+    for k in range(8):
+        c = (-1) ** k * scale * (Fraction(rng.randint(1, 60), rng.randint(1, 60)) if k > 1 else 1)
+        phi = phi_minus_sample(rng, c)
+        vol = VolumeForm.standard(7, (-1) ** (k // 2))
+        got, expected = canonicalize7(phi, vol), ref_exact_canonicalize7(phi, vol)
+        assert [repr(x) for row in got.basis for x in row] == [repr(x) for row in expected.basis for x in row]
+        assert repr(got.residual) == repr(ref_residual(got.basis, phi)) == repr(expected.residual)
+
+
 def ref_project(ip: InnerProduct, v: list, onto: list) -> list:
     for u in onto:
         c = ip.pair(v, u) / ip.pair(u, u)
@@ -1698,6 +1727,65 @@ def test_interior_wedges_match_contract_and_wedge(rng):
                 assert got == wedge(cj, a).terms
     with pytest.raises(TypeError):
         _interior_wedges(alt_form(6, 3, {(1, 2, 3): QuadExt.of(1, 2)}))
+
+
+def ref_interior_wedges(a: AltForm) -> tuple[list[dict], list[dict], int]:
+    """``_interior_wedges`` before its index table: the form cleared to (mask, numerator)
+    terms, and one ``_merge_signs`` read per pair of a contraction term and a term."""
+    (nums,), dens = _clear(a.terms.values())
+    if dens is None:
+        raise TypeError("the interior-wedge kernel takes int or Fraction coefficients only")
+    terms = [(_MASK[idx], x) for idx, x in zip(a.terms, nums)]
+    contractions = [{m ^ bit: -x if (m & (bit - 1)).bit_count() & 1 else x for m, x in terms if m & bit}
+                    for bit in (1 << j for j in range(a.dim))]
+    wedges = []
+    for left in contractions:
+        out: dict = {}
+        for ml, x in left.items():
+            signs = _merge_signs(ml)
+            for m, y in terms:
+                sign = signs[m]
+                if sign:
+                    out[ml | m] = out.get(ml | m, 0) + sign * x * y
+        wedges.append(out)
+    return contractions, wedges, dens[0]
+
+
+def table_kernel_forms(rng: random.Random, n: int, p: int) -> list:
+    """Degree-p forms on R^n: sparse, dense with mixed denominators, int-typed, tall
+    (~10^40), and dense built by ``AltForm`` with an explicit zero coefficient."""
+    idxs = list(itertools.combinations(range(1, n + 1), p))
+
+    def mixed() -> Fraction:
+        return Fraction(rng.choice([-1, 1]) * rng.randint(1, 99), rng.choice([1, 2, 3, 4, 7, 12, 35, 9973]))
+
+    def form(count: int, coefficient) -> AltForm:
+        return AltForm(n, p, {i: coefficient() for i in rng.sample(idxs, count)})
+    with_zero = dict(form(len(idxs), mixed).terms)
+    with_zero[rng.choice(idxs)] = Fraction(0)
+    return [form(min(2, len(idxs)), mixed), form(len(idxs), mixed),
+            form(len(idxs), lambda: rng.choice([-1, 1]) * rng.randint(1, 10 ** 6)),
+            form(len(idxs), lambda: mixed() * 10 ** 40 + rng.randint(-9, 9)), AltForm(n, p, with_zero)]
+
+
+def nonzero(dicts: list) -> list:
+    return [{k: x for k, x in d.items() if x} for d in dicts]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_interior_table_matches_the_merge_sign_loop(n, rng):
+    """Every (n, p) with 1 <= p <= n: the same d, the same contractions (with no zero
+    entry) and the same wedges on their nonzero entries."""
+    for p in range(1, n + 1):
+        for a in table_kernel_forms(rng, n, p):
+            contractions, wedges, d = _interior_wedges(a)
+            ref_contractions, ref_wedges, ref_d = ref_interior_wedges(a)
+            assert d == ref_d
+            assert contractions == nonzero(ref_contractions)
+            assert nonzero(wedges) == nonzero(ref_wedges)
+        for bad in (0.5, QuadExt.of(1, 2)):
+            with pytest.raises(TypeError):
+                _interior_wedges(AltForm(n, p, {tuple(range(1, p + 1)): bad}))
 
 
 def random_symmetric(rng: random.Random, n: int, kind: str) -> list:

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,19 @@ class TestHodge:
         with pytest.raises(ValueError):
             InnerProduct.diagonal([1, 1, 0, 1, 1, 1])
 
+    @pytest.mark.parametrize("gram", [((1, 0, 0), (0, 0, 0), (0, 0, Fraction(-2, 3))),
+                                      ((Fraction(0), 0), (0, 5))], ids=["int", "Fraction zero"])
+    def test_a_zero_on_a_diagonal_gram_is_degenerate(self, gram):
+        """A diagonal Gram is decided by its diagonal entries, with the det's message."""
+        with pytest.raises(ValueError, match="^inner product is degenerate$"):
+            InnerProduct(len(gram), gram)
+
+    @pytest.mark.parametrize("gram", [((1.0, 0), (0, 1)), ((1, 0.0), (0.0, 1)), ((1, 0.5), (0.5, 1))],
+                             ids=["float diagonal", "float zero", "float off-diagonal"])
+    def test_a_float_gram_is_rejected(self, gram):
+        with pytest.raises(TypeError):
+            InnerProduct(2, gram)
+
     def test_g2_dual_display(self):
         # the classical 4-form partner of the 7-dimensional 3-form, with the
         # distinguished covector e4 and the plain sorted volume
@@ -246,3 +260,25 @@ class TestEvaluation:
         a = alt_form(4, 2, {(1, 2): 1})
         assert a([1, 0, 0, 0], [0, 1, 0, 0]) == 1
         assert a([0, 1, 0, 0], [1, 0, 0, 0]) == -1
+
+
+@pytest.mark.parametrize("dim,degree,idx,message", [
+    (6, 3, (1, 2), "index (1, 2) has wrong length for degree 3"),
+    (6, 3, (0, 1, 2), "index (0, 1, 2) out of range 1..6"),
+    (6, 3, (1, 2, 7), "index (1, 2, 7) out of range 1..6"),
+    (8, 3, (7, 8, 9), "index (7, 8, 9) out of range 1..8"),
+    (6, 3, (2, 1, 3), "index (2, 1, 3) is not strictly increasing"),
+    (6, 3, (1, 1, 2), "index (1, 1, 2) is not strictly increasing"),
+    (2, 3, (1, 2, 3), "degree 3 invalid in dimension 2"),
+], ids=["wrong length", "index 0", "index dim+1", "index 9", "not increasing", "repeated", "degree > dim"])
+def test_a_bad_key_names_what_is_wrong(dim, degree, idx, message):
+    """A key outside the table of sorted multi-indices gets the detailed checks and their messages."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        AltForm(dim, degree, {idx: 1})
+
+
+def test_every_sorted_key_in_range_is_accepted():
+    for dim in range(9):
+        for degree in range(dim + 1):
+            keys = list(itertools.combinations(range(1, dim + 1), degree))
+            assert AltForm(dim, degree, dict.fromkeys(keys, 1)).terms.keys() == set(keys)

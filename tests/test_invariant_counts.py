@@ -15,8 +15,10 @@ system; the classify order
 (stabilizer_dim, q_form().signature(), classify7, canonicalize7,
 metric_from_phi) builds B once and eliminates it once per form under c = 1
 and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
-rref or Bareiss elimination and takes one pullback (its float residual); a
-frame model inverts each Gram matrix once.  The O6_MINUS frame takes one
+rref or Bareiss elimination and takes no pullback; a frame model inverts
+each Gram matrix once, and ``InnerProduct.diagonal`` takes no determinant.
+A classify run builds the index table of the K and B kernel once per
+dimension.  The O6_MINUS frame takes one
 pullback (its check) and no hat or wedge, and ``stable6_to_7`` takes no hat.
 Neither 6-dimensional frame inverts a matrix; at an irrational sqrt(lambda)
 neither runs an rref, and at a rational one O6_PLUS runs one per eigenspace.
@@ -420,8 +422,8 @@ def test_one_signature_per_form_in_the_classify_order(c, calls):
 
 def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, calls):
     """With B, det B and the signature of B in the memo, as in the classify order, the
-    Cayley frame inverts nothing, runs no rref or Bareiss elimination and takes one
-    pullback, the float residual; B is still eliminated once."""
+    Cayley frame inverts nothing, runs no rref or Bareiss elimination and takes no
+    pullback (its float residual has a loop of its own); B is still eliminated once."""
     phi = fresh(PHI_MINUS)
     stable6.stabilizer_dim(phi)
     stable7.q_form(phi, VOL7).signature()
@@ -434,7 +436,7 @@ def test_canonicalize7_takes_no_elimination_on_a_full_memo(monkeypatch, dets, ca
                     return _orig(*args, **kwargs)
                 monkeypatch.setattr(module, name, counting)
     stable7.canonicalize7(phi, VOL7)
-    assert counts == {"pullback": 1}
+    assert counts == {}
     assert len(dets) == calls["_inertia_det"] == 1
 
 
@@ -573,6 +575,30 @@ def test_one_inverse_per_gram_matrix(monkeypatch):
     frame_g2(F_PRIMITIVE)
     assert sorted(len(m) for m in inverted) == [6, 7]
     assert set(inverted.values()) == {1}
+
+
+def test_a_diagonal_gram_takes_no_determinant(monkeypatch):
+    """InnerProduct.diagonal, under every cross_2fold/cross_3fold and every fresh
+    FrameModel.ip, reads nondegeneracy off the diagonal; a dense Gram takes its det."""
+    dets = []
+    monkeypatch.setattr(exteralg, "_det", lambda m, _orig=exteralg._det: dets.append(m) or _orig(m))
+    exteralg.InnerProduct.diagonal([1, -2, Fraction(3, 4), 1, 1, 1, -1])
+    vcp.cross_2fold(AlgebraTag.O)
+    vcp.cross_3fold(AlgebraTag.B, "X1")
+    framecalc.flat_torus(6).ip()
+    assert dets == []
+    exteralg.InnerProduct(2, ((2, 1), (1, 1)))
+    assert len(dets) == 1
+
+
+def test_a_classify_run_builds_each_index_table_once():
+    """The K and B kernel reads one index table per dimension, built on first use and
+    read by every later form."""
+    exteralg._interior_table.cache_clear()
+    for form in (OMEGA_PLUS, OMEGA_MINUS, PHI_MINUS, PHI_PLUS, pullback(G7, alt_form(7, 3, {(1, 2, 3): 1}))):
+        classify_canonicalize(fresh(form))
+    info = exteralg._interior_table.cache_info()
+    assert (info.misses, info.currsize) == (2, 2) and info.hits > 0
 
 
 # The pair memo: each SU3Data object on a bundle is derived once, a pair that

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -228,6 +229,18 @@ class TestCanonicalize:
     def test_split_not_supported(self):
         with pytest.raises(NotStableError):
             canonicalize7(canonical_phi_plus(), VOL)
+
+    @pytest.mark.parametrize("phi,e", [
+        (10 ** 400 * canonical_phi_minus(), 1328),
+        (Fraction(-10 ** 400, 3) * canonical_phi_minus(), 1327),
+        (AltForm(7, 3, {i: 10 ** 400 * int(x) for i, x in canonical_phi_minus().terms.items()}), 1328),
+    ], ids=["1e400", "-1e400/3", "int 1e400"])
+    def test_a_coefficient_past_the_float_range_names_the_residual(self, phi, e):
+        """The exact frame holds; the residual has no float of phi and says so, with the
+        largest coefficient's power of 2."""
+        message = f"canonicalize7 residual: coefficient near 2^{e} is outside the float range"
+        with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
+            canonicalize7(phi, VOL)
 
     def test_frame_check_fails_closed(self, rng):
         """A frame built on the B of another O7_MINUS form psi does not carry phi to
