@@ -18,8 +18,8 @@ and c = -1.  With that memo full, ``canonicalize7`` inverts nothing, runs no
 rref or Bareiss elimination and takes no pullback; a frame model inverts
 each Gram matrix once, and ``InnerProduct.diagonal`` takes no determinant.
 A classify run builds the index table of the K and B kernel once per
-dimension.  The O6_MINUS frame takes one
-pullback (its check) and no hat or wedge, and ``stable6_to_7`` takes no hat.
+dimension.  The O6_MINUS frame takes one pullback (its check) and no hat
+or wedge, and ``stable6_to_7`` takes no hat.
 Neither 6-dimensional frame inverts a matrix; at an irrational sqrt(lambda)
 neither runs an rref, and at a rational one O6_PLUS runs one per eigenspace.
 
