@@ -10,8 +10,7 @@ in an algebra runs the rule once on every pair of int unit vectors and
 keeps the n x n table of (k, s) for its doubling signs (``_table``), and the
 tables are snapshot tested downstream.  ``multiply`` clears both operands
 to integer numerators over one denominator each and makes one pass over the
-table; coordinates that are not int or Fraction (floats, quadratic
-irrationals) take the same pass as they are.
+table; it takes int and Fraction coordinates only (TypeError on others).
 """
 
 from __future__ import annotations
@@ -140,7 +139,7 @@ def _table(signs: tuple[int, ...]) -> tuple:
 
 
 def _mul(table: tuple, x: Sequence, y: Sequence) -> list:
-    """Coordinates of x y by the structure constants, on ints or field values."""
+    """Coordinates of x y by the structure constants, on integer numerators."""
     out = [0] * len(x)
     for xi, row in zip(x, table):
         if xi:
@@ -150,10 +149,8 @@ def _mul(table: tuple, x: Sequence, y: Sequence) -> list:
     return out
 
 
-def _over(dens: list[int] | None, nums: Sequence) -> tuple:
-    """Numerators over the product of the operands' denominators; field values (None) as they are."""
-    if dens is None:
-        return tuple(nums)
+def _over(dens: list[int], nums: Sequence) -> tuple:
+    """Numerators over the product of the operands' denominators."""
     den = math.prod(dens)
     return tuple(Fraction(x, den) for x in nums)
 

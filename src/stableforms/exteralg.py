@@ -12,28 +12,26 @@ Conventions fixed here and inherited by every other module:
   carries the orientation choice.
 
 Coefficients are Fractions (ints are accepted as input).  ``wedge``,
-``contract`` and ``pullback`` (hence ``hodge_star``) are integer-cleared on
-rational input: each operand is written as integer numerators over one
-common denominator (the lcm of its denominators), the loops multiply and add
-Python ints only, and each output term becomes one ``Fraction``.  The wedge
-merge sign comes from the bitmap representation of multi-indices (bit i-1
-for index i; Dorst, Fontijne and Mann, *Geometric Algebra for Computer
-Science*, ch. 19).  A ``LinearMap`` clears its matrix once.  A rational
-pullback by a monomial map (one nonzero entry per row at most, as the G^-1
-that ``hodge_star`` and ``form_inner`` raise by, built once per
-``InnerProduct``) sends each term to one signed term, with no minor.  On
-other values (floats, say; no library call passes one) ``wedge``,
-``contract`` and the minors of ``pullback`` up to 3 x 3 run as they are;
-larger minors, ``det``, ``inverse`` and ``divisor_space`` take rational
-entries only, in ``linalg``, and raise TypeError on others.
+``contract`` and ``pullback`` (hence ``hodge_star``) are integer-cleared:
+each operand is written as integer numerators over one common denominator
+(the lcm of its denominators), the loops multiply and add Python ints only,
+and each output term becomes one ``Fraction``.  The wedge merge sign comes
+from the bitmap representation of multi-indices (bit i-1 for index i;
+Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch.
+19).  A ``LinearMap`` clears its matrix once.  A pullback by a monomial map
+(one nonzero entry per row at most, as the G^-1 that ``hodge_star`` and
+``form_inner`` raise by, built once per ``InnerProduct``) sends each term to
+one signed term, with no minor.  Every kernel here takes int and Fraction
+values only: a float or a quadratic irrational raises TypeError in
+``linalg._clear``.  ``_minor`` alone stays type-agnostic up to 3 x 3, for
+the float residual of ``stable7``.
 ``AltForm.__call__`` clears its coefficients and vectors once.
 ``_interior_wedges`` clears a form once into a dense integer vector and
 reads every i_{e_j} a and i_{e_j} a ^ a, as integer dicts keyed by bitmask,
 off a signed index table of the nonzero term pairs, one per (n, p) and
 process (``_interior_table``): the one kernel of K (``stable6``) and B
 (``stable7``); ``stable6.stabilizer_dim`` reads the orbit off the ranks of
-both (the contractions: ``_contractions``).  All three take rational
-values only.
+both.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import (_apply, _bareiss, _clear, _cleared, _integer_row, _pair, _sparse, inertia, mat_mul,
+from .linalg import (_apply, _bareiss, _clear, _integer_row, _numerators, _pair, _sparse, inertia, mat_mul,
                      nullspace)
 from .linalg import det as _det
 from .linalg import inverse as _inverse
@@ -154,8 +152,6 @@ class AltForm:
         if len(vectors) != self.degree:
             raise ValueError(f"expected {self.degree} vectors, got {len(vectors)}")
         (xs, *cleared), dens = _clear(self.terms.values(), *vectors)
-        if dens is None:
-            raise TypeError("AltForm evaluation takes int or Fraction coefficients and vector entries only")
         rows = list(zip(*cleared))  # row i holds the i-th coordinates of the vectors
         cols = tuple(range(self.degree))
         total = sum(c * _minor([rows[i - 1] for i in idx], cols) for idx, c in zip(self.terms, xs))
@@ -224,7 +220,7 @@ class LinearMap:
 
     @functools.cached_property
     def _rows(self) -> tuple:  # the matrix cleared once, for every apply and pullback
-        return _cleared(self.matrix)
+        return _numerators(self.matrix)
 
     def apply(self, v: Sequence) -> list:
         if len(v) != self.dim_in:
@@ -345,10 +341,8 @@ def _check_shape(form: AltForm, vol: VolumeForm, n: int):
         raise ValueError(f"volume form must live on the same {n}-space")
 
 
-def _over(den: int | None, nums: dict) -> dict:
-    """Accumulated numerators as Fractions over den; field values (den None) as they are."""
-    if den is None:
-        return nums
+def _over(den: int, nums: dict) -> dict:
+    """Accumulated numerators as Fractions over den."""
     return {k: Fraction(s, den) for k, s in nums.items()}
 
 
@@ -389,7 +383,7 @@ def wedge(a: AltForm, b: AltForm) -> AltForm:
                 else:
                     out.pop(m, None)
     terms = {_INDEX[m]: s for m, s in out.items()}
-    return AltForm(a.dim, deg, _over(dens[0] * dens[1] if dens else None, terms))
+    return AltForm(a.dim, deg, _over(dens[0] * dens[1], terms))
 
 
 def contract(v, a: AltForm) -> AltForm:
@@ -418,7 +412,7 @@ def contract(v, a: AltForm) -> AltForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1] if dens else None, out))
+    return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1], out))
 
 
 @functools.cache
@@ -442,12 +436,8 @@ def _contractions(a: AltForm) -> tuple[list[int], list[dict], int]:
     """a cleared once to a dense vector of integer numerators over the lcm d of its
     denominators, indexed by mask, and i_{e_j} a for j = 1..n as {mask: numerator
     over d} dicts with no zero entry.
-
-    TypeError unless every coefficient is an int or a Fraction.
     """
     (nums,), dens = _clear(a.terms.values())
-    if dens is None:
-        raise TypeError("the interior-wedge kernel takes int or Fraction coefficients only")
     x = [0] * (1 << a.dim)
     for idx, c in zip(a.terms, nums):
         x[_MASK[idx]] = c
@@ -513,21 +503,19 @@ def _monomial(rows: list, a: AltForm, nums: list) -> dict:
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
     """(g* a)(v_1..v_p) = a(g v_1, .., g v_p): e^I goes to sum_J det(g[I, J]) e^J, keys sorted.
 
-    Rational values take ``_monomial`` when no row of g has two nonzero entries (``LinearMap._rows``),
-    else the p x p minors (``_minor``) on integer numerators; other values take the minors as they are."""
+    On integer numerators (``LinearMap._rows``): ``_monomial`` when no row of g has two
+    nonzero entries, else the p x p minors (``_minor``)."""
     if g.dim_in != g.dim_out:
         raise ValueError("pullback needs a square map")
     if g.dim_in != a.dim:
         raise ValueError("map and form dimensions differ")
     n, p = a.dim, a.degree
+    rows, den = g._rows
+    (xa,), (da,) = _clear(a.terms.values())
     if p == 0:
         return a
-    _, rows, den = g._rows
-    (xa,), dens = _clear(a.terms.values())
-    scale = None if den is None or dens is None else dens[0] * den ** p
-    if scale is None:
-        rows, xa = g.matrix, list(a.terms.values())
-    elif all(sum(map(bool, r)) < 2 for r in rows):
+    scale = da * den ** p
+    if all(sum(map(bool, r)) < 2 for r in rows):
         return AltForm(n, p, _over(scale, _monomial(rows, a, xa)))
     terms = [([rows[i - 1] for i in idx], c) for idx, c in zip(a.terms, xa)]
     out: dict = {}

@@ -52,8 +52,6 @@ def _leibniz(a: AltForm, images: dict, degree: int) -> AltForm:
     """
     pairs = [(k, jdx) for k, im in images.items() for jdx in im]
     (xa, xb), dens = _clear(a.terms.values(), (images[k][jdx] for k, jdx in pairs))
-    if dens is None:
-        raise TypeError("the Leibniz rule takes int or Fraction coefficients only")
     table: dict = {}
     for (k, jdx), x in zip(pairs, xb):
         table.setdefault(1 << (k - 1), []).append((_merge_signs(_MASK[jdx]), _MASK[jdx], x))

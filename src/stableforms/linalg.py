@@ -16,11 +16,12 @@ integers, and three fraction-free eliminations do all the work:
 ``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
 numerators over one common denominator) and ``_pair`` (a bilinear form
 summed over its nonzero coefficients only) are the integer kernel of
-``exteralg``, ``compalg`` and ``mat_mul``; ``_clear`` hands any other values
-back unchanged, though no library call passes one.  A matrix applied many
-times is cleared once (``_cleared``) and each ``_apply`` clears only its
-vector, as ``mat_vec`` does once.  This module is exact only, with no float conversion or float
-function (a hygiene test checks it).
+``exteralg``, ``compalg`` and ``mat_mul``; ``_clear`` raises TypeError on any
+value that is not an int or a Fraction, so every kernel on it takes rational
+values only.  A matrix applied many times is cleared once (``_numerators``)
+and each ``_apply`` clears only its vector, as ``mat_vec`` does once.  This
+module is exact only, with no float conversion or float function (a hygiene
+test checks it).
 """
 
 from __future__ import annotations
@@ -38,39 +39,25 @@ def transpose(m) -> Matrix:
 
 
 def mat_mul(a, b) -> Matrix:
-    """a b, one sum of products per entry; on rational entries the rows of a and
-    columns of b are cleared first, so the sums run on ints, and each entry is
-    built as one Fraction."""
+    """a b, one sum of products per entry: the rows of a and columns of b are cleared
+    first, so the sums run on ints, and each entry is built as one Fraction."""
     n = len(a)
     cleared, dens = _clear(*a, *transpose(b))
     prod = [[sum(map(operator.mul, row, col)) for col in cleared[n:]] for row in cleared[:n]]
-    if dens is None:
-        return prod
     return [[Fraction(x, dr * dc) for x, dc in zip(row, dens[n:])] for row, dr in zip(prod, dens[:n])]
 
 
-def _cleared(a) -> tuple:
-    """(a, its rows as integer numerators, their common denominator) for ``_apply``; the
-    denominator is None unless every entry is an int or a Fraction."""
-    (flat,), dens = _clear(x for row in a for x in row)
-    w = len(flat) // max(len(a), 1)
-    return a, [flat[i * w:(i + 1) * w] for i in range(len(a))], dens[0] if dens else None
-
-
 def _apply(m: tuple, v) -> list:
-    """a v for m = ``_cleared(a)``, clearing only v: on rational entries the sums run
-    on ints and each entry is one Fraction; other values take the same sums as they are."""
-    a, rows, den = m
-    if den is not None:
-        (cv,), dens = _clear(v)
-        if dens is not None:
-            return [Fraction(sum(map(operator.mul, row, cv)), den * dens[0]) for row in rows]
-    return [sum(map(operator.mul, row, v)) for row in a]
+    """a v for m = ``_numerators(a)``, clearing only v: the sums run on ints and each
+    entry is one Fraction."""
+    rows, den = m
+    (cv,), (dv,) = _clear(v)
+    return [Fraction(sum(map(operator.mul, row, cv)), den * dv) for row in rows]
 
 
 def mat_vec(a, v) -> list:
     """a v, one ``_apply`` of a cleared for this product alone."""
-    return _apply(_cleared(a), v)
+    return _apply(_numerators(a), v)
 
 
 def rref(m) -> tuple[Matrix, list[int]]:
@@ -103,27 +90,26 @@ def rref(m) -> tuple[Matrix, list[int]]:
     return [[Fraction(x, prev) if x else Fraction(0) for x in row] for row in a], pivots
 
 
-def _clear(*groups: Iterable) -> tuple[list[list], list[int] | None]:
+def _clear(*groups: Iterable) -> tuple[list[list], list[int]]:
     """Each group of values as integer numerators over the lcm of its denominators.
 
-    Returns the numerator lists and those lcms.  Unless every value is an int
-    or a Fraction, the values come back unchanged with no denominators, and
-    the caller's loop runs on them as they are (floats, say, which no library
-    call passes); ints and Fractions have a ``denominator``.
+    Returns the numerator lists and those lcms; TypeError unless every value is
+    an int or a Fraction (the values that have a ``denominator``).
     """
     groups = [list(g) for g in groups]
     try:
         dens = [math.lcm(*[x.denominator for x in g]) for g in groups]
     except AttributeError:
-        return groups, None
+        bad = next(x for g in groups for x in g if not hasattr(x, "denominator"))
+        raise TypeError(f"expected int or Fraction values, got {type(bad).__name__}") from None
     return [[x.numerator * (d // x.denominator) for x in g] for g, d in zip(groups, dens)], dens
 
 
 def _numerators(m) -> tuple[list[list[int]], int]:
-    """A square rational matrix as integer rows over one common denominator."""
+    """A rational matrix as integer rows over one common denominator."""
     (nums,), (den,) = _clear(x for row in m for x in row)
-    n = len(m)
-    return [nums[n * i:n * i + n] for i in range(n)], den
+    w = len(nums) // max(len(m), 1)
+    return [nums[w * i:w * i + w] for i in range(len(m))], den
 
 
 def _sparse(m) -> tuple[tuple, int]:
@@ -138,17 +124,12 @@ def _bilinear(entries: tuple, u: Sequence, v: Sequence):
     return sum(c * u[i] * v[j] for i, j, c in entries)
 
 
-def _pair(form: tuple, u: Sequence, v: Sequence):
-    """u^T M v for ``form = _sparse(M)``, summed over the nonzero entries of M only.
-
-    A Fraction on rational u and v, from one sum of integer products; other
-    coordinates (floats) take the same sum as they are.
-    """
+def _pair(form: tuple, u: Sequence, v: Sequence) -> Fraction:
+    """u^T M v for ``form = _sparse(M)``, summed over the nonzero entries of M only:
+    one sum of integer products, one Fraction."""
     entries, den = form
     (cu, cv), dens = _clear(u, v)
-    if dens is not None:
-        return Fraction(_bilinear(entries, cu, cv), den * dens[0] * dens[1])
-    return _bilinear([(i, j, Fraction(c, den)) for i, j, c in entries], u, v)
+    return Fraction(_bilinear(entries, cu, cv), den * dens[0] * dens[1])
 
 
 def _integer_row(row) -> tuple[list[int], int, int]:

@@ -24,7 +24,8 @@ TypeError on any other (a float, a QuadExt).
 
 The invariants are taken at e^{1..6} and scaled on read.  The form's
 private ``AltForm._memo`` holds one entry, (K, lambda), made on first use
-by ``_k_entry`` (at lambda = 0 also "wedges", its i_{e_j} Omega ^ Omega).
+by ``_k_entry`` (at lambda = 0 also "wedges", its i_{e_j} Omega and
+i_{e_j} Omega ^ Omega).
 ``k_endo`` alone reads it: against c e^{1..6} it returns the
 ``ScaledStructure`` (K/c, lambda/c^2), lambda = 0 included, and every
 other call takes K and lambda from it.  Forms never change, so a race on
@@ -40,7 +41,7 @@ one integer adjugate and no elimination (``_root_kernel``); the projectors
 
 ``stabilizer_dim`` (dim 6 and 7) asks ``classify6`` or ``stable7.classify7``
 whether a form is stable, then reads an unstable form's complex orbit, and
-with it the answer, off two integer ranks, the second of the kept "wedges".
+with it the answer, off the integer ranks of the kept "wedges".
 """
 
 from __future__ import annotations
@@ -52,8 +53,8 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _contractions, _interior_wedges, _minor,
-                       alt_form, pullback, wedge)
+from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _interior_wedges, _minor, alt_form,
+                       pullback, wedge)
 from .linalg import _clear, _numerators, nullspace, rank
 from .scalars import QuadExt, _float_root, sqrt_fraction
 
@@ -174,7 +175,7 @@ def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
     on its integer numerators R over d^2: K^2 = lambda Id is checked as
     6 (R^2)_ij = tr(R^2) delta_ij, and lambda = tr(R^2) / (6 d^4).
     """
-    _, wedges, d = _interior_wedges(omega)
+    contractions, wedges, d = _interior_wedges(omega)
     # K e_j = -sum_i (-1)^(i-1) w_(1..6 without i) e_i; i counts from 0 below, bit i for index i + 1
     rows = [[(1 if i & 1 else -1) * w.get(0b111111 ^ 1 << i, 0) for w in wedges] for i in range(6)]
     cols = list(zip(*rows))
@@ -183,7 +184,7 @@ def _k_entry(omega: AltForm) -> tuple[LinearMap, Fraction]:
     if any(6 * r2[i][j] != (tr if i == j else 0) for i in range(6) for j in range(6)):
         raise ArithmeticError("K^2 != lambda Id; inconsistent input")
     if not tr:  # only an unstable form's stabilizer_dim reads them
-        omega._memo["wedges"] = wedges
+        omega._memo["wedges"] = contractions, wedges
     K = LinearMap(6, 6, tuple(tuple(Fraction(x, d * d) for x in row) for row in rows))
     return K, Fraction(tr, 6 * d ** 4)
 
@@ -399,8 +400,9 @@ def stabilizer_dim(form: AltForm) -> int:
         stable = classify7(form, _STANDARD_VOL7) != OrbitClass7.NOT_STABLE
     if stable:
         return n * n - math.comb(n, 3)
-    w = _rank_of(_contractions(form)[1])
-    r = _rank_of(form._memo["wedges"]) if w >= 6 else int(w == 5)
+    contractions, wedges = form._memo["wedges"]
+    w = _rank_of(contractions)
+    r = _rank_of(wedges) if w >= 6 else int(w == 5)
     return _UNSTABLE_STABILIZER[n, w, r]
 
 

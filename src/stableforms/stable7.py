@@ -22,10 +22,10 @@ The invariants are taken at e^{1..7} and scaled on read.  The form's
 private ``AltForm._memo`` holds one entry, (B, the signature of B, det B),
 made on first use by one kernel pass and one symmetric elimination
 (``linalg._inertia_det``), and at det B = 0 a second, "wedges", the pass's
-i_{e_j} phi ^ phi.  Against c e^{1..7}, ``q_form`` returns B/c and
-stores the entry's signature, pos and neg swapped when c < 0.  The metric,
-the Cayley frame and ``stable6.stabilizer_dim`` depend on phi alone and
-read the entry as it is.  Forms never change, so a race on the memo only
+i_{e_j} phi and i_{e_j} phi ^ phi.  Against c e^{1..7}, ``q_form`` returns
+B/c and stores the entry's signature, pos and neg swapped when c < 0.  The
+metric, the Cayley frame and ``stable6.stabilizer_dim`` depend on phi alone
+and read the entry as it is.  Forms never change, so a race on the memo only
 computes the same entry twice.  phi must have int or Fraction coefficients:
 every public call here raises TypeError on any other (a float, say).
 """
@@ -100,7 +100,7 @@ def _b_matrix(phi: AltForm) -> tuple:
         for j in range(i):
             if b[i][j] != b[j][i]:
                 raise ArithmeticError("Q form came out asymmetric")
-    phi._memo["wedges"] = wedges
+    phi._memo["wedges"] = contractions, wedges
     return b
 
 

@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 from .compalg import AlgebraTag, _add, _cd_conj, _mul, _norm_form, _over, _scale, _table
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
-from .linalg import _apply, _bilinear, _clear, _cleared
+from .linalg import _apply, _bilinear, _clear, _numerators
 from .linalg import det as _det
 from .linalg import mat_vec, nullspace, rank, transpose
 from .scalars import rat
@@ -112,7 +112,7 @@ def fundamental_form(cp: CrossProduct) -> FundamentalForm:
 def _product_from_form(mu: AltForm, ginv: list) -> Callable:
     """The r-fold product X with <X(v_1..v_r), w> = mu(v_1..v_r, w), inverting
     ``fundamental_form``: X = G^{-1} (i_{v_r} .. i_{v_1} mu), G^{-1} given and cleared once."""
-    rows = _cleared(ginv)
+    rows = _numerators(ginv)
 
     def ev(*vectors: Vector) -> Vector:
         one = mu
@@ -182,7 +182,7 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
     if na != 1:
         raise ValueError("reduction vector must satisfy <a,a> = 1 exactly")
     comp_t, sub_gram, to_local = _complement(cp3.ip, [a])
-    basis_cols = _cleared(transpose(comp_t))
+    basis_cols = _numerators(transpose(comp_t))
 
     def to_ambient(x: Vector) -> Vector:
         return tuple(_apply(basis_cols, x))

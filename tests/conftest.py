@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from stableforms.exteralg import LinearMap, alt_form
+from stableforms.exteralg import AltForm, LinearMap, alt_form
 from stableforms.framecalc import SU3Data
 
 PYTHAGOREAN = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (20, 21, 29)]
@@ -68,6 +68,43 @@ def stabilizer_rows(form) -> list[list[Fraction]]:
             row[(p - 1) * n + (k - 1)] += form.coeff((i, j, p))
         rows.append(row)
     return rows
+
+
+# the field-arithmetic determinant and pullback that the integer kernels replaced: the
+# references of the differential tests, and the round trips of QuadExt bases
+
+def ref_det(m):
+    """Gaussian elimination with field division; int entries become Fractions first."""
+    m = [[Fraction(x) if isinstance(x, int) else x for x in row] for row in m]
+    n, d = len(m), Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c] != 0), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            d = -d
+        d = d * m[c][c]
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    return d
+
+
+def ref_pullback(g, a):
+    n, p = a.dim, a.degree
+    if p == 0:
+        return a
+    out: dict = {}
+    for jdx in itertools.combinations(range(1, n + 1), p):
+        total = Fraction(0)
+        for idx, c in a.terms.items():
+            d = ref_det([[g.matrix[i - 1][j - 1] for j in jdx] for i in idx])
+            if d != 0:
+                total = total + c * d
+        if total != 0:
+            out[jdx] = total
+    return AltForm(n, p, out)
 
 
 def random_three_form(rng: random.Random, dim: int, span: int = 3, nterms: int = 8):

@@ -18,6 +18,9 @@
   from the public calls.
 * No module but ``exteralg`` imports ``linalg.inverse``: every other caller
   reads a Gram inverse from ``InnerProduct`` or needs none.
+* No function tests a name bound from ``_clear(...)`` against None:
+  ``linalg._clear`` raises TypeError on any value that is not an int or a
+  Fraction, so no kernel keeps a second path for one.
 """
 
 import ast
@@ -244,3 +247,48 @@ def test_guard_flags_an_inverse_import():
     own = ast.parse("from .linalg import inverse as _inverse\n")
     assert inverse_uses({"vcp.py": vcp, "bridge.py": bridge, "exteralg.py": own}) == [
         "vcp.py: line 1", "bridge.py: line 4"]
+
+
+def is_none(node: ast.AST) -> bool:
+    return isinstance(node, ast.Constant) and node.value is None
+
+
+def clear_none_tests(modules: dict) -> list[str]:
+    """Each comparison with None, and each conditional expression with a None branch, whose
+    test reads a name bound from a ``_clear(...)`` call in the same top-level definition:
+    module, definition and line."""
+    out = []
+    for name, tree in modules.items():
+        for stmt in tree.body:
+            cleared = set()
+            for node in ast.walk(stmt):
+                if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+                        and "_clear" in (getattr(node.value.func, "id", None), getattr(node.value.func, "attr", None))):
+                    cleared |= {n.id for target in node.targets for n in ast.walk(target) if isinstance(n, ast.Name)}
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Compare) and any(map(is_none, [node.left, *node.comparators])):
+                    test = node
+                elif isinstance(node, ast.IfExp) and (is_none(node.body) or is_none(node.orelse)):
+                    test = node.test
+                else:
+                    continue
+                if any(isinstance(n, ast.Name) and n.id in cleared for n in ast.walk(test)):
+                    out.append(f"{name}: {getattr(stmt, 'name', None)}: line {node.lineno}")
+    return out
+
+
+def test_no_kernel_tests_cleared_values_against_none():
+    assert clear_none_tests(MODULES) == []
+
+
+def test_guard_flags_a_none_test_of_cleared_values():
+    """The None check is not vacuous: it catches a planted comparison and a conditional
+    expression, and passes a None test of a name not bound from ``_clear``."""
+    tree = ast.parse("from . import linalg\nfrom .linalg import _clear\n\n"
+                     "def over(a):\n    (xs,), dens = _clear(a)\n    if dens is None:\n        return xs\n"
+                     "    return dens[0]\n\n"
+                     "def scale(a, b):\n    cleared, dens = linalg._clear(a, b)\n"
+                     "    return dens[0] * dens[1] if dens else None\n\n"
+                     "def fine(a, den=None):\n    (xs,), dens = _clear(a)\n"
+                     "    return xs if den is None else dens\n")
+    assert clear_none_tests({"exteralg.py": tree}) == ["exteralg.py: over: line 6", "exteralg.py: scale: line 12"]

@@ -31,7 +31,7 @@ products, and ``classify_g2`` on a memo hit 1 Hodge star and at most 3
 wedges, with *phi checked and the orientation derived once per pair and
 omega ^ omega wedged once per SU3Data.
 
-A matrix applied to many vectors is cleared once (``linalg._cleared``): a
+A matrix applied to many vectors is cleared once (``linalg._numerators``): a
 ``LinearMap`` over all its ``apply`` and ``pullback`` calls (the L of a para
 check over its 30 applications), the G^-1 of a product read off a form over
 all its evaluations, and the raising map of an ``InnerProduct`` over all its
@@ -331,6 +331,24 @@ def test_decomposable_in_the_classify_order_runs_the_kernel_once(n, kernels, ran
         stable7.q_form(form, VOL7).signature()
         assert stable7.classify7(form, VOL7) == stable7.OrbitClass7.NOT_STABLE
     assert kernels == {f"stable{n}": 1} and len(ranks) == 1
+
+
+@pytest.mark.parametrize("name", ["e123 in R6", "e123 in R7", "e123+e456+e147"])
+def test_a_classify_run_takes_the_contractions_once(name, monkeypatch):
+    """An unstable form's stabilizer_dim reads its contractions, for the rank w, off the
+    memo entry that the classify kernel pass kept: one contraction pass per classify run."""
+    form = UNSTABLE_FORMS[name][0]
+    form = pullback(G6 if form.dim == 6 else G7, form)
+    original, counts = exteralg._contractions, Counter()
+
+    def count(a):
+        counts[a.dim] += 1
+        return original(a)
+    for module in [m for key, m in sys.modules.items() if key.startswith("stableforms")]:
+        if vars(module).get("_contractions") is original:
+            monkeypatch.setattr(module, "_contractions", count)
+    classify_canonicalize(form)
+    assert counts == {form.dim: 1}
 
 
 def spread_form(seed: int = 7) -> AltForm:
@@ -792,14 +810,15 @@ def test_no_table_is_built_at_import():
 
 @pytest.fixture
 def cleared(monkeypatch) -> Counter:
-    """Matrices cleared by ``linalg._cleared``, by row count, under every name that holds it."""
+    """Matrices cleared by ``linalg._numerators`` for ``linalg._apply``, by row count: the
+    names ``exteralg`` and ``vcp`` hold, not ``linalg``'s own, which ``_sparse`` also calls."""
     counts = Counter()
 
-    def counting(a, _orig=linalg._cleared):
+    def counting(a, _orig=linalg._numerators):
         counts[len(a)] += 1
         return _orig(a)
-    for module in (linalg, exteralg, vcp):
-        monkeypatch.setattr(module, "_cleared", counting)
+    for module in (exteralg, vcp):
+        monkeypatch.setattr(module, "_numerators", counting)
     return counts
 
 

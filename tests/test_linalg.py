@@ -18,8 +18,8 @@
 * ``rref``, ``inverse`` and ``inertia`` on int entries are exact: Fractions,
   never floats, and the exact signature where float elimination misread it.
 * ``_clear``, which tells rational values by their ``denominator``, clears
-  int and Fraction groups and hands back a float group, a QuadExt group and
-  a rational group next to a float one as they are, with no denominators.
+  int and Fraction groups, and raises a TypeError that names the type on a
+  float group, a QuadExt group and a rational group next to a float one.
 """
 
 import random
@@ -336,8 +336,9 @@ def test_clear_reads_the_denominators():
     ([QuadExt.of(1, 2), QuadExt.root(Fraction(2))],),
     ([Fraction(1, 3), 2], [Fraction(5, 7), 0.25]),
 ], ids=["float", "quadext", "rational and float"])
-def test_clear_hands_other_values_back_unchanged(groups):
-    cleared, dens = _clear(*(iter(g) for g in groups))
-    assert dens is None
-    assert cleared == [list(g) for g in groups]
-    assert [[type(x) for x in g] for g in cleared] == [[type(x) for x in g] for g in groups]
+def test_clear_rejects_other_values(groups):
+    """A float or a quadratic irrational, alone or after rational values, raises a TypeError
+    that names its type."""
+    name = type(groups[-1][-1]).__name__
+    with pytest.raises(TypeError, match=f"expected int or Fraction values, got {name}$"):
+        _clear(*(iter(g) for g in groups))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_invertible, random_three_form
+from conftest import random_invertible, random_three_form, ref_pullback
 from stableforms.exteralg import LinearMap, VolumeForm, alt_form, basis_form, pullback, wedge
 from stableforms.linalg import mat_mul
 from stableforms.scalars import QuadExt, sqrt_fraction
@@ -331,14 +331,14 @@ class TestCanonicalize:
         assert lambda_coeff(omega, VOL).value == -28
         c = canonicalize6(omega, VOL)
         assert any(isinstance(x, QuadExt) for row in c.basis.matrix for x in row)
-        assert pullback(c.basis, canonical_omega_minus()) == omega
+        assert ref_pullback(c.basis, canonical_omega_minus()) == omega
 
     def test_non_square_lambda_para(self):
         omega = alt_form(6, 3, {(2, 4, 5): -2, (1, 4, 6): -1, (1, 5, 6): 1, (3, 5, 6): -2,
                                 (2, 3, 6): -1, (1, 2, 5): -1, (1, 2, 3): 2})
         assert lambda_coeff(omega, VOL).value == 32
         c = canonicalize6(omega, VOL)
-        assert pullback(c.basis, canonical_omega_plus()) == omega
+        assert ref_pullback(c.basis, canonical_omega_plus()) == omega
 
     def test_not_stable_rejected(self):
         with pytest.raises(NotStableError):
