@@ -4,7 +4,8 @@ Down: contracting a 3-fold product against a space-like unit vector (or a
 Lorentzian plane) produces the canonical stable forms on the complement.
 Up: a stable 6-form plus a compatible inner product lifts to a stable
 7-form ``Omega -+ beta ^ omega``; a stable 7-form induces a 2-fold cross
-product, and wedging with the Hodge dual lifts it to a 3-fold one.
+product (``stable7.cross_from_phi``), and wedging with the Hodge dual lifts
+it to a 3-fold one.
 
 Orientation bookkeeping: with the plain sorted volume e^{1..7} on the
 7-space, ``beta ^ phi + *phi`` is exactly the fundamental 4-form of X1 (the
@@ -22,7 +23,7 @@ from typing import Sequence
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
-from .linalg import _numerators, mat_mul
+from .linalg import _numerators, mat_mul, transpose
 from .scalars import cbrt_fraction, sqrt_fraction
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
@@ -121,7 +122,7 @@ def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVC
     ss = stable6.scaled_structure(omega, vol)
     if stable6.hat(omega, vol).form != omega_hat:
         raise ArithmeticError("b-contraction does not match the hat in either orientation")
-    c = _scalar_of(mat_mul([list(r) for r in ss.K.matrix], [list(r) for r in jp.matrix]))
+    c = _scalar_of(mat_mul(ss.K.matrix, jp.matrix))
     if c is None or c * c != abs(ss.lam.value):
         raise ArithmeticError("K is not a multiple of the plane structure")
     # K o J_P = -s Id with K = s J_P in the complex case; K o L_P = +s Id in the para case
@@ -150,10 +151,9 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
     """
     lam = ss.lam.value
     n = ss.K.dim_in
-    km = [list(r) for r in ss.K.matrix]
+    km = ss.K.matrix
     if lam < 0:
-        kt = [list(r) for r in zip(*km)]
-        g = mat_mul(kt, km)
+        g = mat_mul(transpose(km), km)
         for i in range(n):
             g[i][i] = g[i][i] + abs(lam)
         return InnerProduct.from_rows(g)
@@ -192,13 +192,12 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
     root is taken exactly when rational, otherwise in floating point with
     the exact unnormalized lift retained for classification.
     """
-    vol = vol or stable6.sorted_vol(6)
+    vol = vol or VolumeForm.standard(6)
     ss = stable6.scaled_structure(omega, vol)
     lam = ss.lam.value
     lam_abs = abs(lam)
-    km = [list(r) for r in ss.K.matrix]
-    g6 = [list(r) for r in ip.gram]
-    w = mat_mul([list(r) for r in zip(*km)], g6)  # omega_s(x,y) = <Kx, y>
+    km, g6 = ss.K.matrix, ip.gram
+    w = mat_mul(transpose(km), g6)  # omega_s(x,y) = <Kx, y>
     wk = mat_mul(w, km)  # K^T G K, which is -lambda G exactly when ip is compatible
     if any(wk[i][j] != -lam * g6[i][j] for i in range(6) for j in range(6)):
         raise ValueError("inner product is not compatible with the induced structure")
@@ -238,11 +237,6 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
         g7.append([Fraction(0)] * 6 + [Fraction(1) if lam < 0 else Fraction(-1)])
         metric7 = InnerProduct.from_rows(g7)
     return Lift7(phi, w7, orbit, exact, q_float / s_f, res, metric7)
-
-
-def stable7_to_vcp(phi: AltForm, vol: VolumeForm | None = None) -> CrossProduct:
-    """The induced 2-fold cross product <X(x,y), z> = phi(x,y,z)."""
-    return stable7.cross_from_phi(phi, vol or VolumeForm.standard(7))
 
 
 def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X1") -> CrossProduct:

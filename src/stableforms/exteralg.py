@@ -234,12 +234,12 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         if self.dim_in != self.dim_out:
             raise ValueError("only square maps invert")
-        return LinearMap.from_rows(_inverse([list(r) for r in self.matrix]))
+        return LinearMap.from_rows(_inverse(self.matrix))
 
     def det(self):
         if self.dim_in != self.dim_out:
             raise ValueError("determinant needs a square map")
-        return _det([list(r) for r in self.matrix])
+        return _det(self.matrix)
 
     def transpose(self) -> "LinearMap":
         return LinearMap.from_rows(list(zip(*self.matrix)))
@@ -261,7 +261,7 @@ class InnerProduct:
                 if g[i][j] != g[j][i]:
                     raise ValueError("Gram matrix is not symmetric")
         if any(g[i][j] for i in range(self.dim) for j in range(i)):
-            degenerate = _det([list(r) for r in g]) == 0
+            degenerate = _det(g) == 0
         else:  # diagonal: degenerate when a row is zero (gcd 0); _integer_row rejects what det rejects
             degenerate = not all(_integer_row(r)[1] for r in g)
         if degenerate:
@@ -273,7 +273,7 @@ class InnerProduct:
 
     @functools.cached_property
     def _raise(self) -> LinearMap:  # G^-1, the pullback of hodge_star and form_inner
-        return LinearMap.from_rows(_inverse([list(r) for r in self.gram]))
+        return LinearMap.from_rows(_inverse(self.gram))
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence]) -> "InnerProduct":
@@ -298,7 +298,7 @@ class InnerProduct:
         return [list(r) for r in self._raise.matrix]
 
     def signature(self) -> tuple[int, int]:
-        pos, neg, zero = inertia([list(r) for r in self.gram])
+        pos, neg, zero = inertia(self.gram)
         return pos, neg
 
 

@@ -1,9 +1,10 @@
 """Exact dense linear algebra over the rationals, on one integer kernel.
 
-Matrices are lists of row lists with int or Fraction entries; the
-eliminations raise TypeError on any other entry (a float, a quadratic
-irrational), so none reaches an integer division.  Rows are cleared to
-integers, and three fraction-free eliminations do all the work:
+Matrices are sequences of rows with int or Fraction entries.  ``_clear`` is
+the one type gate: every kernel clears its rows through it, and it raises
+TypeError on any other entry (a float, a quadratic irrational), so none
+reaches an integer division.  Rows are cleared to integers, and three
+fraction-free eliminations do all the work:
 
 * ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``;
 * ``_bareiss``, the one Gaussian elimination, under ``rank``, every ``det``
@@ -16,8 +17,7 @@ integers, and three fraction-free eliminations do all the work:
 ``rref``, ``nullspace`` and ``inverse`` return Fractions.  ``_clear`` (integer
 numerators over one common denominator) and ``_pair`` (a bilinear form
 summed over its nonzero coefficients only) are the integer kernel of
-``exteralg``, ``compalg`` and ``mat_mul``; ``_clear`` raises TypeError on any
-value that is not an int or a Fraction, so every kernel on it takes rational
+``exteralg``, ``compalg`` and ``mat_mul``, so every kernel on it takes rational
 values only.  A matrix applied many times is cleared once (``_numerators``)
 and each ``_apply`` clears only its vector, as ``mat_vec`` does once.  This
 module is exact only, with no float conversion or float function (a hygiene
@@ -133,12 +133,9 @@ def _pair(form: tuple, u: Sequence, v: Sequence) -> Fraction:
 
 
 def _integer_row(row) -> tuple[list[int], int, int]:
-    """(ints, g, scale) with row = ints * g / scale, ints coprime; TypeError unless int/Fraction."""
-    for x in row:
-        if not isinstance(x, (int, Fraction)):
-            raise TypeError(f"expected int or Fraction entries, got {type(x).__name__}")
-    scale = math.lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (scale // x.denominator) for x in row]
+    """(ints, g, scale) with row = ints * g / scale, ints coprime: ``_clear``'s numerators and
+    lcm scale, over their gcd g (``_clear`` raises the TypeError on a non-rational entry)."""
+    (ints,), (scale,) = _clear(row)
     g = math.gcd(*ints)
     return ([x // g for x in ints] if g > 1 else ints), g, scale
 
@@ -146,15 +143,15 @@ def _integer_row(row) -> tuple[list[int], int, int]:
 def _bareiss(rows: list, det: bool = False):
     """Rank of an int matrix, or with det=True the determinant of a square one.
 
+    It takes int rows, as ``_integer_row`` and ``_numerators`` give them: every
+    caller clears its rows first, so the type gate is ``_clear``'s.
     Fraction-free elimination (Bareiss 1968): after a pivot p in the leading
     column, every other row becomes (p * row - row[0] * pivot_row) // previous
-    pivot, exact as its entries are then minors (Sylvester's identity).  Any
-    entry that is not an int raises TypeError.  Vanishing rows are dropped
-    and pivot-free columns skipped (with det=True such a column gives 0); at
-    full rank the last pivot, signed by the row order, is the determinant.
+    pivot, exact as its entries are then minors (Sylvester's identity).
+    Vanishing rows are dropped and pivot-free columns skipped (with det=True
+    such a column gives 0); at full rank the last pivot, signed by the row
+    order, is the determinant.
     """
-    if not all(type(x) is int for row in rows for x in row):
-        raise TypeError("the fraction-free elimination takes int entries only")
     n, r, prev, sign = len(rows), 0, 1, 1
     rows = [row for row in rows if any(row)]
     while rows:

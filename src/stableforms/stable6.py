@@ -56,7 +56,7 @@ from fractions import Fraction
 from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _interior_wedges, _minor, alt_form,
                        pullback, wedge)
 from .linalg import _clear, _numerators, nullspace, rank
-from .scalars import QuadExt, _float_root, sqrt_fraction
+from .scalars import QuadExt, sqrt_fraction
 
 
 class NotStableError(ValueError):
@@ -85,10 +85,6 @@ class ScaledStructure:
 
     K: LinearMap
     lam: Lambda
-
-    @property
-    def is_complex(self) -> bool:
-        return self.lam.value < 0
 
     @property
     def is_para(self) -> bool:
@@ -222,11 +218,6 @@ class HatForm:
     lam_abs: Fraction
     form: AltForm | None
 
-    def float_coeffs(self) -> dict:
-        """Each c / sqrt(lam_abs) as the signed float root of c^2 / lam_abs, right at every size."""
-        return {idx: (1 if c > 0 else -1) * _float_root(c * c / self.lam_abs, 2)
-                for idx, c in self.numerator.terms.items()}
-
 
 def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
     """The imaginary (resp. para-imaginary) partner of a stable Omega.
@@ -275,9 +266,6 @@ def canonical_omega_minus_hat() -> AltForm:
     """Im((e1+i e4)(e2+i e5)(e3+i e6))."""
     return alt_form(6, 3, {(1, 2, 6): 1, (1, 3, 5): -1, (2, 3, 4): 1, (4, 5, 6): -1})
 
-
-def sorted_vol(dim: int) -> VolumeForm:
-    return VolumeForm.standard(dim)
 
 def adapted_vol6() -> VolumeForm:
     """Orientation of the complex frame (e1+ie4, e2+ie5, e3+ie6): -e^{123456}."""

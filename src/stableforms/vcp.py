@@ -197,18 +197,17 @@ def reduce_by_unit_vector(cp3: CrossProduct, a: Sequence) -> CrossProduct:
 def _complement(ip: InnerProduct, vectors: Sequence[Vector]) -> tuple[list, list, Callable]:
     """The ip-orthogonal complement of span(vectors), which must be mutually orthogonal and non-null.
 
-    Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix, and the map from w to
-    the coordinates of its projection t = w - sum <v, w>/<v, v> v.  A basis vector is 1 on its own
-    free column and 0 on the other free columns, so those entries of t are its coordinates; that 1
-    is the vector's last nonzero entry, as an rref row is 0 left of its pivot."""
+    Returns a basis (the nullspace of the covectors <v, .>), its Gram matrix, and the map from a w
+    in the complement to its coordinates.  Every caller's w is orthogonal to the vectors, since
+    X(.., a, ..) is orthogonal to a.  A basis vector is 1 on its own free column and 0 on the other
+    free columns, so those entries of w are its coordinates; that 1 is the vector's last nonzero
+    entry, as an rref row is 0 left of its pivot."""
     comp = [tuple(v) for v in nullspace([mat_vec(ip.gram, v) for v in vectors], ncols=ip.dim)]
     sub_gram = [[ip.pair(u, v) for v in comp] for u in comp]
     free = [max(i for i, x in enumerate(u) if x) for u in comp]
-    norms = [ip.pair(v, v) for v in vectors]
 
     def to_local(w: Sequence) -> Vector:
-        coeffs = [ip.pair(v, w) / n for v, n in zip(vectors, norms)]
-        return tuple(w[f] - sum(c * v[f] for c, v in zip(coeffs, vectors)) for f in free)
+        return tuple(w[f] for f in free)
 
     return comp, sub_gram, to_local
 

@@ -12,7 +12,7 @@ from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, 
 from stableforms.linalg import inverse, mat_mul, mat_vec, nullspace
 from stableforms.stable6 import (OrbitClass6, adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat, canonical_omega_plus_4term,
-                                 classify6, hat, scaled_structure, sorted_vol)
+                                 classify6, hat, scaled_structure)
 from stableforms.stable7 import OrbitClass7, canonical_phi_minus, canonical_phi_plus, classify7
 
 E8 = [tuple(Fraction(1 if i == k else 0) for i in range(8)) for k in range(8)]
@@ -144,7 +144,7 @@ def ref_vcp_to_stable6(cp3, a, b) -> bridge.Stable6FromVCP:
         t_hat[(i + 1, j + 1, k + 1)] = sign * cp3.ip.pair(x, b)
     omega, omega_hat = alt_form(6, 3, t_om), alt_form(6, 3, t_hat)
     jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
-    vol = sorted_vol(6)
+    vol = VolumeForm.standard(6)
     ss = scaled_structure(omega, vol)
     h = stable6.hat(omega, vol).form
     if h is None or omega_hat not in (h, -h):
@@ -262,8 +262,9 @@ def unit_vectors(tag: AlgebraTag) -> list:
 
 
 class TestComplementCoordinates:
-    """``vcp._complement``'s map reads the coordinates of the orthogonal projection off its
-    free-column entries; it must equal G^-1 [<u_i, w>] exactly, in Fractions, on unit vectors
+    """``vcp._complement``'s map reads the coordinates of a w in the complement off its
+    free-column entries (every caller's w is orthogonal to the vectors, as X(.., a, ..) is
+    orthogonal to a); they must equal G^-1 [<u_i, w>] exactly, in Fractions, on unit vectors
     and on planes, and so must the products built on it."""
 
     @pytest.mark.parametrize("variant", ("X1", "X2"))
@@ -273,9 +274,13 @@ class TestComplementCoordinates:
         rng = random.Random(f"to_local {tag.value} {variant}")
         cases = [[a] for a in unit_vectors(tag)] + [list(plane) for plane in planes(tag, rng)]
         for vectors in cases:
-            _, _, to_local = vcp._complement(cp3.ip, [vcp._vec(v) for v in vectors])
+            vecs = [vcp._vec(v) for v in vectors]
+            _, _, to_local = vcp._complement(cp3.ip, vecs)
             for _ in range(4):
                 w = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
+                # project w into the complement: the vectors are mutually orthogonal and non-null
+                coeffs = [cp3.ip.pair(v, w) / cp3.ip.pair(v, v) for v in vecs]
+                w = [x - sum(c * v[k] for c, v in zip(coeffs, vecs)) for k, x in enumerate(w)]
                 got = to_local(w)
                 assert got == ref_to_local(cp3.ip, vectors, w), (vectors, w)
                 assert all(type(x) is Fraction for x in got)
@@ -308,7 +313,7 @@ class TestComplementCoordinates:
 
 class TestCompatibleIp:
     def test_complex_synthesis(self):
-        ss = scaled_structure(canonical_omega_minus(), sorted_vol(6))
+        ss = scaled_structure(canonical_omega_minus(), VolumeForm.standard(6))
         ip = bridge.synthesize_compatible_ip(ss)
         # K^T G K = |lambda| G
         from stableforms.linalg import mat_mul
@@ -322,7 +327,7 @@ class TestCompatibleIp:
         assert ip.signature() == (6, 0)
 
     def test_para_synthesis(self):
-        ss = scaled_structure(canonical_omega_plus_4term(), sorted_vol(6))
+        ss = scaled_structure(canonical_omega_plus_4term(), VolumeForm.standard(6))
         ip = bridge.synthesize_compatible_ip(ss)
         assert ip.signature() == (3, 3)
         lift = bridge.stable6_to_7(canonical_omega_plus_4term(), ip)
@@ -387,7 +392,7 @@ class TestRoundTrips:
     def test_round_trip_a_exact_at_e0(self):
         cp3 = vcp.cross_3fold(AlgebraTag.O, "X1")
         res = bridge.vcp_to_stable7(cp3, E8[0])
-        back = bridge.stable7_to_vcp(res.phi)
+        back = stable7.cross_from_phi(res.phi, VOL7)
         red = vcp.reduce_by_unit_vector(cp3, E8[0])
         for i in range(7):
             for j in range(7):
@@ -397,7 +402,7 @@ class TestRoundTrips:
         cp3 = vcp.cross_3fold(AlgebraTag.O, "X2")
         a = [Fraction(3, 5), 0, Fraction(4, 5), 0, 0, 0, 0, 0]
         res = bridge.vcp_to_stable7(cp3, a)
-        back = bridge.stable7_to_vcp(res.phi)
+        back = stable7.cross_from_phi(res.phi, VOL7)
         red = vcp.reduce_by_unit_vector(cp3, a)
         # same complement basis construction on both paths
         assert res.frame.complement == tuple(vcp._complement(cp3.ip, [a])[0])
@@ -430,7 +435,7 @@ class TestThreeFoldLift:
         rep = vcp.verify_axioms(lifted, 80, seed=13)
         assert rep.passed, rep.failed_checks()
         red = vcp.reduce_by_unit_vector(lifted, E8[0])
-        back = bridge.stable7_to_vcp(canonical_phi_minus())
+        back = stable7.cross_from_phi(canonical_phi_minus(), VOL7)
         for i in range(7):
             for j in range(7):
                 assert red(E7[i], E7[j]) == back(E7[i], E7[j])

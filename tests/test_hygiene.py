@@ -4,7 +4,9 @@
   ``__init__`` is exempt, since its imports are the public re-exports.
 * Every module-level ``_private`` function is referenced somewhere in the
   package outside its own definition, and so is every public function of
-  ``linalg``, the package's internal kernel.
+  every module, but for the entries of ``PUBLIC_API``: the uncalled public
+  functions that the README, the CLI, perfbench or the spec need, each with
+  its reason.  Methods are not covered.
 * The exact-only modules (``linalg``, ``exteralg``, ``compalg``, ``vcp``)
   contain no ``float(`` call, no float literal and no ``math.sqrt``,
   ``math.exp`` or ``math.log``: floats enter the package elsewhere, in
@@ -129,8 +131,45 @@ def test_guard_flags_dead_code():
     assert unreferenced_private_functions({"m.py": tree}) == ["m.py: _helper"]
 
 
-def test_no_unreferenced_linalg_functions():
-    assert unreferenced_public_functions(MODULES, "linalg.py") == []
+PUBLIC_API = {
+    "stable6.py": {
+        "canonical_omega_plus_4term": "the paper's 4-term display of the O6_PLUS canonical form",
+        "adapted_vol6": "the README names it: the orientation of the canonical displays",
+    },
+    "stable7.py": {
+        "canonical_phi_plus": "the canonical form of the O7_PLUS orbit, the paper's case list",
+        "cross_from_phi": "the README's induced cross products: the 2-fold product of phi",
+    },
+    "compalg.py": {"element": "the spec's constructor of an algebra element from coordinates"},
+    "vcp.py": {
+        "eval": "the spec name of a cross product's evaluation",
+        "fundamental_form": "the README's fundamental forms of a cross product",
+        "reduce_by_unit_vector": "the README's unit-vector reductions",
+    },
+    "bridge.py": {"lift_to_3fold": "the README's 3-fold lift; perfbench construct calls and traces it"},
+    "framecalc.py": {
+        "flat_torus": "a frame model perfbench construct builds",
+        "kodaira_thurston": "a frame model perfbench construct builds",
+        "iwasawa_model": "a frame model perfbench construct builds",
+        "standard_su3": "the SU(3) data perfbench construct builds its G2 bundles from",
+        "build_g2": "the README names it: phi and *phi of a circle bundle",
+        "nabla_phi": "the README names it; perfbench construct calls and traces it",
+        "critical_point_check": "the README's critical points; perfbench construct calls and traces it",
+    },
+}
+
+
+def public_api_violations(modules: dict, name: str, public_api: dict) -> list[str]:
+    """The public functions of one module that nothing in the package references and
+    ``public_api`` does not keep, then each kept name that is referenced or gone."""
+    dead = set(unreferenced_public_functions(modules, name))
+    kept = {f"{name}: {fn}" for fn in public_api.get(name, {})}
+    return sorted(dead - kept) + sorted(f"{entry} (kept, but referenced or gone)" for entry in kept - dead)
+
+
+@pytest.mark.parametrize("name", sorted(MODULES))
+def test_no_unreferenced_public_functions(name):
+    assert public_api_violations(MODULES, name, PUBLIC_API) == []
 
 
 def test_guard_flags_a_dead_public_function():
@@ -138,6 +177,18 @@ def test_guard_flags_a_dead_public_function():
     tree = ast.parse("def mat_copy(m):\n    return [list(r) for r in m]\n\n"
                      "def rank(m):\n    return len(m)\n\nVALUE = rank([])\n")
     assert unreferenced_public_functions({"linalg.py": tree}, "linalg.py") == ["linalg.py: mat_copy"]
+
+
+def test_guard_flags_an_unkept_public_function():
+    """The public API check is not vacuous: it catches a planted uncalled alias and a
+    stale entry, and passes a kept name and a called function."""
+    tree = ast.parse("def eval(cp, *vs):\n    return cp(*vs)\n\n"
+                     "def to_vcp(phi):\n    return cross(phi)\n\n"
+                     "def cross(phi):\n    return phi\n")
+    api = {"vcp.py": {"eval": "spec name", "cross": "called", "gone": "deleted"}}
+    assert public_api_violations({"vcp.py": tree}, "vcp.py", api) == [
+        "vcp.py: to_vcp", "vcp.py: cross (kept, but referenced or gone)",
+        "vcp.py: gone (kept, but referenced or gone)"]
 
 
 QUADEXT_MODULES = {"scalars.py", "stable6.py", "cli.py"}

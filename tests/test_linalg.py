@@ -13,8 +13,9 @@
   det(cA) = c^n det(A).
 * The exact ``det`` fixes: int entries give an int, never a float.
 * The eliminations take int and Fraction entries only: ``rank``, ``det``,
-  ``inverse``, ``rref``, ``nullspace`` and ``inertia`` raise TypeError on a
-  QuadExt or a float entry, so neither reaches an integer division.
+  ``inverse``, ``rref``, ``nullspace`` and ``inertia`` raise ``_clear``'s one
+  TypeError on a QuadExt or a float entry, so neither reaches an integer
+  division.
 * ``rref``, ``inverse`` and ``inertia`` on int entries are exact: Fractions,
   never floats, and the exact signature where float elimination misread it.
 * ``_clear``, which tells rational values by their ``denominator``, clears
@@ -261,7 +262,7 @@ def test_det_matches_sympy(kind, m):
 @pytest.mark.parametrize("op", [rank, det, inverse, rref, nullspace, inertia])
 def test_eliminations_reject_non_rational_entries(op, bad):
     m = [[Fraction(2), 1, Fraction(1, 3)], [0, 1, 5], [1, bad, Fraction(-7, 2)]]
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match=f"^expected int or Fraction values, got {type(bad).__name__}$"):
         op(m)
 
 

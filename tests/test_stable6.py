@@ -16,9 +16,9 @@ from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6,
                                  canonical_omega_plus,
                                  canonical_omega_plus_4term, canonicalize6,
                                  classify6, hat, k_endo, lambda_coeff,
-                                 scaled_structure, sorted_vol, stabilizer_dim)
+                                 scaled_structure, stabilizer_dim)
 
-VOL = sorted_vol(6)
+VOL = VolumeForm.standard(6)
 
 # p/q 10^e with |e| <= 40: small, tall and tiny coefficients
 COEFFICIENTS = st.builds(lambda p, q, e: Fraction(p, q) * Fraction(10) ** e,
@@ -160,7 +160,7 @@ class TestScaledStructure:
 
     def test_complex_has_no_real_eigenvectors(self):
         ss = scaled_structure(canonical_omega_minus(), VOL)
-        assert ss.is_complex
+        assert ss.lam.value < 0
         with pytest.raises(NotStableError):
             ss.eigenspace(1)
 
@@ -233,38 +233,27 @@ class TestHat:
                         assert omega(kx, E[j], E[k]) == sign * h.numerator(E[i], E[j], E[k])
 
     def test_irrational_scale_interface(self):
-        # |lambda| = 28 is not a square: no exact form, but the rational
-        # numerator and the float coefficients are still available
+        # |lambda| = 28 is not a square: no exact form, only the rational numerator over sqrt(28)
         omega = alt_form(6, 3, {(3, 4, 5): -2, (2, 3, 4): -2, (3, 4, 6): -2, (1, 3, 6): 2,
                                 (2, 4, 6): -2, (1, 2, 5): -2, (1, 5, 6): -1})
         h = hat(omega, VOL)
         assert h.form is None
         assert h.lam_abs == 28
-        import math
-
-        floats = h.float_coeffs()
-        idx, num = next(iter(h.numerator.terms.items()))
-        assert abs(floats[idx] - float(num) / math.sqrt(28.0)) < 1e-15
 
     @pytest.mark.parametrize("e", [100, -100, 200, -200])
-    def test_float_coeffs_at_every_size(self, e):
+    def test_hat_at_every_size(self, e):
         """c Omega_minus at c = 10^e: |lambda| near 10^(4e) and numerator near 10^(3e) leave
-        the float range, the coefficients c of the hat do not."""
+        the float range; the hat is still exact, and at a non-square |lambda| it is None."""
         c = Fraction(10) ** e
         h = hat(c * canonical_omega_minus(), adapted_vol6())
-        expected = c * canonical_omega_minus_hat()
-        assert h.form == expected
-        assert h.float_coeffs() == {idx: float(x) for idx, x in expected.terms.items()}
-        # |lambda| not a square: each float squared times |lambda| is numerator^2
-        omega = c * alt_form(6, 3, {(3, 4, 5): -2, (2, 3, 4): -2, (3, 4, 6): -2, (1, 3, 6): 2,
-                                    (2, 4, 6): -2, (1, 2, 5): -2, (1, 5, 6): -1})
-        h = hat(omega, VOL)
+        assert h.form == c * canonical_omega_minus_hat()
+        omega = alt_form(6, 3, {(3, 4, 5): -2, (2, 3, 4): -2, (3, 4, 6): -2, (1, 3, 6): 2,
+                                (2, 4, 6): -2, (1, 2, 5): -2, (1, 5, 6): -1})
+        h = hat(c * omega, VOL)
         assert h.form is None
-        floats = h.float_coeffs()
-        assert floats.keys() == h.numerator.terms.keys()
-        for idx, num in h.numerator.terms.items():
-            assert (floats[idx] > 0) == (num > 0)
-            assert Fraction(floats[idx]) ** 2 * h.lam_abs / num ** 2 == pytest.approx(1, rel=1e-15)
+        # the exact parts scale with the form: |lambda| by c^4, the numerator by c^3
+        assert h.lam_abs == 28 * c ** 4
+        assert h.numerator == c ** 3 * hat(omega, VOL).numerator
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(omega=st.one_of(SPARSE_FORMS, ORBIT_FORMS))
