@@ -24,7 +24,7 @@ from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
 from .linalg import _numerators, mat_mul, transpose
-from .scalars import cbrt_fraction, sqrt_fraction
+from .scalars import _float_root, exact_root
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
 
@@ -157,7 +157,7 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
         for i in range(n):
             g[i][i] = g[i][i] + abs(lam)
         return InnerProduct.from_rows(g)
-    s = sqrt_fraction(lam)
+    s = exact_root(lam, 2)
     if s is None:
         raise NotStableError("paracomplex synthesis needs sqrt(lambda) rational")
     r, den = _numerators(km)
@@ -178,8 +178,8 @@ class Lift7:
     omega: AltForm               # the 2-form actually wedged into phi
     orbit: stable7.OrbitClass7
     normalization_exact: bool
-    scale_float: float           # multiplier q with omega = q * <K x, y>
-    residual: float              # | (1/4) Om ^ hat - (1/6) omega^3 | with float scale
+    scale_float: float           # the multiplier q with omega = q <K x, y>, as a normal float
+    residual: float              # |1 - scale_float^6 / q^6|, exactly, as a float; 0.0 when exact
     metric7: InnerProduct | None
 
 
@@ -188,9 +188,13 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
 
     The inner product must be compatible: K^T G K = |lambda| G for the
     complex orbit and -|lambda| G for the paracomplex one (exact check).
-    omega is rescaled so that (1/4) Omega ^ hat = (1/6) omega^3; the cube
-    root is taken exactly when rational, otherwise in floating point with
-    the exact unnormalized lift retained for classification.
+    omega is rescaled by q = r^(1/3) / sqrt|lambda|, r exact, so that
+    (1/4) Omega ^ hat = (1/6) omega^3.  When q is rational the lift is exact
+    and scale_float is float(q); otherwise the exact unnormalized lift is kept
+    for classification, and scale_float is the signed root of order 6 of the
+    exact q^6 = r^2 / |lambda|^3, with residual the exact relative error of
+    its sixth power.  Both floats come from ``scalars._float_root``, so a
+    scale outside the normal float range raises its named OverflowError.
     """
     vol = vol or VolumeForm.standard(6)
     ss = stable6.scaled_structure(omega, vol)
@@ -207,15 +211,21 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
     den = Fraction(1, 6) * vol.ratio(w3)
     if den == 0:
         raise ArithmeticError("omega is degenerate")
-    r = num / den  # q^3 with omega_final = q * omega_s
-    q = cbrt_fraction(r)
-    s = sqrt_fraction(lam_abs)
-    exact = q is not None and s is not None
-    q_float = float(r) ** (1.0 / 3.0) if r > 0 else -((-float(r)) ** (1.0 / 3.0))
+    r = num / den  # (q sqrt|lambda|)^3 for the scale q of omega = q <K x, y>
+    t, s = exact_root(r, 3), exact_root(lam_abs, 2)
+    exact = t is not None and s is not None
+    metric7 = None
     if exact:
-        scale = q / s  # omega = (q/s) <K x, y>, fully rational
+        scale = t / s  # omega = (t/s) <Kx, y> is the Hermitian form of the metric t*G
+        q, res = _float_root(abs(scale), 1), 0.0
+        g7 = [[t * g6[i][j] for j in range(6)] + [Fraction(0)] for i in range(6)]
+        g7.append([Fraction(0)] * 6 + [Fraction(1) if lam < 0 else Fraction(-1)])
+        metric7 = InnerProduct.from_rows(g7)
     else:
-        scale = Fraction(1) if r > 0 else Fraction(-1)
+        scale = Fraction(1 if r > 0 else -1)
+        q6 = r * r / lam_abs ** 3  # q^6
+        q = _float_root(q6, 6)
+        res = float(abs(1 - Fraction(q) ** 6 / q6))
     om7 = alt_form(7, 3, {tuple(idx): c for idx, c in omega.terms.items()})
     w7 = alt_form(7, 2, {idx: scale * c for idx, c in omega_s.terms.items()})
     beta = basis_form(7, 7)
@@ -224,19 +234,7 @@ def stable6_to_7(omega: AltForm, ip: InnerProduct, vol: VolumeForm | None = None
     expected = stable7.OrbitClass7.O7_MINUS if lam < 0 else stable7.OrbitClass7.O7_PLUS
     if orbit != expected:
         raise ArithmeticError("lift landed in the wrong orbit")
-    # residual of the normalization identity; exactly zero on the exact path
-    s_f = float(lam_abs) ** 0.5
-    if exact:
-        res = 0.0
-    else:
-        res = abs(float(num) / s_f ** 3 - (q_float / s_f) ** 3 * float(vol.ratio(w3)) / 6.0)
-    metric7 = None
-    if exact:
-        # omega = (q/s) <Kx, y> is the Hermitian form of the metric q*G
-        g7 = [[q * g6[i][j] for j in range(6)] + [Fraction(0)] for i in range(6)]
-        g7.append([Fraction(0)] * 6 + [Fraction(1) if lam < 0 else Fraction(-1)])
-        metric7 = InnerProduct.from_rows(g7)
-    return Lift7(phi, w7, orbit, exact, q_float / s_f, res, metric7)
+    return Lift7(phi, w7, orbit, exact, q if r > 0 else -q, res, metric7)
 
 
 def lift_to_3fold(phi: AltForm, vol: VolumeForm | None = None, variant: str = "X1") -> CrossProduct:

@@ -180,7 +180,7 @@ def cmd_classify(args) -> int:
         if args.canonicalize and cls != stable6.OrbitClass6.NOT_STABLE:
             canon = stable6.canonicalize6(form, vol)
             payload["basis"] = [[_scalar_str(x) for x in row] for row in canon.basis.matrix]
-            payload["scale"] = rat_str(canon.scale)
+            payload["scale"] = "1"  # every canonical 6-form basis is at scale 1
     else:
         qf = stable7.q_form(form, vol)
         pos, neg, zero = qf.signature()

@@ -207,10 +207,6 @@ class LinearMap:
         return LinearMap.from_rows(list(zip(*cols)))
 
     @staticmethod
-    def identity(n: int) -> "LinearMap":
-        return LinearMap.from_rows([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @staticmethod
     def diagonal(entries: Sequence) -> "LinearMap":
         n = len(entries)
         return LinearMap.from_rows([[entries[i] if i == j else 0 for j in range(n)] for i in range(n)])
@@ -240,9 +236,6 @@ class LinearMap:
         if self.dim_in != self.dim_out:
             raise ValueError("determinant needs a square map")
         return _det(self.matrix)
-
-    def transpose(self) -> "LinearMap":
-        return LinearMap.from_rows(list(zip(*self.matrix)))
 
 
 @dataclass(frozen=True)

@@ -507,12 +507,7 @@ def hitchin_eval(model: FrameModel, omega: AltForm) -> HitchinValue:
     if model.dim != 6:
         raise ValueError("the functional is defined on 6-dimensional models")
     lam = stable6.lambda_coeff(omega, model.vol()).value
-    return HitchinValue(lam, _abs_root(lam))
-
-
-def _abs_root(x: Fraction) -> float:
-    """sqrt|x| for an exact rational x, through ``scalars._float_root``; 0.0 at x = 0."""
-    return _float_root(abs(x), 2) if x else 0.0
+    return HitchinValue(lam, _float_root(abs(lam), 2))
 
 
 _VARIATION_STEP = Fraction(1, 100000)  # h of the central difference
@@ -528,9 +523,9 @@ def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm) -> tu
     hat = stable6.hat(omega, vol)  # NotStableError when lambda = 0
     lam_p = stable6.lambda_coeff(omega + _VARIATION_STEP * omega_dot, vol).value
     lam_m = stable6.lambda_coeff(omega - _VARIATION_STEP * omega_dot, vol).value
-    fd = (_abs_root(lam_p) - _abs_root(lam_m)) / (2 * float(_VARIATION_STEP))
+    fd = (_float_root(abs(lam_p), 2) - _float_root(abs(lam_m), 2)) / (2 * float(_VARIATION_STEP))
     r = vol.ratio(wedge(hat.numerator, omega_dot))
-    pairing = _abs_root(r * r / hat.lam_abs)
+    pairing = _float_root(r * r / hat.lam_abs, 2)
     return fd, -pairing if r < 0 else pairing
 
 

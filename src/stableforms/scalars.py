@@ -1,10 +1,13 @@
-"""Exact scalar arithmetic: rationals, quadratic extensions, exact roots.
+"""Exact scalar arithmetic: rationals, quadratic extensions, roots.
 
 Every coefficient in this package is an exact rational number unless a module
-explicitly documents otherwise.  Where a square root of a rational D is
-unavoidable, canonical bases of stable 6-forms have entries in the quadratic
-extension Q(sqrt(D)) (:class:`QuadExt`); ``_float_root`` takes float roots of
-exact rationals at every size.
+explicitly documents otherwise.  Every root of a rational is taken here, in one
+of two ways: ``exact_root`` returns it as a Fraction when it is rational (on
+the one integer root ``_iroot``), and ``_float_root`` returns a normal float
+of it at every size of the exact rational.  No other module takes a float
+root.  Where a square root of a rational D is unavoidable, canonical bases of
+stable 6-forms have entries in the quadratic extension Q(sqrt(D))
+(:class:`QuadExt`).
 """
 
 from __future__ import annotations
@@ -51,65 +54,53 @@ def _int_str(n: int) -> str:
     return "-" * (n < 0) + str(m) + "".join(reversed(blocks))
 
 
-def isqrt_exact(n: int) -> int | None:
-    """Integer square root of n, or None if n is not a perfect square."""
-    if n < 0:
-        return None
-    r = math.isqrt(n)
-    return r if r * r == n else None
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for an int n >= 0 and k >= 2, exactly at every size.
 
-
-def sqrt_fraction(x: Fraction) -> Fraction | None:
-    """Exact square root of a rational, or None."""
-    x = Fraction(x)
-    if x < 0:
-        return None
-    pn = isqrt_exact(x.numerator)
-    pd = isqrt_exact(x.denominator)
-    if pn is None or pd is None:
-        return None
-    return Fraction(pn, pd)
-
-
-def icbrt_exact(n: int) -> int | None:
-    """Integer cube root of n (any sign), or None if n is not a perfect cube.
-
-    Integer Newton iteration from 2^ceil(bits/3) >= cbrt(n): the iterates
-    decrease strictly to floor(cbrt(n)), exactly at every size.
+    math.isqrt at k = 2; otherwise integer Newton iteration from
+    2^ceil(bits/k) >= n^(1/k): the iterates decrease strictly to the floor.
     """
-    if n < 0:
-        r = icbrt_exact(-n)
-        return None if r is None else -r
+    if k == 2:
+        return math.isqrt(n)
     if n == 0:
         return 0
-    x = 1 << -(-n.bit_length() // 3)
+    x = 1 << -(-n.bit_length() // k)
     while True:
-        y = (2 * x + n // (x * x)) // 3
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
         if y >= x:
-            break
+            return x
         x = y
-    return x if x * x * x == n else None
 
 
-def cbrt_fraction(x: Fraction) -> Fraction | None:
-    """Exact cube root of a rational, or None."""
-    x = Fraction(x)
-    pn = icbrt_exact(x.numerator)
-    pd = icbrt_exact(x.denominator)
-    if pn is None or pd is None:
+def exact_root(x: Fraction, k: int) -> Fraction | None:
+    """The k-th root of a rational x (or int) when it is rational, else None.
+
+    A negative x has a root only for odd k, and it is negative.
+    """
+    n, d = x.numerator, x.denominator
+    if n < 0 and not k % 2:
         return None
-    return Fraction(pn, pd)
+    a = _iroot(abs(n), k)
+    if a ** k != abs(n):
+        return None
+    b = _iroot(d, k)
+    if b ** k != d:
+        return None
+    return Fraction(-a if n < 0 else a, b)
 
 
 def _float_root(x: Fraction, k: int) -> float:
-    """x^(1/k) for a rational x > 0, as a normal float whatever the size of x.
+    """x^(1/k) for a rational x >= 0, as a normal float whatever the size of x; 0.0 at 0.
 
     The binary exponent is shifted out first, x = y 2^(k e) with 1/2 < y < 2^(k+1),
     so neither float(y) nor its root leaves the float range; ldexp puts 2^e
     back.  A root outside the normal float range raises OverflowError, naming
     its order k and 2^e.  For k = 2 the root is math.sqrt, so wherever x and
-    its root are normal floats the result is math.sqrt(float(x)) bit for bit.
+    its root are normal floats the result is math.sqrt(float(x)) bit for bit,
+    and at k = 1 it is float(x), with the same range check.
     """
+    if not x:
+        return 0.0
     e = (x.numerator.bit_length() - x.denominator.bit_length()) // k
     y = float(x / Fraction(2) ** (k * e))
     try:

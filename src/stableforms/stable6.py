@@ -56,7 +56,7 @@ from fractions import Fraction
 from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _interior_wedges, _minor, alt_form,
                        pullback, wedge)
 from .linalg import _clear, _numerators, nullspace, rank
-from .scalars import QuadExt, sqrt_fraction
+from .scalars import QuadExt, exact_root
 
 
 class NotStableError(ValueError):
@@ -95,7 +95,7 @@ class ScaledStructure:
         if not self.is_para:
             raise NotStableError("real eigenspaces exist only in the paracomplex case")
         lam, m = self.lam.value, self.K.matrix
-        s = sqrt_fraction(lam)
+        s = exact_root(lam, 2)
         if s is None:
             return [[QuadExt(x, y, lam) for x, y in zip(a, b)] for a, b in _root_kernel(m, lam, sign)]
         return nullspace([[x - sign * s if i == j else x for j, x in enumerate(row)]
@@ -235,7 +235,7 @@ def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
     P = (Fraction(1) / lam_abs) * pullback(ss.K, omega)
     if vol.ratio(wedge(omega, P)) != 2 * lam_abs:
         raise ArithmeticError("Omega ^ K^*Omega != 2 lambda^2 vol; inconsistent input")
-    s = sqrt_fraction(lam_abs)
+    s = exact_root(lam_abs, 2)
     return HatForm(P, lam_abs, None if s is None else (1 / s) * P)
 
 
@@ -245,7 +245,6 @@ class Canon6:
 
     basis: LinearMap
     orbit: OrbitClass6
-    scale: Fraction
 
 
 def canonical_omega_plus() -> AltForm:
@@ -290,7 +289,7 @@ def canonicalize6(omega: AltForm, vol: VolumeForm) -> Canon6:
 
 
 def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
-    s = sqrt_fraction(ss.lam.value)
+    s = exact_root(ss.lam.value, 2)
     if s is None:
         return _canonicalize_para_root(omega, ss)
     (r, den), rows = _numerators(ss.K.matrix), []
@@ -307,7 +306,7 @@ def _canonicalize_para(omega: AltForm, ss: ScaledStructure) -> Canon6:
     g = LinearMap.from_rows(rows)
     if pullback(g, canonical_omega_plus()) != omega:
         raise ArithmeticError("paracomplex canonicalization failed the round trip")
-    return Canon6(g, OrbitClass6.O6_PLUS, Fraction(1))
+    return Canon6(g, OrbitClass6.O6_PLUS)
 
 
 def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
@@ -332,7 +331,7 @@ def _canonicalize_para_root(omega: AltForm, ss: ScaledStructure) -> Canon6:
         raise ArithmeticError("paracomplex canonicalization failed the round trip")
     g = [[QuadExt(p / 2, sign * q / (2 * lam), lam) for p, q in zip(xr, yr)]
          for sign in (1, -1) for xr, yr in zip(x, y)]
-    return Canon6(LinearMap.from_rows(g), OrbitClass6.O6_PLUS, Fraction(1))
+    return Canon6(LinearMap.from_rows(g), OrbitClass6.O6_PLUS)
 
 
 def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
@@ -356,9 +355,9 @@ def _canonicalize_complex(omega: AltForm, ss: ScaledStructure) -> Canon6:
     a, b = [a for a, _ in pairs], [b for _, b in pairs]
     if pullback(LinearMap.from_rows(a + b), _re_im(lam)[0]) != omega:
         raise ArithmeticError("complex canonicalization failed the round trip")
-    s = sqrt_fraction(-lam) or QuadExt.root(-lam)
+    s = exact_root(-lam, 2) or QuadExt.root(-lam)
     return Canon6(LinearMap.from_rows(a + [[s * y for y in row] for row in b]),
-                  OrbitClass6.O6_MINUS, Fraction(1))
+                  OrbitClass6.O6_MINUS)
 
 
 _STANDARD_VOL6, _STANDARD_VOL7 = VolumeForm.standard(6), VolumeForm.standard(7)

@@ -43,7 +43,7 @@ from fractions import Fraction
 from .exteralg import (AltForm, InnerProduct, VolumeForm, _check_shape, _interior_wedges, _merge_signs,
                        _minor, alt_form)
 from .linalg import _clear, _inertia_det, _numerators
-from .scalars import _float_root, cbrt_fraction
+from .scalars import _float_root, exact_root
 from .stable6 import NotStableError
 
 
@@ -128,7 +128,7 @@ class G2Metric:
 
     `ip` carries exact entries (the float scale is converted exactly), so
     downstream exact operations can consume it; `scale` records s, exact when
-    s^9 is a cube of a cube and else the float ninth root, and the call raises
+    s^9 is a ninth power and else the float ninth root, and the call raises
     OverflowError when s is not a normal float.  `vol` is the metric's volume
     form s e^{1..7}, oriented like the call's vol.  The overall sign is pinned
     by the known signatures: positive definite on O7_MINUS and three positive
@@ -150,7 +150,7 @@ def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
     if orbit == OrbitClass7.NOT_STABLE:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
     s9 = abs(det_b) / Fraction(6) ** 7
-    scale = _ninth_root(s9)
+    scale = exact_root(s9, 9)
     if scale is None:
         scale = Fraction(_float_root(s9, 9))
     elif not sys.float_info.min <= scale <= sys.float_info.max:
@@ -163,13 +163,6 @@ def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
         g = [[-x for x in row] for row in g]
     return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit,
                     VolumeForm.standard(7, scale if vol.coefficient() > 0 else -scale))
-
-
-def _ninth_root(x: Fraction) -> Fraction | None:
-    c = cbrt_fraction(x)
-    if c is None:
-        return None
-    return cbrt_fraction(c)
 
 
 def cross_from_phi(phi: AltForm, vol: VolumeForm) -> CrossProduct:

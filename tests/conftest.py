@@ -34,7 +34,7 @@ def random_invertible(rng: random.Random, n: int, span: int = 3) -> LinearMap:
 
 def rational_rotation(rng: random.Random, n: int, steps: int = 8) -> LinearMap:
     """Product of Givens rotations with Pythagorean cosines: exactly orthogonal."""
-    g = LinearMap.identity(n)
+    g = LinearMap.diagonal([1] * n)
     for _ in range(steps):
         i, j = rng.sample(range(n), 2)
         a, b, c = PYTHAGOREAN[rng.randrange(len(PYTHAGOREAN))]

@@ -66,7 +66,7 @@ def test_c04_orbit_invariants():
     for _ in range(200):
         g = random_invertible(rng, 7, span=2)
         B1 = stable7.q_form(pullback(g, phi), VOL7).B
-        gt_b_g = mat_mul(mat_mul([list(r) for r in g.transpose().matrix],
+        gt_b_g = mat_mul(mat_mul([list(r) for r in zip(*g.matrix)],
                                  [list(r) for r in B0]), [list(r) for r in g.matrix])
         det = g.det()
         assert all(B1[i][j] == det * gt_b_g[i][j] for i in range(7) for j in range(7))
@@ -88,9 +88,9 @@ def test_c05_structure_identities():
         ss = stable6.scaled_structure(omega, VOL6)  # verifies K^2 = lambda Id exactly
         counts[cls] += 1
         if cls == stable6.OrbitClass6.O6_PLUS:
-            from stableforms.scalars import sqrt_fraction
+            from stableforms.scalars import exact_root
 
-            if sqrt_fraction(lam) is not None:
+            if exact_root(lam, 2) is not None:
                 assert len(ss.eigenspace(-1)) == 3 and len(ss.eigenspace(1)) == 3
     # para eigenspace dimensions, canonical witnesses
     ss = stable6.scaled_structure(stable6.canonical_omega_plus(), VOL6)

@@ -388,6 +388,87 @@ class TestStable6To7:
             bridge.stable6_to_7(alt_form(6, 3, {(1, 2, 3): 1}), InnerProduct.euclidean(6))
 
 
+SIZE_EXPONENTS = (0, 5, -5, 10, -10, 20, -20, 40, -40, 60, -60, 100, -100, 200, -200, 400, -400)
+SPLIT6 = InnerProduct.diagonal([1, 1, 1, -1, -1, -1])
+
+
+def sized_lifts(m: int, exponents=SIZE_EXPONENTS):
+    """(Omega, ip, vol, outcome) for c Omega_-+ with c = m 10^e, e in exponents, under the
+    synthesized inner product and the Euclidean (Omega_-) or split (Omega_+) one, in both
+    orientations; the outcome is the lift or the OverflowError it raised."""
+    for form, fixed in ((canonical_omega_minus(), InnerProduct.euclidean(6)),
+                        (canonical_omega_plus_4term(), SPLIT6)):
+        for sign in (1, -1):
+            vol = VolumeForm.standard(6, Fraction(sign))
+            for e in exponents:
+                omega = m * Fraction(10) ** e * form
+                for ip in (bridge.synthesize_compatible_ip(scaled_structure(omega, vol)), fixed):
+                    try:
+                        yield omega, ip, vol, bridge.stable6_to_7(omega, ip, vol)
+                    except OverflowError as err:
+                        yield omega, ip, vol, err
+
+
+def normalization_ratio(lift: bridge.Lift7, omega, vol) -> Fraction:
+    """(omega^3 / 6 vol)^2 / ((1/4) Omega ^ hat / vol)^2 = 4 (omega^3 / 6 vol)^2 / |lambda|, from the
+    lift's 2-form and Omega ^ hat(Omega) = 2 sqrt|lambda| vol: 1 exactly when the lift is normalized."""
+    w = alt_form(6, 2, lift.omega.terms)
+    return 4 * (vol.ratio(wedge(wedge(w, w), w)) / 6) ** 2 / abs(stable6.lambda_coeff(omega, vol).value)
+
+
+def lift_scale(lift: bridge.Lift7, omega, ip, vol) -> Fraction:
+    """The rational c with lift.omega = c <K x, y>, K of (omega, vol) and <,> of ip."""
+    km = scaled_structure(omega, vol).K.matrix
+    w = mat_mul([list(r) for r in zip(*km)], [list(r) for r in ip.gram])
+    (i, j), x = next(iter(lift.omega.terms.items()))
+    c = x / w[i - 1][j - 1]
+    assert lift.omega.terms == {(a + 1, b + 1): c * w[a][b]
+                                for a in range(6) for b in range(a + 1, 6) if w[a][b]}
+    return c
+
+
+class TestStable6To7Sizes:
+    def test_every_size_lifts_or_names_the_overflow(self):
+        """c = 7 10^e is not a cube, so the scale is a float: each call returns a lift whose
+        residual is the relative error of the normalization at scale_float^6, at most 1e-15,
+        or raises the OverflowError of the order-6 root; never a bare division error."""
+        lifted = raised = 0
+        for omega, ip, vol, out in sized_lifts(7):
+            if isinstance(out, OverflowError):
+                assert str(out).startswith("root of order 6 near 2^")
+                raised += 1
+                continue
+            assert not out.normalization_exact and out.metric7 is None
+            c = lift_scale(out, omega, ip, vol)  # the lift keeps omega unnormalized: c = +-1
+            assert abs(c) == 1 and (out.scale_float > 0) == (c > 0)
+            expected = abs(1 - Fraction(out.scale_float) ** 6 * normalization_ratio(out, omega, vol))
+            assert out.residual == float(expected) and out.residual <= 1e-15
+            lifted += 1
+        assert lifted > 0 and raised > 0
+
+    def test_exact_scales_lift_exactly_or_name_the_overflow(self):
+        """c = 8 10^e with 3 | e is a cube, so the scale is rational: the lift is exactly
+        normalized with residual 0.0, or its scale is outside the float range and the
+        order-1 root (the float of the exact scale) names it."""
+        lifted = raised = 0
+        for omega, ip, vol, out in sized_lifts(8, (0, 60, -60, 300, -300)):
+            if isinstance(out, OverflowError):
+                assert str(out).startswith("root of order 1 near 2^")
+                raised += 1
+                continue
+            assert out.normalization_exact and out.residual == 0.0
+            assert out.scale_float == float(lift_scale(out, omega, ip, vol))
+            assert normalization_ratio(out, omega, vol) == 1
+            lifted += 1
+        assert lifted > 0 and raised > 0
+
+    def test_cube_scale_is_the_exact_float(self):
+        omega = 8 * canonical_omega_minus()
+        vol = VolumeForm.standard(6)
+        lift = bridge.stable6_to_7(omega, bridge.synthesize_compatible_ip(scaled_structure(omega, vol)), vol)
+        assert lift.normalization_exact and lift.scale_float == 2.0 ** -20
+
+
 class TestRoundTrips:
     def test_round_trip_a_exact_at_e0(self):
         cp3 = vcp.cross_3fold(AlgebraTag.O, "X1")

@@ -407,8 +407,8 @@ def test_closed_stdout_ends_quietly():
 
 
 def test_arithmetic_error_exits_3_without_traceback(tmp_path):
-    """The stable6 bridge's float scale overflows on (10^60 + 1) Omega_minus: exit 3, one line."""
-    form = (10 ** 60 + 1) * alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -1, (2, 4, 6): 1,
+    """The stable6 bridge's float scale overflows on (10^400 + 1) Omega_minus: exit 3, one line."""
+    form = (10 ** 400 + 1) * alt_form(6, 3, {(1, 2, 3): 1, (1, 5, 6): -1, (2, 4, 6): 1,
                                             (3, 4, 5): -1})
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -194,7 +194,7 @@ from stableforms.exteralg import (_INDEX, _MASK, AltForm, InnerProduct, LinearMa
                                   form_inner, hodge_star, pullback, sort_index, wedge)
 from stableforms.linalg import (_clear, _inertia_det, _integer_row, det, inertia, inverse, mat_mul, mat_vec,
                                 rank, transpose)
-from stableforms.scalars import QuadExt, _float_root, sqrt_fraction
+from stableforms.scalars import QuadExt, _float_root, exact_root
 from stableforms.stable6 import (_UNSTABLE_STABILIZER, OrbitClass6, _k_entry, _re_im, _root_kernel, _times,
                                  canonical_omega_minus, canonical_omega_minus_hat, canonical_omega_plus,
                                  canonicalize6, hat, lambda_coeff, scaled_structure, stabilizer_dim)
@@ -573,7 +573,7 @@ def test_stabilizer_dim_of_classify_kinds_matches_rank(kind, rng):
             assert stabilizer_dim(form) == ref_stabilizer_dim(form) == expected
             assert (stability_invariant(form) != 0) == (expected in (16, 14))
             if kind.startswith("6") and expected == 16:
-                root = sqrt_fraction(abs(lambda_coeff(form, VolumeForm.standard(6)).value))
+                root = exact_root(abs(lambda_coeff(form, VolumeForm.standard(6)).value), 2)
                 assert (root is None) == kind.endswith("32")
 
 
@@ -1233,7 +1233,7 @@ def ref_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
     key0 = next(iter(alpha.terms))
     thetas[0] = (alpha.terms[key0] / prod.terms[key0]) * thetas[0]
     assert ref_wedge(ref_wedge(thetas[0], thetas[1]), thetas[2]) == alpha
-    s = sqrt_fraction(-lam)
+    s = exact_root(-lam, 2)
     if s is None:
         s = QuadExt.root(-lam)
     zero = QuadExt.of(0, lam)
@@ -1250,7 +1250,7 @@ def ref_canonicalize_para(omega: AltForm, vol: VolumeForm) -> LinearMap:
     on that eigenspace, and the inverse of the matrix of those columns."""
     ss = scaled_structure(omega, vol)
     lam = ss.lam.value
-    s = sqrt_fraction(lam)
+    s = exact_root(lam, 2)
     if s is None:
         s = QuadExt.root(lam)
     km = [list(r) for r in ss.K.matrix]
@@ -1380,7 +1380,7 @@ def test_root_kernel_matches_the_realification(rng):
         omega = c * pullback(g, omega_d(rng.choice([2, -2, 3, -3, 5, -5])))
         ss = scaled_structure(omega, VolumeForm.standard(6))
         lam = ss.lam.value
-        assert sqrt_fraction(lam) is None
+        assert exact_root(lam, 2) is None
         for m in (ss.K.matrix, [list(col) for col in zip(*ss.K.matrix)]):
             for sigma in (1, -1):
                 got = _root_kernel(m, lam, sigma)
@@ -1414,7 +1414,7 @@ def ref_hat_canonicalize_complex(omega: AltForm, vol: VolumeForm) -> LinearMap:
     a, b = [a for a, _ in pairs], [b for _, b in pairs]
     re, im = (pullback(LinearMap.from_rows(a + b), f) for f in _re_im(lam))
     assert re == omega and im == (-1 / lam) * numerator
-    s = sqrt_fraction(-lam)
+    s = exact_root(-lam, 2)
     if s is None:
         s = QuadExt.root(-lam)
     return LinearMap.from_rows(a + [[s * y for y in row] for row in b])
@@ -1436,7 +1436,7 @@ def test_canonicalize6_minus_matches_the_frame_through_the_hat(rng):
         canon = canonicalize6(omega, vol)
         assert_same_basis(canon.basis, ref_hat_canonicalize_complex(omega, vol))
         h = hat(omega, vol)
-        root = sqrt_fraction(h.lam_abs) or QuadExt.root(h.lam_abs)
+        root = exact_root(h.lam_abs, 2) or QuadExt.root(h.lam_abs)
         im = ref_pullback(canon.basis, canonical_omega_minus_hat())
         assert {idx: root * x for idx, x in im.terms.items()} == h.numerator.terms
         quadext += isinstance(root, QuadExt)
@@ -2188,7 +2188,7 @@ def test_synthesize_compatible_ip_matches_the_eigenbasis_inverse(rng):
             c *= Fraction(10) ** rng.choice([-40, 40])
         omega = c * pullback(random_invertible(rng, 6, 2), omega_d((1, 4, 9)[trial % 3]))
         ss = scaled_structure(omega, VolumeForm.standard(6, rng.choice([1, -1])))
-        assert ss.is_para and sqrt_fraction(ss.lam.value) is not None
+        assert ss.is_para and exact_root(ss.lam.value, 2) is not None
         got, expected = bridge.synthesize_compatible_ip(ss), ref_synthesize_para(ss)
         assert got == expected
         assert [type(x) for row in got.gram for x in row] == [type(x) for row in expected.gram for x in row]

@@ -11,6 +11,9 @@
   contain no ``float(`` call, no float literal and no ``math.sqrt``,
   ``math.exp`` or ``math.log``: floats enter the package elsewhere, in
   named places.
+* No module but ``scalars`` takes a float root (a power by a float literal
+  or by a quotient, ``math.sqrt`` or ``math.cbrt``): every root of a
+  rational goes through ``scalars.exact_root`` or ``scalars._float_root``.
 * ``QuadExt`` is named only in ``scalars`` (which defines it), ``stable6``
   (whose canonical bases carry it when sqrt|lambda| is irrational) and
   ``cli`` (which prints them): every other module computes over Q.
@@ -111,6 +114,44 @@ def test_guard_flags_floats():
                      "def f(x):\n    return float(x) + 0.5 * math.sqrt(x) + math.gcd(2, 4)\n")
     assert float_uses(tree) == ["math.log (line 2)", "float( (line 5)", "float literal 0.5 (line 5)",
                                 "math.sqrt (line 5)"]
+
+
+ROOT_OWNER = "scalars.py"
+ROOT_FUNCTIONS = {"sqrt", "cbrt"}
+
+
+def float_roots(tree: ast.Module) -> list[str]:
+    """Each float root: a power whose exponent is a float literal or a quotient, signed or
+    not (``** 0.5``, ``** (1 / 3)``, ``** -(1.0 / k)``), and each ``math.sqrt`` or ``math.cbrt``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+            e = node.right.operand if isinstance(node.right, ast.UnaryOp) else node.right
+            if (isinstance(e, ast.BinOp) and isinstance(e.op, ast.Div)
+                    or isinstance(e, ast.Constant) and type(e.value) is float):
+                out.append(f"** {ast.unparse(node.right)} (line {node.lineno})")
+        elif (isinstance(node, ast.Attribute) and node.attr in ROOT_FUNCTIONS
+              and isinstance(node.value, ast.Name) and node.value.id == "math"):
+            out.append(f"math.{node.attr} (line {node.lineno})")
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            out += [f"math.{a.name} (line {node.lineno})" for a in node.names if a.name in ROOT_FUNCTIONS]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(set(MODULES) - {ROOT_OWNER}))
+def test_only_scalars_takes_float_roots(name):
+    assert float_roots(MODULES[name]) == []
+
+
+def test_guard_flags_float_roots():
+    """The root check is not vacuous: it catches each planted root and the owner's own, and
+    passes integer powers and plain quotients."""
+    tree = ast.parse("import math\nfrom math import cbrt\n\n"
+                     "def f(x, k):\n    return x ** 0.5 + x ** (1 / 3) - x ** -(1.0 / k) + math.sqrt(x)\n\n"
+                     "def g(x, k):\n    return x ** 2 + x ** k + x ** -1 + x / 3 + math.isqrt(k)\n")
+    assert sorted(float_roots(tree)) == ["** -(1.0 / k) (line 5)", "** 0.5 (line 5)", "** 1 / 3 (line 5)",
+                                         "math.cbrt (line 2)", "math.sqrt (line 5)"]
+    assert float_roots(MODULES[ROOT_OWNER]) != []
 
 
 @pytest.mark.parametrize("name", sorted(set(MODULES) - {"__init__.py"}))

@@ -59,7 +59,7 @@ from stableforms import bridge, cli, compalg, exteralg, framecalc, linalg, stabl
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, LinearMap, VolumeForm, alt_form, pullback
 from stableforms.linalg import inertia
-from stableforms.scalars import sqrt_fraction
+from stableforms.scalars import exact_root
 from test_differential import UNSTABLE_FORMS
 
 VOL6 = VolumeForm.standard(6)
@@ -476,10 +476,10 @@ def test_q_form_carries_the_memo_signature(form, c, dets):
                          ids=["G7*phi-", "2 G7*phi-", "G7*phi+"])
 def test_the_lift_takes_the_metric_scale_once(form, monkeypatch):
     """lift_to_3fold takes *phi against ``G2Metric.vol``: it roots the metric scale only
-    inside metric_from_phi, as many cube roots as that call alone takes."""
+    inside metric_from_phi, as many exact roots as that call alone takes."""
     roots = []
-    monkeypatch.setattr(stable7, "cbrt_fraction", lambda x, _orig=stable7.cbrt_fraction:
-                        roots.append(x) or _orig(x))
+    monkeypatch.setattr(stable7, "exact_root", lambda x, k, _orig=stable7.exact_root:
+                        roots.append(x) or _orig(x, k))
     stable7.metric_from_phi(fresh(form), VOL7)
     alone = len(roots)
     roots.clear()
@@ -505,7 +505,7 @@ def test_the_six_dimensional_frames_invert_nothing(omega, rational, monkeypatch)
     sqrt(lambda) is rational."""
     omega = fresh(omega)
     lam = stable6.scaled_structure(omega, VOL6).lam.value
-    assert (sqrt_fraction(lam) is not None) == rational
+    assert (exact_root(lam, 2) is not None) == rational
     counts = sized_calls(monkeypatch, ((linalg, "rref"), *INVERSES))
     stable6.canonicalize6(omega, VOL6)
     assert counts == ({("rref", 6): 2} if rational else {})
@@ -530,7 +530,7 @@ def test_the_paracomplex_gram_inverts_nothing(monkeypatch):
     """synthesize_compatible_ip reads the dual rows of the two eigenbases off the projectors
     (sqrt(lambda) -+ K) / (2 sqrt(lambda)): one 6-row rref per eigenspace and no inverse."""
     ss = stable6.scaled_structure(fresh(OMEGA_PLUS), VOL6)
-    assert sqrt_fraction(ss.lam.value) is not None
+    assert exact_root(ss.lam.value, 2) is not None
     counts = sized_calls(monkeypatch, ((linalg, "rref"), *INVERSES))
     bridge.synthesize_compatible_ip(ss)
     assert counts == {("rref", 6): 2}

@@ -1,5 +1,7 @@
-"""Exact scalars: ``rat_str`` at every integer size, the hash and float of ``QuadExt``, and the
-errors of ``_float_root`` outside the float range."""
+"""Exact scalars: ``rat_str`` at every integer size, the hash and float of ``QuadExt``, the
+errors of ``_float_root`` outside the float range, and ``_iroot`` and ``exact_root`` against
+the root helpers they replaced (``math.isqrt``, a Newton cube root, and that cube root taken
+twice for k = 9)."""
 
 import math
 import re
@@ -7,8 +9,10 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from stableforms.scalars import QuadExt, _float_root, rat_str
+from stableforms.scalars import QuadExt, _float_root, _iroot, exact_root, rat_str
 
 
 @pytest.mark.parametrize("digits", [5, 3999, 4000, 4001, 4300, 4301, 8000, 8001, 12345])
@@ -62,3 +66,109 @@ def test_float_root_outside_the_range_names_its_order_and_exponent(x, k, message
     subnormal result is refused; both messages name k and the binary exponent e."""
     with pytest.raises(OverflowError, match=f"^{re.escape(message)}$"):
         _float_root(x, k)
+
+
+def test_float_root_of_zero_is_zero():
+    assert _float_root(Fraction(0), 2) == 0.0 and _float_root(Fraction(0), 9) == 0.0
+
+
+def ref_icbrt(n: int) -> int:
+    """floor(cbrt(n)) for n >= 0: the integer Newton iteration the library's cube root used."""
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // 3)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            return x
+        x = y
+
+
+def ref_exact_int_root(n: int, k: int) -> int | None:
+    """The exact k-th root of an int n >= 0 from the replaced helpers, or None."""
+    if k == 2:
+        r = math.isqrt(n)
+        return r if r * r == n else None
+    if k == 6:
+        s = ref_exact_int_root(n, 2)
+        return None if s is None else ref_exact_int_root(s, 3)
+    if k == 9:
+        c = ref_exact_int_root(n, 3)
+        return None if c is None else ref_exact_int_root(c, 3)
+    r = ref_icbrt(n)
+    return r if r ** 3 == n else None
+
+
+def ref_exact_root(x: Fraction, k: int) -> Fraction | None:
+    """The exact k-th root of a rational from the replaced helpers: numerator and denominator
+    apart, a negative x only for odd k."""
+    if x < 0:
+        if k % 2 == 0:
+            return None
+        r = ref_exact_root(-x, k)
+        return None if r is None else -r
+    a, b = ref_exact_int_root(x.numerator, k), ref_exact_int_root(x.denominator, k)
+    return None if a is None or b is None else Fraction(a, b)
+
+
+KS = (2, 3, 6, 9)
+BASES = (2, 3, 10, 7 ** 5, 10 ** 15 + 7, 2 ** 64 - 1, 10 ** 110 + 1, 3 ** 500, 10 ** 400 - 3, 10 ** 400)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_iroot_is_the_floor_at_powers_and_their_neighbours(k):
+    """_iroot(n, k) is floor(n^(1/k)) at m^k and m^k +- 1, m up to 10^400, and at 0 and 1; at
+    k = 2 it is math.isqrt, at k = 3 the Newton cube root."""
+    for m in BASES:
+        for n, root in ((m ** k, m), (m ** k - 1, m - 1), (m ** k + 1, m)):
+            assert _iroot(n, k) == root
+    assert [_iroot(n, k) for n in (0, 1, 2)] == [0, 1, 1]
+    reference = {2: math.isqrt, 3: ref_icbrt}.get(k)
+    if reference:
+        for m in BASES:
+            for n in (m ** k - 1, m ** k, m ** k + 1, m, m * m + 5):
+                assert _iroot(n, k) == reference(n)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 10 ** 400), k=st.sampled_from(KS))
+def test_iroot_is_the_floor(n, k):
+    r = _iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+    if k == 2:
+        assert r == math.isqrt(n)
+    elif k == 3:
+        assert r == ref_icbrt(n)
+
+
+@pytest.mark.parametrize("k", KS)
+def test_exact_root_at_powers_and_their_neighbours(k):
+    """m^k has the root m, m^k +- 1 has none (m >= 2); a negative power has the root -m for
+    odd k and none for even k; the same holds over a k-th power denominator, and each value
+    agrees with the replaced helpers."""
+    for m in BASES:
+        cases = [(m ** k, m), (m ** k - 1, None), (m ** k + 1, None),
+                 (-m ** k, -m if k % 2 else None), (-(m ** k + 1), None),
+                 (Fraction(m ** k, 7 ** k), Fraction(m, 7)),
+                 (Fraction(-7 ** k, m ** k), Fraction(-7, m) if k % 2 else None),
+                 (Fraction(m ** k, 7 ** k + 1), None), (Fraction(1, 2 * m ** k), None)]
+        for x, root in cases:
+            got = exact_root(Fraction(x), k)
+            assert got == root and (got is None or type(got) is Fraction)
+            assert got == ref_exact_root(Fraction(x), k)
+        assert exact_root(m ** k, k) == m  # an int is accepted as it is
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=st.integers(-10 ** 400, 10 ** 400), b=st.integers(1, 10 ** 400), k=st.sampled_from(KS),
+       power=st.booleans())
+def test_exact_root_matches_the_replaced_helpers(a, b, k, power):
+    """On random rationals, and on their k-th powers, exact_root is the replaced helpers'
+    root: numerator and denominator apart, negative only for odd k."""
+    x = Fraction(a, b) ** k if power else Fraction(a, b)
+    got = exact_root(x, k)
+    assert got == ref_exact_root(x, k)
+    if power and (k % 2 or a >= 0):
+        assert got == (Fraction(a, b) if k % 2 else abs(Fraction(a, b)))
+    if got is not None:
+        assert got ** k == x

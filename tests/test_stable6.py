@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import random_invertible, random_three_form, ref_pullback
 from stableforms.exteralg import LinearMap, VolumeForm, alt_form, basis_form, pullback, wedge
 from stableforms.linalg import mat_mul
-from stableforms.scalars import QuadExt, sqrt_fraction
+from stableforms.scalars import QuadExt, exact_root
 from stableforms.stable6 import (Canon6, NotStableError, OrbitClass6,
                                  adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat,
@@ -148,7 +148,7 @@ class TestScaledStructure:
                                          (3, 4, 5): lam_root}))
         ss = scaled_structure(omega, VOL)
         lam = ss.lam.value
-        assert ss.is_para and sqrt_fraction(lam) is None
+        assert ss.is_para and exact_root(lam, 2) is None
         root = QuadExt.root(lam)
         for sigma in (1, -1):
             space = ss.eigenspace(sigma)
@@ -208,7 +208,7 @@ class TestHat:
         for _ in range(6):
             omega = random_three_form(rng, 6)
             lam = lambda_coeff(omega, VOL).value
-            if lam == 0 or sqrt_fraction(abs(lam)) is None:
+            if lam == 0 or exact_root(abs(lam), 2) is None:
                 continue
             hh = hat(hat(omega, VOL).form, VOL)
             assert hh.form == -1 * omega
@@ -279,15 +279,14 @@ class TestHat:
         for omega, vol in ((canonical_omega_plus(), VOL),
                            (canonical_omega_minus(), adapted_vol6())):
             h = hat(omega, vol)
-            s = sqrt_fraction(h.lam_abs)
+            s = exact_root(h.lam_abs, 2)
             assert vol.ratio(wedge(omega, h.form)) == 2 * s
 
 
 class TestCanonicalize:
     def test_canonical_plus_identity(self):
         c = canonicalize6(canonical_omega_plus(), VOL)
-        assert c.basis == LinearMap.identity(6)
-        assert c.scale == 1
+        assert c.basis == LinearMap.diagonal([1] * 6)
 
     def test_canonical_minus_round_trip(self):
         c = canonicalize6(canonical_omega_minus(), VOL)

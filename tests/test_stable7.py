@@ -9,9 +9,9 @@ from stableforms import vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import AltForm, InnerProduct, LinearMap, VolumeForm, alt_form, basis_form, pullback
 from stableforms.linalg import mat_mul
-from stableforms.scalars import icbrt_exact
+from stableforms.scalars import exact_root
 from stableforms.stable6 import NotStableError, stabilizer_dim
-from stableforms.stable7 import (OrbitClass7, _canonicalize7, _float_root, _ninth_root, canonical_phi_minus,
+from stableforms.stable7 import (OrbitClass7, _canonicalize7, _float_root, canonical_phi_minus,
                                  canonical_phi_plus, canonicalize7, classify7,
                                  cross_from_phi, metric_from_phi, q_form)
 
@@ -40,7 +40,7 @@ class TestQForm:
             g = random_invertible(rng, 7)
             B = q_form(phi, VOL).B
             B2 = q_form(pullback(g, phi), VOL).B
-            gt_b_g = mat_mul(mat_mul([list(r) for r in g.transpose().matrix],
+            gt_b_g = mat_mul(mat_mul([list(r) for r in zip(*g.matrix)],
                                      [list(r) for r in B]),
                              [list(r) for r in g.matrix])
             det = g.det()
@@ -89,18 +89,18 @@ class TestExactRoots:
     """Cube and ninth roots are exact at every size, with no float guess."""
 
     def test_cube_beyond_float_precision(self):
-        assert icbrt_exact((10**15 + 7) ** 3) == 10**15 + 7
+        assert exact_root((10**15 + 7) ** 3, 3) == 10**15 + 7
 
     def test_cube_beyond_float_range(self):
-        assert icbrt_exact((10**110 + 1) ** 3) == 10**110 + 1
-        assert icbrt_exact(-(10**110 + 1) ** 3) == -(10**110 + 1)
-        assert icbrt_exact((10**110 + 1) ** 3 + 1) is None
+        assert exact_root((10**110 + 1) ** 3, 3) == 10**110 + 1
+        assert exact_root(-(10**110 + 1) ** 3, 3) == -(10**110 + 1)
+        assert exact_root((10**110 + 1) ** 3 + 1, 3) is None
 
     def test_ninth_root_of_large_power(self):
-        assert _ninth_root(Fraction(7**9 * 10**90)) == 7 * 10**10
+        assert exact_root(Fraction(7**9 * 10**90), 9) == 7 * 10**10
 
     def test_small_values(self):
-        assert [icbrt_exact(n) for n in (0, 1, 8, 27, -64, 2, 9, 26)] == [0, 1, 2, 3, -4, None, None, None]
+        assert [exact_root(n, 3) for n in (0, 1, 8, 27, -64, 2, 9, 26)] == [0, 1, 2, 3, -4, None, None, None]
 
     def test_float_root_beyond_float_range(self):
         assert _float_root(Fraction(2) ** 900, 9) == 2.0 ** 100
