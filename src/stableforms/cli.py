@@ -335,6 +335,10 @@ def cmd_para_cy(args) -> int:
 
 
 def cmd_vcp_check(args) -> int:
+    if args.trials < 1:
+        raise ParseError(f"--trials must be a positive integer, got {args.trials}")
+    if args.what == "axioms" and args.algebra not in ("O", "B"):
+        raise ParseError("cross-product axioms live on the octonions (O) or the split octonions (B)")
     raw = os.environ.get("STABLEFORMS_SEED", "0")
     try:
         seed = int(raw)

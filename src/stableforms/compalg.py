@@ -11,6 +11,8 @@ keeps the n x n table of (k, s) for its doubling signs (``_table``), and the
 tables are snapshot tested downstream.  ``multiply`` clears both operands
 to integer numerators over one denominator each and makes one pass over the
 table; it takes int and Fraction coordinates only (TypeError on others).
+``verify_identities`` clears each random draw once and runs every product
+of its checks through that same pass, on the integer numerators.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .linalg import _clear, _pair, _sparse
+from .linalg import _bilinear, _clear, _pair, _sparse
 from .scalars import rat
 
 
@@ -223,6 +225,15 @@ def verify_identities(tag: AlgebraTag, trials: int, seed: int = 0) -> IdentityRe
     (two-generator associativity), the conjugation anti-homomorphism, and the
     two linearization identities
     x conj(y) + y conj(x) = 2 <x,y> e_0 and x(conj(y) z) + y(conj(x) z) = 2 <x,y> z.
+
+    Every law is homogeneous, of one degree in each of x, y and z on both
+    sides: composition N(xy) = N(x) N(y) of degree (2, 2), left and right
+    alternativity (2, 1) and (1, 2), the anti-homomorphism and polarization
+    (1, 1), linearized Moufang (1, 1, 1).  So a law holds at (x, y, z)
+    exactly when it holds at (d_x x, d_y y, d_z z) for positive integers d,
+    and each draw is cleared to its integer numerators once (``_clear``):
+    every product (``_mul``), norm and inner product of a trial runs on ints.
+    The witnesses are the drawn elements.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -233,23 +244,30 @@ def verify_identities(tag: AlgebraTag, trials: int, seed: int = 0) -> IdentityRe
         if len(failures) < 8:
             failures.append((name, witness))
 
-    one = basis_element(tag, 0)
+    table, metric = _table(tag.doubling_signs), _norm_form(tag)[0]
+
+    def mul(u: Sequence, v: Sequence) -> tuple:
+        return tuple(_mul(table, u, v))
+
+    def norm_of(u: Sequence) -> int:
+        return _mul(table, u, _cd_conj(u))[0]
+
+    zeros = (0,) * (tag.dim - 1)
     for _ in range(trials):
-        x = random_element(tag, rng)
-        y = random_element(tag, rng)
-        z = random_element(tag, rng)
-        xy, xx, two_xy = multiply(x, y), multiply(x, x), 2 * inner(x, y)
-        xc, yc = conjugate(x), conjugate(y)
-        if norm(xy) != norm(x) * norm(y):
+        x, y, z = (random_element(tag, rng) for _ in range(3))
+        (cx, cy, cz), _ = _clear(x.coords, y.coords, z.coords)
+        xy, xx, two_xy = mul(cx, cy), mul(cx, cx), 2 * _bilinear(metric, cx, cy)
+        xc, yc = _cd_conj(cx), _cd_conj(cy)
+        if norm_of(xy) != norm_of(cx) * norm_of(cy):
             record("composition", (x, y))
-        if multiply(x, xy) != multiply(xx, y):
+        if mul(cx, xy) != mul(xx, cy):
             record("left_alternative", (x, y))
-        if multiply(multiply(y, x), x) != multiply(y, xx):
+        if mul(mul(cy, cx), cx) != mul(cy, xx):
             record("right_alternative", (x, y))
-        if conjugate(xy) != multiply(yc, xc):
+        if _cd_conj(xy) != mul(yc, xc):
             record("conjugation_antihom", (x, y))
-        if multiply(x, yc) + multiply(y, xc) != two_xy * one:
+        if _add(mul(cx, yc), mul(cy, xc)) != (two_xy, *zeros):
             record("polarization", (x, y))
-        if multiply(x, multiply(yc, z)) + multiply(y, multiply(xc, z)) != two_xy * z:
+        if _add(mul(cx, mul(yc, cz)), mul(cy, mul(xc, cz))) != _scale(two_xy, cz):
             record("linearized_moufang", (x, y, z))
     return IdentityReport(tag, trials, not failures, tuple(failures))

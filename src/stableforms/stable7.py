@@ -6,9 +6,10 @@ of ``exteralg._interior_wedges``.  phi is stable exactly when det B != 0,
 and the absolute signature of B (7 or 1) decides the orbit (Hitchin,
 *Stable forms and special metrics*, 2001); ``_orbit7`` maps a signature to
 an orbit.  Floats enter in three places only: through ``_float_root``,
-the ninth root of the metric scale in ``metric_from_phi`` when it is not
-rational and the eighteenth roots that normalize the exact Cayley frame
-of ``canonicalize7``, and in that frame's residual, its own float loop
+the metric scale of ``metric_from_phi`` (its ninth root when it is not
+rational, the float of the exact scale when it is) and the eighteenth roots
+that normalize the exact Cayley frame of ``canonicalize7``, and in that
+frame's residual, its own float loop
 (``_residual``); no float reaches an ``exteralg`` kernel.  B, the orbit
 decision, the frame and its check, and the induced cross product stay
 exact whenever the scale is.
@@ -36,7 +37,6 @@ import enum
 import itertools
 import math
 import operator
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -151,17 +151,15 @@ def metric_from_phi(phi: AltForm, vol: VolumeForm) -> G2Metric:
         raise NotStableError("form is not stable (Q degenerate or wrong signature)")
     s9 = abs(det_b) / Fraction(6) ** 7
     scale = exact_root(s9, 9)
+    scale_float = _float_root(s9, 9) if scale is None else _float_root(scale, 1)
     if scale is None:
-        scale = Fraction(_float_root(s9, 9))
-    elif not sys.float_info.min <= scale <= sys.float_info.max:
-        e = scale.numerator.bit_length() - scale.denominator.bit_length()
-        raise OverflowError(f"metric scale near 2^{e} is outside the normal float range")
+        scale = Fraction(scale_float)
     g = [[x / (6 * scale) for x in row] for row in b]
     # scale > 0, so g has the signature of B
     pos, neg, _ = signature
     if (orbit == OrbitClass7.O7_MINUS and neg == 7) or (orbit == OrbitClass7.O7_PLUS and pos == 4):
         g = [[-x for x in row] for row in g]
-    return G2Metric(InnerProduct.from_rows(g), float(scale), qf, orbit,
+    return G2Metric(InnerProduct.from_rows(g), scale_float, qf, orbit,
                     VolumeForm.standard(7, scale if vol.coefficient() > 0 else -scale))
 
 

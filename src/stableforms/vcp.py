@@ -10,12 +10,13 @@ uniformly over every construction.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .compalg import AlgebraTag, _add, _cd_conj, _mul, _norm_form, _over, _scale, _table
+from .compalg import AlgebraTag, _cd_conj, _mul, _norm_form, _over, _table
 from .exteralg import AltForm, InnerProduct, LinearMap, alt_form, contract
 from .linalg import _apply, _bilinear, _clear, _numerators
 from .linalg import det as _det
@@ -139,7 +140,19 @@ def _random_vector(rng: random.Random, n: int, span: int = 5) -> Vector:
 
 
 def verify_axioms(cp: CrossProduct, trials: int, seed: int = 0) -> AxiomReport:
-    """Exact randomized check of the two Brown-Gray axioms plus skewness."""
+    """Exact randomized check of the two Brown-Gray axioms plus skewness.
+
+    For X(w_1..w_r): <X, w_i> = 0 (orthogonality), <X, X> = det <w_i, w_j>
+    (the Gram norm) and X(.., w_j, .., w_i, ..) = -X(.., w_i, .., w_j, ..).
+    A cross product is linear in each w_i, so each identity has one degree
+    in each w_i on both sides (1 for orthogonality and skewness, 2 for the
+    Gram norm) and holds at (w_1..w_r) exactly when it holds at (d_1 w_1..
+    d_r w_r) for positive integers d.  So each draw is cleared once and the
+    product evaluated on its integer numerators; the outputs are cleared over
+    one denominator D and pairs taken on the integer Gram entries over their
+    denominator g, so the Gram norm reads <X,X> g^(r-1) = det(int Gram) D^2.
+    The witnesses are the drawn vectors.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
@@ -149,21 +162,27 @@ def verify_axioms(cp: CrossProduct, trials: int, seed: int = 0) -> AxiomReport:
         if len(failures) < 8:
             failures.append((name, witness))
 
+    n, r = cp.dim, cp.fold
+    form, g = cp.ip._form
     for _ in range(trials):
-        ws = [_random_vector(rng, cp.dim) for _ in range(cp.fold)]
-        x = cp(*ws)
-        for i, w in enumerate(ws):
-            if cp.ip.pair(x, w) != 0:
-                record("orthogonality", (i, ws))
-        gram = [[cp.ip.pair(u, v) for v in ws] for u in ws]
-        if cp.ip.pair(x, x) != _det(gram):
-            record("gram_norm", ws)
-        i, j = rng.sample(range(cp.fold), 2) if cp.fold > 1 else (0, 0)
-        if cp.fold > 1:
-            swapped = list(ws)
+        ws = [_random_vector(rng, n) for _ in range(r)]
+        vs, _ = _clear(*ws)
+        outs = [cp.evaluator(*vs)]
+        if r > 1:
+            i, j = rng.sample(range(r), 2)
+            swapped = list(vs)
             swapped[i], swapped[j] = swapped[j], swapped[i]
-            if cp(*swapped) != tuple(-c for c in x):
-                record("skew_symmetry", (i, j, ws))
+            outs.append(cp.evaluator(*swapped))
+        (flat,), (den,) = _clear(itertools.chain(*outs))
+        x = flat[:len(outs[0])]
+        for k, v in enumerate(vs):
+            if _bilinear(form, x, v):
+                record("orthogonality", (k, ws))
+        gram = [[_bilinear(form, u, v) for v in vs] for u in vs]
+        if _bilinear(form, x, x) * g ** (r - 1) != _det(gram) * den ** 2:
+            record("gram_norm", ws)
+        if r > 1 and flat[len(x):] != [-c for c in x]:
+            record("skew_symmetry", (i, j, ws))
     return AxiomReport(cp.variant, trials, not failures, tuple(failures))
 
 
@@ -225,29 +244,41 @@ class ParaExtensionReport:
 
 def para_structure_from_plane(cp3: CrossProduct, a: Sequence, b: Sequence) -> LinearMap:
     """L v = -X3(a, b, v) on the orthogonal complement of the Lorentzian
-    plane span{a, b}, extended to the plane by La = b, Lb = a."""
+    plane span{a, b}, extended to the plane by La = b, Lb = a.
+
+    X3 is linear in v, so it is evaluated on the integer multiple f t of each
+    basis vector's tangent part t (``_plane_split``), and each column is one
+    Fraction per entry over f and the product's denominator."""
     a, b = _vec(a), _vec(b)
     _require_lorentzian(cp3, a, b)
     n = cp3.dim
-    split = _plane_split(cp3.ip, a, b)
+    split, f = _plane_split(cp3.ip, a, b)
     cols = []
     for k in range(n):
-        tangent, pa, pb = split(tuple(Fraction(1 if i == k else 0) for i in range(n)))
-        lv = tuple(-c for c in cp3(a, b, tangent))
-        plane_part = tuple(pa * b[i] + pb * a[i] for i in range(n))   # La=b, Lb=a
-        cols.append(tuple(x + y for x, y in zip(lv, plane_part)))
+        tangent, plane = split([int(i == k) for i in range(n)])
+        (u,), (du,) = _clear(cp3.evaluator(a, b, tangent))
+        cols.append(tuple(Fraction(du * p - c, f * du) for p, c in zip(plane, u)))
     return LinearMap.from_columns(cols)
 
 
-def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> Callable:
-    """v -> (t, <a,v>, -<b,v>): v = t + <a,v> a - <b,v> b, t orthogonal to the Lorentzian plane."""
-    n = ip.dim
+def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> tuple[Callable, int]:
+    """(split, f) for the Lorentzian plane span{a, b}, on integers.
 
-    def split(v: Vector) -> tuple[Vector, Fraction, Fraction]:
-        pa, pb = ip.pair(a, v), -ip.pair(b, v)
-        return tuple(v[i] - pa * a[i] - pb * b[i] for i in range(n)), pa, pb
+    Write v = t + <a,v> a - <b,v> b with t orthogonal to the plane; split takes an integer v
+    to the integer vectors f t and f (<a,v> b - <b,v> a), the image of v's plane part under
+    La = b, Lb = a.  With a = A/d_a and b = B/d_b cleared and the Gram matrix integer entries
+    over g, f = g d_a^2 d_b^2 makes both integer: f t = f v - b(A,v) d_b^2 A + b(B,v) d_a^2 B,
+    and the image is d_a d_b (b(A,v) B - b(B,v) A)."""
+    form, g = ip._form
+    (ca, cb), (da, db) = _clear(a, b)
+    f, sa, sb, sab = g * (da * db) ** 2, db * db, da * da, da * db
 
-    return split
+    def split(v: Sequence) -> tuple[list, list]:
+        pa, pb = _bilinear(form, ca, v), _bilinear(form, cb, v)
+        return ([f * x - pa * sa * y + pb * sb * z for x, y, z in zip(v, ca, cb)],
+                [sab * (pa * z - pb * y) for y, z in zip(ca, cb)])
+
+    return split, f
 
 
 def _require_lorentzian(cp3: CrossProduct, a: Vector, b: Vector):
@@ -274,6 +305,15 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
         L X(n, x, y) = -X(Ln, x, y) + 2 <Lx, y> n        (branch "anticommuting")
 
     holds; which one depends on the 3-fold variant and is reported.
+
+    Every identity is linear in each of x, y and n, so it holds at (x, y, n)
+    exactly when it holds at positive integer multiples of them: each trial
+    checks it on the integer tangents of ``_plane_split`` and the integer normal
+    d_a d_b n.  L is read as its integer rows over their denominator d_L, the
+    five products of a trial are cleared over one denominator D, and pairs
+    are taken on the integer Gram entries over g; each identity is multiplied
+    through by these factors (d_L^2 where L enters twice), so it is checked
+    on ints.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -281,39 +321,43 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     L = para_structure_from_plane(cp3, a, b)
     n_dim = cp3.dim
     rng = random.Random(seed)
-    split = _plane_split(cp3.ip, a, b)
+    split = _plane_split(cp3.ip, a, b)[0]
+    form, g = cp3.ip._form
+    (ca, cb), (da, db) = _clear(a, b)
+    rows, dl = L._rows
+    X = cp3.evaluator
 
-    def lv(v: Vector) -> Vector:
-        return tuple(L.apply(list(v)))
+    def lv(v: Sequence) -> list:
+        return [sum(map(operator.mul, row, v)) for row in rows]
+
+    def combine(*terms) -> list:
+        return [sum(c * v[i] for c, v in terms) for i in range(n_dim)]
 
     id1 = id2 = True
     commuting = anticommuting = True
     for _ in range(trials):
-        x = split(_random_vector(rng, n_dim))[0]
-        y = split(_random_vector(rng, n_dim))[0]
-        s, t = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
-        nrm = tuple(s * a[i] + t * b[i] for i in range(n_dim))
+        (vx, vy), _ = _clear(_random_vector(rng, n_dim), _random_vector(rng, n_dim))
+        s, t = rng.randint(-3, 3), rng.randint(-3, 3)
+        x, y = split(vx)[0], split(vy)[0]
+        nrm = [s * db * p + t * da * q for p, q in zip(ca, cb)]
         lx, ly, ln = lv(x), lv(y), lv(nrm)
-        pair_lxy = cp3.ip.pair(lx, y)
-        pair_xy = cp3.ip.pair(x, y)
-        xyn, lnxy = cp3(x, y, nrm), cp3(ln, x, y)
-        lhs1 = _add(cp3(lx, y, nrm), lv(xyn))
-        rhs1 = _add(_scale(pair_lxy, nrm), _scale(pair_xy, ln))
-        if lhs1 != rhs1:
+        pair_lxy, pair_xy = _bilinear(form, lx, y), _bilinear(form, x, y)
+        outs = (X(x, y, nrm), X(lx, y, nrm), X(lx, ly, nrm), X(nrm, x, y), X(ln, x, y))
+        (flat,), (den,) = _clear(itertools.chain(*outs))
+        xyn, lxyn, lxlyn, nxy, lnxy = (flat[k * n_dim:(k + 1) * n_dim] for k in range(5))
+        lxn = lv(nxy)
+        if combine((g, lxyn), (g, lv(xyn))) != combine((den * pair_lxy, nrm), (den * pair_xy, ln)):
             id1 = False
-        lhs2 = _add(cp3(lx, ly, nrm), _scale(Fraction(-1), xyn))
-        if lhs2 != _scale(-2 * pair_lxy, ln):
+        if combine((g, lxlyn), (-g * dl * dl, xyn)) != combine((-2 * den * pair_lxy, ln)):
             id2 = False
-        lxn = lv(cp3(nrm, x, y))
         if lxn != lnxy:
             commuting = False
-        alt = _add(_scale(Fraction(-1), lnxy), _scale(2 * pair_lxy, nrm))
-        if lxn != alt:
+        if combine((g, lxn)) != combine((-g, lnxy), (2 * den * pair_lxy, nrm)):
             anticommuting = False
 
-    # eigenspace dimensions of L restricted to the complement of the plane
-    plus, minus = (n_dim - rank([[x - s * (i == j) for j, x in enumerate(row)]
-                                 for i, row in enumerate(L.matrix)]) for s in (1, -1))
+    # eigenspace dimensions of L restricted to the complement of the plane, on L's integer rows
+    plus, minus = (n_dim - rank([[x - s * dl * (i == j) for j, x in enumerate(row)]
+                                 for i, row in enumerate(rows)]) for s in (1, -1))
     # the plane itself carries one +1 and one -1 eigenvector (a+b, a-b)
     dims = (plus - 1, minus - 1)
     branch = "commuting" if commuting else ("anticommuting" if anticommuting else "none")

@@ -356,6 +356,12 @@ ERROR_PATHS = {
                              "error: form and model dimensions differ"),
     "para_extension_on_O": (["vcp-check", "--what", "para-extension", "--algebra", "O"], EXIT_PARSE,
                             "error: para-extension identities live on the split octonions (B)"),
+    "axioms_on_H": (["vcp-check", "--what", "axioms", "--algebra", "H", "--fold", "3"], EXIT_PARSE,
+                    "error: cross-product axioms live on the octonions (O) or the split octonions (B)"),
+    "trials_zero": (["vcp-check", "--what", "identities", "--algebra", "O", "--trials", "0"], EXIT_PARSE,
+                    "error: --trials must be a positive integer, got 0"),
+    "trials_negative": (["vcp-check", "--what", "axioms", "--algebra", "B", "--trials", "-3"], EXIT_PARSE,
+                        "error: --trials must be a positive integer, got -3"),
     "axioms_cross_2fold": (["vcp-check", "--what", "axioms", "--algebra", "O", "--fold", "2"], EXIT_OK,
                            None),
     "g2class_not_jacobi": (["g2class", "{not_jacobi}"], EXIT_PRECONDITION,

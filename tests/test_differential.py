@@ -145,12 +145,21 @@
   connection table of the Iwasawa bundles, on forms of every degree with
   mixed, 10^e-scaled and int coefficients, and on nabla phi.  Float
   coefficients raise TypeError.
-* ``verify_identities`` and ``verify_para_extension_identities``, which
-  share each repeated product within a trial, give the reports of the loops
-  they replaced (``ref_verify_identities``, ``ref_verify_para``) field for
-  field on H, U, O and B, on X1 and X2 over four Lorentzian planes and
-  several seeds, and also on broken products (a sign flipped in the table,
-  x y + x, X(a, b, c) + c), where the reports fail.  ``classify_g2``, which
+* ``verify_identities``, ``verify_axioms`` and
+  ``verify_para_extension_identities``, which clear each draw once and check
+  every identity on its integer numerators, give the reports of the Fraction
+  loops they replaced (``ref_verify_identities``, ``ref_verify_axioms``,
+  ``ref_verify_para``) field for field, failure lists and witnesses
+  included: on H, U, O and B; on the 2-fold and X1/X2 products of O and B, a
+  reduction at a rational unit vector, ``cross_from_phi`` of G7^* phi-, and
+  ``cross_from_phi`` and ``lift_to_3fold`` of g^* phi- with a rational g,
+  whose outputs and Gram entries carry denominators, and the lift of 2 phi-, whose Gram norm fails on every witness; on X1 and X2 over
+  four Lorentzian coordinate planes and two rational ones, one with a
+  non-integer L; and on broken products (a sign flipped in the table,
+  x y + x on numerators, X(a, b, c) + c, a 2-fold product without its
+  <a,b> e_0), where the reports fail.  ``para_structure_from_plane`` on
+  integer tangents gives the LinearMap of the Fraction tangents
+  (``ref_para_structure``) on the same planes and products.  ``classify_g2``, which
   reads delta phi = 0 off d *phi = 0 and returns delta torsion = 0 by
   d o d = 0, gives the report of the ``codifferential`` version
   (``ref_classify_g2``) on random (1,1) curvatures over flat T^6 and on the
@@ -184,7 +193,7 @@ from conftest import iwasawa_su3
 from conftest import G6, G7, random_invertible, ref_det, ref_pullback, stabilizer_rows, tall_invertible
 from test_framecalc import random_curvature
 from test_linalg import ref_rref
-from stableforms import bridge, compalg, exteralg, vcp
+from stableforms import bridge, compalg, exteralg, stable7, vcp
 from stableforms import framecalc as fc
 from stableforms.compalg import (AlgebraTag, AlgElement, _cd_mul, basis_element, conjugate,
                                  inner, multiplication_table, multiply)
@@ -2000,14 +2009,34 @@ def ref_verify_identities(tag: AlgebraTag, trials: int, seed: int = 0) -> compal
     return compalg.IdentityReport(tag, trials, not failures, tuple(failures))
 
 
+def ref_plane_split(ip: InnerProduct, a, b):
+    """v -> (t, <a,v>, -<b,v>): v = t + <a,v> a - <b,v> b, t orthogonal to the Lorentzian plane."""
+    def split(v):
+        pa, pb = ip.pair(a, v), -ip.pair(b, v)
+        return tuple(v[i] - pa * a[i] - pb * b[i] for i in range(ip.dim)), pa, pb
+    return split
+
+
+def ref_para_structure(cp3, a, b) -> LinearMap:
+    """para_structure_from_plane as it was: -X(a, b, t) on each basis vector's Fraction tangent t."""
+    split, n = ref_plane_split(cp3.ip, a, b), cp3.dim
+    cols = []
+    for k in range(n):
+        tangent, pa, pb = split(tuple(Fraction(int(i == k)) for i in range(n)))
+        lv = tuple(-c for c in cp3(a, b, tangent))
+        cols.append(tuple(x + pa * b[i] + pb * a[i] for i, x in enumerate(lv)))
+    return LinearMap.from_columns(cols)
+
+
 def ref_verify_para(cp3, a, b, trials: int, seed: int = 0) -> vcp.ParaExtensionReport:
-    """verify_para_extension_identities as it was, with 7 three-fold products per trial."""
+    """verify_para_extension_identities as it was, with 7 three-fold products per trial,
+    all on the drawn Fractions."""
     a, b = vcp._vec(a), vcp._vec(b)
-    L = vcp.para_structure_from_plane(cp3, a, b)
+    L = ref_para_structure(cp3, a, b)
     n_dim = cp3.dim
     rng = random.Random(seed)
-    split = vcp._plane_split(cp3.ip, a, b)
-    add, scale = vcp._add, vcp._scale
+    split = ref_plane_split(cp3.ip, a, b)
+    add, scale = compalg._add, compalg._scale
 
     def lv(v):
         return tuple(L.apply(list(v)))
@@ -2092,8 +2121,10 @@ def sign_flipped_table(monkeypatch, module):
 
 
 def shifted_multiply(monkeypatch):
-    """Patch ``compalg.multiply`` to x y + x, which is neither alternative nor a composition."""
-    monkeypatch.setattr(compalg, "multiply", lambda x, y, _orig=compalg.multiply: _orig(x, y) + x)
+    """Patch ``compalg._mul`` to x y + x on numerators, which is neither alternative nor a
+    composition; ``multiply`` and ``verify_identities`` both run on it."""
+    monkeypatch.setattr(compalg, "_mul", lambda table, x, y, _orig=compalg._mul: [
+        u + v for u, v in zip(_orig(table, x, y), x)])
 
 
 @pytest.mark.parametrize("broken", [None, "sign", "shift"])
@@ -2110,6 +2141,15 @@ def test_verify_identities_matches_the_loop_it_replaced(broken, monkeypatch):
 
 
 LORENTZIAN_PLANES = [(0, 4), (1, 5), (3, 7), (2, 4)]  # <e_i, e_i> = 1, <e_j, e_j> = -1 in B
+E8 = [[int(i == k) for i in range(8)] for k in range(8)]
+# rational Lorentzian planes of B: a boost of (e_0, e_4) by cosh = 5/3, which spans the plane
+# of (e_0, e_4) and so gives the same integer L, and a rotation of e_0 towards e_1 by
+# cos = 3/5, whose L has denominator 5
+RATIONAL_PLANES = [
+    ([Fraction(5, 3), 0, 0, 0, Fraction(4, 3), 0, 0, 0], [Fraction(4, 3), 0, 0, 0, Fraction(5, 3), 0, 0, 0]),
+    ([Fraction(3, 5), Fraction(4, 5), 0, 0, 0, 0, 0, 0], E8[4]),
+]
+PLANES = [(E8[i], E8[j]) for i, j in LORENTZIAN_PLANES] + RATIONAL_PLANES
 
 
 def non_alternating(cp3):
@@ -2126,13 +2166,115 @@ def test_verify_para_matches_the_loop_it_replaced(variant, broken, monkeypatch):
     cp3 = cross_3fold(AlgebraTag.B, variant)
     if broken == "shift":
         cp3 = non_alternating(cp3)
-    e8 = [[int(i == k) for i in range(8)] for k in range(8)]
     reports = []
-    for (i, j), seed in itertools.product(LORENTZIAN_PLANES, range(3)):
-        report = vcp.verify_para_extension_identities(cp3, e8[i], e8[j], 4, seed)
-        assert report == ref_verify_para(cp3, e8[i], e8[j], 4, seed)
+    for (a, b), seed in itertools.product(PLANES, range(3)):
+        report = vcp.verify_para_extension_identities(cp3, a, b, 4, seed)
+        assert report == ref_verify_para(cp3, a, b, 4, seed)
         reports.append(report)
     assert all(r.passed for r in reports) == (broken is None)
+
+
+@pytest.mark.parametrize("broken", [None, "sign", "shift"])
+@pytest.mark.parametrize("variant", ["X1", "X2"])
+def test_para_structure_matches_the_fraction_tangents(variant, broken, monkeypatch):
+    """L from integer tangents is the LinearMap of the Fraction tangents, entry for entry."""
+    if broken == "sign":
+        sign_flipped_table(monkeypatch, vcp)
+    cp3 = cross_3fold(AlgebraTag.B, variant)
+    if broken == "shift":
+        cp3 = non_alternating(cp3)
+    for a, b in PLANES:
+        L = vcp.para_structure_from_plane(cp3, a, b)
+        assert L == ref_para_structure(cp3, vcp._vec(a), vcp._vec(b))
+        assert all(type(x) is Fraction for row in L.matrix for x in row)
+
+
+def ref_verify_axioms(cp, trials: int, seed: int = 0) -> vcp.AxiomReport:
+    """verify_axioms as it was: products, pairs and the Gram determinant on the drawn Fractions."""
+    rng = random.Random(seed)
+    failures: list = []
+
+    def record(name, witness):
+        if len(failures) < 8:
+            failures.append((name, witness))
+
+    for _ in range(trials):
+        ws = [vcp._random_vector(rng, cp.dim) for _ in range(cp.fold)]
+        x = cp(*ws)
+        for i, w in enumerate(ws):
+            if cp.ip.pair(x, w) != 0:
+                record("orthogonality", (i, ws))
+        gram = [[cp.ip.pair(u, v) for v in ws] for u in ws]
+        if cp.ip.pair(x, x) != det(gram):
+            record("gram_norm", ws)
+        i, j = rng.sample(range(cp.fold), 2) if cp.fold > 1 else (0, 0)
+        if cp.fold > 1:
+            swapped = list(ws)
+            swapped[i], swapped[j] = swapped[j], swapped[i]
+            if cp(*swapped) != tuple(-c for c in x):
+                record("skew_symmetry", (i, j, ws))
+    return vcp.AxiomReport(cp.variant, trials, not failures, tuple(failures))
+
+
+def dropped_correction(tag: AlgebraTag) -> vcp.CrossProduct:
+    """test_vcp's broken product: a.b on Im(tag) without the <a,b> e_0 correction, on R^8."""
+    def bad_eval(a, b):
+        xa = AlgElement(tag, (Fraction(0),) + tuple(a[1:]))
+        xb = AlgElement(tag, (Fraction(0),) + tuple(b[1:]))
+        return multiply(xa, xb).coords
+    return vcp.CrossProduct(8, 2, "broken", InnerProduct.euclidean(8), bad_eval, tag=tag)
+
+
+# G7 with its first row over 5: the metric of its phi- has Gram entries over 25
+G7_FIFTH = LinearMap.from_rows([[x / 5 if i == 0 else x for x in row] for i, row in enumerate(G7.matrix)])
+
+AXIOM_PRODUCTS = {
+    "O": lambda: cross_2fold(AlgebraTag.O),
+    "B": lambda: cross_2fold(AlgebraTag.B),
+    "O X1": lambda: cross_3fold(AlgebraTag.O, "X1"),
+    "O X2": lambda: cross_3fold(AlgebraTag.O, "X2"),
+    "B X1": lambda: cross_3fold(AlgebraTag.B, "X1"),
+    "B X2": lambda: cross_3fold(AlgebraTag.B, "X2"),
+    # outputs with denominators: a complement with a rational basis, a metric with Fraction entries
+    "O X1 reduced at (3e0+4e2)/5": lambda: vcp.reduce_by_unit_vector(
+        cross_3fold(AlgebraTag.O, "X1"), [Fraction(3, 5), 0, Fraction(4, 5), 0, 0, 0, 0, 0]),
+    "B X2 reduced at e1": lambda: vcp.reduce_by_unit_vector(cross_3fold(AlgebraTag.B, "X2"), E8[1]),
+    "cross_from_phi(G7*phi-)": lambda: stable7.cross_from_phi(
+        pullback(G7, canonical_phi_minus()), VolumeForm.standard(7)),
+    "cross_from_phi(G7_FIFTH*phi-)": lambda: stable7.cross_from_phi(
+        pullback(G7_FIFTH, canonical_phi_minus()), VolumeForm.standard(7)),
+    "lift_to_3fold(G7_FIFTH*phi-)": lambda: bridge.lift_to_3fold(
+        pullback(G7_FIFTH, canonical_phi_minus()), None, "X2"),
+    # the metric scale of 2 phi- is irrational: gram_norm fails on every witness
+    "lift_to_3fold(2 phi-)": lambda: bridge.lift_to_3fold(2 * canonical_phi_minus(), None, "X1"),
+    "dropped correction": lambda: dropped_correction(AlgebraTag.O),
+}
+
+
+@pytest.mark.parametrize("name", list(AXIOM_PRODUCTS))
+def test_verify_axioms_matches_the_fraction_loop(name):
+    cp = AXIOM_PRODUCTS[name]()
+    for seed in range(3):
+        report = vcp.verify_axioms(cp, 4, seed)
+        assert report == ref_verify_axioms(cp, 4, seed)
+        if name == "lift_to_3fold(2 phi-)":
+            assert report.failed_checks() == ("gram_norm",) * 4
+        elif name == "dropped correction":
+            assert "orthogonality" in report.failed_checks()
+        else:
+            assert report.passed, report.failed_checks()
+
+
+@pytest.mark.parametrize("variant", ["X1", "X2"])
+def test_verify_axioms_matches_the_fraction_loop_on_broken_tables(variant, monkeypatch):
+    """A sign flipped in the table breaks the 3-fold products (the 2-fold one refuses its
+    real part); the failure lists and witnesses agree."""
+    sign_flipped_table(monkeypatch, vcp)
+    for tag, seed in itertools.product((AlgebraTag.O, AlgebraTag.B), range(3)):
+        cp = cross_3fold(tag, variant)
+        report = vcp.verify_axioms(cp, 4, seed)
+        assert report == ref_verify_axioms(cp, 4, seed)
+        assert not report.passed
 
 
 def g2_report(classify, cb, su3):

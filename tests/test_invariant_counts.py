@@ -25,17 +25,22 @@ neither runs an rref, and at a rational one O6_PLUS runs one per eigenspace.
 
 The doubling recursion ``compalg._cd_mul`` runs only while a tag's table of
 structure constants is built, once per tag per process, and never at import.
-On the construct side a ``verify_identities`` trial takes 17 products, 6
-conjugates and one inner product, a para check 8 + 5 per trial three-fold
-products, and ``classify_g2`` on a memo hit 1 Hodge star and at most 3
-wedges, with *phi checked and the orientation derived once per pair and
-omega ^ omega wedged once per SU3Data.
+On the construct side the randomized verifiers clear each trial's draws
+once (``linalg._clear``) and check on the numerators: a
+``verify_identities`` trial takes one clear, 17 products (``compalg._mul``),
+6 conjugates and one inner product and no ``multiply``, a ``verify_axioms``
+trial one clear of its draws, and a para check 8 + 5 per trial evaluations
+of the three-fold product and no ``CrossProduct.__call__``.
+``classify_g2`` on a memo hit takes 1 Hodge star and at most 3 wedges, with
+*phi checked and the orientation derived once per pair and omega ^ omega
+wedged once per SU3Data.
 
 A matrix applied to many vectors is cleared once (``linalg._numerators``): a
-``LinearMap`` over all its ``apply`` and ``pullback`` calls (the L of a para
-check over its 30 applications), the G^-1 of a product read off a form over
-all its evaluations, and the raising map of an ``InnerProduct`` over all its
-Hodge stars and form inner products, which is built once.
+``LinearMap`` over all its ``apply`` and ``pullback`` calls and every read of
+its integer rows (the L of a para check over its 30 applications), the G^-1
+of a product read off a form over all its evaluations, and the raising map
+of an ``InnerProduct`` over all its Hodge stars and form inner products,
+which is built once.
 """
 
 import contextlib
@@ -49,6 +54,7 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -697,18 +703,50 @@ def counting(monkeypatch, target, names) -> Counter:
 
 @pytest.mark.parametrize("tag", list(AlgebraTag), ids=lambda tag: tag.value)
 def test_verify_identities_computes_each_product_once(tag, monkeypatch):
-    counts = counting(monkeypatch, compalg, ("multiply", "conjugate", "inner"))
+    compalg._table(tag.doubling_signs)  # built first: the doubling recursion conjugates too
+    counts = counting(monkeypatch, compalg, ("_clear", "_mul", "_cd_conj", "_bilinear",
+                                             "multiply", "conjugate", "inner"))
     compalg.verify_identities(tag, 3, seed=5)
-    assert counts == {"multiply": 17 * 3, "conjugate": 6 * 3, "inner": 3}
+    assert counts == {"_clear": 3, "_mul": 17 * 3, "_cd_conj": 6 * 3, "_bilinear": 3}
 
 
 def test_para_check_takes_five_products_per_trial(monkeypatch):
-    counts = counting(monkeypatch, vcp.CrossProduct, ("__call__",))
+    calls = counting(monkeypatch, vcp.CrossProduct, ("__call__",))
     e8 = [[int(i == k) for i in range(8)] for k in range(8)]
     for variant, trials in (("X1", 1), ("X2", 4)):
-        counts.clear()
-        vcp.verify_para_extension_identities(vcp.cross_3fold(AlgebraTag.B, variant), e8[0], e8[4], trials)
-        assert counts["__call__"] == 8 + 5 * trials  # 8 build L
+        cp3 = vcp.cross_3fold(AlgebraTag.B, variant)
+        evaluations = []
+        counted = replace(cp3, evaluator=lambda *v, _ev=cp3.evaluator: evaluations.append(v) or _ev(*v))
+        vcp.verify_para_extension_identities(counted, e8[0], e8[4], trials)
+        assert len(evaluations) == 8 + 5 * trials  # 8 build L
+        assert not calls
+
+
+@pytest.mark.parametrize("fold", [2, 3])
+def test_verify_axioms_clears_each_draw_once(fold, monkeypatch):
+    """One ``_clear`` per trial takes all of its drawn vectors, and the product is evaluated
+    on the integer numerators only."""
+    drawn, cleared, evaluated = [], [], []
+
+    def draw(*args, _orig=vcp._random_vector):
+        drawn.append(_orig(*args))
+        return drawn[-1]
+
+    def clear(*groups, _orig=vcp._clear):
+        hits = [g for g in groups if any(g is w for w in drawn)]
+        if hits:
+            cleared.append(hits if len(hits) == len(groups) else None)
+        return _orig(*groups)
+
+    monkeypatch.setattr(vcp, "_random_vector", draw)
+    monkeypatch.setattr(vcp, "_clear", clear)
+    cp = vcp.cross_2fold(AlgebraTag.O) if fold == 2 else vcp.cross_3fold(AlgebraTag.B, "X1")
+    counted = replace(cp, evaluator=lambda *v, _ev=cp.evaluator: evaluated.append(
+        all(type(x) is int for u in v for x in u)) or _ev(*v))
+    assert vcp.verify_axioms(counted, 3, seed=2).passed
+    assert [len(groups) for groups in cleared] == [fold] * 3
+    assert [w for groups in cleared for w in groups] == drawn
+    assert evaluated == [True] * 6  # each trial evaluates X and X with two arguments swapped
 
 
 def test_classify_g2_on_a_memo_hit_takes_one_star(monkeypatch):
@@ -835,7 +873,8 @@ def test_a_linear_map_clears_its_matrix_once(cleared):
 
 
 def test_a_para_check_clears_its_l_once(cleared):
-    """L is applied 30 times in 6 trials, and cleared once."""
+    """L's integer rows are applied 30 times in 6 trials and give its eigenspace ranks; L is
+    cleared once."""
     e8 = [[int(i == k) for i in range(8)] for k in range(8)]
     assert vcp.verify_para_extension_identities(vcp.cross_3fold(AlgebraTag.B, "X1"), e8[0], e8[4], 6).passed
     assert cleared == {8: 1}
