@@ -153,13 +153,14 @@
   included: on H, U, O and B; on the 2-fold and X1/X2 products of O and B, a
   reduction at a rational unit vector, ``cross_from_phi`` of G7^* phi-, and
   ``cross_from_phi`` and ``lift_to_3fold`` of g^* phi- with a rational g,
-  whose outputs and Gram entries carry denominators, and the lift of 2 phi-, whose Gram norm fails on every witness; on X1 and X2 over
-  four Lorentzian coordinate planes and two rational ones, one with a
-  non-integer L; and on broken products (a sign flipped in the table,
-  x y + x on numerators, X(a, b, c) + c, a 2-fold product without its
-  <a,b> e_0), where the reports fail.  ``para_structure_from_plane`` on
-  integer tangents gives the LinearMap of the Fraction tangents
-  (``ref_para_structure``) on the same planes and products.  ``classify_g2``, which
+  whose outputs and Gram entries carry denominators, and the lift of 2 phi-,
+  whose Gram norm fails on every witness; on X1 and X2 over four Lorentzian
+  coordinate planes and two rational ones, one with a non-integer L; and on
+  broken products (a sign flipped in the table, x y + x on numerators,
+  X(a, b, c) + c, a 2-fold product without its <a,b> e_0), where the
+  reports fail.  ``para_structure_from_plane`` on integer tangents gives the
+  LinearMap of the Fraction tangents (``ref_para_structure``) on the same
+  planes and products.  ``classify_g2``, which
   reads delta phi = 0 off d *phi = 0 and returns delta torsion = 0 by
   d o d = 0, gives the report of the ``codifferential`` version
   (``ref_classify_g2``) on random (1,1) curvatures over flat T^6 and on the
