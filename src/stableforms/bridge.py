@@ -23,7 +23,7 @@ from typing import Sequence
 from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
-from .linalg import _numerators, mat_mul, transpose
+from .linalg import _bilinear, _clear, _numerators, mat_mul, transpose
 from .scalars import _float_root, exact_root
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
@@ -52,21 +52,29 @@ class Stable7FromVCP:
 
 
 def vcp_to_stable7(cp3: CrossProduct, a: Sequence) -> Stable7FromVCP:
-    """phi(x,y,z) = -<X'(x,y,z), a> on the complement of a space-like unit a."""
+    """phi(x,y,z) = -<X'(x,y,z), a> on the complement of a space-like unit a.
+
+    a is cleared once to A / d_a and the complement basis once to integer rows u_i over D
+    (``vcp._complement``); each coefficient is the product's core at (u_i, u_j, u_k), x over
+    d_x, paired with A on the integer Gram entries over g: -<x, A> / (g d_a D^3 d_x)."""
     if cp3.fold != 3:
         raise ValueError("vcp_to_stable7 starts from a 3-fold product")
     a = _vec(a)
-    na = cp3.ip.pair(a, a)
+    form, g = cp3.ip._form
+    (ca,), (da,) = _clear(a)
+    na = _bilinear(form, ca, ca)
     if na == 0:
         raise ValueError("null vector rejected")
-    if na != 1:
+    if na != g * da * da:
         raise ValueError("need a space-like unit vector, <a,a> = 1 exactly")
-    comp, sub_gram, _ = _complement(cp3.ip, [a])
+    comp, sub_gram, _, (rows, den) = _complement(cp3.ip, [ca])
+    scale = g * da * den ** 3
     terms = {}
     for i, j, k in itertools.combinations(range(7), 3):
-        val = -cp3.ip.pair(cp3(comp[i], comp[j], comp[k]), a)
+        x, dx = cp3.evaluator(rows[i], rows[j], rows[k])
+        val = _bilinear(form, x, ca)
         if val != 0:
-            terms[(i + 1, j + 1, k + 1)] = val
+            terms[(i + 1, j + 1, k + 1)] = Fraction(-val, scale * dx)
     return Stable7FromVCP(alt_form(7, 3, terms), _adapted_frame(a, None, comp),
                           InnerProduct.from_rows(sub_gram))
 
@@ -86,36 +94,44 @@ class Stable6FromVCP:
 def vcp_to_stable6(cp3: CrossProduct, a: Sequence, b: Sequence) -> Stable6FromVCP:
     """Omega(x,y,z) = -<X'(x,y,z), a> on the complement of the plane {a, b}.
 
-    The hat partner is +<X', b> for X1 and -<X', b> for X2; the induced
-    (para)complex structure J_P v = -X'(a, b, v) is returned in complement
+    The hat partner is +<X', b> for an X1-type product and -<X', b> for an
+    X2-type one, read off the variant's X1/X2 suffix (so "LIFT-X1" is X1-type);
+    the induced (para)complex structure J_P v = -X'(a, b, v) is returned in complement
     coordinates and agrees with K/sqrt(|lambda|) in the returned orientation.
+    a, b and the complement basis are cleared once, as in ``vcp_to_stable7``, and
+    every product and pairing runs on their numerators, one Fraction per coefficient.
     """
     if cp3.fold != 3:
         raise ValueError("vcp_to_stable6 starts from a 3-fold product")
     a, b = _vec(a), _vec(b)
-    na = cp3.ip.pair(a, a)
-    nb = cp3.ip.pair(b, b)
-    nab = cp3.ip.pair(a, b)
+    form, g = cp3.ip._form
+    (ca, cb), (da, db) = _clear(a, b)
+    na, nb, nab = (_bilinear(form, u, v) for u, v in ((ca, ca), (cb, cb), (ca, cb)))
     # orthonormal plane in the definite case, Lorentzian in the split case
-    expected_nb = Fraction(1) if cp3.ip.signature()[1] == 0 else Fraction(-1)
-    if nab != 0 or na != 1 or nb != expected_nb:
+    expected_nb = 1 if cp3.ip.signature()[1] == 0 else -1
+    if nab != 0 or na != g * da * da or nb != expected_nb * g * db * db:
         kind = "orthonormal" if expected_nb == 1 else "Lorentzian"
         raise ValueError(f"plane must be {kind}: <a,a>=1, <b,b>={expected_nb}, <a,b>=0")
-    comp, gram, to_local = _complement(cp3.ip, [a, b])
-    sign = Fraction(1) if cp3.variant.startswith("X1") else Fraction(-1)
+    comp, gram, to_local, (rows, den) = _complement(cp3.ip, [ca, cb])
+    sign = 1 if cp3.variant.endswith("X1") else -1
+    scale_a, scale_b = g * da * den ** 3, g * db * den ** 3
     t_om, t_hat = {}, {}
     for i, j, k in itertools.combinations(range(6), 3):
-        x = cp3(comp[i], comp[j], comp[k])
-        v = -cp3.ip.pair(x, a)
-        h = sign * cp3.ip.pair(x, b)
+        x, dx = cp3.evaluator(rows[i], rows[j], rows[k])
+        v = _bilinear(form, x, ca)
+        h = _bilinear(form, x, cb)
         if v != 0:
-            t_om[(i + 1, j + 1, k + 1)] = v
+            t_om[(i + 1, j + 1, k + 1)] = Fraction(-v, scale_a * dx)
         if h != 0:
-            t_hat[(i + 1, j + 1, k + 1)] = h
+            t_hat[(i + 1, j + 1, k + 1)] = Fraction(sign * h, scale_b * dx)
     omega = alt_form(6, 3, t_om)
     omega_hat = alt_form(6, 3, t_hat)
     # J_P v = -X'(a, b, v) restricted to the complement, in complement coords
-    jp = LinearMap.from_columns([to_local(tuple(-c for c in cp3(a, b, v))) for v in comp])
+    cols = []
+    for u in rows:
+        x, dx = cp3.evaluator(ca, cb, u)
+        cols.append([Fraction(-c, dx * da * db * den) for c in to_local(x)])
+    jp = LinearMap.from_columns(cols)
     # Omega ^ hat(Omega) is a positive multiple of vol, so the orientation in which the
     # b-contraction can be the hat is the sign of Omega ^ omega_hat
     vol = VolumeForm.standard(6, Fraction(-1 if wedge(omega, omega_hat).coeff(range(1, 7)) < 0 else 1))

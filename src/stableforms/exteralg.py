@@ -21,8 +21,11 @@ Dorst, Fontijne and Mann, *Geometric Algebra for Computer Science*, ch.
 19).  A ``LinearMap`` clears its matrix once.  A pullback by a monomial map
 (one nonzero entry per row at most, as the G^-1 that ``hodge_star`` and
 ``form_inner`` raise by, built once per ``InnerProduct``) sends each term to
-one signed term, with no minor.  Every kernel here takes int and Fraction
-values only: a float or a quadratic irrational raises TypeError in
+one signed term, with no minor; any other map is expanded along the last
+index of each term (``_laplace``), at every degree.  ``contract``'s integer
+loop (``_interior``) is also the contraction of the cross products read off
+a form (``vcp._product_from_form``).  Every kernel here takes int and
+Fraction values only: a float or a quadratic irrational raises TypeError in
 ``linalg._clear``.  ``_minor`` alone stays type-agnostic up to 3 x 3, for
 the float residual of ``stable7``.
 ``AltForm.__call__`` clears its coefficients and vectors once.
@@ -393,10 +396,16 @@ def contract(v, a: AltForm) -> AltForm:
     if len(v) != a.dim:
         raise ValueError("vector length does not match form dimension")
     (xv, xa), dens = _clear(v, a.terms.values())
+    return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1], _interior(xv, zip(a.terms, xa))))
+
+
+def _interior(v: Sequence[int], terms: Iterable) -> dict:
+    """i_v on integer numerators: the (index, numerator) terms of a form to the
+    {index: numerator} dict of its contraction, with no zero entry."""
     out: dict = {}
-    for idx, c in zip(a.terms, xa):
+    for idx, c in terms:
         for k, i in enumerate(idx):
-            vi = xv[i - 1]
+            vi = v[i - 1]
             if not vi:
                 continue
             key = idx[:k] + idx[k + 1:]
@@ -405,7 +414,7 @@ def contract(v, a: AltForm) -> AltForm:
                 out[key] = s
             else:
                 out.pop(key, None)
-    return AltForm(a.dim, a.degree - 1, _over(dens[0] * dens[1], out))
+    return out
 
 
 @functools.cache
@@ -493,11 +502,66 @@ def _monomial(rows: list, a: AltForm, nums: list) -> dict:
     return {_INDEX[m]: out[m] for m in sorted(out, key=_INDEX.__getitem__) if out[m]}
 
 
+@functools.cache
+def _expansion(n: int, q: int) -> tuple:
+    """Each q-index J on R^n, in sorted order, with the (j, k, odd) for every index j + 1 in J:
+    J - j is the k-th (q-1)-index in sorted order, and e^(J - j) ^ e^j = (-1)^odd e^J.
+    At most 2^MAX_DIM rows per (n, q)."""
+    position = {idx: k for k, idx in enumerate(itertools.combinations(range(1, n + 1), q - 1))}
+    return tuple((idx, tuple((i - 1, position[idx[:k] + idx[k + 1:]], (q - 1 - k) & 1)
+                             for k, i in enumerate(idx)))
+                 for idx in itertools.combinations(range(1, n + 1), q))
+
+
+def _laplace(rows: list, a: AltForm, nums: list) -> dict:
+    """g* a on integer rows by Laplace expansion along the last index, a's numerators nums.
+
+    With e^I = e^P ^ e^k for the leading (p-1)-index P of I, g* a = sum_P g*(e^P) ^ v_P, where
+    v_P = sum_k a_{Pk} g* e^k is one integer covector (g* e^k is row k of g).  g*(e^P) is built
+    the same way one degree down, g*(e^P) = g*(e^P') ^ g* e^(last of P), each P once per call,
+    as the integer list of its coefficients in sorted index order; a wedge with a covector v
+    reads each coefficient J off ``_expansion``: (w ^ v)_J = sum over j in J of +-w_(J - j) v_j.
+    Keys come out sorted."""
+    n = len(rows)
+    pulled = {(): [1]}
+
+    def lower(idx: Index) -> list:
+        if idx not in pulled:
+            prev, row = lower(idx[:-1]), rows[idx[-1] - 1]
+            pulled[idx] = wedged = []
+            for _, terms in _expansion(n, len(idx)):
+                t = 0
+                for j, k, odd in terms:
+                    x = prev[k] * row[j]
+                    t = t - x if odd else t + x
+                wedged.append(t)
+        return pulled[idx]
+
+    covectors: dict = {}
+    for idx, c in zip(a.terms, nums):
+        if c:
+            v = covectors.setdefault(idx[:-1], [0] * n)
+            for j, x in enumerate(rows[idx[-1] - 1]):
+                if x:
+                    v[j] += c * x
+    pairs = [(lower(idx), v) for idx, v in covectors.items()]
+    out: dict = {}
+    for jdx, terms in _expansion(n, a.degree):
+        t = 0
+        for w, v in pairs:
+            for j, k, odd in terms:
+                x = w[k] * v[j]
+                t = t - x if odd else t + x
+        if t:
+            out[jdx] = t
+    return out
+
+
 def pullback(g: LinearMap, a: AltForm) -> AltForm:
     """(g* a)(v_1..v_p) = a(g v_1, .., g v_p): e^I goes to sum_J det(g[I, J]) e^J, keys sorted.
 
     On integer numerators (``LinearMap._rows``): ``_monomial`` when no row of g has two
-    nonzero entries, else the p x p minors (``_minor``)."""
+    nonzero entries, else the Laplace expansion of ``_laplace``, at every degree."""
     if g.dim_in != g.dim_out:
         raise ValueError("pullback needs a square map")
     if g.dim_in != a.dim:
@@ -507,20 +571,8 @@ def pullback(g: LinearMap, a: AltForm) -> AltForm:
     (xa,), (da,) = _clear(a.terms.values())
     if p == 0:
         return a
-    scale = da * den ** p
-    if all(sum(map(bool, r)) < 2 for r in rows):
-        return AltForm(n, p, _over(scale, _monomial(rows, a, xa)))
-    terms = [([rows[i - 1] for i in idx], c) for idx, c in zip(a.terms, xa)]
-    out: dict = {}
-    for jdx in itertools.combinations(range(n), p):
-        total = 0
-        for minor_rows, c in terms:
-            d = _minor(minor_rows, jdx)
-            if d:
-                total = total + c * d
-        if total:
-            out[tuple(j + 1 for j in jdx)] = total
-    return AltForm(n, p, _over(scale, out))
+    pull = _monomial if all(sum(map(bool, r)) < 2 for r in rows) else _laplace
+    return AltForm(n, p, _over(da * den ** p, pull(rows, a, xa)))
 
 
 def form_inner(a: AltForm, b: AltForm, ip: InnerProduct):

@@ -8,7 +8,7 @@ fraction-free eliminations do all the work:
 
 * ``rref``, the one Gauss-Jordan loop, under ``nullspace`` and ``inverse``;
 * ``_bareiss``, the one Gaussian elimination, under ``rank``, every ``det``
-  and the larger pullback minors of ``exteralg``;
+  and the larger minors of ``exteralg.AltForm.__call__``;
 * ``_inertia_det``, its symmetric variant with diagonal pivots, which reads
   the signature of a symmetric matrix off the signs of its pivots and its
   determinant off the last one (``inertia`` returns the signature).

@@ -9,7 +9,7 @@ from conftest import rational_rotation
 from stableforms import bridge, stable6, stable7, vcp
 from stableforms.compalg import AlgebraTag
 from stableforms.exteralg import InnerProduct, LinearMap, VolumeForm, alt_form, pullback, wedge
-from stableforms.linalg import inverse, mat_mul, mat_vec, nullspace
+from stableforms.linalg import _clear, inverse, mat_mul, mat_vec, nullspace
 from stableforms.stable6 import (OrbitClass6, adapted_vol6, canonical_omega_minus,
                                  canonical_omega_minus_hat, canonical_omega_plus_4term,
                                  classify6, hat, scaled_structure)
@@ -135,8 +135,8 @@ def ref_vcp_to_stable6(cp3, a, b) -> bridge.Stable6FromVCP:
     expected_nb = Fraction(1) if cp3.ip.signature()[1] == 0 else Fraction(-1)
     if cp3.ip.pair(a, b) != 0 or cp3.ip.pair(a, a) != 1 or cp3.ip.pair(b, b) != expected_nb:
         raise ValueError("plane")
-    comp, gram, to_local = vcp._complement(cp3.ip, [a, b])
-    sign = Fraction(1) if cp3.variant.startswith("X1") else Fraction(-1)
+    comp, gram, to_local, _ = vcp._complement(cp3.ip, [a, b])
+    sign = Fraction(1) if cp3.variant.endswith("X1") else Fraction(-1)
     t_om, t_hat = {}, {}
     for i, j, k in itertools.combinations(range(6), 3):
         x = cp3(comp[i], comp[j], comp[k])
@@ -225,9 +225,10 @@ class TestVcpToStable6Orientation:
         cp3 = vcp.cross_3fold(AlgebraTag.O, "X1")
         b = E8[4]
 
-        def stretched(*vectors):
-            x = cp3(*vectors)
-            return tuple(u + t * cp3.ip.pair(x, b) * v for u, v in zip(x, b))
+        def stretched(*vectors):  # the core's contract: integer vectors in, numerators and one denominator out
+            x, den = cp3.evaluator(*vectors)
+            (out,), (d,) = _clear([u + t * cp3.ip.pair(x, b) * v for u, v in zip(x, b)])
+            return out, den * d
 
         bent = dataclasses.replace(cp3, evaluator=stretched)
         for run in (bridge.vcp_to_stable6, ref_vcp_to_stable6):
@@ -275,7 +276,7 @@ class TestComplementCoordinates:
         cases = [[a] for a in unit_vectors(tag)] + [list(plane) for plane in planes(tag, rng)]
         for vectors in cases:
             vecs = [vcp._vec(v) for v in vectors]
-            _, _, to_local = vcp._complement(cp3.ip, vecs)
+            _, _, to_local, _ = vcp._complement(cp3.ip, vecs)
             for _ in range(4):
                 w = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(8)]
                 # project w into the complement: the vectors are mutually orthogonal and non-null
@@ -504,12 +505,18 @@ class TestRoundTrips:
 class TestThreeFoldLift:
     @pytest.mark.parametrize("variant", ("X1", "X2"))
     def test_lift_of_canonical_matches_algebra(self, variant):
+        """The lift of phi- is the algebra's product on all 56 basis triples, so the plane
+        (e0, e1) reduces both to the same stable 6-form data: the hat sign of "LIFT-X1" is
+        the X1 sign, read off the variant's suffix."""
         lifted = bridge.lift_to_3fold(canonical_phi_minus(), variant=variant)
         alg = vcp.cross_3fold(AlgebraTag.O, variant)
         for i in range(8):
             for j in range(i + 1, 8):
                 for k in range(j + 1, 8):
                     assert lifted(E8[i], E8[j], E8[k]) == alg(E8[i], E8[j], E8[k])
+        got, want = (bridge.vcp_to_stable6(cp3, E8[0], E8[1]) for cp3 in (lifted, alg))
+        for name in ("omega", "omega_hat", "plane_scale", "vol"):
+            assert getattr(got, name) == getattr(want, name), name
 
     def test_lift_axioms_and_reduction(self):
         lifted = bridge.lift_to_3fold(canonical_phi_minus(), variant="X1")

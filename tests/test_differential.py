@@ -138,6 +138,12 @@
   key order, on permutation times diagonal maps with entries p/q of both
   signs, on maps with a zero row and on maps with two rows on one column,
   for every degree in dims 4, 6, 7 and 8.
+* ``pullback`` by any other map expands along the last index (Laplace,
+  ``exteralg._laplace``).  It equals the integer minor loop it replaced
+  (``ref_minor_pullback``, one ``_minor`` per term and column set), dict for
+  dict and in key order, for every degree 1..n in dims 4 to 8, on dense,
+  singular and zero-row maps, 10^40-tall entries and forms with zero
+  coefficients.
 * The integer Leibniz rule ``framecalc._leibniz`` (one ``_merge_signs`` read
   per term) gives the dicts of the ``sort_index`` loop it replaced
   (``ref_leibniz``), key order included: ``d`` on the Kodaira-Thurston and
@@ -458,6 +464,53 @@ def test_pullback_cancelling_minors(dim, rng):
     a = alt_form(dim, 2, {(1, 2): Fraction(5, 3), (3, 4): Fraction(-5, 3)})
     assert ref_pullback(g, a).is_zero
     assert_same(pullback(g, a), ref_pullback(g, a), values(a))
+
+
+def ref_minor_pullback(g: LinearMap, a: AltForm) -> AltForm:
+    """``pullback`` before the Laplace expansion: on the integer rows of g, one p x p minor
+    (``_minor``) per (term, column set), each column set in sorted order."""
+    n, p = a.dim, a.degree
+    rows, den = g._rows
+    (xa,), (da,) = _clear(a.terms.values())
+    terms = [([rows[i - 1] for i in idx], c) for idx, c in zip(a.terms, xa)]
+    out: dict = {}
+    for jdx in itertools.combinations(range(n), p):
+        total = 0
+        for minor_rows, c in terms:
+            d = _minor(minor_rows, jdx)
+            if d:
+                total = total + c * d
+        if total:
+            out[tuple(j + 1 for j in jdx)] = Fraction(total, da * den ** p)
+    return AltForm(n, p, out)
+
+
+def laplace_maps(rng: random.Random, n: int) -> dict:
+    """Maps with a row of two nonzero entries at least, so that ``pullback`` expands."""
+    dense = kernel_matrix(rng, n, "mixed").matrix
+    dense = [[x or Fraction(1, 7) for x in row] for row in dense]
+    singular = [list(row) for row in dense]
+    singular[-1] = [x - 2 * y for x, y in zip(dense[0], dense[1])]  # rank n - 1
+    zero_row = [list(row) for row in dense]
+    zero_row[rng.randrange(n)] = [0] * n
+    tall = [[rng.randint(-3, 3) * Fraction(10) ** 40 / rng.randint(1, 9) for _ in range(n)]
+            for _ in range(n)]
+    tall[0][:2] = [Fraction(10) ** 40, -Fraction(10) ** 40]
+    return {kind: LinearMap.from_rows(m) for kind, m in
+            (("dense", dense), ("singular", singular), ("zero row", zero_row), ("tall", tall))}
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_laplace_pullback_matches_the_minor_loop(n, rng):
+    for kind, g in laplace_maps(rng, n).items():
+        assert any(sum(map(bool, row)) > 1 for row in g._rows[0])
+        for p in range(1, n + 1):
+            a = kernel_form(rng, n, p, ("mixed", "scaled", "int")[p % 3])
+            zeros = rng.sample(list(itertools.combinations(range(1, n + 1), p)), 1 + (p < n))
+            a = AltForm(n, p, {**a.terms, **{idx: Fraction(0) for idx in zeros if idx not in a.terms}})
+            got, expected = pullback(g, a), ref_minor_pullback(g, a)
+            assert list(got.terms.items()) == list(expected.terms.items()), (kind, p)
+            assert got.terms == expected.terms and list(got.terms) == sorted(got.terms)
 
 
 def ref_form_inner(a, b, ip):
@@ -1050,8 +1103,8 @@ def ref_exact_canonicalize7(phi: AltForm, vol: VolumeForm) -> Canon7:
     ip = InnerProduct.from_rows(qf.B)
     product = _product_from_form(phi, ip.inverse_gram())
 
-    def cross(a, b) -> list:
-        return [sgn * x for x in _integer_row(product(a, b))[0]]
+    def cross(a, b) -> list:  # the core on the numerators: a positive multiple of a x b
+        return [sgn * x for x in _integer_row(product(*_clear(a, b)[0])[0])[0]]
 
     gs: list = []
     for i in range(7):
@@ -2154,9 +2207,12 @@ PLANES = [(E8[i], E8[j]) for i, j in LORENTZIAN_PLANES] + RATIONAL_PLANES
 
 
 def non_alternating(cp3):
-    """cp3 plus its last argument: X(a, b, c) + c, so X(n, x, y) != X(x, y, n)."""
-    return replace(cp3, evaluator=lambda a, b, c, _ev=cp3.evaluator: tuple(
-        u + v for u, v in zip(_ev(a, b, c), c)))
+    """cp3 plus its last argument: X(a, b, c) + c, so X(n, x, y) != X(x, y, n); on the
+    core's integer contract, x / d + c = (x + d c) / d."""
+    def core(a, b, c, _ev=cp3.evaluator):
+        x, d = _ev(a, b, c)
+        return [u + d * v for u, v in zip(x, c)], d
+    return replace(cp3, evaluator=core)
 
 
 @pytest.mark.parametrize("broken", [None, "sign", "shift"])
@@ -2219,10 +2275,11 @@ def ref_verify_axioms(cp, trials: int, seed: int = 0) -> vcp.AxiomReport:
 
 def dropped_correction(tag: AlgebraTag) -> vcp.CrossProduct:
     """test_vcp's broken product: a.b on Im(tag) without the <a,b> e_0 correction, on R^8."""
-    def bad_eval(a, b):
+    def bad_eval(a, b):  # on the core's integer contract: numerators and one denominator
         xa = AlgElement(tag, (Fraction(0),) + tuple(a[1:]))
         xb = AlgElement(tag, (Fraction(0),) + tuple(b[1:]))
-        return multiply(xa, xb).coords
+        (nums,), (den,) = _clear(multiply(xa, xb).coords)
+        return nums, den
     return vcp.CrossProduct(8, 2, "broken", InnerProduct.euclidean(8), bad_eval, tag=tag)
 
 
@@ -2345,7 +2402,8 @@ def ref_lift_product(phi: AltForm, vol: VolumeForm, variant: str):
     eps = Fraction(1 if variant == "X1" else -1)
     mu3 = wedge(basis_form(8, 1), shift(phi)) + eps * shift(hodge_star(phi, gm.ip, gm.vol))
     g8 = [[Fraction(int(j == 0)) for j in range(8)]] + [[Fraction(0)] + list(r) for r in gm.ip.gram]
-    return _product_from_form(mu3, inverse(g8))
+    return vcp.CrossProduct(8, 3, f"LIFT-{variant}", InnerProduct.from_rows(g8),
+                            _product_from_form(mu3, inverse(g8)))
 
 
 def test_lift_to_3fold_matches_the_inverse_of_the_direct_sum(rng):

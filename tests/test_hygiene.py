@@ -181,6 +181,7 @@ PUBLIC_API = {
         "canonical_phi_plus": "the canonical form of the O7_PLUS orbit, the paper's case list",
         "cross_from_phi": "the README's induced cross products: the 2-fold product of phi",
     },
+    "exteralg.py": {"contract": "the README names contraction; the products contract on its integer loop"},
     "compalg.py": {"element": "the spec's constructor of an algebra element from coordinates"},
     "vcp.py": {
         "eval": "the spec name of a cross product's evaluation",

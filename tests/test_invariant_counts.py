@@ -30,7 +30,10 @@ once (``linalg._clear``) and check on the numerators: a
 ``verify_identities`` trial takes one clear, 17 products (``compalg._mul``),
 6 conjugates and one inner product and no ``multiply``, a ``verify_axioms``
 trial one clear of its draws, and a para check 8 + 5 per trial evaluations
-of the three-fold product and no ``CrossProduct.__call__``.
+of the three-fold product and no ``CrossProduct.__call__``.  A bridge to a
+stable form clears its complement basis once and runs each of its products
+(35 for ``vcp_to_stable7``, 26 for ``vcp_to_stable6``) as the product's core
+on ints, with no ``InnerProduct.pair`` and no ``CrossProduct.__call__``.
 ``classify_g2`` on a memo hit takes 1 Hodge star and at most 3 wedges, with
 *phi checked and the orientation derived once per pair and omega ^ omega
 wedged once per SU3Data.
@@ -720,6 +723,47 @@ def test_para_check_takes_five_products_per_trial(monkeypatch):
         vcp.verify_para_extension_identities(counted, e8[0], e8[4], trials)
         assert len(evaluations) == 8 + 5 * trials  # 8 build L
         assert not calls
+
+
+@pytest.mark.parametrize("route", ["vcp_to_stable7", "vcp_to_stable6"])
+def test_a_bridge_clears_the_complement_basis_once(route, monkeypatch):
+    """The complement basis is cleared once per bridge call (``_complement``'s ``_numerators``),
+    every product is the core on integer vectors (35 for vcp_to_stable7; 20 and the 6 columns
+    of J_P for vcp_to_stable6), and no pair or ``CrossProduct.__call__`` is taken."""
+    basis, clears, cores = set(), [], []
+
+    def null(*args, _orig=vcp.nullspace, **kwargs):
+        out = _orig(*args, **kwargs)
+        basis.update(tuple(v) for v in out)
+        return out
+
+    def numerators(m, _orig=linalg._numerators):
+        clears.extend(["basis"] * any(tuple(r) in basis for r in m))
+        return _orig(m)
+
+    def clear(*groups, _orig=linalg._clear):
+        groups = [list(g) for g in groups]
+        clears.extend(["vector"] * sum(tuple(g) in basis for g in groups))
+        return _orig(*groups)
+
+    monkeypatch.setattr(vcp, "nullspace", null)
+    for module in (vcp, bridge):
+        monkeypatch.setattr(module, "_numerators", numerators)
+    for module in (linalg, vcp, bridge):
+        monkeypatch.setattr(module, "_clear", clear)
+    calls = counting(monkeypatch, vcp.CrossProduct, ("__call__",))
+    pairs = counting(monkeypatch, exteralg.InnerProduct, ("pair",))
+    if route == "vcp_to_stable7":
+        cp3, planes = vcp.cross_3fold(AlgebraTag.O, "X1"), [[Fraction(3, 5), 0, Fraction(4, 5), 0, 0, 0, 0, 0]]
+    else:
+        cp3 = vcp.cross_3fold(AlgebraTag.B, "X2")
+        planes = [[Fraction(5, 3), 0, 0, 0, Fraction(4, 3), 0, 0, 0], [Fraction(4, 3), 0, 0, 0, Fraction(5, 3), 0, 0, 0]]
+    counted = replace(cp3, evaluator=lambda *v, _ev=cp3.evaluator: cores.append(
+        all(type(x) is int for u in v for x in u)) or _ev(*v))
+    getattr(bridge, route)(counted, *planes)
+    assert basis and clears == ["basis"]
+    assert cores == [True] * (35 if route == "vcp_to_stable7" else 26)
+    assert not calls and not pairs
 
 
 @pytest.mark.parametrize("fold", [2, 3])
