@@ -753,14 +753,15 @@ def test_a_bridge_clears_the_complement_basis_once(route, monkeypatch):
         monkeypatch.setattr(module, "_clear", clear)
     calls = counting(monkeypatch, vcp.CrossProduct, ("__call__",))
     pairs = counting(monkeypatch, exteralg.InnerProduct, ("pair",))
+    third, fifth = Fraction(1, 3), Fraction(1, 5)  # a unit and a plane with rational entries
     if route == "vcp_to_stable7":
-        cp3, planes = vcp.cross_3fold(AlgebraTag.O, "X1"), [[Fraction(3, 5), 0, Fraction(4, 5), 0, 0, 0, 0, 0]]
+        cp3, vectors = vcp.cross_3fold(AlgebraTag.O, "X1"), [[3 * fifth, 0, 4 * fifth, 0, 0, 0, 0, 0]]
     else:
         cp3 = vcp.cross_3fold(AlgebraTag.B, "X2")
-        planes = [[Fraction(5, 3), 0, 0, 0, Fraction(4, 3), 0, 0, 0], [Fraction(4, 3), 0, 0, 0, Fraction(5, 3), 0, 0, 0]]
+        vectors = [[5 * third, 0, 0, 0, 4 * third, 0, 0, 0], [4 * third, 0, 0, 0, 5 * third, 0, 0, 0]]
     counted = replace(cp3, evaluator=lambda *v, _ev=cp3.evaluator: cores.append(
         all(type(x) is int for u in v for x in u)) or _ev(*v))
-    getattr(bridge, route)(counted, *planes)
+    getattr(bridge, route)(counted, *vectors)
     assert basis and clears == ["basis"]
     assert cores == [True] * (35 if route == "vcp_to_stable7" else 26)
     assert not calls and not pairs
