@@ -2,7 +2,9 @@
 products, and invariant-frame G2 models.
 
 All values are immutable after construction and every operation is a pure
-function, so the whole API is safe for concurrent use.
+function, so the whole API is safe for concurrent use.  The value records
+are frozen ``scalars._Record`` classes, not dataclasses: no module imports
+``dataclasses`` (or, through it, ``inspect``).
 
 Importing the package runs ``scalars``, ``linalg``, ``exteralg``, ``stable6``
 and ``stable7``. ``bridge``, ``compalg``, ``framecalc`` and ``vcp`` are

@@ -16,7 +16,6 @@ the adapted orientation -e^{1..6} used by the canonical displays.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -24,13 +23,12 @@ from . import stable6, stable7
 from .exteralg import (AltForm, InnerProduct, LinearMap, VolumeForm, alt_form,
                        basis_form, hodge_star, wedge)
 from .linalg import _bilinear, _clear, _numerators, mat_mul, transpose
-from .scalars import _float_root, exact_root
+from .scalars import _float_root, _Record, exact_root
 from .stable6 import NotStableError, ScaledStructure
 from .vcp import CrossProduct, _complement, _product_from_form, _vec
 
 
-@dataclass(frozen=True)
-class AdaptedFrame:
+class AdaptedFrame(_Record):
     """Unit vector (and optional plane partner) with an exact complement basis."""
 
     a: tuple
@@ -44,8 +42,7 @@ def _adapted_frame(a: tuple, b: tuple | None, comp: list) -> AdaptedFrame:
     return AdaptedFrame(a, b, tuple(comp), labels)
 
 
-@dataclass(frozen=True)
-class Stable7FromVCP:
+class Stable7FromVCP(_Record):
     phi: AltForm
     frame: AdaptedFrame
     ip: InnerProduct  # restriction of the algebra inner product to the complement
@@ -79,8 +76,7 @@ def vcp_to_stable7(cp3: CrossProduct, a: Sequence) -> Stable7FromVCP:
                           InnerProduct.from_rows(sub_gram))
 
 
-@dataclass(frozen=True)
-class Stable6FromVCP:
+class Stable6FromVCP(_Record):
     omega: AltForm
     omega_hat: AltForm
     structure: ScaledStructure
@@ -186,8 +182,7 @@ def synthesize_compatible_ip(ss: ScaledStructure) -> InnerProduct:
     return InnerProduct.from_rows(g)
 
 
-@dataclass(frozen=True)
-class Lift7:
+class Lift7(_Record):
     """Result of the dimension raise Omega -> phi = Omega -+ beta ^ omega."""
 
     phi: AltForm

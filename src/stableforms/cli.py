@@ -42,6 +42,11 @@ def _rational(text: str) -> Fraction:
     return rat(text)
 
 
+def _is_int(x) -> bool:
+    """A JSON integer: an int and not a bool, which Python counts as an int (true == 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def parse_terms(items, dim: int, degree: int, where: str) -> AltForm:
     if not isinstance(items, list):
         raise ParseError(f"{where}: terms must be a list")
@@ -53,7 +58,7 @@ def parse_terms(items, dim: int, degree: int, where: str) -> AltForm:
             raise ParseError(f"{label} must be an object with idx and coef")
         idx = term["idx"]
         if (not isinstance(idx, list) or len(idx) != degree
-                or any(not isinstance(i, int) for i in idx)
+                or any(not _is_int(i) for i in idx)
                 or any(not (1 <= i <= dim) for i in idx)
                 or any(idx[t] >= idx[t + 1] for t in range(len(idx) - 1))):
             raise ParseError(f"{label}: idx must be a strictly ascending list of {degree} "
@@ -78,7 +83,7 @@ def parse_form_document(doc, where: str = "form") -> AltForm:
         if field not in doc:
             raise ParseError(f"{where}: missing field '{field}'")
     dim, degree = doc["dim"], doc["degree"]
-    if not isinstance(dim, int) or not isinstance(degree, int) or not (1 <= dim <= 8):
+    if not _is_int(dim) or not _is_int(degree) or not (1 <= dim <= 8):
         raise ParseError(f"{where}: dim must be an integer in 1..8 and degree an integer")
     if not (0 <= degree <= dim):
         raise ParseError(f"{where}: degree {degree} invalid for dim {dim}")
@@ -99,10 +104,10 @@ def parse_model_document(doc) -> tuple:
             raise ParseError(f"model: missing field '{field}'")
     dim = doc["dim"]
     metric = doc["metric"]
-    if not isinstance(dim, int) or not (1 <= dim <= 8):
+    if not _is_int(dim) or not (1 <= dim <= 8):
         raise ParseError("model: dim must be an integer in 1..8")
     if (not isinstance(metric, list) or len(metric) != dim
-            or any(m not in (1, -1) for m in metric)):
+            or any(isinstance(m, bool) or m not in (1, -1) for m in metric)):
         raise ParseError("model: metric must be a list of +-1 of length dim")
     d = doc.get("d") or {}
     if not isinstance(d, dict):

@@ -21,12 +21,11 @@ import enum
 import functools
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
 from .linalg import _bilinear, _clear, _pair, _sparse
-from .scalars import rat
+from .scalars import _Record, rat
 
 
 class AlgebraTag(enum.Enum):
@@ -58,8 +57,7 @@ class AlgebraTag(enum.Enum):
         return tuple(diag)
 
 
-@dataclass(frozen=True)
-class AlgElement:
+class AlgElement(_Record):
     tag: AlgebraTag
     coords: tuple
 
@@ -207,8 +205,7 @@ def random_element(tag: AlgebraTag, rng: random.Random, span: int = 9) -> AlgEle
                                  for _ in range(tag.dim)))
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(_Record):
     tag: AlgebraTag
     trials: int
     passed: bool

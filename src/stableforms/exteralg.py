@@ -42,7 +42,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -50,7 +49,7 @@ from .linalg import (_apply, _bareiss, _clear, _integer_row, _numerators, _pair,
                      nullspace)
 from .linalg import det as _det
 from .linalg import inverse as _inverse
-from .scalars import rat
+from .scalars import _Record, rat
 
 MAX_DIM = 8
 
@@ -79,18 +78,17 @@ def sort_index(idx: Sequence[int]) -> tuple[Index, int]:
     return tuple(sorted(idx)), -1 if inversions & 1 else 1
 
 
-@dataclass(frozen=True)
-class AltForm:
+class AltForm(_Record):
     """Alternating p-form with exact coefficients on sorted multi-indices."""
 
     dim: int
     degree: int
     terms: dict
-    # the invariants of this form at e^{1..n}, one entry made on first read:
-    # "K" -> (K, lambda) in stable6, "B" -> (B, signature, det B) in stable7
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        # the invariants of this form at e^{1..n}, one entry made on first read:
+        # "K" -> (K, lambda) in stable6, "B" -> (B, signature, det B) in stable7
+        object.__setattr__(self, "_memo", {})
         if not (0 <= self.dim <= MAX_DIM):
             raise ValueError(f"dimension {self.dim} out of range 0..{MAX_DIM}")
         if self.degree < 0 or (self.degree > self.dim and self.terms):
@@ -188,8 +186,7 @@ def basis_form(dim: int, *idx: int) -> AltForm:
     return alt_form(dim, len(idx), {tuple(idx): Fraction(1)})
 
 
-@dataclass(frozen=True)
-class LinearMap:
+class LinearMap(_Record):
     """Linear map given by a rational matrix; column j is the image of e_j."""
 
     dim_in: int
@@ -241,8 +238,7 @@ class LinearMap:
         return _det(self.matrix)
 
 
-@dataclass(frozen=True)
-class InnerProduct:
+class InnerProduct(_Record):
     """Symmetric nondegenerate bilinear form with rational Gram matrix."""
 
     dim: int
@@ -298,8 +294,7 @@ class InnerProduct:
         return pos, neg
 
 
-@dataclass(frozen=True)
-class VolumeForm:
+class VolumeForm(_Record):
     """Nonzero top form; the stored form fixes orientation."""
 
     form: AltForm

@@ -25,7 +25,6 @@ nabla phi are kept in the bundle's private memo for that SU3Data object, and
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Sequence
 
@@ -33,7 +32,7 @@ from . import stable6
 from .exteralg import (_INDEX, _MASK, AltForm, InnerProduct, PreconditionError, VolumeForm, _merge_signs,
                        alt_form, basis_form, form_inner, hodge_star, is_decomposable, wedge)
 from .linalg import _clear, mat_mul, transpose
-from .scalars import _float_root
+from .scalars import _float_root, _Record
 
 
 def _matrix(a: AltForm) -> list:
@@ -67,8 +66,7 @@ def _leibniz(a: AltForm, images: dict, degree: int) -> AltForm:
     return AltForm(a.dim, a.degree + degree, {_INDEX[m]: Fraction(v, den) for m, v in out.items() if v})
 
 
-@dataclass(frozen=True)
-class FrameModel:
+class FrameModel(_Record):
     """Coframe with structure constants: d(e^k) declared, d^2 = 0 checked."""
 
     dim: int
@@ -159,16 +157,17 @@ def iwasawa_model() -> FrameModel:
     })
 
 
-@dataclass(frozen=True)
-class CircleBundleModel:
+class CircleBundleModel(_Record):
     """Unit circle bundle over a 6-dim base: total coframe (e^1..e^6, rho=e^7)."""
 
     base: FrameModel
     F: AltForm
     total: FrameModel
-    # id(su3) -> (su3, _Derivation) for each SU3Data derived on this bundle;
-    # holding su3 keeps its id from being reused.  Filled by _derivation.
-    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # id(su3) -> (su3, _Derivation) for each SU3Data derived on this bundle;
+        # holding su3 keeps its id from being reused.  Filled by _derivation.
+        object.__setattr__(self, "_memo", {})
 
 
 def make_circle_bundle(base: FrameModel, F: AltForm) -> CircleBundleModel:
@@ -188,8 +187,7 @@ def _embed(f: AltForm, dim: int) -> AltForm:
     return alt_form(dim, f.degree, {idx: c for idx, c in f.terms.items()})
 
 
-@dataclass(frozen=True)
-class SU3Data:
+class SU3Data(_Record):
     """Adapted SU(3) forms on the base: omega, Omega1, Omega2.
 
     Invariants checked: omega ^ Omega_i = 0, the constant-dilaton
@@ -199,10 +197,9 @@ class SU3Data:
     omega: AltForm
     Omega1: AltForm
     Omega2: AltForm
-    _omega2: AltForm = field(init=False, repr=False, compare=False)  # omega ^ omega, wedged once
 
     def __post_init__(self):
-        object.__setattr__(self, "_omega2", wedge(self.omega, self.omega))
+        object.__setattr__(self, "_omega2", wedge(self.omega, self.omega))  # omega ^ omega, wedged once
         w3 = wedge(self._omega2, self.omega)
         if w3.is_zero:
             raise PreconditionError("omega is degenerate")
@@ -275,8 +272,7 @@ def _g2_forms(su3: SU3Data) -> tuple[AltForm, AltForm]:
     return phi, wedge(_embed(su3.Omega2, 7), rho) - Fraction(1, 2) * _embed(su3._omega2, 7)
 
 
-@dataclass(frozen=True)
-class _Derivation:
+class _Derivation(_Record):
     """What one (bundle, SU(3)) pair gives once it passes the special-balanced check."""
 
     phi: AltForm
@@ -317,8 +313,7 @@ def build_g2(cb: CircleBundleModel, su3: SU3Data) -> tuple[AltForm, AltForm]:
     return derived.phi, derived.star_phi
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(_Record):
     parallel: bool
     W1_nearly: bool
     W2_almost: bool
@@ -383,8 +378,7 @@ def classify_g2(cb: CircleBundleModel, su3: SU3Data) -> ClassReport:
     return report
 
 
-@dataclass(frozen=True)
-class ConnectionTable:
+class ConnectionTable(_Record):
     """Levi-Civita data: base Gamma[i][j][k] and the lifted 7x7x7 table.
 
     Index 7 of the lifted table is the fiber direction; entries are the
@@ -428,8 +422,7 @@ def covariant_table(cb: CircleBundleModel) -> ConnectionTable:
     )
 
 
-@dataclass(frozen=True)
-class NablaPhiReport:
+class NablaPhiReport(_Record):
     derivatives: dict          # direction index 1..7 -> AltForm (7-dim)
     theta_display_ok: bool     # nabla_theta phi == (1/2) <F, omega> Omega2
     pairing: Fraction          # <nabla phi, *phi>
@@ -446,7 +439,7 @@ def nabla_phi(cb: CircleBundleModel, su3: SU3Data) -> NablaPhiReport:
     experimental.
     """
     report = _derivation(cb, su3).nabla
-    return replace(report, derivatives=dict(report.derivatives))
+    return report._replace(derivatives=dict(report.derivatives))
 
 
 def _nabla_phi(cb: CircleBundleModel, su3: SU3Data, phi: AltForm, star_phi: AltForm,
@@ -491,8 +484,7 @@ def _interior_terms(a: AltForm) -> dict:
     return out
 
 
-@dataclass(frozen=True)
-class HitchinValue:
+class HitchinValue(_Record):
     lam: Fraction
     density: float
 
@@ -532,8 +524,7 @@ def hitchin_variation(omega: AltForm, omega_dot: AltForm, vol: VolumeForm) -> tu
 HITCHIN_VARIATION_CONSTANT = -1.0  # fd derivative = c * (hat ^ dOmega)/vol; oracle-determined
 
 
-@dataclass(frozen=True)
-class CriticalReport:
+class CriticalReport(_Record):
     closed: bool
     cocritical: bool
     critical: bool

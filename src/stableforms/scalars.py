@@ -8,17 +8,83 @@ of it at every size of the exact rational.  No other module takes a float
 root.  Where a square root of a rational D is unavoidable, canonical bases of
 stable 6-forms have entries in the quadratic extension Q(sqrt(D))
 (:class:`QuadExt`).
+
+Every value record of the package (``AltForm``, ``QuadExt``, the reports) is
+a frozen ``_Record`` defined here, not a dataclass: ``dataclasses`` imports
+``inspect``, and with the generation of each class that took about 15 ms of
+every CLI start.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
 RatLike = Union[int, Fraction, str]
+
+
+class _Record:
+    """A frozen value record, as ``@dataclass(frozen=True)`` makes one.
+
+    A subclass's fields are its own annotations, in order, and a class-level
+    value is its field's default.  Each subclass gets an ``__init__`` that sets
+    the fields with ``object.__setattr__`` and calls ``__post_init__`` last, and
+    an ``__eq__`` and ``__hash__`` on the tuple of its fields (equal only to an
+    instance of the same class), made by one small ``exec`` per class: a generic
+    ``__init__(*args)`` or ``__eq__`` looping over ``_fields`` is several times
+    slower.  A method the class defines itself wins.  Assigning or deleting an
+    attribute raises AttributeError; ``__post_init__`` sets any derived
+    attribute (a memo) with ``object.__setattr__``, and it stays out of eq, hash
+    and repr.
+    """
+
+    _fields = ()  # the field names, set on each subclass
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        own = vars(cls)
+        annotations = own.get("__annotations__", {})
+        cls._fields = fields = tuple(annotations)
+        scope = {"_setattr": object.__setattr__}
+        params = []
+        for f in fields:
+            if f in own:
+                scope[f"_default_{f}"] = own[f]
+                f = f"{f}=_default_{f}"
+            params.append(f)
+        mine = "".join(f"self.{f}, " for f in fields)
+        theirs = "".join(f"other.{f}, " for f in fields)
+        exec("\n".join([
+            f"def __init__(self, {', '.join(params)}):",
+            *(f"    _setattr(self, {f!r}, {f})" for f in fields),
+            "    self.__post_init__()" if hasattr(cls, "__post_init__") else "    pass",
+            "def __eq__(self, other):",
+            "    if other.__class__ is self.__class__:",
+            f"        return ({mine}) == ({theirs})",
+            "    return NotImplemented",
+            "def __hash__(self):",
+            f"    return hash(({mine}))",
+        ]), scope)
+        scope["__init__"].__annotations__ = {**annotations, "return": None}
+        for name in ("__init__", "__eq__", "__hash__"):
+            if own.get(name) is None:  # a class that defines __eq__ alone has __hash__ None
+                scope[name].__qualname__ = f"{cls.__qualname__}.{name}"
+                setattr(cls, name, scope[name])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{f}={getattr(self, f)!r}' for f in self._fields)})"
+
+    def _replace(self, **changes):
+        """A copy with the given fields changed, as ``dataclasses.replace`` makes it."""
+        return type(self)(**{**{f: getattr(self, f) for f in self._fields}, **changes})
 
 
 def rat(x: RatLike) -> Fraction:
@@ -112,8 +178,7 @@ def _float_root(x: Fraction, k: int) -> float:
     return r
 
 
-@dataclass(frozen=True)
-class QuadExt:
+class QuadExt(_Record):
     """Element a + b*sqrt(D) of the quadratic extension Q(sqrt(D)).
 
     D is a fixed non-square rational (it may be negative, giving an imaginary

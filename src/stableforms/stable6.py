@@ -50,13 +50,12 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exteralg import (AltForm, LinearMap, VolumeForm, _check_shape, _interior_wedges, _minor, alt_form,
                        pullback, wedge)
 from .linalg import _clear, _numerators, nullspace, rank
-from .scalars import QuadExt, exact_root
+from .scalars import QuadExt, _Record, exact_root
 
 
 class NotStableError(ValueError):
@@ -69,14 +68,12 @@ class OrbitClass6(enum.Enum):
     NOT_STABLE = "NOT_STABLE"
 
 
-@dataclass(frozen=True)
-class Lambda:
+class Lambda(_Record):
     value: Fraction
     vol: VolumeForm
 
 
-@dataclass(frozen=True)
-class ScaledStructure:
+class ScaledStructure(_Record):
     """K and lambda against one volume form, K^2 = lambda Id (``k_endo``).
 
     The exact carrier of J (lambda < 0) or L (lambda > 0); lambda = 0 when
@@ -207,8 +204,7 @@ def scaled_structure(omega: AltForm, vol: VolumeForm) -> ScaledStructure:
     return ss
 
 
-@dataclass(frozen=True)
-class HatForm:
+class HatForm(_Record):
     """hat(Omega) = numerator / sqrt(lam_abs); exact AltForm when the root is rational.
 
     Omega ^ hat(Omega) is a positive multiple of the declared volume form.
@@ -239,8 +235,7 @@ def hat(omega: AltForm, vol: VolumeForm) -> HatForm:
     return HatForm(P, lam_abs, None if s is None else (1 / s) * P)
 
 
-@dataclass(frozen=True)
-class Canon6:
+class Canon6(_Record):
     """Basis g with pullback(g, canonical form of the class) == Omega."""
 
     basis: LinearMap

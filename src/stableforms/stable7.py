@@ -37,13 +37,12 @@ import enum
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .exteralg import (AltForm, InnerProduct, VolumeForm, _check_shape, _interior_wedges, _merge_signs,
                        _minor, alt_form)
 from .linalg import _clear, _inertia_det, _numerators
-from .scalars import _float_root, exact_root
+from .scalars import _float_root, _Record, exact_root
 from .stable6 import NotStableError
 
 
@@ -53,8 +52,7 @@ class OrbitClass7(enum.Enum):
     NOT_STABLE = "NOT_STABLE"
 
 
-@dataclass(frozen=True)
-class QForm:
+class QForm(_Record):
     """B against vol, with the signature of B that ``q_form`` read off the memo entry."""
 
     B: tuple
@@ -121,8 +119,7 @@ def classify7(phi: AltForm, vol: VolumeForm) -> OrbitClass7:
     return _orbit7(_invariants(phi)[1])
 
 
-@dataclass(frozen=True)
-class G2Metric:
+class G2Metric(_Record):
     """Metric induced by a stable phi: g = B/(6s), s^9 = |det B| / 6^7, with B at
     e^{1..7}; only `exact_B`, the ``q_form`` of the call, is read against its vol.
 
@@ -183,8 +180,7 @@ def canonical_phi_plus() -> AltForm:
                            (1, 4, 5): -1, (2, 4, 6): -1, (3, 4, 7): -1})
 
 
-@dataclass(frozen=True)
-class Canon7:
+class Canon7(_Record):
     basis: list          # float 7x7 matrix, rows: phi = basis^* canonical_phi_minus()
     residual: float
 

@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
@@ -26,7 +25,7 @@ from .exteralg import AltForm, InnerProduct, LinearMap, _interior, alt_form
 from .linalg import _bilinear, _clear, _numerators
 from .linalg import det as _det
 from .linalg import mat_vec, nullspace, rank
-from .scalars import rat
+from .scalars import _Record, rat
 
 Vector = tuple
 
@@ -35,8 +34,7 @@ def _vec(v: Sequence) -> Vector:
     return tuple(rat(x) if isinstance(x, (int, str)) else x for x in v)
 
 
-@dataclass(frozen=True)
-class CrossProduct:
+class CrossProduct(_Record):
     """An r-fold cross product as an integer core plus its metric.
 
     The core (``evaluator``) is the one evaluation of the product: it takes r
@@ -109,8 +107,7 @@ def cross_3fold(tag: AlgebraTag, variant: str) -> CrossProduct:
     return CrossProduct(8, 3, variant, InnerProduct.diagonal(tag.signature), ev, tag=tag)
 
 
-@dataclass(frozen=True)
-class FundamentalForm:
+class FundamentalForm(_Record):
     mu: AltForm
 
 
@@ -150,8 +147,7 @@ def _product_from_form(mu: AltForm, ginv: list) -> Callable:
     return ev
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(_Record):
     variant: str
     trials: int
     passed: bool
@@ -264,8 +260,7 @@ def _complement(ip: InnerProduct, vectors: Sequence[Sequence]) -> tuple[list, li
     return comp, sub_gram, to_local, (rows, den)
 
 
-@dataclass(frozen=True)
-class ParaExtensionReport:
+class ParaExtensionReport(_Record):
     variant: str
     trials: int
     identity_one: bool
@@ -277,36 +272,43 @@ class ParaExtensionReport:
 
 def para_structure_from_plane(cp3: CrossProduct, a: Sequence, b: Sequence) -> LinearMap:
     """L v = -X3(a, b, v) on the orthogonal complement of the Lorentzian
-    plane span{a, b}, extended to the plane by La = b, Lb = a.
+    plane span{a, b}, extended to the plane by La = b, Lb = a."""
+    (ca, cb), (da, db) = _clear(_vec(a), _vec(b))
+    return _para_structure(cp3, ca, cb, da, db)[0]
 
-    X3 is linear in each argument, so its core is evaluated on the numerators
-    A, B of a, b and the integer multiple f t of each basis vector's tangent
-    part t (``_plane_split``), and each column is one Fraction per entry over
+
+def _para_structure(cp3: CrossProduct, ca: list, cb: list, da: int, db: int) -> tuple[LinearMap, Callable]:
+    """(L, split) for the plane a = A/d_a, b = B/d_b, given cleared: L as in
+    ``para_structure_from_plane`` and the plane's ``_plane_split``.
+
+    The plane is checked on the numerators, <A,A> = g d_a^2, <B,B> = -g d_b^2 and
+    <A,B> = 0 on the integer Gram entries over g.  X3 is linear in each argument,
+    so its core is evaluated on A, B and the integer multiple f t of each basis
+    vector's tangent part t, and each column of L is one Fraction per entry over
     f, d_a d_b and the core's denominator."""
-    a, b = _vec(a), _vec(b)
-    _require_lorentzian(cp3, a, b)
+    form, g = cp3.ip._form
+    if (_bilinear(form, ca, ca) != g * da * da or _bilinear(form, cb, cb) != -g * db * db
+            or _bilinear(form, ca, cb)):
+        raise ValueError("plane must be Lorentzian: <a,a>=1, <b,b>=-1, <a,b>=0")
     n = cp3.dim
-    split, f = _plane_split(cp3.ip, a, b)
-    (ca, cb), (da, db) = _clear(a, b)
+    split, f = _plane_split(form, g, ca, cb, da, db)
     cols = []
     for k in range(n):
         tangent, plane = split([int(i == k) for i in range(n)])
         u, du = cp3.evaluator(ca, cb, tangent)
         du *= da * db
         cols.append(tuple(Fraction(du * p - c, f * du) for p, c in zip(plane, u)))
-    return LinearMap.from_columns(cols)
+    return LinearMap.from_columns(cols), split
 
 
-def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> tuple[Callable, int]:
+def _plane_split(form: tuple, g: int, ca: list, cb: list, da: int, db: int) -> tuple[Callable, int]:
     """(split, f) for the Lorentzian plane span{a, b}, on integers.
 
     Write v = t + <a,v> a - <b,v> b with t orthogonal to the plane; split takes an integer v
     to the integer vectors f t and f (<a,v> b - <b,v> a), the image of v's plane part under
     La = b, Lb = a.  With a = A/d_a and b = B/d_b cleared and the Gram matrix integer entries
-    over g, f = g d_a^2 d_b^2 makes both integer: f t = f v - b(A,v) d_b^2 A + b(B,v) d_a^2 B,
-    and the image is d_a d_b (b(A,v) B - b(B,v) A)."""
-    form, g = ip._form
-    (ca, cb), (da, db) = _clear(a, b)
+    ``form`` over g, f = g d_a^2 d_b^2 makes both integer: f t = f v - b(A,v) d_b^2 A +
+    b(B,v) d_a^2 B, and the image is d_a d_b (b(A,v) B - b(B,v) A)."""
     f, sa, sb, sab = g * (da * db) ** 2, db * db, da * da, da * db
 
     def split(v: Sequence) -> tuple[list, list]:
@@ -315,11 +317,6 @@ def _plane_split(ip: InnerProduct, a: Vector, b: Vector) -> tuple[Callable, int]
                 [sab * (pa * z - pb * y) for y, z in zip(ca, cb)])
 
     return split, f
-
-
-def _require_lorentzian(cp3: CrossProduct, a: Vector, b: Vector):
-    if cp3.ip.pair(a, a) != 1 or cp3.ip.pair(b, b) != -1 or cp3.ip.pair(a, b) != 0:
-        raise ValueError("plane must be Lorentzian: <a,a>=1, <b,b>=-1, <a,b>=0")
 
 
 def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence,
@@ -343,9 +340,9 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     holds; which one depends on the 3-fold variant and is reported.
 
     Every identity is linear in each of x, y and n, so it holds at (x, y, n)
-    exactly when it holds at positive integer multiples of them: each trial
-    checks it on the integer tangents of ``_plane_split`` and the integer normal
-    d_a d_b n.  L is read as its integer rows over their denominator d_L, the
+    exactly when it holds at positive integer multiples of them: a and b are
+    cleared once, and each trial checks it on the integer tangents of the split
+    that built L (``_para_structure``) and the integer normal d_a d_b n.  L is read as its integer rows over their denominator d_L, the
     five cores of a trial are brought over one denominator D, and pairs
     are taken on the integer Gram entries over g; each identity is multiplied
     through by these factors (d_L^2 where L enters twice), so it is checked
@@ -353,13 +350,11 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    a, b = _vec(a), _vec(b)
-    L = para_structure_from_plane(cp3, a, b)
+    (ca, cb), (da, db) = _clear(_vec(a), _vec(b))
+    L, split = _para_structure(cp3, ca, cb, da, db)
     n_dim = cp3.dim
     rng = random.Random(seed)
-    split = _plane_split(cp3.ip, a, b)[0]
     form, g = cp3.ip._form
-    (ca, cb), (da, db) = _clear(a, b)
     rows, dl = L._rows
     X = cp3.evaluator
 

@@ -339,6 +339,13 @@ ERROR_DOCUMENTS = {
     "not_jacobi": {"dim": 4, "metric": [1] * 4, "d": {"1": [{"idx": [2, 4], "coef": "1"}],
                                                        "4": [{"idx": [1, 3], "coef": "1"}]}},
     "d9": {"dim": 6, "metric": [1] * 6, "d": {"9": [{"idx": [1, 2], "coef": "1"}]}},
+    # JSON true is not the integer 1, though Python's bool is an int
+    "bool_idx": {"dim": 6, "degree": 3, "terms": [{"idx": [True, 2, 3], "coef": "1"},
+                                                  {"idx": [4, 5, 6], "coef": "1"}]},
+    "bool_dim": {"dim": True, "degree": 1, "terms": [{"idx": [1], "coef": "1"}]},
+    "bool_degree": {"dim": 6, "degree": True, "terms": [{"idx": [1], "coef": "1"}]},
+    "bool_model_dim": {"dim": True, "metric": [1], "d": {}},
+    "bool_metric": {"dim": 6, "metric": [True, 1, 1, 1, 1, 1], "d": {}},
 }
 
 ERROR_PATHS = {
@@ -368,6 +375,17 @@ ERROR_PATHS = {
                            "precondition failed: d^2 e^1 != 0; structure constants violate Jacobi"),
     "g2class_d_out_of_range": (["g2class", "{d9}"], EXIT_PARSE,
                                "error: model: d(e^9) must be a 2-form on the model space"),
+    "classify_bool_idx": (["classify", "{bool_idx}"], EXIT_PARSE,
+                          "error: form: term #0 {'idx': [True, 2, 3], 'coef': '1'}: idx must be a strictly "
+                          "ascending list of 3 integers in 1..6"),
+    "classify_bool_dim": (["classify", "{bool_dim}"], EXIT_PARSE,
+                          "error: form: dim must be an integer in 1..8 and degree an integer"),
+    "classify_bool_degree": (["classify", "{bool_degree}"], EXIT_PARSE,
+                             "error: form: dim must be an integer in 1..8 and degree an integer"),
+    "hitchin_bool_model_dim": (["hitchin", "{bool_model_dim}", "{omega}"], EXIT_PARSE,
+                               "error: model: dim must be an integer in 1..8"),
+    "hitchin_bool_metric": (["hitchin", "{bool_metric}", "{omega}"], EXIT_PARSE,
+                            "error: model: metric must be a list of +-1 of length dim"),
 }
 
 

@@ -188,7 +188,6 @@ import math
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -2212,7 +2211,7 @@ def non_alternating(cp3):
     def core(a, b, c, _ev=cp3.evaluator):
         x, d = _ev(a, b, c)
         return [u + d * v for u, v in zip(x, c)], d
-    return replace(cp3, evaluator=core)
+    return cp3._replace(evaluator=core)
 
 
 @pytest.mark.parametrize("broken", [None, "sign", "shift"])

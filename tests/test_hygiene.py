@@ -186,6 +186,8 @@ PUBLIC_API = {
     "vcp.py": {
         "eval": "the spec name of a cross product's evaluation",
         "fundamental_form": "the README's fundamental forms of a cross product",
+        "para_structure_from_plane": "the L of the README's Lorentzian-plane identities, on its own; "
+                                     "the verifier shares its code (_para_structure)",
         "reduce_by_unit_vector": "the README's unit-vector reductions",
     },
     "bridge.py": {"lift_to_3fold": "the README's 3-fold lift; perfbench construct calls and traces it"},

@@ -30,7 +30,9 @@ once (``linalg._clear``) and check on the numerators: a
 ``verify_identities`` trial takes one clear, 17 products (``compalg._mul``),
 6 conjugates and one inner product and no ``multiply``, a ``verify_axioms``
 trial one clear of its draws, and a para check 8 + 5 per trial evaluations
-of the three-fold product and no ``CrossProduct.__call__``.  A bridge to a
+of the three-fold product and no ``CrossProduct.__call__``; it clears its
+plane (a, b) once, checks it with no ``InnerProduct.pair`` and splits vectors
+along it with one split, the one that builds L.  A bridge to a
 stable form clears its complement basis once and runs each of its products
 (35 for ``vcp_to_stable7``, 26 for ``vcp_to_stable6``) as the product's core
 on ints, with no ``InnerProduct.pair`` and no ``CrossProduct.__call__``.
@@ -57,7 +59,6 @@ import subprocess
 import sys
 import tempfile
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -719,10 +720,35 @@ def test_para_check_takes_five_products_per_trial(monkeypatch):
     for variant, trials in (("X1", 1), ("X2", 4)):
         cp3 = vcp.cross_3fold(AlgebraTag.B, variant)
         evaluations = []
-        counted = replace(cp3, evaluator=lambda *v, _ev=cp3.evaluator: evaluations.append(v) or _ev(*v))
+        counted = cp3._replace(evaluator=lambda *v, _ev=cp3.evaluator: evaluations.append(v) or _ev(*v))
         vcp.verify_para_extension_identities(counted, e8[0], e8[4], trials)
         assert len(evaluations) == 8 + 5 * trials  # 8 build L
         assert not calls
+
+
+@pytest.mark.parametrize("entry", ["verify_para_extension_identities", "para_structure_from_plane"])
+def test_para_check_clears_the_plane_once(entry, monkeypatch):
+    """a and b are cleared together once per call, the plane is checked on their numerators
+    with no ``InnerProduct.pair``, and the verifier's trials share the split that built L."""
+    third = Fraction(1, 3)  # a Lorentzian plane with rational entries
+    a, b = [5 * third, 0, 0, 0, 4 * third, 0, 0, 0], [4 * third, 0, 0, 0, 5 * third, 0, 0, 0]
+    clears = []
+
+    def clear(*groups, _orig=vcp._clear):
+        groups = [list(g) for g in groups]
+        clears.extend([groups] * any(g in (a, b) for g in groups))
+        return _orig(*groups)
+
+    monkeypatch.setattr(vcp, "_clear", clear)
+    pairs = counting(monkeypatch, exteralg.InnerProduct, ("pair",))
+    splits = counting(monkeypatch, vcp, ("_plane_split",))
+    cp3 = vcp.cross_3fold(AlgebraTag.B, "X2")
+    if entry == "verify_para_extension_identities":
+        assert vcp.verify_para_extension_identities(cp3, a, b, 3).passed
+    else:
+        vcp.para_structure_from_plane(cp3, a, b)
+    assert clears == [[a, b]]
+    assert not pairs and splits == {"_plane_split": 1}
 
 
 @pytest.mark.parametrize("route", ["vcp_to_stable7", "vcp_to_stable6"])
@@ -759,7 +785,7 @@ def test_a_bridge_clears_the_complement_basis_once(route, monkeypatch):
     else:
         cp3 = vcp.cross_3fold(AlgebraTag.B, "X2")
         vectors = [[5 * third, 0, 0, 0, 4 * third, 0, 0, 0], [4 * third, 0, 0, 0, 5 * third, 0, 0, 0]]
-    counted = replace(cp3, evaluator=lambda *v, _ev=cp3.evaluator: cores.append(
+    counted = cp3._replace(evaluator=lambda *v, _ev=cp3.evaluator: cores.append(
         all(type(x) is int for u in v for x in u)) or _ev(*v))
     getattr(bridge, route)(counted, *vectors)
     assert basis and clears == ["basis"]
@@ -786,7 +812,7 @@ def test_verify_axioms_clears_each_draw_once(fold, monkeypatch):
     monkeypatch.setattr(vcp, "_random_vector", draw)
     monkeypatch.setattr(vcp, "_clear", clear)
     cp = vcp.cross_2fold(AlgebraTag.O) if fold == 2 else vcp.cross_3fold(AlgebraTag.B, "X1")
-    counted = replace(cp, evaluator=lambda *v, _ev=cp.evaluator: evaluated.append(
+    counted = cp._replace(evaluator=lambda *v, _ev=cp.evaluator: evaluated.append(
         all(type(x) is int for u in v for x in u)) or _ev(*v))
     assert vcp.verify_axioms(counted, 3, seed=2).passed
     assert [len(groups) for groups in cleared] == [fold] * 3

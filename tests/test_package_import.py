@@ -21,6 +21,9 @@ LAYERS = ("scalars", "linalg", "exteralg", "compalg", "vcp", "stable6", "stable7
 # a name each deferred module defines
 DEFERRED = {"bridge": "stable6_to_7", "compalg": "AlgebraTag", "framecalc": "FrameModel",
             "vcp": "CrossProduct"}
+# standard modules no layer imports: dataclasses imports inspect, and with the
+# generation of each record class that took about 15 ms of every CLI start
+UNUSED_STDLIB = ("dataclasses", "inspect")
 
 RAN = """
 import sys
@@ -33,7 +36,7 @@ def run_fresh(code: str) -> dict:
     """Run code in a new interpreter and return the JSON it prints last."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
-    prelude = f"DEFERRED = {DEFERRED!r}\n" + RAN
+    prelude = f"DEFERRED = {DEFERRED!r}\nUNUSED_STDLIB = {UNUSED_STDLIB!r}\n" + RAN
     proc = subprocess.run([sys.executable, "-c", prelude + textwrap.dedent(code)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -67,9 +70,21 @@ def test_classify_runs_no_deferred_module(tmp_path):
             with contextlib.redirect_stdout(io.StringIO()) as buf:
                 code = cli.main(["classify", {str(path)!r}, "--canonicalize", "--json"])
             print(json.dumps({{"code": code, "cls": json.loads(buf.getvalue())["class"],
-                              "ran": [n for n in DEFERRED if ran(n)]}}))
+                              "ran": [n for n in DEFERRED if ran(n)],
+                              "stdlib": [m for m in UNUSED_STDLIB if m in sys.modules]}}))
         """)
-        assert out == {"code": 0, "cls": "O6_PLUS" if dim == 6 else "O7_MINUS", "ran": []}
+        assert out == {"code": 0, "cls": "O6_PLUS" if dim == 6 else "O7_MINUS", "ran": [], "stdlib": []}
+
+
+def test_no_layer_imports_dataclasses_or_inspect():
+    out = run_fresh(f"""
+        import importlib, json
+        for name in {LAYERS!r}:  # a deferred layer runs on its first attribute read
+            importlib.import_module("stableforms." + name).__doc__
+        print(json.dumps({{"ran": [n for n in DEFERRED if ran(n)],
+                          "stdlib": [m for m in UNUSED_STDLIB if m in sys.modules]}}))
+    """)
+    assert out == {"ran": list(DEFERRED), "stdlib": []}
 
 
 def test_every_public_name_resolves_by_from_import():
