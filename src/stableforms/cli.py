@@ -107,7 +107,7 @@ def parse_model_document(doc) -> tuple:
     if not _is_int(dim) or not (1 <= dim <= 8):
         raise ParseError("model: dim must be an integer in 1..8")
     if (not isinstance(metric, list) or len(metric) != dim
-            or any(isinstance(m, bool) or m not in (1, -1) for m in metric)):
+            or any(not _is_int(m) or m not in (1, -1) for m in metric)):
         raise ParseError("model: metric must be a list of +-1 of length dim")
     d = doc.get("d") or {}
     if not isinstance(d, dict):

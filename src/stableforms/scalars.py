@@ -33,8 +33,8 @@ class _Record:
     the fields with ``object.__setattr__`` and calls ``__post_init__`` last, and
     an ``__eq__`` and ``__hash__`` on the tuple of its fields (equal only to an
     instance of the same class), made by one small ``exec`` per class: a generic
-    ``__init__(*args)`` or ``__eq__`` looping over ``_fields`` is several times
-    slower.  A method the class defines itself wins.  Assigning or deleting an
+    ``__init__(*args)`` or an ``__eq__`` looping over ``_fields`` is slower on
+    every record built or compared.  A method the class defines itself wins.  Assigning or deleting an
     attribute raises AttributeError; ``__post_init__`` sets any derived
     attribute (a memo) with ``object.__setattr__``, and it stays out of eq, hash
     and repr.

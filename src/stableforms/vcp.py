@@ -342,7 +342,8 @@ def verify_para_extension_identities(cp3: CrossProduct, a: Sequence, b: Sequence
     Every identity is linear in each of x, y and n, so it holds at (x, y, n)
     exactly when it holds at positive integer multiples of them: a and b are
     cleared once, and each trial checks it on the integer tangents of the split
-    that built L (``_para_structure``) and the integer normal d_a d_b n.  L is read as its integer rows over their denominator d_L, the
+    that built L (``_para_structure``) and the integer normal d_a d_b n.  L is
+    read as its integer rows over their denominator d_L, the
     five cores of a trial are brought over one denominator D, and pairs
     are taken on the integer Gram entries over g; each identity is multiplied
     through by these factors (d_L^2 where L enters twice), so it is checked

@@ -346,6 +346,8 @@ ERROR_DOCUMENTS = {
     "bool_degree": {"dim": 6, "degree": True, "terms": [{"idx": [1], "coef": "1"}]},
     "bool_model_dim": {"dim": True, "metric": [1], "d": {}},
     "bool_metric": {"dim": 6, "metric": [True, 1, 1, 1, 1, 1], "d": {}},
+    # nor is 1.0 a metric entry: the frame code takes ints and Fractions only
+    "float_metric": {"dim": 6, "metric": [1.0, 1, 1, 1, 1, 1], "d": {}},
 }
 
 ERROR_PATHS = {
@@ -386,6 +388,8 @@ ERROR_PATHS = {
                                "error: model: dim must be an integer in 1..8"),
     "hitchin_bool_metric": (["hitchin", "{bool_metric}", "{omega}"], EXIT_PARSE,
                             "error: model: metric must be a list of +-1 of length dim"),
+    "g2class_float_metric": (["g2class", "{float_metric}"], EXIT_PARSE,
+                             "error: model: metric must be a list of +-1 of length dim"),
 }
 
 

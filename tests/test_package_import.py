@@ -5,7 +5,8 @@
 case runs in a fresh interpreter, since the test process has imported every
 module already. A module's code has run exactly when its ``__dict__``, read
 past any attribute hook with ``object.__getattribute__``, holds the names it
-defines.
+defines.  No layer imports ``dataclasses`` or ``inspect``, on the classify path
+or with every layer run.
 """
 
 import json
